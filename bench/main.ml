@@ -1937,7 +1937,7 @@ let section_fuzz () =
   let outcome = Fw_check.Harness.run cfg in
   let dt = Unix.gettimeofday () -. t0 in
   Printf.printf
-    "%d scenarios x %d paths + invariants in %.2fs (%.1f scenarios/s), %d \
+    "%d scenarios x up to %d paths + invariants in %.2fs (%.1f scenarios/s), %d \
      failure(s)\n"
     outcome.Fw_check.Harness.checked
     (List.length Fw_check.Paths.all)

@@ -2,31 +2,27 @@
    stack.
 
    Each iteration draws one random (aggregate, window set, event
-   stream, horizon) scenario from a seed, runs it through every
-   execution path — reference evaluator, naive streaming plan, the
-   pane-based incremental engine (--incremental-prob to sample),
-   rewritten plans with/without factor windows, paned/paired slicing
-   shared/unshared, (--crash-prob to sample) the checkpointing
-   pipeline killed mid-stream by an injected fault and recovered from
-   disk, (--shard-prob to sample) the multicore runner: the plan
-   key-partitioned across 2-8 worker domains, byte-compared against
-   single-shard runs, and (--batch-prob to sample, on by default) the
-   vectorized paths: the same stream pushed through feed_batch under
-   scenario-drawn batch sizes (--batch-size-range) with punctuation
-   marks injected mid-batch, byte-compared against the per-event run —
-   composing with the sharded and crash families when their coins also
-   land — and (--spill-prob to sample) the out-of-core path: the plan
-   run under a scenario-drawn memory budget (--budget-range, often 0)
-   with cold per-key state spilled to disk and faulted back, both
-   engine modes plus a crash-restart leg, byte-compared against
-   unbudgeted runs — asserts row-for-row equality, and checks the structural
-   invariants (Theorem 7 forest shape, cost monotonicity, plan
-   validation, metrics-vs-cost-model exactness).  --family-prob mutates
-   drawn window sets across window families (count/ROWS hops, session
-   windows), pushing every path through the per-key ordinal and
-   gap-tracking operators.  Failures are shrunk to a minimal repro
-   (batch size, window family and memory budget included) and reported
-   with the one-line replay command.
+   stream, horizon) scenario from a seed and runs it through the
+   reference evaluator, the rewritten plans with/without factor
+   windows, paned/paired slicing shared/unshared, and the production
+   stack composed from four dimensions: the sink driving the run (the
+   engine itself, --shard-prob: the multicore runner over 2-8 worker
+   domains, --crash-prob: a checkpointing pipeline killed mid-stream
+   and recovered from disk, --serve-prob: an in-process query server),
+   the engine mode (--incremental-prob: pane-based incremental as well
+   as naive), batched ingestion (--batch-prob, on by default:
+   feed_batch under scenario-drawn batch sizes with punctuation marks
+   injected mid-batch) and an out-of-core memory budget (--spill-prob:
+   cold per-key state spilled to disk and faulted back).  A stack runs
+   when the coin of every dimension it uses lands, and must reproduce
+   the plain per-event run of its mode byte for byte, cost counters
+   included (a served stack, each query's standalone run).  Every path must agree row-for-row with the reference,
+   and the structural invariants (Theorem 7 forest shape, cost
+   monotonicity, plan validation, metrics-vs-cost-model exactness) must
+   hold.  --family-prob mutates drawn window sets across window
+   families (count/ROWS hops, session windows).  Failures are shrunk to
+   a minimal repro (shard count, batch size, window family and memory
+   budget included) and reported with the one-line replay command.
 
    Exit status: 0 = no discrepancy, 1 = discrepancies found. *)
 
@@ -76,8 +72,8 @@ let no_holistic_arg =
 
 let incremental_prob_arg =
   let doc =
-    "Probability that an iteration also runs the incremental (pane-based) \
-     streaming engine as a checked path.  Decided deterministically per \
+    "Probability that an iteration also runs every selected stack in the \
+     incremental (pane-based) engine mode.  Decided deterministically per \
      seed, so replays match the campaign."
   in
   Arg.(value & opt float 1.0
@@ -85,17 +81,17 @@ let incremental_prob_arg =
 
 let shard_prob_arg =
   let doc =
-    "Probability that an iteration also runs the sharded path: the naive \
+    "Probability that an iteration also runs the sharded stacks: the naive \
      plan key-partitioned across the scenario's shard count (2-8 worker \
-     domains), both engine modes, byte-compared against single-shard runs \
-     with exact cost-counter reconciliation.  Decided deterministically per \
-     seed, so replays match the campaign."
+     domains), byte-compared against single-shard runs with exact \
+     cost-counter reconciliation.  Decided deterministically per seed, so \
+     replays match the campaign."
   in
   Arg.(value & opt float 0.0 & info [ "shard-prob" ] ~docv:"P" ~doc)
 
 let crash_prob_arg =
   let doc =
-    "Probability that an iteration also runs the crash-restart paths: the \
+    "Probability that an iteration also runs the checkpointed stacks: the \
      checkpointing pipeline is killed at a scenario-derived event (sometimes \
      with a torn snapshot write), recovered from disk, finished, and its \
      rows and counters compared byte-for-byte with an uninterrupted run.  \
@@ -105,18 +101,16 @@ let crash_prob_arg =
 
 let batch_prob_arg =
   let doc =
-    "Probability that an iteration also runs the batched execution paths: \
-     the stream pushed through the engine's vectorized feed_batch entry \
-     point (and, when the shard/crash coins also land, through the batched \
-     sharded runner and the batched checkpointing pipeline), byte-compared \
-     against the per-event run.  Decided deterministically per seed, so \
-     replays match the campaign."
+    "Probability that an iteration also runs the batched stacks: the \
+     stream pushed through the vectorized feed_batch entry point of every \
+     selected sink, byte-compared against the per-event run.  Decided \
+     deterministically per seed, so replays match the campaign."
   in
   Arg.(value & opt float 1.0 & info [ "batch-prob" ] ~docv:"P" ~doc)
 
 let serve_prob_arg =
   let doc =
-    "Probability that an iteration also runs the served path: overlapping \
+    "Probability that an iteration also runs the served stacks: overlapping \
      sub-queries of the scenario's window set registered as SQL with one \
      in-process query server, fed the shared stream once, every query's \
      tap byte-compared against an independent single-query run of its own \
@@ -127,11 +121,10 @@ let serve_prob_arg =
 
 let spill_prob_arg =
   let doc =
-    "Probability that an iteration also runs the spilled path: the naive \
+    "Probability that an iteration also runs the spilled stacks: the naive \
      plan executed under the scenario's memory budget (drawn from \
      --budget-range), cold per-key state evicted to an on-disk spill file \
-     and faulted back on touch, both engine modes byte-compared against \
-     unbudgeted runs, plus a crash-restart leg under the same budget.  \
+     and faulted back on touch, byte-compared against unbudgeted runs.  \
      Decided deterministically per seed, so replays match the campaign."
   in
   Arg.(value & opt float 0.0 & info [ "spill-prob" ] ~docv:"P" ~doc)
@@ -160,7 +153,7 @@ let batch_size_range_arg =
 let budget_range_arg =
   let doc =
     "Range LO,HI (bytes) the per-scenario memory budget for the spilled \
-     path is drawn from; a quarter of the draws pin LO regardless, so with \
+     stacks is drawn from; a quarter of the draws pin LO regardless, so with \
      the default 0,65536 the budget-0 degenerate case (every touched key \
      round-trips through the spill file) stays common."
   in
@@ -218,16 +211,17 @@ let replay gen ~invariants ~incremental_prob ~crash_prob ~shard_prob
       List.iter
         (fun path ->
           if not (Paths.applicable path sc) then
-            Printf.printf "  %-22s skipped (inapplicable window family)\n"
+            Printf.printf "  %-40s skipped (inapplicable window family)\n"
               (Paths.name path)
           else
             match Paths.rows path sc with
             | Ok rows ->
-                Printf.printf "  %-22s %d rows\n" (Paths.name path)
+                Printf.printf "  %-40s %d rows\n" (Paths.name path)
                   (List.length rows)
             | Error e ->
-                Printf.printf "  %-22s CRASH: %s\n" (Paths.name path) e)
-        Paths.all;
+                Printf.printf "  %-40s CRASH: %s\n" (Paths.name path) e)
+        (Harness.paths_for ~incremental_prob ~crash_prob ~shard_prob
+           ~batch_prob ~serve_prob ~spill_prob seed);
       Printf.printf "OK: all paths agree, all invariants hold.\n";
       0
   | Error failure ->
@@ -264,7 +258,8 @@ let campaign gen ~invariants ~incremental_prob ~crash_prob ~shard_prob
   in
   if not quiet then
     Printf.printf
-      "fwfuzz: %d scenarios, seeds %d..%d, %d execution paths%s\n" iterations
+      "fwfuzz: %d scenarios, seeds %d..%d, up to %d execution paths%s\n"
+      iterations
       base_seed
       (base_seed + iterations - 1)
       (List.length Paths.all)
@@ -299,72 +294,40 @@ let main iterations seed do_replay max_windows eta_max horizon_max
   if eta_max < 1 then bad "--eta-max" eta_max;
   if horizon_max < 1 then bad "--horizon-max" horizon_max;
   if max_failures < 1 then bad "--max-failures" max_failures;
-  if incremental_prob < 0.0 || incremental_prob > 1.0 then begin
-    Printf.eprintf "fwfuzz: --incremental-prob must be in [0, 1] (got %g)\n"
-      incremental_prob;
-    exit 124
-  end;
-  if crash_prob < 0.0 || crash_prob > 1.0 then begin
-    Printf.eprintf "fwfuzz: --crash-prob must be in [0, 1] (got %g)\n"
-      crash_prob;
-    exit 124
-  end;
-  if shard_prob < 0.0 || shard_prob > 1.0 then begin
-    Printf.eprintf "fwfuzz: --shard-prob must be in [0, 1] (got %g)\n"
-      shard_prob;
-    exit 124
-  end;
-  if batch_prob < 0.0 || batch_prob > 1.0 then begin
-    Printf.eprintf "fwfuzz: --batch-prob must be in [0, 1] (got %g)\n"
-      batch_prob;
-    exit 124
-  end;
-  if serve_prob < 0.0 || serve_prob > 1.0 then begin
-    Printf.eprintf "fwfuzz: --serve-prob must be in [0, 1] (got %g)\n"
-      serve_prob;
-    exit 124
-  end;
-  if spill_prob < 0.0 || spill_prob > 1.0 then begin
-    Printf.eprintf "fwfuzz: --spill-prob must be in [0, 1] (got %g)\n"
-      spill_prob;
-    exit 124
-  end;
-  if family_prob < 0.0 || family_prob > 1.0 then begin
-    Printf.eprintf "fwfuzz: --family-prob must be in [0, 1] (got %g)\n"
-      family_prob;
-    exit 124
-  end;
+  List.iter
+    (fun (flag, p) ->
+      if p < 0.0 || p > 1.0 then begin
+        Printf.eprintf "fwfuzz: %s must be in [0, 1] (got %g)\n" flag p;
+        exit 124
+      end)
+    [
+      ("--incremental-prob", incremental_prob);
+      ("--crash-prob", crash_prob);
+      ("--shard-prob", shard_prob);
+      ("--batch-prob", batch_prob);
+      ("--serve-prob", serve_prob);
+      ("--spill-prob", spill_prob);
+      ("--family-prob", family_prob);
+    ];
+  let range flag ~lo_min text =
+    let fail () =
+      Printf.eprintf
+        "fwfuzz: %s must be LO,HI with %d <= LO <= HI (got %S)\n" flag lo_min
+        text;
+      exit 124
+    in
+    match String.split_on_char ',' text with
+    | [ lo; hi ] -> (
+        match (int_of_string_opt (String.trim lo),
+               int_of_string_opt (String.trim hi)) with
+        | Some lo, Some hi when lo_min <= lo && lo <= hi -> (lo, hi)
+        | _ -> fail ())
+    | _ -> fail ()
+  in
   let batch_min, batch_max =
-    let fail () =
-      Printf.eprintf
-        "fwfuzz: --batch-size-range must be LO,HI with 1 <= LO <= HI (got \
-         %S)\n"
-        batch_size_range;
-      exit 124
-    in
-    match String.split_on_char ',' batch_size_range with
-    | [ lo; hi ] -> (
-        match (int_of_string_opt (String.trim lo),
-               int_of_string_opt (String.trim hi)) with
-        | Some lo, Some hi when 1 <= lo && lo <= hi -> (lo, hi)
-        | _ -> fail ())
-    | _ -> fail ()
+    range "--batch-size-range" ~lo_min:1 batch_size_range
   in
-  let budget_min, budget_max =
-    let fail () =
-      Printf.eprintf
-        "fwfuzz: --budget-range must be LO,HI with 0 <= LO <= HI (got %S)\n"
-        budget_range;
-      exit 124
-    in
-    match String.split_on_char ',' budget_range with
-    | [ lo; hi ] -> (
-        match (int_of_string_opt (String.trim lo),
-               int_of_string_opt (String.trim hi)) with
-        | Some lo, Some hi when 0 <= lo && lo <= hi -> (lo, hi)
-        | _ -> fail ())
-    | _ -> fail ()
-  in
+  let budget_min, budget_max = range "--budget-range" ~lo_min:0 budget_range in
   let gen =
     gen_config max_windows eta_max horizon_max no_holistic ~family_prob
       ~batch_min ~batch_max ~budget_min ~budget_max

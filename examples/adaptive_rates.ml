@@ -10,7 +10,7 @@
 
 open Fw_window
 module Adaptive = Factor_windows.Adaptive
-module Oracle = Fw_engine.Oracle
+module Reference = Fw_engine.Reference
 module Row = Fw_engine.Row
 
 (* A window set whose optimal structure depends on the rate. *)
@@ -56,6 +56,6 @@ let () =
     switches;
   if switches = [] then print_endline "  (none)";
 
-  let oracle = Oracle.run Fw_agg.Aggregate.Min windows ~horizon events in
+  let expected = Reference.run Fw_agg.Aggregate.Min windows ~horizon events in
   Printf.printf "\n%d result rows; equal to the reference computation: %b\n"
-    (List.length rows) (Row.equal_sets rows oracle)
+    (List.length rows) (Row.equal_sets rows expected)

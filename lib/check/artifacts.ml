@@ -76,37 +76,47 @@ let metrics_json (f : Harness.failure) =
     (path Stream_exec.Naive)
     (path Stream_exec.Incremental)
 
-(* When a crash-restart path failed, the repro alone replays the bug
+(* When a checkpointed stack failed, the repro alone replays the bug
    but the *disk state the dead process left behind* is the evidence:
    re-run the shrunk scenario's pre-crash process (same deterministic
-   fault plan) into a sibling directory, leaving the snapshot files and
-   the flushed log — torn bytes included — next to the repro, so
-   [Recover.load] can be pointed at them offline. *)
-let crash_modes (f : Harness.failure) =
-  List.filter_map
-    (fun (p : Harness.problem) ->
-      match p.Harness.source with
-      | "crash-restart-naive" -> Some Stream_exec.Naive
-      | "crash-restart-incremental" -> Some Stream_exec.Incremental
-      | _ -> None)
-    f.Harness.shrunk_problems
-  |> List.sort_uniq compare
+   fault plan, same ingestion, same budget) into a sibling directory,
+   leaving the snapshot files and the flushed log — torn bytes
+   included — next to the repro, so [Recover.load] can be pointed at
+   them offline. *)
+let crashed_stacks (f : Harness.failure) =
+  List.filter
+    (fun path ->
+      match path with
+      | Paths.Stack { sink = Paths.Checkpointed; _ } ->
+          List.exists
+            (fun (p : Harness.problem) -> p.Harness.source = Paths.name path)
+            f.Harness.shrunk_problems
+      | _ -> false)
+    Paths.all
 
-let dump_precrash ~dir base mode (sc : Scenario.t) =
-  let sub =
-    Filename.concat dir
-      (Printf.sprintf "%s-precrash-%s" base
-         (match mode with
-         | Stream_exec.Naive -> "naive"
-         | Stream_exec.Incremental -> "incremental"))
-  in
-  ensure_dir sub;
-  (match Paths.crash_first_process ~dir:sub mode sc with
-  | Paths.Crashed -> ()
-  | Paths.Completed cp ->
-      ignore (Fw_snap.Checkpoint.close cp ~horizon:sc.Scenario.horizon));
-  Sys.readdir sub |> Array.to_list |> List.sort compare
-  |> List.map (Filename.concat sub)
+let dump_precrash ~dir base path (sc : Scenario.t) =
+  match path with
+  | Paths.Stack { mode; batched; spilled; _ } ->
+      let sub =
+        Filename.concat dir
+          (Printf.sprintf "%s-precrash-%s" base (Paths.name path))
+      in
+      ensure_dir sub;
+      let budget = sc.Scenario.budget in
+      let spill =
+        if spilled then Some (Fw_spill.Pool.create ~budget ()) else None
+      in
+      Fun.protect
+        ~finally:(fun () -> Option.iter Fw_spill.Pool.close spill)
+        (fun () ->
+          match Paths.crash_first_process ~batched ?spill ~dir:sub mode sc with
+          | Paths.Crashed -> ()
+          | Paths.Completed cp ->
+              ignore
+                (Fw_snap.Checkpoint.close cp ~horizon:sc.Scenario.horizon));
+      Sys.readdir sub |> Array.to_list |> List.sort compare
+      |> List.map (Filename.concat sub)
+  | _ -> []
 
 let dump ~dir (f : Harness.failure) =
   try
@@ -118,8 +128,8 @@ let dump ~dir (f : Harness.failure) =
     write_file metrics (metrics_json f);
     let precrash =
       List.concat_map
-        (fun mode -> dump_precrash ~dir base mode f.Harness.shrunk)
-        (crash_modes f)
+        (fun path -> dump_precrash ~dir base path f.Harness.shrunk)
+        (crashed_stacks f)
     in
     Ok ([ repro; metrics ] @ precrash)
   with Sys_error e -> Error e

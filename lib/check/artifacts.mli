@@ -17,10 +17,11 @@
     the snapshot keeps whatever was recorded before the exception and
     carries the exception text in the [crash] field.
 
-    When a crash-restart path ({!Paths.Crash_restart}) is among the
-    shrunk failures, the shrunk scenario's {e pre-crash} process is
-    additionally re-run — same deterministic fault plan — into
-    [seed-N-precrash-MODE/], leaving the snapshot files and the
+    When a checkpointed stack ({!Paths.Stack} with sink
+    [Checkpointed]) is among the shrunk failures, the shrunk scenario's
+    {e pre-crash} process is additionally re-run — same deterministic
+    fault plan, ingestion and budget — into
+    [seed-N-precrash-PATH/], leaving the snapshot files and the
     flushed event log (torn bytes included) exactly as the simulated
     dead process would: point {!Fw_snap.Recover.load} at that
     directory to step through the failing recovery offline. *)

@@ -25,14 +25,14 @@ let describe_diff reference actual =
     suffix
 
 let check ?(paths = Paths.all) sc =
-  match Paths.rows Paths.Reference_path sc with
+  match Paths.rows Paths.Reference sc with
   | Error e ->
-      [ { path = Paths.name Paths.Reference_path; detail = "crashed: " ^ e } ]
+      [ { path = Paths.name Paths.Reference; detail = "crashed: " ^ e } ]
   | Ok reference ->
       List.filter_map
         (fun path ->
           match path with
-          | Paths.Reference_path -> None
+          | Paths.Reference -> None
           | _ when not (Paths.applicable path sc) -> None
           | _ -> (
               match Paths.rows path sc with

@@ -59,15 +59,15 @@ let problems_of ~invariants ~paths sc =
   in
   diffs @ invs
 
-(* Which optional paths this seed's campaign iteration runs.  Each
-   family is decided deterministically from the seed on its own coin
-   (not a global counter) so a failure replays identically under
-   [--replay --seed N] no matter which iteration found it.  The
-   composed batched paths require both coins: [Sharded_batched] spawns
-   domains like the sharded path, [Crash_batched] touches disk like the
-   crash paths, so neither may run when its expensive family is off. *)
-let paths_for ~incremental_prob ~crash_prob ~shard_prob ~batch_prob
-    ~serve_prob ~spill_prob seed =
+(* Which paths this seed's campaign iteration runs.  Each dimension's
+   coin is decided deterministically from the seed (not a global
+   counter), so a failure replays identically under [--replay --seed N]
+   no matter which iteration found it.  One rule: a stack runs only
+   when the coin of every dimension it uses lands — its sink (sharded,
+   checkpointed, served), incremental mode, batching and spilling. *)
+let paths_for ?(incremental_prob = 1.0) ?(crash_prob = 0.0)
+    ?(shard_prob = 0.0) ?(batch_prob = 1.0) ?(serve_prob = 0.0)
+    ?(spill_prob = 0.0) seed =
   let coin prob salt =
     prob >= 1.0
     || prob > 0.0
@@ -80,17 +80,17 @@ let paths_for ~incremental_prob ~crash_prob ~shard_prob ~batch_prob
   let serve = coin serve_prob 0x2b1c9d7 in
   let spill = coin spill_prob 0x4d11a7 in
   List.filter
-    (fun p ->
-      match p with
-      | Paths.Incremental_stream -> incremental
-      | Paths.Crash_restart _ -> crash
-      | Paths.Sharded_stream -> shard
-      | Paths.Batched_stream -> batch
-      | Paths.Sharded_batched -> batch && shard
-      | Paths.Crash_batched _ -> batch && crash
-      | Paths.Served -> serve
-      | Paths.Spilled -> spill
-      | _ -> true)
+    (function
+      | Paths.Stack { sink; mode; batched; spilled } ->
+          (match sink with
+          | Paths.Engine -> true
+          | Paths.Sharded -> shard
+          | Paths.Checkpointed -> crash
+          | Paths.Served -> serve)
+          && (mode = Fw_engine.Stream_exec.Naive || incremental)
+          && ((not batched) || batch)
+          && ((not spilled) || spill)
+      | Paths.Reference | Paths.Rewritten _ | Paths.Sliced _ -> true)
     Paths.all
 
 let check_seed ?(invariants = true) ?(incremental_prob = 1.0)

@@ -27,57 +27,67 @@ type config = {
   gen : Scenario.gen_config;
   invariants : bool;  (** also run {!Invariants.check} *)
   incremental_prob : float;
-      (** probability that a seed's iteration also runs the incremental
-          engine ({!Paths.Incremental_stream}) as a checked path;
-          decided deterministically per seed so replays match *)
+      (** probability that a seed's iteration also runs the stacks in
+          incremental engine mode ({!Paths.Stack} with [mode =
+          Incremental]); decided deterministically per seed so replays
+          match.  Defaults to [1.0]. *)
   crash_prob : float;
       (** probability that a seed's iteration also runs the
-          crash-restart paths ({!Paths.Crash_restart}, both engine
-          modes) — killed, recovered from disk, finished, compared.
-          [0.0] (the default) skips them: each one costs three
-          executions plus checkpoint I/O.  Same per-seed determinism as
-          [incremental_prob], on an independent coin. *)
+          [Checkpointed] stacks — killed, recovered from disk,
+          finished, compared.  [0.0] (the default) skips them: each one
+          costs three executions plus checkpoint I/O.  Same per-seed
+          determinism, on an independent coin. *)
   shard_prob : float;
-      (** probability that a seed's iteration also runs the sharded
-          path ({!Paths.Sharded_stream}) — the scenario's shard count
-          (drawn in [\[2, 8\]]) of worker domains, both engine modes,
-          byte-compared against single-shard runs with metric
-          reconciliation.  [0.0] (the default) skips it: it costs four
-          extra executions and spawns domains per scenario.  Same
-          per-seed determinism, its own coin. *)
-  batch_prob : float;
-      (** probability that a seed's iteration also runs the batched
-          paths: {!Paths.Batched_stream} always when the coin lands,
-          {!Paths.Sharded_batched} additionally requires the shard
-          coin, {!Paths.Crash_batched} the crash coin — the composed
-          paths inherit the expensive family's opt-in.  Defaults to
-          [1.0]: the plain batched path costs two extra in-process
-          executions, cheap enough to always difference. *)
-  serve_prob : float;
-      (** probability that a seed's iteration also runs the served path
-          ({!Paths.Served}) — overlapping sub-queries registered as SQL
-          with an in-process query server, every tap byte-compared
-          against an independent single-query run.  [0.0] (the default)
-          skips it: it costs one server plus one standalone execution
-          per sub-query.  Same per-seed determinism, its own coin. *)
-  spill_prob : float;
-      (** probability that a seed's iteration also runs the spilled
-          path ({!Paths.Spilled}) — the naive plan under the scenario's
-          memory budget (drawn in [\[budget_min, budget_max\]], often
-          0), both engine modes byte-compared against unbudgeted runs,
-          plus a crash-restart leg under the same budget.  [0.0] (the
-          default) skips it: it costs five extra executions and spill-
-          file I/O per scenario.  Same per-seed determinism, its own
+      (** probability that a seed's iteration also runs the [Sharded]
+          stacks — the scenario's shard count (drawn in [\[2, 8\]]) of
+          worker domains.  [0.0] (the default) skips them: they spawn
+          domains per scenario.  Same per-seed determinism, its own
           coin. *)
+  batch_prob : float;
+      (** probability that a seed's iteration also runs the [batched]
+          stacks, ingesting through [feed_batch] under the scenario's
+          batch geometry.  Defaults to [1.0]: the batched engine stacks
+          cost two extra in-process executions, cheap enough to always
+          difference. *)
+  serve_prob : float;
+      (** probability that a seed's iteration also runs the [Served]
+          stacks — overlapping sub-queries registered as SQL with an
+          in-process query server, every tap byte-compared against an
+          independent single-query run.  [0.0] (the default) skips
+          them.  Same per-seed determinism, its own coin. *)
+  spill_prob : float;
+      (** probability that a seed's iteration also runs the [spilled]
+          stacks — the naive plan under the scenario's memory budget
+          (drawn in [\[budget_min, budget_max\]], often 0).  [0.0] (the
+          default) skips them: they cost spill-file I/O per scenario.
+          Same per-seed determinism, its own coin.
+
+          A stack runs only when the coin of every dimension it uses
+          lands: e.g. a sharded, batched, spilled stack needs the
+          shard, batch and spill coins (and the incremental coin in
+          incremental mode). *)
   max_failures : int;  (** stop the campaign after this many failures *)
 }
 
 val default_config : config
 (** 1000 iterations, base seed 42, invariants on, incremental and
-    batched paths always on, crash-restart, sharded, served and spilled
-    paths off, stop after 5 failures. *)
+    batched stacks always on, checkpointed, sharded, served and spilled
+    stacks off, stop after 5 failures. *)
 
 type outcome = { checked : int; failures : failure list }
+
+val paths_for :
+  ?incremental_prob:float ->
+  ?crash_prob:float ->
+  ?shard_prob:float ->
+  ?batch_prob:float ->
+  ?serve_prob:float ->
+  ?spill_prob:float ->
+  int ->
+  Paths.path list
+(** The paths {!check_seed} runs for this seed under these
+    probabilities (same defaults), before per-scenario
+    {!Paths.applicable} gating. *)
 
 val check_seed :
   ?invariants:bool ->

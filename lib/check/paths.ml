@@ -3,98 +3,113 @@ module Rewrite = Fw_plan.Rewrite
 module Stream_exec = Fw_engine.Stream_exec
 module Metrics = Fw_engine.Metrics
 module Event = Fw_engine.Event
+module Batch = Fw_engine.Batch
 module Row = Fw_engine.Row
 module Window = Fw_window.Window
 module Exec = Fw_slicing.Exec
+module Checkpoint = Fw_snap.Checkpoint
+module Runner = Fw_shard.Runner
+
+type sink = Engine | Sharded | Checkpointed | Served
 
 type path =
-  | Reference_path
-  | Naive_stream
-  | Incremental_stream
-  | Rewritten
-  | Rewritten_no_factor
+  | Reference
+  | Rewritten of { factor_windows : bool }
   | Sliced of Exec.mode * Exec.slicing
-  | Crash_restart of Stream_exec.mode
-  | Sharded_stream
-  | Batched_stream
-  | Sharded_batched
-  | Crash_batched of Stream_exec.mode
-  | Served
-  | Spilled
+  | Stack of {
+      sink : sink;
+      mode : Stream_exec.mode;
+      batched : bool;
+      spilled : bool;
+    }
+
+(* The server ingests plain event lists (no punctuation marks, so no
+   batch geometry to honour) and refuses any per-group memory share
+   under 64 KiB, so served stacks never run batched or spilled. *)
+let servable = function
+  | Stack { sink = Served; batched; spilled; _ } -> not (batched || spilled)
+  | Reference | Rewritten _ | Sliced _ | Stack _ -> true
 
 let all =
+  let bools = [ false; true ] in
+  let stacks =
+    List.concat_map
+      (fun sink ->
+        List.concat_map
+          (fun mode ->
+            List.concat_map
+              (fun batched ->
+                List.map
+                  (fun spilled -> Stack { sink; mode; batched; spilled })
+                  bools)
+              bools)
+          [ Stream_exec.Naive; Stream_exec.Incremental ])
+      [ Engine; Sharded; Checkpointed; Served ]
+  in
   [
-    Reference_path;
-    Naive_stream;
-    Incremental_stream;
-    Rewritten;
-    Rewritten_no_factor;
+    Reference;
+    Rewritten { factor_windows = true };
+    Rewritten { factor_windows = false };
     Sliced (Exec.Unshared, Exec.Paned_slicing);
     Sliced (Exec.Shared, Exec.Paned_slicing);
     Sliced (Exec.Unshared, Exec.Paired_slicing);
     Sliced (Exec.Shared, Exec.Paired_slicing);
-    Crash_restart Stream_exec.Naive;
-    Crash_restart Stream_exec.Incremental;
-    Sharded_stream;
-    Batched_stream;
-    Sharded_batched;
-    Crash_batched Stream_exec.Naive;
-    Crash_batched Stream_exec.Incremental;
-    Served;
-    Spilled;
   ]
+  @ List.filter servable stacks
 
 let name = function
-  | Reference_path -> "reference"
-  | Naive_stream -> "naive-stream"
-  | Incremental_stream -> "incremental-stream"
-  | Rewritten -> "rewritten"
-  | Rewritten_no_factor -> "rewritten-no-factor"
+  | Reference -> "reference"
+  | Rewritten { factor_windows = true } -> "rewritten"
+  | Rewritten { factor_windows = false } -> "rewritten-no-factor"
   | Sliced (mode, slicing) ->
       Printf.sprintf "%s-%s"
         (match mode with Exec.Unshared -> "unshared" | Exec.Shared -> "shared")
         (match slicing with
         | Exec.Paned_slicing -> "paned"
         | Exec.Paired_slicing -> "paired")
-  | Crash_restart Stream_exec.Naive -> "crash-restart-naive"
-  | Crash_restart Stream_exec.Incremental -> "crash-restart-incremental"
-  | Sharded_stream -> "sharded-stream"
-  | Batched_stream -> "batched-stream"
-  | Sharded_batched -> "sharded-batched"
-  | Crash_batched Stream_exec.Naive -> "crash-batched-naive"
-  | Crash_batched Stream_exec.Incremental -> "crash-batched-incremental"
-  | Served -> "served"
-  | Spilled -> "spilled"
+  | Stack { sink; mode; batched; spilled } ->
+      String.concat "-"
+        ([
+           (match sink with
+           | Engine -> "engine"
+           | Sharded -> "sharded"
+           | Checkpointed -> "checkpointed"
+           | Served -> "served");
+           (match mode with
+           | Stream_exec.Naive -> "naive"
+           | Stream_exec.Incremental -> "incremental");
+         ]
+        @ (if batched then [ "batched" ] else [])
+        @ if spilled then [ "spilled" ] else [])
 
 (* The incremental engine handles every scenario: windows where panes
    don't apply (holistic aggregate, non-aligned geometry, count or
    session family) fall back to a dedicated path node by node.  The
-   rewritten paths are also total now — {!Fw_plan.Rewrite.optimize}
-   routes non-aligned hops and session windows around the WCG as
-   exposed fallback aggregates — so the only gated paths are the
-   slicing ones: session windows have no static slice geometry. *)
+   rewritten paths are also total — {!Fw_plan.Rewrite.optimize} routes
+   non-aligned hops and session windows around the WCG as exposed
+   fallback aggregates — so only the slicing and served paths are
+   gated by the window set: session windows have no static slice
+   geometry, and the SQL front rejects non-aligned hops at analyze
+   time, so they cannot be registered over the wire. *)
 let applicable path sc =
+  servable path
+  &&
   match path with
-  | Sliced _ ->
-      not (List.exists Window.is_session sc.Scenario.windows)
-  | Served ->
-      (* the SQL front gate: non-aligned hops are rejected at analyze
-         time, so they cannot be registered over the wire *)
+  | Sliced _ -> not (List.exists Window.is_session sc.Scenario.windows)
+  | Stack { sink = Served; _ } ->
       not
         (List.exists
            (fun w -> Window.is_hop w && not (Window.is_aligned w))
            sc.Scenario.windows)
-  | Reference_path | Naive_stream | Incremental_stream | Rewritten
-  | Rewritten_no_factor | Crash_restart _ | Sharded_stream | Batched_stream
-  | Sharded_batched | Crash_batched _ | Spilled ->
-      true
+  | Reference | Rewritten _ | Stack _ -> true
+
+let naive_plan (sc : Scenario.t) =
+  Plan.naive sc.Scenario.agg sc.Scenario.windows
 
 let rewritten_plan ~factor_windows (sc : Scenario.t) =
   (Rewrite.optimize ~eta:sc.Scenario.eta ~factor_windows sc.Scenario.agg
      sc.Scenario.windows)
     .Rewrite.plan
-
-(* --- crash-restart path -------------------------------------------- *)
 
 (* The input the streaming paths actually consume: sorted, clipped at
    the horizon (mirrors [Stream_exec.run]). *)
@@ -116,7 +131,6 @@ let fed_events (sc : Scenario.t) =
    events), so shrunk and replayed scenarios rebuild the exact same
    batch boundaries. *)
 let batches_of_events ~hash ~batch evs =
-  let module Batch = Fw_engine.Batch in
   let state = ref (hash land max_int) in
   let rand bound =
     state := ((!state * 25214903917) + 11) land max_int;
@@ -142,15 +156,32 @@ let batches_of_events ~hash ~batch evs =
         budget := fresh_size ()
       end)
     evs;
-  if not (Fw_engine.Batch.is_empty !cur) then out := !cur :: !out;
+  if not (Batch.is_empty !cur) then out := !cur :: !out;
   List.rev !out
 
 let scenario_hash (sc : Scenario.t) =
   Hashtbl.hash (Scenario.to_repro sc) land max_int
 
-let batches_of (sc : Scenario.t) =
-  batches_of_events ~hash:(scenario_hash sc) ~batch:sc.Scenario.batch
-    (fed_events sc)
+(* Push [events] into a sink: one [feed] per event, or — [batched] — as
+   the deterministic batches (punctuation marks included) drawn from
+   [hash]. *)
+let ingest ~batched ~hash (sc : Scenario.t) events ~feed ~feed_batch =
+  if batched then
+    List.iter feed_batch
+      (batches_of_events ~hash ~batch:sc.Scenario.batch events)
+  else List.iter feed events
+
+(* One simulated process's spill pool, closed when that process ends;
+   [None] when the stack is not spilled. *)
+let with_pool ~spilled (sc : Scenario.t) f =
+  if not spilled then f None
+  else
+    let pool = Fw_spill.Pool.create ~budget:sc.Scenario.budget () in
+    Fun.protect
+      ~finally:(fun () -> Fw_spill.Pool.close pool)
+      (fun () -> f (Some pool))
+
+(* --- crash-restart internals ---------------------------------------- *)
 
 type crash_params = { every : int; crash_at : int; torn_bytes : int option }
 
@@ -160,37 +191,33 @@ type crash_params = { every : int; crash_at : int; torn_bytes : int option }
    it, and a torn snapshot write on a quarter of the scenarios. *)
 let crash_params (sc : Scenario.t) =
   let n = List.length (fed_events sc) in
-  let h = Hashtbl.hash (Scenario.to_repro sc) land max_int in
+  let h = scenario_hash sc in
   {
     every = 1 + (h mod max 1 (n / 3));
     crash_at = 1 + (h / 13 mod max 1 n);
     torn_bytes = (if h mod 4 = 0 then Some (1 + (h / 53 mod 8)) else None);
   }
 
-type first_outcome = Crashed | Completed of Fw_snap.Checkpoint.t
+type first_outcome = Crashed | Completed of Checkpoint.t
 
 (* Run the pre-crash process into [dir]: checkpointing pipeline, fault
    plan armed.  [Crashed] leaves the directory exactly as the dead
    process would have (snapshots, flushed log, possibly a torn newest
-   snapshot); [Completed] only happens on an empty stream.  [batched]
-   feeds via {!Fw_snap.Checkpoint.feed_batch} under the scenario's
-   batch geometry, so checkpoints and the injected death land
-   mid-batch.  [spill] runs the pre-crash process under a memory
-   budget; its pool is scratch (snapshots are self-contained), so the
-   crash legitimately leaves it behind like a dead process would. *)
+   snapshot); [Completed] only happens on an empty stream.  Batched
+   ingestion lands checkpoints and the injected death mid-batch.  The
+   pool is scratch (snapshots are self-contained), so the crash
+   legitimately leaves it behind like a dead process would. *)
 let crash_first_process ?(batched = false) ?spill ~dir mode (sc : Scenario.t) =
   let p = crash_params sc in
   let fault =
     Fw_snap.Fault.create ~crash_at_event:p.crash_at ?torn_bytes:p.torn_bytes ()
   in
   let cp =
-    Fw_snap.Checkpoint.create ~dir ~every:p.every ~fault ~mode ?spill
-      (Plan.naive sc.Scenario.agg sc.Scenario.windows)
+    Checkpoint.create ~dir ~every:p.every ~fault ~mode ?spill (naive_plan sc)
   in
   try
-    (if batched then
-       List.iter (Fw_snap.Checkpoint.feed_batch cp) (batches_of sc)
-     else List.iter (Fw_snap.Checkpoint.feed cp) (fed_events sc));
+    ingest ~batched ~hash:(scenario_hash sc) sc (fed_events sc)
+      ~feed:(Checkpoint.feed cp) ~feed_batch:(Checkpoint.feed_batch cp);
     Completed cp
   with Fw_snap.Fault.Crash _ -> Crashed
 
@@ -209,272 +236,7 @@ let rm_rf dir =
     try Sys.rmdir dir with Sys_error _ -> ()
   end
 
-(* Crash the pipeline mid-stream, recover from disk, finish the run —
-   then insist both the rows and the cost-model counters are exactly
-   what an uninterrupted run produces.  A counter mismatch raises
-   (surfacing as a crashed path in the report) because row equality
-   alone would miss silently double-charged or lost work.  [budget]
-   runs both sides of the crash under their own {!Fw_spill.Pool} of
-   that many bytes — the dead process's pool is abandoned like its
-   other scratch state, the recovered process starts a fresh one — so
-   checkpoint/crash/recovery and out-of-core state are composed. *)
-let crash_restart_rows ?(batched = false) ?budget mode (sc : Scenario.t) =
-  let plan = Plan.naive sc.Scenario.agg sc.Scenario.windows in
-  let horizon = sc.Scenario.horizon in
-  (* one pool per simulated process, closed when that process ends *)
-  let with_pool f =
-    match budget with
-    | None -> f None
-    | Some budget ->
-        let pool = Fw_spill.Pool.create ~budget () in
-        Fun.protect
-          ~finally:(fun () -> Fw_spill.Pool.close pool)
-          (fun () -> f (Some pool))
-  in
-  let m0 = Metrics.create () in
-  let rows0 =
-    Stream_exec.run ~metrics:m0 ~mode plan ~horizon sc.Scenario.events
-  in
-  let dir = fresh_temp_dir () in
-  Fun.protect
-    ~finally:(fun () -> rm_rf dir)
-    (fun () ->
-      let first =
-        with_pool (fun spill ->
-            match crash_first_process ~batched ?spill ~dir mode sc with
-            | Completed cp ->
-                Some
-                  ( Fw_snap.Checkpoint.close cp ~horizon,
-                    Fw_snap.Checkpoint.metrics cp )
-            | Crashed -> None)
-      in
-      let rows1, m1 =
-        match first with
-        | Some r -> r
-        | None ->
-            with_pool (fun spill ->
-                match Fw_snap.Recover.load ~dir ~mode ?spill plan with
-                | Error m -> failwith ("recovery failed: " ^ m)
-                | Ok r ->
-                    let k = (crash_params sc).crash_at in
-                    let rest =
-                      List.filteri (fun i _ -> i >= k) (fed_events sc)
-                    in
-                    (if batched then
-                       (* the restarted process ingests batched too; a
-                          distinct hash stream keeps its batch boundaries
-                          independent of the pre-crash ones *)
-                       List.iter
-                         (Fw_snap.Checkpoint.feed_batch
-                            r.Fw_snap.Recover.checkpoint)
-                         (batches_of_events
-                            ~hash:(scenario_hash sc lxor 0x9e3779b9)
-                            ~batch:sc.Scenario.batch rest)
-                     else
-                       List.iter
-                         (Fw_snap.Checkpoint.feed r.Fw_snap.Recover.checkpoint)
-                         rest);
-                    ( Fw_snap.Checkpoint.close r.Fw_snap.Recover.checkpoint
-                        ~horizon,
-                      r.Fw_snap.Recover.metrics ))
-      in
-      (* stronger than the harness's tolerant multiset check: recovery
-         promises bit-identical rows, float rounding included *)
-      if rows1 <> rows0 then
-        failwith
-          (Printf.sprintf
-             "recovered rows are not byte-identical to the uninterrupted \
-              run's (%d vs %d rows)"
-             (List.length rows1) (List.length rows0));
-      if Metrics.ingested m0 <> Metrics.ingested m1 then
-        failwith
-          (Printf.sprintf
-             "ingest counter diverged across restart: %d uninterrupted vs %d \
-              recovered"
-             (Metrics.ingested m0) (Metrics.ingested m1));
-      let pw m =
-        List.map
-          (fun (w, n) -> Printf.sprintf "%s=%d" (Window.to_string w) n)
-          (Metrics.per_window m)
-      in
-      if pw m0 <> pw m1 then
-        failwith
-          (Printf.sprintf
-             "per-window counters diverged across restart: [%s] uninterrupted \
-              vs [%s] recovered"
-             (String.concat " " (pw m0))
-             (String.concat " " (pw m1)));
-      rows1)
-
-(* --- sharded path --------------------------------------------------- *)
-
-(* Run the naive plan sharded across the scenario's worker-domain count
-   in both engine modes, and insist — stronger than the harness's row
-   comparison — that each mode's merged rows are byte-identical to the
-   corresponding single-shard run's and that the cost-model counters
-   (ingest, per-window items) reconcile exactly across the shard
-   merge.  Only the cost-model counters are compared: per-node counters
-   like instance fires are per-replica (one instance can fire in
-   several shards), so they legitimately exceed the single-shard
-   values. *)
-let sharded_rows ?batch (sc : Scenario.t) =
-  let plan = Plan.naive sc.Scenario.agg sc.Scenario.windows in
-  let horizon = sc.Scenario.horizon in
-  let check_mode mode mode_name =
-    let m0 = Metrics.create () in
-    let rows0 =
-      Stream_exec.run ~metrics:m0 ~mode plan ~horizon sc.Scenario.events
-    in
-    let r =
-      Fw_shard.Runner.run ?batch ~mode ~shards:sc.Scenario.shards plan
-        ~horizon sc.Scenario.events
-    in
-    if r.Fw_shard.Runner.rows <> rows0 then
-      failwith
-        (Printf.sprintf
-           "%d-shard %s rows are not byte-identical to the single-shard \
-            run's (%d vs %d rows)"
-           sc.Scenario.shards mode_name
-           (List.length r.Fw_shard.Runner.rows)
-           (List.length rows0));
-    let m1 = r.Fw_shard.Runner.metrics in
-    if Metrics.ingested m0 <> Metrics.ingested m1 then
-      failwith
-        (Printf.sprintf
-           "%s ingest counter did not reconcile across %d shards: %d \
-            single-shard vs %d merged"
-           mode_name sc.Scenario.shards (Metrics.ingested m0)
-           (Metrics.ingested m1));
-    let pw m =
-      List.map
-        (fun (w, n) -> Printf.sprintf "%s=%d" (Window.to_string w) n)
-        (Metrics.per_window m)
-    in
-    if pw m0 <> pw m1 then
-      failwith
-        (Printf.sprintf
-           "%s per-window counters did not reconcile across %d shards: [%s] \
-            single-shard vs [%s] merged"
-           mode_name sc.Scenario.shards
-           (String.concat " " (pw m0))
-           (String.concat " " (pw m1)));
-    rows0
-  in
-  let rows = check_mode Stream_exec.Naive "naive" in
-  let (_ : Row.t list) = check_mode Stream_exec.Incremental "incremental" in
-  rows
-
-(* --- batched path ---------------------------------------------------- *)
-
-(* Feed the exact per-event stream through {!Stream_exec.feed_batch}
-   under the scenario's batch geometry — batch-internal punctuation
-   included — in both engine modes, and insist on the feed/feed_batch
-   equivalence contract end to end: byte-identical rows and bit-for-bit
-   cost-model counters against the per-event run. *)
-let batched_rows (sc : Scenario.t) =
-  let plan = Plan.naive sc.Scenario.agg sc.Scenario.windows in
-  let horizon = sc.Scenario.horizon in
-  let check_mode mode mode_name =
-    let m0 = Metrics.create () in
-    let rows0 =
-      Stream_exec.run ~metrics:m0 ~mode plan ~horizon sc.Scenario.events
-    in
-    let m1 = Metrics.create () in
-    let exec = Stream_exec.create ~metrics:m1 ~mode plan in
-    List.iter (Stream_exec.feed_batch exec) (batches_of sc);
-    let rows1 = Stream_exec.close exec ~horizon in
-    if rows1 <> rows0 then
-      failwith
-        (Printf.sprintf
-           "batched %s rows are not byte-identical to the per-event run's \
-            (%d vs %d rows)"
-           mode_name (List.length rows1) (List.length rows0));
-    if Metrics.ingested m0 <> Metrics.ingested m1 then
-      failwith
-        (Printf.sprintf
-           "batched %s ingest counter diverged: %d per-event vs %d batched"
-           mode_name (Metrics.ingested m0) (Metrics.ingested m1));
-    let pw m =
-      List.map
-        (fun (w, n) -> Printf.sprintf "%s=%d" (Window.to_string w) n)
-        (Metrics.per_window m)
-    in
-    if pw m0 <> pw m1 then
-      failwith
-        (Printf.sprintf
-           "batched %s per-window counters diverged: [%s] per-event vs [%s] \
-            batched"
-           mode_name
-           (String.concat " " (pw m0))
-           (String.concat " " (pw m1)));
-    rows0
-  in
-  let rows = check_mode Stream_exec.Naive "naive" in
-  let (_ : Row.t list) = check_mode Stream_exec.Incremental "incremental" in
-  rows
-
-(* --- spilled path ---------------------------------------------------- *)
-
-(* Run the naive plan under the scenario's memory budget — every
-   operator's per-key state held in {!Fw_spill.Store}s that evict cold
-   entries to disk and fault them back on touch — in both engine
-   modes, and insist the rows and the cost-model counters are
-   bit-identical to the unbudgeted run's: eviction and fault-in must be
-   invisible to the computation, budget 0 (everything round-trips
-   through the spill file) included.  A final leg composes the budget
-   with the crash-restart pipeline, so checkpoints taken over spilled
-   state and recovery into a fresh pool are differenced too. *)
-let spilled_rows (sc : Scenario.t) =
-  let plan = Plan.naive sc.Scenario.agg sc.Scenario.windows in
-  let horizon = sc.Scenario.horizon in
-  let budget = sc.Scenario.budget in
-  let check_mode mode mode_name =
-    let m0 = Metrics.create () in
-    let rows0 =
-      Stream_exec.run ~metrics:m0 ~mode plan ~horizon sc.Scenario.events
-    in
-    let m1 = Metrics.create () in
-    let pool = Fw_spill.Pool.create ~budget () in
-    let rows1 =
-      Fun.protect
-        ~finally:(fun () -> Fw_spill.Pool.close pool)
-        (fun () ->
-          Stream_exec.run ~metrics:m1 ~mode ~spill:pool plan ~horizon
-            sc.Scenario.events)
-    in
-    if rows1 <> rows0 then
-      failwith
-        (Printf.sprintf
-           "spilled %s rows under budget %d are not byte-identical to the \
-            unbudgeted run's (%d vs %d rows)"
-           mode_name budget (List.length rows1) (List.length rows0));
-    if Metrics.ingested m0 <> Metrics.ingested m1 then
-      failwith
-        (Printf.sprintf
-           "spilled %s ingest counter diverged under budget %d: %d unbudgeted \
-            vs %d spilled"
-           mode_name budget (Metrics.ingested m0) (Metrics.ingested m1));
-    let pw m =
-      List.map
-        (fun (w, n) -> Printf.sprintf "%s=%d" (Window.to_string w) n)
-        (Metrics.per_window m)
-    in
-    if pw m0 <> pw m1 then
-      failwith
-        (Printf.sprintf
-           "spilled %s per-window counters diverged under budget %d: [%s] \
-            unbudgeted vs [%s] spilled"
-           mode_name budget
-           (String.concat " " (pw m0))
-           (String.concat " " (pw m1)));
-    rows0
-  in
-  let rows = check_mode Stream_exec.Naive "naive" in
-  let (_ : Row.t list) = check_mode Stream_exec.Incremental "incremental" in
-  let (_ : Row.t list) = crash_restart_rows ~budget Stream_exec.Naive sc in
-  rows
-
-(* --- served path ----------------------------------------------------- *)
+(* --- served stacks --------------------------------------------------- *)
 
 (* SQL text for a sub-query over a subset of the scenario's windows:
    the wire format the query server registers.  The window definitions
@@ -491,13 +253,14 @@ let sql_of_windows (sc : Scenario.t) windows =
           windows))
 
 (* Register overlapping sub-queries of the scenario's window set with
-   one in-process query server, feed the shared stream once, and insist
-   every query's tap is byte-identical to an independent single-query
-   run of its own SQL text — the server's core promise: sharing (or
-   degrading) never changes a single float bit of anyone's answer.  The
-   full-set query doubles as the path's row result, so the harness also
-   diffs the served output against every other execution path. *)
-let served_rows (sc : Scenario.t) =
+   one in-process query server in [mode], feed the shared stream once,
+   and insist every query's tap is byte-identical to an independent
+   single-query run of its own SQL text in the same mode — the server's
+   core promise: sharing (or degrading) never changes a single float
+   bit of anyone's answer.  The full-set query doubles as the path's
+   row result, so the harness also diffs the served output against
+   every other execution path. *)
+let served_rows mode (sc : Scenario.t) =
   let module Server = Fw_serve.Server in
   let horizon = sc.Scenario.horizon in
   let windows = Window.dedup sc.Scenario.windows in
@@ -515,7 +278,13 @@ let served_rows (sc : Scenario.t) =
     in
     dedup [] candidates
   in
-  let cfg = { Server.default_config with eta = sc.Scenario.eta } in
+  let cfg =
+    {
+      Server.default_config with
+      eta = sc.Scenario.eta;
+      incremental = mode = Stream_exec.Incremental;
+    }
+  in
   let server =
     match Server.create cfg with
     | Ok s -> s
@@ -545,8 +314,8 @@ let served_rows (sc : Scenario.t) =
       let standalone =
         match Fw_sql.Compile.compile ~eta:sc.Scenario.eta text with
         | Ok c ->
-            Stream_exec.run c.Fw_sql.Compile.outcome.Rewrite.plan ~horizon
-              sc.Scenario.events
+            Stream_exec.run ~mode c.Fw_sql.Compile.outcome.Rewrite.plan
+              ~horizon sc.Scenario.events
         | Error e -> failwith ("standalone compile failed: " ^ e)
       in
       let served =
@@ -564,41 +333,131 @@ let served_rows (sc : Scenario.t) =
     ids;
   !result
 
+(* --- the stack composer ---------------------------------------------- *)
+
+(* Every stack's promise, stronger than the harness's tolerant multiset
+   check: rows byte-identical (float rounding included) and cost-model
+   counters exactly equal to the plain per-event engine run of the same
+   mode.  A counter mismatch raises because row equality alone would
+   miss silently double-charged or lost work.  Only the cost-model
+   counters are compared: per-node counters like instance fires are
+   per-replica in a sharded run (one instance can fire in several
+   shards). *)
+let require_identical mode (sc : Scenario.t) (rows, metrics) =
+  let m0 = Metrics.create () in
+  let rows0 =
+    Stream_exec.run ~metrics:m0 ~mode (naive_plan sc)
+      ~horizon:sc.Scenario.horizon sc.Scenario.events
+  in
+  let fail fmt = Printf.ksprintf failwith fmt in
+  if rows <> rows0 then
+    fail "rows are not byte-identical to the plain run's (%d vs %d rows)"
+      (List.length rows) (List.length rows0);
+  if Metrics.ingested m0 <> Metrics.ingested metrics then
+    fail "ingest counter diverged: %d plain vs %d" (Metrics.ingested m0)
+      (Metrics.ingested metrics);
+  let pw m =
+    String.concat " "
+      (List.map
+         (fun (w, n) -> Printf.sprintf "%s=%d" (Window.to_string w) n)
+         (Metrics.per_window m))
+  in
+  if pw m0 <> pw metrics then
+    fail "per-window counters diverged: [%s] plain vs [%s]" (pw m0)
+      (pw metrics);
+  rows
+
+(* Run one stack: one spill pool per simulated process, per-event or
+   batched ingestion, and the sink driving the run.  The sharded runner
+   is one process whose worker domains each build their own pool from
+   the budget; the checkpointed sink is two processes — the one that
+   dies and the one that recovers from its directory, whose restarted
+   ingestion draws batch boundaries from a distinct hash stream. *)
+let stack_rows ~sink ~mode ~batched ~spilled (sc : Scenario.t) =
+  let plan = naive_plan sc and horizon = sc.Scenario.horizon in
+  let ingest = ingest ~batched sc in
+  match sink with
+  | Served -> served_rows mode sc
+  | Engine ->
+      let metrics = Metrics.create () in
+      let rows =
+        with_pool ~spilled sc (fun spill ->
+            let exec = Stream_exec.create ~metrics ~mode ?spill plan in
+            ingest ~hash:(scenario_hash sc) (fed_events sc)
+              ~feed:(Stream_exec.feed exec)
+              ~feed_batch:(Stream_exec.feed_batch exec);
+            Stream_exec.close exec ~horizon)
+      in
+      (* the plain run is the baseline itself *)
+      if batched || spilled then
+        require_identical mode sc (rows, metrics)
+      else rows
+  | Sharded ->
+      let r =
+        Runner.create ~mode
+          ?batch:(if batched then Some sc.Scenario.batch else None)
+          ?budget:(if spilled then Some sc.Scenario.budget else None)
+          ~shards:sc.Scenario.shards plan
+      in
+      (try
+         ingest ~hash:(scenario_hash sc) (fed_events sc) ~feed:(Runner.feed r)
+           ~feed_batch:
+             (Batch.iter_slots (function
+               | Batch.Ev e -> Runner.feed r e
+               | Batch.Punct wm -> Runner.advance r wm))
+       with e ->
+         (* unblock and reap the workers before re-raising *)
+         (try ignore (Runner.close r ~horizon) with _ -> ());
+         raise e);
+      let res = Runner.close r ~horizon in
+      require_identical mode sc (res.Runner.rows, res.Runner.metrics)
+  | Checkpointed ->
+      let dir = fresh_temp_dir () in
+      Fun.protect
+        ~finally:(fun () -> rm_rf dir)
+        (fun () ->
+          let first =
+            with_pool ~spilled sc (fun spill ->
+                match crash_first_process ~batched ?spill ~dir mode sc with
+                | Completed cp ->
+                    Some (Checkpoint.close cp ~horizon, Checkpoint.metrics cp)
+                | Crashed -> None)
+          in
+          let outcome =
+            match first with
+            | Some r -> r
+            | None ->
+                with_pool ~spilled sc (fun spill ->
+                    match Fw_snap.Recover.load ~dir ~mode ?spill plan with
+                    | Error m -> failwith ("recovery failed: " ^ m)
+                    | Ok r ->
+                        let cp = r.Fw_snap.Recover.checkpoint in
+                        let k = (crash_params sc).crash_at in
+                        ingest
+                          ~hash:(scenario_hash sc lxor 0x9e3779b9)
+                          (List.filteri (fun i _ -> i >= k) (fed_events sc))
+                          ~feed:(Checkpoint.feed cp)
+                          ~feed_batch:(Checkpoint.feed_batch cp);
+                        ( Checkpoint.close cp ~horizon,
+                          r.Fw_snap.Recover.metrics ))
+          in
+          require_identical mode sc outcome)
+
 let rows path (sc : Scenario.t) =
   let horizon = sc.Scenario.horizon in
   let events = sc.Scenario.events in
   try
     Ok
       (match path with
-      | Reference_path ->
-          Reference.run sc.Scenario.agg sc.Scenario.windows ~horizon events
-      | Naive_stream ->
-          Stream_exec.run
-            (Plan.naive sc.Scenario.agg sc.Scenario.windows)
-            ~horizon events
-      | Incremental_stream ->
-          Stream_exec.run ~mode:Stream_exec.Incremental
-            (Plan.naive sc.Scenario.agg sc.Scenario.windows)
-            ~horizon events
-      | Rewritten ->
-          Stream_exec.run (rewritten_plan ~factor_windows:true sc) ~horizon
+      | Reference ->
+          Fw_engine.Reference.run sc.Scenario.agg sc.Scenario.windows ~horizon
             events
-      | Rewritten_no_factor ->
-          Stream_exec.run (rewritten_plan ~factor_windows:false sc) ~horizon
-            events
+      | Rewritten { factor_windows } ->
+          Stream_exec.run (rewritten_plan ~factor_windows sc) ~horizon events
       | Sliced (mode, slicing) ->
           (Exec.run sc.Scenario.agg mode slicing sc.Scenario.windows ~horizon
              events)
             .Exec.rows
-      | Crash_restart mode -> crash_restart_rows mode sc
-      | Sharded_stream -> sharded_rows sc
-      | Batched_stream -> batched_rows sc
-      | Sharded_batched ->
-          (* pin the runner's flush geometry to the scenario's (small)
-             batch size: ring boundaries and flush-on-punctuation get
-             exercised at many sizes, including 1 *)
-          sharded_rows ~batch:sc.Scenario.batch sc
-      | Crash_batched mode -> crash_restart_rows ~batched:true mode sc
-      | Served -> served_rows sc
-      | Spilled -> spilled_rows sc)
+      | Stack { sink; mode; batched; spilled } ->
+          stack_rows ~sink ~mode ~batched ~spilled sc)
   with exn -> Error (Printexc.to_string exn)

@@ -3,94 +3,87 @@
     Every path consumes the same (aggregate, windows, horizon, events)
     scenario and must produce the same row multiset:
 
-    - {!Reference_path}: the definition-level evaluator ({!Reference});
-    - {!Naive_stream}: the naive per-window plan through the streaming
-      engine ({!Fw_engine.Stream_exec});
-    - {!Incremental_stream}: the same naive plan through the engine's
-      pane-based incremental mode (per-slide panes + sliding queues;
-      windows where panes don't apply fall back per node, so the path
-      covers every scenario);
-    - {!Rewritten}: the min-cost-WCG plan with factor windows
-      (Algorithm 1 + Algorithm 2, Section 4.3 best-of);
-    - {!Rewritten_no_factor}: plain Algorithm 1 rewriting;
+    - {!Reference}: the definition-level evaluator
+      ({!Fw_engine.Reference});
+    - {!Rewritten}: the min-cost-WCG plan, with factor windows
+      (Algorithm 1 + Algorithm 2, Section 4.3 best-of) or without
+      (plain Algorithm 1), through the streaming engine;
     - {!Sliced}: the executable paned [Li et al. 2005] / paired
       [Krishnamurthy et al. 2006] baselines, shared and unshared
       ({!Fw_slicing.Exec});
-    - {!Crash_restart}: the naive plan through a checkpointing pipeline
-      ({!Fw_snap.Checkpoint}) that is killed mid-stream by an injected
-      fault — sometimes with a torn snapshot write — recovered from
-      disk ({!Fw_snap.Recover}) and run to completion.  Beyond the
-      harness's row comparison, the path itself insists the recovered
-      rows and cost-model counters are {e byte-identical} to an
-      uninterrupted run's, and raises otherwise;
-    - {!Sharded_stream}: the naive plan key-partitioned across the
-      scenario's worker-domain count ({!Fw_shard.Runner}), in both
-      engine modes.  Like the crash path it carries checks stronger
-      than the harness's: each mode's merged rows must be
-      byte-identical to the corresponding single-shard run's, and the
-      cost-model counters (ingest, per-window items) must reconcile
-      exactly across the shard merge;
-    - {!Batched_stream}: the same stream pushed through
-      {!Fw_engine.Stream_exec.feed_batch} under deterministic
-      scenario-derived batch geometry — sizes in [\[1, batch\]],
-      punctuation marks injected {e inside} batches — in both engine
-      modes, byte-compared (rows and cost-model counters bit-for-bit)
-      against the per-event run: the feed/feed_batch equivalence
-      contract, checked end to end;
-    - {!Sharded_batched}: {!Sharded_stream} with the runner's flush
-      geometry pinned to the scenario's batch size, so ring boundaries
-      and flush-on-punctuation are exercised at many sizes including 1;
-    - {!Crash_batched}: {!Crash_restart} with batched ingestion on both
-      sides of the crash ({!Fw_snap.Checkpoint.feed_batch}), so
-      checkpoints and the injected death land mid-batch and recovery
-      must still be byte-identical;
-    - {!Served}: overlapping sub-queries of the scenario's window set
-      registered as SQL with one in-process query server
-      ({!Fw_serve.Server}) and fed the shared stream once.  Beyond the
-      harness's row comparison, the path insists {e every} registered
-      query's tap is byte-identical to an independent single-query run
-      of its own text — cross-query sharing (or its degrade) must never
-      change a float bit of anyone's answer;
-    - {!Spilled}: the naive plan run under the scenario's memory budget
-      — every operator's per-key state in {!Fw_spill.Store}s whose cold
-      entries are evicted to an on-disk spill file and faulted back on
-      touch — in both engine modes.  The path insists the rows and
-      cost-model counters are bit-identical to the unbudgeted run's
-      (budget [0], where every touched key round-trips through disk,
-      included), then composes the budget with the crash-restart
-      pipeline: checkpoint over spilled state, die, recover into a
-      fresh pool, still byte-identical. *)
+    - {!Stack}: the naive plan through the production stack, composed
+      from four orthogonal dimensions:
+      {ul
+      {- [sink] — what drives the run: the {!Fw_engine.Stream_exec}
+         executor itself ([Engine]), the key-partitioned multi-domain
+         runner over the scenario's shard count ([Sharded],
+         {!Fw_shard.Runner}), a checkpointing pipeline killed
+         mid-stream by an injected fault — sometimes with a torn
+         snapshot write — then recovered from disk and finished
+         ([Checkpointed], {!Fw_snap}), or one in-process query server
+         holding overlapping sub-queries of the window set as SQL
+         ([Served], {!Fw_serve.Server}).  Sharding, crash-restart and
+         serving each own the run, so they are one field and cannot
+         combine;}
+      {- [mode] — naive per-instance or pane-based incremental
+         execution;}
+      {- [batched] — ingestion through [feed_batch] under the
+         scenario's deterministic batch geometry
+         ({!batches_of_events}), with punctuation marks injected inside
+         batches, instead of per-event [feed];}
+      {- [spilled] — every operator's per-key state held under the
+         scenario's memory budget, cold entries evicted to a spill file
+         and faulted back on touch, one {!Fw_spill.Pool} per simulated
+         process.}}
+
+    Beyond the harness's tolerant row comparison, every stack but the
+    plain engine run insists on {e byte-identical} rows and exactly
+    equal cost-model counters ([Metrics.ingested],
+    [Metrics.per_window]) against the plain per-event engine run of the
+    same mode, and raises otherwise.  [Served] instead insists that
+    every registered query's tap is byte-identical to an independent
+    single-query run of its own text in the same mode: cross-query
+    sharing (or its degrade) must never change a float bit of anyone's
+    answer. *)
+
+type sink = Engine | Sharded | Checkpointed | Served
 
 type path =
-  | Reference_path
-  | Naive_stream
-  | Incremental_stream
-  | Rewritten
-  | Rewritten_no_factor
+  | Reference
+  | Rewritten of { factor_windows : bool }
   | Sliced of Fw_slicing.Exec.mode * Fw_slicing.Exec.slicing
-  | Crash_restart of Fw_engine.Stream_exec.mode
-  | Sharded_stream
-  | Batched_stream
-  | Sharded_batched
-  | Crash_batched of Fw_engine.Stream_exec.mode
-  | Served
-  | Spilled
+  | Stack of {
+      sink : sink;
+      mode : Fw_engine.Stream_exec.mode;
+      batched : bool;
+      spilled : bool;
+    }
 
 val all : path list
-(** The eighteen concrete paths, reference first. *)
+(** Every path some scenario can run, reference first: each
+    combination of the stack dimensions appears once, except the
+    [Served] stacks with [batched] or [spilled], which no scenario can
+    run (see {!applicable}). *)
 
 val name : path -> string
-(** Stable identifier used in reports ("rewritten", "shared-paired", ...). *)
+(** Stable identifier used in reports ("rewritten", "shared-paired",
+    ...).  A stack is named [SINK-MODE], then [-batched] and
+    [-spilled] when set: "engine-naive",
+    "sharded-incremental-batched-spilled". *)
 
 val applicable : path -> Scenario.t -> bool
-(** Whether the path supports the scenario: the slicing paths have no
-    session geometry, and the served path cannot register non-aligned
-    hops (the SQL front's analyze gate rejects them); all other paths
-    accept any window set. *)
+(** Whether the path supports the scenario.  The slicing paths have no
+    session geometry.  The served stacks cannot register non-aligned
+    hops (the SQL front's analyze gate rejects them), and never run
+    batched — the server ingests plain event lists without punctuation
+    marks — or spilled — its memory budget has a 64 KiB floor per
+    sharing group that the drawn budgets (0–64 KiB by default) do not
+    clear.  All other paths accept any window set. *)
 
 val rows : path -> Scenario.t -> (Fw_engine.Row.t list, string) result
 (** Execute one path; [Error] carries the exception text if the path
-    crashed (a crash is a finding too, not a harness failure). *)
+    crashed or broke its byte-identity check (a crash is a finding too,
+    not a harness failure). *)
 
 (** {2 Crash-restart internals (shared with {!Artifacts})} *)
 
@@ -131,7 +124,3 @@ val batches_of_events :
     batches with sizes in [\[1, batch\]] and punctuation marks injected
     between distinct event times — some stale (equal to the previous
     time), some live (inside the gap), none making a later event late. *)
-
-val batches_of : Scenario.t -> Fw_engine.Batch.t list
-(** {!batches_of_events} under the scenario's hash, batch size and fed
-    (sorted, horizon-clipped) stream. *)

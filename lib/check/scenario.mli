@@ -36,13 +36,13 @@ type gen_config = {
   window_params : Fw_workload.Window_gen.params;
   batch_min : int;
   batch_max : int;
-      (** batch size for the batched execution paths drawn in
+      (** batch size for the batched stacks drawn in
           [\[batch_min, batch_max\]] ([fwfuzz --batch-size-range]);
           the default range starts at 1 so the degenerate batch-of-1
           case stays reachable *)
   budget_min : int;
   budget_max : int;
-      (** resident-state budget (bytes) for the spilled execution path
+      (** resident-state budget (bytes) for the spilled stacks
           drawn in [\[budget_min, budget_max\]] ([fwfuzz
           --budget-range]); a quarter of the draws pin [budget_min]
           (normally [0] — every touched key is evicted and faulted
@@ -60,15 +60,15 @@ type t = {
   shape : shape;
   tumbling : bool;
   shards : int;
-      (** worker-domain count for the sharded path, drawn in [\[2, 8\]];
+      (** worker-domain count for the sharded stacks, drawn in [\[2, 8\]];
           shrunk like any other dimension when a failure minimizes *)
   batch : int;
-      (** nominal batch size for the batched execution paths; the
+      (** nominal batch size for the batched stacks; the
           deterministic partitioning in {!Paths} draws per-batch sizes
           in [\[1, batch\]], so punctuation-straddling and single-event
           batches both occur.  Shrunk toward 1 on failure. *)
   budget : int;
-      (** resident-state budget in bytes for the spilled path's
+      (** resident-state budget in bytes for the spilled stacks'
           {!Fw_spill.Pool}; [0] forces every key through the spill
           file.  Shrunk toward 0 on failure (a smaller budget spills
           more, keeping the out-of-core machinery in the shrunk

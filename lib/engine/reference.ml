@@ -1,7 +1,5 @@
 open Fw_window
 module Aggregate = Fw_agg.Aggregate
-module Event = Fw_engine.Event
-module Row = Fw_engine.Row
 
 module Key_map = Map.Make (String)
 

@@ -6,10 +6,11 @@
     that fall inside it, group them by key and evaluate the aggregate
     over the plain value list — no sub-aggregate states, no merging, no
     slicing, no plans.  It shares {e no} execution code with the
-    engine, the batch oracle or the slicing executor, which makes it
-    the independent arbiter of the differential harness: every other
-    path must reproduce its rows exactly (up to the documented
-    floating-point tolerance of {!Fw_engine.Row.equal_sets}). *)
+    streaming executor or the slicing executor, which makes it the
+    repo's one definition-level evaluator and the independent arbiter
+    of the differential harness: every other path must reproduce its
+    rows exactly (up to the documented floating-point tolerance of
+    {!Row.equal_sets}). *)
 
 val eval : Fw_agg.Aggregate.t -> float list -> float
 (** Direct evaluation over a raw value list ([nan] for an empty MEDIAN;
@@ -22,14 +23,14 @@ val window_rows :
   Fw_agg.Aggregate.t ->
   Fw_window.Window.t ->
   horizon:int ->
-  Fw_engine.Event.t list ->
-  Fw_engine.Row.t list
+  Event.t list ->
+  Row.t list
 (** Rows of one window; instances with no events produce no row. *)
 
 val run :
   Fw_agg.Aggregate.t ->
   Fw_window.Window.t list ->
   horizon:int ->
-  Fw_engine.Event.t list ->
-  Fw_engine.Row.t list
-(** All windows (deduplicated), rows sorted with {!Fw_engine.Row.sort}. *)
+  Event.t list ->
+  Row.t list
+(** All windows (deduplicated), rows sorted with {!Row.sort}. *)

@@ -38,14 +38,26 @@ let describe_diff diff =
       | (a, b) :: _ -> Format.fprintf ppf "%a vs %a" pp_side a pp_side b)
     diff
 
+(* The events the plan's source filter keeps (all of them when the plan
+   has none): the reference evaluator knows windows, not predicates. *)
+let apply_filter plan events =
+  match Plan.source_filter plan with
+  | None -> events
+  | Some pred ->
+      List.filter
+        (fun e ->
+          Fw_plan.Predicate.eval pred ~key:e.Event.key ~value:e.Event.value
+            ~time:e.Event.time)
+        events
+
 let verify_against_naive plan ~horizon events =
   let { rows; _ } = execute plan ~horizon events in
-  let oracle =
-    Oracle.run (Plan.agg plan) (Plan.exposed_windows plan) ~horizon
-      (Oracle.apply_filter plan events)
+  let expected =
+    Reference.run (Plan.agg plan) (Plan.exposed_windows plan) ~horizon
+      (apply_filter plan events)
   in
-  if Row.equal_sets rows oracle then Ok ()
-  else Error (describe_diff (Row.diff rows oracle))
+  if Row.equal_sets rows expected then Ok ()
+  else Error (describe_diff (Row.diff rows expected))
 
 (* Per-operator delta over the union of both runs' windows: where the
    rewriting saved work node by node, not just in total.  Factor

@@ -1,5 +1,5 @@
 (** High-level execution helpers tying plans, the executor and the
-    oracle together. *)
+    reference evaluator together. *)
 
 type report = {
   rows : Row.t list;
@@ -41,9 +41,9 @@ val execute :
 
 val verify_against_naive :
   Fw_plan.Plan.t -> horizon:int -> Event.t list -> (unit, string) result
-(** Run the plan and check its rows against the batch oracle computed
-    over the plan's exposed windows — the end-to-end correctness check
-    for rewritten plans. *)
+(** Run the plan and check its rows against {!Reference.run} over the
+    plan's exposed windows and source-filtered events — the end-to-end
+    correctness check for rewritten plans. *)
 
 val per_window_savings : report -> report -> saving list
 (** The per-operator delta between two reports, sorted by window. *)

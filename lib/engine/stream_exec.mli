@@ -98,7 +98,7 @@ val feed_batch : t -> Batch.t -> unit
     preserved mid-batch.
 
     Equivalence contract (pinned by [test/test_batch.ml] and the
-    [batched-stream] differential path): any partition of an event
+    batched differential stacks): any partition of an event
     stream into batches, with any placement of punctuation marks,
     yields byte-identical rows and bit-for-bit identical cost-model
     counters ({!Metrics.ingested}, {!Metrics.per_window}) versus the

@@ -30,93 +30,58 @@ module Window = Fw_window.Window
 module Interval = Fw_window.Interval
 module Plan = Fw_plan.Plan
 
-(* The byte-level primitives, CRC and log framing live in
-   {!Fw_spill.Bin} — the out-of-core state store serializes evicted
-   entries with the same machinery — and the aggregate-state encoders
-   live in {!Fw_agg.Bincodec}.  This module re-exports both; the byte
-   format is unchanged. *)
+(* Three codecs, one per level of the dependency graph: {!Fw_spill.Bin}
+   holds the byte-level primitives, CRC and log framing (the spill store
+   serializes evicted entries with them), {!Fw_agg.Bincodec} encodes
+   aggregate states and sliding queues on top, and this module adds
+   windows, operator exports, snapshots and the WAL.  It calls the two
+   lower layers directly. *)
 module Bin = Fw_spill.Bin
 module Bincodec = Fw_agg.Bincodec
 
 exception Corrupt = Bin.Corrupt
-
-let corrupt = Bin.corrupt
 
 (* v2: windows carry a family tag byte (time hop / count hop /
    session) and node exports add the count-window (tag 3) and
    session-window (tag 4) operator states. *)
 let version = 2
 let magic = "FWSNAP"
-let crc32_sub = Bin.crc32_sub
 let crc32 = Bin.crc32
-
-(* --- writer primitives --------------------------------------------- *)
-
-let w_u8 = Bin.w_u8
-let w_u16 = Bin.w_u16
-let w_u32 = Bin.w_u32
-let w_i64 = Bin.w_i64
-let w_raw64 = Bin.w_raw64
-let w_float = Bin.w_float
-let w_string = Bin.w_string
-let w_list = Bin.w_list
-
-(* --- reader primitives --------------------------------------------- *)
-
-type reader = Bin.reader = { src : string; mutable pos : int; limit : int }
-
-let reader = Bin.reader
-let remaining = Bin.remaining
-let need = Bin.need
-let r_u8 = Bin.r_u8
-let r_u16 = Bin.r_u16
-let r_u32 = Bin.r_u32
-let r_raw64 = Bin.r_raw64
-let r_i64 = Bin.r_i64
-let r_float = Bin.r_float
-let r_string = Bin.r_string
-let r_list = Bin.r_list
 
 (* --- aggregate state ----------------------------------------------- *)
 
-let w_state = Bincodec.w_state
-let r_state = Bincodec.r_state
-
 let state_to_string st =
   let b = Buffer.create 32 in
-  w_state b st;
+  Bincodec.w_state b st;
   Buffer.contents b
 
 let state_of_string s =
-  let r = reader s in
-  let st = r_state r in
-  if remaining r <> 0 then
-    corrupt "trailing bytes after aggregate state (%d)" (remaining r);
+  let r = Bin.reader s in
+  let st = Bincodec.r_state r in
+  if Bin.remaining r <> 0 then
+    Bin.corrupt "trailing bytes after aggregate state (%d)" (Bin.remaining r);
   st
 
 (* --- sliding queue / pane ------------------------------------------ *)
 
-let w_swag = Bincodec.w_swag
-let r_swag = Bincodec.r_swag
-
 let w_pane b (x : Pane.export) =
-  w_list b
+  Bin.w_list b
     (fun b (k, st) ->
-      w_string b k;
-      w_state b st)
+      Bin.w_string b k;
+      Bincodec.w_state b st)
     x.Pane.x_entries;
-  w_i64 b x.Pane.x_adds;
-  w_i64 b x.Pane.x_merges
+  Bin.w_i64 b x.Pane.x_adds;
+  Bin.w_i64 b x.Pane.x_merges
 
 let r_pane r =
   let x_entries =
-    r_list r (fun r ->
-        let k = r_string r in
-        let st = r_state r in
+    Bin.r_list r (fun r ->
+        let k = Bin.r_string r in
+        let st = Bincodec.r_state r in
         (k, st))
   in
-  let x_adds = r_i64 r in
-  let x_merges = r_i64 r in
+  let x_adds = Bin.r_i64 r in
+  let x_merges = Bin.r_i64 r in
   { Pane.x_entries; x_adds; x_merges }
 
 (* --- windows, rows, events ----------------------------------------- *)
@@ -126,148 +91,148 @@ let r_pane r =
 let w_window b (w : Window.t) =
   match w with
   | Window.Hop { domain = Window.Time; range; slide } ->
-      w_u8 b 0;
-      w_i64 b range;
-      w_i64 b slide
+      Bin.w_u8 b 0;
+      Bin.w_i64 b range;
+      Bin.w_i64 b slide
   | Window.Hop { domain = Window.Count; range; slide } ->
-      w_u8 b 1;
-      w_i64 b range;
-      w_i64 b slide
+      Bin.w_u8 b 1;
+      Bin.w_i64 b range;
+      Bin.w_i64 b slide
   | Window.Session { gap } ->
-      w_u8 b 2;
-      w_i64 b gap
+      Bin.w_u8 b 2;
+      Bin.w_i64 b gap
 
 let r_window r =
-  let tag = r_u8 r in
+  let tag = Bin.r_u8 r in
   try
     match tag with
     | 0 ->
-        let range = r_i64 r in
-        let slide = r_i64 r in
+        let range = Bin.r_i64 r in
+        let slide = Bin.r_i64 r in
         Window.make ~range ~slide
     | 1 ->
-        let range = r_i64 r in
-        let slide = r_i64 r in
+        let range = Bin.r_i64 r in
+        let slide = Bin.r_i64 r in
         Window.count_hop ~range ~slide
     | 2 ->
-        let gap = r_i64 r in
+        let gap = Bin.r_i64 r in
         Window.session ~gap
-    | tag -> corrupt "unknown window family tag %d" tag
-  with Invalid_argument m -> corrupt "invalid window in snapshot: %s" m
+    | tag -> Bin.corrupt "unknown window family tag %d" tag
+  with Invalid_argument m -> Bin.corrupt "invalid window in snapshot: %s" m
 
 let w_row b (row : Row.t) =
   w_window b row.Row.window;
-  w_i64 b (Interval.lo row.Row.interval);
-  w_i64 b (Interval.hi row.Row.interval);
-  w_string b row.Row.key;
-  w_float b row.Row.value
+  Bin.w_i64 b (Interval.lo row.Row.interval);
+  Bin.w_i64 b (Interval.hi row.Row.interval);
+  Bin.w_string b row.Row.key;
+  Bin.w_float b row.Row.value
 
 let r_row r =
   let window = r_window r in
-  let lo = r_i64 r in
-  let hi = r_i64 r in
-  let key = r_string r in
-  let value = r_float r in
+  let lo = Bin.r_i64 r in
+  let hi = Bin.r_i64 r in
+  let key = Bin.r_string r in
+  let value = Bin.r_float r in
   let interval =
     try Interval.make ~lo ~hi
-    with Invalid_argument m -> corrupt "invalid interval in snapshot: %s" m
+    with Invalid_argument m -> Bin.corrupt "invalid interval in snapshot: %s" m
   in
   { Row.window; interval; key; value }
 
 (* --- executor export ----------------------------------------------- *)
 
 let w_node b = function
-  | Stream_exec.X_stateless -> w_u8 b 0
+  | Stream_exec.X_stateless -> Bin.w_u8 b 0
   | Stream_exec.X_win { x_pending; x_wm } ->
-      w_u8 b 1;
-      w_list b
+      Bin.w_u8 b 1;
+      Bin.w_list b
         (fun b (hi, lo, key, state, items) ->
-          w_i64 b hi;
-          w_i64 b lo;
-          w_string b key;
-          w_state b state;
-          w_i64 b items)
+          Bin.w_i64 b hi;
+          Bin.w_i64 b lo;
+          Bin.w_string b key;
+          Bincodec.w_state b state;
+          Bin.w_i64 b items)
         x_pending;
-      w_i64 b x_wm
+      Bin.w_i64 b x_wm
   | Stream_exec.X_pane { x_cur_pane; x_p_wm; x_open_pane; x_queues } ->
-      w_u8 b 2;
-      w_i64 b x_cur_pane;
-      w_i64 b x_p_wm;
+      Bin.w_u8 b 2;
+      Bin.w_i64 b x_cur_pane;
+      Bin.w_i64 b x_p_wm;
       w_pane b x_open_pane;
-      w_list b
+      Bin.w_list b
         (fun b (k, q) ->
-          w_string b k;
-          w_swag b q)
+          Bin.w_string b k;
+          Bincodec.w_swag b q)
         x_queues
   | Stream_exec.X_cwin { xc_keys } ->
-      w_u8 b 3;
-      w_list b
+      Bin.w_u8 b 3;
+      Bin.w_list b
         (fun b (key, seen, pend) ->
-          w_string b key;
-          w_i64 b seen;
-          w_list b
+          Bin.w_string b key;
+          Bin.w_i64 b seen;
+          Bin.w_list b
             (fun b (hi, state, items) ->
-              w_i64 b hi;
-              w_state b state;
-              w_i64 b items)
+              Bin.w_i64 b hi;
+              Bincodec.w_state b state;
+              Bin.w_i64 b items)
             pend)
         xc_keys
   | Stream_exec.X_session { xs_open; xs_pending; xs_wm } ->
-      w_u8 b 4;
-      w_list b
+      Bin.w_u8 b 4;
+      Bin.w_list b
         (fun b (key, first, last, state, items) ->
-          w_string b key;
-          w_i64 b first;
-          w_i64 b last;
-          w_state b state;
-          w_i64 b items)
+          Bin.w_string b key;
+          Bin.w_i64 b first;
+          Bin.w_i64 b last;
+          Bincodec.w_state b state;
+          Bin.w_i64 b items)
         xs_open;
-      w_list b
+      Bin.w_list b
         (fun b (hi, lo, key, state, items) ->
-          w_i64 b hi;
-          w_i64 b lo;
-          w_string b key;
-          w_state b state;
-          w_i64 b items)
+          Bin.w_i64 b hi;
+          Bin.w_i64 b lo;
+          Bin.w_string b key;
+          Bincodec.w_state b state;
+          Bin.w_i64 b items)
         xs_pending;
-      w_i64 b xs_wm
+      Bin.w_i64 b xs_wm
 
 let r_node r =
-  match r_u8 r with
+  match Bin.r_u8 r with
   | 0 -> Stream_exec.X_stateless
   | 1 ->
       let x_pending =
-        r_list r (fun r ->
-            let hi = r_i64 r in
-            let lo = r_i64 r in
-            let key = r_string r in
-            let state = r_state r in
-            let items = r_i64 r in
+        Bin.r_list r (fun r ->
+            let hi = Bin.r_i64 r in
+            let lo = Bin.r_i64 r in
+            let key = Bin.r_string r in
+            let state = Bincodec.r_state r in
+            let items = Bin.r_i64 r in
             (hi, lo, key, state, items))
       in
-      let x_wm = r_i64 r in
+      let x_wm = Bin.r_i64 r in
       Stream_exec.X_win { x_pending; x_wm }
   | 2 ->
-      let x_cur_pane = r_i64 r in
-      let x_p_wm = r_i64 r in
+      let x_cur_pane = Bin.r_i64 r in
+      let x_p_wm = Bin.r_i64 r in
       let x_open_pane = r_pane r in
       let x_queues =
-        r_list r (fun r ->
-            let k = r_string r in
-            let q = r_swag r in
+        Bin.r_list r (fun r ->
+            let k = Bin.r_string r in
+            let q = Bincodec.r_swag r in
             (k, q))
       in
       Stream_exec.X_pane { x_cur_pane; x_p_wm; x_open_pane; x_queues }
   | 3 ->
       let xc_keys =
-        r_list r (fun r ->
-            let key = r_string r in
-            let seen = r_i64 r in
+        Bin.r_list r (fun r ->
+            let key = Bin.r_string r in
+            let seen = Bin.r_i64 r in
             let pend =
-              r_list r (fun r ->
-                  let hi = r_i64 r in
-                  let state = r_state r in
-                  let items = r_i64 r in
+              Bin.r_list r (fun r ->
+                  let hi = Bin.r_i64 r in
+                  let state = Bincodec.r_state r in
+                  let items = Bin.r_i64 r in
                   (hi, state, items))
             in
             (key, seen, pend))
@@ -275,26 +240,26 @@ let r_node r =
       Stream_exec.X_cwin { xc_keys }
   | 4 ->
       let xs_open =
-        r_list r (fun r ->
-            let key = r_string r in
-            let first = r_i64 r in
-            let last = r_i64 r in
-            let state = r_state r in
-            let items = r_i64 r in
+        Bin.r_list r (fun r ->
+            let key = Bin.r_string r in
+            let first = Bin.r_i64 r in
+            let last = Bin.r_i64 r in
+            let state = Bincodec.r_state r in
+            let items = Bin.r_i64 r in
             (key, first, last, state, items))
       in
       let xs_pending =
-        r_list r (fun r ->
-            let hi = r_i64 r in
-            let lo = r_i64 r in
-            let key = r_string r in
-            let state = r_state r in
-            let items = r_i64 r in
+        Bin.r_list r (fun r ->
+            let hi = Bin.r_i64 r in
+            let lo = Bin.r_i64 r in
+            let key = Bin.r_string r in
+            let state = Bincodec.r_state r in
+            let items = Bin.r_i64 r in
             (hi, lo, key, state, items))
       in
-      let xs_wm = r_i64 r in
+      let xs_wm = Bin.r_i64 r in
       Stream_exec.X_session { xs_open; xs_pending; xs_wm }
-  | tag -> corrupt "unknown node state tag %d" tag
+  | tag -> Bin.corrupt "unknown node state tag %d" tag
 
 let mode_byte = function
   | Stream_exec.Naive -> 0
@@ -303,7 +268,7 @@ let mode_byte = function
 let mode_of_byte = function
   | 0 -> Stream_exec.Naive
   | 1 -> Stream_exec.Incremental
-  | n -> corrupt "unknown execution mode byte %d" n
+  | n -> Bin.corrupt "unknown execution mode byte %d" n
 
 let mode_name = function
   | Stream_exec.Naive -> "naive"
@@ -325,30 +290,30 @@ type snapshot = {
 }
 
 let w_snapshot b s =
-  w_u8 b (mode_byte s.s_export.Stream_exec.x_mode);
-  w_i64 b s.s_export.Stream_exec.x_source_wm;
-  w_i64 b s.s_rows_persisted;
-  w_i64 b s.s_ingested;
-  w_list b
+  Bin.w_u8 b (mode_byte s.s_export.Stream_exec.x_mode);
+  Bin.w_i64 b s.s_export.Stream_exec.x_source_wm;
+  Bin.w_i64 b s.s_rows_persisted;
+  Bin.w_i64 b s.s_ingested;
+  Bin.w_list b
     (fun b (w, n) ->
       w_window b w;
-      w_i64 b n)
+      Bin.w_i64 b n)
     s.s_processed;
-  w_list b w_node (Array.to_list s.s_export.Stream_exec.x_nodes)
+  Bin.w_list b w_node (Array.to_list s.s_export.Stream_exec.x_nodes)
 
 let r_snapshot r =
-  let x_mode = mode_of_byte (r_u8 r) in
-  let x_source_wm = r_i64 r in
-  let s_rows_persisted = r_i64 r in
-  if s_rows_persisted < 0 then corrupt "negative persisted-row count";
-  let s_ingested = r_i64 r in
+  let x_mode = mode_of_byte (Bin.r_u8 r) in
+  let x_source_wm = Bin.r_i64 r in
+  let s_rows_persisted = Bin.r_i64 r in
+  if s_rows_persisted < 0 then Bin.corrupt "negative persisted-row count";
+  let s_ingested = Bin.r_i64 r in
   let s_processed =
-    r_list r (fun r ->
+    Bin.r_list r (fun r ->
         let w = r_window r in
-        let n = r_i64 r in
+        let n = Bin.r_i64 r in
         (w, n))
   in
-  let x_nodes = Array.of_list (r_list r r_node) in
+  let x_nodes = Array.of_list (Bin.r_list r r_node) in
   {
     s_export = { Stream_exec.x_mode; x_source_wm; x_rows = []; x_nodes };
     s_rows_persisted;
@@ -394,54 +359,55 @@ let kind_name = function
 let encode_frame ~fingerprint payload =
   let b = Buffer.create (header_len + String.length payload + 4) in
   Buffer.add_string b magic;
-  w_u16 b version;
-  w_raw64 b fingerprint;
-  w_i64 b (String.length payload);
+  Bin.w_u16 b version;
+  Bin.w_raw64 b fingerprint;
+  Bin.w_i64 b (String.length payload);
   Buffer.add_string b payload;
-  w_u32 b (crc32 payload);
+  Bin.w_u32 b (crc32 payload);
   Buffer.contents b
 
 let decode_frame ~plan ~mode ~kind decode s =
   try
-    let r = reader s in
-    need r header_len "snapshot header";
+    let r = Bin.reader s in
+    Bin.need r header_len "snapshot header";
     let m = String.sub s 0 (String.length magic) in
     if m <> magic then
-      corrupt "bad magic %S (not a factor-windows snapshot)" m;
-    r.pos <- String.length magic;
-    let v = r_u16 r in
+      Bin.corrupt "bad magic %S (not a factor-windows snapshot)" m;
+    r.Bin.pos <- String.length magic;
+    let v = Bin.r_u16 r in
     if v <> version then
-      corrupt
+      Bin.corrupt
         "unsupported snapshot version %d (this build reads version %d); \
          refusing to resume"
         v version;
-    let fp = r_raw64 r in
+    let fp = Bin.r_raw64 r in
     let expected = plan_fingerprint plan mode in
     if not (Int64.equal fp expected) then
-      corrupt
+      Bin.corrupt
         "plan fingerprint mismatch (snapshot 0x%Lx, current %s-mode plan \
          0x%Lx); refusing to resume on a different plan"
         fp (mode_name mode) expected;
-    let payload_len = r_i64 r in
-    if payload_len < 0 || remaining r <> payload_len + 4 then
-      corrupt "truncated snapshot (payload length %d, %d bytes present)"
-        payload_len (remaining r);
-    let payload_pos = r.pos in
-    r.pos <- r.pos + payload_len;
-    let crc = r_u32 r in
-    let actual = crc32_sub s payload_pos payload_len in
+    let payload_len = Bin.r_i64 r in
+    if payload_len < 0 || Bin.remaining r <> payload_len + 4 then
+      Bin.corrupt "truncated snapshot (payload length %d, %d bytes present)"
+        payload_len (Bin.remaining r);
+    let payload_pos = r.Bin.pos in
+    r.Bin.pos <- r.Bin.pos + payload_len;
+    let crc = Bin.r_u32 r in
+    let actual = Bin.crc32_sub s payload_pos payload_len in
     if crc <> actual then
-      corrupt "payload CRC mismatch (stored %08x, computed %08x): torn or \
+      Bin.corrupt "payload CRC mismatch (stored %08x, computed %08x): torn or \
                corrupted write"
         crc actual;
-    let pr = reader ~pos:payload_pos ~limit:(payload_pos + payload_len) s in
-    let k = r_u8 pr in
+    let pr = Bin.reader ~pos:payload_pos ~limit:(payload_pos + payload_len) s in
+    let k = Bin.r_u8 pr in
     if k <> kind then
-      corrupt "payload holds a %s snapshot where a %s snapshot was expected"
+      Bin.corrupt "payload holds a %s snapshot where a %s snapshot was expected"
         (kind_name k) (kind_name kind);
     let value = decode pr in
-    if remaining pr <> 0 then
-      corrupt "trailing bytes after snapshot payload (%d)" (remaining pr);
+    if Bin.remaining pr <> 0 then
+      Bin.corrupt "trailing bytes after snapshot payload (%d)"
+        (Bin.remaining pr);
     Ok value
   with
   | Corrupt m -> Error m
@@ -449,7 +415,7 @@ let decode_frame ~plan ~mode ~kind decode s =
 
 let encode_snapshot ~plan s =
   let payload = Buffer.create 4096 in
-  w_u8 payload kind_engine;
+  Bin.w_u8 payload kind_engine;
   w_snapshot payload s;
   encode_frame
     ~fingerprint:(plan_fingerprint plan s.s_export.Stream_exec.x_mode)
@@ -463,7 +429,7 @@ let decode_snapshot ~plan ~mode s =
 (* Both on-disk logs (the event WAL and the emitted-row log) share one
    record framing: [len u32][payload][crc32(payload) u32], flushed in
    whole records.  [decode_frames] scans an image and stops cleanly at
-   the first torn or corrupt record: a crash can leave a partial record
+   the first torn or Bin.corrupt record: a crash can leave a partial record
    at the tail, and everything before it is still good. *)
 
 let frame = Bin.frame
@@ -477,25 +443,25 @@ let encode_wal_record rec_ =
   let payload = Buffer.create 32 in
   (match rec_ with
   | Wal_event e ->
-      w_u8 payload 1;
-      w_i64 payload e.Event.time;
-      w_string payload e.Event.key;
-      w_float payload e.Event.value
+      Bin.w_u8 payload 1;
+      Bin.w_i64 payload e.Event.time;
+      Bin.w_string payload e.Event.key;
+      Bin.w_float payload e.Event.value
   | Wal_advance t ->
-      w_u8 payload 2;
-      w_i64 payload t);
+      Bin.w_u8 payload 2;
+      Bin.w_i64 payload t);
   frame (Buffer.contents payload)
 
 let decode_wal_record r =
-  match r_u8 r with
+  match Bin.r_u8 r with
   | 1 ->
-      let time = r_i64 r in
-      let key = r_string r in
-      let value = r_float r in
-      if time < 0 then corrupt "negative event time in log";
+      let time = Bin.r_i64 r in
+      let key = Bin.r_string r in
+      let value = Bin.r_float r in
+      if time < 0 then Bin.corrupt "negative event time in log";
       Wal_event (Event.make ~time ~key ~value)
-  | 2 -> Wal_advance (r_i64 r)
-  | tag -> corrupt "unknown log record tag %d" tag
+  | 2 -> Wal_advance (Bin.r_i64 r)
+  | tag -> Bin.corrupt "unknown log record tag %d" tag
 
 let decode_wal s = decode_frames decode_wal_record s
 
@@ -518,46 +484,46 @@ let decode_rows s = decode_frames r_row s
 module Reorder = Fw_engine.Reorder
 
 let w_event b (e : Event.t) =
-  w_i64 b e.Event.time;
-  w_string b e.Event.key;
-  w_float b e.Event.value
+  Bin.w_i64 b e.Event.time;
+  Bin.w_string b e.Event.key;
+  Bin.w_float b e.Event.value
 
 let r_event r =
-  let time = r_i64 r in
-  let key = r_string r in
-  let value = r_float r in
-  if time < 0 then corrupt "negative event time in snapshot";
+  let time = Bin.r_i64 r in
+  let key = Bin.r_string r in
+  let value = Bin.r_float r in
+  if time < 0 then Bin.corrupt "negative event time in snapshot";
   Event.make ~time ~key ~value
 
 let w_reorder b (x : Reorder.export) =
-  w_i64 b x.Reorder.x_lateness;
-  w_list b (fun b g -> w_list b w_event g) x.Reorder.x_groups;
-  w_i64 b x.Reorder.x_peak;
-  w_i64 b x.Reorder.x_released;
-  w_i64 b x.Reorder.x_dropped;
-  w_i64 b x.Reorder.x_frontier;
-  w_i64 b x.Reorder.x_max_seen;
+  Bin.w_i64 b x.Reorder.x_lateness;
+  Bin.w_list b (fun b g -> Bin.w_list b w_event g) x.Reorder.x_groups;
+  Bin.w_i64 b x.Reorder.x_peak;
+  Bin.w_i64 b x.Reorder.x_released;
+  Bin.w_i64 b x.Reorder.x_dropped;
+  Bin.w_i64 b x.Reorder.x_frontier;
+  Bin.w_i64 b x.Reorder.x_max_seen;
   let e = x.Reorder.x_exec in
-  w_u8 b (mode_byte e.Stream_exec.x_mode);
-  w_i64 b e.Stream_exec.x_source_wm;
-  w_list b w_row e.Stream_exec.x_rows;
-  w_list b w_node (Array.to_list e.Stream_exec.x_nodes)
+  Bin.w_u8 b (mode_byte e.Stream_exec.x_mode);
+  Bin.w_i64 b e.Stream_exec.x_source_wm;
+  Bin.w_list b w_row e.Stream_exec.x_rows;
+  Bin.w_list b w_node (Array.to_list e.Stream_exec.x_nodes)
 
 let r_reorder r =
-  let x_lateness = r_i64 r in
-  if x_lateness < 0 then corrupt "negative lateness in snapshot";
-  let x_groups = r_list r (fun r -> r_list r r_event) in
-  let x_peak = r_i64 r in
-  let x_released = r_i64 r in
-  let x_dropped = r_i64 r in
+  let x_lateness = Bin.r_i64 r in
+  if x_lateness < 0 then Bin.corrupt "negative lateness in snapshot";
+  let x_groups = Bin.r_list r (fun r -> Bin.r_list r r_event) in
+  let x_peak = Bin.r_i64 r in
+  let x_released = Bin.r_i64 r in
+  let x_dropped = Bin.r_i64 r in
   if x_peak < 0 || x_released < 0 || x_dropped < 0 then
-    corrupt "negative reorder statistic in snapshot";
-  let x_frontier = r_i64 r in
-  let x_max_seen = r_i64 r in
-  let x_mode = mode_of_byte (r_u8 r) in
-  let x_source_wm = r_i64 r in
-  let x_rows = r_list r r_row in
-  let x_nodes = Array.of_list (r_list r r_node) in
+    Bin.corrupt "negative reorder statistic in snapshot";
+  let x_frontier = Bin.r_i64 r in
+  let x_max_seen = Bin.r_i64 r in
+  let x_mode = mode_of_byte (Bin.r_u8 r) in
+  let x_source_wm = Bin.r_i64 r in
+  let x_rows = Bin.r_list r r_row in
+  let x_nodes = Array.of_list (Bin.r_list r r_node) in
   {
     Reorder.x_lateness;
     x_groups;
@@ -571,7 +537,7 @@ let r_reorder r =
 
 let encode_reorder ~plan (x : Reorder.export) =
   let payload = Buffer.create 4096 in
-  w_u8 payload kind_reorder;
+  Bin.w_u8 payload kind_reorder;
   w_reorder payload x;
   encode_frame
     ~fingerprint:(plan_fingerprint plan x.Reorder.x_exec.Stream_exec.x_mode)

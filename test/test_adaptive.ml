@@ -2,7 +2,7 @@
 open Helpers
 module Event = Fw_engine.Event
 module Row = Fw_engine.Row
-module Oracle = Fw_engine.Oracle
+module Reference = Fw_engine.Reference
 module Reorder = Fw_engine.Reorder
 module Adaptive = Factor_windows.Adaptive
 module Rewrite = Fw_plan.Rewrite
@@ -18,7 +18,7 @@ let test_reorder_restores_order () =
   let shuffled = Fw_util.Prng.shuffle (Fw_util.Prng.create 3) events in
   (* worst-case displacement is the whole stream: allow full lateness *)
   let rows, stats = Reorder.run ~lateness:40 plan ~horizon:40 shuffled in
-  let oracle = Oracle.run Aggregate.Sum [ tumbling 10 ] ~horizon:40 events in
+  let oracle = Reference.run Aggregate.Sum [ tumbling 10 ] ~horizon:40 events in
   check_bool "rows = oracle" true (Row.equal_sets rows oracle);
   check_int "nothing dropped" 0 stats.Reorder.dropped_late;
   check_int "all released" 40 stats.Reorder.released
@@ -30,7 +30,7 @@ let test_reorder_bounded_lateness () =
   let rows, stats = Reorder.run ~lateness:5 plan ~horizon:20 events in
   check_int "no drops" 0 stats.Reorder.dropped_late;
   let oracle =
-    Oracle.run Aggregate.Count [ tumbling 10 ] ~horizon:20 (Event.sort events)
+    Reference.run Aggregate.Count [ tumbling 10 ] ~horizon:20 (Event.sort events)
   in
   check_bool "rows = oracle" true (Row.equal_sets rows oracle)
 
@@ -58,7 +58,7 @@ let prop_reorder_equivalent =
         Reorder.run ~lateness:72 outcome.Rewrite.plan ~horizon:72 shuffled
       in
       stats.Reorder.dropped_late = 0
-      && Row.equal_sets rows (Oracle.run Aggregate.Max ws ~horizon:72 events))
+      && Row.equal_sets rows (Reference.run Aggregate.Max ws ~horizon:72 events))
 
 (* --- Adaptive --- *)
 
@@ -87,7 +87,7 @@ let test_adaptive_switches_and_stays_correct () =
   let rows, switches =
     Adaptive.run ~initial_eta:1 Aggregate.Min ws ~horizon events
   in
-  let oracle = Oracle.run Aggregate.Min ws ~horizon events in
+  let oracle = Reference.run Aggregate.Min ws ~horizon events in
   check_bool "rows = oracle across the switch" true
     (Row.equal_sets rows oracle);
   check_bool "at least one switch" true (switches <> []);
@@ -110,7 +110,7 @@ let test_adaptive_rate_drop () =
   in
   check_bool "a downward switch happens" true (switches <> []);
   check_bool "rows = oracle" true
-    (Row.equal_sets rows (Oracle.run Aggregate.Min ws ~horizon events))
+    (Row.equal_sets rows (Reference.run Aggregate.Min ws ~horizon events))
 
 let test_adaptive_steady_no_switch () =
   let ws = example7_windows in
@@ -120,7 +120,7 @@ let test_adaptive_steady_no_switch () =
   in
   check_bool "no switches at steady rate" true (switches = []);
   check_bool "rows = oracle" true
-    (Row.equal_sets rows (Oracle.run Aggregate.Min ws ~horizon:480 events))
+    (Row.equal_sets rows (Reference.run Aggregate.Min ws ~horizon:480 events))
 
 let test_adaptive_rejects_holistic () =
   match Adaptive.create Aggregate.Median example7_windows with
@@ -144,7 +144,7 @@ let prop_adaptive_always_oracle =
       let rows, _ =
         Adaptive.run ~initial_eta:low Aggregate.Sum ws ~horizon events
       in
-      Row.equal_sets rows (Oracle.run Aggregate.Sum ws ~horizon events))
+      Row.equal_sets rows (Reference.run Aggregate.Sum ws ~horizon events))
 
 let suite =
   [

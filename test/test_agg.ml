@@ -239,7 +239,7 @@ let prop_stdev_adversarial =
     QCheck2.Print.(pair (list int) int)
     (fun (offsets, cut) ->
       let vs = List.map (fun o -> 1e8 +. float_of_int o) offsets in
-      let expected = Fw_check.Reference.eval Aggregate.Stdev vs in
+      let expected = Fw_engine.Reference.eval Aggregate.Stdev vs in
       (* direct Welford fold *)
       let direct = finalize_of_list Aggregate.Stdev vs in
       (* Chan merge over a two-chunk partition *)

@@ -320,7 +320,12 @@ let test_crash_batched_path_clean () =
   in
   List.iter
     (fun mode ->
-      match Paths.rows (Paths.Crash_batched mode) sc with
+      match
+        Paths.rows
+          (Paths.Stack
+             { sink = Paths.Checkpointed; mode; batched = true; spilled = false })
+          sc
+      with
       | Ok rows -> check_bool "produced rows" true (rows <> [])
       | Error e -> Alcotest.fail ("crash-batched path failed: " ^ e))
     [ Stream_exec.Naive; Stream_exec.Incremental ]

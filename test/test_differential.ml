@@ -5,7 +5,7 @@
 open Helpers
 open Fw_window
 module Scenario = Fw_check.Scenario
-module Reference = Fw_check.Reference
+module Reference = Fw_engine.Reference
 module Paths = Fw_check.Paths
 module Differential = Fw_check.Differential
 module Invariants = Fw_check.Invariants
@@ -14,7 +14,6 @@ module Harness = Fw_check.Harness
 module Aggregate = Fw_agg.Aggregate
 module Event = Fw_engine.Event
 module Row = Fw_engine.Row
-module Oracle = Fw_engine.Oracle
 
 let ev t k v = Event.make ~time:t ~key:k ~value:v
 
@@ -34,29 +33,6 @@ let test_reference_eval () =
     (Fw_agg.Combine.equal_result
        (Reference.eval Aggregate.Stdev [ 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 ])
        2.0)
-
-let gen_ref_case =
-  QCheck2.Gen.(
-    let* ws = gen_window_set ~max_size:3 () in
-    let* agg = oneofl Aggregate.all in
-    let* seed = int_range 0 5000 in
-    return (ws, agg, seed))
-
-let prop_reference_equals_batch =
-  qtest ~count:100 "reference evaluator = batch oracle"
-    gen_ref_case
-    (fun (ws, agg, seed) ->
-      Printf.sprintf "%s %s seed=%d" (print_window_list ws)
-        (Aggregate.to_string agg) seed)
-    (fun (ws, agg, seed) ->
-      let prng = Fw_util.Prng.create seed in
-      let events =
-        Fw_workload.Event_gen.varied prng Fw_workload.Event_gen.default_config
-          ~eta_max:2 ~horizon:80
-      in
-      Row.equal_sets
-        (Reference.run agg ws ~horizon:80 events)
-        (Oracle.run agg ws ~horizon:80 events))
 
 (* --- scenario generation --- *)
 
@@ -126,42 +102,86 @@ let test_differential_median_and_hopping () =
   check_int "hopping clean" 0 (List.length (Differential.check sc));
   check_int "hopping invariants" 0 (List.length (Invariants.check sc))
 
+let stack sink mode ~batched ~spilled =
+  Paths.Stack { sink; mode; batched; spilled }
+
+let engine mode = stack Paths.Engine mode ~batched:false ~spilled:false
+
 let test_path_roster () =
-  check_int "eighteen paths" 18 (List.length Paths.all);
-  check_bool "incremental path listed" true
-    (List.mem Paths.Incremental_stream Paths.all);
-  check_string "incremental path name" "incremental-stream"
-    (Paths.name Paths.Incremental_stream);
-  check_bool "crash-restart paths listed" true
-    (List.mem (Paths.Crash_restart Fw_engine.Stream_exec.Naive) Paths.all
-    && List.mem (Paths.Crash_restart Fw_engine.Stream_exec.Incremental)
-         Paths.all);
-  check_string "crash path name" "crash-restart-incremental"
-    (Paths.name (Paths.Crash_restart Fw_engine.Stream_exec.Incremental));
-  check_bool "sharded path listed" true
-    (List.mem Paths.Sharded_stream Paths.all);
-  check_string "sharded path name" "sharded-stream"
-    (Paths.name Paths.Sharded_stream);
-  check_bool "batched paths listed" true
-    (List.mem Paths.Batched_stream Paths.all
-    && List.mem Paths.Sharded_batched Paths.all
-    && List.mem (Paths.Crash_batched Fw_engine.Stream_exec.Naive) Paths.all
-    && List.mem (Paths.Crash_batched Fw_engine.Stream_exec.Incremental)
-         Paths.all);
-  check_string "batched path name" "batched-stream"
-    (Paths.name Paths.Batched_stream);
-  check_string "sharded-batched path name" "sharded-batched"
-    (Paths.name Paths.Sharded_batched);
-  check_string "crash-batched path name" "crash-batched-incremental"
-    (Paths.name (Paths.Crash_batched Fw_engine.Stream_exec.Incremental));
-  check_bool "served path listed" true (List.mem Paths.Served Paths.all);
-  check_string "served path name" "served" (Paths.name Paths.Served);
-  check_bool "spilled path listed" true (List.mem Paths.Spilled Paths.all);
-  check_string "spilled path name" "spilled" (Paths.name Paths.Spilled)
+  let module Stream_exec = Fw_engine.Stream_exec in
+  let bools = [ false; true ] in
+  let sinks = [ Paths.Engine; Paths.Sharded; Paths.Checkpointed; Paths.Served ] in
+  let modes = [ Stream_exec.Naive; Stream_exec.Incremental ] in
+  let combinations =
+    List.concat_map
+      (fun sink ->
+        List.concat_map
+          (fun mode ->
+            List.concat_map
+              (fun batched ->
+                List.map (fun spilled -> stack sink mode ~batched ~spilled) bools)
+              bools)
+          modes)
+      sinks
+  in
+  let served_off = function
+    | Paths.Stack { sink = Paths.Served; batched; spilled; _ } ->
+        batched || spilled
+    | _ -> false
+  in
+  let events = List.init 30 (fun t -> ev t "k" 1.0) in
+  let sc = fixed_scenario Aggregate.Sum [ tumbling 10 ] events ~eta:1 ~horizon:30 in
+  (* every runnable combination listed once; served x batched and
+     served x spilled listed nowhere and never applicable *)
+  List.iter
+    (fun p ->
+      check_int
+        (Paths.name p ^ " listed")
+        (if served_off p then 0 else 1)
+        (List.length (List.filter (( = ) p) Paths.all));
+      check_bool (Paths.name p ^ " applicable") (not (served_off p))
+        (Paths.applicable p sc))
+    combinations;
+  check_string "reference first" "reference" (Paths.name (List.hd Paths.all));
+  check_int "reference, two rewritten, four sliced, 26 stacks" 33
+    (List.length Paths.all);
+  let names = List.map Paths.name Paths.all in
+  check_int "names unique" (List.length names)
+    (List.length (List.sort_uniq String.compare names));
+  (* one naming rule for stacks: SINK-MODE[-batched][-spilled], with
+     one distinct word per sink *)
+  let sink_words =
+    List.filter_map
+      (fun p ->
+        match p with
+        | Paths.Stack { sink; mode; batched; spilled } -> (
+            match String.split_on_char '-' (Paths.name p) with
+            | sink_word :: mode_word :: flags ->
+                check_string (Paths.name p ^ " mode word")
+                  (if mode = Stream_exec.Naive then "naive" else "incremental")
+                  mode_word;
+                Alcotest.(check (list string))
+                  (Paths.name p ^ " flags")
+                  ((if batched then [ "batched" ] else [])
+                  @ if spilled then [ "spilled" ] else [])
+                  flags;
+                Some (sink, sink_word)
+            | _ -> Alcotest.failf "malformed stack name %s" (Paths.name p))
+        | _ -> None)
+      Paths.all
+    |> List.sort_uniq compare
+  in
+  check_int "one word per sink" 4 (List.length sink_words);
+  check_int "distinct sink words" 4
+    (List.length (List.sort_uniq compare (List.map snd sink_words)));
+  check_string "composed name" "sharded-incremental-batched-spilled"
+    (Paths.name
+       (stack Paths.Sharded Stream_exec.Incremental ~batched:true ~spilled:true))
 
 let test_incremental_path_applicability () =
   (* The incremental engine falls back per node, so it applies to every
      scenario: non-aligned windows and holistic aggregates included. *)
+  let incremental = engine Fw_engine.Stream_exec.Incremental in
   let events = List.init 40 (fun t -> ev t "k" (float_of_int t)) in
   let non_aligned =
     fixed_scenario Aggregate.Avg
@@ -169,18 +189,15 @@ let test_incremental_path_applicability () =
       events ~eta:1 ~horizon:40
   in
   check_bool "non-aligned applicable" true
-    (Paths.applicable Paths.Incremental_stream non_aligned);
+    (Paths.applicable incremental non_aligned);
   let holistic =
     fixed_scenario Aggregate.Median [ tumbling 10 ] events ~eta:1 ~horizon:40
   in
-  check_bool "holistic applicable" true
-    (Paths.applicable Paths.Incremental_stream holistic);
+  check_bool "holistic applicable" true (Paths.applicable incremental holistic);
   check_int "non-aligned clean" 0
-    (List.length
-       (Differential.check ~paths:[ Paths.Incremental_stream ] non_aligned));
+    (List.length (Differential.check ~paths:[ incremental ] non_aligned));
   check_int "holistic clean" 0
-    (List.length
-       (Differential.check ~paths:[ Paths.Incremental_stream ] holistic))
+    (List.length (Differential.check ~paths:[ incremental ] holistic))
 
 let test_paths_subset_restricts () =
   (* ?paths really restricts the comparison: a subset runs only those. *)
@@ -189,7 +206,11 @@ let test_paths_subset_restricts () =
   check_int "subset clean" 0
     (List.length
        (Differential.check
-          ~paths:[ Paths.Naive_stream; Paths.Incremental_stream ]
+          ~paths:
+            [
+              engine Fw_engine.Stream_exec.Naive;
+              engine Fw_engine.Stream_exec.Incremental;
+            ]
           sc))
 
 let test_incremental_prob_zero_skips () =
@@ -213,7 +234,7 @@ let test_non_aligned_paths () =
   let sc = fixed_scenario Aggregate.Avg [ nw ] events ~eta:1 ~horizon:40 in
   check_bool "not aligned" false (Scenario.aligned sc);
   check_bool "rewritten applicable" true
-    (Paths.applicable Paths.Rewritten sc);
+    (Paths.applicable (Paths.Rewritten { factor_windows = true }) sc);
   check_bool "slicing applicable" true
     (Paths.applicable (Paths.Sliced (Fw_slicing.Exec.Shared, Fw_slicing.Exec.Paired_slicing)) sc);
   check_int "clean" 0 (List.length (Differential.check sc));
@@ -292,12 +313,12 @@ let test_bounded_crash_campaign () =
         ("crash campaign failure: " ^ Format.asprintf "%a" Harness.pp_failure f)
 
 let test_bounded_batched_campaign () =
-  (* The batched acceptance property: under full batch/shard/crash
-     composition the vectorized paths — feed_batch with mid-batch
+  (* The batched acceptance property: under full batch/shard/crash/spill
+     composition the vectorized stacks — feed_batch with mid-batch
      punctuation, batch-per-message shard rings at the scenario's
-     batch size, checkpoints landing inside batches — all recover
-     byte-identical rows and bit-for-bit cost counters across a
-     bounded campaign. *)
+     batch size, checkpoints landing inside batches, any of them under
+     a memory budget — all recover byte-identical rows and bit-for-bit
+     cost counters across a bounded campaign. *)
   let cfg =
     {
       Harness.default_config with
@@ -306,6 +327,7 @@ let test_bounded_batched_campaign () =
       crash_prob = 0.25;
       shard_prob = 0.25;
       batch_prob = 1.0;
+      spill_prob = 0.25;
     }
   in
   let outcome = Harness.run cfg in
@@ -367,7 +389,6 @@ let test_check_seed_ok () =
 let suite =
   [
     Alcotest.test_case "reference eval" `Quick test_reference_eval;
-    prop_reference_equals_batch;
     Alcotest.test_case "scenario deterministic" `Quick
       test_scenario_deterministic;
     Alcotest.test_case "scenario coverage" `Quick
@@ -377,7 +398,7 @@ let suite =
     Alcotest.test_case "differential median + hopping" `Quick
       test_differential_median_and_hopping;
     Alcotest.test_case "non-aligned path gating" `Quick test_non_aligned_paths;
-    Alcotest.test_case "path roster (17 paths)" `Quick test_path_roster;
+    Alcotest.test_case "path roster" `Quick test_path_roster;
     Alcotest.test_case "incremental path applicability" `Quick
       test_incremental_path_applicability;
     Alcotest.test_case "paths subset restricts" `Quick

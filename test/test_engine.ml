@@ -2,7 +2,7 @@ open Helpers
 open Fw_window
 module Event = Fw_engine.Event
 module Row = Fw_engine.Row
-module Oracle = Fw_engine.Oracle
+module Reference = Fw_engine.Reference
 module Stream_exec = Fw_engine.Stream_exec
 module Metrics = Fw_engine.Metrics
 module Run = Fw_engine.Run
@@ -44,11 +44,11 @@ let test_row_equal_sets () =
   check_bool "cardinality difference" false (Row.equal_sets a (List.tl a));
   check_int "diff size" 1 (List.length (Row.diff a (List.tl a)))
 
-(* --- Batch oracle --- *)
+(* --- Reference evaluator --- *)
 
 let test_batch_window_rows () =
   let events = [ ev 0 "a" 5.0; ev 3 "a" 2.0; ev 12 "a" 7.0; ev 5 "b" 1.0 ] in
-  let rows = Oracle.window_rows Aggregate.Min (tumbling 10) ~horizon:20 events in
+  let rows = Reference.window_rows Aggregate.Min (tumbling 10) ~horizon:20 events in
   check_bool "expected rows" true
     (Row.equal_sets rows
        [
@@ -58,13 +58,13 @@ let test_batch_window_rows () =
        ])
 
 let test_batch_empty_instances () =
-  let rows = Oracle.window_rows Aggregate.Sum (tumbling 10) ~horizon:30 [ ev 25 "a" 4.0 ] in
+  let rows = Reference.window_rows Aggregate.Sum (tumbling 10) ~horizon:30 [ ev 25 "a" 4.0 ] in
   check_int "only one row" 1 (List.length rows)
 
 let test_batch_hopping () =
   (* W(10,5): instances [0,10), [5,15); event at 7 lands in both. *)
   let rows =
-    Oracle.window_rows Aggregate.Count (w ~r:10 ~s:5) ~horizon:15 [ ev 7 "a" 1.0 ]
+    Reference.window_rows Aggregate.Count (w ~r:10 ~s:5) ~horizon:15 [ ev 7 "a" 1.0 ]
   in
   check_int "two rows" 2 (List.length rows);
   List.iter (fun r -> check_bool "count 1" true (r.Row.value = 1.0)) rows
@@ -75,7 +75,7 @@ let test_stream_matches_oracle_simple () =
   let plan = Plan.naive Aggregate.Min example6_windows in
   let events = List.init 120 (fun t -> ev t "k" (float_of_int ((t * 17) mod 31))) in
   let rows = Stream_exec.run plan ~horizon:120 events in
-  let oracle = Oracle.run Aggregate.Min example6_windows ~horizon:120 events in
+  let oracle = Reference.run Aggregate.Min example6_windows ~horizon:120 events in
   check_bool "match" true (Row.equal_sets rows oracle)
 
 let test_stream_late_event () =
@@ -363,23 +363,6 @@ let prop_naive_equals_oracle =
       in
       Run.verify_against_naive plan ~horizon events = Ok ())
 
-let prop_batch_plan_equals_direct =
-  qtest ~count:80 "batch plan execution = direct batch run"
-    gen_equiv_case print_equiv_case
-    (fun (ws, agg, seed, eta) ->
-      match Rewrite.optimize ~eta agg ws with
-      | exception _ -> true
-      | outcome ->
-          let horizon = equiv_horizon ws in
-          let prng = Fw_util.Prng.create seed in
-          let events =
-            Fw_workload.Event_gen.steady prng
-              Fw_workload.Event_gen.default_config ~eta ~horizon
-          in
-          let via_plan = Oracle.run_plan outcome.Rewrite.plan ~horizon events in
-          let direct = Oracle.run agg ws ~horizon events in
-          Row.equal_sets via_plan direct)
-
 let test_median_naive_end_to_end () =
   (* Holistic aggregate: only the naive path, but it must still work. *)
   let outcome = Rewrite.optimize Aggregate.Median [ tumbling 10; tumbling 20 ] in
@@ -525,7 +508,7 @@ let prop_incremental_rewritten_equals_oracle =
           in
           Row.equal_sets
             (Stream_exec.run ~mode:inc outcome.Rewrite.plan ~horizon events)
-            (Oracle.run agg ws ~horizon events))
+            (Reference.run agg ws ~horizon events))
 
 (* --- watermark / punctuation / close edge cases --- *)
 
@@ -641,7 +624,6 @@ let suite =
       test_incremental_punctuation_fires;
     prop_optimized_equals_oracle;
     prop_naive_equals_oracle;
-    prop_batch_plan_equals_direct;
     prop_incremental_equals_naive;
     prop_incremental_rewritten_equals_oracle;
     Alcotest.test_case "median end to end" `Quick test_median_naive_end_to_end;

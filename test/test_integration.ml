@@ -4,7 +4,7 @@ open Helpers
 module Compile = Fw_sql.Compile
 module Rewrite = Fw_plan.Rewrite
 module Run = Fw_engine.Run
-module Oracle = Fw_engine.Oracle
+module Reference = Fw_engine.Reference
 module Row = Fw_engine.Row
 module A1 = Fw_wcg.Algorithm1
 
@@ -25,7 +25,7 @@ let end_to_end ?(eta = 1) ?(horizon = 240) query =
       | Error e -> Alcotest.failf "oracle mismatch: %s" e
       | Ok () ->
           let oracle =
-            Oracle.run analysis.Fw_sql.Analyze.agg
+            Reference.run analysis.Fw_sql.Analyze.agg
               analysis.Fw_sql.Analyze.windows ~horizon evs
           in
           let { Run.rows; _ } = Run.execute plan ~horizon evs in

@@ -203,40 +203,48 @@ let test_registry_entries_sorted () =
 
 (* --- domain safety ------------------------------------------------- *)
 
-(* Two domains intern and bump overlapping metrics in ONE shared
-   registry — the sharded runner does exactly this when per-shard
-   series land in the merged registry.  Without the registry mutex the
-   intern table corrupts or increments vanish. *)
+(* Two domains intern the same series names in ONE shared registry at
+   the same time — the registry mutex's job — while each bumps only the
+   cells labelled with its own domain: the documented single-writer-
+   per-cell contract.  Without the mutex the intern table corrupts,
+   loses series or hands two domains different cells for one series. *)
 let test_registry_two_domain_stress () =
   let r = Registry.create () in
   let rounds = 2_000 and cells = 50 in
-  let hammer () =
+  let hammer d () =
+    let domain = ("domain", string_of_int d) in
     for i = 0 to rounds - 1 do
-      let labels = [ ("cell", string_of_int (i mod cells)) ] in
+      let labels = [ domain; ("cell", string_of_int (i mod cells)) ] in
       Counter.inc (Registry.counter r ~labels "stress_total");
       Gauge.set (Registry.gauge r ~labels "stress_depth")
         (float_of_int (i mod cells));
-      Histogram.record (Registry.histogram r "stress_lat_ns") i
+      Histogram.record (Registry.histogram r ~labels:[ domain ] "stress_lat_ns") i
     done
   in
-  let d1 = Domain.spawn hammer and d2 = Domain.spawn hammer in
+  let d1 = Domain.spawn (hammer 1) and d2 = Domain.spawn (hammer 2) in
   Domain.join d1;
   Domain.join d2;
-  let total = ref 0 in
-  for c = 0 to cells - 1 do
-    match
-      Registry.counter_value r
-        ~labels:[ ("cell", string_of_int c) ]
-        "stress_total"
-    with
-    | Some v -> total := !total + v
-    | None -> Alcotest.failf "cell %d missing" c
-  done;
-  check_int "no lost increments" (2 * rounds) !total;
-  check_int "histogram saw every record" (2 * rounds)
-    (Histogram.count (Registry.histogram r "stress_lat_ns"));
+  List.iter
+    (fun d ->
+      let domain = ("domain", string_of_int d) in
+      let total = ref 0 in
+      for c = 0 to cells - 1 do
+        match
+          Registry.counter_value r
+            ~labels:[ domain; ("cell", string_of_int c) ]
+            "stress_total"
+        with
+        | Some v -> total := !total + v
+        | None -> Alcotest.failf "domain %d cell %d missing" d c
+      done;
+      check_int (Printf.sprintf "domain %d: no lost increments" d) rounds !total;
+      check_int
+        (Printf.sprintf "domain %d: histogram saw every record" d)
+        rounds
+        (Histogram.count (Registry.histogram r ~labels:[ domain ] "stress_lat_ns")))
+    [ 1; 2 ];
   check_int "each series interned once"
-    ((2 * cells) + 1)
+    ((2 * 2 * cells) + 2)
     (List.length (Registry.entries r))
 
 (* --- exporters ----------------------------------------------------- *)

@@ -7,7 +7,7 @@ module Printer = Fw_sql.Printer
 module Analyze = Fw_sql.Analyze
 module Compile = Fw_sql.Compile
 module Run = Fw_engine.Run
-module Oracle = Fw_engine.Oracle
+module Reference = Fw_engine.Reference
 module Row = Fw_engine.Row
 module Event = Fw_engine.Event
 
@@ -143,7 +143,7 @@ let test_filtered_execution () =
             List.filter (fun e -> e.Event.value >= 50.0) events
           in
           let oracle =
-            Oracle.run Fw_agg.Aggregate.Sum
+            Reference.run Fw_agg.Aggregate.Sum
               [ tumbling 10; tumbling 20 ]
               ~horizon filtered
           in

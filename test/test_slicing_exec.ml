@@ -3,7 +3,7 @@
 open Helpers
 module Exec = Fw_slicing.Exec
 module Cost = Fw_slicing.Cost
-module Oracle = Fw_engine.Oracle
+module Reference = Fw_engine.Reference
 module Row = Fw_engine.Row
 module Event = Fw_engine.Event
 module Aggregate = Fw_agg.Aggregate
@@ -18,7 +18,7 @@ let slicings = [ Exec.Paned_slicing; Exec.Paired_slicing ]
 
 let test_matches_oracle_example6 () =
   let events = steady_events ~horizon:120 in
-  let oracle = Oracle.run Aggregate.Min example6_windows ~horizon:120 events in
+  let oracle = Reference.run Aggregate.Min example6_windows ~horizon:120 events in
   List.iter
     (fun mode ->
       List.iter
@@ -34,7 +34,7 @@ let test_matches_oracle_example6 () =
 let test_matches_oracle_hopping () =
   let ws = [ w ~r:10 ~s:6; w ~r:12 ~s:4; w ~r:9 ~s:3 ] in
   let events = steady_events ~horizon:90 in
-  let oracle = Oracle.run Aggregate.Sum ws ~horizon:90 events in
+  let oracle = Reference.run Aggregate.Sum ws ~horizon:90 events in
   List.iter
     (fun mode ->
       List.iter
@@ -48,7 +48,7 @@ let test_holistic_supported () =
   (* Footnote 3: slices partition the stream, so even MEDIAN works. *)
   let ws = [ w ~r:10 ~s:5; tumbling 15 ] in
   let events = steady_events ~horizon:60 in
-  let oracle = Oracle.run Aggregate.Median ws ~horizon:60 events in
+  let oracle = Reference.run Aggregate.Median ws ~horizon:60 events in
   let report =
     Exec.run Aggregate.Median Exec.Shared Exec.Paired_slicing ws ~horizon:60
       events
@@ -105,7 +105,7 @@ let prop_slicing_equals_oracle =
       match Exec.run agg mode slicing ws ~horizon events with
       | exception Fw_util.Arith.Overflow -> true
       | report ->
-          Row.equal_sets report.Exec.rows (Oracle.run agg ws ~horizon events))
+          Row.equal_sets report.Exec.rows (Reference.run agg ws ~horizon events))
 
 let suite =
   [
