@@ -34,6 +34,33 @@ let test_reference_eval () =
        (Reference.eval Aggregate.Stdev [ 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 ])
        2.0)
 
+let gen_ref_case =
+  QCheck2.Gen.(
+    let* ws = gen_window_set ~max_size:3 () in
+    let* agg = oneofl Aggregate.all in
+    let* seed = int_range 0 5000 in
+    return (ws, agg, seed))
+
+let prop_reference_equals_naive_stream =
+  (* The naive plan shares no code with the reference evaluator: every
+     window reads the raw stream through the streaming executor. *)
+  qtest ~count:100 "reference evaluator = naive stream plan"
+    gen_ref_case
+    (fun (ws, agg, seed) ->
+      Printf.sprintf "%s %s seed=%d" (print_window_list ws)
+        (Aggregate.to_string agg) seed)
+    (fun (ws, agg, seed) ->
+      let prng = Fw_util.Prng.create seed in
+      let events =
+        Event.sort
+          (Fw_workload.Event_gen.varied prng
+             Fw_workload.Event_gen.default_config ~eta_max:2 ~horizon:80)
+      in
+      Row.equal_sets
+        (Reference.run agg ws ~horizon:80 events)
+        (Fw_engine.Stream_exec.run (Fw_plan.Plan.naive agg ws) ~horizon:80
+           events))
+
 (* --- scenario generation --- *)
 
 let test_scenario_deterministic () =
@@ -389,6 +416,7 @@ let test_check_seed_ok () =
 let suite =
   [
     Alcotest.test_case "reference eval" `Quick test_reference_eval;
+    prop_reference_equals_naive_stream;
     Alcotest.test_case "scenario deterministic" `Quick
       test_scenario_deterministic;
     Alcotest.test_case "scenario coverage" `Quick
