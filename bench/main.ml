@@ -754,6 +754,8 @@ let section_engine () =
   (* Machine-readable artifact (hand-rolled JSON; no JSON dep). *)
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\n";
+  Printf.bprintf buf "  \"cores\": %d,\n" (Domain.recommended_domain_count ());
+  Printf.bprintf buf "  \"ocaml\": \"%s\",\n" Sys.ocaml_version;
   Printf.bprintf buf "  \"seed\": %d,\n" !seed;
   Printf.bprintf buf "  \"events\": %d,\n" n_events;
   Printf.bprintf buf "  \"eta\": %d,\n" eta;

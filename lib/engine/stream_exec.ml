@@ -263,37 +263,26 @@ let subscribers plan =
     nodes;
   Array.map (fun l -> Array.of_list (List.rev l)) subs
 
-(* Instance indices of [w] whose interval contains time [t].  Note that
-   OCaml's [/] truncates toward zero, so the lower bound must special-case
-   [t < r] instead of relying on [(t - r) / s]. *)
-let instances_containing w t =
+(* Instance indices of [w] whose interval [[m·s, m·s + r)] contains
+   time [t >= 0]: the contiguous range [(first, last)], never empty
+   since [s <= r].  Note that OCaml's [/] truncates toward zero, so the
+   lower bound must special-case [t < r] instead of relying on
+   [(t - r) / s]. *)
+let containing_range w t =
   let r = Window.range w and s = Window.slide w in
-  let hi_m = t / s in
-  let lo_m = if t < r then 0 else ((t - r) / s) + 1 in
-  let rec collect m acc =
-    if m > hi_m then List.rev acc
-    else
-      let lo = m * s in
-      if lo <= t && t < lo + r then collect (m + 1) (m :: acc)
-      else collect (m + 1) acc
-  in
-  collect lo_m []
+  ((if t < r then 0 else ((t - r) / s) + 1), t / s)
 
-(* Instance indices of [w] whose interval includes [u, v) entirely. *)
-let instances_enclosing w ~lo:u ~hi:v =
+(* Instance indices of [w] whose interval includes [[u, v)] entirely:
+   the contiguous range [(first, last)], empty when [first > last]
+   (always so when [v - u > r]: then [first·s >= v - r > u]). *)
+let enclosing_range w ~lo:u ~hi:v =
   let r = Window.range w and s = Window.slide w in
-  if v - u > r then []
-  else
-    let hi_m = u / s in
-    let lo_m = max 0 (if v - r <= 0 then 0 else ((v - r - 1) / s) + 1) in
-    let rec collect m acc =
-      if m > hi_m then List.rev acc
-      else
-        let lo = m * s in
-        if lo <= u && v <= lo + r then collect (m + 1) (m :: acc)
-        else collect (m + 1) acc
-    in
-    collect lo_m []
+  ((if v - r <= 0 then 0 else ((v - r - 1) / s) + 1), u / s)
+
+let range_list (first, last) =
+  List.init (max 0 (last - first + 1)) (( + ) first)
+let instances_containing w t = range_list (containing_range w t)
+let instances_enclosing w ~lo ~hi = range_list (enclosing_range w ~lo ~hi)
 
 (* Span recording for a window activation: latencies are sampled (the
    clock call is the only instrumentation cost that isn't a plain field
@@ -313,6 +302,35 @@ let trace_span t ~name ~id ~start_ns ~dur_ns ~items_in ~items_out ~window =
           items_out;
           attrs = [ ("window", Window.to_string window) ];
         }
+
+(* Count one firing activation of node [id]; [true] when it is one of
+   the sampled ones, whose latency the caller clocks. *)
+let activation t id =
+  let ns = t.obs.(id) in
+  let sampled = t.observe && ns.Metrics.activations land t.sample_mask = 0 in
+  ns.Metrics.activations <- ns.Metrics.activations + 1;
+  sampled
+
+(* Close a sampled activation begun at [t0]: its duration, its delay
+   behind the watermark broadcast that triggered it, and a span. *)
+let activation_sample t id ~t0 ~name ~items_in ~items_out ~window =
+  let ns = t.obs.(id) in
+  let dur = Clock.elapsed_ns ~since:t0 in
+  Fw_obs.Histogram.record ns.Metrics.fire_ns dur;
+  if t.wm_wall > 0 then
+    Fw_obs.Histogram.record ns.Metrics.fire_delay_ns (max 0 (t0 - t.wm_wall));
+  trace_span t ~name ~id ~start_ns:t0 ~dur_ns:dur ~items_in ~items_out ~window
+
+(* Split a fire index at watermark [wm] into the due pairs
+   ([hi <= wm], ascending) and the rest.  [""] is the least key, so
+   [(wm + 1, "")] is the least pair not due; [Fset.split] sets that
+   pivot aside when present, and it belongs to the rest. *)
+let split_due fs wm =
+  if wm = max_int then (fs, Fset.empty)
+  else
+    let pivot = (wm + 1, "") in
+    let due, present, rest = Fset.split pivot fs in
+    (due, if present then Fset.add pivot rest else rest)
 
 (* --- dispatch ------------------------------------------------------- *)
 
@@ -353,22 +371,35 @@ and forward t id msg =
 
 (* --- per-instance (naive) window operator --------------------------- *)
 
-(* Items are tallied per pending instance and reported to the metrics
+(* Access pattern: an item (a raw event or an upstream sub-aggregate)
+   folds into its whole contiguous instance range [first .. last] under
+   {e one} store access for its key; the resident fire index learns a
+   (hi, key) pair only when that access gives birth to the instance, and
+   loses it only when the instance fires.
+
+   Items are tallied per pending instance and reported to the metrics
    when the instance fires, so the counters measure exactly the work of
    {e complete} instances — the quantity the analytic cost model prices.
    Insertions into instances that straddle the closing horizon are not
    charged. *)
-and win_add_instance st m key state_update =
-  let lo = m * Window.slide st.window in
-  let hi = lo + Window.range st.window in
-  st.w_fire <- Fset.add (hi, key) st.w_fire;
-  Store.update st.w_keys key (fun prev ->
-      let im = match prev with None -> Imap.empty | Some im -> im in
-      Imap.update hi
-        (function
-          | None -> Some (state_update None, 1)
-          | Some (s, items) -> Some (state_update (Some s), items + 1))
-        im)
+and win_fold st key ~first ~last ~fresh ~fold =
+  if first <= last then begin
+    let r = Window.range st.window and s = Window.slide st.window in
+    Store.update st.w_keys key (fun prev ->
+        let im = ref (match prev with None -> Imap.empty | Some im -> im) in
+        for m = first to last do
+          let hi = (m * s) + r in
+          im :=
+            Imap.update hi
+              (function
+                | None ->
+                    st.w_fire <- Fset.add (hi, key) st.w_fire;
+                    Some (fresh (), 1)
+                | Some (x, items) -> Some (fold x, items + 1))
+              !im
+        done;
+        !im)
+  end
 
 (* Pop the due instance [hi] of [key] out of the store: the extracted
    state is an immutable value, so it can be forwarded after the store
@@ -383,59 +414,46 @@ and win_extract st key hi =
       else Store.set st.w_keys key im';
       entry
 
+(* Fire every instance due at [wm]: one split of the fire index takes
+   all due (hi, key) pairs, in ascending order.  The cheap emptiness
+   probe comes first, so the clock and the counters only move when at
+   least one instance actually fires, and a watermark that fires
+   nothing touches no spilled state. *)
 and win_fire t id st wm =
-  (* Cheap emptiness probe first: the clock and the counters only move
-     when at least one instance actually fires.  The probe reads the
-     resident fire index, so a watermark that fires nothing touches no
-     spilled state. *)
   match Fset.min_elt_opt st.w_fire with
   | Some (hi0, _) when hi0 <= wm ->
-      let ns = t.obs.(id) in
-      let sampled = t.observe && ns.Metrics.activations land t.sample_mask = 0 in
-      ns.Metrics.activations <- ns.Metrics.activations + 1;
+      let sampled = activation t id in
       let t0 = if sampled then Clock.now_ns () else 0 in
+      let due, rest = split_due st.w_fire wm in
+      st.w_fire <- rest;
       let fired = ref 0 and items_tot = ref 0 in
-      let rec go () =
-        match Fset.min_elt_opt st.w_fire with
-        | Some ((hi, key) as fk) when hi <= wm ->
-            st.w_fire <- Fset.remove fk st.w_fire;
-            let state, items = win_extract st key hi in
-            Metrics.record t.metrics st.window items;
-            incr fired;
-            items_tot := !items_tot + items;
-            let interval =
-              Interval.make ~lo:(hi - Window.range st.window) ~hi
-            in
-            forward t id
-              (Item (Sub { window = st.window; interval; key; state }));
-            go ()
-        | Some _ | None -> ()
-      in
-      go ();
-      if t.observe then begin
-        Counter.add ns.Metrics.fires !fired;
-        if sampled then begin
-          let dur = Clock.elapsed_ns ~since:t0 in
-          Fw_obs.Histogram.record ns.Metrics.fire_ns dur;
-          if t.wm_wall > 0 then
-            Fw_obs.Histogram.record ns.Metrics.fire_delay_ns
-              (max 0 (t0 - t.wm_wall));
-          trace_span t ~name:"win-fire" ~id ~start_ns:t0 ~dur_ns:dur
-            ~items_in:!items_tot ~items_out:!fired ~window:st.window
-        end
-      end
+      let range = Window.range st.window in
+      Fset.iter
+        (fun (hi, key) ->
+          let state, items = win_extract st key hi in
+          Metrics.record t.metrics st.window items;
+          incr fired;
+          items_tot := !items_tot + items;
+          let interval = Interval.make ~lo:(hi - range) ~hi in
+          forward t id
+            (Item (Sub { window = st.window; interval; key; state })))
+        due;
+      if t.observe then Counter.add t.obs.(id).Metrics.fires !fired;
+      if sampled then
+        activation_sample t id ~t0 ~name:"win-fire" ~items_in:!items_tot
+          ~items_out:!fired ~window:st.window
   | Some _ | None -> ()
 
 and win_deliver t id st msg =
   match msg with
   | Item (Sub { interval; key; state; _ }) ->
-      List.iter
-        (fun m ->
-          win_add_instance st m key (function
-            | None -> state
-            | Some s -> Combine.merge s state))
-        (instances_enclosing st.window ~lo:(Interval.lo interval)
-           ~hi:(Interval.hi interval))
+      let first, last =
+        enclosing_range st.window ~lo:(Interval.lo interval)
+          ~hi:(Interval.hi interval)
+      in
+      win_fold st key ~first ~last
+        ~fresh:(fun () -> state)
+        ~fold:(fun s -> Combine.merge s state)
   | Watermark w ->
       if w > st.wm then begin
         st.wm <- w;
@@ -485,8 +503,7 @@ and pane_roll t id ps ~upto =
   (* Same emptiness probe as [win_fire]: no seal pending, no clock. *)
   if (ps.cur_pane + 1) * ps.slide <= upto then begin
     let ns = t.obs.(id) in
-    let sampled = t.observe && ns.Metrics.activations land t.sample_mask = 0 in
-    ns.Metrics.activations <- ns.Metrics.activations + 1;
+    let sampled = activation t id in
     let t0 = if sampled then Clock.now_ns () else 0 in
     let fires0 = Counter.get ns.Metrics.fires in
     let flushed = ref 0 in
@@ -506,20 +523,11 @@ and pane_roll t id ps ~upto =
       if m >= 0 then fire_pane t id ps m;
       ps.cur_pane <- p + 1
     done;
-    if t.observe then begin
-      Counter.add ns.Metrics.pane_flushes !flushed;
-      if sampled then begin
-        let dur = Clock.elapsed_ns ~since:t0 in
-        Fw_obs.Histogram.record ns.Metrics.fire_ns dur;
-        if t.wm_wall > 0 then
-          Fw_obs.Histogram.record ns.Metrics.fire_delay_ns
-            (max 0 (t0 - t.wm_wall));
-        trace_span t ~name:"pane-roll" ~id ~start_ns:t0 ~dur_ns:dur
-          ~items_in:!flushed
-          ~items_out:(Counter.get ns.Metrics.fires - fires0)
-          ~window:ps.p_window
-      end
-    end
+    if t.observe then Counter.add ns.Metrics.pane_flushes !flushed;
+    if sampled then
+      activation_sample t id ~t0 ~name:"pane-roll" ~items_in:!flushed
+        ~items_out:(Counter.get ns.Metrics.fires - fires0)
+        ~window:ps.p_window
   end
 
 and pane_deliver t id ps msg =
@@ -563,15 +571,16 @@ and cwin_fold st kc m state_update =
 and cwin_fire t id st key kc ~upto =
   match Imap.min_binding_opt kc.kpend with
   | Some (hi0, _) when hi0 <= upto ->
-      let ns = t.obs.(id) in
-      ns.Metrics.activations <- ns.Metrics.activations + 1;
-      let fired = ref 0 in
+      let sampled = activation t id in
+      let t0 = if sampled then Clock.now_ns () else 0 in
+      let fired = ref 0 and items_tot = ref 0 in
       let rec go () =
         match Imap.min_binding_opt kc.kpend with
         | Some (hi, (state, items)) when hi <= upto ->
             kc.kpend <- Imap.remove hi kc.kpend;
             Metrics.record t.metrics st.c_window items;
             incr fired;
+            items_tot := !items_tot + items;
             let interval =
               Interval.make ~lo:(hi - Window.range st.c_window) ~hi
             in
@@ -581,7 +590,10 @@ and cwin_fire t id st key kc ~upto =
         | Some _ | None -> ()
       in
       go ();
-      if t.observe then Counter.add ns.Metrics.fires !fired
+      if t.observe then Counter.add t.obs.(id).Metrics.fires !fired;
+      if sampled then
+        activation_sample t id ~t0 ~name:"count-fire" ~items_in:!items_tot
+          ~items_out:!fired ~window:st.c_window
   | Some _ | None -> ()
 
 and cwin_deliver t id st msg =
@@ -590,14 +602,16 @@ and cwin_deliver t id st msg =
       (* Sub intervals live in the same per-key ordinal space: fold
          into every enclosing downstream instance, then advance the
          key's high-water to the sub's end. *)
+      let first, last =
+        enclosing_range st.c_window ~lo:(Interval.lo interval)
+          ~hi:(Interval.hi interval)
+      in
       cwin_with_key st key (fun kc ->
-          List.iter
-            (fun m ->
-              cwin_fold st kc m (function
-                | None -> state
-                | Some s -> Combine.merge s state))
-            (instances_enclosing st.c_window ~lo:(Interval.lo interval)
-               ~hi:(Interval.hi interval));
+          for m = first to last do
+            cwin_fold st kc m (function
+              | None -> state
+              | Some s -> Combine.merge s state)
+          done;
           if Interval.hi interval > kc.seen then
             kc.seen <- Interval.hi interval;
           cwin_fire t id st key kc ~upto:kc.seen)
@@ -667,15 +681,16 @@ and session_advance t id st wm =
   expire ();
   match Pending.min_binding_opt st.s_pending with
   | Some (fk0, _) when fk0.Fire_key.hi <= wm ->
-      let ns = t.obs.(id) in
-      ns.Metrics.activations <- ns.Metrics.activations + 1;
-      let fired = ref 0 in
+      let sampled = activation t id in
+      let t0 = if sampled then Clock.now_ns () else 0 in
+      let fired = ref 0 and items_tot = ref 0 in
       let rec go () =
         match Pending.min_binding_opt st.s_pending with
         | Some (fk, (state, items)) when fk.Fire_key.hi <= wm ->
             st.s_pending <- Pending.remove fk st.s_pending;
             Metrics.record t.metrics st.s_window items;
             incr fired;
+            items_tot := !items_tot + items;
             let interval =
               Interval.make ~lo:fk.Fire_key.lo ~hi:fk.Fire_key.hi
             in
@@ -692,7 +707,10 @@ and session_advance t id st wm =
         | Some _ | None -> ()
       in
       go ();
-      if t.observe then Counter.add ns.Metrics.fires !fired
+      if t.observe then Counter.add t.obs.(id).Metrics.fires !fired;
+      if sampled then
+        activation_sample t id ~t0 ~name:"session-fire" ~items_in:!items_tot
+          ~items_out:!fired ~window:st.s_window
   | Some _ | None -> ()
 
 and session_deliver t id st msg =
@@ -1091,7 +1109,7 @@ let root_deliver t msg =
    The equivalence argument (why coalescing per-event watermarks to
    segment boundaries is invisible): an event at time [t] only folds
    into instances with [hi > t], which is disjoint from the instances
-   a watermark [<= t] fires; firing pops {!Pending} in ascending
+   a watermark [<= t] fires; firing takes due instances in ascending
    (hi, lo, key) order, so the per-node emission order of a coalesced
    fire equals the concatenation of the per-event fires; and the
    cost-model counters are order-insensitive sums.  Engine state at
@@ -1137,27 +1155,19 @@ and bforward t id b sel lo hi =
     bdeliver t subs.(i) b sel lo hi
   done
 
-(* Per-instance fold of a run: the instance loop is inlined (no
-   per-event index-list allocation), visiting the same instances in
-   the same ascending order as {!instances_containing}. *)
+(* Per-instance fold of a run: each event folds into its whole
+   instance range with one store access ({!win_fold}). *)
 and bwin_add t st b sel lo hi =
   let times = Batch.times b
   and keys = Batch.keys b
   and values = Batch.values b in
-  let r = Window.range st.window and s = Window.slide st.window in
   for i = lo to hi - 1 do
     let j = sel.(i) in
-    let tm = times.(j) in
     let v = values.(j) in
-    let hi_m = tm / s in
-    let lo_m = if tm < r then 0 else ((tm - r) / s) + 1 in
-    for m = lo_m to hi_m do
-      let l = m * s in
-      if l <= tm && tm < l + r then
-        win_add_instance st m keys.(j) (function
-          | None -> Combine.of_value t.agg v
-          | Some st' -> Combine.add st' v)
-    done
+    let first, last = containing_range st.window times.(j) in
+    win_fold st keys.(j) ~first ~last
+      ~fresh:(fun () -> Combine.of_value t.agg v)
+      ~fold:(fun s -> Combine.add s v)
   done
 
 (* Count-window fold of a run: firing happens inside the event loop
@@ -1167,21 +1177,17 @@ and bwin_add t st b sel lo hi =
 and bcwin_add t id st b sel lo hi =
   let keys = Batch.keys b
   and values = Batch.values b in
-  let r = Window.range st.c_window and s = Window.slide st.c_window in
   for i = lo to hi - 1 do
     let j = sel.(i) in
     cwin_with_key st keys.(j) (fun kc ->
         let n = kc.seen in
         kc.seen <- n + 1;
         let v = values.(j) in
-        let hi_m = n / s in
-        let lo_m = if n < r then 0 else ((n - r) / s) + 1 in
-        for m = lo_m to hi_m do
-          let l = m * s in
-          if l <= n && n < l + r then
-            cwin_fold st kc m (function
-              | None -> Combine.of_value t.agg v
-              | Some st' -> Combine.add st' v)
+        let first, last = containing_range st.c_window n in
+        for m = first to last do
+          cwin_fold st kc m (function
+            | None -> Combine.of_value t.agg v
+            | Some st' -> Combine.add st' v)
         done;
         cwin_fire t id st keys.(j) kc ~upto:kc.seen)
   done

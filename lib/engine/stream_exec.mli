@@ -212,7 +212,22 @@ val import :
 (** {2 Instance arithmetic}
 
     Exposed for boundary testing: which window instances an event or a
-    sub-aggregate interval lands in is where off-by-one bugs live. *)
+    sub-aggregate interval lands in is where off-by-one bugs live.  The
+    instances form a contiguous index range, which the operators fold
+    into under one store access per item; the list forms are views of
+    the same ranges. *)
+
+val containing_range : Fw_window.Window.t -> int -> int * int
+(** [(first, last)]: the instance indices [m] whose interval
+    [[m·s, m·s + r)] contains the time [t >= 0] are exactly
+    [first .. last].  Never empty (a hop has [s <= r]); [first = 0]
+    during the ramp-up [t < r]. *)
+
+val enclosing_range : Fw_window.Window.t -> lo:int -> hi:int -> int * int
+(** [(first, last)]: the instance indices whose interval includes
+    [[lo, hi)] entirely ([lo >= 0]) are exactly [first .. last]; the
+    range is empty ([first > last]) when no instance encloses it, in
+    particular whenever [hi - lo > r]. *)
 
 val instances_containing : Fw_window.Window.t -> int -> int list
 (** Instance indices [m] of the window whose interval

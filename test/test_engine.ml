@@ -215,6 +215,61 @@ let test_per_node_rows () =
   | [ (_, n) ] -> check_int "source forwarded every event" 120 n
   | _ -> Alcotest.fail "missing source rows_out")
 
+(* Count and session operators fire on their own schedule (count
+   instances on arrival, sessions at their gap deadline); both must
+   still sample activation latency and watermark delay like the hop
+   operators, or their nodes show empty fire histograms. *)
+let test_count_session_fire_histograms () =
+  let sql =
+    "SELECT k, SUM(v) FROM s GROUP BY k, WINDOWS(WINDOW(COUNTWINDOW(4, 2)), \
+     WINDOW(SESSIONWINDOW(second, 3)))"
+  in
+  let plan =
+    match Fw_sql.Compile.compile sql with
+    | Ok c -> c.Fw_sql.Compile.outcome.Rewrite.plan
+    | Error e -> Alcotest.failf "compile failed: %s" e
+  in
+  (* three ticks of events per key every eight ticks: count instances
+     complete as events arrive, sessions (gap 3) close in each pause *)
+  let events =
+    List.concat_map
+      (fun b ->
+        List.concat_map
+          (fun i -> [ ev ((b * 8) + i) "a" 1.0; ev ((b * 8) + i) "b" 2.0 ])
+          [ 0; 1; 2 ])
+      (List.init 10 Fun.id)
+  in
+  List.iter
+    (fun mode ->
+      let metrics = Metrics.create () in
+      ignore (Stream_exec.run ~metrics ~mode plan ~horizon:100 events);
+      let sampled name kind =
+        List.filter_map
+          (fun (e : Fw_obs.Registry.entry) ->
+            match e.Fw_obs.Registry.metric with
+            | Fw_obs.Registry.Histogram h
+              when e.Fw_obs.Registry.name = name
+                   && List.assoc_opt "kind" e.Fw_obs.Registry.labels = Some kind
+              ->
+                Some (Fw_obs.Histogram.count h)
+            | _ -> None)
+          (Fw_obs.Registry.entries (Metrics.registry metrics))
+      in
+      List.iter
+        (fun kind ->
+          List.iter
+            (fun name ->
+              match sampled name kind with
+              | [ n ] ->
+                  check_bool (Printf.sprintf "%s %s sampled" kind name) true
+                    (n > 0)
+              | l ->
+                  Alcotest.failf "%s: expected one %s node, got %d" name kind
+                    (List.length l))
+            [ "node_fire_ns"; "node_fire_delay_ns" ])
+        [ "win-count"; "win-session" ])
+    [ Stream_exec.Naive; Stream_exec.Incremental ]
+
 let test_fallback_reasons () =
   (* holistic aggregate: every window node falls back *)
   let m1 = Metrics.create () in
@@ -426,6 +481,50 @@ let test_instances_enclosing_boundaries () =
   check_bool "[2,4)" true
     (Stream_exec.instances_enclosing wd ~lo:2 ~hi:4 = [ 0; 1 ])
 
+(* The range forms agree with the list views and pin the ramp-up, the
+   empty enclosing range and tumbling windows. *)
+let test_instance_ranges () =
+  let wd = w ~r:10 ~s:2 in
+  let range = Alcotest.(check (pair int int)) in
+  (* ramp-up t < r: the range starts at instance 0 *)
+  range "t=0" (0, 0) (Stream_exec.containing_range wd 0);
+  range "t=3" (0, 1) (Stream_exec.containing_range wd 3);
+  range "t=9" (0, 4) (Stream_exec.containing_range wd 9);
+  (* full depth: r/s instances, sliding by one per slide *)
+  range "t=10" (1, 5) (Stream_exec.containing_range wd 10);
+  range "t=13" (2, 6) (Stream_exec.containing_range wd 13);
+  (* non-aligned geometry: r/s is not an integer *)
+  let nw = w ~r:7 ~s:3 in
+  range "non-aligned t=6" (0, 2) (Stream_exec.containing_range nw 6);
+  range "non-aligned t=7" (1, 2) (Stream_exec.containing_range nw 7);
+  (* enclosing: a fragment at the stream start lands only in instance 0 *)
+  range "[0,2)" (0, 0) (Stream_exec.enclosing_range wd ~lo:0 ~hi:2);
+  range "[10,12)" (1, 5) (Stream_exec.enclosing_range wd ~lo:10 ~hi:12);
+  (* empty ranges: misaligned width r, and wider than r *)
+  let empty name (first, last) = check_bool name true (first > last) in
+  empty "[1,11) empty" (Stream_exec.enclosing_range wd ~lo:1 ~hi:11);
+  empty "[0,11) empty" (Stream_exec.enclosing_range wd ~lo:0 ~hi:11);
+  empty "[4,16) empty" (Stream_exec.enclosing_range wd ~lo:4 ~hi:16);
+  (* tumbling: exactly one instance per time, switching at the boundary;
+     a sub-interval is enclosed iff it stays inside one instance *)
+  let tw = tumbling 10 in
+  range "tumbling t=0" (0, 0) (Stream_exec.containing_range tw 0);
+  range "tumbling t=9" (0, 0) (Stream_exec.containing_range tw 9);
+  range "tumbling t=10" (1, 1) (Stream_exec.containing_range tw 10);
+  range "tumbling [10,15)" (1, 1) (Stream_exec.enclosing_range tw ~lo:10 ~hi:15);
+  range "tumbling [10,20)" (1, 1) (Stream_exec.enclosing_range tw ~lo:10 ~hi:20);
+  empty "tumbling [5,15) empty" (Stream_exec.enclosing_range tw ~lo:5 ~hi:15);
+  (* the list views are the ranges, element for element *)
+  List.iter
+    (fun (win, t) ->
+      let first, last = Stream_exec.containing_range win t in
+      check_bool
+        (Printf.sprintf "%s t=%d list view" (Window.to_string win) t)
+        true
+        (Stream_exec.instances_containing win t
+        = List.init (last - first + 1) (( + ) first)))
+    [ (wd, 0); (wd, 9); (wd, 37); (nw, 20); (tw, 15) ]
+
 (* --- incremental (pane) mode --- *)
 
 let inc = Stream_exec.Incremental
@@ -509,6 +608,103 @@ let prop_incremental_rewritten_equals_oracle =
           Row.equal_sets
             (Stream_exec.run ~mode:inc outcome.Rewrite.plan ~horizon events)
             (Reference.run agg ws ~horizon events))
+
+(* --- fire index --- *)
+
+(* Key [""] is the least key, so the first pair a watermark [wm] must
+   leave pending is [(wm + 1, "")]: the split that takes the due pairs
+   sets exactly that pair aside, and it must stay in the index. *)
+let test_fire_index_empty_key_pivot () =
+  let win = w ~r:2 ~s:1 in
+  let t = Stream_exec.create (Plan.naive Aggregate.Sum [ win ]) in
+  (* t=8 lies in [7,9) and [8,10) *)
+  Stream_exec.feed t (ev 8 "" 1.0);
+  Stream_exec.feed t (ev 8 "a" 2.0);
+  Stream_exec.advance t 9;
+  let rows () = List.init (Stream_exec.row_count t) (Stream_exec.row t) in
+  let shape r =
+    (Interval.lo r.Row.interval, Interval.hi r.Row.interval, r.Row.key)
+  in
+  let rows_t = Alcotest.(list (triple int int string)) in
+  Alcotest.check rows_t "wm=9 fires only [7,9)"
+    [ (7, 9, ""); (7, 9, "a") ]
+    (List.map shape (rows ()));
+  Stream_exec.advance t 10;
+  Alcotest.check rows_t "wm=10 fires the pivot instance too"
+    [ (7, 9, ""); (7, 9, "a"); (8, 10, ""); (8, 10, "a") ]
+    (List.map shape (rows ()))
+
+(* The fire index is built incrementally (a pair at each instance's
+   birth) in a running executor, and from the store in an imported one.
+   Both must fire the same instances: after a prefix, export and import,
+   advance both to the same watermark and finish the stream; rows (in
+   emission order) and the cost counters charged after the export must
+   be identical. *)
+let gen_fire_index_case =
+  QCheck2.Gen.(
+    let* ws = gen_window_set ~max_size:4 () in
+    let* rewrite = bool in
+    let* mode = oneofl [ Stream_exec.Naive; Stream_exec.Incremental ] in
+    let* agg = oneofl [ Aggregate.Sum; Aggregate.Max; Aggregate.Stdev ] in
+    let* seed = int_range 0 10000 in
+    let* cut = float_range 0.0 1.0 in
+    let* wm_at = float_range 0.0 1.0 in
+    return (ws, rewrite, mode, agg, seed, cut, wm_at))
+
+let print_fire_index_case (ws, rewrite, mode, agg, seed, cut, wm_at) =
+  Printf.sprintf "%s %s %s %s seed=%d cut=%.3f wm=%.3f" (print_window_list ws)
+    (if rewrite then "rewritten" else "naive")
+    (match mode with Stream_exec.Naive -> "Naive" | Incremental -> "Incremental")
+    (Aggregate.to_string agg) seed cut wm_at
+
+let prop_fire_index_complete =
+  qtest ~count:150 "fire index: export/import fires the same instances"
+    gen_fire_index_case print_fire_index_case
+    (fun (ws, rewrite, mode, agg, seed, cut, wm_at) ->
+      let plan =
+        if rewrite then
+          match Rewrite.optimize agg ws with
+          | outcome -> outcome.Rewrite.plan
+          | exception _ -> Plan.naive agg ws
+        else Plan.naive agg ws
+      in
+      let horizon = equiv_horizon ws in
+      let events =
+        Fw_workload.Event_gen.varied (Fw_util.Prng.create seed)
+          { Fw_workload.Event_gen.default_config with keys = [ ""; "a"; "b" ] }
+          ~eta_max:3 ~horizon
+      in
+      let cut = int_of_float (cut *. float_of_int horizon) in
+      let wm = cut + int_of_float (wm_at *. float_of_int (horizon - cut)) in
+      let ma = Metrics.create () in
+      let a = Stream_exec.create ~metrics:ma ~mode plan in
+      List.iter (fun e -> if e.Event.time < cut then Stream_exec.feed a e) events;
+      let before = Metrics.per_window ma in
+      let mb = Metrics.create () in
+      let b = Stream_exec.import ~metrics:mb plan (Stream_exec.export a) in
+      let charged_since_export () =
+        List.filter_map
+          (fun (win, n) ->
+            let n0 = try List.assoc win before with Not_found -> 0 in
+            if n > n0 then Some (win, n - n0) else None)
+          (Metrics.per_window ma)
+      in
+      let charged m = List.filter (fun (_, n) -> n > 0) (Metrics.per_window m) in
+      let rows t = List.init (Stream_exec.row_count t) (Stream_exec.row t) in
+      Stream_exec.advance a wm;
+      Stream_exec.advance b wm;
+      let same_at_wm =
+        rows a = rows b && charged_since_export () = charged mb
+      in
+      List.iter
+        (fun e ->
+          if e.Event.time >= wm && e.Event.time < horizon then begin
+            Stream_exec.feed a e;
+            Stream_exec.feed b e
+          end)
+        events;
+      let ra = Stream_exec.close a ~horizon and rb = Stream_exec.close b ~horizon in
+      same_at_wm && ra = rb && charged_since_export () = charged mb)
 
 (* --- watermark / punctuation / close edge cases --- *)
 
@@ -609,6 +805,8 @@ let suite =
       test_metrics_unknown_window_zero;
     Alcotest.test_case "metrics pp golden" `Quick test_metrics_pp_golden;
     Alcotest.test_case "per-node rows in/out" `Quick test_per_node_rows;
+    Alcotest.test_case "count/session fire histograms" `Quick
+      test_count_session_fire_histograms;
     Alcotest.test_case "incremental fallback reasons" `Quick
       test_fallback_reasons;
     Alcotest.test_case "compare_plans per-operator savings" `Quick
@@ -617,6 +815,10 @@ let suite =
       test_instances_containing_boundaries;
     Alcotest.test_case "instances_enclosing boundaries" `Quick
       test_instances_enclosing_boundaries;
+    Alcotest.test_case "instance range boundaries" `Quick test_instance_ranges;
+    Alcotest.test_case "fire index keeps the empty-key pivot" `Quick
+      test_fire_index_empty_key_pivot;
+    prop_fire_index_complete;
     Alcotest.test_case "incremental simple" `Quick test_incremental_simple;
     Alcotest.test_case "incremental late event" `Quick
       test_incremental_late_event;
