@@ -1864,6 +1864,8 @@ let section_spill () =
   let pass = rows_ok && bounded large && List.for_all bounded curve in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "{\n";
+  Printf.bprintf buf "  \"cores\": %d,\n" (Domain.recommended_domain_count ());
+  Printf.bprintf buf "  \"ocaml\": \"%s\",\n" Sys.ocaml_version;
   Printf.bprintf buf "  \"seed\": %d,\n" !seed;
   Printf.bprintf buf "  \"eta\": %d,\n" eta;
   Printf.bprintf buf "  \"small_keys\": %d,\n" n_small;

@@ -8,9 +8,7 @@ type t = {
   mutable merges : int;
 }
 
-(* [size_hint] predates the store backend and is kept for API
-   stability; the store sizes itself. *)
-let create ?size_hint:_ ?pool agg =
+let create ?pool agg =
   { agg; store = Store.create ?pool ~name:"pane" Bincodec.state_codec;
     adds = 0; merges = 0 }
 
@@ -45,6 +43,16 @@ let merge t ~key state =
     | Some st -> Combine.merge st state)
 
 let find t key = Store.find t.store key
+
+(* One access: a pooled pane faults the entry in (if spilled) and the
+   remove only drops the table slot. *)
+let take t key =
+  match Store.find t.store key with
+  | None -> None
+  | Some _ as st ->
+      Store.remove t.store key;
+      st
+
 let iter f t = Store.iter f t.store
 let fold f t acc = Store.fold f t.store acc
 let size t = Store.length t.store
@@ -73,8 +81,8 @@ let export t =
     x_merges = t.merges;
   }
 
-let import ?size_hint ?pool agg x =
-  let t = create ?size_hint ?pool agg in
+let import ?pool agg x =
+  let t = create ?pool agg in
   List.iter (fun (k, st) -> Store.set t.store k st) x.x_entries;
   t.adds <- x.x_adds;
   t.merges <- x.x_merges;

@@ -3,19 +3,18 @@
 
     One pane covers one slide-aligned (or slice-aligned) span of the
     stream and accumulates a {!Combine.state} per key.  Raw events fold
-    in with {!add} in O(1); sealed panes are drained with {!iter} into
-    per-key sliding queues ({!Swag}) or per-slice partial arrays
+    in with {!add} in O(1); sealed panes are drained with {!take} and
+    {!iter} into per-key sliding queues ({!Swag}) or per-slice partial arrays
     ({!Fw_slicing.Exec}).  A pane only holds entries for keys that
     actually appeared, so empty keys cost nothing. *)
 
 type t
 
-val create : ?size_hint:int -> ?pool:Fw_spill.Pool.t -> Aggregate.t -> t
+val create : ?pool:Fw_spill.Pool.t -> Aggregate.t -> t
 (** Without [pool], per-key states live in a plain hashtable (exact
     historical semantics).  With [pool], they live in a budgeted
     {!Fw_spill.Store}: cold keys may be evicted to disk and fault back
-    in bit-identical on access — results are unaffected.  [size_hint]
-    is kept for API stability. *)
+    in bit-identical on access — results are unaffected. *)
 
 val aggregate : t -> Aggregate.t
 
@@ -37,6 +36,13 @@ val merge : t -> key:string -> Combine.state -> unit
     pane accumulates upstream sub-aggregates rather than raw values). *)
 
 val find : t -> string -> Combine.state option
+
+val take : t -> string -> Combine.state option
+(** {!find} and remove in one: the key's state, now gone from the pane
+    ([None] when absent).  One store access — the pane roll of
+    {!Fw_engine.Stream_exec} seals a key's open-pane state this way
+    while it visits the key's queue. *)
+
 val iter : (string -> Combine.state -> unit) -> t -> unit
 val fold : (string -> Combine.state -> 'a -> 'a) -> t -> 'a -> 'a
 val size : t -> int
@@ -71,4 +77,4 @@ val export : t -> export
     faults every spilled key back in, so the export is self-contained
     (snapshots never reference spill files). *)
 
-val import : ?size_hint:int -> ?pool:Fw_spill.Pool.t -> Aggregate.t -> export -> t
+val import : ?pool:Fw_spill.Pool.t -> Aggregate.t -> export -> t

@@ -463,71 +463,91 @@ and win_deliver t id st msg =
 
 (* --- pane-based incremental window operator ------------------------- *)
 
-(* Fire instance [m] = panes [m, m+k): evict slid-out panes from every
-   key's queue, emit one row per key still holding data, and drop keys
-   whose queues drained.  The metrics record the final-combine work (the
-   number of pane states merged per fired instance). *)
-and fire_pane t id ps m =
-  let lo = m * ps.slide in
-  let interval = Interval.make ~lo ~hi:(lo + Window.range ps.p_window) in
-  let items = ref 0 in
-  let evicted = ref 0 in
-  let dead = ref [] in
-  (* [Store.iter] pins the visited entry, so the in-place [Swag.slide]
-     and the downstream delivery (which may touch other stores of the
-     same pool) can never race an eviction of the queue being slid. *)
-  Store.iter
-    (fun key q ->
-      let before = Swag.length q in
-      let answer = Swag.slide q ~below:m in
-      evicted := !evicted + before - Swag.length q;
-      match answer with
-      | None -> dead := key :: !dead
-      | Some state ->
-          items := !items + Swag.length q;
-          forward t id
-            (Item (Sub { window = ps.p_window; interval; key; state })))
-    ps.queues;
-  List.iter (Store.remove ps.queues) !dead;
-  if t.observe then begin
-    let ns = t.obs.(id) in
-    Counter.add ns.Metrics.swag_evictions !evicted;
-    if !items > 0 then Counter.inc ns.Metrics.fires
-  end;
-  if !items > 0 then Metrics.record t.metrics ps.p_window !items
+(* Roll the pane ring to [upto]: seal pane [p0 = cur_pane] and fire
+   every instance [mlo .. mhi] the roll completes (instance [m] = panes
+   [m, m+k)).  Events arrive in order and every event rolls the
+   operator before it folds, so [p0] is the only pane of the roll that
+   can hold data: the roll makes {e one} store access per key, for its
+   queue and for its open-pane state, however many boundaries it
+   crosses.
 
-(* Seal every pane fully to the left of [upto], interleaving seals with
-   the instance firings they complete so each queue holds at most [k]
-   panes per key when queried. *)
+   - Pass 1 visits every queue: it takes the key's open-pane state
+     (if any), pushes it at [p0] and slides once per due instance.
+   - Pass 2 creates the queues of the open-pane keys left over.
+
+   A queue holds panes up to [p0] only, so it answers at most the [k]
+   instances [mlo .. p0] and drains at the first slide past them: at
+   most [k+1] slides per key, and a drained key is dropped.  The
+   answers are forwarded after both passes, one instance at a time in
+   ascending [m], so each node's rows stay in ascending instance order
+   (within an instance, keys come in visit order).  The metrics record
+   the final-combine work: the pane states merged per fired
+   instance. *)
 and pane_roll t id ps ~upto =
   (* Same emptiness probe as [win_fire]: no seal pending, no clock. *)
   if (ps.cur_pane + 1) * ps.slide <= upto then begin
     let ns = t.obs.(id) in
     let sampled = activation t id in
     let t0 = if sampled then Clock.now_ns () else 0 in
-    let fires0 = Counter.get ns.Metrics.fires in
-    let flushed = ref 0 in
-    while (ps.cur_pane + 1) * ps.slide <= upto do
-      let p = ps.cur_pane in
-      if not (Pane.is_empty ps.open_pane) then begin
-        Pane.iter
-          (fun key state ->
-            Store.pinned ps.queues key
-              ~init:(fun () -> Swag.create t.agg)
-              (fun q -> Swag.push q ~idx:p state))
-          ps.open_pane;
-        Pane.clear ps.open_pane;
-        incr flushed
-      end;
-      let m = p + 1 - ps.k in
-      if m >= 0 then fire_pane t id ps m;
-      ps.cur_pane <- p + 1
+    let p0 = ps.cur_pane and next = upto / ps.slide in
+    let mlo = max 0 (p0 + 1 - ps.k) and mhi = next - ps.k in
+    let n = max 0 (min mhi p0 - mlo + 1) in
+    let answers = Array.make n [] and items = Array.make n 0 in
+    let evicted = ref 0 and dead = ref [] in
+    (* [Store.iter] and [Store.pinned] pin the queue, so the in-place
+       push and slides can never race an eviction of it. *)
+    let push_and_slide key q state =
+      Option.iter (Swag.push q ~idx:p0) state;
+      let before = Swag.length q in
+      let rec go m =
+        if m <= mhi then
+          match Swag.slide q ~below:m with
+          | None -> dead := key :: !dead
+          | Some st ->
+              let i = m - mlo in
+              answers.(i) <- (key, st) :: answers.(i);
+              items.(i) <- items.(i) + Swag.length q;
+              go (m + 1)
+      in
+      go mlo;
+      evicted := !evicted + before - Swag.length q
+    in
+    let flushed = if Pane.is_empty ps.open_pane then 0 else 1 in
+    Store.iter
+      (fun key q -> push_and_slide key q (Pane.take ps.open_pane key))
+      ps.queues;
+    Pane.iter
+      (fun key state ->
+        Store.pinned ps.queues key
+          ~init:(fun () -> Swag.create t.agg)
+          (fun q -> push_and_slide key q (Some state)))
+      ps.open_pane;
+    Pane.clear ps.open_pane;
+    List.iter (Store.remove ps.queues) !dead;
+    ps.cur_pane <- next;
+    let fired = ref 0 and items_tot = ref 0 in
+    for i = 0 to n - 1 do
+      if items.(i) > 0 then begin
+        incr fired;
+        items_tot := !items_tot + items.(i);
+        let lo = (mlo + i) * ps.slide in
+        let interval = Interval.make ~lo ~hi:(lo + Window.range ps.p_window) in
+        List.iter
+          (fun (key, state) ->
+            forward t id
+              (Item (Sub { window = ps.p_window; interval; key; state })))
+          (List.rev answers.(i))
+      end
     done;
-    if t.observe then Counter.add ns.Metrics.pane_flushes !flushed;
+    if !items_tot > 0 then Metrics.record t.metrics ps.p_window !items_tot;
+    if t.observe then begin
+      Counter.add ns.Metrics.swag_evictions !evicted;
+      Counter.add ns.Metrics.fires !fired;
+      Counter.add ns.Metrics.pane_flushes flushed
+    end;
     if sampled then
-      activation_sample t id ~t0 ~name:"pane-roll" ~items_in:!flushed
-        ~items_out:(Counter.get ns.Metrics.fires - fires0)
-        ~window:ps.p_window
+      activation_sample t id ~t0 ~name:"pane-roll" ~items_in:flushed
+        ~items_out:!fired ~window:ps.p_window
   end
 
 and pane_deliver t id ps msg =

@@ -706,6 +706,158 @@ let prop_fire_index_complete =
       let ra = Stream_exec.close a ~horizon and rb = Stream_exec.close b ~horizon in
       same_at_wm && ra = rb && charged_since_export () = charged mb)
 
+(* --- pane roll --- *)
+
+(* A roll seals only its first pane and fires every instance it
+   completes in one pass over the keys.  One watermark crossing [j]
+   pane boundaries must therefore equal [j] single-boundary
+   watermarks: the same rows, in the same per-(node, key) emission
+   order (the order downstream folds see; across keys of one instance
+   the order is the store's visit order, which no path pins), the same
+   cost counters and the same per-node fire, pane-flush and
+   SWAG-eviction counts.  SUM slides by subtract-on-evict, MAX by
+   two-stacks; the budget-0 pool spills every entry between
+   accesses. *)
+let gen_pane_roll_case =
+  QCheck2.Gen.(
+    let gen_aligned =
+      let* s = int_range 1 6 in
+      let* k = int_range 1 4 in
+      return (Window.make ~range:(k * s) ~slide:s)
+    in
+    let* n = int_range 1 3 in
+    let* ws = list_repeat n gen_aligned in
+    let* rewrite = bool in
+    let* agg = oneofl [ Aggregate.Sum; Aggregate.Max ] in
+    let* spilled = bool in
+    let* seed = int_range 0 10000 in
+    let* cut = float_range 0.0 1.0 in
+    let* jump = int_range 0 30 in
+    return (Window.dedup ws, rewrite, agg, spilled, seed, cut, jump))
+
+let print_pane_roll_case (ws, rewrite, agg, spilled, seed, cut, jump) =
+  Printf.sprintf "%s %s %s %s seed=%d cut=%.3f jump=%d" (print_window_list ws)
+    (if rewrite then "rewritten" else "naive")
+    (Aggregate.to_string agg)
+    (if spilled then "budget-0" else "resident")
+    seed cut jump
+
+(* Per-node counters of the pane and window operators, by labels. *)
+let node_counters m =
+  List.filter_map
+    (fun e ->
+      match e.Fw_obs.Registry.metric with
+      | Fw_obs.Registry.Counter c
+        when List.mem e.Fw_obs.Registry.name
+               [ "node_fires_total"; "node_pane_flushes_total";
+                 "node_swag_evictions_total" ] ->
+          Some (e.Fw_obs.Registry.name, e.labels, Fw_obs.Counter.get c)
+      | _ -> None)
+    (Fw_obs.Registry.entries (Metrics.registry m))
+
+(* Rows grouped by (window, key), each group in emission order. *)
+let by_node_key rows =
+  List.stable_sort
+    (fun a b ->
+      match Window.compare a.Row.window b.Row.window with
+      | 0 -> String.compare a.Row.key b.Row.key
+      | c -> c)
+    rows
+
+(* Each window's rows in ascending instance order. *)
+let ascending_per_node rows =
+  let last = Hashtbl.create 8 in
+  List.for_all
+    (fun r ->
+      let lo = Interval.lo r.Row.interval in
+      let ok =
+        match Hashtbl.find_opt last r.Row.window with
+        | Some prev -> prev <= lo
+        | None -> true
+      in
+      Hashtbl.replace last r.Row.window lo;
+      ok)
+    rows
+
+let prop_pane_roll_multi_equals_single =
+  qtest ~count:100 "pane roll: one j-boundary watermark = j single steps"
+    gen_pane_roll_case print_pane_roll_case
+    (fun (ws, rewrite, agg, spilled, seed, cut, jump) ->
+      let plan =
+        if rewrite then
+          match Rewrite.optimize agg ws with
+          | outcome -> outcome.Rewrite.plan
+          | exception _ -> Plan.naive agg ws
+        else Plan.naive agg ws
+      in
+      let horizon = 90 in
+      let events =
+        Fw_workload.Event_gen.varied (Fw_util.Prng.create seed)
+          {
+            Fw_workload.Event_gen.default_config with
+            keys = [ "a"; "b"; "c"; "d"; "e"; "f" ];
+          }
+          ~eta_max:3 ~horizon
+      in
+      let cut = int_of_float (cut *. float_of_int horizon) in
+      let wm = cut + jump in
+      let with_pools f =
+        if not spilled then f None None
+        else
+          let pa = Fw_spill.Pool.create ~budget:0 ()
+          and pb = Fw_spill.Pool.create ~budget:0 () in
+          Fun.protect
+            ~finally:(fun () ->
+              Fw_spill.Pool.close pa;
+              Fw_spill.Pool.close pb)
+            (fun () -> f (Some pa) (Some pb))
+      in
+      with_pools (fun spill_a spill_b ->
+          let ma = Metrics.create () and mb = Metrics.create () in
+          let make metrics spill =
+            Stream_exec.create ~metrics ~mode:inc ?spill plan
+          in
+          let a = make ma spill_a and b = make mb spill_b in
+          let rows t =
+            List.init (Stream_exec.row_count t) (Stream_exec.row t)
+          in
+          List.iter
+            (fun e ->
+              if e.Event.time < cut then begin
+                Stream_exec.feed a e;
+                Stream_exec.feed b e
+              end)
+            events;
+          let n0 = Stream_exec.row_count a in
+          Stream_exec.advance a wm;
+          (* every pane boundary of every window up to [wm], one at a
+             time (those at or below the watermark are no-ops) *)
+          for t = 0 to wm do
+            if t = wm || List.exists (fun w -> t mod Window.slide w = 0) ws
+            then Stream_exec.advance b t
+          done;
+          let rolled = List.filteri (fun i _ -> i >= n0) (rows a) in
+          let same () =
+            by_node_key (rows a) = by_node_key (rows b)
+            && Metrics.per_window ma = Metrics.per_window mb
+            && node_counters ma = node_counters mb
+          in
+          let same_at_wm = same () in
+          List.iter
+            (fun e ->
+              if e.Event.time >= wm && e.Event.time < horizon then begin
+                Stream_exec.feed a e;
+                Stream_exec.feed b e
+              end)
+            events;
+          let nc = Stream_exec.row_count a in
+          ignore (Stream_exec.close a ~horizon);
+          ignore (Stream_exec.close b ~horizon);
+          let closed = List.filteri (fun i _ -> i >= nc) (rows a) in
+          same_at_wm && same ()
+          && ascending_per_node rolled
+          && ascending_per_node closed))
+
 (* --- watermark / punctuation / close edge cases --- *)
 
 let test_advance_fires_without_events () =
@@ -819,6 +971,7 @@ let suite =
     Alcotest.test_case "fire index keeps the empty-key pivot" `Quick
       test_fire_index_empty_key_pivot;
     prop_fire_index_complete;
+    prop_pane_roll_multi_equals_single;
     Alcotest.test_case "incremental simple" `Quick test_incremental_simple;
     Alcotest.test_case "incremental late event" `Quick
       test_incremental_late_event;

@@ -445,6 +445,44 @@ let test_budget0_session_windows () =
     [ Window.session ~gap:2 ]
     sparse
 
+(* --- pane roll access pattern ------------------------------------------ *)
+
+(* Under a budget-0 pool every store access faults, so the fault count
+   of one pane roll is its access count: one per key with a queue plus
+   one per key in the open pane, however many boundaries the roll
+   crosses.  H4/2 (two panes per instance); each roll is driven by a
+   punctuation so no event fold is counted with it. *)
+let test_pane_roll_one_access_per_key () =
+  let plan = Plan.naive Aggregate.Sum [ Window.make ~range:4 ~slide:2 ] in
+  with_pool ~budget:0 (fun pool ->
+      let t =
+        Stream_exec.create ~mode:Stream_exec.Incremental ~spill:pool plan
+      in
+      let feed evs = List.iter (Stream_exec.feed t) evs in
+      let roll_faults upto =
+        let f0 = Pool.faults pool in
+        Stream_exec.advance t upto;
+        Pool.faults pool - f0
+      in
+      feed [ ev 0 "a" 1.0; ev 0 "b" 2.0; ev 1 "c" 3.0 ];
+      (* seal pane 0: no queue yet, open pane {a, b, c} *)
+      check_int "first roll: |P| = 3" 3 (roll_faults 2);
+      feed [ ev 2 "a" 4.0; ev 3 "d" 5.0 ];
+      (* seal pane 1, fire [0,4): queues {a, b, c}, open pane {a, d} *)
+      check_int "single step: |Q| + |P| = 3 + 2" 5 (roll_faults 4);
+      feed [ ev 4 "d" 6.0; ev 5 "e" 7.0 ];
+      (* seal pane 2, fire [2,6) and drop the drained b, c: queues
+         {a, b, c, d}, open pane {d, e} *)
+      check_int "single step: |Q| + |P| = 4 + 2" 6 (roll_faults 6);
+      feed [ ev 7 "e" 8.0 ];
+      (* close crosses seven boundaries: seal pane 3, fire [4,8) and
+         [6,10), drain every queue; queues {a, d, e}, open pane {e} *)
+      let f0 = Pool.faults pool in
+      let rows = Stream_exec.close t ~horizon:20 in
+      check_int "multi-pane close: |Q| + |P| = 3 + 1" 4 (Pool.faults pool - f0);
+      check_int "rows: [0,4) x4, [2,6) x3, [4,8) x2, [6,10) x1" 10
+        (List.length rows))
+
 (* --- checkpoint composition ------------------------------------------ *)
 
 let test_checkpoint_under_budget_byte_identical () =
@@ -503,6 +541,8 @@ let suite =
       test_budget0_count_windows;
     Alcotest.test_case "budget 0 == unbudgeted: session windows" `Quick
       test_budget0_session_windows;
+    Alcotest.test_case "pane roll: one store access per key" `Quick
+      test_pane_roll_one_access_per_key;
     Alcotest.test_case "checkpoint under budget is byte-identical" `Quick
       test_checkpoint_under_budget_byte_identical;
   ]
