@@ -1276,6 +1276,8 @@ let section_snap () =
   clear_dir ();
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "{\n";
+  Printf.bprintf buf "  \"cores\": %d,\n" (Domain.recommended_domain_count ());
+  Printf.bprintf buf "  \"ocaml\": \"%s\",\n" Sys.ocaml_version;
   Printf.bprintf buf "  \"seed\": %d,\n" !seed;
   Printf.bprintf buf "  \"events\": %d,\n" n_events;
   Printf.bprintf buf "  \"eta\": %d,\n" eta;

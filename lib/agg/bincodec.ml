@@ -1,8 +1,8 @@
-(* Binary encoders for aggregate state, shared by the snapshot codec
-   ({!Fw_snap.Codec}, which re-exports them — its byte format is
-   unchanged) and the out-of-core state store ({!Fw_spill.Store}),
-   which serializes evicted per-key entries with exactly these
-   encoders so a spilled state faults back in bit-identical. *)
+(* Binary encoders for aggregate state: the store codecs of the
+   combine and sliding-queue families.  The out-of-core state store
+   ({!Fw_spill.Store}) serializes evicted per-key entries with them, so
+   a spilled state faults back in bit-identical, and engine images
+   write the same stores through them. *)
 
 module Bin = Fw_spill.Bin
 

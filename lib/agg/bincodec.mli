@@ -1,9 +1,9 @@
 (** Binary encoders for aggregate state ({!Combine} views, {!Swag}
-    exports), shared by the snapshot codec ({!Fw_snap.Codec} re-exports
-    them; byte format unchanged) and the out-of-core state store —
-    evicted entries are serialized with exactly these encoders, so a
-    spilled state faults back in bit-identical (floats as IEEE bit
-    patterns).
+    exports).  {!state_codec} and {!swag_codec} are the one encoding of
+    these state families: the out-of-core state store serializes
+    evicted entries with them, so a spilled state faults back in
+    bit-identical (floats as IEEE bit patterns), and engine images
+    write the same stores through them ({!Fw_spill.Store.write}).
 
     Raises {!Fw_spill.Bin.Corrupt} on malformed input. *)
 

@@ -63,27 +63,14 @@ let merges t = t.merges
 
 (* --- snapshot support ---------------------------------------------- *)
 
-type export = {
-  x_entries : (string * Combine.state) list;  (* sorted by key *)
-  x_adds : int;
-  x_merges : int;
-}
+(* The store's image (key-sorted, through the spill codec), then the
+   lifetime counters. *)
+let write b t =
+  Store.write b t.store;
+  Fw_spill.Bin.w_i64 b t.adds;
+  Fw_spill.Bin.w_i64 b t.merges
 
-(* Folding a budgeted store faults every spilled entry back in, so the
-   export is self-contained regardless of what was on disk. *)
-let export t =
-  {
-    x_entries =
-      List.sort
-        (fun (a, _) (b, _) -> String.compare a b)
-        (Store.fold (fun k st acc -> (k, st) :: acc) t.store []);
-    x_adds = t.adds;
-    x_merges = t.merges;
-  }
-
-let import ?pool agg x =
-  let t = create ?pool agg in
-  List.iter (fun (k, st) -> Store.set t.store k st) x.x_entries;
-  t.adds <- x.x_adds;
-  t.merges <- x.x_merges;
-  t
+let read t r =
+  Store.read (fun _ _ -> ()) t.store r;
+  t.adds <- Fw_spill.Bin.r_i64 r;
+  t.merges <- Fw_spill.Bin.r_i64 r

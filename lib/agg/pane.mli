@@ -65,16 +65,12 @@ val merges : t -> int
 
 (** {2 Snapshot support} *)
 
-type export = {
-  x_entries : (string * Combine.state) list;  (** sorted by key *)
-  x_adds : int;
-  x_merges : int;
-}
+val write : Buffer.t -> t -> unit
+(** Append the pane's image: its store's {!Fw_spill.Store.write} image
+    (key-sorted, through the same codec its spill records use), then
+    the lifetime counters.  On a pooled pane this faults every spilled
+    key in, so the image is self-contained. *)
 
-val export : t -> export
-(** Deterministic (key-sorted) capture of the pane's contents and
-    lifetime counters, for the checkpoint codec.  On a pooled pane this
-    faults every spilled key back in, so the export is self-contained
-    (snapshots never reference spill files). *)
-
-val import : ?pool:Fw_spill.Pool.t -> Aggregate.t -> export -> t
+val read : t -> Fw_spill.Bin.reader -> unit
+(** Replace the pane's contents and counters with an image written by
+    {!write}.  Raises {!Fw_spill.Bin.Corrupt} on a malformed image. *)

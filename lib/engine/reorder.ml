@@ -122,7 +122,8 @@ type export = {
   x_dropped : int;
   x_frontier : int;
   x_max_seen : int;
-  x_exec : Stream_exec.export;
+  x_rows : Row.t list;
+  x_exec : string;
 }
 
 let export t =
@@ -134,6 +135,7 @@ let export t =
     x_dropped = t.dropped;
     x_frontier = t.frontier;
     x_max_seen = t.max_seen;
+    x_rows = List.init (Stream_exec.row_count t.exec) (Stream_exec.row t.exec);
     x_exec = Stream_exec.export t.exec;
   }
 
@@ -142,7 +144,9 @@ let import ?metrics ?(observe = true) plan x =
   if x.x_peak < 0 || x.x_released < 0 || x.x_dropped < 0 then
     invalid_arg "Reorder.import: negative statistic";
   let metrics = match metrics with Some m -> m | None -> Metrics.create () in
-  let exec = Stream_exec.import ~metrics ~observe plan x.x_exec in
+  let exec =
+    Stream_exec.import ~metrics ~observe plan ~rows:x.x_rows x.x_exec
+  in
   let buffer, buffered =
     List.fold_left
       (fun (m, n) group ->

@@ -71,7 +71,9 @@ type export = {
   x_dropped : int;
   x_frontier : int;
   x_max_seen : int;
-  x_exec : Stream_exec.export;  (** the wrapped executor's state *)
+  x_rows : Row.t list;
+      (** the wrapped executor's emitted rows, in emission order *)
+  x_exec : string;  (** the wrapped executor's {!Stream_exec.export} image *)
 }
 
 val export : t -> export
@@ -80,7 +82,8 @@ val import :
   ?metrics:Metrics.t -> ?observe:bool -> Fw_plan.Plan.t -> export -> t
 (** Rebuild a reorder buffer (and its wrapped executor) from an export.
     Raises [Invalid_argument] on malformed buffer groups, negative
-    statistics, or an executor/plan mismatch.  Registry counters in
+    statistics, a malformed executor image or an executor/plan
+    mismatch.  Registry counters in
     [metrics] are {e not} restored — as with {!Stream_exec.import},
     the caller replays them; the [stats] record itself is restored
     exactly. *)

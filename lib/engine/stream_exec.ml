@@ -137,13 +137,13 @@ type session_state = {
   mutable s_wm : int;
 }
 
-(* --- spill codecs for operator state -------------------------------- *)
+(* --- store codecs for operator state -------------------------------- *)
 
-(* Serializers for the per-key values the engine stores: evicted
-   entries are written with exactly these (floats as IEEE bit
-   patterns), so a faulted entry is bit-identical to the evicted one.
-   Weights are resident-size estimates that drive eviction accounting
-   only, never results. *)
+(* The one encoding of each per-key value the engine stores: evicted
+   entries and engine images ({!export}) are both written with exactly
+   these (floats as IEEE bit patterns), so a faulted or restored entry
+   is bit-identical to the original.  Weights are resident-size
+   estimates that drive eviction accounting only, never results. *)
 
 let w_instances b im =
   Bin.w_list b
@@ -911,207 +911,155 @@ let create ?(metrics = Metrics.create ()) ?(mode = Naive) ?(observe = true)
 
 (* --- snapshot support ---------------------------------------------- *)
 
-(* The export is a plain public mirror of every mutable cell: the
-   pending per-instance states, the pane ring position, the per-key
-   sliding queues (exact internal shape, see {!Fw_agg.Swag.export}),
-   the watermark, and the rows emitted so far.  Restoring it through
-   [import] onto the same plan and mode yields an executor whose
-   subsequent behavior is indistinguishable from the original —
-   including float rounding, which is why the queues are not rebuilt by
-   replaying pushes. *)
-type node_export =
-  | X_stateless
-  | X_win of {
-      x_pending : (int * int * string * Combine.state * int) list;
-          (* (hi, lo, key, state, items), in Fire_key order *)
-      x_wm : int;
-    }
-  | X_pane of {
-      x_cur_pane : int;
-      x_p_wm : int;
-      x_open_pane : Pane.export;
-      x_queues : (string * Swag.export) list;  (* sorted by key *)
-    }
-  | X_cwin of {
-      xc_keys : (string * int * (int * Combine.state * int) list) list;
-          (* (key, seen, [(hi, state, items)] ascending), sorted by key *)
-    }
-  | X_session of {
-      xs_open : (string * int * int * Combine.state * int) list;
-          (* (key, first, last, state, items), sorted by key *)
-      xs_pending : (int * int * string * Combine.state * int) list;
-          (* (hi, lo, key, state, items), in Fire_key order *)
-      xs_wm : int;
-    }
+(* The engine image: the mode, the source watermark, then per node its
+   scalar cells and its stores, each store through {!Store.write} — the
+   same codec its spill file uses, so every per-key state family has
+   one encoder.  Restoring it through [import] onto the same plan
+   yields an executor whose subsequent behavior is indistinguishable
+   from the original, float rounding included (sliding queues keep
+   their exact internal shape, see {!Fw_agg.Swag.export}).
 
-type export = {
-  x_mode : mode;
-  x_source_wm : int;
-  x_rows : Row.t list;  (* in emission order *)
-  x_nodes : node_export array;
-}
+     image   := mode u8 | source_wm i64 | count i64 | node*
+     node    := 0                                    stateless
+              | 1 | wm | store                       per-instance
+              | 2 | cur_pane | p_wm | pane | store   pane path
+              | 3 | store                            count window
+              | 4 | wm | store | pending            session window
+     pending := count i64 | (key, session payload)*  in firing order
+
+   A rotated session awaiting its deadline is written with the open
+   sessions' codec ([last = deadline - gap]). *)
+
+let mode_byte = function Naive -> 0 | Incremental -> 1
+
+let mode_of_byte = function
+  | 0 -> Naive
+  | 1 -> Incremental
+  | n -> Bin.corrupt "unknown execution mode byte %d" n
+
+let image_mode image =
+  try mode_of_byte (Bin.r_u8 (Bin.reader image))
+  with Bin.Corrupt m -> invalid_arg ("Stream_exec.image_mode: " ^ m)
 
 let row_count t = Vec.length t.rows
 let row t i = Vec.get t.rows i
 
-let export ?(rows = true) t =
-  if t.closed then invalid_arg "Stream_exec.export: executor is closed";
-  let node_x st =
-    match st with
-    | N_forward | N_filter _ | N_union _ -> X_stateless
-    | N_win w ->
-        (* Folding the store faults every spilled key back in, so the
-           export is self-contained — snapshots never reference spill
-           files.  [lo = hi - range] for every pending instance, and
-           sorting by (hi, key) reproduces the historical ascending
-           (hi, lo, key) order exactly. *)
-        let range = Window.range w.window in
-        X_win
-          {
-            x_pending =
-              List.sort
-                (fun (h1, _, k1, _, _) (h2, _, k2, _, _) ->
-                  match Int.compare h1 h2 with
-                  | 0 -> String.compare k1 k2
-                  | c -> c)
-                (Store.fold
-                   (fun key im acc ->
-                     Imap.fold
-                       (fun hi (state, items) acc ->
-                         (hi, hi - range, key, state, items) :: acc)
-                       im acc)
-                   w.w_keys []);
-            x_wm = w.wm;
-          }
-    | N_pane ps ->
-        X_pane
-          {
-            x_cur_pane = ps.cur_pane;
-            x_p_wm = ps.p_wm;
-            x_open_pane = Pane.export ps.open_pane;
-            x_queues =
-              List.sort
-                (fun (a, _) (b, _) -> String.compare a b)
-                (Store.fold
-                   (fun k q acc -> (k, Swag.export q) :: acc)
-                   ps.queues []);
-          }
-    | N_cwin st ->
-        X_cwin
-          {
-            xc_keys =
-              List.sort
-                (fun (a, _, _) (b, _, _) -> String.compare a b)
-                (Store.fold
-                   (fun key kc acc ->
-                     ( key,
-                       kc.seen,
-                       List.map
-                         (fun (hi, (state, items)) -> (hi, state, items))
-                         (Imap.bindings kc.kpend) )
-                     :: acc)
-                   st.c_keys []);
-          }
-    | N_session st ->
-        X_session
-          {
-            xs_open =
-              List.sort
-                (fun (a, _, _, _, _) (b, _, _, _, _) -> String.compare a b)
-                (Store.fold
-                   (fun key os acc ->
-                     (key, os.s_first, os.s_last, os.s_state, os.s_items)
-                     :: acc)
-                   st.s_open []);
-            xs_pending =
-              List.map
-                (fun (fk, (state, items)) ->
-                  (fk.Fire_key.hi, fk.Fire_key.lo, fk.Fire_key.key, state, items))
-                (Pending.bindings st.s_pending);
-            xs_wm = st.s_wm;
-          }
-  in
-  {
-    x_mode = t.mode;
-    x_source_wm = t.source_wm;
-    x_rows = (if rows then Vec.to_list t.rows else []);
-    x_nodes = Array.map node_x t.states;
-  }
+let write_node b = function
+  | N_forward | N_filter _ | N_union _ -> Bin.w_u8 b 0
+  | N_win st ->
+      Bin.w_u8 b 1;
+      Bin.w_i64 b st.wm;
+      Store.write b st.w_keys
+  | N_pane ps ->
+      Bin.w_u8 b 2;
+      Bin.w_i64 b ps.cur_pane;
+      Bin.w_i64 b ps.p_wm;
+      Pane.write b ps.open_pane;
+      Store.write b ps.queues
+  | N_cwin st ->
+      Bin.w_u8 b 3;
+      Store.write b st.c_keys
+  | N_session st ->
+      Bin.w_u8 b 4;
+      Bin.w_i64 b st.s_wm;
+      Store.write b st.s_open;
+      Bin.w_list b
+        (fun b (fk, (s_state, s_items)) ->
+          Bin.w_string b fk.Fire_key.key;
+          session_codec.Store.enc b
+            {
+              s_first = fk.Fire_key.lo;
+              s_last = fk.Fire_key.hi - st.s_gap;
+              s_state;
+              s_items;
+            })
+        (Pending.bindings st.s_pending)
 
-let import ?metrics ?observe ?spill plan x =
-  let t = create ?metrics ~mode:x.x_mode ?observe ?spill plan in
-  if Array.length t.states <> Array.length x.x_nodes then
-    invalid_arg
-      "Stream_exec.import: node count mismatch (snapshot from a different \
-       plan)";
-  Array.iteri
-    (fun id nx ->
-      match (t.states.(id), nx) with
-      | (N_forward | N_filter _ | N_union _), X_stateless -> ()
-      | N_win st, X_win { x_pending; x_wm } ->
-          st.wm <- x_wm;
-          List.iter
-            (fun (hi, _lo, key, state, items) ->
-              st.w_fire <- Fset.add (hi, key) st.w_fire;
-              Store.update st.w_keys key (fun prev ->
-                  let im =
-                    match prev with None -> Imap.empty | Some im -> im
-                  in
-                  Imap.add hi (state, items) im))
-            x_pending
-      | N_pane ps, X_pane { x_cur_pane; x_p_wm; x_open_pane; x_queues } ->
-          List.iter
-            (fun (k, xq) ->
-              Store.set ps.queues k (Swag.import t.agg xq))
-            x_queues;
-          t.states.(id) <-
-            N_pane
-              {
-                ps with
-                cur_pane = x_cur_pane;
-                p_wm = x_p_wm;
-                open_pane = Pane.import ?pool:t.spill t.agg x_open_pane;
-              }
-      | N_cwin st, X_cwin { xc_keys } ->
-          Store.clear st.c_keys;
-          List.iter
-            (fun (key, seen, pend) ->
-              Store.set st.c_keys key
-                {
-                  seen;
-                  kpend =
-                    List.fold_left
-                      (fun acc (hi, state, items) ->
-                        Imap.add hi (state, items) acc)
-                      Imap.empty pend;
-                })
-            xc_keys
-      | N_session st, X_session { xs_open; xs_pending; xs_wm } ->
-          Store.clear st.s_open;
-          st.s_deadlines <- Fset.empty;
-          List.iter
-            (fun (key, s_first, s_last, s_state, s_items) ->
-              Store.set st.s_open key { s_first; s_last; s_state; s_items };
-              st.s_deadlines <-
-                Fset.add (s_last + st.s_gap, key) st.s_deadlines)
-            xs_open;
-          st.s_pending <-
-            List.fold_left
-              (fun acc (hi, lo, key, state, items) ->
-                Pending.add { Fire_key.hi; lo; key } (state, items) acc)
-              Pending.empty xs_pending;
-          st.s_wm <- xs_wm
-      | ( ( N_forward | N_filter _ | N_union _ | N_win _ | N_pane _ | N_cwin _
-          | N_session _ ),
-          _ ) ->
-          invalid_arg
-            (Printf.sprintf
-               "Stream_exec.import: node %d shape mismatch (snapshot from a \
-                different plan or mode)"
-               id))
-    x.x_nodes;
-  t.source_wm <- x.x_source_wm;
-  List.iter (Vec.push t.rows) x.x_rows;
+let export t =
+  if t.closed then invalid_arg "Stream_exec.export: executor is closed";
+  let b = Buffer.create 4096 in
+  Bin.w_u8 b (mode_byte t.mode);
+  Bin.w_i64 b t.source_wm;
+  Bin.w_i64 b (Array.length t.states);
+  Array.iter (write_node b) t.states;
+  Buffer.contents b
+
+(* Load node [id]'s cells and stores, rebuilding the resident indexes
+   (fire index, session deadlines) from the entries as they load. *)
+let read_node r id node =
+  match (node, Bin.r_u8 r) with
+  | (N_forward | N_filter _ | N_union _), 0 -> ()
+  | N_win st, 1 ->
+      st.wm <- Bin.r_i64 r;
+      Store.read
+        (fun key im ->
+          Imap.iter (fun hi _ -> st.w_fire <- Fset.add (hi, key) st.w_fire) im)
+        st.w_keys r
+  | N_pane ps, 2 ->
+      ps.cur_pane <- Bin.r_i64 r;
+      ps.p_wm <- Bin.r_i64 r;
+      Pane.read ps.open_pane r;
+      Store.read (fun _ _ -> ()) ps.queues r
+  | N_cwin st, 3 -> Store.read (fun _ _ -> ()) st.c_keys r
+  | N_session st, 4 ->
+      st.s_wm <- Bin.r_i64 r;
+      Store.read
+        (fun key os ->
+          st.s_deadlines <- Fset.add (os.s_last + st.s_gap, key) st.s_deadlines)
+        st.s_open r;
+      st.s_pending <-
+        List.fold_left
+          (fun acc (key, os) ->
+            Pending.add
+              { Fire_key.hi = os.s_last + st.s_gap; lo = os.s_first; key }
+              (os.s_state, os.s_items) acc)
+          Pending.empty
+          (Bin.r_list r (fun r ->
+               let key = Bin.r_string r in
+               (key, session_codec.Store.dec r)))
+  | ( ( N_forward | N_filter _ | N_union _ | N_win _ | N_pane _ | N_cwin _
+      | N_session _ ),
+      tag ) ->
+      invalid_arg
+        (Printf.sprintf
+           "Stream_exec.import: node %d shape mismatch (tag %d; image from a \
+            different plan or mode)"
+           id tag)
+
+(* Drop whatever a failed import loaded, so its entries stop counting
+   against a shared pool's budget. *)
+let clear_stores t =
+  Array.iter
+    (function
+      | N_forward | N_filter _ | N_union _ -> ()
+      | N_win st -> Store.clear st.w_keys
+      | N_pane ps ->
+          Pane.clear ps.open_pane;
+          Store.clear ps.queues
+      | N_cwin st -> Store.clear st.c_keys
+      | N_session st -> Store.clear st.s_open)
+    t.states
+
+let import ?metrics ?observe ?spill plan ~rows image =
+  let t = create ?metrics ~mode:(image_mode image) ?observe ?spill plan in
+  let r = Bin.reader ~pos:1 image in
+  (try
+     t.source_wm <- Bin.r_i64 r;
+     if Bin.r_i64 r <> Array.length t.states then
+       invalid_arg
+         "Stream_exec.import: node count mismatch (image from a different \
+          plan)";
+     Array.iteri (read_node r) t.states;
+     if Bin.remaining r <> 0 then
+       Bin.corrupt "trailing bytes after engine image (%d)" (Bin.remaining r)
+   with
+  | Bin.Corrupt m ->
+      clear_stores t;
+      invalid_arg ("Stream_exec.import: corrupt image: " ^ m)
+  | Invalid_argument _ as e ->
+      clear_stores t;
+      raise e);
+  List.iter (Vec.push t.rows) rows;
   t
 
 let root_deliver t msg =

@@ -137,55 +137,26 @@ val run :
 
 (** {2 Snapshot support}
 
-    A public, serializable mirror of every mutable cell of a running
-    executor, consumed by the checkpoint subsystem ({!Fw_snap}).
-    {!export} captures the state verbatim — pending instance states in
-    firing order, the pane ring position, each per-key sliding queue's
-    exact internal shape — and {!import} restores it onto the same
-    (plan, mode): the restored executor's subsequent rows and metrics
-    are byte-identical to the original's, float rounding included. *)
+    The {e engine image}: a byte string holding every mutable cell of a
+    running executor, consumed by the checkpoint subsystem
+    ({!Fw_snap}).  Per node it holds the scalar cells (watermark, pane
+    ring position, the rotated sessions awaiting their deadline) and
+    each per-key store as a key-sorted {!Fw_spill.Store.write} image —
+    the same codec the store's spill file uses, so each state family
+    has exactly one encoder.  Spilled entries are faulted in, so an
+    image is self-contained and byte-identical whatever the store
+    backend.  {!import} restores it onto the same plan: the restored
+    executor's subsequent rows and metrics are byte-identical to the
+    original's, float rounding included.  Emitted rows are not part of
+    the image; whoever persists them hands them back to {!import}. *)
 
-type node_export =
-  | X_stateless  (** source / filter / multicast / union *)
-  | X_win of {
-      x_pending : (int * int * string * Fw_agg.Combine.state * int) list;
-          (** (hi, lo, key, state, items folded), in firing order *)
-      x_wm : int;
-    }
-  | X_pane of {
-      x_cur_pane : int;
-      x_p_wm : int;
-      x_open_pane : Fw_agg.Pane.export;
-      x_queues : (string * Fw_agg.Swag.export) list;  (** sorted by key *)
-    }
-  | X_cwin of {
-      xc_keys : (string * int * (int * Fw_agg.Combine.state * int) list) list;
-          (** (key, ordinal high-water, [(hi, state, items)] ascending),
-              sorted by key *)
-    }
-  | X_session of {
-      xs_open : (string * int * int * Fw_agg.Combine.state * int) list;
-          (** open sessions (key, first, last, state, items), sorted by
-              key *)
-      xs_pending : (int * int * string * Fw_agg.Combine.state * int) list;
-          (** rotated sessions awaiting their deadline
-              (hi, lo, key, state, items), in firing order *)
-      xs_wm : int;
-    }
+val export : t -> string
+(** The executor's image.  Raises [Invalid_argument] on a closed
+    executor. *)
 
-type export = {
-  x_mode : mode;
-  x_source_wm : int;
-  x_rows : Row.t list;  (** rows emitted so far, in emission order *)
-  x_nodes : node_export array;  (** same index as the plan's nodes *)
-}
-
-val export : ?rows:bool -> t -> export
-(** Raises [Invalid_argument] on a closed executor.  [~rows:false]
-    leaves [x_rows] empty — the checkpoint runtime persists rows
-    incrementally to a side log instead of re-serializing the whole
-    output on every snapshot, which would make checkpoints O(rows
-    emitted so far). *)
+val image_mode : string -> mode
+(** The mode an image was taken in (its first byte).  Raises
+    [Invalid_argument] when that byte is missing or unknown. *)
 
 val row_count : t -> int
 (** Rows emitted so far (cheap); [row t i] reads the [i]-th in emission
@@ -199,15 +170,19 @@ val import :
   ?observe:bool ->
   ?spill:Fw_spill.Pool.t ->
   Fw_plan.Plan.t ->
-  export ->
+  rows:Row.t list ->
+  string ->
   t
-(** Rebuild an executor from an export.  The plan must be the one the
-    export was taken from (the snapshot codec guards this with a plan
-    fingerprint); raises [Invalid_argument] on a node-shape mismatch.
-    Counters in [metrics] are {e not} restored here — the caller
-    replays them (see {!Fw_snap.Recover}).  [spill] as in {!create};
-    an export is always self-contained (spilled entries are re-absorbed
-    at {!export} time), so recovery never reads spill files. *)
+(** Rebuild an executor from an image, in the image's mode, with
+    [rows] as the rows emitted so far (in emission order).  The fire
+    index and session deadlines are rebuilt from the loaded stores.
+    The plan must be the one the image was taken from (the snapshot
+    codec guards this with a plan fingerprint); raises
+    [Invalid_argument] on a node count or shape mismatch and on a
+    malformed image, after dropping whatever it loaded.  Counters in
+    [metrics] are {e not} restored here — the caller replays them (see
+    {!Fw_snap.Recover}).  [spill] as in {!create}; recovery never reads
+    spill files. *)
 
 (** {2 Instance arithmetic}
 

@@ -58,7 +58,7 @@ let write_response fd { status; content_type; body } =
 (* Index just past the blank line ending the request head, or None
    while incomplete.  Both CRLF and bare-LF line endings terminate the
    head, so a casual [printf '...\n\n' | nc] is answered immediately
-   instead of riding out the receive timeout. *)
+   instead of riding out the connection deadline. *)
 let head_end s =
   let n = String.length s in
   let rec go i =
@@ -75,11 +75,35 @@ let head_end s =
   in
   go 0
 
+(* Every connection gets [deadline_s] seconds, from accept, to deliver
+   its whole request, head and body.  A per-read timeout alone would
+   let a client trickling a byte every few seconds hold the single
+   accept domain indefinitely; instead each read re-arms the socket's
+   receive timeout with the time left, and a request still incomplete
+   at the deadline is answered 408. *)
+let deadline_s = 5.0
+
+exception Expired
+
+(* One read of at most [len] bytes into [chunk]; 0 on EOF or a socket
+   error.  A timeout of 0 would block forever, so under a millisecond
+   left counts as expired. *)
+let read_until ~deadline fd chunk len =
+  let left = deadline -. Unix.gettimeofday () in
+  if left < 0.001 then raise Expired;
+  (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO left
+   with Unix.Unix_error _ -> ());
+  match Unix.read fd chunk 0 len with
+  | n -> n
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+      raise Expired
+  | exception Unix.Unix_error _ -> 0
+
 (* Read until the head is complete, bounded so a misbehaving client
    cannot grow the buffer; returns (head, spill) where [spill] is
-   whatever body prefix arrived in the same reads.  A read timeout and
-   EOF both end the head — the caller proceeds with whatever arrived. *)
-let read_head fd =
+   whatever body prefix arrived in the same reads.  EOF ends the head —
+   the caller proceeds with whatever arrived. *)
+let read_head ~deadline fd =
   let buf = Buffer.create 256 in
   let chunk = Bytes.create 512 in
   let rec go () =
@@ -89,7 +113,7 @@ let read_head fd =
     | None ->
         if Buffer.length buf > 8192 then (s, "")
         else
-          let n = try Unix.read fd chunk 0 512 with Unix.Unix_error _ -> 0 in
+          let n = read_until ~deadline fd chunk 512 in
           if n = 0 then (s, "")
           else begin
             Buffer.add_subbytes buf chunk 0 n;
@@ -99,9 +123,8 @@ let read_head fd =
   go ()
 
 (* Read exactly [need] more body bytes after [spill]; None on a torn
-   body (disconnect or receive timeout before the advertised
-   Content-Length arrived). *)
-let read_body fd ~spill ~need =
+   body (disconnect before the advertised Content-Length arrived). *)
+let read_body ~deadline fd ~spill ~need =
   if String.length spill >= need then Some (String.sub spill 0 need)
   else begin
     let buf = Buffer.create need in
@@ -111,8 +134,7 @@ let read_body fd ~spill ~need =
       if Buffer.length buf >= need then Some (Buffer.contents buf)
       else
         let n =
-          try Unix.read fd chunk 0 (min 4096 (need - Buffer.length buf))
-          with Unix.Unix_error _ -> 0
+          read_until ~deadline fd chunk (min 4096 (need - Buffer.length buf))
         in
         if n = 0 then None
         else begin
@@ -220,8 +242,8 @@ let content_length head =
   | None -> None
   | Some eol -> find (eol + 1)
 
-let handle t ~on_request ~handler fd =
-  let head, spill = read_head fd in
+let handle t ~deadline ~on_request ~handler fd =
+  let head, spill = read_head ~deadline fd in
   on_request ();
   match request_line head with
   | None -> write_response fd (bad_request "bad request\n")
@@ -235,7 +257,7 @@ let handle t ~on_request ~handler fd =
           write_response fd
             (response ~status:"413 Content Too Large" "body too large\n")
       | Some need -> (
-          match read_body fd ~spill ~need with
+          match read_body ~deadline fd ~spill ~need with
           | None ->
               write_response fd
                 (bad_request "truncated body (connection cut short)\n")
@@ -247,10 +269,14 @@ let serve t ~on_request ~handler =
   let rec loop () =
     match Unix.accept t.sock with
     | client, _ ->
-        (* bound a stalled client so the endpoint cannot wedge *)
-        (try Unix.setsockopt_float client Unix.SO_RCVTIMEO 5.0
-         with Unix.Unix_error _ -> ());
-        (try handle t ~on_request ~handler client with
+        let deadline = Unix.gettimeofday () +. deadline_s in
+        (try handle t ~deadline ~on_request ~handler client with
+        | Expired ->
+            (try
+               write_response client
+                 (response ~status:"408 Request Timeout"
+                    "request not complete within the deadline\n")
+             with Unix.Unix_error _ -> ())
         | Unix.Unix_error _ | Sys_error _ -> ()
         | _ ->
             (* any other escaped exception (a broken handler, a

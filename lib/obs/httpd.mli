@@ -6,9 +6,11 @@
     The core owns everything transport-shaped: bounded head reading
     (CRLF and bare-LF both terminate), a bounded [Content-Length] body
     reader (requests claiming more than [max_body] bytes are refused
-    with 413 {e before} reading them; a body cut short by disconnect or
-    the 5 s receive timeout is answered 400, never passed to the
-    handler), SIGPIPE suppression, per-request catch-all 500, and
+    with 413 {e before} reading them; a body cut short by disconnect is
+    answered 400, never passed to the handler), a per-connection
+    deadline (a request, head and body, not complete 5 s after accept
+    is answered 408, so a client trickling bytes cannot hold the accept
+    domain), SIGPIPE suppression, per-request catch-all 500, and
     idempotent shutdown.  Handlers receive a parsed {!request} and
     return a {!response}; they run in the accept domain, so a server
     whose handler mutates shared state needs no further locking as long
@@ -54,4 +56,5 @@ val port : t -> int
 
 val stop : t -> unit
 (** Close the listen socket and join the server domain.  Idempotent.
-    In-flight requests finish (bounded by a 5 s socket timeout). *)
+    In-flight requests finish (bounded by the 5 s per-connection
+    deadline). *)

@@ -43,4 +43,5 @@ val port : t -> int
 
 val stop : t -> unit
 (** Close the listen socket and join the server domain.  Idempotent.
-    In-flight requests finish (bounded by a 5 s socket timeout). *)
+    In-flight requests finish (bounded by a 5 s per-connection
+    deadline). *)

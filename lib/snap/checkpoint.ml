@@ -136,7 +136,7 @@ let checkpoint_now t =
   (match t.rows_oc with Some oc -> flush oc | None -> ());
   let snap =
     {
-      Codec.s_export = Stream_exec.export ~rows:false t.exec;
+      Codec.s_image = Stream_exec.export t.exec;
       s_rows_persisted = t.rows_seen;
       s_ingested = Metrics.ingested t.metrics;
       s_processed = Metrics.per_window t.metrics;

@@ -19,34 +19,31 @@
    execution mode), truncation, and CRC mismatch each produce a
    descriptive [Error] — never a garbage state. *)
 
-module Combine = Fw_agg.Combine
-module Swag = Fw_agg.Swag
-module Pane = Fw_agg.Pane
-module Aggregate = Fw_agg.Aggregate
 module Stream_exec = Fw_engine.Stream_exec
 module Event = Fw_engine.Event
 module Row = Fw_engine.Row
 module Window = Fw_window.Window
 module Interval = Fw_window.Interval
 module Plan = Fw_plan.Plan
+module Aggregate = Fw_agg.Aggregate
 
-(* Three codecs, one per level of the dependency graph: {!Fw_spill.Bin}
-   holds the byte-level primitives, CRC and log framing (the spill store
-   serializes evicted entries with them), {!Fw_agg.Bincodec} encodes
-   aggregate states and sliding queues on top, and this module adds
-   windows, operator exports, snapshots and the WAL.  It calls the two
-   lower layers directly. *)
+(* {!Fw_spill.Bin} holds the byte-level primitives, CRC and log
+   framing; each per-key state family is encoded by its
+   {!Fw_spill.Store.codec} alone, for spill records and engine images
+   alike; {!Stream_exec.export} assembles the engine image.  This
+   module adds only what lies above the engine: the snapshot frame
+   (magic, version, plan fingerprint, CRC), the counters a snapshot
+   carries next to the image, rows, the WAL and reorder snapshots. *)
 module Bin = Fw_spill.Bin
 module Bincodec = Fw_agg.Bincodec
 
 exception Corrupt = Bin.Corrupt
 
-(* v2: windows carry a family tag byte (time hop / count hop /
-   session) and node exports add the count-window (tag 3) and
-   session-window (tag 4) operator states. *)
-let version = 2
+(* v3: the engine state is the engine image ({!Stream_exec.export}):
+   per node its scalar cells and each store's key-sorted image through
+   the store's spill codec. *)
+let version = 3
 let magic = "FWSNAP"
-let crc32 = Bin.crc32
 
 (* --- aggregate state ----------------------------------------------- *)
 
@@ -61,28 +58,6 @@ let state_of_string s =
   if Bin.remaining r <> 0 then
     Bin.corrupt "trailing bytes after aggregate state (%d)" (Bin.remaining r);
   st
-
-(* --- sliding queue / pane ------------------------------------------ *)
-
-let w_pane b (x : Pane.export) =
-  Bin.w_list b
-    (fun b (k, st) ->
-      Bin.w_string b k;
-      Bincodec.w_state b st)
-    x.Pane.x_entries;
-  Bin.w_i64 b x.Pane.x_adds;
-  Bin.w_i64 b x.Pane.x_merges
-
-let r_pane r =
-  let x_entries =
-    Bin.r_list r (fun r ->
-        let k = Bin.r_string r in
-        let st = Bincodec.r_state r in
-        (k, st))
-  in
-  let x_adds = Bin.r_i64 r in
-  let x_merges = Bin.r_i64 r in
-  { Pane.x_entries; x_adds; x_merges }
 
 (* --- windows, rows, events ----------------------------------------- *)
 
@@ -139,140 +114,32 @@ let r_row r =
   in
   { Row.window; interval; key; value }
 
-(* --- executor export ----------------------------------------------- *)
-
-let w_node b = function
-  | Stream_exec.X_stateless -> Bin.w_u8 b 0
-  | Stream_exec.X_win { x_pending; x_wm } ->
-      Bin.w_u8 b 1;
-      Bin.w_list b
-        (fun b (hi, lo, key, state, items) ->
-          Bin.w_i64 b hi;
-          Bin.w_i64 b lo;
-          Bin.w_string b key;
-          Bincodec.w_state b state;
-          Bin.w_i64 b items)
-        x_pending;
-      Bin.w_i64 b x_wm
-  | Stream_exec.X_pane { x_cur_pane; x_p_wm; x_open_pane; x_queues } ->
-      Bin.w_u8 b 2;
-      Bin.w_i64 b x_cur_pane;
-      Bin.w_i64 b x_p_wm;
-      w_pane b x_open_pane;
-      Bin.w_list b
-        (fun b (k, q) ->
-          Bin.w_string b k;
-          Bincodec.w_swag b q)
-        x_queues
-  | Stream_exec.X_cwin { xc_keys } ->
-      Bin.w_u8 b 3;
-      Bin.w_list b
-        (fun b (key, seen, pend) ->
-          Bin.w_string b key;
-          Bin.w_i64 b seen;
-          Bin.w_list b
-            (fun b (hi, state, items) ->
-              Bin.w_i64 b hi;
-              Bincodec.w_state b state;
-              Bin.w_i64 b items)
-            pend)
-        xc_keys
-  | Stream_exec.X_session { xs_open; xs_pending; xs_wm } ->
-      Bin.w_u8 b 4;
-      Bin.w_list b
-        (fun b (key, first, last, state, items) ->
-          Bin.w_string b key;
-          Bin.w_i64 b first;
-          Bin.w_i64 b last;
-          Bincodec.w_state b state;
-          Bin.w_i64 b items)
-        xs_open;
-      Bin.w_list b
-        (fun b (hi, lo, key, state, items) ->
-          Bin.w_i64 b hi;
-          Bin.w_i64 b lo;
-          Bin.w_string b key;
-          Bincodec.w_state b state;
-          Bin.w_i64 b items)
-        xs_pending;
-      Bin.w_i64 b xs_wm
-
-let r_node r =
-  match Bin.r_u8 r with
-  | 0 -> Stream_exec.X_stateless
-  | 1 ->
-      let x_pending =
-        Bin.r_list r (fun r ->
-            let hi = Bin.r_i64 r in
-            let lo = Bin.r_i64 r in
-            let key = Bin.r_string r in
-            let state = Bincodec.r_state r in
-            let items = Bin.r_i64 r in
-            (hi, lo, key, state, items))
-      in
-      let x_wm = Bin.r_i64 r in
-      Stream_exec.X_win { x_pending; x_wm }
-  | 2 ->
-      let x_cur_pane = Bin.r_i64 r in
-      let x_p_wm = Bin.r_i64 r in
-      let x_open_pane = r_pane r in
-      let x_queues =
-        Bin.r_list r (fun r ->
-            let k = Bin.r_string r in
-            let q = Bincodec.r_swag r in
-            (k, q))
-      in
-      Stream_exec.X_pane { x_cur_pane; x_p_wm; x_open_pane; x_queues }
-  | 3 ->
-      let xc_keys =
-        Bin.r_list r (fun r ->
-            let key = Bin.r_string r in
-            let seen = Bin.r_i64 r in
-            let pend =
-              Bin.r_list r (fun r ->
-                  let hi = Bin.r_i64 r in
-                  let state = Bincodec.r_state r in
-                  let items = Bin.r_i64 r in
-                  (hi, state, items))
-            in
-            (key, seen, pend))
-      in
-      Stream_exec.X_cwin { xc_keys }
-  | 4 ->
-      let xs_open =
-        Bin.r_list r (fun r ->
-            let key = Bin.r_string r in
-            let first = Bin.r_i64 r in
-            let last = Bin.r_i64 r in
-            let state = Bincodec.r_state r in
-            let items = Bin.r_i64 r in
-            (key, first, last, state, items))
-      in
-      let xs_pending =
-        Bin.r_list r (fun r ->
-            let hi = Bin.r_i64 r in
-            let lo = Bin.r_i64 r in
-            let key = Bin.r_string r in
-            let state = Bincodec.r_state r in
-            let items = Bin.r_i64 r in
-            (hi, lo, key, state, items))
-      in
-      let xs_wm = Bin.r_i64 r in
-      Stream_exec.X_session { xs_open; xs_pending; xs_wm }
-  | tag -> Bin.corrupt "unknown node state tag %d" tag
-
-let mode_byte = function
-  | Stream_exec.Naive -> 0
-  | Stream_exec.Incremental -> 1
-
-let mode_of_byte = function
-  | 0 -> Stream_exec.Naive
-  | 1 -> Stream_exec.Incremental
-  | n -> Bin.corrupt "unknown execution mode byte %d" n
-
 let mode_name = function
   | Stream_exec.Naive -> "naive"
   | Stream_exec.Incremental -> "incremental"
+
+let w_event b (e : Event.t) =
+  Bin.w_i64 b e.Event.time;
+  Bin.w_string b e.Event.key;
+  Bin.w_float b e.Event.value
+
+let r_event r =
+  let time = Bin.r_i64 r in
+  let key = Bin.r_string r in
+  let value = Bin.r_float r in
+  if time < 0 then Bin.corrupt "negative event time";
+  Event.make ~time ~key ~value
+
+(* An engine image, refused when it was taken in another mode than the
+   fingerprint vouches for.  Its contents are checked by
+   {!Stream_exec.import}. *)
+let r_image ~mode r =
+  let image = Bin.r_string r in
+  let m = Stream_exec.image_mode image in
+  if m <> mode then
+    Bin.corrupt "engine image taken in %s mode where %s was expected"
+      (mode_name m) (mode_name mode);
+  image
 
 (* --- snapshot payload ---------------------------------------------- *)
 
@@ -283,15 +150,13 @@ let mode_name = function
    snapshot would make checkpoint cost grow with everything ever
    emitted; this keeps it proportional to live operator state. *)
 type snapshot = {
-  s_export : Stream_exec.export;  (* x_rows is always [] here *)
+  s_image : string;
   s_rows_persisted : int;
   s_ingested : int;
   s_processed : (Window.t * int) list;
 }
 
 let w_snapshot b s =
-  Bin.w_u8 b (mode_byte s.s_export.Stream_exec.x_mode);
-  Bin.w_i64 b s.s_export.Stream_exec.x_source_wm;
   Bin.w_i64 b s.s_rows_persisted;
   Bin.w_i64 b s.s_ingested;
   Bin.w_list b
@@ -299,11 +164,9 @@ let w_snapshot b s =
       w_window b w;
       Bin.w_i64 b n)
     s.s_processed;
-  Bin.w_list b w_node (Array.to_list s.s_export.Stream_exec.x_nodes)
+  Bin.w_string b s.s_image
 
-let r_snapshot r =
-  let x_mode = mode_of_byte (Bin.r_u8 r) in
-  let x_source_wm = Bin.r_i64 r in
+let r_snapshot ~mode r =
   let s_rows_persisted = Bin.r_i64 r in
   if s_rows_persisted < 0 then Bin.corrupt "negative persisted-row count";
   let s_ingested = Bin.r_i64 r in
@@ -313,13 +176,8 @@ let r_snapshot r =
         let n = Bin.r_i64 r in
         (w, n))
   in
-  let x_nodes = Array.of_list (Bin.r_list r r_node) in
-  {
-    s_export = { Stream_exec.x_mode; x_source_wm; x_rows = []; x_nodes };
-    s_rows_persisted;
-    s_ingested;
-    s_processed;
-  }
+  let s_image = r_image ~mode r in
+  { s_image; s_rows_persisted; s_ingested; s_processed }
 
 (* --- plan fingerprint ---------------------------------------------- *)
 
@@ -363,7 +221,7 @@ let encode_frame ~fingerprint payload =
   Bin.w_raw64 b fingerprint;
   Bin.w_i64 b (String.length payload);
   Buffer.add_string b payload;
-  Bin.w_u32 b (crc32 payload);
+  Bin.w_u32 b (Bin.crc32 payload);
   Buffer.contents b
 
 let decode_frame ~plan ~mode ~kind decode s =
@@ -414,28 +272,22 @@ let decode_frame ~plan ~mode ~kind decode s =
   | Invalid_argument m -> Error ("invalid state in snapshot: " ^ m)
 
 let encode_snapshot ~plan s =
-  let payload = Buffer.create 4096 in
+  let payload = Buffer.create (String.length s.s_image + 256) in
   Bin.w_u8 payload kind_engine;
   w_snapshot payload s;
   encode_frame
-    ~fingerprint:(plan_fingerprint plan s.s_export.Stream_exec.x_mode)
+    ~fingerprint:(plan_fingerprint plan (Stream_exec.image_mode s.s_image))
     (Buffer.contents payload)
 
 let decode_snapshot ~plan ~mode s =
-  decode_frame ~plan ~mode ~kind:kind_engine r_snapshot s
-
-(* --- framed append-only logs --------------------------------------- *)
-
-(* Both on-disk logs (the event WAL and the emitted-row log) share one
-   record framing: [len u32][payload][crc32(payload) u32], flushed in
-   whole records.  [decode_frames] scans an image and stops cleanly at
-   the first torn or Bin.corrupt record: a crash can leave a partial record
-   at the tail, and everything before it is still good. *)
-
-let frame = Bin.frame
-let decode_frames = Bin.decode_frames
+  decode_frame ~plan ~mode ~kind:kind_engine (r_snapshot ~mode) s
 
 (* --- write-ahead log ----------------------------------------------- *)
+
+(* Both on-disk logs (the event WAL and the emitted-row log) frame each
+   record with {!Bin.frame}, and {!Bin.decode_frames} stops cleanly at
+   the first torn or corrupt record: a crash can leave a partial record
+   at the tail, and everything before it is still good. *)
 
 type wal_record = Wal_event of Event.t | Wal_advance of int
 
@@ -444,35 +296,28 @@ let encode_wal_record rec_ =
   (match rec_ with
   | Wal_event e ->
       Bin.w_u8 payload 1;
-      Bin.w_i64 payload e.Event.time;
-      Bin.w_string payload e.Event.key;
-      Bin.w_float payload e.Event.value
+      w_event payload e
   | Wal_advance t ->
       Bin.w_u8 payload 2;
       Bin.w_i64 payload t);
-  frame (Buffer.contents payload)
+  Bin.frame (Buffer.contents payload)
 
 let decode_wal_record r =
   match Bin.r_u8 r with
-  | 1 ->
-      let time = Bin.r_i64 r in
-      let key = Bin.r_string r in
-      let value = Bin.r_float r in
-      if time < 0 then Bin.corrupt "negative event time in log";
-      Wal_event (Event.make ~time ~key ~value)
+  | 1 -> Wal_event (r_event r)
   | 2 -> Wal_advance (Bin.r_i64 r)
   | tag -> Bin.corrupt "unknown log record tag %d" tag
 
-let decode_wal s = decode_frames decode_wal_record s
+let decode_wal s = Bin.decode_frames decode_wal_record s
 
 (* --- emitted-row log ----------------------------------------------- *)
 
 let encode_row_record row =
   let payload = Buffer.create 48 in
   w_row payload row;
-  frame (Buffer.contents payload)
+  Bin.frame (Buffer.contents payload)
 
-let decode_rows s = decode_frames r_row s
+let decode_rows s = Bin.decode_frames r_row s
 
 (* --- reorder snapshots --------------------------------------------- *)
 
@@ -483,18 +328,6 @@ let decode_rows s = decode_frames r_row s
 
 module Reorder = Fw_engine.Reorder
 
-let w_event b (e : Event.t) =
-  Bin.w_i64 b e.Event.time;
-  Bin.w_string b e.Event.key;
-  Bin.w_float b e.Event.value
-
-let r_event r =
-  let time = Bin.r_i64 r in
-  let key = Bin.r_string r in
-  let value = Bin.r_float r in
-  if time < 0 then Bin.corrupt "negative event time in snapshot";
-  Event.make ~time ~key ~value
-
 let w_reorder b (x : Reorder.export) =
   Bin.w_i64 b x.Reorder.x_lateness;
   Bin.w_list b (fun b g -> Bin.w_list b w_event g) x.Reorder.x_groups;
@@ -503,13 +336,10 @@ let w_reorder b (x : Reorder.export) =
   Bin.w_i64 b x.Reorder.x_dropped;
   Bin.w_i64 b x.Reorder.x_frontier;
   Bin.w_i64 b x.Reorder.x_max_seen;
-  let e = x.Reorder.x_exec in
-  Bin.w_u8 b (mode_byte e.Stream_exec.x_mode);
-  Bin.w_i64 b e.Stream_exec.x_source_wm;
-  Bin.w_list b w_row e.Stream_exec.x_rows;
-  Bin.w_list b w_node (Array.to_list e.Stream_exec.x_nodes)
+  Bin.w_list b w_row x.Reorder.x_rows;
+  Bin.w_string b x.Reorder.x_exec
 
-let r_reorder r =
+let r_reorder ~mode r =
   let x_lateness = Bin.r_i64 r in
   if x_lateness < 0 then Bin.corrupt "negative lateness in snapshot";
   let x_groups = Bin.r_list r (fun r -> Bin.r_list r r_event) in
@@ -520,10 +350,8 @@ let r_reorder r =
     Bin.corrupt "negative reorder statistic in snapshot";
   let x_frontier = Bin.r_i64 r in
   let x_max_seen = Bin.r_i64 r in
-  let x_mode = mode_of_byte (Bin.r_u8 r) in
-  let x_source_wm = Bin.r_i64 r in
   let x_rows = Bin.r_list r r_row in
-  let x_nodes = Array.of_list (Bin.r_list r r_node) in
+  let x_exec = r_image ~mode r in
   {
     Reorder.x_lateness;
     x_groups;
@@ -532,16 +360,25 @@ let r_reorder r =
     x_dropped;
     x_frontier;
     x_max_seen;
-    x_exec = { Stream_exec.x_mode; x_source_wm; x_rows; x_nodes };
+    x_rows;
+    x_exec;
   }
 
 let encode_reorder ~plan (x : Reorder.export) =
-  let payload = Buffer.create 4096 in
+  let payload = Buffer.create (String.length x.Reorder.x_exec + 4096) in
   Bin.w_u8 payload kind_reorder;
   w_reorder payload x;
   encode_frame
-    ~fingerprint:(plan_fingerprint plan x.Reorder.x_exec.Stream_exec.x_mode)
+    ~fingerprint:
+      (plan_fingerprint plan (Stream_exec.image_mode x.Reorder.x_exec))
     (Buffer.contents payload)
 
+(* The image inside is checked the only way there is, by restoring the
+   pipeline it describes; a restore that fails is an [Error] here. *)
 let decode_reorder ~plan ~mode s =
-  decode_frame ~plan ~mode ~kind:kind_reorder r_reorder s
+  decode_frame ~plan ~mode ~kind:kind_reorder
+    (fun r ->
+      let x = r_reorder ~mode r in
+      ignore (Reorder.import ~observe:false plan x);
+      x)
+    s

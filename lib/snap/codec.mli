@@ -16,9 +16,6 @@ exception Corrupt of string
 val version : int
 (** Current snapshot format version (encoded as a u16). *)
 
-val crc32 : string -> int
-(** CRC-32 (IEEE 802.3, polynomial 0xEDB88320) of the whole string. *)
-
 val plan_fingerprint :
   Fw_plan.Plan.t -> Fw_engine.Stream_exec.mode -> int64
 (** FNV-1a 64-bit hash of the plan's structural rendering plus the
@@ -29,11 +26,11 @@ val plan_fingerprint :
 (** {2 Snapshots} *)
 
 type snapshot = {
-  s_export : Fw_engine.Stream_exec.export;
-      (** full executor state; [x_rows] is always [] — emitted rows
-          live in the row log, not the snapshot, so checkpoint cost is
-          proportional to live operator state rather than to all output
-          ever produced *)
+  s_image : string;
+      (** the executor's {!Fw_engine.Stream_exec.export} image; it holds
+          no rows — emitted rows live in the row log, not the snapshot,
+          so checkpoint cost is proportional to live operator state
+          rather than to all output ever produced *)
   s_rows_persisted : int;
       (** emitted rows covered by this snapshot: the row-log prefix
           that was durable when it was taken *)
@@ -51,7 +48,10 @@ val decode_snapshot :
   string ->
   (snapshot, string) result
 (** Verifies magic, version, fingerprint of [(plan, mode)], length and
-    CRC before touching the payload. *)
+    CRC before touching the payload, and that the image was taken in
+    [mode].  The image's contents are checked when
+    {!Fw_engine.Stream_exec.import} restores it ({!Recover.load} falls
+    back past a snapshot whose image does not restore). *)
 
 (** {2 Write-ahead log}
 
@@ -102,7 +102,8 @@ val decode_reorder :
   string ->
   (Fw_engine.Reorder.export, string) result
 (** Same fail-closed checks as {!decode_snapshot}, plus validation of
-    the reorder statistics (non-negative) and event times. *)
+    the reorder statistics (non-negative) and event times; the blob is
+    accepted only if {!Fw_engine.Reorder.import} restores it. *)
 
 (** {2 Test helpers} *)
 

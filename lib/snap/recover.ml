@@ -34,30 +34,35 @@ let scan dir =
     List.sort compare !wals,
     List.fold_left max 0 (!chks @ !wals) )
 
-(* Newest decodable snapshot, falling back past corrupt/truncated
-   ones.  A snapshot is only usable if the row log holds at least the
-   rows it claims ([rows_avail] is the decodable whole-record count);
-   counts are monotone over snapshots, so falling back to an older one
-   can only relax that requirement.  Returns the snapshots skipped
-   with their decode errors. *)
-let rec latest_valid ~plan ~mode ~rows_avail dir skipped = function
+(* Newest snapshot that decodes and restores, falling back past
+   corrupt/truncated ones.  A snapshot is only usable if the row log
+   holds at least the rows it claims ([rows_avail] is the decodable
+   whole-record count); counts are monotone over snapshots, so falling
+   back to an older one can only relax that requirement.  [restore]
+   rebuilds the pipeline from a decoded snapshot, or says why its image
+   does not restore.  Returns the snapshots skipped with their
+   errors. *)
+let rec latest_valid ~plan ~mode ~rows_avail ~restore dir skipped = function
   | [] -> (None, List.rev skipped)
   | g :: older -> (
-      let path = Filename.concat dir (Checkpoint.chk_name g) in
-      match read_file path with
-      | Error m -> latest_valid ~plan ~mode ~rows_avail dir ((g, m) :: skipped) older
+      let skip m =
+        latest_valid ~plan ~mode ~rows_avail ~restore dir ((g, m) :: skipped)
+          older
+      in
+      match read_file (Filename.concat dir (Checkpoint.chk_name g)) with
+      | Error m -> skip m
       | Ok data -> (
           match Codec.decode_snapshot ~plan ~mode data with
+          | Error m -> skip m
           | Ok snap when snap.Codec.s_rows_persisted > rows_avail ->
-              let m =
-                Printf.sprintf
-                  "claims %d persisted rows but the row log only holds %d"
-                  snap.Codec.s_rows_persisted rows_avail
-              in
-              latest_valid ~plan ~mode ~rows_avail dir ((g, m) :: skipped) older
-          | Ok snap -> (Some (g, snap), List.rev skipped)
-          | Error m ->
-              latest_valid ~plan ~mode ~rows_avail dir ((g, m) :: skipped) older))
+              skip
+                (Printf.sprintf
+                   "claims %d persisted rows but the row log only holds %d"
+                   snap.Codec.s_rows_persisted rows_avail)
+          | Ok snap -> (
+              match restore snap with
+              | Ok restored -> (Some (g, snap, restored), List.rev skipped)
+              | Error m -> skip m)))
 
 let rec take n = function
   | x :: tl when n > 0 -> x :: take (n - 1) tl
@@ -112,17 +117,44 @@ let load ~dir ?every ?on_punctuation ?retain ?fault ?(observe = true)
         | Ok data -> Codec.decode_rows data
         | Error _ -> []
       in
+      (* restore the cost-model counters to their at-snapshot values;
+         replay re-records the post-snapshot increments through the
+         normal executor paths.  The executor gets back the persisted
+         row prefix the snapshot covers; rows beyond it re-emerge
+         during replay. *)
+      let restore s =
+        let metrics = Metrics.create () in
+        Metrics.record_ingest metrics s.Codec.s_ingested;
+        List.iter
+          (fun (w, n) -> Metrics.record metrics w n)
+          s.Codec.s_processed;
+        match
+          Stream_exec.import ~metrics ~observe ?spill plan
+            ~rows:(take s.Codec.s_rows_persisted rows_log)
+            s.Codec.s_image
+        with
+        | exec -> Ok (metrics, exec)
+        | exception Invalid_argument m ->
+            Error ("snapshot does not restore: " ^ m)
+      in
       let found, skipped =
-        latest_valid ~plan ~mode ~rows_avail:(List.length rows_log) dir []
-          (List.rev chks)
+        latest_valid ~plan ~mode ~rows_avail:(List.length rows_log) ~restore
+          dir [] (List.rev chks)
       in
       let base =
         (* no valid snapshot: a full-history log (segment 0 onward)
            still recovers from scratch; otherwise fail closed *)
         match found with
-        | Some (g, snap) -> Ok (Some g, snap.Codec.s_ingested, Some snap)
+        | Some (g, snap, (metrics, exec)) ->
+            Ok (Some g, snap.Codec.s_rows_persisted, metrics, exec)
         | None ->
-            if List.mem 0 wals then Ok (None, 0, None)
+            if List.mem 0 wals then
+              let metrics = Metrics.create () in
+              Ok
+                ( None,
+                  0,
+                  metrics,
+                  Stream_exec.create ~metrics ~mode ~observe ?spill plan )
             else
               Error
                 (String.concat "; "
@@ -134,78 +166,46 @@ let load ~dir ?every ?on_punctuation ?retain ?fault ?(observe = true)
       in
       match base with
       | Error m -> Error m
-      | Ok (recovered_from, ingested0, snap) -> (
-          let metrics = Metrics.create () in
-          (* restore the cost-model counters to their at-snapshot
-             values; replay re-records the post-snapshot increments
-             through the normal executor paths *)
-          Metrics.record_ingest metrics ingested0;
-          (match snap with
-          | Some s ->
-              List.iter (fun (w, n) -> Metrics.record metrics w n) s.Codec.s_processed
-          | None -> ());
-          let rows_persisted =
-            match snap with Some s -> s.Codec.s_rows_persisted | None -> 0
+      | Ok (recovered_from, rows_persisted, metrics, exec) -> (
+          let first = match recovered_from with Some g -> g | None -> 0 in
+          let max_wal = List.fold_left max (-1) wals in
+          let counts = (ref 0, ref 0) in
+          let rec replay g =
+            if g > max_wal then Ok ()
+            else if not (List.mem g wals) then
+              (* a trailing gap is fine (crash between snapshot rename
+                 and log rotation); a gap with later segments present
+                 is data loss *)
+              if List.exists (fun w -> w > g) wals then
+                Error
+                  (Printf.sprintf
+                     "log segment %d is missing but later segments exist — \
+                      refusing to resume over lost input"
+                     g)
+              else Ok ()
+            else
+              match
+                replay_segment exec
+                  (Filename.concat dir (Checkpoint.wal_name g))
+                  counts
+              with
+              | Error _ as e -> e
+              | Ok () -> replay (g + 1)
           in
-          let exec =
-            match snap with
-            | Some s -> (
-                (* re-attach the persisted row prefix the snapshot
-                   covers; rows beyond it re-emerge during replay *)
-                let export =
-                  {
-                    s.Codec.s_export with
-                    Stream_exec.x_rows = take rows_persisted rows_log;
-                  }
-                in
-                try Ok (Stream_exec.import ~metrics ~observe ?spill plan export)
-                with Invalid_argument m ->
-                  Error ("snapshot does not fit the plan: " ^ m))
-            | None -> Ok (Stream_exec.create ~metrics ~mode ~observe ?spill plan)
-          in
-          match exec with
+          match replay first with
           | Error m -> Error m
-          | Ok exec -> (
-              let first = match recovered_from with Some g -> g | None -> 0 in
-              let max_wal = List.fold_left max (-1) wals in
-              let counts = (ref 0, ref 0) in
-              let rec replay g =
-                if g > max_wal then Ok ()
-                else if not (List.mem g wals) then
-                  (* a trailing gap is fine (crash between snapshot
-                     rename and log rotation); a gap with later
-                     segments present is data loss *)
-                  if List.exists (fun w -> w > g) wals then
-                    Error
-                      (Printf.sprintf
-                         "log segment %d is missing but later segments exist \
-                          — refusing to resume over lost input"
-                         g)
-                  else Ok ()
-                else
-                  match
-                    replay_segment exec
-                      (Filename.concat dir (Checkpoint.wal_name g))
-                      counts
-                  with
-                  | Error _ as e -> e
-                  | Ok () -> replay (g + 1)
+          | Ok () ->
+              truncate_rows dir rows_log rows_persisted;
+              let checkpoint =
+                Checkpoint.resume ~dir ?every ?on_punctuation ?retain ?fault
+                  ~observe ~plan ~metrics ~seq:max_seen ~rows_persisted exec
               in
-              match replay first with
-              | Error m -> Error m
-              | Ok () ->
-                  truncate_rows dir rows_log rows_persisted;
-                  let checkpoint =
-                    Checkpoint.resume ~dir ?every ?on_punctuation ?retain
-                      ?fault ~observe ~plan ~metrics ~seq:max_seen
-                      ~rows_persisted exec
-                  in
-                  Ok
-                    {
-                      checkpoint;
-                      metrics;
-                      recovered_from;
-                      replayed_events = !(fst counts);
-                      replayed_advances = !(snd counts);
-                      skipped;
-                    }))
+              Ok
+                {
+                  checkpoint;
+                  metrics;
+                  recovered_from;
+                  replayed_events = !(fst counts);
+                  replayed_advances = !(snd counts);
+                  skipped;
+                })

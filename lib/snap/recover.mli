@@ -1,10 +1,10 @@
 (** Crash recovery: rebuild a running pipeline from a {!Checkpoint}
     directory.
 
-    {!load} picks the newest snapshot that decodes cleanly — falling
-    back past corrupt, truncated or torn ones, whose decode errors it
-    reports in [skipped] — restores the executor and the cost-model
-    counters to their at-snapshot values, then replays the log
+    {!load} picks the newest snapshot that decodes and restores
+    cleanly — falling back past corrupt, truncated or torn ones, whose
+    errors it reports in [skipped] — restores the executor and the
+    cost-model counters to their at-snapshot values, then replays the log
     segments from that snapshot forward through the normal executor
     paths.  Because the engine is deterministic and the codec
     preserves float bit patterns, the resumed pipeline's rows and
@@ -25,7 +25,8 @@ type resumed = {
   replayed_events : int;
   replayed_advances : int;
   skipped : (int * string) list;
-      (** snapshots skipped as undecodable, with their errors *)
+      (** snapshots skipped as undecodable or unrestorable, with their
+          errors *)
 }
 
 val load :

@@ -1,13 +1,11 @@
-(* Binary reader/writer primitives shared by the snapshot codec
-   ({!Fw_snap.Codec}) and the spill files ({!Fw_spill.File}).
+(* Binary reader/writer primitives shared by the spill files
+   ({!Fw_spill.File}), the store codecs, the engine image and the
+   snapshot codec ({!Fw_snap.Codec}), which all call them directly.
 
-   These used to live inside the snapshot codec; they moved down here —
-   below the engine in the dependency graph — so the out-of-core state
-   store can serialize evicted per-key state with the exact same
-   battle-tested primitives the checkpoint subsystem uses, without
-   creating a cycle (the snapshot codec depends on the engine, which
-   depends on the store).  [Fw_snap.Codec] re-exports everything, and
-   its byte format is unchanged.
+   They live below the engine in the dependency graph, so the
+   out-of-core state store can serialize per-key state with them
+   without creating a cycle (the snapshot codec depends on the engine,
+   which depends on the store).
 
    Integers are fixed 64-bit little-endian (an OCaml [int] round-trips
    losslessly through [Int64]); floats are their IEEE bit patterns, so

@@ -1,13 +1,12 @@
-(** Binary reader/writer primitives shared by the snapshot codec
-    ({!Fw_snap.Codec}) and the spill files.
+(** Binary reader/writer primitives shared by every byte format: the
+    spill files and store codecs ({!Store}), the engine image and the
+    snapshot codec ({!Fw_snap.Codec}), which all call them directly.
 
     Dependency-free: fixed little-endian integers, IEEE float bit
     patterns (decoded states are bit-identical to the encoded ones) and
-    length-prefixed strings over [Buffer]/[String].  These primitives
-    moved here from the snapshot codec so the out-of-core state store —
-    which sits {e below} the engine in the dependency graph — can share
-    them; [Fw_snap.Codec] re-exports them and its byte format is
-    unchanged. *)
+    length-prefixed strings over [Buffer]/[String].  They sit {e below}
+    the engine in the dependency graph, so the out-of-core state store
+    can use them without a cycle. *)
 
 exception Corrupt of string
 (** Raised by readers on malformed input. *)

@@ -61,7 +61,7 @@ type 'a budgeted = {
   mutable file : File.t option;  (* opened lazily, on first eviction *)
 }
 
-type 'a t = R of (string, 'a) Hashtbl.t | B of 'a budgeted
+type 'a t = R of 'a codec * (string, 'a) Hashtbl.t | B of 'a budgeted
 
 (* Compact when the file passes 64 KiB with over half its bytes
    garbage. *)
@@ -171,7 +171,7 @@ let close_backend b ~remove =
 
 let create ?pool ~name codec =
   match pool with
-  | None -> R (Hashtbl.create 16)
+  | None -> R (codec, Hashtbl.create 16)
   | Some pool ->
       let b =
         {
@@ -258,12 +258,14 @@ let add_entry b key v =
 
 (* --- map operations -------------------------------------------------- *)
 
-let length = function R tbl -> Hashtbl.length tbl | B b -> Hashtbl.length b.tbl
+let length = function
+  | R (_, tbl) -> Hashtbl.length tbl
+  | B b -> Hashtbl.length b.tbl
 let is_empty t = length t = 0
 
 let find t key =
   match t with
-  | R tbl -> Hashtbl.find_opt tbl key
+  | R (_, tbl) -> Hashtbl.find_opt tbl key
   | B b -> (
       match Hashtbl.find_opt b.tbl key with
       | None -> None
@@ -274,7 +276,7 @@ let find t key =
 
 let set t key v =
   match t with
-  | R tbl -> Hashtbl.replace tbl key v
+  | R (_, tbl) -> Hashtbl.replace tbl key v
   | B b ->
       (match Hashtbl.find_opt b.tbl key with
       | None -> ignore (add_entry b key v)
@@ -296,7 +298,7 @@ let set t key v =
 
 let remove t key =
   match t with
-  | R tbl -> Hashtbl.remove tbl key
+  | R (_, tbl) -> Hashtbl.remove tbl key
   | B b -> (
       match Hashtbl.find_opt b.tbl key with
       | None -> ()
@@ -319,7 +321,7 @@ let remove t key =
    operations (use {!pinned} when it must). *)
 let update t key f =
   match t with
-  | R tbl -> Hashtbl.replace tbl key (f (Hashtbl.find_opt tbl key))
+  | R (_, tbl) -> Hashtbl.replace tbl key (f (Hashtbl.find_opt tbl key))
   | B b ->
       (match Hashtbl.find_opt b.tbl key with
       | Some e ->
@@ -336,7 +338,7 @@ let update t key f =
    under it. *)
 let pinned t key ~init f =
   match t with
-  | R tbl ->
+  | R (_, tbl) ->
       let v =
         match Hashtbl.find_opt tbl key with
         | Some v -> v
@@ -372,7 +374,7 @@ let pinned t key ~init f =
    as the engine's firing paths do). *)
 let iter f t =
   match t with
-  | R tbl -> Hashtbl.iter f tbl
+  | R (_, tbl) -> Hashtbl.iter f tbl
   | B b ->
       let entries = Hashtbl.fold (fun _ e acc -> e :: acc) b.tbl [] in
       List.iter
@@ -392,7 +394,7 @@ let iter f t =
 
 let fold f t acc =
   match t with
-  | R tbl -> Hashtbl.fold f tbl acc
+  | R (_, tbl) -> Hashtbl.fold f tbl acc
   | B b ->
       let entries = Hashtbl.fold (fun _ e acc -> e :: acc) b.tbl [] in
       List.fold_left
@@ -413,7 +415,7 @@ let fold f t acc =
 
 let clear t =
   match t with
-  | R tbl -> Hashtbl.reset tbl
+  | R (_, tbl) -> Hashtbl.reset tbl
   | B b ->
       Hashtbl.iter
         (fun _ e ->
@@ -434,3 +436,43 @@ let clear t =
             Pool.set_disk b.pool (-sz)
           end
       | None -> ())
+
+(* --- whole-store image ----------------------------------------------- *)
+
+(* A store's image is its entries as a key-sorted list of (key, codec
+   payload): the same bytes a spill record holds, so each state family
+   has one encoder for both spilling and snapshots.  Writing faults
+   spilled entries in (through [fold]), and the key order makes the
+   image the same whatever the backend. *)
+
+let codec_of = function R (codec, _) -> codec | B b -> b.codec
+
+let write buf t =
+  let codec = codec_of t in
+  Bin.w_list buf
+    (fun buf (key, v) ->
+      Bin.w_string buf key;
+      codec.enc buf v)
+    (List.sort
+       (fun (a, _) (b, _) -> String.compare a b)
+       (fold (fun key v acc -> (key, v) :: acc) t []))
+
+let read f t r =
+  let codec = codec_of t in
+  clear t;
+  let n = Bin.r_i64 r in
+  if n < 0 || n > Bin.remaining r then
+    Bin.corrupt "invalid store entry count %d (%d bytes remaining)" n
+      (Bin.remaining r);
+  let prev = ref None in
+  for _ = 1 to n do
+    let key = Bin.r_string r in
+    (match !prev with
+    | Some p when String.compare p key >= 0 ->
+        Bin.corrupt "store image key %S after %S: keys must ascend" key p
+    | Some _ | None -> ());
+    prev := Some key;
+    let v = codec.dec r in
+    f key v;
+    set t key v
+  done

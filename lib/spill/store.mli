@@ -76,8 +76,25 @@ val iter : (string -> 'a -> unit) -> 'a t -> unit
 
 val fold : (string -> 'a -> 'acc -> 'acc) -> 'a t -> 'acc -> 'acc
 (** Same visiting rules as {!iter}.  Folding over a budgeted store
-    faults every entry in — this is how checkpoints re-absorb spilled
-    state, keeping snapshots self-contained. *)
+    faults every entry in. *)
 
 val clear : 'a t -> unit
 (** Drop every entry and truncate the spill file. *)
+
+(** {2 Whole-store image}
+
+    The snapshot form of a store: [count i64] then, in ascending key
+    order, each entry's key ({!Bin.w_string}) followed by its codec
+    payload — the bytes its spill record holds.  One encoder per state
+    family serves both spilling and checkpoints. *)
+
+val write : Buffer.t -> 'a t -> unit
+(** Append the store's image.  Spilled entries are faulted in (as with
+    {!fold}), and the key order makes the image byte-identical
+    whatever the backend and eviction history. *)
+
+val read : (string -> 'a -> unit) -> 'a t -> Bin.reader -> unit
+(** [read f t r] replaces [t]'s contents with the image at [r], calling
+    [f key v] on each entry as it is loaded (to rebuild resident
+    indexes over the entries).  Raises {!Bin.Corrupt} on a malformed
+    image, including duplicate or out-of-order keys. *)

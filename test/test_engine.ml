@@ -681,7 +681,11 @@ let prop_fire_index_complete =
       List.iter (fun e -> if e.Event.time < cut then Stream_exec.feed a e) events;
       let before = Metrics.per_window ma in
       let mb = Metrics.create () in
-      let b = Stream_exec.import ~metrics:mb plan (Stream_exec.export a) in
+      let rows t = List.init (Stream_exec.row_count t) (Stream_exec.row t) in
+      let b =
+        Stream_exec.import ~metrics:mb plan ~rows:(rows a)
+          (Stream_exec.export a)
+      in
       let charged_since_export () =
         List.filter_map
           (fun (win, n) ->
@@ -690,7 +694,6 @@ let prop_fire_index_complete =
           (Metrics.per_window ma)
       in
       let charged m = List.filter (fun (_, n) -> n > 0) (Metrics.per_window m) in
-      let rows t = List.init (Stream_exec.row_count t) (Stream_exec.row t) in
       Stream_exec.advance a wm;
       Stream_exec.advance b wm;
       let same_at_wm =

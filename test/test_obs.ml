@@ -748,6 +748,55 @@ let raw_roundtrip ~port ?(shutdown_after_send = false) payload =
       drain ();
       Buffer.contents buf)
 
+(* A client that trickles its head a byte at a time, faster than any
+   per-read timeout, must be cut off by the per-connection deadline
+   (answered 408 or closed), after which the single accept domain
+   serves the next client. *)
+let test_httpd_trickle_deadline () =
+  let s = Fw_obs.Httpd.start ~port:0 (fun _ -> Fw_obs.Httpd.ok "served\n") in
+  Fun.protect
+    ~finally:(fun () -> Fw_obs.Httpd.stop s)
+    (fun () ->
+      let port = Fw_obs.Httpd.port s in
+      let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      let t0 = Unix.gettimeofday () in
+      let answer =
+        Fun.protect
+          ~finally:(fun () -> try Unix.close sock with Unix.Unix_error _ -> ())
+          (fun () ->
+            Unix.connect sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+            let head = "GET /slow HTTP/1.1\r\nX-Trickle: " in
+            let chunk = Bytes.create 1024 in
+            (* one byte every 0.3 s, never ending the head; stop at the
+               first sign of the server: a response, EOF or a reset *)
+            let rec trickle i =
+              if Unix.gettimeofday () -. t0 > 15.0 then None
+              else
+                let byte = if i < String.length head then head.[i] else 'a' in
+                match
+                  ignore (Unix.write_substring sock (String.make 1 byte) 0 1);
+                  Unix.select [ sock ] [] [] 0.3
+                with
+                | [], _, _ -> trickle (i + 1)
+                | _ -> (
+                    match Unix.read sock chunk 0 1024 with
+                    | n -> Some (Bytes.sub_string chunk 0 n)
+                    | exception Unix.Unix_error _ -> Some "")
+                | exception Unix.Unix_error _ -> Some ""
+            in
+            trickle 0)
+      in
+      let elapsed = Unix.gettimeofday () -. t0 in
+      (match answer with
+      | None -> Alcotest.fail "trickling client was never cut off"
+      | Some resp ->
+          check_bool "cut off by a 408 or a close" true
+            (resp = "" || contains ~needle:"408" resp));
+      check_bool "cut off within the deadline" true (elapsed < 7.0);
+      let st, body = http_get ~port ~path:"/next" in
+      check_int "next client served" 200 (status_code st);
+      check_bool "next client's answer" true (contains ~needle:"served" body))
+
 (* An echo server with a tiny body bound: the shared core must refuse
    an oversized Content-Length with 413 before reading the body, and
    answer 400 on a body the client cut short — never hand a torn body
@@ -855,6 +904,8 @@ let suite =
       test_scrape_bare_lf_request;
     Alcotest.test_case "scrape: client disconnect mid-response" `Quick
       test_scrape_client_disconnect;
+    Alcotest.test_case "httpd: trickling client cut off by the deadline"
+      `Quick test_httpd_trickle_deadline;
     Alcotest.test_case "httpd: body bounds (413/400/torn)" `Quick
       test_httpd_body_limits;
     Alcotest.test_case "trace: ring buffer" `Quick test_trace_ring;

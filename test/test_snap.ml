@@ -141,16 +141,11 @@ let running_exec ?(agg = Aggregate.Min) ?(mode = Stream_exec.Incremental) () =
 
 let snapshot_of exec metrics =
   {
-    Codec.s_export = Stream_exec.export ~rows:false exec;
+    Codec.s_image = Stream_exec.export exec;
     s_rows_persisted = Stream_exec.row_count exec;
     s_ingested = Metrics.ingested metrics;
     s_processed = Metrics.per_window metrics;
   }
-
-let eq_export (a : Stream_exec.export) (b : Stream_exec.export) =
-  (* structural equality is bit-exact for floats here because every
-     float went through the bits codec; fixture values are never NaN *)
-  a = b
 
 let test_snapshot_roundtrip_modes () =
   List.iter
@@ -166,10 +161,8 @@ let test_snapshot_roundtrip_modes () =
           check_int "ingested" snap.Codec.s_ingested snap'.Codec.s_ingested;
           check_bool "processed" true
             (snap'.Codec.s_processed = snap.Codec.s_processed);
-          check_bool "export states" true
-            (eq_export
-               { snap.Codec.s_export with Stream_exec.x_rows = [] }
-               snap'.Codec.s_export))
+          check_bool "engine image" true
+            (String.equal snap.Codec.s_image snap'.Codec.s_image))
     [
       (Aggregate.Min, Stream_exec.Incremental);
       (Aggregate.Max, Stream_exec.Incremental);
@@ -512,6 +505,56 @@ let prop_reorder_corrupt_byte_rejected =
       | Error _ -> true
       | Ok _ -> false)
 
+(* A CRC-valid frame around a corrupted engine image: the frame checks
+   cannot see the damage, so the image decoder must.  Every single-byte
+   flip must end in a typed [Error] from the decoder or an
+   [Invalid_argument] from the restore that [Recover.load] treats as a
+   skipped snapshot — never another exception.  Reorder blobs restore
+   their image inside [decode_reorder], so they must end in [Ok] or
+   [Error]. *)
+let prop_image_corruption_typed =
+  let plan, mode, metrics, exec = running_exec () in
+  let snap = snapshot_of exec metrics in
+  let x = Reorder.export (running_reorder ()) in
+  let flip s pos v =
+    let b = Bytes.of_string s in
+    let pos = pos mod Bytes.length b in
+    Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor v));
+    Bytes.to_string b
+  in
+  qtest ~count:400 "CRC-valid image corruption ends in a typed error"
+    QCheck2.Gen.(pair (int_range 0 100_000) (int_range 1 255))
+    (fun (pos, v) -> Printf.sprintf "flip image byte %d with 0x%02x" pos v)
+    (fun (pos, v) ->
+      let engine_typed =
+        match
+          Codec.encode_snapshot ~plan
+            { snap with Codec.s_image = flip snap.Codec.s_image pos v }
+        with
+        | exception Invalid_argument _ -> true (* mode byte: unencodable *)
+        | data -> (
+            match Codec.decode_snapshot ~plan ~mode data with
+            | Error _ -> true
+            | Ok s -> (
+                match Stream_exec.import plan ~rows:[] s.Codec.s_image with
+                | _ -> true
+                | exception Invalid_argument _ -> true))
+      in
+      let reorder_typed =
+        match
+          Codec.encode_reorder ~plan:cycle_plan
+            { x with Reorder.x_exec = flip x.Reorder.x_exec pos v }
+        with
+        | exception Invalid_argument _ -> true
+        | data -> (
+            match
+              Codec.decode_reorder ~plan:cycle_plan
+                ~mode:Stream_exec.Incremental data
+            with
+            | Ok _ | Error _ -> true)
+      in
+      engine_typed && reorder_typed)
+
 let test_reorder_kind_confusion_fails_closed () =
   (* same plan, same mode, valid CRC — only the payload kind differs.
      Each decoder must refuse the other's blob. *)
@@ -579,6 +622,7 @@ let suite =
     Alcotest.test_case "reorder restore-and-finish identical" `Quick
       test_reorder_restore_and_finish;
     prop_reorder_corrupt_byte_rejected;
+    prop_image_corruption_typed;
     Alcotest.test_case "snapshot kind confusion fails closed" `Quick
       test_reorder_kind_confusion_fails_closed;
     Alcotest.test_case "file name parsing" `Quick test_name_parsing;

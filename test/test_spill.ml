@@ -511,6 +511,101 @@ let test_checkpoint_under_budget_byte_identical () =
           check_bool "the checkpointed run spilled" true
             (Pool.evictions pool > 0)))
 
+(* --- engine images are backend-independent ----------------------------- *)
+
+(* A snapshot writes every store as a key-sorted list of (key, spill
+   codec payload), so the engine image must not depend on the backend:
+   an executor whose entries all sit in spill files (budget 0) exports
+   the same bytes as a resident one fed the same input.  Either image,
+   restored on the other backend and fed the rest of the stream, must
+   then give the same rows, counters and final image.  Time hops
+   (aligned and not, per-instance and pane nodes, window-fed under a
+   rewrite), count hops and sessions, in both modes. *)
+let gen_image_case =
+  QCheck2.Gen.(
+    let family =
+      oneof
+        [
+          gen_window;
+          (let* s = int_range 2 6 in
+           let* extra = int_range 1 (s - 1) in
+           return (Window.make ~range:(s + extra) ~slide:s));
+          gen_count_window;
+          map (fun gap -> Window.session ~gap) (int_range 1 4);
+        ]
+    in
+    let* n = int_range 1 3 in
+    let* ws = list_repeat n family in
+    let* rewrite = bool in
+    let* mode = oneofl [ Stream_exec.Naive; Stream_exec.Incremental ] in
+    let* agg = oneofl [ Aggregate.Sum; Aggregate.Max; Aggregate.Median ] in
+    let* seed = int_range 0 10000 in
+    let* cut = int_range 0 60 in
+    return (Window.dedup ws, rewrite, mode, agg, seed, cut))
+
+let print_image_case (ws, rewrite, mode, agg, seed, cut) =
+  Printf.sprintf "%s %s %s %s seed=%d cut=%d" (print_window_list ws)
+    (if rewrite then "rewritten" else "naive")
+    (match mode with
+    | Stream_exec.Naive -> "Naive"
+    | Incremental -> "Incremental")
+    (Aggregate.to_string agg) seed cut
+
+let prop_image_backend_independent =
+  qtest ~count:120 "engine image: budget 0 = resident, byte for byte"
+    gen_image_case print_image_case
+    (fun (ws, rewrite, mode, agg, seed, cut) ->
+      let plan =
+        if rewrite then
+          match Fw_plan.Rewrite.optimize agg ws with
+          | outcome -> outcome.Fw_plan.Rewrite.plan
+          | exception _ -> Plan.naive agg ws
+        else Plan.naive agg ws
+      in
+      let horizon = 60 in
+      (* quiet spells of three ticks make sessions rotate *)
+      let events =
+        List.filter
+          (fun e -> e.Event.time mod 9 < 6)
+          (Fw_workload.Event_gen.varied (Fw_util.Prng.create seed)
+             {
+               Fw_workload.Event_gen.default_config with
+               keys = [ ""; "a"; "b"; "c" ];
+             }
+             ~eta_max:3 ~horizon)
+      in
+      let feed t p =
+        List.iter
+          (fun e -> if p e.Event.time then Stream_exec.feed t e)
+          events
+      in
+      let rows t = List.init (Stream_exec.row_count t) (Stream_exec.row t) in
+      let resident = Stream_exec.create ~mode plan in
+      feed resident (fun tm -> tm < cut);
+      let image = Stream_exec.export resident in
+      let rows_at_cut = rows resident in
+      feed resident (fun tm -> tm >= cut);
+      let rows_whole = Stream_exec.close resident ~horizon in
+      with_pool ~budget:0 (fun pool ->
+          let spilled = Stream_exec.create ~mode ~spill:pool plan in
+          feed spilled (fun tm -> tm < cut);
+          let image' = Stream_exec.export spilled in
+          (* restore each image on the other backend *)
+          let finish ?spill image =
+            let metrics = Metrics.create () in
+            let t =
+              Stream_exec.import ~metrics ?spill plan ~rows:rows_at_cut image
+            in
+            feed t (fun tm -> tm >= cut);
+            let final = Stream_exec.export t in
+            (Stream_exec.close t ~horizon, Metrics.per_window metrics, final)
+          in
+          let rows_a, per_a, final_a = finish image' in
+          let rows_b, per_b, final_b = finish ~spill:pool image in
+          String.equal image image'
+          && rows_a = rows_whole && rows_b = rows_whole && per_a = per_b
+          && String.equal final_a final_b))
+
 let suite =
   [
     Alcotest.test_case "store semantics (resident)" `Quick
@@ -545,4 +640,5 @@ let suite =
       test_pane_roll_one_access_per_key;
     Alcotest.test_case "checkpoint under budget is byte-identical" `Quick
       test_checkpoint_under_budget_byte_identical;
+    prop_image_backend_independent;
   ]
