@@ -58,6 +58,7 @@ let fold f t acc = Store.fold f t.store acc
 let size t = Store.length t.store
 let is_empty t = Store.is_empty t.store
 let clear t = Store.clear t.store
+let release t = Store.release t.store
 let adds t = t.adds
 let merges t = t.merges
 

@@ -51,6 +51,9 @@ val is_empty : t -> bool
 val clear : t -> unit
 (** Empty the pane for reuse (the engine recycles one open pane). *)
 
+val release : t -> unit
+(** Empty the pane for good: see {!Fw_spill.Store.release}. *)
+
 (** {2 Introspection}
 
     Cumulative lifetime counters (they survive {!clear}) for the

@@ -1026,18 +1026,19 @@ let read_node r id node =
             different plan or mode)"
            id tag)
 
-(* Drop whatever a failed import loaded, so its entries stop counting
-   against a shared pool's budget. *)
-let clear_stores t =
+(* Drop whatever a failed import loaded and take its stores out of a
+   shared pool, so they stop counting against its budget and leave no
+   spill file or eviction hook behind. *)
+let release_stores t =
   Array.iter
     (function
       | N_forward | N_filter _ | N_union _ -> ()
-      | N_win st -> Store.clear st.w_keys
+      | N_win st -> Store.release st.w_keys
       | N_pane ps ->
-          Pane.clear ps.open_pane;
-          Store.clear ps.queues
-      | N_cwin st -> Store.clear st.c_keys
-      | N_session st -> Store.clear st.s_open)
+          Pane.release ps.open_pane;
+          Store.release ps.queues
+      | N_cwin st -> Store.release st.c_keys
+      | N_session st -> Store.release st.s_open)
     t.states
 
 let import ?metrics ?observe ?spill plan ~rows image =
@@ -1054,10 +1055,10 @@ let import ?metrics ?observe ?spill plan ~rows image =
        Bin.corrupt "trailing bytes after engine image (%d)" (Bin.remaining r)
    with
   | Bin.Corrupt m ->
-      clear_stores t;
+      release_stores t;
       invalid_arg ("Stream_exec.import: corrupt image: " ^ m)
   | Invalid_argument _ as e ->
-      clear_stores t;
+      release_stores t;
       raise e);
   List.iter (Vec.push t.rows) rows;
   t

@@ -373,12 +373,5 @@ let encode_reorder ~plan (x : Reorder.export) =
       (plan_fingerprint plan (Stream_exec.image_mode x.Reorder.x_exec))
     (Buffer.contents payload)
 
-(* The image inside is checked the only way there is, by restoring the
-   pipeline it describes; a restore that fails is an [Error] here. *)
 let decode_reorder ~plan ~mode s =
-  decode_frame ~plan ~mode ~kind:kind_reorder
-    (fun r ->
-      let x = r_reorder ~mode r in
-      ignore (Reorder.import ~observe:false plan x);
-      x)
-    s
+  decode_frame ~plan ~mode ~kind:kind_reorder (r_reorder ~mode) s

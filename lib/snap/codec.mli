@@ -102,8 +102,10 @@ val decode_reorder :
   string ->
   (Fw_engine.Reorder.export, string) result
 (** Same fail-closed checks as {!decode_snapshot}, plus validation of
-    the reorder statistics (non-negative) and event times; the blob is
-    accepted only if {!Fw_engine.Reorder.import} restores it. *)
+    the reorder statistics (non-negative) and event times.  As with
+    {!decode_snapshot}, the executor image is checked when
+    {!Fw_engine.Reorder.import} restores it, which raises
+    [Invalid_argument] on a malformed one. *)
 
 (** {2 Test helpers} *)
 

@@ -59,6 +59,7 @@ type 'a budgeted = {
   tbl : (string, 'a entry) Hashtbl.t;
   clock : 'a entry Queue.t;  (* eviction candidates, FIFO + second chance *)
   mutable file : File.t option;  (* opened lazily, on first eviction *)
+  mutable member : int;  (* pool registration, for {!release} *)
 }
 
 type 'a t = R of 'a codec * (string, 'a) Hashtbl.t | B of 'a budgeted
@@ -181,12 +182,13 @@ let create ?pool ~name codec =
           tbl = Hashtbl.create 16;
           clock = Queue.create ();
           file = None;
+          member = -1;
         }
       in
-      ignore
-        (Pool.register pool
-           ~evict:(fun () -> evict_one b)
-           ~close:(fun ~remove -> close_backend b ~remove));
+      b.member <-
+        Pool.register pool
+          ~evict:(fun () -> evict_one b)
+          ~close:(fun ~remove -> close_backend b ~remove);
       B b
 
 (* --- fault-in -------------------------------------------------------- *)
@@ -436,6 +438,14 @@ let clear t =
             Pool.set_disk b.pool (-sz)
           end
       | None -> ())
+
+let release t =
+  clear t;
+  match t with
+  | R _ -> ()
+  | B b ->
+      close_backend b ~remove:true;
+      Pool.unregister b.pool b.member
 
 (* --- whole-store image ----------------------------------------------- *)
 

@@ -81,6 +81,10 @@ val fold : (string -> 'a -> 'acc -> 'acc) -> 'a t -> 'acc -> 'acc
 val clear : 'a t -> unit
 (** Drop every entry and truncate the spill file. *)
 
+val release : 'a t -> unit
+(** Drop every entry, delete the spill file and leave the pool, for a
+    store that will not be used again. *)
+
 (** {2 Whole-store image}
 
     The snapshot form of a store: [count i64] then, in ascending key

@@ -161,8 +161,13 @@ let test_snapshot_roundtrip_modes () =
           check_int "ingested" snap.Codec.s_ingested snap'.Codec.s_ingested;
           check_bool "processed" true
             (snap'.Codec.s_processed = snap.Codec.s_processed);
-          check_bool "engine image" true
-            (String.equal snap.Codec.s_image snap'.Codec.s_image))
+          (* decode the image into a live executor and re-export it:
+             every per-key state must survive its store codec bit for
+             bit *)
+          check_bool "engine image restores" true
+            (String.equal snap.Codec.s_image
+               (Stream_exec.export
+                  (Stream_exec.import plan ~rows:[] snap'.Codec.s_image))))
     [
       (Aggregate.Min, Stream_exec.Incremental);
       (Aggregate.Max, Stream_exec.Incremental);
@@ -509,9 +514,8 @@ let prop_reorder_corrupt_byte_rejected =
    cannot see the damage, so the image decoder must.  Every single-byte
    flip must end in a typed [Error] from the decoder or an
    [Invalid_argument] from the restore that [Recover.load] treats as a
-   skipped snapshot — never another exception.  Reorder blobs restore
-   their image inside [decode_reorder], so they must end in [Ok] or
-   [Error]. *)
+   skipped snapshot — never another exception.  Reorder blobs follow
+   the same policy, their image restored by [Reorder.import]. *)
 let prop_image_corruption_typed =
   let plan, mode, metrics, exec = running_exec () in
   let snap = snapshot_of exec metrics in
@@ -551,7 +555,11 @@ let prop_image_corruption_typed =
               Codec.decode_reorder ~plan:cycle_plan
                 ~mode:Stream_exec.Incremental data
             with
-            | Ok _ | Error _ -> true)
+            | Error _ -> true
+            | Ok x' -> (
+                match Reorder.import ~observe:false cycle_plan x' with
+                | _ -> true
+                | exception Invalid_argument _ -> true))
       in
       engine_typed && reorder_typed)
 

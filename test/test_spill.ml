@@ -511,6 +511,33 @@ let test_checkpoint_under_budget_byte_identical () =
           check_bool "the checkpointed run spilled" true
             (Pool.evictions pool > 0)))
 
+(* A restore that fails on a shared pool hands back everything it
+   loaded: no resident bytes, no spill file, no registered store. *)
+let test_failed_import_releases_stores () =
+  let windows = [ Window.make ~range:12 ~slide:4; Window.session ~gap:3 ] in
+  let plan = Plan.naive Aggregate.Stdev windows in
+  let exec = Stream_exec.create ~mode:Stream_exec.Incremental plan in
+  List.iteri
+    (fun i e -> if i < 60 then Stream_exec.feed exec e)
+    family_events;
+  (* a trailing byte is noticed only after every store has loaded *)
+  let image = Stream_exec.export exec ^ "\000" in
+  with_pool ~budget:0 (fun pool ->
+      (match Stream_exec.import ~spill:pool plan ~rows:[] image with
+      | _ -> Alcotest.fail "image with trailing bytes accepted"
+      | exception Invalid_argument _ -> ());
+      check_bool "the import spilled" true (Pool.evictions pool > 0);
+      check_int "no resident bytes" 0 (Pool.resident_bytes pool);
+      check_int "no disk bytes" 0 (Pool.disk_bytes pool);
+      let dir = Pool.dir pool in
+      check_bool "no spill file left" true
+        ((not (Sys.file_exists dir)) || Sys.readdir dir = [||]);
+      (* a released store is no longer swept: rebalancing an empty
+         pool finds nothing to evict *)
+      let ev0 = Pool.evictions pool in
+      Pool.rebalance pool;
+      check_int "no eviction after release" ev0 (Pool.evictions pool))
+
 (* --- engine images are backend-independent ----------------------------- *)
 
 (* A snapshot writes every store as a key-sorted list of (key, spill
@@ -640,5 +667,7 @@ let suite =
       test_pane_roll_one_access_per_key;
     Alcotest.test_case "checkpoint under budget is byte-identical" `Quick
       test_checkpoint_under_budget_byte_identical;
+    Alcotest.test_case "failed import releases its stores" `Quick
+      test_failed_import_releases_stores;
     prop_image_backend_independent;
   ]
