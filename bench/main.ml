@@ -4,19 +4,16 @@
    DESIGN.md, and times the optimizer itself with Bechamel.
 
    Usage:  main.exe [--seed N] [--section NAME]... [--engine-events N]
-           [--key-skew S]
    With no --section, every section runs.  Section names: examples,
    table1, fig11, fig12, fig13, fig14, fig15, validate, measured,
-   ablation, timing, engine, obs, snap, shard, serve, spill, fuzz.
+   ablation, timing, engine, obs, snap, serve, spill, fuzz.
    The engine
    section also writes machine-readable throughput numbers to
-   BENCH_engine.json; the obs section prices the observability
+   BENCH_engine.json, including the batched-vs-per-event guard pair on
+   a 64-key workload; the obs section prices the observability
    instrumentation and writes BENCH_obs.json; the snap section prices
    checkpointing (and times a crash/recovery round trip) into
-   BENCH_snap.json; the shard section measures multicore scaling on a
-   key-heavy workload (--key-skew sets the Zipf exponent of its skewed
-   run) and writes BENCH_shard.json, enforcing the >=2x @ 4-shards
-   gate when the machine has at least 4 cores; the serve section
+   BENCH_snap.json; the serve section
    measures the multi-query server's shared-vs-unshared ingest at
    1/10/100 registered queries plus cold/warm plan-cache registration
    latency and writes BENCH_serve.json, enforcing the >1x sharing and
@@ -44,7 +41,6 @@ let sections = ref []
 let seed = ref default_seed
 let csv = ref false
 let engine_events = ref 20_000
-let key_skew = ref 1.0
 
 let () =
   let rec parse = function
@@ -58,9 +54,6 @@ let () =
     | "--engine-events" :: v :: rest ->
         engine_events := int_of_string v;
         parse rest
-    | "--key-skew" :: v :: rest ->
-        key_skew := float_of_string v;
-        parse rest
     | "--csv" :: rest ->
         csv := true;
         parse rest
@@ -71,6 +64,12 @@ let () =
   parse (List.tl (Array.to_list Sys.argv))
 
 let enabled name = !sections = [] || List.mem name !sections
+
+(* Every BENCH_*.json opens with the host it was measured on. *)
+let json_open buf =
+  Buffer.add_string buf "{\n";
+  Printf.bprintf buf "  \"cores\": %d,\n" (Domain.recommended_domain_count ());
+  Printf.bprintf buf "  \"ocaml\": \"%s\",\n" Sys.ocaml_version
 
 let heading fmt =
   Printf.ksprintf
@@ -660,6 +659,62 @@ let run_batched ?mode plan ~batch ~horizon events =
     Fw_engine.Stream_exec.feed_batch exec b;
   Fw_engine.Stream_exec.close exec ~horizon
 
+(* The batched-throughput guard: per-event vs batched feed on a
+   key-heavy stream (64 keys, rs50x10, SUM, naive plan), best of 3 per
+   measurement.  A regression of [feed_batch] to per-event dispatch
+   shows up here as a batched/per-event ratio well under 1; CI holds
+   the ratio at >= 0.85 in both modes.  Returns the JSON field. *)
+let batched_guard () =
+  let eta = 4 in
+  let horizon = max 1 (!engine_events / eta) in
+  let events =
+    Event_gen.steady
+      (Fw_util.Prng.create (!seed + 17))
+      { Event_gen.default_config with Event_gen.keys = Event_gen.key_pool 64 }
+      ~eta ~horizon
+  in
+  let n_events = List.length events in
+  let plan =
+    Fw_plan.Plan.naive Aggregate.Sum (List.assoc "rs50x10" engine_window_sets)
+  in
+  subheading
+    "batched-throughput guard: %d events, 64 keys, rs50x10 SUM, batch=%d"
+    n_events engine_batch_size;
+  let time_best f =
+    let rec go best n =
+      if n = 0 then best
+      else begin
+        let t0 = Unix.gettimeofday () in
+        ignore (f ());
+        go (min best (Unix.gettimeofday () -. t0)) (n - 1)
+      end
+    in
+    go infinity 3
+  in
+  let rate dt = float_of_int n_events /. dt in
+  let pair mode name =
+    let per_event () = Fw_engine.Stream_exec.run ~mode plan ~horizon events in
+    let batched () =
+      run_batched ~mode plan ~batch:engine_batch_size ~horizon events
+    in
+    let identical = batched () = per_event () in
+    let per_dt = time_best per_event and b_dt = time_best batched in
+    Printf.printf "%-12s per-event %.0f ev/s, batched %.0f ev/s (x%.2f) %s\n"
+      name (rate per_dt) (rate b_dt) (per_dt /. b_dt)
+      (if identical then "" else "ROWS DIVERGED");
+    Printf.sprintf
+      "\"%s\": {\"per_event_events_per_sec\": %.1f, \
+       \"batched_events_per_sec\": %.1f, \"batch_speedup\": %.3f, \
+       \"rows_identical\": %b}"
+      name (rate per_dt) (rate b_dt) (per_dt /. b_dt) identical
+  in
+  let naive = pair Fw_engine.Stream_exec.Naive "naive" in
+  let incremental = pair Fw_engine.Stream_exec.Incremental "incremental" in
+  Printf.sprintf
+    "  \"batched_guard\": {\"events\": %d, \"keys\": 64, \"windows\": \
+     \"rs50x10\", \"agg\": \"SUM\", \"batch\": %d,\n    %s,\n    %s}\n"
+    n_events engine_batch_size naive incremental
+
 let section_engine () =
   heading "Engine throughput: naive vs incremental, per-event vs batched";
   let n_events = !engine_events in
@@ -751,11 +806,10 @@ let section_engine () =
            "rows =";
          ]
        rows);
+  let guard = batched_guard () in
   (* Machine-readable artifact (hand-rolled JSON; no JSON dep). *)
   let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n";
-  Printf.bprintf buf "  \"cores\": %d,\n" (Domain.recommended_domain_count ());
-  Printf.bprintf buf "  \"ocaml\": \"%s\",\n" Sys.ocaml_version;
+  json_open buf;
   Printf.bprintf buf "  \"seed\": %d,\n" !seed;
   Printf.bprintf buf "  \"events\": %d,\n" n_events;
   Printf.bprintf buf "  \"eta\": %d,\n" eta;
@@ -784,7 +838,9 @@ let section_engine () =
         (if i = List.length results - 1 then "" else ",")
     )
     results;
-  Buffer.add_string buf "  ]\n}\n";
+  Buffer.add_string buf "  ],\n";
+  Buffer.add_string buf guard;
+  Buffer.add_string buf "}\n";
   let oc = open_out "BENCH_engine.json" in
   Buffer.output_buffer oc buf;
   close_out oc;
@@ -1072,7 +1128,7 @@ let section_obs () =
         (Fw_obs.Histogram.count h) (q h 0.5) (q h 0.99) (q h 0.999)
   | None -> print_endline "  (no node_fire_ns samples recorded)");
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
+  json_open buf;
   Printf.bprintf buf "  \"seed\": %d,\n" !seed;
   Printf.bprintf buf "  \"events\": %d,\n" n_events;
   Printf.bprintf buf "  \"eta\": %d,\n" eta;
@@ -1275,9 +1331,7 @@ let section_snap () =
   in
   clear_dir ();
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Printf.bprintf buf "  \"cores\": %d,\n" (Domain.recommended_domain_count ());
-  Printf.bprintf buf "  \"ocaml\": \"%s\",\n" Sys.ocaml_version;
+  json_open buf;
   Printf.bprintf buf "  \"seed\": %d,\n" !seed;
   Printf.bprintf buf "  \"events\": %d,\n" n_events;
   Printf.bprintf buf "  \"eta\": %d,\n" eta;
@@ -1321,232 +1375,6 @@ let section_snap () =
 (* Differential fuzzing smoke: the fwfuzz campaign, bounded, with      *)
 (* throughput and scenario-mix statistics (full campaigns: fwfuzz).    *)
 (* ------------------------------------------------------------------ *)
-
-(* ------------------------------------------------------------------ *)
-(* Sharded execution scaling: the multicore runner on a key-heavy      *)
-(* workload, 1/2/4/8 worker domains, with a Zipf-skewed run to         *)
-(* exercise the imbalance gauge.  Writes BENCH_shard.json and, on a    *)
-(* machine with >= 4 cores, enforces the >=2x @ 4-shards gate.         *)
-(* ------------------------------------------------------------------ *)
-
-let section_shard () =
-  heading "Sharded execution: scaling across worker domains (Fw_shard)";
-  let n_events = !engine_events in
-  let eta = 4 in
-  let horizon = max 1 (n_events / eta) in
-  let gen_config =
-    (* 64 keys: enough that every shard count up to 8 gets a meaningful
-       slice of the key space *)
-    { Event_gen.default_config with Event_gen.keys = Event_gen.key_pool 64 }
-  in
-  let events =
-    Event_gen.steady (Fw_util.Prng.create (!seed + 17)) gen_config ~eta ~horizon
-  in
-  let n_events = List.length events in
-  let ws = List.assoc "rs50x10" engine_window_sets in
-  let plan = Fw_plan.Plan.naive Aggregate.Sum ws in
-  let cores = Domain.recommended_domain_count () in
-  Printf.printf
-    "%d events (eta=%d, horizon=%d ticks), 64 keys, window set rs50x10 \
-     (SUM), %d cores\n"
-    n_events eta horizon cores;
-  let time_best f =
-    (* best of 3: scheduling noise hits multicore runs harder than the
-       single-domain sections *)
-    let rec go best n =
-      if n = 0 then best
-      else begin
-        let t0 = Unix.gettimeofday () in
-        ignore (f ());
-        go (min best (Unix.gettimeofday () -. t0)) (n - 1)
-      end
-    in
-    go infinity 3
-  in
-  let rate dt = float_of_int n_events /. dt in
-  let shard_counts = [ 1; 2; 4; 8 ] in
-  let curve mode =
-    let single = Fw_engine.Stream_exec.run ~mode plan ~horizon events in
-    let points =
-      List.map
-        (fun shards ->
-          let run () = Fw_shard.Runner.run ~mode ~shards plan ~horizon events in
-          let r = run () in
-          let dt = time_best run in
-          let identical = r.Fw_shard.Runner.rows = single in
-          (shards, dt, identical))
-        shard_counts
-    in
-    let base_dt =
-      match points with (1, dt, _) :: _ -> dt | _ -> assert false
-    in
-    List.map
-      (fun (shards, dt, identical) -> (shards, rate dt, base_dt /. dt, identical))
-      points
-  in
-  let print_curve name points =
-    subheading "%s mode" name;
-    print_endline
-      (Report.table
-         ~header:[ "shards"; "ev/s"; "speedup vs 1 shard"; "rows =" ]
-         (List.map
-            (fun (shards, r, sp, identical) ->
-              [
-                string_of_int shards;
-                Printf.sprintf "%.0f" r;
-                Printf.sprintf "x%.2f" sp;
-                (if identical then "yes" else "NO");
-              ])
-            points))
-  in
-  let naive_points = curve Fw_engine.Stream_exec.Naive in
-  print_curve "naive" naive_points;
-  let inc_points = curve Fw_engine.Stream_exec.Incremental in
-  print_curve "incremental (informational)" inc_points;
-  (* Zipf-skewed run: most events land on few keys, so shards are
-     unbalanced — the run exists to exercise the imbalance gauge and
-     backpressure counters with something other than evenly spread
-     keys. *)
-  subheading "Zipf-skewed keys (exponent %.2f), 4 shards, naive"
-    !key_skew;
-  let skewed_events =
-    Event_gen.steady
-      (Fw_util.Prng.create (!seed + 18))
-      { gen_config with Event_gen.key_dist = Event_gen.Zipf !key_skew }
-      ~eta ~horizon
-  in
-  let skew =
-    Fw_shard.Runner.run ~shards:4 plan ~horizon skewed_events
-  in
-  let skew_stats = skew.Fw_shard.Runner.stats in
-  let skew_identical =
-    skew.Fw_shard.Runner.rows
-    = Fw_engine.Stream_exec.run plan ~horizon skewed_events
-  in
-  let imax = Array.fold_left max 0 skew_stats.Fw_shard.Runner.rows_per_shard in
-  let itotal =
-    Array.fold_left ( + ) 0 skew_stats.Fw_shard.Runner.rows_per_shard
-  in
-  let imbalance =
-    if itotal = 0 then 1.0
-    else
-      float_of_int imax
-      /. (float_of_int itotal
-          /. float_of_int (Array.length skew_stats.Fw_shard.Runner.rows_per_shard))
-  in
-  let backpressure =
-    Array.fold_left ( + ) 0 skew_stats.Fw_shard.Runner.backpressure_waits
-  in
-  Printf.printf
-    "rows per shard %s, imbalance x%.2f, backpressure waits %d, rows %s\n"
-    (String.concat "/"
-       (Array.to_list
-          (Array.map string_of_int skew_stats.Fw_shard.Runner.rows_per_shard)))
-    imbalance backpressure
-    (if skew_identical then "identical" else "DIVERGED");
-  (* Single-shard engine, per-event vs batched feed: the whole-batch
-     ring messages only pay off if the executor's own batched entry
-     point is at least as fast as per-event dispatch — this pair is the
-     throughput-regression guard CI compares across runs. *)
-  subheading "single-shard engine: per-event vs batched feed (batch=%d)"
-    engine_batch_size;
-  let single_pair mode name =
-    let rows_ref = Fw_engine.Stream_exec.run ~mode plan ~horizon events in
-    let per_dt =
-      time_best (fun () -> Fw_engine.Stream_exec.run ~mode plan ~horizon events)
-    in
-    let brows =
-      run_batched ~mode plan ~batch:engine_batch_size ~horizon events
-    in
-    let b_dt =
-      time_best (fun () ->
-          run_batched ~mode plan ~batch:engine_batch_size ~horizon events)
-    in
-    let identical = brows = rows_ref in
-    Printf.printf "%-12s per-event %.0f ev/s, batched %.0f ev/s (x%.2f) %s\n"
-      name (rate per_dt) (rate b_dt)
-      (per_dt /. b_dt)
-      (if identical then "" else "ROWS DIVERGED");
-    (per_dt, b_dt, identical)
-  in
-  let nv_per, nv_b, nv_ident =
-    single_pair Fw_engine.Stream_exec.Naive "naive"
-  in
-  let in_per, in_b, in_ident =
-    single_pair Fw_engine.Stream_exec.Incremental "incremental"
-  in
-  (* The acceptance gate: >= 2x throughput at 4 shards vs 1.  Only
-     enforceable where 4 domains actually have 4 cores to run on; a
-     1-core container records the curve but cannot fail it. *)
-  let speedup4 =
-    match List.find_opt (fun (s, _, _, _) -> s = 4) naive_points with
-    | Some (_, _, sp, _) -> sp
-    | None -> 0.0
-  in
-  let gate_enforced = cores >= 4 in
-  let all_identical =
-    skew_identical && nv_ident && in_ident
-    && List.for_all (fun (_, _, _, i) -> i) naive_points
-    && List.for_all (fun (_, _, _, i) -> i) inc_points
-  in
-  let pass = all_identical && ((not gate_enforced) || speedup4 >= 2.0) in
-  (* Machine-readable artifact (hand-rolled JSON; no JSON dep). *)
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n";
-  Printf.bprintf buf "  \"seed\": %d,\n" !seed;
-  Printf.bprintf buf "  \"events\": %d,\n" n_events;
-  Printf.bprintf buf "  \"eta\": %d,\n" eta;
-  Printf.bprintf buf "  \"horizon\": %d,\n" horizon;
-  Printf.bprintf buf "  \"keys\": 64,\n";
-  Printf.bprintf buf "  \"cores\": %d,\n" cores;
-  Printf.bprintf buf "  \"ring_batch\": 64,\n";
-  Printf.bprintf buf "  \"gate_enforced\": %b,\n" gate_enforced;
-  Printf.bprintf buf "  \"speedup_at_4_shards\": %.3f,\n" speedup4;
-  Printf.bprintf buf "  \"pass\": %b,\n" pass;
-  Printf.bprintf buf
-    "  \"single_shard\": {\"batch\": %d, \"naive\": \
-     {\"per_event_events_per_sec\": %.1f, \"batched_events_per_sec\": %.1f, \
-     \"batch_speedup\": %.3f}, \"incremental\": \
-     {\"per_event_events_per_sec\": %.1f, \"batched_events_per_sec\": %.1f, \
-     \"batch_speedup\": %.3f}},\n"
-    engine_batch_size (rate nv_per) (rate nv_b)
-    (nv_per /. nv_b)
-    (rate in_per) (rate in_b)
-    (in_per /. in_b);
-  let curve_json name points =
-    Printf.bprintf buf "  \"%s\": [\n" name;
-    List.iteri
-      (fun i (shards, r, sp, identical) ->
-        Printf.bprintf buf
-          "    {\"shards\": %d, \"events_per_sec\": %.1f, \"speedup_vs_1\": \
-           %.3f, \"rows_identical\": %b}%s\n"
-          shards r sp identical
-          (if i = List.length points - 1 then "" else ","))
-      points;
-    Buffer.add_string buf "  ],\n"
-  in
-  curve_json "naive" naive_points;
-  curve_json "incremental" inc_points;
-  Printf.bprintf buf
-    "  \"skew\": {\"exponent\": %.3f, \"imbalance\": %.3f, \
-     \"backpressure_waits\": %d, \"rows_identical\": %b}\n"
-    !key_skew imbalance backpressure skew_identical;
-  Buffer.add_string buf "}\n";
-  let oc = open_out "BENCH_shard.json" in
-  Buffer.output_buffer oc buf;
-  close_out oc;
-  Printf.printf "wrote BENCH_shard.json (speedup at 4 shards x%.2f, gate %s)\n"
-    speedup4
-    (if not gate_enforced then "not enforced: fewer than 4 cores"
-     else if pass then "PASS"
-     else "FAIL");
-  if not pass then begin
-    Printf.eprintf
-      "shard section gate failed: identical=%b speedup4=%.2f (need >= 2.0 \
-       on %d cores)\n"
-      all_identical speedup4 cores;
-    exit 1
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Multi-query server: sustained ingest at 1/10/100 registered        *)
@@ -1706,7 +1534,7 @@ let section_serve () =
   let rows_ok = List.for_all (fun (_, _, _, _, _, ok) -> ok) points in
   let pass = rows_ok && sharing_speedup > 1.0 && warm_speedup >= 5.0 in
   let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{\n";
+  json_open buf;
   Printf.bprintf buf "  \"seed\": %d,\n" !seed;
   Printf.bprintf buf "  \"events\": %d,\n" n_events;
   Printf.bprintf buf "  \"eta\": %d,\n" eta;
@@ -1865,9 +1693,7 @@ let section_spill () =
     large_keys_rows;
   let pass = rows_ok && bounded large && List.for_all bounded curve in
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Printf.bprintf buf "  \"cores\": %d,\n" (Domain.recommended_domain_count ());
-  Printf.bprintf buf "  \"ocaml\": \"%s\",\n" Sys.ocaml_version;
+  json_open buf;
   Printf.bprintf buf "  \"seed\": %d,\n" !seed;
   Printf.bprintf buf "  \"eta\": %d,\n" eta;
   Printf.bprintf buf "  \"small_keys\": %d,\n" n_small;
@@ -1970,7 +1796,6 @@ let () =
   if enabled "engine" then section_engine ();
   if enabled "obs" then section_obs ();
   if enabled "snap" then section_snap ();
-  if enabled "shard" then section_shard ();
   if enabled "serve" then section_serve ();
   if enabled "spill" then section_spill ();
   if enabled "fuzz" then section_fuzz ();

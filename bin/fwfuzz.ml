@@ -6,9 +6,9 @@
    reference evaluator, the rewritten plans with/without factor
    windows, paned/paired slicing shared/unshared, and the production
    stack composed from four dimensions: the sink driving the run (the
-   engine itself, --shard-prob: the multicore runner over 2-8 worker
-   domains, --crash-prob: a checkpointing pipeline killed mid-stream
-   and recovered from disk, --serve-prob: an in-process query server),
+   engine itself, --crash-prob: a checkpointing pipeline killed
+   mid-stream and recovered from disk, --serve-prob: an in-process query
+   server),
    the engine mode (--incremental-prob: pane-based incremental as well
    as naive), batched ingestion (--batch-prob, on by default:
    feed_batch under scenario-drawn batch sizes with punctuation marks
@@ -21,8 +21,8 @@
    monotonicity, plan validation, metrics-vs-cost-model exactness) must
    hold.  --family-prob mutates drawn window sets across window
    families (count/ROWS hops, session windows).  Failures are shrunk to
-   a minimal repro (shard count, batch size, window family and memory
-   budget included) and reported with the one-line replay command.
+   a minimal repro (batch size, window family and memory budget
+   included) and reported with the one-line replay command.
 
    Exit status: 0 = no discrepancy, 1 = discrepancies found. *)
 
@@ -78,16 +78,6 @@ let incremental_prob_arg =
   in
   Arg.(value & opt float 1.0
        & info [ "incremental-prob" ] ~docv:"P" ~doc)
-
-let shard_prob_arg =
-  let doc =
-    "Probability that an iteration also runs the sharded stacks: the naive \
-     plan key-partitioned across the scenario's shard count (2-8 worker \
-     domains), byte-compared against single-shard runs with exact \
-     cost-counter reconciliation.  Decided deterministically per seed, so \
-     replays match the campaign."
-  in
-  Arg.(value & opt float 0.0 & info [ "shard-prob" ] ~docv:"P" ~doc)
 
 let crash_prob_arg =
   let doc =
@@ -200,11 +190,11 @@ let dump_artifacts artifacts failure =
           List.iter (fun f -> Printf.printf "artifact: %s\n" f) files
       | Error e -> Printf.eprintf "fwfuzz: artifact dump failed: %s\n" e)
 
-let replay gen ~invariants ~incremental_prob ~crash_prob ~shard_prob
-    ~batch_prob ~serve_prob ~spill_prob ~artifacts seed =
+let replay gen ~invariants ~incremental_prob ~crash_prob ~batch_prob
+    ~serve_prob ~spill_prob ~artifacts seed =
   match
-    Harness.check_seed ~invariants ~incremental_prob ~crash_prob ~shard_prob
-      ~batch_prob ~serve_prob ~spill_prob gen seed
+    Harness.check_seed ~invariants ~incremental_prob ~crash_prob ~batch_prob
+      ~serve_prob ~spill_prob gen seed
   with
   | Ok sc ->
       Printf.printf "seed %d: %s\n" seed (Scenario.summary sc);
@@ -220,8 +210,8 @@ let replay gen ~invariants ~incremental_prob ~crash_prob ~shard_prob
                   (List.length rows)
             | Error e ->
                 Printf.printf "  %-40s CRASH: %s\n" (Paths.name path) e)
-        (Harness.paths_for ~incremental_prob ~crash_prob ~shard_prob
-           ~batch_prob ~serve_prob ~spill_prob seed);
+        (Harness.paths_for ~incremental_prob ~crash_prob ~batch_prob
+           ~serve_prob ~spill_prob seed);
       Printf.printf "OK: all paths agree, all invariants hold.\n";
       0
   | Error failure ->
@@ -229,9 +219,9 @@ let replay gen ~invariants ~incremental_prob ~crash_prob ~shard_prob
       dump_artifacts artifacts failure;
       1
 
-let campaign gen ~invariants ~incremental_prob ~crash_prob ~shard_prob
-    ~batch_prob ~serve_prob ~spill_prob ~iterations ~base_seed ~max_failures
-    ~quiet ~artifacts =
+let campaign gen ~invariants ~incremental_prob ~crash_prob ~batch_prob
+    ~serve_prob ~spill_prob ~iterations ~base_seed ~max_failures ~quiet
+    ~artifacts =
   let cfg =
     {
       Harness.iterations;
@@ -240,7 +230,6 @@ let campaign gen ~invariants ~incremental_prob ~crash_prob ~shard_prob
       invariants;
       incremental_prob;
       crash_prob;
-      shard_prob;
       batch_prob;
       serve_prob;
       spill_prob;
@@ -282,8 +271,8 @@ let campaign gen ~invariants ~incremental_prob ~crash_prob ~shard_prob
       1
 
 let main iterations seed do_replay max_windows eta_max horizon_max
-    no_invariants no_holistic incremental_prob crash_prob shard_prob
-    batch_prob serve_prob spill_prob family_prob batch_size_range
+    no_invariants no_holistic incremental_prob crash_prob batch_prob
+    serve_prob spill_prob family_prob batch_size_range
     budget_range max_failures quiet artifacts =
   let bad name v =
     Printf.eprintf "fwfuzz: %s must be positive (got %d)\n" name v;
@@ -303,7 +292,6 @@ let main iterations seed do_replay max_windows eta_max horizon_max
     [
       ("--incremental-prob", incremental_prob);
       ("--crash-prob", crash_prob);
-      ("--shard-prob", shard_prob);
       ("--batch-prob", batch_prob);
       ("--serve-prob", serve_prob);
       ("--spill-prob", spill_prob);
@@ -334,12 +322,12 @@ let main iterations seed do_replay max_windows eta_max horizon_max
   in
   let invariants = not no_invariants in
   if do_replay then
-    replay gen ~invariants ~incremental_prob ~crash_prob ~shard_prob
-      ~batch_prob ~serve_prob ~spill_prob ~artifacts seed
+    replay gen ~invariants ~incremental_prob ~crash_prob ~batch_prob
+      ~serve_prob ~spill_prob ~artifacts seed
   else
-    campaign gen ~invariants ~incremental_prob ~crash_prob ~shard_prob
-      ~batch_prob ~serve_prob ~spill_prob ~iterations ~base_seed:seed
-      ~max_failures ~quiet ~artifacts
+    campaign gen ~invariants ~incremental_prob ~crash_prob ~batch_prob
+      ~serve_prob ~spill_prob ~iterations ~base_seed:seed ~max_failures
+      ~quiet ~artifacts
 
 let cmd =
   let info =
@@ -352,8 +340,7 @@ let cmd =
     Term.(
       const main $ iterations_arg $ seed_arg $ replay_arg $ max_windows_arg
       $ eta_max_arg $ horizon_max_arg $ no_invariants_arg $ no_holistic_arg
-      $ incremental_prob_arg $ crash_prob_arg $ shard_prob_arg
-      $ batch_prob_arg $ serve_prob_arg $ spill_prob_arg $ family_prob_arg
+      $ incremental_prob_arg $ crash_prob_arg $ batch_prob_arg $ serve_prob_arg $ spill_prob_arg $ family_prob_arg
       $ batch_size_range_arg $ budget_range_arg
       $ max_failures_arg $ quiet_arg $ artifacts_arg)
 

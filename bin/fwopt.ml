@@ -227,7 +227,7 @@ let run_recovered ~dir ~every ~batch ~mode ?spill plan ~horizon events =
 let run_cmd =
   let action query file eta no_factor seed horizon show_rows shuffle lateness
       events_file csv_out incremental stats checkpoint_dir every recover_dir
-      crash_after shards batch_opt key_skew keys_n serve_port throttle drift
+      crash_after batch_opt key_skew keys_n serve_port throttle drift
       memory_budget =
     let stats =
       match stats with
@@ -262,22 +262,6 @@ let run_cmd =
         Printf.eprintf "--batch must be >= 1 (got %d)\n" b;
         exit 2
     | _ -> ());
-    if shards < 1 then begin
-      Printf.eprintf "--shards must be >= 1 (got %d)\n" shards;
-      exit 2
-    end;
-    if shards > 1 && (checkpoint_dir <> None || recover_dir <> None) then begin
-      Printf.eprintf
-        "--shards cannot combine with --checkpoint/--recover (the durable \
-         pipeline is single-shard)\n";
-      exit 2
-    end;
-    if shards > 1 && shuffle then begin
-      Printf.eprintf
-        "--shards cannot combine with --shuffle (the reorder buffer feeds a \
-         single stream)\n";
-      exit 2
-    end;
     if key_skew < 0.0 || not (Float.is_finite key_skew) then begin
       Printf.eprintf "--key-skew must be a finite float >= 0 (got %g)\n"
         key_skew;
@@ -388,18 +372,15 @@ let run_cmd =
         | Some tr -> Fw_engine.Metrics.set_trace metrics tr
         | None -> ());
         let pace = pacer throttle in
-        (* One pool for the whole single-shard run, on the served
-           registry so the spill series are live-scrapable.  Sharded
-           runs skip this: each worker domain builds its own pool
-           (single-writer metric cells) from --memory-budget / shards. *)
+        (* One pool for the whole run, on the served registry so the
+           spill series are live-scrapable. *)
         let spill =
-          match memory_budget with
-          | Some budget when shards = 1 ->
-              Some
-                (Fw_spill.Pool.create
-                   ~registry:(Fw_engine.Metrics.registry metrics)
-                   ~budget ())
-          | _ -> None
+          Option.map
+            (fun budget ->
+              Fw_spill.Pool.create
+                ~registry:(Fw_engine.Metrics.registry metrics)
+                ~budget ())
+            memory_budget
         in
         let server =
           match serve_port with
@@ -422,74 +403,10 @@ let run_cmd =
               run_recovered ~dir ~every
                 ~batch:(Option.value batch_opt ~default:1)
                 ~mode ?spill (Optimizer.optimized_plan t) ~horizon events
-          | None, None when shards > 1 ->
-              (* Sharded execution: rows and cost-model counters are
-                 byte-identical to the single-shard run (which the CI
-                 run-diff smoke pins), so only the shards:-prefixed
-                 lines differ. *)
-              let r =
-                match throttle with
-                | None ->
-                    Fw_shard.Runner.run ~metrics ?batch:batch_opt ~mode
-                      ?budget:memory_budget ~shards
-                      (Optimizer.optimized_plan t) ~horizon events
-                | Some _ ->
-                    (* Manual feed loop: pace the stream and punctuate
-                       at every tick so the served watermark and queue
-                       gauges move while the run executes.  The extra
-                       punctuations don't change rows — the engine
-                       would advance to the same watermark on the next
-                       event anyway. *)
-                    let rt =
-                      Fw_shard.Runner.create ~metrics ?batch:batch_opt ~mode
-                        ?budget:memory_budget ~shards
-                        (Optimizer.optimized_plan t)
-                    in
-                    let last_t = ref min_int in
-                    (match
-                       List.iter
-                         (fun ev ->
-                           if ev.Fw_engine.Event.time < horizon then begin
-                             if
-                               ev.Fw_engine.Event.time > !last_t
-                               && !last_t > min_int
-                             then Fw_shard.Runner.advance rt !last_t;
-                             last_t := ev.Fw_engine.Event.time;
-                             Fw_shard.Runner.feed rt ev;
-                             pace ()
-                           end)
-                         (Fw_engine.Event.sort events)
-                     with
-                    | () -> ()
-                    | exception e ->
-                        (try ignore (Fw_shard.Runner.close rt ~horizon)
-                         with _ -> ());
-                        raise e);
-                    Fw_shard.Runner.close rt ~horizon
-              in
-              let st = r.Fw_shard.Runner.stats in
-              let ints a =
-                String.concat "/"
-                  (Array.to_list (Array.map string_of_int a))
-              in
-              Printf.printf "shards: %d workers%s, rows per shard %s\n"
-                st.Fw_shard.Runner.shards
-                (match st.Fw_shard.Runner.degraded with
-                | Some reason -> Printf.sprintf " (degraded: %s)" reason
-                | None -> "")
-                (ints st.Fw_shard.Runner.rows_per_shard);
-              Printf.printf
-                "shards: backpressure waits %s, peak queue depth %s\n"
-                (ints st.Fw_shard.Runner.backpressure_waits)
-                (ints st.Fw_shard.Runner.queue_peaks);
-              {
-                Fw_engine.Run.rows = r.Fw_shard.Runner.rows;
-                metrics = r.Fw_shard.Runner.metrics;
-              }
           | None, None
             when Option.value batch_opt ~default:1 > 1 || throttle <> None
             ->
-              (* Vectorized single-shard execution: the stream goes
+              (* Vectorized execution: the stream goes
                  through [feed_batch] in fixed-size chunks.  Rows and
                  cost-model counters are byte-identical to the
                  per-event run (the feed/feed_batch contract) — which
@@ -668,23 +585,12 @@ let run_cmd =
                    (exit 0), leaving the directory for --recover — lets a \
                    script exercise the full crash/recovery cycle.")
   in
-  let shards =
-    Arg.(value & opt int 1
-         & info [ "shards" ] ~docv:"N"
-             ~doc:"Execute across $(docv) worker domains, events \
-                   hash-partitioned by key (FNV-1a).  Rows and cost-model \
-                   counters are byte-identical to the single-shard run; \
-                   per-shard plumbing is reported on $(b,shards:)-prefixed \
-                   lines.  Mutually exclusive with --checkpoint, --recover \
-                   and --shuffle.")
-  in
   let batch =
     Arg.(value & opt (some int) None
          & info [ "batch" ] ~docv:"N"
              ~doc:"Feed the stream in columnar batches of $(docv) events \
-                   through the engine's vectorized path (with --shards: the \
-                   runner's per-shard flush size; with --checkpoint / \
-                   --recover: batched durable ingestion).  Rows and \
+                   through the engine's vectorized path (with --checkpoint \
+                   / --recover: batched durable ingestion).  Rows and \
                    cost-model counters are byte-identical to the per-event \
                    run at any size.")
   in
@@ -693,8 +599,7 @@ let run_cmd =
          & info [ "key-skew" ] ~docv:"S"
              ~doc:"Zipf exponent for the generated keys (0 = uniform; the \
                    i-th key is weighted 1/i^$(docv)).  Skewed keys \
-                   concentrate load on few shards — watch the imbalance \
-                   gauge and backpressure counters in --stats.")
+                   concentrate per-key state on few keys.")
   in
   let keys_n =
     Arg.(value & opt (some int) None
@@ -740,10 +645,9 @@ let run_cmd =
                    cold per-key window state spills to disk and faults back \
                    in on access.  Rows and cost-model counters are \
                    byte-identical to the unbounded run at any budget \
-                   (including 0, which forces every access to fault).  With \
-                   --shards each worker gets an equal slice.  Spill traffic \
-                   is reported via the $(b,spill_*) metrics in --stats / \
-                   --serve.")
+                   (including 0, which forces every access to fault).  Spill \
+                   traffic is reported via the $(b,spill_*) metrics in \
+                   --stats / --serve.")
   in
   Cmd.v
     (Cmd.info "run"
@@ -752,7 +656,7 @@ let run_cmd =
     Term.(const action $ query_arg $ file_arg $ eta_arg $ no_factor_arg
           $ seed_arg $ horizon $ show_rows $ shuffle $ lateness $ events_file
           $ csv_out $ incremental $ stats $ checkpoint_dir $ every
-          $ recover_dir $ crash_after $ shards $ batch $ key_skew $ keys_n
+          $ recover_dir $ crash_after $ batch $ key_skew $ keys_n
           $ serve $ throttle $ drift $ memory_budget)
 
 (* --- gen --- *)

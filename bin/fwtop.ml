@@ -3,7 +3,7 @@
    Polls the scrape endpoint (GET /metrics), parses the Prometheus
    exposition back into samples (Fw_obs.Export.parse_prometheus — the
    exact inverse of the exporter) and renders per-node throughput,
-   shard queue depths and watermark lag.  Each poll also refreshes the
+   watermark lag and spill residency.  Each poll also refreshes the
    server's meter, so the *_per_sec gauges shown are derived at
    exactly the cadence displayed. *)
 
@@ -114,18 +114,9 @@ let render ~host ~port samples =
   let buf = Buffer.create 2048 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
   line "fwtop — http://%s:%d/metrics" host port;
-  (* sharded runs only expose the driver-side feed counter until the
-     close-time merge; show whichever ingest signal is further along *)
-  let best a b =
-    match (value samples a, value samples b) with
-    | Some x, Some y -> Some (Float.max x y)
-    | (Some _ as s), None | None, (Some _ as s) -> s
-    | None, None -> None
-  in
   line "ingested %s (%s)  watermark %s  lag %s  scrapes %s"
-    (fmt_count (best "engine_ingested_events_total" "shard_fed_events_total"))
-    (fmt_rate
-       (best "engine_ingested_events_per_sec" "shard_fed_events_per_sec"))
+    (fmt_count (value samples "engine_ingested_events_total"))
+    (fmt_rate (value samples "engine_ingested_events_per_sec"))
     (fmt_count (value samples "engine_watermark_ticks"))
     (match value samples "engine_watermark_lag_ns" with
     | None -> "-"
@@ -179,29 +170,6 @@ let render ~host ~port samples =
          [ "node"; "kind"; "window"; "in"; "in/s"; "out"; "fires"; "fires/s" ]
          rows);
     Buffer.add_string buf "\n"
-  end;
-  (* shard section, present only for sharded runs *)
-  let shard_series name =
-    List.filter_map
-      (fun (n, ls, v) ->
-        if n = name then
-          Option.map (fun s -> (int_of_string s, v)) (List.assoc_opt "shard" ls)
-        else None)
-      samples
-    |> List.sort compare
-  in
-  let depths = shard_series "shard_queue_depth" in
-  if depths <> [] then begin
-    let waits = shard_series "shard_backpressure_waits_total" in
-    line "";
-    line "shards: queue depth %s  backpressure waits %s"
-      (String.concat "/"
-         (List.map (fun (_, v) -> Printf.sprintf "%.0f" v) depths))
-      (match waits with
-      | [] -> "-"
-      | ws ->
-          String.concat "/"
-            (List.map (fun (_, v) -> Printf.sprintf "%.0f" v) ws))
   end;
   (* residency section, present only for budgeted (spilling) runs;
      series are unlabeled for a single-engine run and labeled by

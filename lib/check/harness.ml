@@ -15,7 +15,6 @@ type config = {
   invariants : bool;
   incremental_prob : float;
   crash_prob : float;
-  shard_prob : float;
   batch_prob : float;
   serve_prob : float;
   spill_prob : float;
@@ -30,7 +29,6 @@ let default_config =
     invariants = true;
     incremental_prob = 1.0;
     crash_prob = 0.0;
-    shard_prob = 0.0;
     batch_prob = 1.0;
     serve_prob = 0.0;
     spill_prob = 0.0;
@@ -63,11 +61,10 @@ let problems_of ~invariants ~paths sc =
    coin is decided deterministically from the seed (not a global
    counter), so a failure replays identically under [--replay --seed N]
    no matter which iteration found it.  One rule: a stack runs only
-   when the coin of every dimension it uses lands — its sink (sharded,
-   checkpointed, served), incremental mode, batching and spilling. *)
+   when the coin of every dimension it uses lands — its sink
+   (checkpointed, served), incremental mode, batching and spilling. *)
 let paths_for ?(incremental_prob = 1.0) ?(crash_prob = 0.0)
-    ?(shard_prob = 0.0) ?(batch_prob = 1.0) ?(serve_prob = 0.0)
-    ?(spill_prob = 0.0) seed =
+    ?(batch_prob = 1.0) ?(serve_prob = 0.0) ?(spill_prob = 0.0) seed =
   let coin prob salt =
     prob >= 1.0
     || prob > 0.0
@@ -75,7 +72,6 @@ let paths_for ?(incremental_prob = 1.0) ?(crash_prob = 0.0)
   in
   let incremental = coin incremental_prob 0x1ec4e81 in
   let crash = coin crash_prob 0x5eed5a9 in
-  let shard = coin shard_prob 0x3a2d6b5 in
   let batch = coin batch_prob 0x6a7c3b1 in
   let serve = coin serve_prob 0x2b1c9d7 in
   let spill = coin spill_prob 0x4d11a7 in
@@ -84,7 +80,6 @@ let paths_for ?(incremental_prob = 1.0) ?(crash_prob = 0.0)
       | Paths.Stack { sink; mode; batched; spilled } ->
           (match sink with
           | Paths.Engine -> true
-          | Paths.Sharded -> shard
           | Paths.Checkpointed -> crash
           | Paths.Served -> serve)
           && (mode = Fw_engine.Stream_exec.Naive || incremental)
@@ -94,12 +89,12 @@ let paths_for ?(incremental_prob = 1.0) ?(crash_prob = 0.0)
     Paths.all
 
 let check_seed ?(invariants = true) ?(incremental_prob = 1.0)
-    ?(crash_prob = 0.0) ?(shard_prob = 0.0) ?(batch_prob = 1.0)
-    ?(serve_prob = 0.0) ?(spill_prob = 0.0) gen seed =
+    ?(crash_prob = 0.0) ?(batch_prob = 1.0) ?(serve_prob = 0.0)
+    ?(spill_prob = 0.0) gen seed =
   let sc = Scenario.of_seed gen seed in
   let paths =
-    paths_for ~incremental_prob ~crash_prob ~shard_prob ~batch_prob
-      ~serve_prob ~spill_prob seed
+    paths_for ~incremental_prob ~crash_prob ~batch_prob ~serve_prob
+      ~spill_prob seed
   in
   match problems_of ~invariants ~paths sc with
   | [] -> Ok sc
@@ -124,8 +119,7 @@ let run ?progress cfg =
        (match
           check_seed ~invariants:cfg.invariants
             ~incremental_prob:cfg.incremental_prob ~crash_prob:cfg.crash_prob
-            ~shard_prob:cfg.shard_prob ~batch_prob:cfg.batch_prob
-            ~serve_prob:cfg.serve_prob ~spill_prob:cfg.spill_prob cfg.gen seed
+            ~batch_prob:cfg.batch_prob ~serve_prob:cfg.serve_prob ~spill_prob:cfg.spill_prob cfg.gen seed
         with
        | Ok _ -> ()
        | Error failure ->

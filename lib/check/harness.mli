@@ -37,12 +37,6 @@ type config = {
           finished, compared.  [0.0] (the default) skips them: each one
           costs three executions plus checkpoint I/O.  Same per-seed
           determinism, on an independent coin. *)
-  shard_prob : float;
-      (** probability that a seed's iteration also runs the [Sharded]
-          stacks — the scenario's shard count (drawn in [\[2, 8\]]) of
-          worker domains.  [0.0] (the default) skips them: they spawn
-          domains per scenario.  Same per-seed determinism, its own
-          coin. *)
   batch_prob : float;
       (** probability that a seed's iteration also runs the [batched]
           stacks, ingesting through [feed_batch] under the scenario's
@@ -63,23 +57,22 @@ type config = {
           Same per-seed determinism, its own coin.
 
           A stack runs only when the coin of every dimension it uses
-          lands: e.g. a sharded, batched, spilled stack needs the
-          shard, batch and spill coins (and the incremental coin in
+          lands: e.g. a checkpointed, batched, spilled stack needs the
+          crash, batch and spill coins (and the incremental coin in
           incremental mode). *)
   max_failures : int;  (** stop the campaign after this many failures *)
 }
 
 val default_config : config
 (** 1000 iterations, base seed 42, invariants on, incremental and
-    batched stacks always on, checkpointed, sharded, served and spilled
-    stacks off, stop after 5 failures. *)
+    batched stacks always on, checkpointed, served and spilled stacks
+    off, stop after 5 failures. *)
 
 type outcome = { checked : int; failures : failure list }
 
 val paths_for :
   ?incremental_prob:float ->
   ?crash_prob:float ->
-  ?shard_prob:float ->
   ?batch_prob:float ->
   ?serve_prob:float ->
   ?spill_prob:float ->
@@ -93,7 +86,6 @@ val check_seed :
   ?invariants:bool ->
   ?incremental_prob:float ->
   ?crash_prob:float ->
-  ?shard_prob:float ->
   ?batch_prob:float ->
   ?serve_prob:float ->
   ?spill_prob:float ->
@@ -102,8 +94,8 @@ val check_seed :
   (Scenario.t, failure) result
 (** Check a single seed; [Ok] returns the (clean) scenario so replay
     tooling can describe it.  [incremental_prob] and [batch_prob]
-    default to [1.0], [crash_prob], [shard_prob], [serve_prob] and
-    [spill_prob] to [0.0]. *)
+    default to [1.0], [crash_prob], [serve_prob] and [spill_prob] to
+    [0.0]. *)
 
 val run : ?progress:(int -> unit) -> config -> outcome
 (** Run the campaign; [progress] is called after each iteration with

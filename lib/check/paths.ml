@@ -8,9 +8,8 @@ module Row = Fw_engine.Row
 module Window = Fw_window.Window
 module Exec = Fw_slicing.Exec
 module Checkpoint = Fw_snap.Checkpoint
-module Runner = Fw_shard.Runner
 
-type sink = Engine | Sharded | Checkpointed | Served
+type sink = Engine | Checkpointed | Served
 
 type path =
   | Reference
@@ -44,7 +43,7 @@ let all =
                   bools)
               bools)
           [ Stream_exec.Naive; Stream_exec.Incremental ])
-      [ Engine; Sharded; Checkpointed; Served ]
+      [ Engine; Checkpointed; Served ]
   in
   [
     Reference;
@@ -72,7 +71,6 @@ let name = function
         ([
            (match sink with
            | Engine -> "engine"
-           | Sharded -> "sharded"
            | Checkpointed -> "checkpointed"
            | Served -> "served");
            (match mode with
@@ -339,10 +337,7 @@ let served_rows mode (sc : Scenario.t) =
    check: rows byte-identical (float rounding included) and cost-model
    counters exactly equal to the plain per-event engine run of the same
    mode.  A counter mismatch raises because row equality alone would
-   miss silently double-charged or lost work.  Only the cost-model
-   counters are compared: per-node counters like instance fires are
-   per-replica in a sharded run (one instance can fire in several
-   shards). *)
+   miss silently double-charged or lost work. *)
 let require_identical mode (sc : Scenario.t) (rows, metrics) =
   let m0 = Metrics.create () in
   let rows0 =
@@ -368,11 +363,10 @@ let require_identical mode (sc : Scenario.t) (rows, metrics) =
   rows
 
 (* Run one stack: one spill pool per simulated process, per-event or
-   batched ingestion, and the sink driving the run.  The sharded runner
-   is one process whose worker domains each build their own pool from
-   the budget; the checkpointed sink is two processes — the one that
-   dies and the one that recovers from its directory, whose restarted
-   ingestion draws batch boundaries from a distinct hash stream. *)
+   batched ingestion, and the sink driving the run.  The checkpointed
+   sink is two processes — the one that dies and the one that recovers
+   from its directory, whose restarted ingestion draws batch boundaries
+   from a distinct hash stream. *)
 let stack_rows ~sink ~mode ~batched ~spilled (sc : Scenario.t) =
   let plan = naive_plan sc and horizon = sc.Scenario.horizon in
   let ingest = ingest ~batched sc in
@@ -392,25 +386,6 @@ let stack_rows ~sink ~mode ~batched ~spilled (sc : Scenario.t) =
       if batched || spilled then
         require_identical mode sc (rows, metrics)
       else rows
-  | Sharded ->
-      let r =
-        Runner.create ~mode
-          ?batch:(if batched then Some sc.Scenario.batch else None)
-          ?budget:(if spilled then Some sc.Scenario.budget else None)
-          ~shards:sc.Scenario.shards plan
-      in
-      (try
-         ingest ~hash:(scenario_hash sc) (fed_events sc) ~feed:(Runner.feed r)
-           ~feed_batch:
-             (Batch.iter_slots (function
-               | Batch.Ev e -> Runner.feed r e
-               | Batch.Punct wm -> Runner.advance r wm))
-       with e ->
-         (* unblock and reap the workers before re-raising *)
-         (try ignore (Runner.close r ~horizon) with _ -> ());
-         raise e);
-      let res = Runner.close r ~horizon in
-      require_identical mode sc (res.Runner.rows, res.Runner.metrics)
   | Checkpointed ->
       let dir = fresh_temp_dir () in
       Fun.protect

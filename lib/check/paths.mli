@@ -15,16 +15,13 @@
       from four orthogonal dimensions:
       {ul
       {- [sink] — what drives the run: the {!Fw_engine.Stream_exec}
-         executor itself ([Engine]), the key-partitioned multi-domain
-         runner over the scenario's shard count ([Sharded],
-         {!Fw_shard.Runner}), a checkpointing pipeline killed
+         executor itself ([Engine]), a checkpointing pipeline killed
          mid-stream by an injected fault — sometimes with a torn
          snapshot write — then recovered from disk and finished
          ([Checkpointed], {!Fw_snap}), or one in-process query server
          holding overlapping sub-queries of the window set as SQL
-         ([Served], {!Fw_serve.Server}).  Sharding, crash-restart and
-         serving each own the run, so they are one field and cannot
-         combine;}
+         ([Served], {!Fw_serve.Server}).  Crash-restart and serving
+         each own the run, so they are one field and cannot combine;}
       {- [mode] — naive per-instance or pane-based incremental
          execution;}
       {- [batched] — ingestion through [feed_batch] under the
@@ -46,7 +43,7 @@
     sharing (or its degrade) must never change a float bit of anyone's
     answer. *)
 
-type sink = Engine | Sharded | Checkpointed | Served
+type sink = Engine | Checkpointed | Served
 
 type path =
   | Reference
@@ -69,7 +66,7 @@ val name : path -> string
 (** Stable identifier used in reports ("rewritten", "shared-paired",
     ...).  A stack is named [SINK-MODE], then [-batched] and
     [-spilled] when set: "engine-naive",
-    "sharded-incremental-batched-spilled". *)
+    "checkpointed-incremental-batched-spilled". *)
 
 val applicable : path -> Scenario.t -> bool
 (** Whether the path supports the scenario.  The slicing paths have no

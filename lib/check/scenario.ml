@@ -58,7 +58,6 @@ type t = {
   events : Event.t list;
   shape : shape;
   tumbling : bool;
-  shards : int;
   batch : int;  (** nominal batch size for the batched execution paths *)
   budget : int;  (** resident-state budget (bytes) for the spilled path *)
 }
@@ -124,11 +123,13 @@ let draw prng cfg =
   in
   let tumbling = Prng.bool g_shape in
   let n = Prng.int_in g_shape 1 cfg.max_windows in
-  (* drawn from the already-consumed shape generator so every other
-     dimension of a given seed is unchanged by the sharding path *)
-  let shards = Prng.int_in g_shape 2 8 in
-  (* likewise additive: appending the batch draw leaves the window /
-     aggregate / event streams of existing seeds untouched *)
+  (* This draw once picked a shard count for a sharded execution path
+     that no longer exists.  It is still consumed so that the batch,
+     family and budget draws after it — and therefore every existing
+     seed's scenario — stay exactly what they were. *)
+  ignore (Prng.int_in g_shape 2 8 : int);
+  (* additive on the shape generator: appending the batch draw leaves
+     the window / aggregate / event streams of existing seeds untouched *)
   let batch = Prng.int_in g_shape cfg.batch_min (max cfg.batch_min cfg.batch_max) in
   let windows = draw_windows g_win cfg ~shape ~tumbling ~n in
   let windows =
@@ -179,14 +180,13 @@ let draw prng cfg =
   let eta = Prng.int_in g_eta 1 cfg.eta_max in
   let horizon = Prng.int_in g_horizon cfg.horizon_min cfg.horizon_max in
   let events = draw_events g_events ~eta ~horizon in
-  { agg; windows; eta; horizon; events; shape; tumbling; shards; batch; budget }
+  { agg; windows; eta; horizon; events; shape; tumbling; batch; budget }
 
 let of_seed cfg seed = draw (Prng.create seed) cfg
 
 let summary t =
   Printf.sprintf
-    "%s over %s (%s%s), eta=%d horizon=%d |events|=%d shards=%d batch=%d \
-     budget=%d"
+    "%s over %s (%s%s), eta=%d horizon=%d |events|=%d batch=%d budget=%d"
     (Aggregate.to_string t.agg)
     ("["
     ^ String.concat "; " (List.map Window.to_string t.windows)
@@ -199,7 +199,7 @@ let summary t =
      else "")
     t.eta t.horizon
     (List.length t.events)
-    t.shards t.batch t.budget
+    t.batch t.budget
 
 let pp ppf t = Format.pp_print_string ppf (summary t)
 
@@ -219,10 +219,9 @@ let to_repro t =
      windows  = %s@,\
      eta      = %d@,\
      horizon  = %d@,\
-     shards   = %d@,\
      batch    = %d@,\
      budget   = %d@,\
      events   = @[<hov 2>[%a]@]@]"
     (Aggregate.to_string t.agg)
     (String.concat " " (List.map Window.to_string t.windows))
-    t.eta t.horizon t.shards t.batch t.budget pp_events t.events
+    t.eta t.horizon t.batch t.budget pp_events t.events

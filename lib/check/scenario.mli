@@ -59,9 +59,6 @@ type t = {
   events : Fw_engine.Event.t list;  (** time-ordered *)
   shape : shape;
   tumbling : bool;
-  shards : int;
-      (** worker-domain count for the sharded stacks, drawn in [\[2, 8\]];
-          shrunk like any other dimension when a failure minimizes *)
   batch : int;
       (** nominal batch size for the batched stacks; the
           deterministic partitioning in {!Paths} draws per-batch sizes

@@ -72,14 +72,6 @@ let families still_fails ws =
   in
   go ws
 
-(* Smallest shard count (>= 2: one shard is not a sharded run) that
-   keeps the failure alive, scanning upward from 2. *)
-let shards still_fails n =
-  if n <= 2 then n
-  else
-    let rec from k = if k >= n then n else if still_fails k then k else from (k + 1) in
-    from 2
-
 (* Smallest batch size that keeps the failure alive, scanning upward
    from 1 (batch-of-1 is the per-event degenerate case, so a failure
    that survives it localizes away from the batching itself). *)
@@ -107,13 +99,12 @@ let budget still_fails n =
 let scenario still_fails (sc : Scenario.t) =
   let with_events sc evs = { sc with Scenario.events = evs } in
   let with_windows sc ws = { sc with Scenario.windows = ws } in
-  let with_shards sc n = { sc with Scenario.shards = n } in
   let with_batch sc n = { sc with Scenario.batch = n } in
   let with_budget sc n = { sc with Scenario.budget = n } in
   (* events first (usually the big list), then windows — removal, then
      family degradation of the survivors — then a second event pass (a
      smaller window set often unlocks further stream reduction) and
-     finally the shard count, batch size and memory budget. *)
+     finally the batch size and memory budget. *)
   let sc =
     with_events sc
       (events (fun evs -> still_fails (with_events sc evs)) sc.Scenario.events)
@@ -133,10 +124,6 @@ let scenario still_fails (sc : Scenario.t) =
   let sc =
     with_events sc
       (events (fun evs -> still_fails (with_events sc evs)) sc.Scenario.events)
-  in
-  let sc =
-    with_shards sc
-      (shards (fun n -> still_fails (with_shards sc n)) sc.Scenario.shards)
   in
   let sc =
     with_batch sc

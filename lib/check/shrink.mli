@@ -32,10 +32,6 @@ val families :
     the gap wherever the failure survives, so a shrunk repro carries a
     non-time family only when the family itself matters. *)
 
-val shards : (int -> bool) -> int -> int
-(** Smallest shard count in [\[2, n\]] that still fails (2 is the floor:
-    one shard is not a sharded run). *)
-
 val batch : (int -> bool) -> int -> int
 (** Smallest batch size in [\[1, n\]] that still fails; reaching 1 means
     the failure survives per-event-sized batches and is not about
@@ -51,4 +47,4 @@ val scenario : (Scenario.t -> bool) -> Scenario.t -> Scenario.t
 (** Full pipeline: shrink the event stream, then the window set
     (removal, then family degradation), then the events once more (a
     smaller window set often unlocks further stream reduction), then
-    the shard count, batch size and memory budget. *)
+    the batch size and memory budget. *)

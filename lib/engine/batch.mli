@@ -10,10 +10,9 @@
     splits the batch into segments at the marks and fires pending
     instances at exactly the per-event points.
 
-    Batches are mutable accumulators meant for recycling: the sharded
-    runner refills one per flush, the per-event [feed] wrapper reuses
-    a single one-slot scratch batch.  {!reset} keeps the column
-    storage.
+    Batches are mutable accumulators meant for recycling: the per-event
+    [feed] wrapper reuses a single one-slot scratch batch.  {!reset}
+    keeps the column storage.
 
     The columns must be pushed in event-time order ({!is_time_ordered}
     checks); {!Stream_exec.feed_batch} validates against its watermark

@@ -33,7 +33,7 @@ let create () =
         ~help:"Events accepted by the source";
     wm_ticks =
       Registry.gauge registry "engine_watermark_ticks"
-        ~help:"Event-time watermark (ticks); merges by max across shards";
+        ~help:"Event-time watermark (ticks)";
     wm_advance_ts =
       Registry.gauge registry "engine_watermark_advance_ts_ns"
         ~help:
@@ -154,14 +154,6 @@ let fallbacks t =
         | _ -> None)
     (Registry.entries t.registry)
   |> List.sort compare
-
-(* Registry-level merge, then re-intern the source's window counters so
-   the facade's Window.Map sees the cells the merge created (or found):
-   [window_counter] resolves through the registry by (name, labels), so
-   no count is ever added twice. *)
-let merge_into ~into src =
-  Fw_obs.Registry.merge_into ~into:into.registry src.registry;
-  List.iter (fun (w, _) -> ignore (window_counter into w)) (per_window src)
 
 let set_trace t tr = t.trace <- Some tr
 let trace t = t.trace

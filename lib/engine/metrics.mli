@@ -28,8 +28,7 @@ type node_stats = {
   fire_ns : Fw_obs.Histogram.t;  (** sampled activation latency *)
   fire_delay_ns : Fw_obs.Histogram.t;
       (** sampled wall-clock delay from the triggering watermark
-          broadcast (under sharding: from the driver stamping the
-          punctuation, so queueing shows up) to the activation *)
+          broadcast to the activation *)
   mutable activations : int;  (** activation count, drives sampling *)
 }
 
@@ -83,15 +82,6 @@ val record_fallback :
 val fallbacks : t -> (int * string * string * int) list
 (** [(node, window, reason, count)] for every fallback recorded,
     sorted. *)
-
-val merge_into : into:t -> t -> unit
-(** Fold another run's metrics into [into]: every registry cell
-    combines via {!Fw_obs.Registry.merge_into} (counters/gauges add,
-    histograms merge exactly) and the legacy window counters stay
-    visible through {!processed}/{!per_window} on the merged value.
-    This is how the sharded runner ({!Fw_shard.Runner}) reconciles
-    per-shard accounting: summed cost-model counters equal a
-    single-shard run's.  The source must no longer be written to. *)
 
 val set_trace : t -> Fw_obs.Trace.t -> unit
 (** Attach a span trace.  Attach it {e before} creating the executor:

@@ -1199,12 +1199,10 @@ let ensure_iota t n =
 
 (* Broadcast a new source watermark.  [stamp] is the wall clock when
    the punctuation entered the engine — taken lazily, at most once per
-   feed_batch call (or pre-filled by the sharding driver, so queue
-   wait is visible in the delay): the clock is only read when a
-   watermark actually advances, keeping observe-mode clock cost off
-   the per-event path.  It baselines the sampled watermark-to-fire
-   delay and feeds the progress gauges the meter turns into watermark
-   lag. *)
+   feed_batch call: the clock is only read when a watermark actually
+   advances, keeping observe-mode clock cost off the per-event path.
+   It baselines the sampled watermark-to-fire delay and feeds the
+   progress gauges the meter turns into watermark lag. *)
 let broadcast_wm t ~stamp wm =
   t.source_wm <- wm;
   if t.observe then begin
@@ -1265,9 +1263,9 @@ let feed t e =
   Batch.push t.scratch e;
   feed_batch t t.scratch
 
-let advance ?(at_ns = 0) t time =
+let advance t time =
   if t.closed then invalid_arg "Stream_exec.advance: executor is closed";
-  if time > t.source_wm then broadcast_wm t ~stamp:(ref at_ns) time
+  if time > t.source_wm then broadcast_wm t ~stamp:(ref 0) time
 
 let close t ~horizon =
   advance t horizon;

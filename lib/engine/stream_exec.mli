@@ -112,12 +112,9 @@ val feed_batch : t -> Batch.t -> unit
     state changes: a late event anywhere in it raises {!Late_event}
     and leaves the executor untouched. *)
 
-val advance : ?at_ns:int -> t -> int -> unit
+val advance : t -> int -> unit
 (** Advance the watermark without an event (a punctuation): all
-    instances ending at or before the time fire.  [at_ns] is the wall
-    clock when the punctuation was issued (the sharding driver stamps
-    it before enqueueing, so queue wait shows up in the fire-delay
-    histograms); defaults to now when observing. *)
+    instances ending at or before the time fire. *)
 
 val close : t -> horizon:int -> Row.t list
 (** Advance to the horizon, flush, and return all result rows emitted

@@ -2,9 +2,9 @@
     the hot path costs one load/add/store and never allocates.
 
     Not atomic: the cell expects a single writer domain (concurrent
-    increments are memory-safe in OCaml 5 but can lose updates).  For
-    multicore use, give each domain its own counter and combine them at
-    drain time via {!Registry.merge_into}. *)
+    increments are memory-safe in OCaml 5 but can lose updates).  Other
+    domains may read it: a read returns some written value, never a
+    torn one. *)
 
 type t
 

@@ -1,9 +1,7 @@
 (** Last-value gauge (float), for levels that go up and down: buffer
     occupancy, queue depth, rates computed at snapshot time.
 
-    Single-writer like {!Counter}; {!Registry.merge_into} combines
-    gauges by {e addition} (the registry's merge reconciles additive
-    levels such as queue depths — keep per-domain gauges additive). *)
+    Single-writer like {!Counter}. *)
 
 type t
 

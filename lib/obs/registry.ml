@@ -11,12 +11,11 @@ type entry = {
 }
 
 (* The table is the only piece of a registry that several domains may
-   touch at once (sharded workers interning metrics while the driver
+   touch at once (the engine interning metrics while a scrape domain
    lists them); a plain Hashtbl corrupts under that race, so every
    table access goes through [mu].  The returned handles are NOT
-   guarded — a metric cell stays single-writer-per-domain, and
-   cross-domain aggregation goes through [merge_into] at drain time
-   (see the .mli's threading contract). *)
+   guarded — a metric cell stays single-writer (see the .mli's
+   threading contract). *)
 type t = {
   tbl : (string * (string * string) list, entry) Hashtbl.t;
   mu : Mutex.t;
@@ -87,33 +86,3 @@ let counter_value t ?labels name =
   match find t ?labels name with
   | Some (Counter c) -> Some (Counter.get c)
   | _ -> None
-
-(* Progress gauges — watermarks, wall-clock stamps — are high-water
-   marks, not quantities: summing them across shards would report a
-   4-shard run's watermark four times too high.  The naming convention
-   picks the merge rule. *)
-let progress_gauge name =
-  String.ends_with ~suffix:"_ticks" name
-  || String.ends_with ~suffix:"_ts_ns" name
-
-let merge_into ~into src =
-  if into == src then invalid_arg "Fw_obs.Registry.merge_into: same registry";
-  List.iter
-    (fun e ->
-      match e.metric with
-      | Counter c ->
-          Counter.add
-            (counter into ~labels:e.labels ~help:e.help e.name)
-            (Counter.get c)
-      | Gauge g when progress_gauge e.name ->
-          let dst = gauge into ~labels:e.labels ~help:e.help e.name in
-          Gauge.set dst (Float.max (Gauge.get dst) (Gauge.get g))
-      | Gauge g ->
-          Gauge.add
-            (gauge into ~labels:e.labels ~help:e.help e.name)
-            (Gauge.get g)
-      | Histogram h ->
-          Histogram.merge_into
-            ~into:(histogram into ~labels:e.labels ~help:e.help e.name)
-            h)
-    (entries src)

@@ -12,14 +12,13 @@
 
     {b Threading.}  The registry table itself is domain-safe: interning
     ({!counter}/{!gauge}/{!histogram}), {!find} and {!entries} are
-    serialized by an internal mutex, so several domains may register
-    into — and a driver may list — one registry concurrently without
-    corrupting it.  The returned metric {e cells} are deliberately not
-    locked: an increment stays one load/add/store.  The supported
-    multicore pattern is therefore single-writer-per-cell — in
-    practice, one registry per domain (see {!Fw_engine.Metrics} per
-    shard) whose cells are only ever mutated by that domain, combined
-    at drain time with {!merge_into}. *)
+    serialized by an internal mutex, so one domain may register into a
+    registry while another (the {!Scrape} server) lists it.  The
+    returned metric {e cells} are deliberately not locked: an increment
+    stays one load/add/store.  The supported multicore pattern is
+    therefore single-writer-per-cell: each cell is only ever mutated by
+    one domain, and readers on other domains see whole (if slightly
+    stale) values. *)
 
 type t
 
@@ -48,16 +47,3 @@ val find : t -> ?labels:(string * string) list -> string -> metric option
 
 val counter_value : t -> ?labels:(string * string) list -> string -> int option
 (** Convenience for tests and reports. *)
-
-val merge_into : into:t -> t -> unit
-(** Fold every metric of the second registry into [into], matching on
-    (name, labels): counters and gauges add, histograms merge
-    bucket-wise (exact, {!Histogram.merge_into}).  Exception: gauges
-    named [*_ticks] or [*_ts_ns] are progress marks (watermarks,
-    wall-clock stamps) and merge by [max] — summing a watermark over
-    four shards would quadruple it.  Metrics absent from
-    [into] are registered first, so merging per-shard registries into a
-    fresh one reproduces the union.  Raises [Invalid_argument] if the
-    two registries disagree on a metric's type, or if [into] is the
-    source itself.  Call it only once the source registry's writer
-    domain has finished (the drain barrier). *)

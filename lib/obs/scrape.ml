@@ -5,12 +5,12 @@
 
    Concurrency argument (unchanged from when the plumbing was inline):
    the accept domain only ever (a) lists the registry through its
-   mutex, (b) racily reads metric cells the engine domains write —
+   mutex, (b) racily reads metric cells the engine writes —
    single-word reads of monotone values, the OCaml memory model
    returns some written value, never a torn one — and (c) writes the
    gauges its own meter derives, of which it is the only writer.  So a
-   scrape can run concurrently with the engine's hot path and with
-   sharded workers merging into the registry. *)
+   scrape can run concurrently with the engine's hot path, interning
+   included. *)
 
 type t = { httpd : Httpd.t; scrapes : Counter.t }
 

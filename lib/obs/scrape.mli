@@ -19,10 +19,9 @@
 
     Requests are answered sequentially in the server's domain
     ([Connection: close], no keep-alive): a metrics scrape is a ~1 Hz
-    single-reader workload.  Scraping is safe concurrently with engine
-    domains updating their cells and with {!Registry.merge_into}
-    publishing per-shard registries — see the threading contract in
-    {!Registry} and the argument in DESIGN.md §14. *)
+    single-reader workload.  Scraping is safe concurrently with the engine
+    updating its cells and interning new metrics — see the threading
+    contract in {!Registry} and the argument in DESIGN.md §14. *)
 
 type t
 

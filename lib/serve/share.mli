@@ -13,8 +13,7 @@
     member's output is then exactly the group rows filtered to its
     exposed windows.  Whenever the condition fails the server degrades
     to an independent engine and says why
-    ([serve_share_degraded_total{reason}]), mirroring how
-    [Fw_shard.Partition] surfaces its [Keyless] fallback. *)
+    ([serve_share_degraded_total{reason}]). *)
 
 type key = {
   agg : Fw_agg.Aggregate.t;

@@ -12,8 +12,7 @@
    bounded by plan depth × the largest entry).
 
    Single-writer like the metric cells it publishes: one pool per
-   domain (the sharded runner gives each worker its own, with the
-   budget split evenly). *)
+   engine domain. *)
 
 module Counter = Fw_obs.Counter
 module Gauge = Fw_obs.Gauge

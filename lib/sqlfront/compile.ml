@@ -7,19 +7,27 @@ type compiled = {
   outcome : Rewrite.outcome;
 }
 
+(* The parser bounds each window parameter, but the optimizer's
+   arithmetic over the whole set (common period, costs) can still
+   exceed a native int; that is the query's error, not a crash. *)
+let optimize ?eta ?factor_windows analysis =
+  Rewrite.optimize ?eta ?factor_windows ?filter:analysis.Analyze.filter
+    analysis.Analyze.agg analysis.Analyze.windows
+
+let overflow =
+  Error
+    "the window set's common period or cost overflows the integer range"
+
 let compile ?eta ?factor_windows input =
   match Parser.parse_result input with
   | Error _ as e -> e
   | Ok ast -> (
       match Analyze.check ast with
       | Error e -> Error (Format.asprintf "%a" Analyze.pp_error e)
-      | Ok analysis ->
-          let outcome =
-            Rewrite.optimize ?eta ?factor_windows
-              ?filter:analysis.Analyze.filter analysis.Analyze.agg
-              analysis.Analyze.windows
-          in
-          Ok { ast; analysis; outcome })
+      | Ok analysis -> (
+          match optimize ?eta ?factor_windows analysis with
+          | outcome -> Ok { ast; analysis; outcome }
+          | exception Fw_util.Arith.Overflow -> overflow))
 
 type multi_compiled = { multi_ast : Ast.t; per_aggregate : compiled list }
 
@@ -29,19 +37,15 @@ let compile_multi ?eta ?factor_windows input =
   | Ok ast -> (
       match Analyze.check_multi ast with
       | Error e -> Error (Format.asprintf "%a" Analyze.pp_error e)
-      | Ok analyses ->
-          let per_aggregate =
+      | Ok analyses -> (
+          match
             List.map
               (fun analysis ->
-                let outcome =
-                  Rewrite.optimize ?eta ?factor_windows
-                    ?filter:analysis.Analyze.filter analysis.Analyze.agg
-                    analysis.Analyze.windows
-                in
-                { ast; analysis; outcome })
+                { ast; analysis; outcome = optimize ?eta ?factor_windows analysis })
               analyses
-          in
-          Ok { multi_ast = ast; per_aggregate })
+          with
+          | per_aggregate -> Ok { multi_ast = ast; per_aggregate }
+          | exception Fw_util.Arith.Overflow -> overflow))
 
 let explain { ast = _; analysis; outcome } =
   let buf = Buffer.create 512 in

@@ -11,6 +11,15 @@ let pos st = { Token.line = st.line; col = st.col }
 
 let error st message = raise (Error { message; pos = pos st })
 
+(* An integer literal that does not fit a native int is a lexical
+   error at the literal, not a [Failure] from [int_of_string]. *)
+let int_literal ~pos text =
+  match int_of_string_opt text with
+  | Some n -> Token.Int n
+  | None ->
+      let message = "integer literal " ^ text ^ " is out of range" in
+      raise (Error { message; pos })
+
 let peek st =
   if st.offset < String.length st.input then Some st.input.[st.offset]
   else None
@@ -118,7 +127,7 @@ let tokenize input =
                   advance st;
                   let frac = take_while st is_digit in
                   Token.Float (-.float_of_string (digits ^ "." ^ frac))
-              | _ -> Token.Int (-int_of_string digits)
+              | _ -> int_literal ~pos:p ("-" ^ digits)
             in
             (match peek st with
             | Some c when is_ident_start c ->
@@ -184,7 +193,7 @@ let tokenize input =
                   advance st;
                   let frac = take_while st is_digit in
                   Token.Float (float_of_string (digits ^ "." ^ frac))
-              | _ -> Token.Int (int_of_string digits)
+              | _ -> int_literal ~pos:p digits
             in
             (match peek st with
             | Some c when is_ident_start c ->

@@ -37,12 +37,31 @@ let eat_ident st =
       s
   | t -> error st "expected an identifier, found %a" Token.pp t
 
-let eat_int st =
-  match peek_token st with
-  | Token.Int n ->
-      advance st;
-      n
-  | t -> error st "expected an integer, found %a" Token.pp t
+(* A window parameter: a positive integer — a hop no larger than its
+   window's [size] — whose tick count, for a time window, fits a native
+   int, so {!Ast.window_of_def} can always build the window from the
+   AST.  Errors point at the literal. *)
+let eat_param ?unit_ ?size st =
+  let n =
+    match peek_token st with
+    | Token.Int n -> n
+    | t -> error st "expected an integer, found %a" Token.pp t
+  in
+  if n <= 0 then error st "window parameters must be positive, found %d" n;
+  (match size with
+  | Some size when n > size ->
+      error st "the hop %d exceeds the window size %d" n size
+  | _ -> ());
+  (match unit_ with
+  | Some u -> (
+      match Duration.to_ticks (Duration.make u n) with
+      | _ -> ()
+      | exception Fw_util.Arith.Overflow ->
+          error st "%d %s overflows the tick range" n
+            (Duration.unit_to_string u))
+  | None -> ());
+  advance st;
+  n
 
 let peek_ahead st k =
   let i = min (st.index + k) (Array.length st.tokens - 1) in
@@ -67,11 +86,11 @@ let parse_window_def st =
   if is_keyword st "countwindow" then begin
     advance st;
     expect st Token.Lparen;
-    let size = eat_int st in
+    let size = eat_param st in
     let hop =
       if Token.equal (peek_token st) Token.Comma then begin
         advance st;
-        eat_int st
+        eat_param ~size st
       end
       else size
     in
@@ -83,7 +102,7 @@ let parse_window_def st =
     expect st Token.Lparen;
     let unit_ = parse_unit st in
     expect st Token.Comma;
-    let gap = eat_int st in
+    let gap = eat_param ~unit_ st in
     expect st Token.Rparen;
     Ast.Session { unit_; gap }
   end
@@ -92,7 +111,7 @@ let parse_window_def st =
     expect st Token.Lparen;
     let unit_ = parse_unit st in
     expect st Token.Comma;
-    let size = eat_int st in
+    let size = eat_param ~unit_ st in
     expect st Token.Rparen;
     Ast.Tumbling { unit_; size }
   end
@@ -101,9 +120,9 @@ let parse_window_def st =
     expect st Token.Lparen;
     let unit_ = parse_unit st in
     expect st Token.Comma;
-    let size = eat_int st in
+    let size = eat_param ~unit_ st in
     expect st Token.Comma;
-    let hop = eat_int st in
+    let hop = eat_param ~unit_ ~size st in
     expect st Token.Rparen;
     Ast.Hopping { unit_; size; hop }
   end

@@ -7,10 +7,8 @@
     paper's "various input event rate" data generator.
 
     Keys are drawn {!Uniform}ly by default; {!Zipf} skews the draw so
-    the first keys of the pool dominate — the workload that exercises
-    the sharded runner's imbalance gauge and backpressure counters
-    ({!Fw_shard.Runner}) with something other than evenly spread
-    keys. *)
+    the first keys of the pool dominate ([fwopt run --key-skew]), a
+    stream whose per-key state is far from evenly spread. *)
 
 type key_dist =
   | Uniform
@@ -30,8 +28,7 @@ val default_config : config
 
 val key_pool : int -> string list
 (** [key_pool n] is [n] synthetic device keys ([device-001] ...), for
-    key-heavy workloads (sharding benches want far more keys than the
-    default four). *)
+    key-heavy workloads (far more keys than the default four). *)
 
 val steady :
   Fw_util.Prng.t -> config -> eta:int -> horizon:int -> Fw_engine.Event.t list

@@ -318,7 +318,6 @@ let test_crash_batched_path_clean () =
         List.init 60 (fun t -> ev t (if t mod 2 = 0 then "x" else "y") 1.5);
       shape = Fw_check.Scenario.Random_shape;
       tumbling = false;
-      shards = 2;
       batch = 5;
       budget = 4096;
     }
@@ -334,50 +333,6 @@ let test_crash_batched_path_clean () =
       | Ok rows -> check_bool "produced rows" true (rows <> [])
       | Error e -> Alcotest.fail ("crash-batched path failed: " ^ e))
     [ Stream_exec.Naive; Stream_exec.Incremental ]
-
-(* --- the PR-5 negative-scaling sentinel ------------------------------ *)
-
-let test_sharded_batched_throughput () =
-  (* Per-event ring messages once made 4 shards SLOWER than one (the
-     per-event mutex round-trip dominated).  With whole-batch messages
-     the sharded run must at least match single-shard throughput on a
-     host with enough cores.  On smaller hosts the property cannot hold
-     (domains time-slice one core), so the check is skipped loudly
-     rather than silently passed. *)
-  let cores = Domain.recommended_domain_count () in
-  if cores < 4 then
-    Printf.printf
-      "    [skip] sharded-batched throughput sentinel: host has %d core(s), \
-       needs >= 4 (negative scaling is expected when domains share a core)\n"
-      cores
-  else begin
-    let windows = [ w ~r:60 ~s:12 ] in
-    let plan = Plan.naive Aggregate.Sum windows in
-    let horizon = 30_000 in
-    let events =
-      List.init horizon (fun t ->
-          ev t (Printf.sprintf "k%d" (t mod 64)) (float_of_int (t land 15)))
-    in
-    let time f =
-      let t0 = Fw_obs.Clock.now_ns () in
-      ignore (f ());
-      Fw_obs.Clock.elapsed_ns ~since:t0
-    in
-    let single =
-      time (fun () -> Stream_exec.run plan ~horizon events)
-    in
-    let sharded =
-      time (fun () ->
-          Fw_shard.Runner.run ~shards:4 ~batch:1024 plan ~horizon events)
-    in
-    check_bool
-      (Printf.sprintf
-         "4-shard batched throughput >= single-shard (single %dns, sharded \
-          %dns)"
-         single sharded)
-      true
-      (sharded <= single)
-  end
 
 let suite =
   [
@@ -396,6 +351,4 @@ let suite =
       test_mid_batch_checkpoint_recovers;
     Alcotest.test_case "crash-batched path clean" `Quick
       test_crash_batched_path_clean;
-    Alcotest.test_case "sharded-batched throughput sentinel" `Quick
-      test_sharded_batched_throughput;
   ]

@@ -89,6 +89,39 @@ let test_scenario_draws_cover_space () =
   in
   check_bool "at least 5 distinct aggregates" true (List.length aggs >= 5)
 
+(* The draws of seeds 1-5, as recorded before the shard-count draw lost
+   its consumer: [Scenario.draw] still consumes it, so window sets,
+   batch sizes, budgets and event streams of existing seeds (and the
+   committed CI campaigns) stay where they were.  The family column
+   covers the draws that follow the batch draw on the same generator. *)
+let test_scenario_seed_stability () =
+  let pinned =
+    [
+      (0.0, 1, [ "W<4,4>"; "W<20,20>" ], 15, 26555, 0);
+      ( 0.0, 2,
+        [ "W<40,10>"; "W<210,30>"; "W<390,30>"; "W<420,60>"; "W<780,60>" ],
+        10, 0, 81 );
+      (0.0, 3, [ "W<27,9>"; "W<264,27>"; "W<108,27>" ], 4, 31387, 27);
+      (0.0, 4, [ "W<4,4>" ], 13, 0, 297);
+      (0.0, 5, [ "W<16,16>" ], 2, 51041, 0);
+      (0.5, 3, [ "S<4>"; "S<9>"; "S<10>" ], 4, 34963, 27);
+      (0.5, 5, [ "R<16,16>" ], 2, 0, 0);
+    ]
+  in
+  List.iter
+    (fun (family_prob, seed, windows, batch, budget, events) ->
+      let sc =
+        Scenario.of_seed { Scenario.default_gen with family_prob } seed
+      in
+      let label what = Printf.sprintf "seed %d (family %g) %s" seed family_prob what in
+      Alcotest.(check (list string))
+        (label "windows") windows
+        (List.map Window.to_string sc.Scenario.windows);
+      check_int (label "batch") batch sc.Scenario.batch;
+      check_int (label "budget") budget sc.Scenario.budget;
+      check_int (label "events") events (List.length sc.Scenario.events))
+    pinned
+
 (* --- differential + invariants on fixed scenarios --- *)
 
 let fixed_scenario agg windows events ~eta ~horizon =
@@ -100,7 +133,6 @@ let fixed_scenario agg windows events ~eta ~horizon =
     events = Event.sort events;
     shape = Scenario.Random_shape;
     tumbling = List.for_all Window.is_tumbling windows;
-    shards = 4;
     batch = 7;
     budget = 4096;
   }
@@ -137,7 +169,7 @@ let engine mode = stack Paths.Engine mode ~batched:false ~spilled:false
 let test_path_roster () =
   let module Stream_exec = Fw_engine.Stream_exec in
   let bools = [ false; true ] in
-  let sinks = [ Paths.Engine; Paths.Sharded; Paths.Checkpointed; Paths.Served ] in
+  let sinks = [ Paths.Engine; Paths.Checkpointed; Paths.Served ] in
   let modes = [ Stream_exec.Naive; Stream_exec.Incremental ] in
   let combinations =
     List.concat_map
@@ -170,7 +202,7 @@ let test_path_roster () =
         (Paths.applicable p sc))
     combinations;
   check_string "reference first" "reference" (Paths.name (List.hd Paths.all));
-  check_int "reference, two rewritten, four sliced, 26 stacks" 33
+  check_int "reference, two rewritten, four sliced, 18 stacks" 25
     (List.length Paths.all);
   let names = List.map Paths.name Paths.all in
   check_int "names unique" (List.length names)
@@ -198,12 +230,13 @@ let test_path_roster () =
       Paths.all
     |> List.sort_uniq compare
   in
-  check_int "one word per sink" 4 (List.length sink_words);
-  check_int "distinct sink words" 4
+  check_int "one word per sink" 3 (List.length sink_words);
+  check_int "distinct sink words" 3
     (List.length (List.sort_uniq compare (List.map snd sink_words)));
-  check_string "composed name" "sharded-incremental-batched-spilled"
+  check_string "composed name" "checkpointed-incremental-batched-spilled"
     (Paths.name
-       (stack Paths.Sharded Stream_exec.Incremental ~batched:true ~spilled:true))
+       (stack Paths.Checkpointed Stream_exec.Incremental ~batched:true
+          ~spilled:true))
 
 let test_incremental_path_applicability () =
   (* The incremental engine falls back per node, so it applies to every
@@ -340,19 +373,17 @@ let test_bounded_crash_campaign () =
         ("crash campaign failure: " ^ Format.asprintf "%a" Harness.pp_failure f)
 
 let test_bounded_batched_campaign () =
-  (* The batched acceptance property: under full batch/shard/crash/spill
+  (* The batched acceptance property: under full batch/crash/spill
      composition the vectorized stacks — feed_batch with mid-batch
-     punctuation, batch-per-message shard rings at the scenario's
-     batch size, checkpoints landing inside batches, any of them under
-     a memory budget — all recover byte-identical rows and bit-for-bit
-     cost counters across a bounded campaign. *)
+     punctuation, checkpoints landing inside batches, either of them
+     under a memory budget — all recover byte-identical rows and
+     bit-for-bit cost counters across a bounded campaign. *)
   let cfg =
     {
       Harness.default_config with
       Harness.iterations = 30;
       base_seed = 4200;
       crash_prob = 0.25;
-      shard_prob = 0.25;
       batch_prob = 1.0;
       spill_prob = 0.25;
     }
@@ -419,6 +450,8 @@ let suite =
     prop_reference_equals_naive_stream;
     Alcotest.test_case "scenario deterministic" `Quick
       test_scenario_deterministic;
+    Alcotest.test_case "scenario seed stability" `Quick
+      test_scenario_seed_stability;
     Alcotest.test_case "scenario coverage" `Quick
       test_scenario_draws_cover_space;
     Alcotest.test_case "differential example 6" `Quick

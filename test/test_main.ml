@@ -27,7 +27,6 @@ let () =
       ("edge-cases", Test_edge_cases.suite);
       ("snap", Test_snap.suite);
       ("spill", Test_spill.suite);
-      ("shard", Test_shard.suite);
       ("batch", Test_batch.suite);
       ("serve", Test_serve.suite);
     ]

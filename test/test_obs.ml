@@ -569,53 +569,57 @@ let test_scrape_roundtrip () =
   (* stop is idempotent *)
   Fw_obs.Scrape.stop s
 
-(* Scraping while another domain folds worker registries into the
-   served one — the exact shape of `fwopt run --serve` over a sharded
-   run.  Every scrape must parse, and the cumulative series must read
-   monotone, untorn values. *)
-let test_scrape_during_merge () =
+(* Scraping while another domain interns fresh metrics into the served
+   registry and bumps its cells — the shape of `fwopt run --serve`,
+   whose engine registers per-node series while the scrape domain lists
+   the table.  Every scrape must parse, and the cumulative series must
+   read monotone, untorn values. *)
+let test_scrape_during_interning () =
   let shared = Registry.create () in
   let s = Fw_obs.Scrape.start ~port:0 shared in
   Fun.protect
     ~finally:(fun () -> Fw_obs.Scrape.stop s)
     (fun () ->
       let port = Fw_obs.Scrape.port s in
-      let merges = 300 in
-      let merger =
+      let rounds = 300 in
+      let writer =
         Domain.spawn (fun () ->
-            for i = 1 to merges do
-              let w = Registry.create () in
-              Counter.add (Registry.counter w "merged_total") 5;
-              Histogram.record (Registry.histogram w "merge_lat_ns") i;
-              Gauge.set (Registry.gauge w "merge_ticks") (float_of_int i);
-              Registry.merge_into ~into:shared w
+            let total = Registry.counter shared "interned_total" in
+            let ticks = Registry.gauge shared "intern_ticks" in
+            for i = 1 to rounds do
+              Histogram.record
+                (Registry.histogram shared
+                   ~labels:[ ("round", string_of_int i) ]
+                   "intern_lat_ns")
+                i;
+              Counter.add total 5;
+              Gauge.set ticks (float_of_int i)
             done)
       in
       let last = ref 0.0 and last_ticks = ref 0.0 in
       for _ = 1 to 40 do
         let st, body = http_get ~port ~path:"/metrics" in
-        check_int "mid-merge 200" 200 (status_code st);
+        check_int "mid-interning 200" 200 (status_code st);
         let samples = Export.parse_prometheus body in
         let v name =
           List.find_map
             (fun (n, _, v) -> if n = name then Some v else None)
             samples
         in
-        (match v "merged_total" with
+        (match v "interned_total" with
         | None -> ()
         | Some v ->
             check_bool "counter monotone" true (v >= !last);
             check_bool "no torn read" true
-              (Float.rem v 5.0 = 0.0 && v <= float_of_int (5 * merges));
+              (Float.rem v 5.0 = 0.0 && v <= float_of_int (5 * rounds));
             last := v);
-        match v "merge_ticks" with
+        match v "intern_ticks" with
         | None -> ()
         | Some v ->
-            (* progress gauges merge by max: monotone under merging *)
-            check_bool "progress gauge monotone" true (v >= !last_ticks);
+            check_bool "gauge monotone" true (v >= !last_ticks);
             last_ticks := v
       done;
-      Domain.join merger;
+      Domain.join writer;
       let _, body = http_get ~port ~path:"/metrics" in
       let samples = Export.parse_prometheus body in
       let v name =
@@ -624,13 +628,14 @@ let test_scrape_during_merge () =
           samples
       in
       Alcotest.(check (option (float 1e-9)))
-        "all merges landed"
-        (Some (float_of_int (5 * merges)))
-        (v "merged_total");
-      Alcotest.(check (option (float 1e-9)))
-        "histogram count landed"
-        (Some (float_of_int merges))
-        (v "merge_lat_ns_count"))
+        "all increments landed"
+        (Some (float_of_int (5 * rounds)))
+        (v "interned_total");
+      check_int "every interned series listed" rounds
+        (List.length
+           (List.filter
+              (fun (n, _, _) -> n = "intern_lat_ns_count")
+              samples)))
 
 (* Quantile must stay total while another domain is recording: record
    bumps count before the buckets, so a racy reader can see
@@ -896,8 +901,8 @@ let suite =
     Alcotest.test_case "meter: rate derivation" `Quick test_meter_rates;
     Alcotest.test_case "meter: watermark lag" `Quick test_meter_lag;
     Alcotest.test_case "scrape: HTTP round-trip" `Quick test_scrape_roundtrip;
-    Alcotest.test_case "scrape: concurrent with merge" `Quick
-      test_scrape_during_merge;
+    Alcotest.test_case "scrape: concurrent with interning" `Quick
+      test_scrape_during_interning;
     Alcotest.test_case "histogram: quantile total during record" `Quick
       test_quantile_during_record;
     Alcotest.test_case "scrape: bare-LF request head" `Quick

@@ -403,11 +403,21 @@ let test_http_handler_e2e () =
     | [ i ] -> i.Server.i_id
     | l -> Alcotest.failf "expected 1 query, got %d" (List.length l)
   in
-  (* malformed SQL is a 400, unknown ids are 404 *)
-  let bad = h (req ~meth:"POST" ~body:"SELECT FROM" "/query") in
-  check_bool "parse error is 400" true
-    (String.length bad.Httpd.status >= 3
-    && String.sub bad.Httpd.status 0 3 = "400");
+  (* malformed SQL is a 400 (numbers that overflow included), unknown
+     ids are 404 *)
+  List.iter
+    (fun body ->
+      let bad = h (req ~meth:"POST" ~body "/query") in
+      check_bool (Printf.sprintf "%S is 400" body) true
+        (String.length bad.Httpd.status >= 3
+        && String.sub bad.Httpd.status 0 3 = "400"))
+    [
+      "SELECT FROM";
+      "SELECT SUM(value) FROM input GROUP BY key, \
+       HOPPINGWINDOW(minute, 99999999999999999999, 10)";
+      "SELECT SUM(value) FROM input GROUP BY key, \
+       HOPPINGWINDOW(hour, 4611686018427387, 10)";
+    ];
   let missing = h (req (Printf.sprintf "/query/%d" (id + 77))) in
   check_bool "unknown query is 404" true
     (String.sub missing.Httpd.status 0 3 = "404");

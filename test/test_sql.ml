@@ -131,7 +131,17 @@ let test_parse_errors () =
   expect_syntax_error "SELECT MIN(x FROM s";
   expect_syntax_error "SELECT MIN(x) FROM s GROUP BY TUMBLINGWINDOW(parsec, 5)";
   expect_syntax_error "SELECT MIN(x) FROM s GROUP BY TUMBLINGWINDOW(minute)";
-  expect_syntax_error "SELECT MIN(x) FROM s trailing garbage"
+  expect_syntax_error "SELECT MIN(x) FROM s trailing garbage";
+  (* an integer literal beyond a native int *)
+  expect_syntax_error
+    "SELECT MIN(x) FROM s GROUP BY HOPPINGWINDOW(minute, \
+     99999999999999999999, 10)";
+  (* a duration whose tick count overflows *)
+  expect_syntax_error
+    "SELECT MIN(x) FROM s GROUP BY HOPPINGWINDOW(hour, 4611686018427387, 10)";
+  expect_syntax_error "SELECT MIN(x) FROM s GROUP BY TUMBLINGWINDOW(minute, 0)";
+  expect_syntax_error
+    "SELECT MIN(x) FROM s GROUP BY HOPPINGWINDOW(minute, 10, 20)"
 
 let test_window_of_def_validation () =
   (match Ast.window_of_def (Ast.Hopping { unit_ = Duration.Minute; size = 5; hop = 10 }) with
@@ -307,9 +317,18 @@ let test_compile_fig1a () =
   | Error e -> Alcotest.failf "compile failed: %s" e
 
 let test_compile_error_message () =
-  match Compile.compile "SELECT FROM" with
+  (match Compile.compile "SELECT FROM" with
   | Error msg -> check_bool "syntax error" true (Astring_contains.contains msg "syntax error")
-  | Ok _ -> Alcotest.fail "expected failure"
+  | Ok _ -> Alcotest.fail "expected failure");
+  (* each window fits, but their common period does not *)
+  match
+    Compile.compile
+      "SELECT MIN(x) FROM s GROUP BY WINDOWS(WINDOW(TUMBLINGWINDOW(second, \
+       4611686018427387)), WINDOW(TUMBLINGWINDOW(second, 4611686018427389)))"
+  with
+  | Error msg ->
+      check_bool "overflow error" true (Astring_contains.contains msg "overflow")
+  | Ok _ -> Alcotest.fail "expected an overflow error"
 
 (* --- Normalize (the plan-cache key) --- *)
 
