@@ -450,8 +450,6 @@ let suite =
     prop_reference_equals_naive_stream;
     Alcotest.test_case "scenario deterministic" `Quick
       test_scenario_deterministic;
-    Alcotest.test_case "scenario seed stability" `Quick
-      test_scenario_seed_stability;
     Alcotest.test_case "scenario coverage" `Quick
       test_scenario_draws_cover_space;
     Alcotest.test_case "differential example 6" `Quick
@@ -483,4 +481,6 @@ let suite =
     Alcotest.test_case "shrink scenario batch dimension" `Quick
       test_shrink_scenario_batch_dimension;
     Alcotest.test_case "check_seed ok" `Quick test_check_seed_ok;
+    Alcotest.test_case "scenario seed stability" `Quick
+      test_scenario_seed_stability;
   ]
