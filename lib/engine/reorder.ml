@@ -111,68 +111,3 @@ let run ~lateness ?mode ?observe ?metrics plan ~horizon events =
   let t = create ~lateness ?mode ?observe plan ?metrics () in
   List.iter (fun e -> if e.Event.time < horizon then feed t e) events;
   close t ~horizon
-
-(* --- snapshot support ---------------------------------------------- *)
-
-type export = {
-  x_lateness : int;
-  x_groups : Event.t list list;
-  x_peak : int;
-  x_released : int;
-  x_dropped : int;
-  x_frontier : int;
-  x_max_seen : int;
-  x_rows : Row.t list;
-  x_exec : string;
-}
-
-let export t =
-  {
-    x_lateness = t.lateness;
-    x_groups = List.map snd (Time_map.bindings t.buffer);
-    x_peak = t.peak;
-    x_released = t.released;
-    x_dropped = t.dropped;
-    x_frontier = t.frontier;
-    x_max_seen = t.max_seen;
-    x_rows = List.init (Stream_exec.row_count t.exec) (Stream_exec.row t.exec);
-    x_exec = Stream_exec.export t.exec;
-  }
-
-let import ?metrics ?(observe = true) plan x =
-  if x.x_lateness < 0 then invalid_arg "Reorder.import: negative lateness";
-  if x.x_peak < 0 || x.x_released < 0 || x.x_dropped < 0 then
-    invalid_arg "Reorder.import: negative statistic";
-  let metrics = match metrics with Some m -> m | None -> Metrics.create () in
-  let exec =
-    Stream_exec.import ~metrics ~observe plan ~rows:x.x_rows x.x_exec
-  in
-  let buffer, buffered =
-    List.fold_left
-      (fun (m, n) group ->
-        match group with
-        | [] -> invalid_arg "Reorder.import: empty buffer group"
-        | e :: _ ->
-            if
-              List.exists (fun e' -> e'.Event.time <> e.Event.time) group
-              || Time_map.mem e.Event.time m
-            then invalid_arg "Reorder.import: malformed buffer grouping";
-            (Time_map.add e.Event.time group m, n + List.length group))
-      (Time_map.empty, 0) x.x_groups
-  in
-  let obs = make_obs ~observe metrics in
-  (match obs with
-  | Some o -> Gauge.set o.peak_g (float_of_int x.x_peak)
-  | None -> ());
-  {
-    lateness = x.x_lateness;
-    exec;
-    obs;
-    buffer;
-    buffered;
-    peak = x.x_peak;
-    released = x.x_released;
-    dropped = x.x_dropped;
-    frontier = x.x_frontier;
-    max_seen = x.x_max_seen;
-  }

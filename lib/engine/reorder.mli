@@ -52,38 +52,3 @@ val run :
   Event.t list ->
   Row.t list * stats
 (** Convenience wrapper over [create]/[feed]/[close]. *)
-
-(** {2 Snapshot support}
-
-    Mirror of the buffer's exact shape for the checkpoint codec
-    ({!Fw_snap.Codec}), like {!Stream_exec.export}: a restored buffer
-    releases the same events in the same order, so rows and statistics
-    after a restore are identical to an uninterrupted run. *)
-
-type export = {
-  x_lateness : int;
-  x_groups : Event.t list list;
-      (** buffered events: one group per distinct timestamp, groups in
-          ascending time order, events within a group newest-first
-          (the internal insertion order) *)
-  x_peak : int;
-  x_released : int;
-  x_dropped : int;
-  x_frontier : int;
-  x_max_seen : int;
-  x_rows : Row.t list;
-      (** the wrapped executor's emitted rows, in emission order *)
-  x_exec : string;  (** the wrapped executor's {!Stream_exec.export} image *)
-}
-
-val export : t -> export
-
-val import :
-  ?metrics:Metrics.t -> ?observe:bool -> Fw_plan.Plan.t -> export -> t
-(** Rebuild a reorder buffer (and its wrapped executor) from an export.
-    Raises [Invalid_argument] on malformed buffer groups, negative
-    statistics, a malformed executor image or an executor/plan
-    mismatch.  Registry counters in
-    [metrics] are {e not} restored — as with {!Stream_exec.import},
-    the caller replays them; the [stats] record itself is restored
-    exactly. *)

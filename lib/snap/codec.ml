@@ -33,7 +33,7 @@ module Aggregate = Fw_agg.Aggregate
    alike; {!Stream_exec.export} assembles the engine image.  This
    module adds only what lies above the engine: the snapshot frame
    (magic, version, plan fingerprint, CRC), the counters a snapshot
-   carries next to the image, rows, the WAL and reorder snapshots. *)
+   carries next to the image, rows and the WAL. *)
 module Bin = Fw_spill.Bin
 module Bincodec = Fw_agg.Bincodec
 
@@ -203,16 +203,9 @@ let plan_fingerprint plan mode =
 
 let header_len = String.length magic + 2 + 8 + 8
 
-(* Every payload opens with a kind byte, so an engine snapshot can
-   never be decoded as a reorder snapshot (or vice versa) even when the
-   plan fingerprints agree. *)
+(* Every payload opens with a kind byte.  Engine snapshots are the
+   only kind; any other byte fails closed. *)
 let kind_engine = 0
-let kind_reorder = 1
-
-let kind_name = function
-  | 0 -> "engine"
-  | 1 -> "reorder"
-  | _ -> "unknown"
 
 let encode_frame ~fingerprint payload =
   let b = Buffer.create (header_len + String.length payload + 4) in
@@ -224,7 +217,7 @@ let encode_frame ~fingerprint payload =
   Bin.w_u32 b (Bin.crc32 payload);
   Buffer.contents b
 
-let decode_frame ~plan ~mode ~kind decode s =
+let decode_frame ~plan ~mode decode s =
   try
     let r = Bin.reader s in
     Bin.need r header_len "snapshot header";
@@ -259,9 +252,10 @@ let decode_frame ~plan ~mode ~kind decode s =
         crc actual;
     let pr = Bin.reader ~pos:payload_pos ~limit:(payload_pos + payload_len) s in
     let k = Bin.r_u8 pr in
-    if k <> kind then
-      Bin.corrupt "payload holds a %s snapshot where a %s snapshot was expected"
-        (kind_name k) (kind_name kind);
+    if k <> kind_engine then
+      Bin.corrupt "payload holds snapshot kind %d where an engine snapshot \
+                   (kind %d) was expected"
+        k kind_engine;
     let value = decode pr in
     if Bin.remaining pr <> 0 then
       Bin.corrupt "trailing bytes after snapshot payload (%d)"
@@ -280,7 +274,7 @@ let encode_snapshot ~plan s =
     (Buffer.contents payload)
 
 let decode_snapshot ~plan ~mode s =
-  decode_frame ~plan ~mode ~kind:kind_engine (r_snapshot ~mode) s
+  decode_frame ~plan ~mode (r_snapshot ~mode) s
 
 (* --- write-ahead log ----------------------------------------------- *)
 
@@ -318,60 +312,3 @@ let encode_row_record row =
   Bin.frame (Buffer.contents payload)
 
 let decode_rows s = Bin.decode_frames r_row s
-
-(* --- reorder snapshots --------------------------------------------- *)
-
-(* A reorder snapshot is self-contained: unlike the engine snapshot it
-   carries the wrapped executor's emitted rows inline, because the
-   reorder codec path has no companion row log — it captures the whole
-   pipeline (buffer + executor) in one blob. *)
-
-module Reorder = Fw_engine.Reorder
-
-let w_reorder b (x : Reorder.export) =
-  Bin.w_i64 b x.Reorder.x_lateness;
-  Bin.w_list b (fun b g -> Bin.w_list b w_event g) x.Reorder.x_groups;
-  Bin.w_i64 b x.Reorder.x_peak;
-  Bin.w_i64 b x.Reorder.x_released;
-  Bin.w_i64 b x.Reorder.x_dropped;
-  Bin.w_i64 b x.Reorder.x_frontier;
-  Bin.w_i64 b x.Reorder.x_max_seen;
-  Bin.w_list b w_row x.Reorder.x_rows;
-  Bin.w_string b x.Reorder.x_exec
-
-let r_reorder ~mode r =
-  let x_lateness = Bin.r_i64 r in
-  if x_lateness < 0 then Bin.corrupt "negative lateness in snapshot";
-  let x_groups = Bin.r_list r (fun r -> Bin.r_list r r_event) in
-  let x_peak = Bin.r_i64 r in
-  let x_released = Bin.r_i64 r in
-  let x_dropped = Bin.r_i64 r in
-  if x_peak < 0 || x_released < 0 || x_dropped < 0 then
-    Bin.corrupt "negative reorder statistic in snapshot";
-  let x_frontier = Bin.r_i64 r in
-  let x_max_seen = Bin.r_i64 r in
-  let x_rows = Bin.r_list r r_row in
-  let x_exec = r_image ~mode r in
-  {
-    Reorder.x_lateness;
-    x_groups;
-    x_peak;
-    x_released;
-    x_dropped;
-    x_frontier;
-    x_max_seen;
-    x_rows;
-    x_exec;
-  }
-
-let encode_reorder ~plan (x : Reorder.export) =
-  let payload = Buffer.create (String.length x.Reorder.x_exec + 4096) in
-  Bin.w_u8 payload kind_reorder;
-  w_reorder payload x;
-  encode_frame
-    ~fingerprint:
-      (plan_fingerprint plan (Stream_exec.image_mode x.Reorder.x_exec))
-    (Buffer.contents payload)
-
-let decode_reorder ~plan ~mode s =
-  decode_frame ~plan ~mode ~kind:kind_reorder (r_reorder ~mode) s

@@ -82,31 +82,6 @@ val decode_rows : string -> Fw_engine.Row.t list
 (** Decode a row-log image, silently discarding the torn/corrupt
     tail. *)
 
-(** {2 Reorder snapshots}
-
-    A second snapshot kind covering the bounded-lateness reorder buffer
-    {e and} the executor it wraps, in one self-contained blob (unlike
-    engine snapshots it carries the emitted rows inline — there is no
-    companion row log on this path).  Shares the frame of
-    {!encode_snapshot}: same magic, version, plan fingerprint and CRC
-    guard.  A payload kind byte keeps the two apart, so decoding an
-    engine snapshot as a reorder snapshot (or vice versa) fails closed
-    even when the fingerprints agree. *)
-
-val encode_reorder :
-  plan:Fw_plan.Plan.t -> Fw_engine.Reorder.export -> string
-
-val decode_reorder :
-  plan:Fw_plan.Plan.t ->
-  mode:Fw_engine.Stream_exec.mode ->
-  string ->
-  (Fw_engine.Reorder.export, string) result
-(** Same fail-closed checks as {!decode_snapshot}, plus validation of
-    the reorder statistics (non-negative) and event times.  As with
-    {!decode_snapshot}, the executor image is checked when
-    {!Fw_engine.Reorder.import} restores it, which raises
-    [Invalid_argument] on a malformed one. *)
-
 (** {2 Test helpers} *)
 
 val state_to_string : Fw_agg.Combine.state -> string

@@ -54,6 +54,22 @@ let test_divisors () =
   Alcotest.(check (list int)) "divisors 13" [ 1; 13 ] (Arith.divisors 13);
   Alcotest.(check (list int)) "divisors 36" [ 1; 2; 3; 4; 6; 9; 12; 18; 36 ]
     (Arith.divisors 36);
+  (* 63-bit inputs whose square root is past 2^31: no trial division
+     up to sqrt n, and no [i * i] overflow *)
+  Alcotest.(check (list int)) "divisors max_int"
+    [ 1; 3; 715827883; 2147483647; 2147483649; 6442450941;
+      1537228672809129301; max_int ]
+    (Arith.divisors max_int);
+  let p = (1 lsl 62) - 57 in
+  Alcotest.(check (list int)) "divisors 2^62-57 (prime)" [ 1; p ]
+    (Arith.divisors p);
+  Alcotest.(check (list int)) "divisors (2^31-1)(2^31-19)"
+    [ 1; 2147483629; 2147483647; 4611685975477714963 ]
+    (Arith.divisors 4611685975477714963);
+  for n = 1 to 5000 do
+    let naive = List.filter (fun d -> n mod d = 0) (List.init n succ) in
+    if Arith.divisors n <> naive then Alcotest.failf "divisors %d" n
+  done;
   Alcotest.check_raises "divisors 0" (Invalid_argument
       "Arith.divisors: non-positive argument") (fun () ->
       ignore (Arith.divisors 0))

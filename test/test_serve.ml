@@ -417,7 +417,13 @@ let test_http_handler_e2e () =
        HOPPINGWINDOW(minute, 99999999999999999999, 10)";
       "SELECT SUM(value) FROM input GROUP BY key, \
        HOPPINGWINDOW(hour, 4611686018427387, 10)";
+      (* 4.6e18 ticks: the optimizer must fail fast, not factor slowly *)
+      "SELECT SUM(value) FROM input GROUP BY key, \
+       TUMBLINGWINDOW(day, 53375995583263)";
     ];
+  let again = h (req ~meth:"POST" ~body:q_t10 "/query") in
+  check_bool "registration after rejects is 200" true
+    (again.Httpd.status = "200 OK");
   let missing = h (req (Printf.sprintf "/query/%d" (id + 77))) in
   check_bool "unknown query is 404" true
     (String.sub missing.Httpd.status 0 3 = "404");

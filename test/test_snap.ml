@@ -425,101 +425,16 @@ let test_torn_snapshot_write_recovers () =
       let rows_r = finish_from ~dir ~every:17 ~mode 61 in
       check_identical mode rows_r)
 
-(* --- reorder snapshots --------------------------------------------- *)
-
-module Reorder = Fw_engine.Reorder
-
-(* Deterministically jittered event times: out of order within the
-   lateness bound, with the occasional straggler behind the frontier so
-   the dropped counter is exercised too. *)
-let reorder_jitter i = [| 0; 3; -2; 1; -1; 2; -3; 0 |].(i mod 8)
-
-let reorder_events =
-  List.init 90 (fun i ->
-      ev
-        (max 0 (i + reorder_jitter i))
-        (if i mod 3 = 0 then "a" else "b")
-        (1e8 +. (float_of_int ((i * 17) mod 89) /. 9.0)))
-
-let reorder_lateness = 4
-let reorder_horizon = 95
-
-(* A reorder buffer mid-stream: events still buffered, some released,
-   the wrapped executor with live operator state. *)
-let running_reorder ?(k = 50) () =
-  let t =
-    Reorder.create ~lateness:reorder_lateness ~mode:Stream_exec.Incremental
-      ~observe:false cycle_plan ()
-  in
-  List.iteri (fun i e -> if i < k then Reorder.feed t e) reorder_events;
-  t
-
-let test_reorder_snapshot_roundtrip () =
-  let t = running_reorder () in
-  let x = Reorder.export t in
-  check_bool "fixture has buffered events" true (x.Reorder.x_groups <> []);
-  let data = Codec.encode_reorder ~plan:cycle_plan x in
-  match
-    Codec.decode_reorder ~plan:cycle_plan ~mode:Stream_exec.Incremental data
-  with
-  | Error m -> Alcotest.fail ("decode failed: " ^ m)
-  | Ok x' ->
-      (* structural equality is bit-exact: every float went through the
-         bits codec and fixture values are never NaN *)
-      check_bool "reorder export round-trips" true (x = x')
-
-let test_reorder_restore_and_finish () =
-  let k = 50 in
-  let rows0, stats0 =
-    Reorder.run ~lateness:reorder_lateness ~mode:Stream_exec.Incremental
-      ~observe:false cycle_plan ~horizon:reorder_horizon reorder_events
-  in
-  (* interrupted pipeline: serialize at event [k], restore from the
-     blob, feed the remainder — rows and statistics must be identical *)
-  let data =
-    Codec.encode_reorder ~plan:cycle_plan
-      (Reorder.export (running_reorder ~k ()))
-  in
-  match
-    Codec.decode_reorder ~plan:cycle_plan ~mode:Stream_exec.Incremental data
-  with
-  | Error m -> Alcotest.fail ("decode failed: " ^ m)
-  | Ok x ->
-      let t = Reorder.import ~observe:false cycle_plan x in
-      List.iteri
-        (fun i e ->
-          if i >= k && e.Event.time < reorder_horizon then Reorder.feed t e)
-        reorder_events;
-      let rows, stats = Reorder.close t ~horizon:reorder_horizon in
-      check_bool "rows byte-identical" true (rows = rows0);
-      check_bool "stats identical" true (stats = stats0)
-
-let prop_reorder_corrupt_byte_rejected =
-  let data = Codec.encode_reorder ~plan:cycle_plan
-      (Reorder.export (running_reorder ())) in
-  qtest ~count:300 "reorder snapshot single-byte corruption fails closed"
-    QCheck2.Gen.(pair (int_range 0 (String.length data - 1)) (int_range 1 255))
-    (fun (pos, x) -> Printf.sprintf "flip byte %d with 0x%02x" pos x)
-    (fun (pos, x) ->
-      let b = Bytes.of_string data in
-      Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor x));
-      match
-        Codec.decode_reorder ~plan:cycle_plan ~mode:Stream_exec.Incremental
-          (Bytes.to_string b)
-      with
-      | Error _ -> true
-      | Ok _ -> false)
+(* --- frame-level corruption ------------------------------------- *)
 
 (* A CRC-valid frame around a corrupted engine image: the frame checks
    cannot see the damage, so the image decoder must.  Every single-byte
    flip must end in a typed [Error] from the decoder or an
    [Invalid_argument] from the restore that [Recover.load] treats as a
-   skipped snapshot — never another exception.  Reorder blobs follow
-   the same policy, their image restored by [Reorder.import]. *)
+   skipped snapshot — never another exception. *)
 let prop_image_corruption_typed =
   let plan, mode, metrics, exec = running_exec () in
   let snap = snapshot_of exec metrics in
-  let x = Reorder.export (running_reorder ()) in
   let flip s pos v =
     let b = Bytes.of_string s in
     let pos = pos mod Bytes.length b in
@@ -530,63 +445,45 @@ let prop_image_corruption_typed =
     QCheck2.Gen.(pair (int_range 0 100_000) (int_range 1 255))
     (fun (pos, v) -> Printf.sprintf "flip image byte %d with 0x%02x" pos v)
     (fun (pos, v) ->
-      let engine_typed =
-        match
-          Codec.encode_snapshot ~plan
-            { snap with Codec.s_image = flip snap.Codec.s_image pos v }
-        with
-        | exception Invalid_argument _ -> true (* mode byte: unencodable *)
-        | data -> (
-            match Codec.decode_snapshot ~plan ~mode data with
-            | Error _ -> true
-            | Ok s -> (
-                match Stream_exec.import plan ~rows:[] s.Codec.s_image with
-                | _ -> true
-                | exception Invalid_argument _ -> true))
-      in
-      let reorder_typed =
-        match
-          Codec.encode_reorder ~plan:cycle_plan
-            { x with Reorder.x_exec = flip x.Reorder.x_exec pos v }
-        with
-        | exception Invalid_argument _ -> true
-        | data -> (
-            match
-              Codec.decode_reorder ~plan:cycle_plan
-                ~mode:Stream_exec.Incremental data
-            with
-            | Error _ -> true
-            | Ok x' -> (
-                match Reorder.import ~observe:false cycle_plan x' with
-                | _ -> true
-                | exception Invalid_argument _ -> true))
-      in
-      engine_typed && reorder_typed)
+      match
+        Codec.encode_snapshot ~plan
+          { snap with Codec.s_image = flip snap.Codec.s_image pos v }
+      with
+      | exception Invalid_argument _ -> true (* mode byte: unencodable *)
+      | data -> (
+          match Codec.decode_snapshot ~plan ~mode data with
+          | Error _ -> true
+          | Ok s -> (
+              match Stream_exec.import plan ~rows:[] s.Codec.s_image with
+              | _ -> true
+              | exception Invalid_argument _ -> true)))
 
-let test_reorder_kind_confusion_fails_closed () =
-  (* same plan, same mode, valid CRC — only the payload kind differs.
-     Each decoder must refuse the other's blob. *)
+let test_kind_confusion_fails_closed () =
+  (* same plan, same mode, valid CRC — only the payload's kind byte
+     differs from a real engine snapshot's *)
   let mode = Stream_exec.Incremental in
-  let reorder_blob =
-    Codec.encode_reorder ~plan:cycle_plan
-      (Reorder.export (running_reorder ()))
+  let metrics = Metrics.create () in
+  let exec = Stream_exec.create ~metrics ~mode cycle_plan in
+  List.iter (Stream_exec.feed exec) (fixture_events 37);
+  let blob = Codec.encode_snapshot ~plan:cycle_plan (snapshot_of exec metrics) in
+  (* frame: magic | version u16 | fingerprint | payload length | payload
+     | crc32 *)
+  let header = String.length "FWSNAP" + 2 + 8 + 8 in
+  let payload =
+    Bytes.of_string (String.sub blob header (String.length blob - header - 4))
   in
-  let engine_blob =
-    let metrics = Metrics.create () in
-    let exec = Stream_exec.create ~metrics ~mode cycle_plan in
-    List.iter (Stream_exec.feed exec) (fixture_events 37);
-    Codec.encode_snapshot ~plan:cycle_plan (snapshot_of exec metrics)
-  in
-  (match Codec.decode_snapshot ~plan:cycle_plan ~mode reorder_blob with
-  | Ok _ -> Alcotest.fail "engine decoder accepted a reorder snapshot"
+  check_int "engine kind byte" 0 (Char.code (Bytes.get payload 0));
+  Bytes.set payload 0 '\001';
+  let payload = Bytes.to_string payload in
+  let b = Buffer.create (String.length blob) in
+  Buffer.add_string b (String.sub blob 0 header);
+  Buffer.add_string b payload;
+  Fw_spill.Bin.w_u32 b (Fw_spill.Bin.crc32 payload);
+  match Codec.decode_snapshot ~plan:cycle_plan ~mode (Buffer.contents b) with
+  | Ok _ -> Alcotest.fail "engine decoder accepted a kind-1 payload"
   | Error m ->
-      check_bool "error names the reorder kind" true
-        (Astring_contains.contains m "reorder"));
-  match Codec.decode_reorder ~plan:cycle_plan ~mode engine_blob with
-  | Ok _ -> Alcotest.fail "reorder decoder accepted an engine snapshot"
-  | Error m ->
-      check_bool "error names the engine kind" true
-        (Astring_contains.contains m "engine")
+      check_bool "error names the snapshot kind" true
+        (Astring_contains.contains m "kind 1")
 
 let test_name_parsing () =
   check_bool "chk name round-trips" true
@@ -625,13 +522,8 @@ let suite =
     Alcotest.test_case "empty dir fails" `Quick test_recover_empty_dir_fails;
     Alcotest.test_case "torn snapshot write recovers" `Quick
       test_torn_snapshot_write_recovers;
-    Alcotest.test_case "reorder snapshot round-trip" `Quick
-      test_reorder_snapshot_roundtrip;
-    Alcotest.test_case "reorder restore-and-finish identical" `Quick
-      test_reorder_restore_and_finish;
-    prop_reorder_corrupt_byte_rejected;
     prop_image_corruption_typed;
     Alcotest.test_case "snapshot kind confusion fails closed" `Quick
-      test_reorder_kind_confusion_fails_closed;
+      test_kind_confusion_fails_closed;
     Alcotest.test_case "file name parsing" `Quick test_name_parsing;
   ]
