@@ -9,7 +9,8 @@
    ablation, timing, engine, obs, snap, serve, spill.
 
    The engine-stack sections measure the execution stack: engine
-   (naive vs incremental, per-event vs batched), obs (instrumentation
+   (naive vs incremental, per-event vs batched, and the optimizer's
+   rewritten plan batched in both modes), obs (instrumentation
    and scrape overhead), snap (checkpointing and a crash/recovery round
    trip), serve (shared vs unshared multi-query ingest, cold vs warm
    registration) and spill (wide-key state under memory budgets).  Each
@@ -907,11 +908,32 @@ let section_engine () =
               && naive_brows = naive_rows
               && inc_brows = inc_rows
             in
+            (* The optimizer's rewritten plan, batched in both modes:
+               information only, with no gate while window-fed nodes
+               run the per-instance fallback in Incremental mode. *)
+            let rewritten =
+              (Fw_plan.Rewrite.optimize ~eta:bench_eta agg ws).Fw_plan.Rewrite.plan
+            in
+            let rw_naive_rows, rw_naive_dt =
+              timed (fun () ->
+                  run_batched rewritten ~batch:engine_batch_size ~horizon events)
+            in
+            let rw_inc_rows, rw_inc_dt =
+              timed (fun () ->
+                  run_batched ~mode:Fw_engine.Stream_exec.Incremental rewritten
+                    ~batch:engine_batch_size ~horizon events)
+            in
+            let rw_rows_match =
+              Fw_engine.Row.equal_sets naive_rows rw_naive_rows
+              && Fw_engine.Row.equal_sets naive_rows rw_inc_rows
+            in
             let agg = Aggregate.to_string agg in
             ( [ set_name; agg; Printf.sprintf "%.0f" (rate naive_dt);
                 Printf.sprintf "%.0f" (rate naive_bdt); Printf.sprintf "%.0f" (rate inc_dt);
                 Printf.sprintf "%.0f" (rate inc_bdt); Printf.sprintf "x%.1f" (naive_dt /. inc_dt);
-                Printf.sprintf "x%.2f" (inc_dt /. inc_bdt); (if rows_match then "yes" else "NO") ],
+                Printf.sprintf "x%.2f" (inc_dt /. inc_bdt); (if rows_match then "yes" else "NO");
+                Printf.sprintf "%.0f" (rate rw_naive_dt); Printf.sprintf "%.0f" (rate rw_inc_dt);
+                (if rw_rows_match then "yes" else "NO") ],
               Obj
                 [ ("window_set", Str set_name);
                   ("windows", Str (String.concat " " (List.map Window.to_string ws)));
@@ -923,7 +945,10 @@ let section_engine () =
                   ("speedup", Float (naive_dt /. inc_dt));
                   ("batch_speedup_naive", Float (naive_dt /. naive_bdt));
                   ("batch_speedup_incremental", Float (inc_dt /. inc_bdt));
-                  ("rows_match", Bool rows_match) ],
+                  ("rows_match", Bool rows_match);
+                  ("rewritten_naive_batched_events_per_sec", Float (rate rw_naive_dt));
+                  ("rewritten_incremental_batched_events_per_sec", Float (rate rw_inc_dt));
+                  ("rewritten_rows_match", Bool rw_rows_match) ],
               rows_match,
               (* the headline: rs50x10 SUM, incremental, batched *)
               if set_name = "rs50x10" && agg = "SUM" then Some (rate inc_bdt) else None ))
@@ -943,6 +968,9 @@ let section_engine () =
            "incr/naive";
            "batch gain";
            "rows =";
+           "rw naive-B";
+           "rw incr-B";
+           "rw rows =";
          ]
        (List.map (fun (row, _, _, _) -> row) results));
   let guard_rows, guard_checks = batched_guard () in

@@ -44,14 +44,9 @@ let merge t ~key state =
 
 let find t key = Store.find t.store key
 
-(* One access: a pooled pane faults the entry in (if spilled) and the
-   remove only drops the table slot. *)
-let take t key =
-  match Store.find t.store key with
-  | None -> None
-  | Some _ as st ->
-      Store.remove t.store key;
-      st
+(* One probe: a pooled pane faults the entry in (if spilled) and drops
+   it from the table in the same bucket walk. *)
+let take t key = Store.take t.store key (fun _ -> None)
 
 let iter f t = Store.iter f t.store
 let fold f t acc = Store.fold f t.store acc

@@ -401,18 +401,17 @@ and win_fold st key ~first ~last ~fresh ~fold =
         !im)
   end
 
-(* Pop the due instance [hi] of [key] out of the store: the extracted
-   state is an immutable value, so it can be forwarded after the store
-   operations complete — no pin needed. *)
+(* Pop the due instance [hi] of [key] out of the store in one probe:
+   the extracted state is an immutable value, so it can be forwarded
+   after the store operation completes — no pin needed. *)
 and win_extract st key hi =
-  match Store.find st.w_keys key with
+  let rest im =
+    let im' = Imap.remove hi im in
+    if Imap.is_empty im' then None else Some im'
+  in
+  match Store.take st.w_keys key rest with
   | None -> invalid_arg "Stream_exec: fire index out of sync with store"
-  | Some im ->
-      let entry = Imap.find hi im in
-      let im' = Imap.remove hi im in
-      if Imap.is_empty im' then Store.remove st.w_keys key
-      else Store.set st.w_keys key im';
-      entry
+  | Some im -> Imap.find hi im
 
 (* Fire every instance due at [wm]: one split of the fire index takes
    all due (hi, key) pairs, in ascending order.  The cheap emptiness
@@ -642,23 +641,24 @@ and cwin_deliver t id st msg =
 
 (* --- session-window operator ----------------------------------------- *)
 
-(* Rotate [key]'s open session into the pending (deadline-ordered)
-   map. *)
+(* Rotate [key]'s open session, just taken out of the store, into the
+   pending (deadline-ordered) map. *)
 and session_rotate st key os =
   st.s_deadlines <- Fset.remove (os.s_last + st.s_gap, key) st.s_deadlines;
-  Store.remove st.s_open key;
   let fk = { Fire_key.hi = os.s_last + st.s_gap; lo = os.s_first; key } in
   st.s_pending <- Pending.add fk (os.s_state, os.s_items) st.s_pending
 
 (* An event at [tm] joins its key's open session iff it lands strictly
    before the session's deadline [last + gap]; otherwise the old
    session is rotated out and a fresh one opens.  Purely event-driven:
-   no watermark can change this decision.  The find → mutate → [set]
-   sequence follows the store contract; the deadline index tracks every
-   [s_last] move. *)
+   no watermark can change this decision.  One [Store.take] joins the
+   session in place or drops it for rotation; the deadline index tracks
+   every [s_last] move. *)
 and session_add t st key tm value =
-  match Store.find st.s_open key with
-  | Some os when tm < os.s_last + st.s_gap ->
+  let joined = ref false in
+  let join os =
+    if tm < os.s_last + st.s_gap then begin
+      joined := true;
       if tm > os.s_last then begin
         st.s_deadlines <-
           Fset.remove (os.s_last + st.s_gap, key) st.s_deadlines;
@@ -667,7 +667,12 @@ and session_add t st key tm value =
       end;
       os.s_state <- Combine.add os.s_state value;
       os.s_items <- os.s_items + 1;
-      Store.set st.s_open key os
+      Some os
+    end
+    else None
+  in
+  match Store.take st.s_open key join with
+  | Some _ when !joined -> ()
   | prev ->
       (match prev with Some os -> session_rotate st key os | None -> ());
       Store.set st.s_open key
@@ -690,7 +695,8 @@ and session_advance t id st wm =
   let rec expire () =
     match Fset.min_elt_opt st.s_deadlines with
     | Some ((dl, key) as e) when dl <= wm ->
-        (match Store.find st.s_open key with
+        let expired os = if os.s_last + st.s_gap = dl then None else Some os in
+        (match Store.take st.s_open key expired with
         | Some os when os.s_last + st.s_gap = dl -> session_rotate st key os
         | Some _ | None ->
             (* defensive: a stale index entry must not loop forever *)

@@ -1,8 +1,12 @@
 (* Keyed state store with a pluggable backend.
 
-   [Resident] (no pool) is today's hashtable semantics: every operation
-   is a plain [Hashtbl] call behind one constructor match — zero
-   overhead, bit-identical behavior.
+   Both backends keep their entries in one string-keyed chained table
+   ({!Tbl}) whose bucket nodes hold the value: every operation hashes
+   the key once and walks one bucket once, comparing keys with
+   [String.equal], and a hit overwrites the node's data in place.
+
+   [Resident] (no pool) is the table itself behind one constructor
+   match.
 
    [Budgeted] (a {!Pool}) keeps the same map contract but is allowed to
    evict cold entries to an append-only spill file ({!File}) when the
@@ -26,13 +30,134 @@
      serialization.  The pool's budget is allowed to overshoot by the
      pinned slack (bounded by plan depth × largest entry).
    - Values obtained from {!find} must be treated as read-only unless
-     followed by {!set} — the engine's firing paths extract, then
-     store, then forward.
+     followed by {!set}; {!take} returns the value and replaces or drops
+     the entry in the same probe — the engine's firing paths extract,
+     then forward.
 
    A corrupt or truncated spill record surfaces at fault-in as
    {!File.Fault} with the store name, key and reason — never as a
    silently wrong state (the record carries a CRC, the spill kind byte,
    the codec's state-kind tag and the key, all verified). *)
+
+(* --- the table -------------------------------------------------------- *)
+
+(* A string-keyed chained hashtable whose bucket node holds the value,
+   so a find-or-insert is one hash and one bucket walk and a hit is an
+   in-place write — no second probe and no extra block per entry.
+
+   Visit order contract: for the same history of inserts, removes and
+   resets, {!iter} and {!fold} visit entries in exactly the order of a
+   generic stdlib [Hashtbl] (non-randomized).  It uses the same hash,
+   starts at 16 buckets (and {!reset} returns to 16), doubles once the
+   size exceeds twice the bucket count keeping the order inside each
+   bucket, inserts new keys at the bucket head, and walks buckets in
+   ascending index, head first.  A pane roll emits an instance's keys in
+   this order, and checkpoint row logs and served taps keep it. *)
+module Tbl = struct
+  type 'v bucket =
+    | Nil
+    | Cons of { key : string; mutable data : 'v; mutable next : 'v bucket }
+
+  type 'v t = { mutable size : int; mutable buckets : 'v bucket array }
+
+  let initial = 16
+  let create () = { size = 0; buckets = Array.make initial Nil }
+
+  let reset t =
+    t.size <- 0;
+    t.buckets <- Array.make initial Nil
+
+  let hash (key : string) = Hashtbl.hash key
+  let index t h = h land (Array.length t.buckets - 1)
+
+  let rec cell key = function
+    | Nil -> Nil
+    | Cons c as b -> if String.equal c.key key then b else cell key c.next
+
+  (* The cell of [key] (hash [h]), or [Nil]. *)
+  let find t h key = cell key t.buckets.(index t h)
+
+  (* Relink every node into twice the buckets, appending at each new
+     bucket's tail so a bucket's order survives the split. *)
+  let resize t =
+    let old = t.buckets in
+    let n = 2 * Array.length old in
+    if n < Sys.max_array_length then begin
+      let fresh = Array.make n Nil and tails = Array.make n Nil in
+      t.buckets <- fresh;
+      Array.iter
+        (fun b ->
+          let rec go = function
+            | Nil -> ()
+            | Cons c as node ->
+                let next = c.next in
+                let i = hash c.key land (n - 1) in
+                (match tails.(i) with
+                | Nil -> fresh.(i) <- node
+                | Cons tl -> tl.next <- node);
+                tails.(i) <- node;
+                go next
+          in
+          go b)
+        old;
+      Array.iter (function Cons tl -> tl.next <- Nil | Nil -> ()) tails
+    end
+
+  (* Insert [key], known absent, at the head of its bucket.  The index is
+     taken from [h] now, so a resize since the lookup is harmless. *)
+  let insert t h key data =
+    let i = index t h in
+    t.buckets.(i) <- Cons { key; data; next = t.buckets.(i) };
+    t.size <- t.size + 1;
+    if t.size > 2 * Array.length t.buckets then resize t
+
+  (* One walk of [key]'s bucket: on the cell of [key], [f data] either
+     gives the data to keep or [None] to unlink the cell.  Returns the
+     data found. *)
+  let take t key f =
+    let i = index t (hash key) in
+    let rec go prev = function
+      | Nil -> None
+      | Cons c as b ->
+          if String.equal c.key key then begin
+            let v = c.data in
+            (match f v with
+            | Some d -> c.data <- d
+            | None -> (
+                t.size <- t.size - 1;
+                match prev with
+                | Nil -> t.buckets.(i) <- c.next
+                | Cons p -> p.next <- c.next));
+            Some v
+          end
+          else go b c.next
+    in
+    go Nil t.buckets.(i)
+
+  let iter f t =
+    let d = t.buckets in
+    for i = 0 to Array.length d - 1 do
+      let rec go = function
+        | Nil -> ()
+        | Cons { key; data; next } ->
+            f key data;
+            go next
+      in
+      go d.(i)
+    done
+
+  let fold f t acc =
+    let d = t.buckets in
+    let acc = ref acc in
+    for i = 0 to Array.length d - 1 do
+      let rec go acc = function
+        | Nil -> acc
+        | Cons { key; data; next } -> go (f key data acc) next
+      in
+      acc := go !acc d.(i)
+    done;
+    !acc
+end
 
 type 'a codec = {
   kind : int;  (** state-kind tag byte stored in every record *)
@@ -56,13 +181,13 @@ type 'a budgeted = {
   pool : Pool.t;
   codec : 'a codec;
   name : string;
-  tbl : (string, 'a entry) Hashtbl.t;
+  tbl : 'a entry Tbl.t;
   clock : 'a entry Queue.t;  (* eviction candidates, FIFO + second chance *)
   mutable file : File.t option;  (* opened lazily, on first eviction *)
   mutable member : int;  (* pool registration, for {!release} *)
 }
 
-type 'a t = R of 'a codec * (string, 'a) Hashtbl.t | B of 'a budgeted
+type 'a t = R of 'a codec * 'a Tbl.t | B of 'a budgeted
 
 (* Compact when the file passes 64 KiB with over half its bytes
    garbage. *)
@@ -100,7 +225,7 @@ let maybe_compact b =
            be read back is live engine state, so this fails loudly
            rather than dropping it. *)
         let nf = File.create (Pool.fresh_path b.pool ~name:b.name) in
-        Hashtbl.iter
+        Tbl.iter
           (fun _ e ->
             match e.e_slot with
             | Spilled { off; len } when not e.e_dead ->
@@ -172,14 +297,14 @@ let close_backend b ~remove =
 
 let create ?pool ~name codec =
   match pool with
-  | None -> R (codec, Hashtbl.create 16)
+  | None -> R (codec, Tbl.create ())
   | Some pool ->
       let b =
         {
           pool;
           codec;
           name;
-          tbl = Hashtbl.create 16;
+          tbl = Tbl.create ();
           clock = Queue.create ();
           file = None;
           member = -1;
@@ -240,7 +365,7 @@ let reweigh b e v =
     Pool.note_entry_weight b.pool w
   end
 
-let add_entry b key v =
+let add_entry b h key v =
   let e =
     {
       e_key = key;
@@ -251,7 +376,7 @@ let add_entry b key v =
       e_dead = false;
     }
   in
-  Hashtbl.replace b.tbl key e;
+  Tbl.insert b.tbl h key e;
   Queue.push e b.clock;
   Pool.grow b.pool e.e_weight;
   Pool.entry_added b.pool;
@@ -260,29 +385,34 @@ let add_entry b key v =
 
 (* --- map operations -------------------------------------------------- *)
 
-let length = function
-  | R (_, tbl) -> Hashtbl.length tbl
-  | B b -> Hashtbl.length b.tbl
+let length = function R (_, tbl) -> tbl.Tbl.size | B b -> b.tbl.Tbl.size
 let is_empty t = length t = 0
 
 let find t key =
   match t with
-  | R (_, tbl) -> Hashtbl.find_opt tbl key
+  | R (_, tbl) -> (
+      match Tbl.find tbl (Tbl.hash key) key with
+      | Tbl.Cons c -> Some c.data
+      | Tbl.Nil -> None)
   | B b -> (
-      match Hashtbl.find_opt b.tbl key with
-      | None -> None
-      | Some e ->
+      match Tbl.find b.tbl (Tbl.hash key) key with
+      | Tbl.Nil -> None
+      | Tbl.Cons { data = e; _ } ->
           let v = live_value b e in
           e.e_hot <- true;
           Some v)
 
 let set t key v =
+  let h = Tbl.hash key in
   match t with
-  | R (_, tbl) -> Hashtbl.replace tbl key v
+  | R (_, tbl) -> (
+      match Tbl.find tbl h key with
+      | Tbl.Cons c -> c.data <- v
+      | Tbl.Nil -> Tbl.insert tbl h key v)
   | B b ->
-      (match Hashtbl.find_opt b.tbl key with
-      | None -> ignore (add_entry b key v)
-      | Some e ->
+      (match Tbl.find b.tbl h key with
+      | Tbl.Nil -> ignore (add_entry b h key v)
+      | Tbl.Cons { data = e; _ } ->
           (match e.e_slot with
           | Live _ -> reweigh b e v
           | Spilled { len; _ } ->
@@ -298,40 +428,71 @@ let set t key v =
       Pool.rebalance b.pool;
       maybe_compact b
 
+(* Drop a live entry from the pool's accounts. *)
+let drop_live b e =
+  Pool.shrink b.pool e.e_weight;
+  Pool.entry_dropped b.pool
+
 let remove t key =
   match t with
-  | R (_, tbl) -> Hashtbl.remove tbl key
-  | B b -> (
-      match Hashtbl.find_opt b.tbl key with
-      | None -> ()
-      | Some e ->
-          (match e.e_slot with
-          | Live _ ->
-              Pool.shrink b.pool e.e_weight;
-              Pool.entry_dropped b.pool
-          | Spilled { len; _ } -> (
-              match b.file with
-              | Some f ->
-                  File.release f len;
-                  maybe_compact b
-              | None -> ()));
-          e.e_dead <- true;
-          Hashtbl.remove b.tbl key)
-
-(* [Hashtbl.find_opt]-then-[replace] in one operation — the engine's
-   dominant mutation idiom.  [f] must not perform nested store
-   operations (use {!pinned} when it must). *)
-let update t key f =
-  match t with
-  | R (_, tbl) -> Hashtbl.replace tbl key (f (Hashtbl.find_opt tbl key))
+  | R (_, tbl) -> ignore (Tbl.take tbl key (fun _ -> None))
   | B b ->
-      (match Hashtbl.find_opt b.tbl key with
-      | Some e ->
+      ignore
+        (Tbl.take b.tbl key (fun e ->
+             (match e.e_slot with
+             | Live _ -> drop_live b e
+             | Spilled { len; _ } -> (
+                 match b.file with
+                 | Some f ->
+                     File.release f len;
+                     maybe_compact b
+                 | None -> ()));
+             e.e_dead <- true;
+             None))
+
+(* {!find} and then {!set} or {!remove} of the same key, in one probe:
+   the budgeted accounts end exactly as that pair leaves them. *)
+let take t key f =
+  match t with
+  | R (_, tbl) -> Tbl.take tbl key f
+  | B b -> (
+      let found = ref None in
+      ignore
+        (Tbl.take b.tbl key (fun e ->
+             let v = live_value b e in
+             e.e_hot <- true;
+             found := Some v;
+             match f v with
+             | Some v' ->
+                 reweigh b e v';
+                 e.e_slot <- Live v';
+                 Pool.rebalance b.pool;
+                 maybe_compact b;
+                 Some e
+             | None ->
+                 drop_live b e;
+                 e.e_dead <- true;
+                 None));
+      !found)
+
+(* [find]-then-[set] in one probe — the engine's dominant mutation
+   idiom.  [f] must not perform nested store operations (use {!pinned}
+   when it must). *)
+let update t key f =
+  let h = Tbl.hash key in
+  match t with
+  | R (_, tbl) -> (
+      match Tbl.find tbl h key with
+      | Tbl.Cons c -> c.data <- f (Some c.data)
+      | Tbl.Nil -> Tbl.insert tbl h key (f None))
+  | B b ->
+      (match Tbl.find b.tbl h key with
+      | Tbl.Cons { data = e; _ } ->
           let v = f (Some (live_value b e)) in
           e.e_slot <- Live v;
           e.e_hot <- true;
           reweigh b e v
-      | None -> ignore (add_entry b key (f None)));
+      | Tbl.Nil -> ignore (add_entry b h key (f None)));
       Pool.rebalance b.pool
 
 (* Find-or-create, pin for the duration of [f] — [f] may mutate the
@@ -339,24 +500,25 @@ let update t key f =
    (downstream delivery): the pinned entry cannot be evicted out from
    under it. *)
 let pinned t key ~init f =
+  let h = Tbl.hash key in
   match t with
   | R (_, tbl) ->
       let v =
-        match Hashtbl.find_opt tbl key with
-        | Some v -> v
-        | None ->
+        match Tbl.find tbl h key with
+        | Tbl.Cons c -> c.data
+        | Tbl.Nil ->
             let v = init () in
-            Hashtbl.replace tbl key v;
+            Tbl.insert tbl h key v;
             v
       in
       f v
   | B b ->
       let e =
-        match Hashtbl.find_opt b.tbl key with
-        | Some e ->
+        match Tbl.find b.tbl h key with
+        | Tbl.Cons { data = e; _ } ->
             ignore (live_value b e);
             e
-        | None -> add_entry b key (init ())
+        | Tbl.Nil -> add_entry b h key (init ())
       in
       let v = match e.e_slot with Live v -> v | Spilled _ -> assert false in
       e.e_pins <- e.e_pins + 1;
@@ -368,17 +530,17 @@ let pinned t key ~init f =
           Pool.rebalance b.pool)
         (fun () -> f v)
 
-(* Iterate every entry.  Budgeted: the visit order is unspecified (as
-   with [Hashtbl.iter]); each entry is faulted in if needed and pinned
-   for its callback, which may perform nested store operations on
-   {e other} stores and mutate the visited value in place — but must
-   not add or remove entries of this store (collect and apply after,
-   as the engine's firing paths do). *)
+(* Iterate every entry.  Resident: the table's visit order.  Budgeted:
+   the reverse of it (the entries are collected first); each entry is
+   faulted in if needed and pinned for its callback, which may perform
+   nested store operations on {e other} stores and mutate the visited
+   value in place — but must not add or remove entries of this store
+   (collect and apply after, as the engine's firing paths do). *)
 let iter f t =
   match t with
-  | R (_, tbl) -> Hashtbl.iter f tbl
+  | R (_, tbl) -> Tbl.iter f tbl
   | B b ->
-      let entries = Hashtbl.fold (fun _ e acc -> e :: acc) b.tbl [] in
+      let entries = Tbl.fold (fun _ e acc -> e :: acc) b.tbl [] in
       List.iter
         (fun e ->
           if not e.e_dead then begin
@@ -396,9 +558,9 @@ let iter f t =
 
 let fold f t acc =
   match t with
-  | R (_, tbl) -> Hashtbl.fold f tbl acc
+  | R (_, tbl) -> Tbl.fold f tbl acc
   | B b ->
-      let entries = Hashtbl.fold (fun _ e acc -> e :: acc) b.tbl [] in
+      let entries = Tbl.fold (fun _ e acc -> e :: acc) b.tbl [] in
       List.fold_left
         (fun acc e ->
           if e.e_dead then acc
@@ -417,18 +579,14 @@ let fold f t acc =
 
 let clear t =
   match t with
-  | R (_, tbl) -> Hashtbl.reset tbl
+  | R (_, tbl) -> Tbl.reset tbl
   | B b ->
-      Hashtbl.iter
+      Tbl.iter
         (fun _ e ->
-          (match e.e_slot with
-          | Live _ ->
-              Pool.shrink b.pool e.e_weight;
-              Pool.entry_dropped b.pool
-          | Spilled _ -> ());
+          (match e.e_slot with Live _ -> drop_live b e | Spilled _ -> ());
           e.e_dead <- true)
         b.tbl;
-      Hashtbl.reset b.tbl;
+      Tbl.reset b.tbl;
       Queue.clear b.clock;
       (match b.file with
       | Some f ->

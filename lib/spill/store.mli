@@ -1,8 +1,15 @@
-(** Keyed state store with a pluggable backend: [Resident] (a plain
-    hashtable, zero overhead — the default when no {!Pool} is given) or
-    [Budgeted] (clock/second-chance eviction of cold entries to an
-    append-only spill file, lazy fault-in on access, compaction when
-    over half the file is garbage).
+(** Keyed state store with a pluggable backend: [Resident] (the bare
+    table — the default when no {!Pool} is given) or [Budgeted]
+    (clock/second-chance eviction of cold entries to an append-only
+    spill file, lazy fault-in on access, compaction when over half the
+    file is garbage).
+
+    Both backends keep their entries in one string-keyed chained table
+    whose bucket nodes hold the value: every operation below hashes the
+    key once and walks one bucket once.  For the same history of
+    insertions, removals and {!clear}s, the resident {!iter} and {!fold}
+    visit entries in the order a generic stdlib [Hashtbl] would (the
+    budgeted backend visits them in the reverse of that order).
 
     The budgeted backend is invisible to results by construction:
     eviction serializes exactly the codec's bytes and fault-in decodes
@@ -14,7 +21,8 @@
 
     Usage contract (what the engine's operators follow):
 
-    - {!find} values are read-only unless followed by {!set}.
+    - {!find} values are read-only unless followed by {!set}; so are
+      the values {!take} returns.
     - In-place mutation goes through {!pinned} (or the {!iter}/{!fold}
       callbacks, where the current entry is pinned): pinned entries are
       never evicted, so nested store operations during downstream
@@ -56,10 +64,17 @@ val find : 'a t -> string -> 'a option
 val set : 'a t -> string -> 'a -> unit
 val remove : 'a t -> string -> unit
 
+val take : 'a t -> string -> ('a -> 'a option) -> 'a option
+(** [take t key f] returns [key]'s value ([None] when absent) and, in
+    the same probe, replaces it with [f v], or drops the entry when [f]
+    returns [None]: {!find} followed by {!set} or {!remove}, with the
+    budgeted backend's accounts and spill-file release exactly as that
+    pair leaves them.  [f] must not perform nested store operations. *)
+
 val update : 'a t -> string -> ('a option -> 'a) -> unit
-(** [Hashtbl.find_opt]-then-[replace] in one operation: the callback
-    sees the current value ([None] when absent) and returns the
-    replacement.  It must not perform nested store operations. *)
+(** {!find}-then-{!set} in one probe: the callback sees the current
+    value ([None] when absent) and returns the replacement.  It must
+    not perform nested store operations. *)
 
 val pinned : 'a t -> string -> init:(unit -> 'a) -> ('a -> 'b) -> 'b
 (** Find-or-create, pin the entry for the callback's duration, then
@@ -68,11 +83,11 @@ val pinned : 'a t -> string -> init:(unit -> 'a) -> ('a -> 'b) -> 'b
     operators that touch other stores of the same pool). *)
 
 val iter : (string -> 'a -> unit) -> 'a t -> unit
-(** Visit every entry (unspecified order, as with [Hashtbl.iter]);
-    spilled entries fault in, and the current entry is pinned during
-    its callback.  The callback may mutate the visited value and touch
-    other stores, but must not add/remove entries of this store —
-    collect and apply afterwards. *)
+(** Visit every entry (in the order described above); spilled entries
+    fault in, and the current entry is pinned during its callback.  The
+    callback may mutate the visited value and touch other stores, but
+    must not add/remove entries of this store — collect and apply
+    afterwards. *)
 
 val fold : (string -> 'a -> 'acc -> 'acc) -> 'a t -> 'acc -> 'acc
 (** Same visiting rules as {!iter}.  Folding over a budgeted store

@@ -924,6 +924,73 @@ let test_punctuation_only_stream_matches_oracle () =
   let rows = Stream_exec.close t ~horizon:120 in
   check_int "no rows from punctuation alone" 0 (List.length rows)
 
+(* --- emission order of the stream-fw window set --- *)
+
+(* The unsorted emission sequence of a 64-key incremental run of the
+   end-to-end benchmark's window set (six correlated windows behind the
+   factor window W<10,10>).  Within a pane roll an instance's keys come
+   in the visit order of the per-key store, and checkpoint row logs and
+   served taps keep that order, so a change of the store's table must
+   not move it.  The digest below was recorded before the store's
+   stdlib hashtable was replaced by its own table. *)
+let stream_fw_sql =
+  "SELECT SUM(value) FROM input GROUP BY key, \
+   WINDOWS(WINDOW(HOPPINGWINDOW(second, 60, 10)), \
+   WINDOW(HOPPINGWINDOW(second, 120, 20)), \
+   WINDOW(HOPPINGWINDOW(second, 180, 30)), \
+   WINDOW(HOPPINGWINDOW(second, 240, 40)), \
+   WINDOW(TUMBLINGWINDOW(second, 300)), WINDOW(TUMBLINGWINDOW(second, 600)))"
+
+let emission_digest t =
+  let buf = Buffer.create 4096 in
+  for i = 0 to Stream_exec.row_count t - 1 do
+    let r = Stream_exec.row t i in
+    Printf.bprintf buf "%s|%d|%d|%s|%Ld\n"
+      (Window.to_string r.Row.window)
+      (Interval.lo r.Row.interval) (Interval.hi r.Row.interval) r.Row.key
+      (Int64.bits_of_float r.Row.value)
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let stream_fw_emission plan =
+  let t = Stream_exec.create ~mode:inc plan in
+  let rng = Fw_util.Prng.create 19 in
+  let horizon = 1200 and eta = 16 in
+  let batch = ref [] and pending = ref 0 in
+  let flush () =
+    Stream_exec.feed_batch t (Fw_engine.Batch.of_events (List.rev !batch));
+    batch := [];
+    pending := 0
+  in
+  for time = 0 to horizon - 1 do
+    for _ = 1 to eta do
+      let key = Printf.sprintf "k%05d" (Fw_util.Prng.int rng 64) in
+      let value = float_of_int (Fw_util.Prng.int rng 400) *. 0.25 in
+      batch := ev time key value :: !batch;
+      incr pending;
+      if !pending = 1024 then flush ()
+    done
+  done;
+  if !pending > 0 then flush ();
+  ignore (Stream_exec.close t ~horizon);
+  (Stream_exec.row_count t, emission_digest t)
+
+(* Both plans: the rewritten one (pane-fed factor window, window-fed
+   per-instance nodes) and the unrewritten one, whose six windows are
+   pane nodes and so emit straight in visit order. *)
+let test_stream_fw_emission_order () =
+  let outcome =
+    match Fw_sql.Compile.compile ~eta:256 ~factor_windows:true stream_fw_sql with
+    | Ok c -> c.Fw_sql.Compile.outcome
+    | Error e -> Alcotest.fail e
+  in
+  let rows, digest = stream_fw_emission outcome.Rewrite.plan in
+  check_int "rewritten: rows" 15104 rows;
+  check_string "rewritten: emission digest" "d76973eae4b1e36dad20f969350f721f" digest;
+  let rows, digest = stream_fw_emission outcome.Rewrite.naive_plan in
+  check_int "unrewritten: rows" 15104 rows;
+  check_string "unrewritten: emission digest" "28f2e22cf6927a1f294ba31d8c044635" digest
+
 let suite =
   [
     Alcotest.test_case "event basics" `Quick test_event_basics;
@@ -987,4 +1054,6 @@ let suite =
     Alcotest.test_case "median end to end" `Quick test_median_naive_end_to_end;
     Alcotest.test_case "no events" `Quick test_no_events;
     Alcotest.test_case "key skew" `Quick test_single_key_skew;
+    Alcotest.test_case "stream-fw emission order is pinned" `Quick
+      test_stream_fw_emission_order;
   ]

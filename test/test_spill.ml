@@ -117,6 +117,283 @@ let test_store_semantics_budgeted () =
         (fun () -> Store.create ~pool ~name:"t" Bincodec.state_codec)
         ())
 
+(* --- store model: every operation against a map ---------------------- *)
+
+module Smap = Map.Make (String)
+
+(* Values are [int ref]s so [pinned] and [iter] can mutate in place. *)
+let int_codec =
+  {
+    Store.kind = 7;
+    enc = (fun b r -> Bin.w_i64 b !r);
+    dec = (fun r -> ref (Bin.r_i64 r));
+    weight = (fun _ -> 24);
+  }
+
+type store_op =
+  | Op_update of int * int
+  | Op_set of int * int
+  | Op_find of int
+  | Op_remove of int
+  | Op_take of int * int option  (* [Some d]: keep v + d; [None]: drop *)
+  | Op_pinned of int * int
+  | Op_iter
+  | Op_fold
+  | Op_length
+  | Op_clear
+  | Op_image
+
+let print_store_op = function
+  | Op_update (k, d) -> Printf.sprintf "update k%d %+d" k d
+  | Op_set (k, v) -> Printf.sprintf "set k%d %d" k v
+  | Op_find k -> Printf.sprintf "find k%d" k
+  | Op_remove k -> Printf.sprintf "remove k%d" k
+  | Op_take (k, Some d) -> Printf.sprintf "take k%d keep %+d" k d
+  | Op_take (k, None) -> Printf.sprintf "take k%d drop" k
+  | Op_pinned (k, d) -> Printf.sprintf "pinned k%d %+d" k d
+  | Op_iter -> "iter"
+  | Op_fold -> "fold"
+  | Op_length -> "length"
+  | Op_clear -> "clear"
+  | Op_image -> "image"
+
+(* Up to 3000 keys and 4000 operations, insert-heavy, so the table
+   grows through several resizes before a rare clear resets it. *)
+let gen_store_ops =
+  QCheck2.Gen.(
+    let* n_keys = oneof [ int_range 1 40; int_range 1 3000 ] in
+    let key = int_range 0 (n_keys - 1) and d = int_range (-5) 5 in
+    let op =
+      frequency
+        [
+          (24, map2 (fun k d -> Op_update (k, d)) key d);
+          (16, map2 (fun k v -> Op_set (k, v)) key d);
+          (8, map (fun k -> Op_find k) key);
+          (6, map (fun k -> Op_remove k) key);
+          (6, map2 (fun k d -> Op_take (k, d)) key (opt d));
+          (6, map2 (fun k d -> Op_pinned (k, d)) key d);
+          (2, return Op_length);
+          (1, oneofl [ Op_iter; Op_fold; Op_image ]);
+          (1, map (fun c -> if c = 0 then Op_clear else Op_length) (int_range 0 9));
+        ]
+    in
+    let* n = int_range 0 4000 in
+    list_repeat n op)
+
+let print_store_ops ops =
+  Printf.sprintf "%d ops: %s" (List.length ops)
+    (String.concat "; " (List.map print_store_op ops))
+
+let key_of k = Printf.sprintf "k%d" k
+
+(* Run [ops] on [s] (with [take] for {!Op_take}) and on a map model:
+   whether every observable result agreed, and [observe ()] after each
+   operation. *)
+let run_store_ops ~take ~observe s ops =
+  let model = ref Smap.empty in
+  let value k = Option.map ( ! ) (Store.find s k) in
+  let bindings () =
+    List.sort compare
+      (Store.fold (fun k r acc -> (k, !r) :: acc) s [])
+  in
+  let same_contents () = bindings () = Smap.bindings !model in
+  let step op =
+    match op with
+    | Op_update (k, d) ->
+        let key = key_of k and calls = ref 0 and seen = ref None in
+        Store.update s key (fun prev ->
+            incr calls;
+            seen := Option.map ( ! ) prev;
+            ref (Option.value ~default:0 !seen + d));
+        let ok = !calls = 1 && !seen = Smap.find_opt key !model in
+        model := Smap.add key (Option.value ~default:0 !seen + d) !model;
+        ok
+    | Op_set (k, v) ->
+        Store.set s (key_of k) (ref v);
+        model := Smap.add (key_of k) v !model;
+        true
+    | Op_find k -> value (key_of k) = Smap.find_opt (key_of k) !model
+    | Op_remove k ->
+        Store.remove s (key_of k);
+        model := Smap.remove (key_of k) !model;
+        true
+    | Op_take (k, keep) ->
+        let key = key_of k and calls = ref 0 in
+        let got =
+          take s key (fun r ->
+              incr calls;
+              Option.map (fun d -> ref (!r + d)) keep)
+        in
+        let expect = Smap.find_opt key !model in
+        let ok =
+          Option.map ( ! ) got = expect
+          && !calls = if expect = None then 0 else 1
+        in
+        (match (expect, keep) with
+        | None, _ -> ()
+        | Some v, Some d -> model := Smap.add key (v + d) !model
+        | Some _, None -> model := Smap.remove key !model);
+        ok
+    | Op_pinned (k, d) ->
+        let key = key_of k and calls = ref 0 in
+        let before =
+          Store.pinned s key
+            ~init:(fun () -> ref 0)
+            (fun r ->
+              incr calls;
+              let b = !r in
+              r := b + d;
+              b)
+        in
+        let ok =
+          !calls = 1 && before = Option.value ~default:0 (Smap.find_opt key !model)
+        in
+        model := Smap.add key (before + d) !model;
+        ok
+    | Op_iter ->
+        let seen = ref [] in
+        Store.iter
+          (fun k r ->
+            seen := (k, !r) :: !seen;
+            r := !r + 1)
+          s;
+        model := Smap.map succ !model;
+        List.sort compare !seen = Smap.bindings (Smap.map pred !model)
+        && same_contents ()
+    | Op_fold -> same_contents ()
+    | Op_length -> Store.length s = Smap.cardinal !model
+    | Op_clear ->
+        Store.clear s;
+        model := Smap.empty;
+        Store.is_empty s
+    | Op_image ->
+        let b = Buffer.create 256 in
+        Store.write b s;
+        let img = Buffer.contents b in
+        let expect = Buffer.create 256 in
+        Bin.w_list expect
+          (fun b (k, v) ->
+            Bin.w_string b k;
+            Bin.w_i64 b v)
+          (Smap.bindings !model);
+        let loaded = ref [] in
+        Store.read (fun k r -> loaded := (k, !r) :: !loaded) s (Bin.reader img);
+        String.equal img (Buffer.contents expect)
+        && List.rev !loaded = Smap.bindings !model
+        && same_contents ()
+  in
+  let ok = ref true and seen = ref [] in
+  List.iter
+    (fun op ->
+      if !ok then begin
+        ok := step op;
+        seen := observe () :: !seen
+      end)
+    ops;
+  ( !ok && same_contents () && Store.length s = Smap.cardinal !model,
+    List.rev !seen )
+
+let store_agrees_with_model s ops =
+  fst (run_store_ops ~take:Store.take ~observe:ignore s ops)
+
+(* {!Store.take} as the two probes it replaces. *)
+let find_then_set_or_remove s key f =
+  match Store.find s key with
+  | None -> None
+  | Some v as found ->
+      (match f v with Some v' -> Store.set s key v' | None -> Store.remove s key);
+      found
+
+let pool_figures pool () =
+  ( Pool.resident_bytes pool,
+    Pool.resident_keys pool,
+    Pool.disk_bytes pool,
+    Pool.evictions pool,
+    Pool.faults pool )
+
+let prop_store_model =
+  qtest ~count:25 "store = map model (resident, budget 0, small budget)"
+    gen_store_ops print_store_ops (fun ops ->
+      store_agrees_with_model (Store.create ~name:"model" int_codec) ops
+      && with_pool ~budget:0 (fun pool ->
+             store_agrees_with_model
+               (Store.create ~pool ~name:"model" int_codec)
+               ops)
+      && with_pool ~budget:512 (fun pool ->
+             store_agrees_with_model
+               (Store.create ~pool ~name:"model" int_codec)
+               ops))
+
+(* A budgeted [take] leaves the pool's accounts, its spill file and its
+   eviction and fault counts exactly as [find] then [set] or [remove]
+   would, after every operation. *)
+let prop_take_accounts =
+  qtest ~count:25 "store take = find + set/remove in pool accounts"
+    gen_store_ops print_store_ops (fun ops ->
+      List.for_all
+        (fun budget ->
+          let run take =
+            with_pool ~budget (fun pool ->
+                run_store_ops ~take ~observe:(pool_figures pool)
+                  (Store.create ~pool ~name:"take" int_codec)
+                  ops)
+          in
+          let ok1, one = run Store.take in
+          let ok2, two = run find_then_set_or_remove in
+          ok1 && ok2 && one = two)
+        [ 0; 512 ])
+
+(* The table visits entries in the order of a generic stdlib
+   [Hashtbl] fed the same insert/remove/reset history (the budgeted
+   backend in the reverse of it): pane rolls emit in this order. *)
+let test_store_visit_order () =
+  let rng = Fw_util.Prng.create 5 in
+  let resident = Store.create ~name:"order" int_codec in
+  let reference = Hashtbl.create ~random:false 16 in
+  with_pool ~budget:512 (fun pool ->
+      let budgeted = Store.create ~pool ~name:"order" int_codec in
+      let both f = f resident; f budgeted in
+      for step = 1 to 20000 do
+        let key = key_of (Fw_util.Prng.int rng (if step < 12000 then 3000 else 200)) in
+        (match Fw_util.Prng.int rng 10 with
+        | 0 | 1 ->
+            both (fun s -> Store.remove s key);
+            Hashtbl.remove reference key
+        | 2 ->
+            both (fun s -> ignore (Store.take s key (fun _ -> None)));
+            Hashtbl.remove reference key
+        | 3 ->
+            both (fun s -> Store.update s key (fun _ -> ref step));
+            Hashtbl.replace reference key step
+        | 4 ->
+            both (fun s -> Store.pinned s key ~init:(fun () -> ref step) ignore);
+            if not (Hashtbl.mem reference key) then Hashtbl.replace reference key step
+        | _ ->
+            both (fun s -> Store.set s key (ref step));
+            Hashtbl.replace reference key step);
+        if step = 9000 || step = 15000 then begin
+          both Store.clear;
+          Hashtbl.reset reference
+        end;
+        if step mod 1000 = 0 then begin
+          let expect = Hashtbl.fold (fun k _ acc -> k :: acc) reference [] in
+          let visited s =
+            let acc = ref [] in
+            Store.iter (fun k _ -> acc := k :: !acc) s;
+            !acc
+          in
+          Alcotest.(check (list string))
+            (Printf.sprintf "resident iter order, step %d" step)
+            expect (visited resident);
+          Alcotest.(check (list string))
+            (Printf.sprintf "resident fold order, step %d" step)
+            expect (Store.fold (fun k _ acc -> k :: acc) resident []);
+          Alcotest.(check (list string))
+            (Printf.sprintf "budgeted iter order, step %d" step)
+            (List.rev expect) (visited budgeted)
+        end
+      done)
+
 (* --- eviction / fault-in bit-identity -------------------------------- *)
 
 let test_evict_fault_bit_identity () =
@@ -670,4 +947,8 @@ let suite =
     Alcotest.test_case "failed import releases its stores" `Quick
       test_failed_import_releases_stores;
     prop_image_backend_independent;
+    prop_store_model;
+    prop_take_accounts;
+    Alcotest.test_case "store visit order = stdlib Hashtbl" `Quick
+      test_store_visit_order;
   ]
