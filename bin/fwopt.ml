@@ -124,13 +124,6 @@ let optimize_cmd =
 
 (* --- run --- *)
 
-(* Checkpointed execution for `run --checkpoint/--recover`: same
-   report shape as Optimizer.execute, but the stream goes through the
-   durable pipeline.  --crash-after dies (cleanly, exit 0) mid-stream
-   leaving the directory behind, so a shell script can exercise the
-   whole crash/recover cycle. *)
-exception Simulated_crash
-
 (* --throttle: cap the feed rate (events per wall-clock second) so a
    live run lasts long enough to scrape and watch. *)
 let pacer = function
@@ -144,85 +137,80 @@ let pacer = function
         let elapsed = Unix.gettimeofday () -. t0 in
         if target > elapsed then Unix.sleepf (target -. elapsed)
 
-let run_checkpointed ~metrics ~pace ~dir ~every ~crash_after ~batch ~mode
-    ?spill plan ~horizon events =
-  let cp = Fw_snap.Checkpoint.create ~metrics ~dir ~every ~mode ?spill plan in
-  (* [--batch 1] is byte-identical to per-event feeding (feed is a
-     batch-of-1 wrapper); larger sizes go through the vectorized
-     [Checkpoint.feed_batch], which keeps the same WAL/snapshot cuts. *)
+(* The one sink `run` feeds: a plain executor, a fresh checkpointed
+   pipeline (--checkpoint, with --crash-after armed as its fault plan)
+   or one rebuilt from a durable directory (--recover).  Returns how
+   many leading events the sink already holds — the durable prefix a
+   recovered run skips in the regenerated stream — with its batch entry
+   point and its close. *)
+let open_sink ~metrics ~mode ?spill ~every ~crash_after ~checkpoint_dir
+    ~recover_dir plan =
+  let durable ~skip cp =
+    ( skip,
+      Fw_snap.Checkpoint.feed_batch cp,
+      fun ~horizon ->
+        let rows = Fw_snap.Checkpoint.close cp ~horizon in
+        { Fw_engine.Run.rows; metrics = Fw_snap.Checkpoint.metrics cp } )
+  in
+  match (checkpoint_dir, recover_dir) with
+  | Some dir, _ ->
+      let fault = Fw_snap.Fault.create ?crash_at_event:crash_after () in
+      durable ~skip:0
+        (Fw_snap.Checkpoint.create ~metrics ~dir ~every ~fault ~mode ?spill
+           plan)
+  | None, Some dir -> (
+      match Fw_snap.Recover.load ~dir ~every ~mode ?spill plan with
+      | Error m ->
+          Printf.eprintf "recovery failed: %s\n" m;
+          exit 1
+      | Ok r ->
+          Printf.printf "recovered from %s (snapshot %s, %d events + %d \
+                         punctuations replayed); resuming\n"
+            dir
+            (match r.Fw_snap.Recover.recovered_from with
+            | Some g -> string_of_int g
+            | None -> "none, full log")
+            r.Fw_snap.Recover.replayed_events
+            r.Fw_snap.Recover.replayed_advances;
+          List.iter
+            (fun (g, e) -> Printf.printf "  skipped snapshot %d: %s\n" g e)
+            r.Fw_snap.Recover.skipped;
+          durable
+            ~skip:(Fw_engine.Metrics.ingested r.Fw_snap.Recover.metrics)
+            r.Fw_snap.Recover.checkpoint)
+  | None, None ->
+      let exec = Fw_engine.Stream_exec.create ~metrics ~mode ?spill plan in
+      ( 0,
+        Fw_engine.Stream_exec.feed_batch exec,
+        fun ~horizon ->
+          { Fw_engine.Run.rows = Fw_engine.Stream_exec.close exec ~horizon;
+            metrics } )
+
+(* Feed the events before the horizon, after the first [skip], in
+   columnar batches of [batch].  [--batch 1] is byte-identical to
+   per-event feeding (feed is a batch of one); rows and cost-model
+   counters are the same at any size. *)
+let feed_stream ~batch ~pace ~skip feed_batch ~horizon events =
   let buf = Fw_engine.Batch.create () in
   let flush () =
     if not (Fw_engine.Batch.is_empty buf) then begin
-      Fw_snap.Checkpoint.feed_batch cp buf;
+      feed_batch buf;
       Fw_engine.Batch.reset buf
     end
   in
-  (try
-     List.iteri
-       (fun i e ->
-         (match crash_after with
-         | Some k when i >= k ->
-             flush ();
-             raise Simulated_crash
-         | _ -> ());
-         if e.Fw_engine.Event.time < horizon then begin
-           Fw_engine.Batch.push buf e;
-           if Fw_engine.Batch.length buf >= batch then flush ();
-           pace ()
-         end)
-       (Fw_engine.Event.sort events);
-     flush ()
-   with Simulated_crash ->
-     Printf.printf
-       "simulated crash after %d events; durable state in %s (resume with \
-        --recover %s)\n"
-       (match crash_after with Some k -> k | None -> 0)
-       dir dir;
-     exit 0);
-  let rows = Fw_snap.Checkpoint.close cp ~horizon in
-  { Fw_engine.Run.rows; metrics = Fw_snap.Checkpoint.metrics cp }
-
-let run_recovered ~dir ~every ~batch ~mode ?spill plan ~horizon events =
-  match Fw_snap.Recover.load ~dir ~every ~mode ?spill plan with
-  | Error m ->
-      Printf.eprintf "recovery failed: %s\n" m;
-      exit 1
-  | Ok r ->
-      Printf.printf "recovered from %s (snapshot %s, %d events + %d \
-                     punctuations replayed); resuming\n"
-        dir
-        (match r.Fw_snap.Recover.recovered_from with
-        | Some g -> string_of_int g
-        | None -> "none, full log")
-        r.Fw_snap.Recover.replayed_events r.Fw_snap.Recover.replayed_advances;
-      List.iter
-        (fun (g, e) -> Printf.printf "  skipped snapshot %d: %s\n" g e)
-        r.Fw_snap.Recover.skipped;
-      (* the event stream is regenerated deterministically from the
-         seed; everything already durable (= ingested so far) is
-         skipped, the tail is fed as if the crash never happened *)
-      let already = Fw_engine.Metrics.ingested r.Fw_snap.Recover.metrics in
-      let fed = ref 0 in
-      let buf = Fw_engine.Batch.create () in
-      let flush () =
-        if not (Fw_engine.Batch.is_empty buf) then begin
-          Fw_snap.Checkpoint.feed_batch r.Fw_snap.Recover.checkpoint buf;
-          Fw_engine.Batch.reset buf
+  let seen = ref 0 in
+  List.iter
+    (fun e ->
+      if e.Fw_engine.Event.time < horizon then begin
+        incr seen;
+        if !seen > skip then begin
+          Fw_engine.Batch.push buf e;
+          if Fw_engine.Batch.length buf >= batch then flush ();
+          pace ()
         end
-      in
-      List.iter
-        (fun e ->
-          if e.Fw_engine.Event.time < horizon then begin
-            incr fed;
-            if !fed > already then begin
-              Fw_engine.Batch.push buf e;
-              if Fw_engine.Batch.length buf >= batch then flush ()
-            end
-          end)
-        (Fw_engine.Event.sort events);
-      flush ();
-      let rows = Fw_snap.Checkpoint.close r.Fw_snap.Recover.checkpoint ~horizon in
-      { Fw_engine.Run.rows; metrics = r.Fw_snap.Recover.metrics }
+      end)
+    (Fw_engine.Event.sort events);
+  flush ()
 
 let run_cmd =
   let action query file eta no_factor seed horizon show_rows shuffle lateness
@@ -356,21 +344,15 @@ let run_cmd =
           if incremental then Fw_engine.Stream_exec.Incremental
           else Fw_engine.Stream_exec.Naive
         in
-        let trace =
-          (* a trace makes the executor sample every activation; only
-             pay for that when the snapshot will carry it *)
-          match stats with
-          | Some "json" -> Some (Fw_obs.Trace.create ())
-          | _ -> None
-        in
-        (* One metrics registry up front, threaded through every
-           execution path, so --serve can expose it while the run is
-           still feeding.  (--recover keeps its own: its metrics are
-           reconstructed from the durable log.) *)
+        (* One metrics registry up front, handed to the sink, so
+           --serve can expose it while the run is still feeding.
+           (--recover keeps its own: its metrics are reconstructed
+           from the durable log.) *)
         let metrics = Fw_engine.Metrics.create () in
-        (match trace with
-        | Some tr -> Fw_engine.Metrics.set_trace metrics tr
-        | None -> ());
+        (* a trace makes the executor sample every activation; only
+           pay for that when the snapshot will carry it *)
+        if stats = Some "json" then
+          Fw_engine.Metrics.set_trace metrics (Fw_obs.Trace.create ());
         let pace = pacer throttle in
         (* One pool for the whole run, on the served registry so the
            spill series are live-scrapable. *)
@@ -394,53 +376,24 @@ let run_cmd =
               Some s
         in
         let execute () =
-          match (checkpoint_dir, recover_dir) with
-          | Some dir, _ ->
-              run_checkpointed ~metrics ~pace ~dir ~every ~crash_after
-                ~batch:(Option.value batch_opt ~default:1)
-                ~mode ?spill (Optimizer.optimized_plan t) ~horizon events
-          | None, Some dir ->
-              run_recovered ~dir ~every
-                ~batch:(Option.value batch_opt ~default:1)
-                ~mode ?spill (Optimizer.optimized_plan t) ~horizon events
-          | None, None
-            when Option.value batch_opt ~default:1 > 1 || throttle <> None
-            ->
-              (* Vectorized execution: the stream goes
-                 through [feed_batch] in fixed-size chunks.  Rows and
-                 cost-model counters are byte-identical to the
-                 per-event run (the feed/feed_batch contract) — which
-                 is also why a throttled run takes this path at batch
-                 size 1: the loop is pace-able without changing the
-                 result. *)
-              let batch = Option.value batch_opt ~default:1 in
-              let plan = Optimizer.optimized_plan t in
-              let exec =
-                Fw_engine.Stream_exec.create ~metrics ~mode ?spill plan
-              in
-              let buf = Fw_engine.Batch.create () in
-              let flush () =
-                if not (Fw_engine.Batch.is_empty buf) then begin
-                  Fw_engine.Stream_exec.feed_batch exec buf;
-                  Fw_engine.Batch.reset buf
-                end
-              in
-              List.iter
-                (fun e ->
-                  if e.Fw_engine.Event.time < horizon then begin
-                    Fw_engine.Batch.push buf e;
-                    if Fw_engine.Batch.length buf >= batch then flush ();
-                    pace ()
-                  end)
-                (Fw_engine.Event.sort events);
-              flush ();
-              {
-                Fw_engine.Run.rows =
-                  Fw_engine.Stream_exec.close exec ~horizon;
-                metrics;
-              }
-          | None, None ->
-              Optimizer.execute ~metrics ~mode ?trace ?spill t ~horizon events
+          let skip, feed_batch, close =
+            open_sink ~metrics ~mode ?spill ~every ~crash_after
+              ~checkpoint_dir ~recover_dir (Optimizer.optimized_plan t)
+          in
+          (try
+             feed_stream
+               ~batch:(Option.value batch_opt ~default:1)
+               ~pace ~skip feed_batch ~horizon events
+           with Fw_snap.Fault.Crash _ ->
+             (* only an armed --checkpoint run crashes: leave the
+                directory behind for --recover, exit cleanly *)
+             let dir = Option.get checkpoint_dir in
+             Printf.printf
+               "simulated crash after %d events; durable state in %s \
+                (resume with --recover %s)\n"
+               (Option.get crash_after) dir dir;
+             exit 0);
+          close ~horizon
         in
         let report =
           Fun.protect

@@ -74,9 +74,8 @@ let explain t =
   add "rewritten plan:@.%s@." (trill t);
   Buffer.contents buf
 
-let execute ?metrics ?mode ?trace ?spill t ~horizon events =
-  Fw_engine.Run.execute ?metrics ?mode ?trace ?spill (optimized_plan t)
-    ~horizon events
+let execute ?metrics t ~horizon events =
+  Fw_engine.Run.execute ?metrics (optimized_plan t) ~horizon events
 
 let verify t ~horizon events =
   match

@@ -42,19 +42,12 @@ val explain : t -> string
 
 val execute :
   ?metrics:Fw_engine.Metrics.t ->
-  ?mode:Fw_engine.Stream_exec.mode ->
-  ?trace:Fw_obs.Trace.t ->
-  ?spill:Fw_spill.Pool.t ->
   t ->
   horizon:int ->
   Fw_engine.Event.t list ->
   Fw_engine.Run.report
-(** Run the optimized plan on events.  [metrics] supplies the
-    recording registry (fresh by default; pass a served one for live
-    scraping); [mode] selects the executor path (default
-    {!Fw_engine.Stream_exec.Naive}); [trace] attaches a span trace to
-    the run's metrics; [spill] bounds the executor's resident keyed
-    state (see {!Fw_engine.Stream_exec.create}). *)
+(** Run the optimized plan on events ({!Fw_engine.Run.execute});
+    [metrics] supplies the recording registry (fresh by default). *)
 
 val verify :
   t -> horizon:int -> Fw_engine.Event.t list -> (unit, string) result

@@ -18,12 +18,11 @@ type comparison = {
 
 let saved s = s.baseline_items - s.rewritten_items
 
-let execute ?metrics ?mode ?trace ?spill plan ~horizon events =
+let execute ?metrics plan ~horizon events =
   let metrics =
     match metrics with Some m -> m | None -> Metrics.create ()
   in
-  (match trace with Some tr -> Metrics.set_trace metrics tr | None -> ());
-  let rows = Stream_exec.run ~metrics ?mode ?spill plan ~horizon events in
+  let rows = Stream_exec.run ~metrics plan ~horizon events in
   { rows; metrics }
 
 let describe_diff diff =

@@ -24,20 +24,10 @@ val saved : saving -> int
 (** [baseline_items - rewritten_items]; negative for added work. *)
 
 val execute :
-  ?metrics:Metrics.t ->
-  ?mode:Stream_exec.mode ->
-  ?trace:Fw_obs.Trace.t ->
-  ?spill:Fw_spill.Pool.t ->
-  Fw_plan.Plan.t ->
-  horizon:int ->
-  Event.t list ->
-  report
-(** Stream-execute a plan; [metrics] supplies the registry to record
-    into (fresh by default) — pass one whose registry is already being
-    served ({!Fw_obs.Scrape}) to watch the run live.  [trace] attaches
-    a span trace before the executor is built so every activation is
-    recorded.  [spill] runs the executor's keyed state under a memory
-    budget (see {!Stream_exec.create}); the pool stays caller-owned. *)
+  ?metrics:Metrics.t -> Fw_plan.Plan.t -> horizon:int -> Event.t list -> report
+(** Stream-execute a plan event by event ({!Stream_exec.run}, Naive
+    mode); [metrics] supplies the registry to record into (fresh by
+    default). *)
 
 val verify_against_naive :
   Fw_plan.Plan.t -> horizon:int -> Event.t list -> (unit, string) result

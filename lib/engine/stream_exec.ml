@@ -1218,14 +1218,13 @@ let broadcast_wm t ~stamp wm =
   end;
   root_deliver t (Watermark wm)
 
-let feed_batch t b =
-  if t.closed then invalid_arg "Stream_exec.feed_batch: executor is closed";
+(* Atomic validation: replay the interleaved slot order against the
+   watermark before touching any state, so a late event rejects the
+   whole batch with no partial effects. *)
+let validate t b =
   let n = Batch.length b in
   let nm = Batch.mark_count b in
   let times = Batch.times b in
-  (* Atomic validation: replay the interleaved slot order against the
-     watermark before touching any state, so a late event rejects the
-     whole batch with no partial effects. *)
   let running = ref t.source_wm in
   let mj = ref 0 in
   for i = 0 to n - 1 do
@@ -1236,7 +1235,14 @@ let feed_batch t b =
     done;
     if times.(i) < !running then raise (Late_event (Batch.event b i));
     if times.(i) > !running then running := times.(i)
-  done;
+  done
+
+let feed_batch t b =
+  if t.closed then invalid_arg "Stream_exec.feed_batch: executor is closed";
+  validate t b;
+  let n = Batch.length b in
+  let nm = Batch.mark_count b in
+  let times = Batch.times b in
   if n > 0 then Metrics.record_ingest t.metrics n;
   ensure_iota t n;
   let iota = t.iota in

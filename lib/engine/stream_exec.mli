@@ -109,8 +109,16 @@ val feed_batch : t -> Batch.t -> unit
     latency histograms may differ (fewer, larger activations).
 
     The batch is validated atomically against the watermark before any
-    state changes: a late event anywhere in it raises {!Late_event}
-    and leaves the executor untouched. *)
+    state changes ({!validate}): a late event anywhere in it raises
+    {!Late_event} and leaves the executor untouched. *)
+
+val validate : t -> Batch.t -> unit
+(** The check {!feed_batch} runs first: replay the batch's interleaved
+    events and marks against the current watermark and raise
+    {!Late_event} on the first event older than it — including one
+    made late by a mark earlier in the same batch.  Touches no state,
+    so a caller that must act before feeding (the checkpoint log) can
+    reject a batch up front. *)
 
 val advance : t -> int -> unit
 (** Advance the watermark without an event (a punctuation): all

@@ -9,6 +9,7 @@ module Rewrite = Fw_plan.Rewrite
 module Event = Fw_engine.Event
 module Row = Fw_engine.Row
 module Stream_exec = Fw_engine.Stream_exec
+module Batch = Fw_engine.Batch
 module Checkpoint = Fw_snap.Checkpoint
 module Recover = Fw_snap.Recover
 module Vec = Fw_util.Vec
@@ -116,6 +117,7 @@ type t = {
   cache : Plan_cache.t;
   queries : (int, query) Hashtbl.t;
   mutable groups : group list;  (* creation order *)
+  batch : Batch.t;  (* the current ingest, handed to every engine *)
   mutable next_qid : int;
   mutable next_gid : int;
   mutable wm : int;
@@ -230,15 +232,10 @@ let engine_row e i =
   | E_direct x -> Stream_exec.row x i
   | E_durable c -> Checkpoint.row c i
 
-let engine_feed e ev =
+let engine_feed_batch e b =
   match e with
-  | E_direct x -> Stream_exec.feed x ev
-  | E_durable c -> Checkpoint.feed c ev
-
-let engine_advance e time =
-  match e with
-  | E_direct x -> Stream_exec.advance x time
-  | E_durable c -> Checkpoint.advance c time
+  | E_direct x -> Stream_exec.feed_batch x b
+  | E_durable c -> Checkpoint.feed_batch c b
 
 let engine_close e ~horizon =
   match e with
@@ -616,6 +613,19 @@ let start_engines t =
   List.iter (ensure_engine t) t.groups;
   refresh_gauges t
 
+(* One ingest: the same batch goes to every group's engine (starting
+   the ones that have not run yet), then the new rows move into the
+   taps and the watermark is logged. *)
+let ingest t ~wm =
+  start_engines t;
+  List.iter
+    (fun g -> Option.iter (fun e -> engine_feed_batch e t.batch) g.g_engine)
+    t.groups;
+  t.wm <- wm;
+  drain_all t;
+  Gauge.set t.wm_g (float_of_int t.wm);
+  manifest_append t (Printf.sprintf "W %d" t.wm)
+
 let feed t events =
   if t.closed then Error Closed
   else if events = [] then Ok 0 (* nothing to feed: don't freeze groups *)
@@ -623,20 +633,11 @@ let feed t events =
     Error
       (Bad_request "events must be time-ordered and not older than the watermark")
   else begin
-    start_engines t;
-    List.iter
-      (fun e ->
-        List.iter
-          (fun g ->
-            match g.g_engine with Some en -> engine_feed en e | None -> ())
-          t.groups;
-        t.wm <- max t.wm e.Event.time)
-      events;
-    drain_all t;
-    let n = List.length events in
+    Batch.reset t.batch;
+    List.iter (Batch.push t.batch) events;
+    let n = Batch.length t.batch in
+    ingest t ~wm:(max t.wm (Batch.time t.batch (n - 1)));
     Counter.add t.ingested_c n;
-    Gauge.set t.wm_g (float_of_int t.wm);
-    manifest_append t (Printf.sprintf "W %d" t.wm);
     Ok n
   end
 
@@ -645,15 +646,9 @@ let advance t time =
   else if time < t.wm then
     Error (Bad_request "cannot advance behind the watermark")
   else begin
-    start_engines t;
-    List.iter
-      (fun g ->
-        match g.g_engine with Some e -> engine_advance e time | None -> ())
-      t.groups;
-    t.wm <- time;
-    drain_all t;
-    Gauge.set t.wm_g (float_of_int t.wm);
-    manifest_append t (Printf.sprintf "W %d" t.wm);
+    Batch.reset t.batch;
+    Batch.push_punct t.batch time;
+    ingest t ~wm:time;
     Ok ()
   end
 
@@ -703,6 +698,7 @@ let make ?registry cfg =
     cache;
     queries = Hashtbl.create 64;
     groups = [];
+    batch = Batch.create ();
     next_qid = 1;
     next_gid = 0;
     wm = 0;

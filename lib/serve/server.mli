@@ -111,13 +111,19 @@ val rows_from : t -> int -> from:int -> (Fw_engine.Row.t list, reject) result
 
 val feed : t -> Fw_engine.Event.t list -> (int, reject) result
 (** Feed ordered events to every group's engine (starting engines that
-    have not run yet) and drain new rows into the taps.  The batch is
-    validated first: events must be non-decreasing in time and none may
+    have not run yet) and drain new rows into the taps.  The events are
+    validated first: they must be non-decreasing in time and none may
     be older than the server watermark — on violation nothing is fed.
-    Returns the number of events ingested. *)
+    One ingest is one {!Fw_engine.Batch.t}, handed whole to each
+    engine's [feed_batch]: at the ingest boundary every engine holds
+    exactly the rows per-event feeding would have emitted, and within
+    the ingest a tap holds its rows in the batched emission order
+    (which may interleave windows differently from per-event
+    emission).  Returns the number of events ingested. *)
 
 val advance : t -> int -> (unit, reject) result
-(** Punctuation: fire every instance ending at or before the time. *)
+(** Punctuation: a punctuation-only batch to every engine, firing every
+    instance ending at or before the time. *)
 
 val close : t -> horizon:int -> (unit, reject) result
 (** Advance all engines to the horizon and stop accepting input —

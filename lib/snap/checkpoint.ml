@@ -5,6 +5,7 @@ module Metrics = Fw_engine.Metrics
 module Stream_exec = Fw_engine.Stream_exec
 module Event = Fw_engine.Event
 module Row = Fw_engine.Row
+module Batch = Fw_engine.Batch
 module Plan = Fw_plan.Plan
 
 let chk_name g = Printf.sprintf "chk-%09d.fws" g
@@ -47,6 +48,8 @@ type t = {
   metrics : Metrics.t;
   exec : Stream_exec.t;
   obs : obs option;
+  scratch : Batch.t;  (* the one-slot batch behind [feed] and [advance] *)
+  sub : Batch.t;  (* the sub-batch [feed_batch] cuts and feeds *)
   mutable seq : int;  (* highest checkpoint sequence written / inherited *)
   mutable wal : out_channel option;  (* Some once construction finishes *)
   mutable rows_oc : out_channel option;  (* append-only emitted-row log *)
@@ -92,11 +95,6 @@ let append_noflush t rec_ =
 
 let flush_wal t =
   match t.wal with Some oc -> flush oc | None -> assert false
-
-let append t rec_ =
-  append_noflush t rec_;
-  (* flushed per record: after a crash everything fed is durable *)
-  flush_wal t
 
 (* Copy newly-emitted rows into the row log's channel buffer.  Not
    flushed here — row durability is only promised up to the last
@@ -178,6 +176,8 @@ let make ~dir ~every ~on_punctuation ~retain ~fault ~observe ~plan ~metrics
     metrics;
     exec;
     obs = make_obs ~observe metrics;
+    scratch = Batch.create ();
+    sub = Batch.create ();
     seq;
     wal = None;
     rows_oc = None;
@@ -225,37 +225,23 @@ let resume ~dir ?(every = 1000) ?(on_punctuation = false) ?(retain = 3)
   checkpoint_now t;
   t
 
-let feed t e =
-  if t.closed then invalid_arg "Checkpoint: already closed";
-  append t (Codec.Wal_event e);
-  Stream_exec.feed t.exec e;
-  drain_rows t;
-  t.ordinal <- t.ordinal + 1;
-  t.since <- t.since + 1;
-  Fault.on_event t.fault t.ordinal;
-  if t.since >= t.every then checkpoint_now t
-
-let advance t time =
-  if t.closed then invalid_arg "Checkpoint: already closed";
-  append t (Codec.Wal_advance time);
-  Stream_exec.advance t.exec time;
-  drain_rows t;
-  if t.on_punctuation then checkpoint_now t
-
-(* Batched ingestion with the per-event durability and policy contract
-   kept exact: the batch is split into sub-batches cut at every point
-   where the per-event path would have done something observable — a
-   punctuation mark (advance + optional snapshot), the every-N
-   checkpoint cadence, and the fault plan's crash ordinal.  Inside a
-   sub-batch the WAL records are appended (one flush for the whole
-   sub-batch, still strictly before the events are fed) and the engine
-   consumes the events via [feed_batch]; at each cut the engine state
-   equals the per-event state, so snapshots taken at batch-internal
-   punctuations recover byte-identically. *)
+(* The one ingest path; [feed] and [advance] below are one-slot
+   batches of it.  The batch is validated against the engine's
+   watermark before anything is logged, so a late event leaves no WAL
+   record and no state change.  It is then split into sub-batches cut
+   at every point where the per-event path would have done something
+   observable — a punctuation mark (advance + optional snapshot), the
+   every-N checkpoint cadence, and the fault plan's crash ordinal.
+   Inside a sub-batch the WAL records are appended (one flush for the
+   whole sub-batch, still strictly before the events are fed) and the
+   engine consumes the events via [feed_batch]; at each cut the engine
+   state equals the per-event state, so snapshots taken at
+   batch-internal punctuations recover byte-identically. *)
 let feed_batch t b =
   if t.closed then invalid_arg "Checkpoint: already closed";
-  let module Batch = Fw_engine.Batch in
-  let sub = Batch.create () in
+  Stream_exec.validate t.exec b;
+  let sub = t.sub in
+  Batch.reset sub;
   let flush_sub () =
     let n = Batch.length sub in
     if n > 0 then begin
@@ -291,12 +277,23 @@ let feed_batch t b =
           if cut_every || cut_fault then flush_sub ()
       | Batch.Punct wm ->
           flush_sub ();
-          append t (Codec.Wal_advance wm);
+          append_noflush t (Codec.Wal_advance wm);
+          flush_wal t;
           Stream_exec.advance t.exec wm;
           drain_rows t;
           if t.on_punctuation then checkpoint_now t)
     b;
   flush_sub ()
+
+let feed t e =
+  Batch.reset t.scratch;
+  Batch.push t.scratch e;
+  feed_batch t t.scratch
+
+let advance t time =
+  Batch.reset t.scratch;
+  Batch.push_punct t.scratch time;
+  feed_batch t t.scratch
 
 let close t ~horizon =
   if t.closed then invalid_arg "Checkpoint: already closed";

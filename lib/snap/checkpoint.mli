@@ -8,8 +8,9 @@
       never leaves a half-visible snapshot under the final name;
     - [wal-NNNNNNNNN.log] — log segment [g] holding exactly the input
       fed {e after} snapshot [g] (segment 0: from stream start).  Each
-      record is CRC-framed and flushed on append, so after a crash
-      every event ever fed is durable and a torn tail is detectable;
+      record is CRC-framed and flushed before the events it holds are
+      fed, so after a crash every event ever fed is durable and a torn
+      tail is detectable;
     - [rows.log] — emitted result rows, appended in emission order and
       flushed at checkpoint time only.  A snapshot records how many of
       them it covers instead of embedding them, keeping checkpoint cost
@@ -67,26 +68,33 @@ val resume :
     Takes an immediate snapshot so the new process starts its own log
     segment instead of appending after a possibly-torn tail. *)
 
+val feed_batch : t -> Fw_engine.Batch.t -> unit
+(** The pipeline's one ingest path.  The whole batch is first validated
+    against the executor's watermark ({!Fw_engine.Stream_exec.validate}),
+    events made late by a mark earlier in the same batch included: a
+    late event raises {!Fw_engine.Stream_exec.Late_event} before
+    anything is logged, so a rejected batch leaves no WAL record and no
+    state change, and recovery from the directory still succeeds.
+
+    A valid batch is split at every point where per-event execution
+    would act: batch-internal punctuation marks (logged and applied in
+    place, with an [on_punctuation] snapshot if configured — i.e.
+    checkpoints can land {e mid-batch} and recover byte-identically),
+    the [every]-event checkpoint cadence, and the fault plan's crash
+    ordinal.  Every event is logged before it is fed (one WAL flush per
+    sub-batch, still strictly ahead of the feed), so a {!Fault.Crash}
+    raised mid-batch leaves the log holding exactly the events fed —
+    the same durable prefix a per-event run would have.  Propagates
+    {!Fault.Crash}. *)
+
 val feed : t -> Fw_engine.Event.t -> unit
-(** Log (durably), then feed the executor, then run the fault hooks,
-    then checkpoint if the policy says so.  Propagates
-    {!Fw_engine.Stream_exec.Late_event} and {!Fault.Crash}. *)
+(** {!feed_batch} of a one-event batch: validate, log (durably), feed
+    the executor, run the fault hooks, then checkpoint if the policy
+    says so. *)
 
 val advance : t -> int -> unit
-(** Log and apply a punctuation. *)
-
-val feed_batch : t -> Fw_engine.Batch.t -> unit
-(** Batched ingestion with the per-event contract kept exact.  The
-    batch is split at every point where {!feed}/{!advance} would act:
-    batch-internal punctuation marks (logged and applied in place, with
-    an [on_punctuation] snapshot if configured — i.e. checkpoints can
-    land {e mid-batch} and recover byte-identically), the [every]-event
-    checkpoint cadence, and the fault plan's crash ordinal.  Every
-    event is logged before it is fed (one WAL flush per sub-batch,
-    still strictly ahead of the feed), so a {!Fault.Crash} raised
-    mid-batch leaves the log holding exactly the events fed — the same
-    durable prefix a per-event run would have.  Propagates
-    {!Fw_engine.Stream_exec.Late_event} and {!Fault.Crash}. *)
+(** {!feed_batch} of a punctuation-only batch: log and apply the
+    punctuation, then snapshot if [on_punctuation]. *)
 
 val checkpoint_now : t -> unit
 (** Force a snapshot regardless of policy. *)

@@ -472,6 +472,124 @@ let test_http_admission_maps_to_429 () =
   check_bool "admission is 429" true
     (String.sub full.Httpd.status 0 3 = "429")
 
+(* One batch per ingest.  A shared multi-window group (plus a group of
+   its own) is fed several-tick ingests and one punctuation, with a
+   late joiner registered between two ingests.  At every ingest
+   boundary each tap holds exactly as many rows as a per-event
+   standalone engine of its query has emitted since the query joined —
+   the first member exposes its group's whole window set, so its tap
+   is the group engine's row count — and the sorted taps end
+   byte-identical to those engines' rows.  Both modes, direct and
+   durable (a checkpoint every 5 events, so cuts land mid-batch). *)
+let test_batched_ingest_matches_per_event () =
+  let rec rm_tree p =
+    if Sys.file_exists p then
+      if Sys.is_directory p then begin
+        Array.iter (fun f -> rm_tree (Filename.concat p f)) (Sys.readdir p);
+        Sys.rmdir p
+      end
+      else Sys.remove p
+  in
+  let horizon = 60 in
+  (* ticks 36..40 carry no events: the stream advances to 40 instead *)
+  let evs =
+    List.filter
+      (fun e -> e.Event.time <= 35 || e.Event.time > 40)
+      (events 59)
+  in
+  let ingests =
+    List.init 9 (fun i ->
+        List.filter (fun e -> (e.Event.time - 1) / 7 = i) evs)
+    |> List.filter (( <> ) [])
+  in
+  let q_min = "SELECT MIN(v) FROM input GROUP BY key, \
+               WINDOWS(WINDOW(TUMBLINGWINDOW(second, 10)), \
+               WINDOW(TUMBLINGWINDOW(second, 30)))"
+  in
+  List.iter
+    (fun (incremental, durable) ->
+      let label = Printf.sprintf "incremental=%b durable=%b" incremental durable in
+      let state_dir = if durable then Some (temp_dir ()) else None in
+      let server =
+        create_exn
+          { Server.default_config with Server.incremental; state_dir; every = 5 }
+      in
+      let mode =
+        if incremental then Stream_exec.Incremental else Stream_exec.Naive
+      in
+      let fed = ref [] in
+      let members = ref [] in
+      let join text =
+        let r = register_exn server text in
+        let exec =
+          match Compile.compile ~eta:1 text with
+          | Ok c -> Stream_exec.create ~mode c.Compile.outcome.Rewrite.plan
+          | Error e -> Alcotest.failf "standalone compile failed: %s" e
+        in
+        List.iter (Stream_exec.feed exec) (List.rev !fed);
+        members :=
+          !members @ [ (r, text, exec, Stream_exec.row_count exec) ]
+      in
+      let check_counts at =
+        List.iter
+          (fun (r, text, exec, from) ->
+            check_int
+              (Printf.sprintf "%s: %S rows at %s" label text at)
+              (Stream_exec.row_count exec - from)
+              (List.length (rows_exn server r.Server.r_id)))
+          !members
+      in
+      join q_t10_t20_t40;
+      join q_t10_t20;
+      join q_min;
+      List.iteri
+        (fun i chunk ->
+          ignore (feed_exn server chunk);
+          List.iter
+            (fun (_, _, exec, _) -> List.iter (Stream_exec.feed exec) chunk)
+            !members;
+          fed := List.rev_append chunk !fed;
+          let wm = Server.watermark server in
+          check_counts (Printf.sprintf "ingest %d (wm %d)" i wm);
+          if i = 2 then join q_t10;
+          if wm = 35 then begin
+            (match Server.advance server 40 with
+            | Ok () -> ()
+            | Error rej ->
+                Alcotest.failf "advance: %s" (Server.reject_message rej));
+            List.iter
+              (fun (_, _, exec, _) -> Stream_exec.advance exec 40)
+              !members;
+            check_counts "advance 40"
+          end)
+        ingests;
+      (match !members with
+      | (a, _, _, _) :: (b, _, _, _) :: (c, _, _, _) :: (late, _, _, _) :: _ ->
+          check_bool (label ^ ": shared group") true
+            (b.Server.r_shared && a.Server.r_group = b.Server.r_group);
+          check_bool (label ^ ": MIN runs apart") true
+            (c.Server.r_group <> a.Server.r_group);
+          check_bool (label ^ ": late joiner shares") true
+            (late.Server.r_group = a.Server.r_group)
+      | _ -> Alcotest.fail "four members expected");
+      close_exn server ~horizon;
+      List.iter
+        (fun (r, text, exec, from) ->
+          ignore (Stream_exec.close exec ~horizon);
+          let want =
+            Row.sort
+              (List.init
+                 (Stream_exec.row_count exec - from)
+                 (fun i -> Stream_exec.row exec (from + i)))
+          in
+          check_bool
+            (Printf.sprintf "%s: %S tap byte-identical" label text)
+            true
+            (Row.sort (rows_exn server r.Server.r_id) = want))
+        !members;
+      Option.iter rm_tree state_dir)
+    [ (false, false); (true, false); (false, true); (true, true) ]
+
 let suite =
   [
     Alcotest.test_case "plan cache: normalization hits and misses" `Quick
@@ -498,4 +616,6 @@ let suite =
       test_http_handler_e2e;
     Alcotest.test_case "http: admission maps to 429" `Quick
       test_http_admission_maps_to_429;
+    Alcotest.test_case "ingest: one batch per ingest = per-event engines"
+      `Quick test_batched_ingest_matches_per_event;
   ]

@@ -494,6 +494,57 @@ let test_name_parsing () =
     (Checkpoint.chk_seq (Checkpoint.wal_name 3) = None);
   check_bool "junk rejected" true (Checkpoint.chk_seq "chk-x.fws" = None)
 
+(* A late event offered to a pipeline — alone, or made late by a mark
+   earlier in its own batch — is rejected before anything is logged:
+   the WAL does not grow, recovery from the directory succeeds, and the
+   finished rows are byte-identical to an engine that never saw it. *)
+let test_late_event_leaves_no_log () =
+  let module Batch = Fw_engine.Batch in
+  List.iter
+    (fun mode ->
+      let dir = temp_dir () in
+      Fun.protect
+        ~finally:(fun () -> rm_rf dir)
+        (fun () ->
+          let wal_bytes () =
+            Array.fold_left
+              (fun acc f ->
+                match Checkpoint.wal_seq f with
+                | Some _ -> acc + (Unix.stat (Filename.concat dir f)).Unix.st_size
+                | None -> acc)
+              0 (Sys.readdir dir)
+          in
+          let rejects label f =
+            match f () with
+            | () -> Alcotest.failf "%s: late event accepted" label
+            | exception Stream_exec.Late_event _ -> ()
+          in
+          let first, rest =
+            List.partition (fun e -> e.Event.time < 50) cycle_events
+          in
+          let cp = Checkpoint.create ~dir ~every:17 ~mode cycle_plan in
+          List.iter (Checkpoint.feed cp) first;
+          let logged = wal_bytes () in
+          rejects "alone" (fun () -> Checkpoint.feed cp (ev 3 "a" 1.0));
+          rejects "behind a mid-batch mark" (fun () ->
+              Checkpoint.feed_batch cp
+                (Batch.of_slots
+                   [
+                     Batch.Ev (ev 50 "a" 1.0);
+                     Batch.Punct 60;
+                     Batch.Ev (ev 55 "b" 2.0);
+                   ]));
+          check_int "no WAL record" logged (wal_bytes ());
+          List.iter (Checkpoint.feed cp) rest;
+          (* abandoned cold, like a dead process *)
+          ignore cp;
+          match Recover.load ~dir ~every:17 ~mode cycle_plan with
+          | Error m -> Alcotest.fail ("recovery failed: " ^ m)
+          | Ok r ->
+              check_identical mode
+                (Checkpoint.close r.Recover.checkpoint ~horizon:cycle_horizon, r)))
+    [ Stream_exec.Naive; Stream_exec.Incremental ]
+
 let suite =
   [
     prop_state_roundtrip;
@@ -526,4 +577,6 @@ let suite =
     Alcotest.test_case "snapshot kind confusion fails closed" `Quick
       test_kind_confusion_fails_closed;
     Alcotest.test_case "file name parsing" `Quick test_name_parsing;
+    Alcotest.test_case "late event rejected before logging" `Quick
+      test_late_event_leaves_no_log;
   ]
