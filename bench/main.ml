@@ -1578,6 +1578,8 @@ type spill_run = {
   sr_disk : int;
   sr_evictions : int;
   sr_faults : int;
+  sr_compactions : int;
+  sr_compaction_ns : Fw_obs.Histogram.t;  (** one sample per compaction *)
   sr_rows : Fw_engine.Row.t list;
 }
 
@@ -1597,7 +1599,8 @@ let section_spill () =
   let run_keys ?budget n =
     let horizon = (n / eta) + 2 in
     let plan = Fw_plan.Plan.naive Aggregate.Avg [ Window.tumbling horizon ] in
-    let pool = Option.map (fun b -> Pool.create ~budget:b ()) budget in
+    let registry = Fw_obs.Registry.create () in
+    let pool = Option.map (fun b -> Pool.create ~registry ~budget:b ()) budget in
     let rows, dt =
       timed (fun () ->
           let exec = Fw_engine.Stream_exec.create ?spill:pool plan in
@@ -1608,7 +1611,8 @@ let section_spill () =
     in
     let run =
       { sr_keys = n; sr_budget = budget; sr_rate = per_s n dt; sr_peak = 0;
-        sr_max_entry = 0; sr_disk = 0; sr_evictions = 0; sr_faults = 0; sr_rows = rows }
+        sr_max_entry = 0; sr_disk = 0; sr_evictions = 0; sr_faults = 0; sr_compactions = 0;
+        sr_compaction_ns = Fw_obs.Histogram.create (); sr_rows = rows }
     in
     match pool with
     | None -> run
@@ -1616,7 +1620,11 @@ let section_spill () =
         let run =
           { run with sr_peak = Pool.peak_resident_bytes p; sr_max_entry = Pool.max_entry_bytes p;
                      sr_disk = Pool.disk_bytes p; sr_evictions = Pool.evictions p;
-                     sr_faults = Pool.faults p }
+                     sr_faults = Pool.faults p; sr_compactions = Pool.compactions p;
+                     sr_compaction_ns =
+                       (match Fw_obs.Registry.find registry "spill_compaction_ns" with
+                       | Some (Fw_obs.Registry.Histogram h) -> h
+                       | _ -> run.sr_compaction_ns) }
         in
         Pool.close p;
         run
@@ -1639,9 +1647,9 @@ let section_spill () =
     (fun r ->
       Printf.printf
         "  budget %7d %9.0f ev/s  peak %7d B  disk %9d B  evict %7d  fault \
-         %7d  rows identical: %s\n"
+         %7d  compact %3d  rows identical: %s\n"
         (Option.value ~default:0 r.sr_budget)
-        r.sr_rate r.sr_peak r.sr_disk r.sr_evictions r.sr_faults
+        r.sr_rate r.sr_peak r.sr_disk r.sr_evictions r.sr_faults r.sr_compactions
         (if r.sr_rows = baseline.sr_rows then "yes" else "NO"))
     curve;
   (* the headline: a million keys whose working set cannot fit the
@@ -1653,9 +1661,25 @@ let section_spill () =
   let large = run_keys ~budget:large_budget n_large in
   Printf.printf
     "  %9.0f ev/s  peak resident %d B (budget %d + slack %d)  disk %d B  \
-     evictions %d  faults %d  (%d result rows)\n"
+     evictions %d  faults %d  compactions %d  (%d result rows)\n"
     large.sr_rate large.sr_peak large_budget (slack large) large.sr_disk
-    large.sr_evictions large.sr_faults (List.length large.sr_rows);
+    large.sr_evictions large.sr_faults large.sr_compactions
+    (List.length large.sr_rows);
+  (* compactions over every budgeted run of the section *)
+  let budgeted = curve @ [ large ] in
+  let compactions = List.fold_left (fun n r -> n + r.sr_compactions) 0 budgeted in
+  let compaction_us_p50 =
+    let h =
+      List.fold_left
+        (fun h r -> Fw_obs.Histogram.merged h r.sr_compaction_ns)
+        (Fw_obs.Histogram.create ()) budgeted
+    in
+    match Fw_obs.Histogram.quantile h 0.5 with
+    | Some ns -> float_of_int ns /. 1e3
+    | None -> 0.0
+  in
+  Printf.printf "\n  %d compactions over the budgeted runs, p50 %.1f us\n"
+    compactions compaction_us_p50;
   let row r =
     Obj
       [ ("keys", Int r.sr_keys);
@@ -1663,7 +1687,7 @@ let section_spill () =
         ("events_per_sec", Float r.sr_rate); ("peak_resident_bytes", Int r.sr_peak);
         ("max_entry_bytes", Int r.sr_max_entry); ("slack_bytes", Int (slack r));
         ("disk_bytes", Int r.sr_disk); ("evictions", Int r.sr_evictions);
-        ("faults", Int r.sr_faults) ]
+        ("faults", Int r.sr_faults); ("compactions", Int r.sr_compactions) ]
   in
   let per_event n = float_of_int n /. float_of_int n_large in
   (* resident bytes stay within budget + slack: no tolerance *)
@@ -1685,11 +1709,16 @@ let section_spill () =
       [ ("spill.faults_per_event", Float (per_event large.sr_faults));
         ("spill.evictions_per_event", Float (per_event large.sr_evictions));
         ("spill.peak_resident_kb", Float (float_of_int large.sr_peak /. 1024.0));
-        ("spill.disk_mb", Float (float_of_int large.sr_disk /. 1048576.0)) ]
-    ~results:(List.map row ((baseline :: curve) @ [ large ]))
-    (holds "rows_identical"
-       (List.for_all (fun r -> r.sr_rows = baseline.sr_rows) curve)
-    :: List.map bound_check (curve @ [ large ]))
+        ("spill.disk_mb", Float (float_of_int large.sr_disk /. 1048576.0));
+        ("spill.compactions", Int compactions);
+        ("spill.compaction_us_p50", Float compaction_us_p50) ]
+    ~results:(List.map row (baseline :: budgeted))
+    ((holds "rows_identical"
+        (List.for_all (fun r -> r.sr_rows = baseline.sr_rows) curve)
+     :: List.map bound_check budgeted)
+    (* the 10^5-key runs compact too, so the streaming compaction copy
+       runs under the rows_identical check *)
+    @ [ above "spill.compactions" (float_of_int compactions) 0.0 ])
 
 let () =
   Printf.printf "factor-windows bench harness (seed %d)\n" !seed;

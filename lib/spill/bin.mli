@@ -20,7 +20,9 @@ val crc32 : string -> int
 (** CRC-32 (IEEE 802.3, polynomial 0xEDB88320) of the whole string. *)
 
 val crc32_sub : string -> int -> int -> int
-(** [crc32_sub s pos len] over the substring. *)
+(** [crc32_sub s pos len] over the substring (slice-by-8, bit-identical
+    to the bytewise definition).  Raises [Invalid_argument] when
+    [pos]/[len] do not name a substring of [s]. *)
 
 (** {2 Writers} *)
 

@@ -20,17 +20,30 @@ exception Fault of string
 
 let fault fmt = Printf.ksprintf (fun s -> raise (Fault s)) fmt
 
+(* Record layout, fixed up to the key:
+     [len u32][0xF5][kind u8][key length i64][key][value][crc32 u32]
+   with [len] the payload length (spill kind through value). *)
+let key_pos = 14
+
+(* Scratch buffers at most this large are kept for reuse; a larger
+   record gets a one-off buffer, so a single huge entry never stays
+   resident outside the budget.  Also the compaction chunk size: at
+   64 KiB the chunk buffers cost spill-wide ~0.9 MiB of peak RSS, at
+   8 KiB nothing measurable, for a few more syscalls per compaction. *)
+let chunk = 1 lsl 13
+
 type t = {
   path : string;
   fd : Unix.file_descr;
   mutable size : int;  (* append position: total bytes written *)
   mutable live : int;  (* record bytes still referenced by the store *)
   mutable closed : bool;
+  mutable buf : Bytes.t;  (* one record image: framing, fault-in reads *)
 }
 
 let create path =
   let fd = Unix.openfile path [ Unix.O_RDWR; O_CREAT; O_TRUNC ] 0o600 in
-  { path; fd; size = 0; live = 0; closed = false }
+  { path; fd; size = 0; live = 0; closed = false; buf = Bytes.create 256 }
 
 let path t = t.path
 let size t = t.size
@@ -40,84 +53,194 @@ let garbage_bytes t = t.size - t.live
 let check_open t what =
   if t.closed then invalid_arg (Printf.sprintf "Fw_spill.File.%s: closed" what)
 
-let write_all fd s =
-  let n = String.length s in
-  let b = Bytes.unsafe_of_string s in
-  let rec go pos =
-    if pos < n then go (pos + Unix.write fd b pos (n - pos))
+(* A buffer of at least [n] bytes: the kept one, grown up to {!chunk}. *)
+let scratch t n =
+  if n <= Bytes.length t.buf then t.buf
+  else if n > chunk then Bytes.create n
+  else begin
+    t.buf <- Bytes.create (min chunk (max n (2 * Bytes.length t.buf)));
+    t.buf
+  end
+
+(* One seek, then write [buf.[pos..pos+len)] at [off]. *)
+let write_at t off buf pos len =
+  ignore (Unix.lseek t.fd off Unix.SEEK_SET);
+  let rec go p = if p < len then go (p + Unix.write t.fd buf (pos + p) (len - p)) in
+  go 0
+
+(* One seek, then read exactly [len] bytes at [off] into [buf.[0..len)]. *)
+let read_at t off buf len =
+  ignore (Unix.lseek t.fd off Unix.SEEK_SET);
+  let rec go p =
+    if p < len then
+      match Unix.read t.fd buf p (len - p) with
+      | 0 -> fault "truncated spill file (wanted %d bytes, got %d)" len p
+      | n -> go (p + n)
   in
   go 0
 
-let read_exact fd buf off len =
-  let rec go pos =
-    if pos < len then
-      match Unix.read fd buf (off + pos) (len - pos) with
-      | 0 -> fault "truncated spill file (wanted %d bytes, got %d)" len pos
-      | n -> go (pos + n)
-  in
-  go 0
-
-(* Build one record's payload: kind byte, state-kind tag, key, value. *)
-let payload ~kind ~key value =
-  let b = Buffer.create (String.length key + String.length value + 16) in
+(* Start a record payload in [b]: kind byte, state-kind tag, key.  The
+   caller appends the value bytes (a codec writes them straight in). *)
+let start_payload b ~kind ~key =
+  Buffer.clear b;
   Bin.w_u8 b Bin.spill_kind;
   Bin.w_u8 b kind;
-  Bin.w_string b key;
-  Buffer.add_string b value;
-  Buffer.contents b
+  Bin.w_string b key
 
-(* Append a record; returns (offset, record length on disk). *)
-let append t ~kind ~key value =
-  check_open t "append";
-  let rec_ = Bin.frame (payload ~kind ~key value) in
-  let off = t.size in
-  ignore (Unix.lseek t.fd off Unix.SEEK_SET);
-  write_all t.fd rec_;
-  let len = String.length rec_ in
+(* Account [len] record bytes appended at the end. *)
+let grow t len =
   t.size <- t.size + len;
-  t.live <- t.live + len;
+  t.live <- t.live + len
+
+(* Frame the payload in [b] ({!Bin.frame}'s bytes) in the scratch
+   buffer — the one copy between the codec and the disk — and append it
+   in one write; returns (offset, record length on disk).  A payload
+   grown past {!chunk} gives its storage back. *)
+let append_payload t b =
+  check_open t "append";
+  let plen = Buffer.length b in
+  let len = plen + 8 in
+  let buf = scratch t len in
+  Bytes.set_int32_le buf 0 (Int32.of_int plen);
+  Buffer.blit b 0 buf 4 plen;
+  Bytes.set_int32_le buf (4 + plen)
+    (Int32.of_int (Bin.crc32_sub (Bytes.unsafe_to_string buf) 4 plen));
+  if plen > chunk then Buffer.reset b;
+  let off = t.size in
+  write_at t off buf 0 len;
+  grow t len;
   (off, len)
 
-(* Decode one record image (with framing) and verify it belongs to
-   [key] when given; returns (kind, value bytes). *)
-let decode_record ?key s =
-  if String.length s < 8 then fault "truncated spill record";
-  let r = Bin.reader s in
-  let plen =
-    try Bin.r_u32 r with Bin.Corrupt m -> fault "bad spill record: %s" m
+let append t ~kind ~key value =
+  let b = Buffer.create (String.length key + String.length value + 16) in
+  start_payload b ~kind ~key;
+  Buffer.add_string b value;
+  append_payload t b
+
+let key_equal s pos key =
+  let n = String.length key in
+  let rec go i =
+    i = n || (String.unsafe_get s (pos + i) = String.unsafe_get key i && go (i + 1))
   in
-  if plen <= 0 || plen <> String.length s - 8 then
-    fault "bad spill record length %d (record is %d bytes)" plen
-      (String.length s);
-  let crc = Bin.reader ~pos:(4 + plen) s |> Bin.r_u32 in
-  let actual = Bin.crc32_sub s 4 plen in
+  go 0
+
+(* Verify the record image [s.[pos..pos+len)] in place — framing, CRC,
+   spill kind, and that it holds [key] when given — and return the
+   position of its value, which runs to [pos + len - 4]. *)
+let check_record ?key s ~pos ~len =
+  if len < 8 then fault "truncated spill record";
+  let plen = Int32.to_int (String.get_int32_le s pos) land 0xFFFFFFFF in
+  if plen <= 0 || plen <> len - 8 then
+    fault "bad spill record length %d (record is %d bytes)" plen len;
+  let crc =
+    Int32.to_int (String.get_int32_le s (pos + 4 + plen)) land 0xFFFFFFFF
+  in
+  let actual = Bin.crc32_sub s (pos + 4) plen in
   if crc <> actual then
     fault "spill record CRC mismatch (stored %08x, computed %08x)" crc actual;
-  let pr = Bin.reader ~pos:4 ~limit:(4 + plen) s in
+  let pr = Bin.reader ~pos:(pos + 4) ~limit:(pos + 4 + plen) s in
   try
     let k = Bin.r_u8 pr in
     if k <> Bin.spill_kind then
       fault "payload kind %#x is not a spill record (%#x)" k Bin.spill_kind;
-    let kind = Bin.r_u8 pr in
-    let rkey = Bin.r_string pr in
+    ignore (Bin.r_u8 pr);
+    let klen = Bin.r_i64 pr in
+    Bin.need pr klen "string";
     (match key with
-    | Some key when not (String.equal key rkey) ->
-        fault "spill record holds key %S where %S was expected" rkey key
+    | Some key when not (String.length key = klen && key_equal s pr.Bin.pos key)
+      ->
+        fault "spill record holds key %S where %S was expected"
+          (String.sub s pr.Bin.pos klen) key
     | _ -> ());
-    (kind, rkey, String.sub s pr.Bin.pos (Bin.remaining pr))
+    pr.Bin.pos + klen
   with Bin.Corrupt m -> fault "bad spill record: %s" m
 
-(* Read the record at [off] (length [len]) back; verifies framing, CRC,
-   the spill kind byte and the key before returning the value bytes. *)
-let read t ~off ~len ~key =
+(* The state-kind tag of a checked record. *)
+let kind_of s pos = Char.code s.[pos + 5]
+
+(* Read the record at [off] (length [len]) into the scratch buffer and
+   verify framing, CRC, spill kind and key there.  Returns its
+   state-kind tag and a reader bounded to the value bytes, valid until
+   the next append or read on [t]: the value is never copied. *)
+let read_record t ~off ~len ~key =
   check_open t "read";
   if off < 0 || len < 8 || off + len > t.size then
     fault "spill record out of bounds (off %d, len %d, file %d)" off len t.size;
-  let buf = Bytes.create len in
-  ignore (Unix.lseek t.fd off Unix.SEEK_SET);
-  read_exact t.fd buf 0 len;
-  let kind, _, value = decode_record ~key (Bytes.unsafe_to_string buf) in
-  (kind, value)
+  let buf = scratch t len in
+  read_at t off buf len;
+  let s = Bytes.unsafe_to_string buf in
+  let vpos = check_record ~key s ~pos:0 ~len in
+  (kind_of s 0, Bin.reader ~pos:vpos ~limit:(len - 4) s)
+
+let read t ~off ~len ~key =
+  let kind, r = read_record t ~off ~len ~key in
+  (kind, String.sub r.Bin.src r.Bin.pos (Bin.remaining r))
+
+(* --- compaction copy --------------------------------------------------- *)
+
+(* Compaction streams verified records from one file into another
+   through two chunk buffers kept across compactions.  The source is
+   read in file order a chunk at a time (one seek per chunk, garbage
+   between live records skipped), each record is checked in place, and
+   its raw bytes gather in the output chunk, written out whole when
+   full.  A record larger than a chunk goes through a one-off buffer. *)
+type copier = {
+  mutable inb : Bytes.t;
+  mutable win_off : int;  (* source offset of [inb.[0]] *)
+  mutable win_len : int;  (* valid bytes in [inb] *)
+  mutable outb : Bytes.t;
+  mutable fill : int;  (* bytes gathered in [outb] *)
+}
+
+let copier () =
+  { inb = Bytes.empty; win_off = 0; win_len = 0; outb = Bytes.empty; fill = 0 }
+
+let copy_start c =
+  if Bytes.length c.inb = 0 then begin
+    c.inb <- Bytes.create chunk;
+    c.outb <- Bytes.create chunk
+  end;
+  c.win_len <- 0;
+  c.fill <- 0
+
+let flush c dst =
+  if c.fill > 0 then begin
+    write_at dst dst.size c.outb 0 c.fill;
+    grow dst c.fill;
+    c.fill <- 0
+  end
+
+let copy c ~src ~dst ~off ~len ~key =
+  check_open src "read";
+  check_open dst "append";
+  if off < 0 || len < 8 || off + len > src.size then
+    fault "spill record out of bounds (off %d, len %d, file %d)" off len
+      src.size;
+  if len > chunk then begin
+    let buf = Bytes.create len in
+    read_at src off buf len;
+    ignore (check_record ~key (Bytes.unsafe_to_string buf) ~pos:0 ~len);
+    flush c dst;
+    let off' = dst.size in
+    write_at dst off' buf 0 len;
+    grow dst len;
+    off'
+  end
+  else begin
+    if off < c.win_off || off + len > c.win_off + c.win_len then begin
+      let n = min chunk (src.size - off) in
+      read_at src off c.inb n;
+      c.win_off <- off;
+      c.win_len <- n
+    end;
+    let pos = off - c.win_off in
+    ignore (check_record ~key (Bytes.unsafe_to_string c.inb) ~pos ~len);
+    if c.fill + len > chunk then flush c dst;
+    let off' = dst.size + c.fill in
+    Bytes.blit c.inb pos c.outb c.fill len;
+    c.fill <- c.fill + len;
+    off'
+  end
 
 (* A faulted-in or removed record's bytes become garbage. *)
 let release t len = t.live <- t.live - len
@@ -172,10 +295,11 @@ let scan_image s =
         }
       else
         let total = 4 + len + 4 in
-        let image = String.sub s pos total in
-        match decode_record image with
-        | kind, key, value ->
-            go (pos + total) ((pos, kind, key, value) :: records) skipped
+        match check_record s ~pos ~len:total with
+        | vpos ->
+            let key = String.sub s (pos + key_pos) (vpos - pos - key_pos) in
+            let value = String.sub s vpos (pos + total - 4 - vpos) in
+            go (pos + total) ((pos, kind_of s pos, key, value) :: records) skipped
         | exception Fault reason ->
             go (pos + total) records ((pos, reason) :: skipped)
   in

@@ -29,17 +29,59 @@ val live_bytes : t -> int
 
 val garbage_bytes : t -> int
 
+val start_payload : Buffer.t -> kind:int -> key:string -> unit
+(** [start_payload b ~kind ~key] clears [b] and writes the head of a
+    record payload into it: {!Bin.spill_kind}, the state-kind tag and
+    the key.  The caller then appends the value bytes (a store codec
+    encodes straight into [b]). *)
+
+val append_payload : t -> Buffer.t -> int * int
+(** Frame the payload in the buffer ([len | payload | crc32], the bytes
+    of {!Bin.frame}) in the file's scratch buffer and append it in one
+    write; returns the record's [(offset, length)] for the in-memory
+    index.  That framing copy is the only one between codec and disk. *)
+
 val append : t -> kind:int -> key:string -> string -> int * int
-(** [append t ~kind ~key value] writes one record and returns its
-    [(offset, length)] for the in-memory index. *)
+(** [append t ~kind ~key value]: {!start_payload} then
+    {!append_payload} over a fresh buffer holding [value]. *)
+
+val read_record : t -> off:int -> len:int -> key:string -> int * Bin.reader
+(** [read_record t ~off ~len ~key] reads the record at [off] into the
+    file's scratch buffer and verifies there its frame, CRC, spill kind
+    and that it holds [key]; returns its state-kind tag and a reader
+    bounded to the value bytes, valid until the next append or read on
+    [t].  Raises {!Fault} otherwise. *)
 
 val read : t -> off:int -> len:int -> key:string -> int * string
-(** [read t ~off ~len ~key] returns [(kind, value bytes)] of the record
-    at [off], verifying frame, CRC, spill kind and that it holds [key].
-    Raises {!Fault} otherwise. *)
+(** {!read_record}, with the value bytes copied out. *)
 
 val release : t -> int -> unit
 (** Mark [len] record bytes as garbage (entry faulted in or removed). *)
+
+(** {2 Compaction copy}
+
+    A copier streams verified records from one spill file into
+    another: the source is read in file order a chunk at a time (one
+    seek per chunk), each record is checked in place as {!read_record}
+    does, and its raw bytes gather in an output chunk written whole.
+    Its two chunk buffers (8 KiB each) are allocated at the
+    first {!copy_start} and reused after. *)
+
+type copier
+
+val copier : unit -> copier
+
+val copy_start : copier -> unit
+(** Begin a pass: forget the previous source window and output. *)
+
+val copy : copier -> src:t -> dst:t -> off:int -> len:int -> key:string -> int
+(** Copy the record at [off] (length [len]) of [src] into [dst]
+    unchanged and return its offset there; offsets must ascend across
+    the calls of one pass.  Raises {!Fault} as {!read_record} does.
+    The record reaches [dst] at the next {!flush} at the latest. *)
+
+val flush : copier -> t -> unit
+(** Write the gathered output to the destination; ends a pass. *)
 
 val truncate : t -> unit
 (** Drop every record (e.g. after compaction or {!Store.clear}). *)

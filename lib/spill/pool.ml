@@ -31,6 +31,7 @@ type t = {
   mutable peak_resident : int;
   mutable max_entry : int;  (* largest entry weight ever resident *)
   mutable closed : bool;
+  copier : File.copier;  (* compaction's chunk buffers, shared by members *)
   (* published metrics *)
   g_resident_bytes : Gauge.t;
   g_resident_keys : Gauge.t;
@@ -41,6 +42,7 @@ type t = {
   h_fault_ns : Histogram.t;
   c_compactions : Counter.t;
   c_compacted_bytes : Counter.t;
+  h_compaction_ns : Histogram.t;
 }
 
 let fresh_temp_dir () =
@@ -78,6 +80,7 @@ let create ?registry ?(labels = []) ?dir ~budget () =
     peak_resident = 0;
     max_entry = 0;
     closed = false;
+    copier = File.copier ();
     g_resident_bytes =
       Fw_obs.Registry.gauge reg ~labels
         ~help:"Bytes of per-key state resident in memory (spill pool)"
@@ -114,6 +117,10 @@ let create ?registry ?(labels = []) ?dir ~budget () =
       Fw_obs.Registry.counter reg ~labels
         ~help:"Garbage bytes reclaimed by spill-file compactions"
         "spill_compacted_bytes_total";
+    h_compaction_ns =
+      Fw_obs.Registry.histogram reg ~labels
+        ~help:"Latency of a spill-file compaction (stream live records, swap files)"
+        "spill_compaction_ns";
   }
 
 let budget t = t.budget
@@ -125,6 +132,9 @@ let peak_resident_bytes t = t.peak_resident
 let max_entry_bytes t = t.max_entry
 let evictions t = Counter.get t.c_evictions
 let faults t = Counter.get t.c_faults
+let compactions t = Counter.get t.c_compactions
+
+let copier t = t.copier
 
 let fresh_path t ~name =
   let id = t.next_id in
@@ -154,9 +164,10 @@ let record_fault t ~ns =
   Counter.inc t.c_faults;
   Histogram.record t.h_fault_ns ns
 
-let record_compaction t ~reclaimed =
+let record_compaction t ~reclaimed ~ns =
   Counter.inc t.c_compactions;
-  Counter.add t.c_compacted_bytes reclaimed
+  Counter.add t.c_compacted_bytes reclaimed;
+  Histogram.record t.h_compaction_ns ns
 
 let set_disk t bytes_delta =
   t.disk <- t.disk + bytes_delta;

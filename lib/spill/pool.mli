@@ -12,7 +12,8 @@
     ([spill_resident_bytes], [spill_resident_keys], [spill_disk_bytes],
     [spill_evictions_total], [spill_evicted_bytes_total],
     [spill_faults_total], [spill_fault_ns], [spill_compactions_total],
-    [spill_compacted_bytes_total]): one pool per domain. *)
+    [spill_compacted_bytes_total], [spill_compaction_ns]): one pool per
+    domain. *)
 
 type t
 
@@ -52,6 +53,7 @@ val max_entry_bytes : t -> int
 
 val evictions : t -> int
 val faults : t -> int
+val compactions : t -> int
 
 val rebalance : t -> unit
 (** Evict until the resident total fits the budget (or only pinned
@@ -66,6 +68,7 @@ val close : t -> unit
 (* Store-internal wiring — not for engine code. *)
 
 val fresh_path : t -> name:string -> string
+val copier : t -> File.copier  (* compaction buffers, shared: never nested *)
 val register : t -> evict:(unit -> int) -> close:(remove:bool -> unit) -> int
 val unregister : t -> int -> unit
 val grow : t -> int -> unit
@@ -75,5 +78,5 @@ val entry_dropped : t -> unit
 val note_entry_weight : t -> int -> unit
 val record_eviction : t -> bytes:int -> unit
 val record_fault : t -> ns:int -> unit
-val record_compaction : t -> reclaimed:int -> unit
+val record_compaction : t -> reclaimed:int -> ns:int -> unit
 val set_disk : t -> int -> unit

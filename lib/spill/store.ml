@@ -185,6 +185,7 @@ type 'a budgeted = {
   clock : 'a entry Queue.t;  (* eviction candidates, FIFO + second chance *)
   mutable file : File.t option;  (* opened lazily, on first eviction *)
   mutable member : int;  (* pool registration, for {!release} *)
+  enc : Buffer.t;  (* the payload of the record being evicted *)
 }
 
 type 'a t = R of 'a codec * 'a Tbl.t | B of 'a budgeted
@@ -214,45 +215,78 @@ let maybe_compact b =
   match b.file with
   | Some f when File.size f >= compact_min && 2 * File.garbage_bytes f > File.size f
     ->
+      let t0 = Fw_obs.Clock.now_ns () in
       let old_size = File.size f in
-      if File.live_bytes f = 0 then begin
-        File.truncate f;
-        Pool.set_disk b.pool (-old_size);
-        Pool.record_compaction b.pool ~reclaimed:old_size
-      end
-      else begin
-        (* Rewrite live records into a fresh file; a record that cannot
-           be read back is live engine state, so this fails loudly
-           rather than dropping it. *)
-        let nf = File.create (Pool.fresh_path b.pool ~name:b.name) in
-        Tbl.iter
-          (fun _ e ->
+      let new_size =
+        if File.live_bytes f = 0 then begin
+          File.truncate f;
+          0
+        end
+        else begin
+          (* Stream the live records, in file order, into a fresh file.
+             A record that cannot be read back is live engine state, so
+             this fails loudly, naming the store and key, and leaves
+             every entry on the old file rather than dropping one. *)
+          let spilled_off e =
             match e.e_slot with
-            | Spilled { off; len } when not e.e_dead ->
-                let kind, bytes = File.read f ~off ~len ~key:e.e_key in
-                let off', len' = File.append nf ~kind ~key:e.e_key bytes in
-                e.e_slot <- Spilled { off = off'; len = len' }
-            | Spilled _ | Live _ -> ())
-          b.tbl;
-        File.remove f;
-        b.file <- Some nf;
-        Pool.set_disk b.pool (File.size nf - old_size);
-        Pool.record_compaction b.pool ~reclaimed:(old_size - File.size nf)
-      end
+            | Spilled { off; _ } when not e.e_dead -> off
+            | Spilled _ | Live _ -> -1
+          in
+          let ents =
+            Tbl.fold (fun _ e acc -> if spilled_off e >= 0 then e :: acc else acc) b.tbl []
+            |> Array.of_list
+          in
+          (* sort positions by a flat offset array: comparing through the
+             entries would chase two pointers per comparison *)
+          let offs = Array.map spilled_off ents in
+          let order = Array.init (Array.length ents) Fun.id in
+          Array.stable_sort (fun i j -> Int.compare offs.(i) offs.(j)) order;
+          let nf = File.create (Pool.fresh_path b.pool ~name:b.name) in
+          let c = Pool.copier b.pool in
+          (match
+             File.copy_start c;
+             Array.iter
+               (fun i ->
+                 let e = ents.(i) in
+                 match e.e_slot with
+                 | Spilled { off; len } ->
+                     offs.(i) <-
+                       (try File.copy c ~src:f ~dst:nf ~off ~len ~key:e.e_key
+                        with File.Fault m -> spill_fault b e.e_key "%s" m)
+                 | Live _ -> assert false)
+               order;
+             File.flush c nf
+           with
+          | () -> ()
+          | exception ex ->
+              File.remove nf;
+              raise ex);
+          Array.iteri
+            (fun i e ->
+              match e.e_slot with
+              | Spilled { len; _ } -> e.e_slot <- Spilled { off = offs.(i); len }
+              | Live _ -> assert false)
+            ents;
+          File.remove f;
+          b.file <- Some nf;
+          File.size nf
+        end
+      in
+      Pool.set_disk b.pool (new_size - old_size);
+      Pool.record_compaction b.pool ~reclaimed:(old_size - new_size)
+        ~ns:(Fw_obs.Clock.elapsed_ns ~since:t0)
   | Some _ | None -> ()
 
 (* --- eviction (called by the pool's rebalance loop) ------------------ *)
 
+(* The codec encodes straight into the store's payload buffer after the
+   record head; {!File.append_payload} frames it and writes it once. *)
 let evict_entry b e v =
-  let bytes =
-    let buf = Buffer.create (max 64 e.e_weight) in
-    b.codec.enc buf v;
-    Buffer.contents buf
-  in
   let f = file_of b in
-  let before = File.size f in
-  let off, len = File.append f ~kind:b.codec.kind ~key:e.e_key bytes in
-  Pool.set_disk b.pool (File.size f - before);
+  File.start_payload b.enc ~kind:b.codec.kind ~key:e.e_key;
+  b.codec.enc b.enc v;
+  let off, len = File.append_payload f b.enc in
+  Pool.set_disk b.pool len;
   e.e_slot <- Spilled { off; len };
   let freed = e.e_weight in
   Pool.shrink b.pool freed;
@@ -308,6 +342,7 @@ let create ?pool ~name codec =
           clock = Queue.create ();
           file = None;
           member = -1;
+          enc = Buffer.create 256;
         }
       in
       b.member <-
@@ -328,14 +363,13 @@ let live_value b e =
         | Some f -> f
         | None -> spill_fault b e.e_key "spilled entry but no spill file"
       in
-      let kind, bytes =
-        try File.read f ~off ~len ~key:e.e_key
+      let kind, r =
+        try File.read_record f ~off ~len ~key:e.e_key
         with File.Fault m -> spill_fault b e.e_key "%s" m
       in
       if kind <> b.codec.kind then
         spill_fault b e.e_key "state kind %d where %d was expected" kind
           b.codec.kind;
-      let r = Bin.reader bytes in
       let v =
         try b.codec.dec r
         with Bin.Corrupt m -> spill_fault b e.e_key "undecodable state: %s" m
@@ -441,14 +475,11 @@ let remove t key =
         (Tbl.take b.tbl key (fun e ->
              (match e.e_slot with
              | Live _ -> drop_live b e
-             | Spilled { len; _ } -> (
-                 match b.file with
-                 | Some f ->
-                     File.release f len;
-                     maybe_compact b
-                 | None -> ()));
+             | Spilled { len; _ } -> Option.iter (fun f -> File.release f len) b.file);
              e.e_dead <- true;
-             None))
+             None));
+      (* after the unlink, so a failed compaction leaves the removal done *)
+      maybe_compact b
 
 (* {!find} and then {!set} or {!remove} of the same key, in one probe:
    the budgeted accounts end exactly as that pair leaves them. *)

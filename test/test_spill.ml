@@ -647,6 +647,15 @@ let test_file_read_and_scan () =
         (List.length scan.File.records);
       check_int "torn tail reported" 1 (List.length scan.File.skipped))
 
+let spill_path pool =
+  match
+    Array.to_list (Sys.readdir (Pool.dir pool))
+    |> List.filter (fun f -> Filename.check_suffix f ".spill")
+  with
+  | [ f ] -> Filename.concat (Pool.dir pool) f
+  | files ->
+      Alcotest.failf "expected one spill file, found %d" (List.length files)
+
 let test_fault_in_is_typed () =
   (* corrupt the live spill file under a budget-0 store: the next find
      must surface File.Fault (naming the reason), never wrong state *)
@@ -654,16 +663,7 @@ let test_fault_in_is_typed () =
       let s = Store.create ~pool ~name:"victim" Bincodec.state_codec in
       Store.set s "k" (state_of Aggregate.Sum [ 42.0 ]);
       (* the entry is spilled now; smash every byte of the file *)
-      let path =
-        match
-          Array.to_list (Sys.readdir (Pool.dir pool))
-          |> List.filter (fun f -> Filename.check_suffix f ".spill")
-        with
-        | [ f ] -> Filename.concat (Pool.dir pool) f
-        | files ->
-            Alcotest.failf "expected one spill file, found %d"
-              (List.length files)
-      in
+      let path = spill_path pool in
       let oc = open_out_gen [ Open_wronly; Open_binary ] 0o600 path in
       output_string oc "\xde\xad\xbe\xef\xde\xad\xbe\xef";
       close_out oc;
@@ -910,6 +910,205 @@ let prop_image_backend_independent =
           && rows_a = rows_whole && rows_b = rows_whole && per_a = per_b
           && String.equal final_a final_b))
 
+(* --- compaction faults, the CRC kernel, compaction under a model ------ *)
+
+(* Values are strings: large ones fill a spill file quickly. *)
+let str_codec =
+  {
+    Store.kind = 9;
+    enc = Bin.w_string;
+    dec = Bin.r_string;
+    weight = (fun v -> String.length v + 32);
+  }
+
+let test_compaction_fault_names_key () =
+  (* a live record corrupted on disk is found by the compaction that
+     copies it: the fault names store and key, and no entry is dropped *)
+  with_pool ~budget:0 (fun pool ->
+      let s = Store.create ~pool ~name:"compactee" str_codec in
+      let filler i = Printf.sprintf "f%02d" i in
+      Store.set s "victim" (String.make 100 'v');
+      for i = 0 to 69 do
+        Store.set s (filler i) (String.make 1000 'f')
+      done;
+      check_int "no compaction while nothing is garbage" 0
+        (Pool.compactions pool);
+      (* the victim's record sits at offset 0; flip one value byte *)
+      let path = spill_path pool in
+      let fd = Unix.openfile path [ Unix.O_RDWR ] 0 in
+      let byte = Bytes.create 1 in
+      ignore (Unix.lseek fd 40 Unix.SEEK_SET);
+      ignore (Unix.read fd byte 0 1);
+      Bytes.set byte 0 (Char.chr (Char.code (Bytes.get byte 0) lxor 0xff));
+      ignore (Unix.lseek fd 40 Unix.SEEK_SET);
+      ignore (Unix.write fd byte 0 1);
+      Unix.close fd;
+      (* removing fillers turns their records into garbage until a
+         compaction runs and has to copy the victim *)
+      let removed = ref 0 in
+      (match
+         for i = 0 to 69 do
+           Store.remove s (filler i);
+           incr removed
+         done
+       with
+      | () -> Alcotest.fail "compaction copied a corrupt record"
+      | exception File.Fault msg ->
+          check_bool ("fault names the store: " ^ msg) true
+            (Astring_contains.contains msg "store compactee");
+          check_bool ("fault names the key: " ^ msg) true
+            (Astring_contains.contains msg "key \"victim\""));
+      check_int "the removal that triggered compaction took effect"
+        (71 - (!removed + 1)) (Store.length s);
+      check_int "the failed compaction is not counted" 0
+        (Pool.compactions pool);
+      check_string "the half-written file is gone, the old one kept" path
+        (spill_path pool);
+      match Store.find s "victim" with
+      | exception File.Fault msg ->
+          check_bool ("fault-in names the key: " ^ msg) true
+            (Astring_contains.contains msg "key \"victim\"")
+      | Some _ -> Alcotest.fail "corrupt record decoded as state"
+      | None -> Alcotest.fail "compaction dropped the corrupt entry")
+
+(* Bitwise CRC-32, independent of the kernel's tables. *)
+let crc_reference s pos len =
+  let c = ref 0xFFFFFFFF in
+  for i = pos to pos + len - 1 do
+    c := !c lxor Char.code s.[i];
+    for _ = 1 to 8 do
+      c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done
+  done;
+  !c lxor 0xFFFFFFFF
+
+let test_crc_known_answers () =
+  check_int "crc32 123456789" 0xCBF43926 (Bin.crc32 "123456789");
+  check_int "crc32 empty" 0 (Bin.crc32 "");
+  List.iter
+    (fun (pos, len) ->
+      match Bin.crc32_sub "0123456789" pos len with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "crc32_sub pos %d len %d accepted" pos len)
+    [ (-1, 2); (0, -1); (0, 11); (5, 6); (11, 0); (max_int, 1) ]
+
+let prop_crc_alignments =
+  qtest ~count:50 "crc32_sub = bytewise, every alignment and short length"
+    QCheck2.Gen.(string_size (int_range 80 200))
+    (fun s -> Printf.sprintf "%S" s)
+    (fun s ->
+      let ok = ref true in
+      for pos = 0 to 15 do
+        for len = 0 to 64 do
+          if Bin.crc32_sub s pos len <> crc_reference s pos len then ok := false
+        done
+      done;
+      !ok)
+
+let prop_crc_long =
+  qtest ~count:8 "crc32_sub = bytewise up to 1 MiB"
+    QCheck2.Gen.(
+      let* len = int_range 0 (1 lsl 20) in
+      let* pos = int_range 0 15 in
+      let* seed = int in
+      return (len, pos, seed))
+    (fun (len, pos, seed) -> Printf.sprintf "len %d pos %d seed %d" len pos seed)
+    (fun (len, pos, seed) ->
+      let st = Random.State.make [| seed |] in
+      let s = String.init (pos + len) (fun _ -> Char.chr (Random.State.int st 256)) in
+      Bin.crc32_sub s pos len = crc_reference s pos len)
+
+type compact_op =
+  | C_set of int * int  (* key, value length *)
+  | C_find of int
+  | C_take of int * int option  (* [Some n]: replace with length n *)
+  | C_remove of int
+
+let print_compact_op = function
+  | C_set (k, n) -> Printf.sprintf "set k%d (%d B)" k n
+  | C_find k -> Printf.sprintf "find k%d" k
+  | C_take (k, Some n) -> Printf.sprintf "take k%d keep (%d B)" k n
+  | C_take (k, None) -> Printf.sprintf "take k%d drop" k
+  | C_remove k -> Printf.sprintf "remove k%d" k
+
+let gen_compact_ops =
+  QCheck2.Gen.(
+    let key = int_range 0 23 and size = int_range 500 3000 in
+    list_size (int_range 200 300)
+      (frequency
+         [
+           (8, map2 (fun k n -> C_set (k, n)) key size);
+           (3, map (fun k -> C_find k) key);
+           (3, map2 (fun k n -> C_take (k, n)) key (opt size));
+           (2, map (fun k -> C_remove k) key);
+         ]))
+
+let prop_compaction_model =
+  qtest ~count:10 "budget-0 store = map model through compactions"
+    gen_compact_ops
+    (fun ops -> String.concat "; " (List.map print_compact_op ops))
+    (fun ops ->
+      with_pool ~budget:0 (fun pool ->
+          let s = Store.create ~pool ~name:"compacted" str_codec in
+          let model = ref Smap.empty and version = ref 0 in
+          (* every written value is distinct, so a stale record shows *)
+          let value k n =
+            incr version;
+            let head = Printf.sprintf "k%d.v%d:" k !version in
+            head ^ String.make (max 0 (n - String.length head)) (Char.chr (97 + k))
+          in
+          let matches () =
+            Store.length s = Smap.cardinal !model
+            && List.sort compare (Store.fold (fun k v acc -> (k, v) :: acc) s [])
+               = Smap.bindings !model
+          in
+          let step op =
+            match op with
+            | C_set (k, n) ->
+                let v = value k n in
+                Store.set s (key_of k) v;
+                model := Smap.add (key_of k) v !model;
+                true
+            | C_find k -> Store.find s (key_of k) = Smap.find_opt (key_of k) !model
+            | C_take (k, keep) ->
+                let key = key_of k in
+                let v' = Option.map (value k) keep in
+                let got = Store.take s key (fun _ -> v') in
+                let expect = Smap.find_opt key !model in
+                if expect <> None then
+                  model :=
+                    (match v' with
+                    | Some v -> Smap.add key v !model
+                    | None -> Smap.remove key !model);
+                got = expect
+            | C_remove k ->
+                Store.remove s (key_of k);
+                model := Smap.remove (key_of k) !model;
+                true
+          in
+          let agreed = List.for_all (fun op -> step op && matches ()) ops in
+          (* end on a set that compacts: with budget 0 every entry is
+             then spilled, and the rewritten file holds exactly them *)
+          if Smap.is_empty !model then ignore (step (C_set (0, 600)));
+          let before = Pool.compactions pool in
+          let keys = Array.of_list (List.map fst (Smap.bindings !model)) in
+          let i = ref 0 in
+          while Pool.compactions pool = before do
+            let key = keys.(!i mod Array.length keys) in
+            Store.set s key (Smap.find key !model);
+            incr i
+          done;
+          let scan = File.scan (spill_path pool) in
+          agreed && matches ()
+          && Pool.compactions pool >= 2
+          && scan.File.skipped = []
+          && List.sort compare
+               (List.map
+                  (fun (_, kind, k, bytes) ->
+                    (kind, k, Bin.r_string (Bin.reader bytes)))
+                  scan.File.records)
+             = List.map (fun (k, v) -> (9, k, v)) (Smap.bindings !model)))
+
 let suite =
   [
     Alcotest.test_case "store semantics (resident)" `Quick
@@ -951,4 +1150,11 @@ let suite =
     prop_take_accounts;
     Alcotest.test_case "store visit order = stdlib Hashtbl" `Quick
       test_store_visit_order;
+    Alcotest.test_case "compaction fault names store and key" `Quick
+      test_compaction_fault_names_key;
+    Alcotest.test_case "crc32 known answers and bounds" `Quick
+      test_crc_known_answers;
+    prop_crc_alignments;
+    prop_crc_long;
+    prop_compaction_model;
   ]
