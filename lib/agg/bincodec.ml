@@ -108,7 +108,7 @@ let r_swag r =
 
 (* State-kind tag bytes written into every spill record — one per
    spillable state family, so a misrouted record is rejected at
-   fault-in.  Tags 2–4 (window pending maps, count-window trackers,
+   fault-in.  Tags 2–4 (window pending rings, count-window trackers,
    open sessions) are claimed by {!Fw_engine.Stream_exec}'s private
    codecs. *)
 let kind_combine = 0

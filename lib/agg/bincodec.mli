@@ -21,7 +21,7 @@ val r_swag : Fw_spill.Bin.reader -> Swag.export
     State-kind tag bytes — one per spillable state family; fault-in
     rejects a record whose tag disagrees with the store's codec.  Tags
     2–4 are claimed by the engine's private codecs (window pending
-    maps, count-window trackers, open sessions). *)
+    rings, count-window trackers, open sessions). *)
 
 val kind_combine : int
 val kind_swag : int

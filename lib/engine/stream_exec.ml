@@ -43,13 +43,14 @@ module Fire_key = struct
 end
 
 module Pending = Map.Make (Fire_key)
+
+(* The per-instance operator's resident fire index: instance bound [hi]
+   to the keys whose instance [hi] is pending, kept out of the spill
+   store so a watermark sweep never faults keys that have nothing
+   due. *)
 module Imap = Map.Make (Int)
 
-(* Resident fire index: the (hi, key) pairs with a pending instance,
-   kept out of the spill store so a watermark sweep never faults keys
-   that have nothing due.  For hop windows [lo = hi - range] always, so
-   ascending (hi, key) is exactly the historical ascending
-   (hi, lo, key) fire order. *)
+(* The session operator's resident deadline index. *)
 module Fset = Set.Make (struct
   type t = int * string
 
@@ -63,15 +64,15 @@ end)
    prices, and the only path that supports holistic aggregates and
    sub-aggregate (window-over-window) inputs.
 
-   The per-key map of pending instances (keyed by instance [hi]) lives
-   in a {!Fw_spill.Store}: resident by default, spillable to disk under
-   a memory budget. *)
+   Each key's pending instances live in a {!Ring} inside a
+   {!Fw_spill.Store}: resident by default, spillable to disk under a
+   memory budget. *)
 type win_state = {
   window : Window.t;
-  w_keys : (Combine.state * int) Imap.t Store.t;
-      (** per key: sub-aggregate state and the number of items folded
-          into it, per pending instance (keyed by instance [hi]) *)
-  mutable w_fire : Fset.t;
+  w_nil : Combine.state;  (** filler of empty ring slots *)
+  w_keys : Ring.t Store.t;
+  mutable w_fire : string list Imap.t;
+      (** per pending bound [hi]: the keys born there, unordered *)
   mutable wm : int;
 }
 
@@ -103,11 +104,12 @@ type pane_state = {
 type cwin_key = {
   mutable seen : int;  (** ordinal high-water: events seen (stream-fed)
                            or max sub interval end (sub-fed) *)
-  mutable kpend : (Combine.state * int) Imap.t;  (** keyed by instance hi *)
+  kpend : Ring.t;  (** pending instances *)
 }
 
 type cwin_state = {
   c_window : Window.t;
+  c_nil : Combine.state;  (** filler of empty ring slots *)
   c_keys : cwin_key Store.t;
 }
 
@@ -145,48 +147,29 @@ type session_state = {
    is bit-identical to the original.  Weights are resident-size
    estimates that drive eviction accounting only, never results. *)
 
-let w_instances b im =
-  Bin.w_list b
-    (fun b (hi, (state, items)) ->
-      Bin.w_i64 b hi;
-      Bincodec.w_state b state;
-      Bin.w_i64 b items)
-    (Imap.bindings im)
-
-let r_instances r =
-  List.fold_left
-    (fun acc (hi, st, items) -> Imap.add hi (st, items) acc)
-    Imap.empty
-    (Bin.r_list r (fun r ->
-         let hi = Bin.r_i64 r in
-         let st = Bincodec.r_state r in
-         let items = Bin.r_i64 r in
-         (hi, st, items)))
-
-let instances_weight im =
-  Imap.fold (fun _ (st, _) acc -> acc + 64 + Bincodec.state_weight st) im 48
-
-let win_codec : (Combine.state * int) Imap.t Store.codec =
+let win_codec ~nil window : Ring.t Store.codec =
+  let range = Window.range window and slide = Window.slide window in
   {
     Store.kind = Bincodec.kind_win;
-    enc = w_instances;
-    dec = r_instances;
-    weight = instances_weight;
+    enc = Ring.write ~range ~slide;
+    dec = Ring.read ~nil ~range ~slide;
+    weight = Ring.weight;
   }
 
-let cwin_codec : cwin_key Store.codec =
+let cwin_codec ~nil window : cwin_key Store.codec =
+  let range = Window.range window and slide = Window.slide window in
   {
     Store.kind = Bincodec.kind_cwin;
     enc =
       (fun b kc ->
         Bin.w_i64 b kc.seen;
-        w_instances b kc.kpend);
+        Ring.write b ~range ~slide kc.kpend);
     dec =
       (fun r ->
         let seen = Bin.r_i64 r in
-        let kpend = r_instances r in
+        let kpend = Ring.read ~nil ~range ~slide r in
         { seen; kpend });
-    weight = (fun kc -> 16 + instances_weight kc.kpend);
+    weight = (fun kc -> 16 + Ring.weight kc.kpend);
   }
 
 let session_codec : open_session Store.codec =
@@ -321,16 +304,11 @@ let activation_sample t id ~t0 ~name ~items_in ~items_out ~window =
     Fw_obs.Histogram.record ns.Metrics.fire_delay_ns (max 0 (t0 - t.wm_wall));
   trace_span t ~name ~id ~start_ns:t0 ~dur_ns:dur ~items_in ~items_out ~window
 
-(* Split a fire index at watermark [wm] into the due pairs
-   ([hi <= wm], ascending) and the rest.  [""] is the least key, so
-   [(wm + 1, "")] is the least pair not due; [Fset.split] sets that
-   pivot aside when present, and it belongs to the rest. *)
-let split_due fs wm =
-  if wm = max_int then (fs, Fset.empty)
-  else
-    let pivot = (wm + 1, "") in
-    let due, present, rest = Fset.split pivot fs in
-    (due, if present then Fset.add pivot rest else rest)
+(* Enter the birth of [key]'s instance [m] into the fire index. *)
+let index_birth st key m =
+  let hi = (m * Window.slide st.window) + Window.range st.window in
+  let keys = Option.value ~default:[] (Imap.find_opt hi st.w_fire) in
+  st.w_fire <- Imap.add hi (key :: keys) st.w_fire
 
 (* --- dispatch ------------------------------------------------------- *)
 
@@ -373,70 +351,70 @@ and forward t id msg =
 
 (* Access pattern: an item (a raw event or an upstream sub-aggregate)
    folds into its whole contiguous instance range [first .. last] under
-   {e one} store access for its key; the resident fire index learns a
-   (hi, key) pair only when that access gives birth to the instance, and
-   loses it only when the instance fires.
+   {e one} store access for its key, in place in the key's {!Ring}; the
+   resident fire index learns a (hi, key) pair only when that access
+   gives birth to the instance, and loses it only when the instance
+   fires.
 
    Items are tallied per pending instance and reported to the metrics
    when the instance fires, so the counters measure exactly the work of
    {e complete} instances — the quantity the analytic cost model prices.
    Insertions into instances that straddle the closing horizon are not
    charged. *)
-and win_fold st key ~first ~last ~fresh ~fold =
-  if first <= last then begin
-    let r = Window.range st.window and s = Window.slide st.window in
+and win_fold st key ~first ~last fold =
+  if first <= last then
     Store.update st.w_keys key (fun prev ->
-        let im = ref (match prev with None -> Imap.empty | Some im -> im) in
-        for m = first to last do
-          let hi = (m * s) + r in
-          im :=
-            Imap.update hi
-              (function
-                | None ->
-                    st.w_fire <- Fset.add (hi, key) st.w_fire;
-                    Some (fresh (), 1)
-                | Some (x, items) -> Some (fold x, items + 1))
-              !im
-        done;
-        !im)
-  end
+        let rg =
+          match prev with None -> Ring.create ~nil:st.w_nil | Some rg -> rg
+        in
+        fold rg ~born:(index_birth st key);
+        rg)
 
 (* Pop the due instance [hi] of [key] out of the store in one probe:
-   the extracted state is an immutable value, so it can be forwarded
-   after the store operation completes — no pin needed. *)
+   the popped state is an immutable value, so it can be forwarded after
+   the store operation completes — no pin needed. *)
 and win_extract st key hi =
-  let rest im =
-    let im' = Imap.remove hi im in
-    if Imap.is_empty im' then None else Some im'
-  in
-  match Store.take st.w_keys key rest with
+  let popped = ref None in
+  ignore
+    (Store.take st.w_keys key (fun rg ->
+         if (Ring.front rg * Window.slide st.window) + Window.range st.window = hi
+         then popped := Some (Ring.pop rg);
+         if Ring.is_empty rg then None else Some rg));
+  match !popped with
+  | Some p -> p
   | None -> invalid_arg "Stream_exec: fire index out of sync with store"
-  | Some im -> Imap.find hi im
 
-(* Fire every instance due at [wm]: one split of the fire index takes
-   all due (hi, key) pairs, in ascending order.  The cheap emptiness
+(* Fire every instance due at [wm]: the due bounds leave the fire index
+   in ascending order, each with its keys sorted once, which is the
+   ascending (hi, key) order of the emissions.  The cheap emptiness
    probe comes first, so the clock and the counters only move when at
    least one instance actually fires, and a watermark that fires
    nothing touches no spilled state. *)
 and win_fire t id st wm =
-  match Fset.min_elt_opt st.w_fire with
+  match Imap.min_binding_opt st.w_fire with
   | Some (hi0, _) when hi0 <= wm ->
       let sampled = activation t id in
       let t0 = if sampled then Clock.now_ns () else 0 in
-      let due, rest = split_due st.w_fire wm in
-      st.w_fire <- rest;
       let fired = ref 0 and items_tot = ref 0 in
       let range = Window.range st.window in
-      Fset.iter
-        (fun (hi, key) ->
-          let state, items = win_extract st key hi in
-          Metrics.record t.metrics st.window items;
-          incr fired;
-          items_tot := !items_tot + items;
-          let interval = Interval.make ~lo:(hi - range) ~hi in
-          forward t id
-            (Item (Sub { window = st.window; interval; key; state })))
-        due;
+      let rec go () =
+        match Imap.min_binding_opt st.w_fire with
+        | Some (hi, keys) when hi <= wm ->
+            st.w_fire <- Imap.remove hi st.w_fire;
+            let interval = Interval.make ~lo:(hi - range) ~hi in
+            List.iter
+              (fun key ->
+                let state, items = win_extract st key hi in
+                Metrics.record t.metrics st.window items;
+                incr fired;
+                items_tot := !items_tot + items;
+                forward t id
+                  (Item (Sub { window = st.window; interval; key; state })))
+              (List.sort String.compare keys);
+            go ()
+        | Some _ | None -> ()
+      in
+      go ();
       if t.observe then Counter.add t.obs.(id).Metrics.fires !fired;
       if sampled then
         activation_sample t id ~t0 ~name:"win-fire" ~items_in:!items_tot
@@ -450,9 +428,8 @@ and win_deliver t id st msg =
         enclosing_range st.window ~lo:(Interval.lo interval)
           ~hi:(Interval.hi interval)
       in
-      win_fold st key ~first ~last
-        ~fresh:(fun () -> state)
-        ~fold:(fun s -> Combine.merge s state)
+      win_fold st key ~first ~last (fun rg ~born ->
+          Ring.fold_state rg ~first ~last state ~born)
   | Watermark w ->
       if w > st.wm then begin
         st.wm <- w;
@@ -570,17 +547,8 @@ and pane_deliver t id ps msg =
    not be evictable while the callback runs. *)
 and cwin_with_key st key f =
   Store.pinned st.c_keys key
-    ~init:(fun () -> { seen = 0; kpend = Imap.empty })
+    ~init:(fun () -> { seen = 0; kpend = Ring.create ~nil:st.c_nil })
     f
-
-and cwin_fold st kc m state_update =
-  let hi = (m * Window.slide st.c_window) + Window.range st.c_window in
-  kc.kpend <-
-    Imap.update hi
-      (function
-        | None -> Some (state_update None, 1)
-        | Some (s, items) -> Some (state_update (Some s), items + 1))
-      kc.kpend
 
 (* Fire every pending instance of [key] whose ordinal upper bound has
    been reached; a {e complete} stream-fed instance folded exactly [r]
@@ -588,32 +556,28 @@ and cwin_fold st kc m state_update =
    metrics measure the same quantity the cost model prices.
    Incomplete instances (the key never reaches [hi]) never fire. *)
 and cwin_fire t id st key kc ~upto =
-  match Imap.min_binding_opt kc.kpend with
-  | Some (hi0, _) when hi0 <= upto ->
-      let sampled = activation t id in
-      let t0 = if sampled then Clock.now_ns () else 0 in
-      let fired = ref 0 and items_tot = ref 0 in
-      let rec go () =
-        match Imap.min_binding_opt kc.kpend with
-        | Some (hi, (state, items)) when hi <= upto ->
-            kc.kpend <- Imap.remove hi kc.kpend;
-            Metrics.record t.metrics st.c_window items;
-            incr fired;
-            items_tot := !items_tot + items;
-            let interval =
-              Interval.make ~lo:(hi - Window.range st.c_window) ~hi
-            in
-            forward t id
-              (Item (Sub { window = st.c_window; interval; key; state }));
-            go ()
-        | Some _ | None -> ()
-      in
-      go ();
-      if t.observe then Counter.add t.obs.(id).Metrics.fires !fired;
-      if sampled then
-        activation_sample t id ~t0 ~name:"count-fire" ~items_in:!items_tot
-          ~items_out:!fired ~window:st.c_window
-  | Some _ | None -> ()
+  let r = Window.range st.c_window and s = Window.slide st.c_window in
+  let due () =
+    (not (Ring.is_empty kc.kpend)) && (Ring.front kc.kpend * s) + r <= upto
+  in
+  if due () then begin
+    let sampled = activation t id in
+    let t0 = if sampled then Clock.now_ns () else 0 in
+    let fired = ref 0 and items_tot = ref 0 in
+    while due () do
+      let hi = (Ring.front kc.kpend * s) + r in
+      let state, items = Ring.pop kc.kpend in
+      Metrics.record t.metrics st.c_window items;
+      incr fired;
+      items_tot := !items_tot + items;
+      let interval = Interval.make ~lo:(hi - r) ~hi in
+      forward t id (Item (Sub { window = st.c_window; interval; key; state }))
+    done;
+    if t.observe then Counter.add t.obs.(id).Metrics.fires !fired;
+    if sampled then
+      activation_sample t id ~t0 ~name:"count-fire" ~items_in:!items_tot
+        ~items_out:!fired ~window:st.c_window
+  end
 
 and cwin_deliver t id st msg =
   match msg with
@@ -626,11 +590,7 @@ and cwin_deliver t id st msg =
           ~hi:(Interval.hi interval)
       in
       cwin_with_key st key (fun kc ->
-          for m = first to last do
-            cwin_fold st kc m (function
-              | None -> state
-              | Some s -> Combine.merge s state)
-          done;
+          Ring.fold_state kc.kpend ~first ~last state ~born:ignore;
           if Interval.hi interval > kc.seen then
             kc.seen <- Interval.hi interval;
           cwin_fire t id st key kc ~upto:kc.seen)
@@ -766,6 +726,7 @@ let create ?(metrics = Metrics.create ()) ?(mode = Naive) ?(observe = true)
            errors));
   let nodes = Plan.nodes plan in
   let agg = Plan.agg plan in
+  let nil = Combine.identity agg in
   let output = Plan.output plan in
   (* The pane path applies when per-slide pre-aggregation is sound and
      useful: a constant-size sub-aggregate exists (not holistic), the
@@ -828,10 +789,11 @@ let create ?(metrics = Metrics.create ()) ?(mode = Naive) ?(observe = true)
                 N_cwin
                   {
                     c_window = window;
+                    c_nil = nil;
                     c_keys =
                       Store.create ?pool:spill
                         ~name:(Printf.sprintf "n%d-cwin" id)
-                        cwin_codec;
+                        (cwin_codec ~nil window);
                   }
             | Window.Hop { domain = Window.Time; _ } ->
                 if mode = Incremental && panes_apply window then
@@ -857,11 +819,12 @@ let create ?(metrics = Metrics.create ()) ?(mode = Naive) ?(observe = true)
                   N_win
                     {
                       window;
+                      w_nil = nil;
                       w_keys =
                         Store.create ?pool:spill
                           ~name:(Printf.sprintf "n%d-win" id)
-                          win_codec;
-                      w_fire = Fset.empty;
+                          (win_codec ~nil window);
+                      w_fire = Imap.empty;
                       wm = 0;
                     }
                 end))
@@ -998,8 +961,7 @@ let read_node r id node =
   | N_win st, 1 ->
       st.wm <- Bin.r_i64 r;
       Store.read
-        (fun key im ->
-          Imap.iter (fun hi _ -> st.w_fire <- Fset.add (hi, key) st.w_fire) im)
+        (fun key rg -> Ring.iter (fun m _ _ -> index_birth st key m) rg)
         st.w_keys r
   | N_pane ps, 2 ->
       ps.cur_pane <- Bin.r_i64 r;
@@ -1140,9 +1102,8 @@ and bwin_add t st b sel lo hi =
     let j = sel.(i) in
     let v = values.(j) in
     let first, last = containing_range st.window times.(j) in
-    win_fold st keys.(j) ~first ~last
-      ~fresh:(fun () -> Combine.of_value t.agg v)
-      ~fold:(fun s -> Combine.add s v)
+    win_fold st keys.(j) ~first ~last (fun rg ~born ->
+        Ring.fold_value rg ~first ~last t.agg v ~born)
   done
 
 (* Count-window fold of a run: firing happens inside the event loop
@@ -1159,11 +1120,7 @@ and bcwin_add t id st b sel lo hi =
         kc.seen <- n + 1;
         let v = values.(j) in
         let first, last = containing_range st.c_window n in
-        for m = first to last do
-          cwin_fold st kc m (function
-            | None -> Combine.of_value t.agg v
-            | Some st' -> Combine.add st' v)
-        done;
+        Ring.fold_value kc.kpend ~first ~last t.agg v ~born:ignore;
         cwin_fire t id st keys.(j) kc ~upto:kc.seen)
   done
 

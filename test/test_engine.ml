@@ -612,8 +612,8 @@ let prop_incremental_rewritten_equals_oracle =
 (* --- fire index --- *)
 
 (* Key [""] is the least key, so the first pair a watermark [wm] must
-   leave pending is [(wm + 1, "")]: the split that takes the due pairs
-   sets exactly that pair aside, and it must stay in the index. *)
+   leave pending is [(wm + 1, "")]: a sweep that takes the due pairs
+   must stop exactly before that pair, and it must stay in the index. *)
 let test_fire_index_empty_key_pivot () =
   let win = w ~r:2 ~s:1 in
   let t = Stream_exec.create (Plan.naive Aggregate.Sum [ win ]) in
@@ -952,15 +952,20 @@ let emission_digest t =
   done;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-let stream_fw_emission plan =
-  let t = Stream_exec.create ~mode:inc plan in
+(* Feed the 64-key stream in batches of 1024, digest the engine image
+   exported at the first batch boundary past [horizon / 2], close, and
+   return the row count, the emission digest and the image digest. *)
+let stream_fw_emission ?(mode = inc) plan =
+  let t = Stream_exec.create ~mode plan in
   let rng = Fw_util.Prng.create 19 in
   let horizon = 1200 and eta = 16 in
-  let batch = ref [] and pending = ref 0 in
-  let flush () =
+  let batch = ref [] and pending = ref 0 and image = ref "" in
+  let flush time =
     Stream_exec.feed_batch t (Fw_engine.Batch.of_events (List.rev !batch));
     batch := [];
-    pending := 0
+    pending := 0;
+    if !image = "" && 2 * time >= horizon then
+      image := Digest.to_hex (Digest.string (Stream_exec.export t))
   in
   for time = 0 to horizon - 1 do
     for _ = 1 to eta do
@@ -968,12 +973,12 @@ let stream_fw_emission plan =
       let value = float_of_int (Fw_util.Prng.int rng 400) *. 0.25 in
       batch := ev time key value :: !batch;
       incr pending;
-      if !pending = 1024 then flush ()
+      if !pending = 1024 then flush time
     done
   done;
-  if !pending > 0 then flush ();
+  if !pending > 0 then flush horizon;
   ignore (Stream_exec.close t ~horizon);
-  (Stream_exec.row_count t, emission_digest t)
+  (Stream_exec.row_count t, emission_digest t, !image)
 
 (* Both plans: the rewritten one (pane-fed factor window, window-fed
    per-instance nodes) and the unrewritten one, whose six windows are
@@ -984,12 +989,261 @@ let test_stream_fw_emission_order () =
     | Ok c -> c.Fw_sql.Compile.outcome
     | Error e -> Alcotest.fail e
   in
-  let rows, digest = stream_fw_emission outcome.Rewrite.plan in
+  let rows, digest, _ = stream_fw_emission outcome.Rewrite.plan in
   check_int "rewritten: rows" 15104 rows;
   check_string "rewritten: emission digest" "d76973eae4b1e36dad20f969350f721f" digest;
-  let rows, digest = stream_fw_emission outcome.Rewrite.naive_plan in
+  let rows, digest, _ = stream_fw_emission outcome.Rewrite.naive_plan in
   check_int "unrewritten: rows" 15104 rows;
   check_string "unrewritten: emission digest" "28f2e22cf6927a1f294ba31d8c044635" digest
+
+(* The same stream in Naive mode, where every node of both plans runs
+   the per-instance operator, plus the count-domain mirror of the
+   bench's hopping4 set (count4), whose nodes run the count operator.
+   Besides the emission order these pin the engine image exported
+   mid-run: per-key pending instances must encode to the same bytes
+   whatever structure holds them.  The digests were recorded before the
+   per-instance operator's pending maps were replaced by rings. *)
+let count4 =
+  [
+    Window.count_hop ~range:10 ~slide:2;
+    Window.count_hop ~range:12 ~slide:4;
+    Window.count_hop ~range:8 ~slide:2;
+    Window.count_hop ~range:30 ~slide:3;
+  ]
+
+let test_naive_emission_and_image_pinned () =
+  let outcome =
+    match Fw_sql.Compile.compile ~eta:256 ~factor_windows:true stream_fw_sql with
+    | Ok c -> c.Fw_sql.Compile.outcome
+    | Error e -> Alcotest.fail e
+  in
+  let count_rw = Rewrite.optimize Aggregate.Sum count4 in
+  let check name plan ~rows ~digest ~image =
+    let rows', digest', image' =
+      stream_fw_emission ~mode:Stream_exec.Naive plan
+    in
+    check_int (name ^ ": rows") rows rows';
+    check_string (name ^ ": emission digest") digest digest';
+    check_string (name ^ ": mid-run image digest") image image'
+  in
+  check "naive rewritten" outcome.Rewrite.plan ~rows:15104
+    ~digest:"d76973eae4b1e36dad20f969350f721f"
+    ~image:"24f6a7a093f6ed0defa89cc3d13025ab";
+  check "naive unrewritten" outcome.Rewrite.naive_plan ~rows:15104
+    ~digest:"d76973eae4b1e36dad20f969350f721f"
+    ~image:"08d4d507972170d0d091aab948ed45aa";
+  check "count4 rewritten" count_rw.Rewrite.plan ~rows:29172
+    ~digest:"f351b3a1a97731b5dd7ec9a7acd812b8"
+    ~image:"e967f8254900dbba2b5867f982e9c4c1";
+  check "count4 unrewritten" count_rw.Rewrite.naive_plan ~rows:29172
+    ~digest:"eef0805cafba094da5d397d78f8fc270"
+    ~image:"d8a45819d344569285bc116013aa7233"
+
+(* A per-key instance list in an engine image must be strictly
+   ascending in [hi], on the window's instance grid ([hi = m·s + r],
+   [m >= 0]) and carry a positive item count.  The image below is
+   hand-built with the [Bin] writers for a one-window plan holding one
+   key; each malformed list must fail the import as a corrupt image,
+   for the per-instance and the count-window operator alike. *)
+let test_import_rejects_bad_instance_lists () =
+  let module Bin = Fw_spill.Bin in
+  (* [node] writes the window node's tag and scalar cells, [entry] the
+     fields of the key's entry that precede its instance list *)
+  let image plan ~node ~entry instances =
+    let b = Buffer.create 128 in
+    Bin.w_u8 b 0 (* Naive *);
+    Bin.w_i64 b 0 (* source watermark *);
+    let nodes = Plan.nodes plan in
+    Bin.w_i64 b (Array.length nodes);
+    Array.iter
+      (function
+        | Plan.Win_agg _ ->
+            node b;
+            Bin.w_i64 b 1 (* one key *);
+            Bin.w_string b "k";
+            entry b;
+            Bin.w_list b
+              (fun b (hi, items) ->
+                Bin.w_i64 b hi;
+                Fw_agg.Bincodec.w_state b
+                  (Fw_agg.Combine.of_value Aggregate.Sum 1.0);
+                Bin.w_i64 b items)
+              instances
+        | Plan.Source | Plan.Multicast _ | Plan.Filter _ | Plan.Union _ ->
+            Bin.w_u8 b 0)
+      nodes;
+    Buffer.contents b
+  in
+  let imports (plan, node, entry, _) instances =
+    match Stream_exec.import plan ~rows:[] (image plan ~node ~entry instances) with
+    | _ -> true
+    | exception Invalid_argument m ->
+        check_bool ("corrupt-image message: " ^ m) true
+          (Astring_contains.contains m "corrupt image");
+        false
+  in
+  let per_instance =
+    ( Plan.naive Aggregate.Sum [ w ~r:4 ~s:2 ],
+      (fun b ->
+        Bin.w_u8 b 1;
+        Bin.w_i64 b 0 (* node watermark *)),
+      ignore,
+      "per-instance" )
+  and count =
+    ( Plan.naive Aggregate.Sum [ Window.count_hop ~range:4 ~slide:2 ],
+      (fun b -> Bin.w_u8 b 3),
+      (fun b -> Bin.w_i64 b 9 (* the key's ordinal high-water *)),
+      "count" )
+  in
+  List.iter
+    (fun ((_, _, _, kind) as op) ->
+      check_bool (kind ^ ": well-formed list imports") true
+        (imports op [ (6, 1); (8, 2) ]);
+      List.iter
+        (fun (name, instances) ->
+          check_bool (kind ^ ": " ^ name ^ " rejected") false
+            (imports op instances))
+        [
+          ("duplicate hi", [ (6, 1); (6, 1) ]);
+          ("descending hi", [ (8, 1); (6, 1) ]);
+          ("off-grid hi", [ (7, 1) ]);
+          ("hi before instance 0", [ (2, 1) ]);
+          ("zero items", [ (6, 0) ]);
+          ("negative items", [ (6, -1) ]);
+        ])
+    [ per_instance; count ]
+
+(* --- pending-instance ring --- *)
+
+(* Random fold ranges and front pops against a [Map] model of the
+   pending instances.  Ranges come relative to the previous one (the
+   engine's in-order pattern, with gaps between clusters and ranges
+   starting below the front) or anywhere; lengths reach past the
+   initial capacity, and runs of pops drive the shrink path.  After
+   every operation the live (m, state, items) set, the births reported
+   and the popped instances must match the model, and the codec must
+   write exactly the bytes of the model's ascending binding list —
+   the encoding the ring replaced — and decode back to them. *)
+module Ring = Fw_engine.Ring
+module Imodel = Map.Make (Int)
+
+type ring_op = Fold of int * int * bool | Pop of int
+
+let gen_ring_case =
+  QCheck2.Gen.(
+    let op =
+      frequency
+        [
+          ( 5,
+            let* delta = int_range (-6) 24 in
+            let* len = int_range 1 40 in
+            return (Fold (delta, len, true)) );
+          ( 1,
+            let* first = int_range 0 200 in
+            let* len = int_range 1 12 in
+            return (Fold (first, len, false)) );
+          (3, map (fun n -> Pop n) (int_range 1 30));
+        ]
+    in
+    let* s = int_range 1 5 in
+    let* j = int_range 0 4 in
+    let* ops = list_size (int_range 1 60) op in
+    return (s, j, ops))
+
+let print_ring_case (s, j, ops) =
+  Printf.sprintf "s=%d r=%d [%s]" s ((3 * s) + j)
+    (String.concat "; "
+       (List.map
+          (function
+            | Fold (a, n, true) -> Printf.sprintf "+%d..%d" a n
+            | Fold (a, n, false) -> Printf.sprintf "@%d..%d" a n
+            | Pop n -> Printf.sprintf "pop %d" n)
+          ops))
+
+let prop_ring_matches_model =
+  qtest ~count:300 "ring = map model (folds, pops, codec bytes)" gen_ring_case
+    print_ring_case (fun (slide, j, ops) ->
+      let module Bin = Fw_spill.Bin in
+      let module Combine = Fw_agg.Combine in
+      let range = (3 * slide) + j in
+      let nil = Combine.identity Aggregate.Sum in
+      let rg = Ring.create ~nil and model = ref Imodel.empty in
+      let prev_first = ref 0 and tick = ref 0 in
+      let bytes_of_model () =
+        let b = Buffer.create 64 in
+        Bin.w_list b
+          (fun b (m, (state, items)) ->
+            Bin.w_i64 b ((m * slide) + range);
+            Fw_agg.Bincodec.w_state b state;
+            Bin.w_i64 b items)
+          (Imodel.bindings !model);
+        Buffer.contents b
+      in
+      let same (s1, n1) (s2, n2) = Combine.view s1 = Combine.view s2 && n1 = n2 in
+      let consistent () =
+        let live = ref [] in
+        Ring.iter (fun m state items -> live := (m, (state, items)) :: !live) rg;
+        let b = Buffer.create 64 in
+        Ring.write b ~range ~slide rg;
+        let bytes = Buffer.contents b in
+        let decoded = Ring.read ~nil ~range ~slide (Bin.reader bytes) in
+        let b' = Buffer.create 64 in
+        Ring.write b' ~range ~slide decoded;
+        List.length !live = Imodel.cardinal !model
+        && List.for_all2
+             (fun (m, x) (m', y) -> m = m' && same x y)
+             (List.rev !live) (Imodel.bindings !model)
+        && String.equal bytes (bytes_of_model ())
+        && String.equal bytes (Buffer.contents b')
+        && Ring.weight rg = Ring.weight decoded
+        && Ring.weight rg
+           = Imodel.fold
+               (fun _ (st, _) acc -> acc + 64 + Fw_agg.Bincodec.state_weight st)
+               !model 48
+      in
+      List.for_all
+        (fun op ->
+          incr tick;
+          let v = float_of_int (!tick mod 17) *. 0.5 in
+          (match op with
+          | Fold (a, n, relative) ->
+              let first = if relative then max 0 (!prev_first + a) else a in
+              let last = first + n - 1 in
+              prev_first := first;
+              let born = ref [] in
+              Ring.fold_value rg ~first ~last Aggregate.Sum v ~born:(fun m ->
+                  born := m :: !born);
+              let expected_born =
+                List.filter
+                  (fun m -> not (Imodel.mem m !model))
+                  (List.init n (( + ) first))
+              in
+              if List.sort compare !born <> expected_born then
+                QCheck2.Test.fail_reportf "births %s at %d..%d"
+                  (String.concat "," (List.map string_of_int !born))
+                  first last;
+              for m = first to last do
+                model :=
+                  Imodel.update m
+                    (function
+                      | None -> Some (Combine.of_value Aggregate.Sum v, 1)
+                      | Some (st, items) -> Some (Combine.add st v, items + 1))
+                    !model
+              done
+          | Pop n ->
+              for _ = 1 to n do
+                match Imodel.min_binding_opt !model with
+                | None -> ()
+                | Some (m, x) ->
+                    if Ring.front rg <> m then
+                      QCheck2.Test.fail_reportf "front %d, model %d"
+                        (Ring.front rg) m;
+                    if not (same (Ring.pop rg) x) then
+                      QCheck2.Test.fail_reportf "popped instance %d differs" m;
+                    model := Imodel.remove m !model
+              done);
+          consistent ())
+        ops)
 
 let suite =
   [
@@ -1056,4 +1310,9 @@ let suite =
     Alcotest.test_case "key skew" `Quick test_single_key_skew;
     Alcotest.test_case "stream-fw emission order is pinned" `Quick
       test_stream_fw_emission_order;
+    Alcotest.test_case "naive emission order and image bytes are pinned"
+      `Quick test_naive_emission_and_image_pinned;
+    Alcotest.test_case "import rejects malformed instance lists" `Quick
+      test_import_rejects_bad_instance_lists;
+    prop_ring_matches_model;
   ]
