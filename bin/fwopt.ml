@@ -153,11 +153,16 @@ let open_sink ~metrics ~mode ?spill ~every ~crash_after ~checkpoint_dir
         { Fw_engine.Run.rows; metrics = Fw_snap.Checkpoint.metrics cp } )
   in
   match (checkpoint_dir, recover_dir) with
-  | Some dir, _ ->
+  | Some dir, _ -> (
       let fault = Fw_snap.Fault.create ?crash_at_event:crash_after () in
-      durable ~skip:0
-        (Fw_snap.Checkpoint.create ~metrics ~dir ~every ~fault ~mode ?spill
-           plan)
+      match
+        Fw_snap.Checkpoint.create ~metrics ~dir ~every ~fault ~mode ?spill plan
+      with
+      | cp -> durable ~skip:0 cp
+      | exception Invalid_argument m ->
+          (* a used directory is refused before anything is written *)
+          Printf.eprintf "%s\n" m;
+          exit 2)
   | None, Some dir -> (
       match Fw_snap.Recover.load ~dir ~every ~mode ?spill plan with
       | Error m ->

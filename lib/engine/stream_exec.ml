@@ -944,13 +944,16 @@ let write_node b = function
             })
         (Pending.bindings st.s_pending)
 
-let export t =
+let export_into b t =
   if t.closed then invalid_arg "Stream_exec.export: executor is closed";
-  let b = Buffer.create 4096 in
   Bin.w_u8 b (mode_byte t.mode);
   Bin.w_i64 b t.source_wm;
   Bin.w_i64 b (Array.length t.states);
-  Array.iter (write_node b) t.states;
+  Array.iter (write_node b) t.states
+
+let export t =
+  let b = Buffer.create 4096 in
+  export_into b t;
   Buffer.contents b
 
 (* Load node [id]'s cells and stores, rebuilding the resident indexes
@@ -1194,37 +1197,49 @@ let validate t b =
     if times.(i) > !running then running := times.(i)
   done
 
+(* Deliver events [lo, hi) of [b]'s columns, then broadcast the
+   trailing watermark (the last event's time): per-event execution
+   would have broadcast after every time increase, but no state
+   distinguishable at a segment boundary depends on the intermediate
+   broadcasts. *)
+let seg t ~stamp b lo hi =
+  if hi > lo then begin
+    ensure_iota t hi;
+    Array.iter (fun id -> bdeliver t id b t.iota lo hi) t.sources;
+    let tm = (Batch.times b).(hi - 1) in
+    if tm > t.source_wm then broadcast_wm t ~stamp tm
+  end
+
 let feed_batch t b =
   if t.closed then invalid_arg "Stream_exec.feed_batch: executor is closed";
   validate t b;
   let n = Batch.length b in
   let nm = Batch.mark_count b in
-  let times = Batch.times b in
   if n > 0 then Metrics.record_ingest t.metrics n;
-  ensure_iota t n;
-  let iota = t.iota in
   (* one lazy wall-clock stamp per batch: every broadcast below shares it *)
   let stamp = ref 0 in
-  (* Deliver one segment of events, then broadcast its trailing
-     watermark (the last event's time): per-event execution would have
-     broadcast after every time increase, but no state distinguishable
-     at a segment boundary depends on the intermediate broadcasts. *)
-  let seg lo hi =
-    if hi > lo then begin
-      Array.iter (fun id -> bdeliver t id b iota lo hi) t.sources;
-      let tm = times.(hi - 1) in
-      if tm > t.source_wm then broadcast_wm t ~stamp tm
-    end
-  in
   let pos = ref 0 in
   for j = 0 to nm - 1 do
     let at, wm = Batch.mark b j in
     let at = min (max at !pos) n in
-    seg !pos at;
+    seg t ~stamp b !pos at;
     pos := at;
     if wm > t.source_wm then broadcast_wm t ~stamp wm
   done;
-  seg !pos n
+  seg t ~stamp b !pos n
+
+let feed_range t b lo hi =
+  if t.closed then invalid_arg "Stream_exec.feed_range: executor is closed";
+  if lo < 0 || hi > Batch.length b || lo > hi then
+    invalid_arg "Stream_exec.feed_range: not a column range of the batch";
+  let times = Batch.times b in
+  let running = ref t.source_wm in
+  for i = lo to hi - 1 do
+    if times.(i) < !running then raise (Late_event (Batch.event b i));
+    running := times.(i)
+  done;
+  if hi > lo then Metrics.record_ingest t.metrics (hi - lo);
+  seg t ~stamp:(ref 0) b lo hi
 
 let feed t e =
   if t.closed then invalid_arg "Stream_exec.feed: executor is closed";

@@ -112,6 +112,16 @@ val feed_batch : t -> Batch.t -> unit
     state changes ({!validate}): a late event anywhere in it raises
     {!Late_event} and leaves the executor untouched. *)
 
+val feed_range : t -> Batch.t -> int -> int -> unit
+(** [feed_range t b lo hi] pushes events [lo .. hi - 1] of the batch's
+    columns as one segment, ignoring its marks: the same state and rows
+    as {!feed_batch} of a mark-free batch holding those events, with no
+    copy.  It is how a caller that cuts a batch itself (the checkpoint
+    log, {!Fw_snap.Checkpoint}) hands each piece to the engine.  Raises
+    [Invalid_argument] when [lo, hi] is not a range of the columns and
+    {!Late_event}, before any state changes, when an event in the range
+    is older than the watermark or than the event before it. *)
+
 val validate : t -> Batch.t -> unit
 (** The check {!feed_batch} runs first: replay the batch's interleaved
     events and marks against the current watermark and raise
@@ -155,9 +165,13 @@ val run :
     original's, float rounding included.  Emitted rows are not part of
     the image; whoever persists them hands them back to {!import}. *)
 
+val export_into : Buffer.t -> t -> unit
+(** Append the executor's image to the buffer, so a caller that takes
+    images repeatedly (the checkpoint runtime) keeps one buffer across
+    them.  Raises [Invalid_argument] on a closed executor. *)
+
 val export : t -> string
-(** The executor's image.  Raises [Invalid_argument] on a closed
-    executor. *)
+(** The executor's image: {!export_into} a fresh buffer. *)
 
 val image_mode : string -> mode
 (** The mode an image was taken in (its first byte).  Raises

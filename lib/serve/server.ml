@@ -304,6 +304,10 @@ let ensure_engine t g =
     let e =
       match t.cfg.state_dir with
       | Some sd ->
+          (* an unfrozen group has no durable history: whatever sits at
+             its path was left by a process that died before logging
+             [F], and a fresh pipeline refuses a used directory *)
+          rm_rf (group_dir sd g.g_id);
           E_durable
             (Checkpoint.create
                ~dir:(group_dir sd g.g_id)

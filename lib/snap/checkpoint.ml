@@ -3,10 +3,8 @@ module Histogram = Fw_obs.Histogram
 module Clock = Fw_obs.Clock
 module Metrics = Fw_engine.Metrics
 module Stream_exec = Fw_engine.Stream_exec
-module Event = Fw_engine.Event
-module Row = Fw_engine.Row
 module Batch = Fw_engine.Batch
-module Plan = Fw_plan.Plan
+module Bin = Fw_spill.Bin
 
 let chk_name g = Printf.sprintf "chk-%09d.fws" g
 let wal_name g = Printf.sprintf "wal-%09d.log" g
@@ -44,12 +42,13 @@ type t = {
   on_punctuation : bool;
   retain : int;
   fault : Fault.t;
-  plan : Plan.t;
   metrics : Metrics.t;
   exec : Stream_exec.t;
   obs : obs option;
   scratch : Batch.t;  (* the one-slot batch behind [feed] and [advance] *)
-  sub : Batch.t;  (* the sub-batch [feed_batch] cuts and feeds *)
+  frames : Bin.frames;  (* WAL and row-log records, framed once *)
+  writer : Codec.writer;  (* snapshot frames: fingerprint and buffers *)
+  image : Buffer.t;  (* the engine image, kept across snapshots *)
   mutable seq : int;  (* highest checkpoint sequence written / inherited *)
   mutable wal : out_channel option;  (* Some once construction finishes *)
   mutable rows_oc : out_channel option;  (* append-only emitted-row log *)
@@ -88,26 +87,29 @@ let make_obs ~observe metrics =
             ~help:"Pipeline pause per checkpoint (encode + write + rename)";
       }
 
-let append_noflush t rec_ =
-  match t.wal with
-  | Some oc -> output_string oc (Codec.encode_wal_record rec_)
-  | None -> assert false
+let wal t = match t.wal with Some oc -> oc | None -> assert false
 
+(* Hand the framed WAL records to the log and make them durable: one
+   output and one flush per piece. *)
 let flush_wal t =
-  match t.wal with Some oc -> flush oc | None -> assert false
+  let oc = wal t in
+  Bin.output_frames oc t.frames;
+  flush oc
 
-(* Copy newly-emitted rows into the row log's channel buffer.  Not
-   flushed here — row durability is only promised up to the last
-   checkpoint, so the flush happens in [checkpoint_now] (and [close]). *)
+(* Frame newly-emitted rows and copy them into the row log's channel
+   buffer.  Not flushed here — row durability is only promised up to
+   the last checkpoint, so the flush happens in [checkpoint_now] (and
+   [close]). *)
 let drain_rows t =
   match t.rows_oc with
   | Some oc ->
       let n = Stream_exec.row_count t.exec in
       while t.rows_seen < n do
-        output_string oc
-          (Codec.encode_row_record (Stream_exec.row t.exec t.rows_seen));
-        t.rows_seen <- t.rows_seen + 1
-      done
+        Codec.add_row t.frames (Stream_exec.row t.exec t.rows_seen);
+        t.rows_seen <- t.rows_seen + 1;
+        if Bin.frames_full t.frames then Bin.output_frames oc t.frames
+      done;
+      Bin.output_frames oc t.frames
   | None -> assert false
 
 let prune t =
@@ -132,19 +134,18 @@ let checkpoint_now t =
      it: a valid snapshot's count never exceeds the decodable log *)
   drain_rows t;
   (match t.rows_oc with Some oc -> flush oc | None -> ());
-  let snap =
-    {
-      Codec.s_image = Stream_exec.export t.exec;
-      s_rows_persisted = t.rows_seen;
-      s_ingested = Metrics.ingested t.metrics;
-      s_processed = Metrics.per_window t.metrics;
-    }
-  in
-  let data = Codec.encode_snapshot ~plan:t.plan snap in
+  Buffer.clear t.image;
+  Stream_exec.export_into t.image t.exec;
   let g = t.seq + 1 in
   let final = Filename.concat t.dir (chk_name g) in
   let tmp = final ^ ".tmp" in
-  Out_channel.with_open_bin tmp (fun oc -> Out_channel.output_string oc data);
+  let bytes =
+    Out_channel.with_open_bin tmp (fun oc ->
+        Codec.output_snapshot t.writer oc ~rows_persisted:t.rows_seen
+          ~ingested:(Metrics.ingested t.metrics)
+          ~processed:(Metrics.per_window t.metrics)
+          t.image)
+  in
   Sys.rename tmp final;
   Fault.on_checkpoint_written t.fault final;
   (* rotate the log: segment [g] holds exactly the post-checkpoint-[g]
@@ -157,12 +158,12 @@ let checkpoint_now t =
   match t.obs with
   | Some o ->
       Counter.inc o.checkpoints_c;
-      Histogram.record o.bytes_h (String.length data);
+      Histogram.record o.bytes_h bytes;
       Histogram.record o.pause_h (Clock.elapsed_ns ~since:t0)
   | None -> ()
 
-let make ~dir ~every ~on_punctuation ~retain ~fault ~observe ~plan ~metrics
-    ~exec ~seq =
+let make ~dir ~every ~on_punctuation ~retain ~fault ~observe ~plan ~mode
+    ~metrics ~exec ~seq =
   if every < 1 then invalid_arg "Checkpoint: every must be >= 1";
   if retain < 1 then invalid_arg "Checkpoint: retain must be >= 1";
   mkdir_p dir;
@@ -172,12 +173,13 @@ let make ~dir ~every ~on_punctuation ~retain ~fault ~observe ~plan ~metrics
     on_punctuation;
     retain;
     fault;
-    plan;
     metrics;
     exec;
     obs = make_obs ~observe metrics;
     scratch = Batch.create ();
-    sub = Batch.create ();
+    frames = Bin.frames ();
+    writer = Codec.writer ~plan ~mode;
+    image = Buffer.create 4096;
     seq;
     wal = None;
     rows_oc = None;
@@ -187,27 +189,46 @@ let make ~dir ~every ~on_punctuation ~retain ~fault ~observe ~plan ~metrics
     closed = false;
   }
 
+(* A fresh pipeline must not share its directory with an earlier one:
+   stale snapshots and log segments would be numbered into the new
+   run's, and recovery would read them as its own history. *)
+let check_unused dir =
+  if Sys.file_exists dir && Sys.is_directory dir then
+    match
+      Array.find_opt
+        (fun f -> chk_seq f <> None || wal_seq f <> None)
+        (Sys.readdir dir)
+    with
+    | Some f ->
+        invalid_arg
+          (Printf.sprintf
+             "Checkpoint.create: %s already holds checkpoint files (%s); \
+              recover it or start from an empty directory"
+             dir f)
+    | None -> ()
+
 let create ~dir ?(every = 1000) ?(on_punctuation = false) ?(retain = 3)
     ?(fault = Fault.passive ()) ?metrics ?(mode = Stream_exec.Naive)
     ?(observe = true) ?spill plan =
+  check_unused dir;
   let metrics =
     match metrics with Some m -> m | None -> Metrics.create ()
   in
   let exec = Stream_exec.create ~metrics ~mode ~observe ?spill plan in
   let t =
-    make ~dir ~every ~on_punctuation ~retain ~fault ~observe ~plan ~metrics
-      ~exec ~seq:0
+    make ~dir ~every ~on_punctuation ~retain ~fault ~observe ~plan ~mode
+      ~metrics ~exec ~seq:0
   in
   t.wal <- Some (open_out_bin (Filename.concat dir (wal_name 0)));
   t.rows_oc <- Some (open_out_bin (Filename.concat dir rows_name));
   t
 
 let resume ~dir ?(every = 1000) ?(on_punctuation = false) ?(retain = 3)
-    ?(fault = Fault.passive ()) ?(observe = true) ~plan ~metrics ~seq
+    ?(fault = Fault.passive ()) ?(observe = true) ~plan ~mode ~metrics ~seq
     ~rows_persisted exec =
   let t =
-    make ~dir ~every ~on_punctuation ~retain ~fault ~observe ~plan ~metrics
-      ~exec ~seq
+    make ~dir ~every ~on_punctuation ~retain ~fault ~observe ~plan ~mode
+      ~metrics ~exec ~seq
   in
   (* recovery truncated the row log to exactly [rows_persisted] whole
      records; append after them.  Rows the executor re-emitted during
@@ -228,62 +249,62 @@ let resume ~dir ?(every = 1000) ?(on_punctuation = false) ?(retain = 3)
 (* The one ingest path; [feed] and [advance] below are one-slot
    batches of it.  The batch is validated against the engine's
    watermark before anything is logged, so a late event leaves no WAL
-   record and no state change.  It is then split into sub-batches cut
-   at every point where the per-event path would have done something
+   record and no state change.  It is then cut into pieces at every
+   point where the per-event path would have done something
    observable — a punctuation mark (advance + optional snapshot), the
-   every-N checkpoint cadence, and the fault plan's crash ordinal.
-   Inside a sub-batch the WAL records are appended (one flush for the
-   whole sub-batch, still strictly before the events are fed) and the
-   engine consumes the events via [feed_batch]; at each cut the engine
-   state equals the per-event state, so snapshots taken at
-   batch-internal punctuations recover byte-identically. *)
+   every-N checkpoint cadence, and the fault plan's crash ordinal —
+   computed from the counters, not found by walking events.  Each
+   piece is logged straight from the batch columns (one output and one
+   flush, strictly before the events are fed) and reaches the engine
+   as a column range; at each cut the engine state equals the
+   per-event state, so snapshots taken at batch-internal punctuations
+   recover byte-identically. *)
 let feed_batch t b =
   if t.closed then invalid_arg "Checkpoint: already closed";
   Stream_exec.validate t.exec b;
-  let sub = t.sub in
-  Batch.reset sub;
-  let flush_sub () =
-    let n = Batch.length sub in
-    if n > 0 then begin
-      for i = 0 to n - 1 do
-        append_noflush t (Codec.Wal_event (Batch.event sub i))
+  let times = Batch.times b
+  and keys = Batch.keys b
+  and values = Batch.values b in
+  (* feed events [!pos, hi) in pieces that end at the every-N cadence
+     and at the crash ordinal, so a checkpoint or a crash only ever
+     lands on the last event of a piece *)
+  let pos = ref 0 in
+  let feed_upto hi =
+    while !pos < hi do
+      let room = t.every - t.since in
+      let room =
+        match Fault.crash_at_event t.fault with
+        | Some k -> min room (max 1 (k - t.ordinal))
+        | None -> room
+      in
+      let lo = !pos in
+      let stop = if room >= hi - lo then hi else lo + room in
+      for i = lo to stop - 1 do
+        Codec.add_event t.frames ~time:times.(i) ~key:keys.(i)
+          ~value:values.(i);
+        if Bin.frames_full t.frames then Bin.output_frames (wal t) t.frames
       done;
       flush_wal t;
-      Stream_exec.feed_batch t.exec sub;
+      Stream_exec.feed_range t.exec b lo stop;
       drain_rows t;
-      (* the cuts guarantee a checkpoint or crash ordinal can only land
-         on the last event of a sub-batch, where the engine state is
-         exactly the per-event state *)
-      for _ = 1 to n do
-        t.ordinal <- t.ordinal + 1;
-        t.since <- t.since + 1;
-        Fault.on_event t.fault t.ordinal;
-        if t.since >= t.every then checkpoint_now t
-      done;
-      Batch.reset sub
-    end
+      pos := stop;
+      t.ordinal <- t.ordinal + (stop - lo);
+      t.since <- t.since + (stop - lo);
+      Fault.on_event t.fault t.ordinal;
+      if t.since >= t.every then checkpoint_now t
+    done
   in
-  Batch.iter_slots
-    (function
-      | Batch.Ev e ->
-          Batch.push sub e;
-          let pending = Batch.length sub in
-          let cut_every = t.since + pending >= t.every in
-          let cut_fault =
-            match Fault.crash_at_event t.fault with
-            | Some k -> t.ordinal + pending >= k
-            | None -> false
-          in
-          if cut_every || cut_fault then flush_sub ()
-      | Batch.Punct wm ->
-          flush_sub ();
-          append_noflush t (Codec.Wal_advance wm);
-          flush_wal t;
-          Stream_exec.advance t.exec wm;
-          drain_rows t;
-          if t.on_punctuation then checkpoint_now t)
-    b;
-  flush_sub ()
+  let n = Batch.length b in
+  for j = 0 to Batch.mark_count b - 1 do
+    let at, wm = Batch.mark b j in
+    feed_upto (min at n);
+    Codec.add_advance t.frames wm;
+    flush_wal t;
+    Stream_exec.advance t.exec wm;
+    drain_rows t;
+    if t.on_punctuation then checkpoint_now t
+  done;
+  feed_upto n
 
 let feed t e =
   Batch.reset t.scratch;

@@ -44,7 +44,11 @@ val create :
 (** Fresh pipeline over an empty (or to-be-created) directory.
     [every] defaults to 1000 events, [retain] to 3 snapshots.  Raises
     [Invalid_argument] on non-positive [every]/[retain] or an invalid
-    plan.  [spill] runs the executor under a memory budget
+    plan, and — before writing anything — on a directory that already
+    holds snapshot or log files (a used directory is resumed with
+    {!Recover.load}, never reused: its stale files would be read back
+    as the new run's history).  The message names the directory and
+    one stale file.  [spill] runs the executor under a memory budget
     ({!Fw_engine.Stream_exec.create}); snapshots re-absorb spilled
     entries at export time, so checkpoints stay self-contained and
     recovery never reads spill files. *)
@@ -57,14 +61,17 @@ val resume :
   ?fault:Fault.t ->
   ?observe:bool ->
   plan:Fw_plan.Plan.t ->
+  mode:Fw_engine.Stream_exec.mode ->
   metrics:Fw_engine.Metrics.t ->
   seq:int ->
   rows_persisted:int ->
   Fw_engine.Stream_exec.t ->
   t
 (** Wrap an executor rebuilt by {!Recover}, continuing the sequence
-    numbering above [seq].  [rows_persisted] is the whole-record length
-    recovery truncated [rows.log] to; appending continues after it.
+    numbering above [seq].  [mode] is the executor's mode, which its
+    snapshots are fingerprinted with.  [rows_persisted] is the
+    whole-record length recovery truncated [rows.log] to; appending
+    continues after it.
     Takes an immediate snapshot so the new process starts its own log
     segment instead of appending after a possibly-torn tail. *)
 
@@ -81,10 +88,13 @@ val feed_batch : t -> Fw_engine.Batch.t -> unit
     place, with an [on_punctuation] snapshot if configured — i.e.
     checkpoints can land {e mid-batch} and recover byte-identically),
     the [every]-event checkpoint cadence, and the fault plan's crash
-    ordinal.  Every event is logged before it is fed (one WAL flush per
-    sub-batch, still strictly ahead of the feed), so a {!Fault.Crash}
-    raised mid-batch leaves the log holding exactly the events fed —
-    the same durable prefix a per-event run would have.  Propagates
+    ordinal — the latter two computed from the counters, not found by
+    walking events.  Each piece is framed into the WAL straight from
+    the batch columns and made durable (one output and one flush per
+    piece) before it reaches the executor as a column range
+    ({!Fw_engine.Stream_exec.feed_range}), so a {!Fault.Crash} raised
+    mid-batch leaves the log holding exactly the events fed — the same
+    durable prefix a per-event run would have.  Propagates
     {!Fault.Crash}. *)
 
 val feed : t -> Fw_engine.Event.t -> unit

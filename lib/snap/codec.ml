@@ -118,11 +118,6 @@ let mode_name = function
   | Stream_exec.Naive -> "naive"
   | Stream_exec.Incremental -> "incremental"
 
-let w_event b (e : Event.t) =
-  Bin.w_i64 b e.Event.time;
-  Bin.w_string b e.Event.key;
-  Bin.w_float b e.Event.value
-
 let r_event r =
   let time = Bin.r_i64 r in
   let key = Bin.r_string r in
@@ -155,16 +150,6 @@ type snapshot = {
   s_ingested : int;
   s_processed : (Window.t * int) list;
 }
-
-let w_snapshot b s =
-  Bin.w_i64 b s.s_rows_persisted;
-  Bin.w_i64 b s.s_ingested;
-  Bin.w_list b
-    (fun b (w, n) ->
-      w_window b w;
-      Bin.w_i64 b n)
-    s.s_processed;
-  Bin.w_string b s.s_image
 
 let r_snapshot ~mode r =
   let s_rows_persisted = Bin.r_i64 r in
@@ -207,14 +192,79 @@ let header_len = String.length magic + 2 + 8 + 8
    only kind; any other byte fails closed. *)
 let kind_engine = 0
 
-let encode_frame ~fingerprint payload =
-  let b = Buffer.create (header_len + String.length payload + 4) in
-  Buffer.add_string b magic;
-  Bin.w_u16 b version;
-  Bin.w_raw64 b fingerprint;
-  Bin.w_i64 b (String.length payload);
-  Buffer.add_string b payload;
-  Bin.w_u32 b (Bin.crc32 payload);
+(* The kept state of one pipeline's snapshot writer: its plan
+   fingerprint, computed once, and buffers reused across snapshots.  A
+   snapshot file is written in four parts — header, payload prefix (the
+   counters and the image's length), image, CRC — and the CRC is
+   carried across the prefix and the image without joining them. *)
+type writer = {
+  fingerprint : int64;
+  head : Buffer.t;  (* header, then the CRC trailer *)
+  prefix : Buffer.t;
+  chunk : Bytes.t;  (* the image passes through here to be CRC'd *)
+}
+
+let writer ~plan ~mode =
+  {
+    fingerprint = plan_fingerprint plan mode;
+    head = Buffer.create header_len;
+    prefix = Buffer.create 256;
+    chunk = Bytes.create 4096;
+  }
+
+let crc_buffer w crc b =
+  let n = Buffer.length b and size = Bytes.length w.chunk in
+  let rec go crc pos =
+    if pos >= n then crc
+    else
+      let len = min size (n - pos) in
+      Buffer.blit b pos w.chunk 0 len;
+      go
+        (Bin.crc32_update crc (Bytes.unsafe_to_string w.chunk) 0 len)
+        (pos + len)
+  in
+  go crc 0
+
+(* Hand the frame's parts to [emit] in file order — header, payload
+   prefix, image, CRC — and return the bytes emitted.  The payload is
+   the layout [r_snapshot] reads after the kind byte: the image is its
+   last field, a length-prefixed string, so the prefix ends with the
+   image's length. *)
+let emit_snapshot w emit ~rows_persisted ~ingested ~processed image =
+  let p = w.prefix and h = w.head in
+  Buffer.clear p;
+  Bin.w_u8 p kind_engine;
+  Bin.w_i64 p rows_persisted;
+  Bin.w_i64 p ingested;
+  Bin.w_list p
+    (fun b (win, n) ->
+      w_window b win;
+      Bin.w_i64 b n)
+    processed;
+  Bin.w_i64 p (Buffer.length image);
+  Buffer.clear h;
+  Buffer.add_string h magic;
+  Bin.w_u16 h version;
+  Bin.w_raw64 h w.fingerprint;
+  Bin.w_i64 h (Buffer.length p + Buffer.length image);
+  emit h;
+  emit p;
+  emit image;
+  Buffer.clear h;
+  Bin.w_u32 h (crc_buffer w (crc_buffer w 0 p) image);
+  emit h;
+  header_len + Buffer.length p + Buffer.length image + 4
+
+let output_snapshot w oc = emit_snapshot w (Buffer.output_buffer oc)
+
+let encode_snapshot ~plan s =
+  let w = writer ~plan ~mode:(Stream_exec.image_mode s.s_image) in
+  let image = Buffer.create (String.length s.s_image) in
+  Buffer.add_string image s.s_image;
+  let b = Buffer.create (String.length s.s_image + 256) in
+  ignore
+    (emit_snapshot w (Buffer.add_buffer b) ~rows_persisted:s.s_rows_persisted
+       ~ingested:s.s_ingested ~processed:s.s_processed image);
   Buffer.contents b
 
 let decode_frame ~plan ~mode decode s =
@@ -265,36 +315,32 @@ let decode_frame ~plan ~mode decode s =
   | Corrupt m -> Error m
   | Invalid_argument m -> Error ("invalid state in snapshot: " ^ m)
 
-let encode_snapshot ~plan s =
-  let payload = Buffer.create (String.length s.s_image + 256) in
-  Bin.w_u8 payload kind_engine;
-  w_snapshot payload s;
-  encode_frame
-    ~fingerprint:(plan_fingerprint plan (Stream_exec.image_mode s.s_image))
-    (Buffer.contents payload)
-
 let decode_snapshot ~plan ~mode s =
   decode_frame ~plan ~mode (r_snapshot ~mode) s
 
 (* --- write-ahead log ----------------------------------------------- *)
 
 (* Both on-disk logs (the event WAL and the emitted-row log) frame each
-   record with {!Bin.frame}, and {!Bin.decode_frames} stops cleanly at
-   the first torn or corrupt record: a crash can leave a partial record
-   at the tail, and everything before it is still good. *)
+   record with {!Bin.frame_into}, and {!Bin.decode_frames} stops
+   cleanly at the first torn or corrupt record: a crash can leave a
+   partial record at the tail, and everything before it is still
+   good. *)
 
 type wal_record = Wal_event of Event.t | Wal_advance of int
 
-let encode_wal_record rec_ =
-  let payload = Buffer.create 32 in
-  (match rec_ with
-  | Wal_event e ->
-      Bin.w_u8 payload 1;
-      w_event payload e
-  | Wal_advance t ->
-      Bin.w_u8 payload 2;
-      Bin.w_i64 payload t);
-  Bin.frame (Buffer.contents payload)
+let add_event fr ~time ~key ~value =
+  let b = Bin.payload fr in
+  Bin.w_u8 b 1;
+  Bin.w_i64 b time;
+  Bin.w_string b key;
+  Bin.w_float b value;
+  Bin.add_frame fr b
+
+let add_advance fr t =
+  let b = Bin.payload fr in
+  Bin.w_u8 b 2;
+  Bin.w_i64 b t;
+  Bin.add_frame fr b
 
 let decode_wal_record r =
   match Bin.r_u8 r with
@@ -306,9 +352,9 @@ let decode_wal s = Bin.decode_frames decode_wal_record s
 
 (* --- emitted-row log ----------------------------------------------- *)
 
-let encode_row_record row =
-  let payload = Buffer.create 48 in
-  w_row payload row;
-  Bin.frame (Buffer.contents payload)
+let add_row fr row =
+  let b = Bin.payload fr in
+  w_row b row;
+  Bin.add_frame fr b
 
 let decode_rows s = Bin.decode_frames r_row s

@@ -40,7 +40,32 @@ type snapshot = {
           accounting survives a restart exactly *)
 }
 
+type writer
+(** A pipeline's snapshot writer: the plan fingerprint, computed once,
+    and the small buffers it reuses across snapshots. *)
+
+val writer : plan:Fw_plan.Plan.t -> mode:Fw_engine.Stream_exec.mode -> writer
+
+val output_snapshot :
+  writer ->
+  out_channel ->
+  rows_persisted:int ->
+  ingested:int ->
+  processed:(Fw_window.Window.t * int) list ->
+  Buffer.t ->
+  int
+(** Write a snapshot frame whose engine image is the buffer's contents
+    (an {!Fw_engine.Stream_exec.export_into} image taken in the
+    writer's mode): the header, the payload's counters, the image
+    straight from the buffer and the CRC, carried across the parts with
+    {!Fw_spill.Bin.crc32_update}.  Returns the bytes written.  The
+    fields are {!snapshot}'s, and the bytes are those of
+    {!encode_snapshot}. *)
+
 val encode_snapshot : plan:Fw_plan.Plan.t -> snapshot -> string
+(** The frame {!output_snapshot} writes, as a string, fingerprinted for
+    the mode the image was taken in.  Raises [Invalid_argument] when
+    the image's mode byte is unknown. *)
 
 val decode_snapshot :
   plan:Fw_plan.Plan.t ->
@@ -63,7 +88,13 @@ type wal_record =
   | Wal_event of Fw_engine.Event.t
   | Wal_advance of int  (** an explicit punctuation *)
 
-val encode_wal_record : wal_record -> string
+val add_event :
+  Fw_spill.Bin.frames -> time:int -> key:string -> value:float -> unit
+(** Frame the [Wal_event] record of one event ({!Fw_spill.Bin.add_frame}),
+    encoded once from its fields — no {!Fw_engine.Event.t} is built. *)
+
+val add_advance : Fw_spill.Bin.frames -> int -> unit
+(** Frame a [Wal_advance] record. *)
 
 val decode_wal : string -> wal_record list
 (** Decode a log image, silently discarding the torn/corrupt tail. *)
@@ -76,7 +107,8 @@ val decode_wal : string -> wal_record list
     time, just before the snapshot rename, so a valid snapshot's count
     never exceeds the decodable prefix of the log. *)
 
-val encode_row_record : Fw_engine.Row.t -> string
+val add_row : Fw_spill.Bin.frames -> Fw_engine.Row.t -> unit
+(** Frame one row-log record. *)
 
 val decode_rows : string -> Fw_engine.Row.t list
 (** Decode a row-log image, silently discarding the torn/corrupt

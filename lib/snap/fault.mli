@@ -34,7 +34,7 @@ val passive : unit -> t
 
 val crash_at_event : t -> int option
 (** The configured crash ordinal, if any.  Batched ingestion cuts its
-    sub-batches here so the crash lands after exactly the same events
+    pieces here so the crash lands after exactly the same events
     as under per-event feeding. *)
 
 (** {2 Hooks (called by {!Checkpoint})} *)

@@ -1,6 +1,7 @@
 module Metrics = Fw_engine.Metrics
 module Stream_exec = Fw_engine.Stream_exec
 module Plan = Fw_plan.Plan
+module Bin = Fw_spill.Bin
 
 type resumed = {
   checkpoint : Checkpoint.t;
@@ -70,14 +71,19 @@ let rec take n = function
 
 (* Rewrite the row log to exactly the first [n] whole records
    (tmp + rename): drops both the torn tail and any rows beyond the
-   chosen snapshot, so the resumed process appends from a clean edge. *)
+   chosen snapshot, so the resumed process appends from a clean edge.
+   The records are framed as the pipeline frames them. *)
 let truncate_rows dir rows n =
   let path = Filename.concat dir Checkpoint.rows_name in
   let tmp = path ^ ".tmp" in
+  let fr = Bin.frames () in
   Out_channel.with_open_bin tmp (fun oc ->
       List.iter
-        (fun row -> Out_channel.output_string oc (Codec.encode_row_record row))
-        (take n rows));
+        (fun row ->
+          Codec.add_row fr row;
+          if Bin.frames_full fr then Bin.output_frames oc fr)
+        (take n rows);
+      Bin.output_frames oc fr);
   Sys.rename tmp path
 
 let replay_segment exec path counts =
@@ -198,7 +204,8 @@ let load ~dir ?every ?on_punctuation ?retain ?fault ?(observe = true)
               truncate_rows dir rows_log rows_persisted;
               let checkpoint =
                 Checkpoint.resume ~dir ?every ?on_punctuation ?retain ?fault
-                  ~observe ~plan ~metrics ~seq:max_seen ~rows_persisted exec
+                  ~observe ~plan ~mode ~metrics ~seq:max_seen ~rows_persisted
+                  exec
               in
               Ok
                 {

@@ -50,11 +50,14 @@ let u32le s i =
   let v = get32u s i in
   Int32.to_int (if Sys.big_endian then swap32 v else v) land 0xFFFFFFFF
 
-let crc32_sub s pos len =
+(* [crc] is the finished CRC of the bytes before [pos]: undoing the
+   final inversion resumes the register, so a CRC can be carried across
+   parts that never sit side by side in memory. *)
+let crc32_update crc s pos len =
   if pos < 0 || len < 0 || pos > String.length s - len then
-    invalid_arg "Fw_spill.Bin.crc32_sub";
+    invalid_arg "Fw_spill.Bin.crc32_update";
   let t = crc_tables in
-  let c = ref 0xFFFFFFFF and i = ref pos in
+  let c = ref (crc lxor 0xFFFFFFFF) and i = ref pos in
   let stop = pos + (len land lnot 7) in
   while !i < stop do
     let one = u32le s !i lxor !c and two = u32le s (!i + 4) in
@@ -76,6 +79,7 @@ let crc32_sub s pos len =
   done;
   !c lxor 0xFFFFFFFF
 
+let crc32_sub s pos len = crc32_update 0 s pos len
 let crc32 s = crc32_sub s 0 (String.length s)
 
 (* --- writer primitives --------------------------------------------- *)
@@ -168,17 +172,49 @@ let r_option r f = match r_bool r with false -> None | true -> Some (f r)
 (* --- framed append-only records ------------------------------------ *)
 
 (* The WAL, the emitted-row log and the spill files share one record
-   framing: [len u32][payload][crc32(payload) u32], flushed in whole
-   records.  [decode_frames] scans an image and stops cleanly at the
-   first torn or corrupt record: a crash can leave a partial record at
-   the tail, and everything before it is still good. *)
+   framing, [len u32][payload][crc32(payload) u32], written by
+   [frame_into] alone and flushed in whole records.  [decode_frames]
+   scans an image and stops cleanly at the first torn or corrupt
+   record: a crash can leave a partial record at the tail, and
+   everything before it is still good. *)
 
-let frame payload =
-  let b = Buffer.create (String.length payload + 8) in
-  w_u32 b (String.length payload);
-  Buffer.add_string b payload;
-  w_u32 b (crc32 payload);
-  Buffer.contents b
+(* The one framing routine: [payload]'s bytes framed at [dst.[pos..]]
+   with a single blit, the CRC computed over the copy in place.  The
+   caller guarantees [Buffer.length payload + 8] bytes of room. *)
+let frame_into payload dst pos =
+  let plen = Buffer.length payload in
+  Bytes.set_int32_le dst pos (Int32.of_int plen);
+  Buffer.blit payload 0 dst (pos + 4) plen;
+  Bytes.set_int32_le dst (pos + 4 + plen)
+    (Int32.of_int (crc32_sub (Bytes.unsafe_to_string dst) (pos + 4) plen))
+
+(* A kept, growable run of whole frames plus the kept buffer their
+   payloads are encoded into: the log writers encode each record once
+   and hand the run to their channel in one [output]. *)
+type frames = { payload : Buffer.t; mutable buf : Bytes.t; mutable len : int }
+
+let frames () = { payload = Buffer.create 64; buf = Bytes.create 1024; len = 0 }
+
+let payload fr =
+  Buffer.clear fr.payload;
+  fr.payload
+
+let add_frame fr b =
+  let need = fr.len + Buffer.length b + 8 in
+  if need > Bytes.length fr.buf then begin
+    let buf = Bytes.create (max need (2 * Bytes.length fr.buf)) in
+    Bytes.blit fr.buf 0 buf 0 fr.len;
+    fr.buf <- buf
+  end;
+  frame_into b fr.buf fr.len;
+  fr.len <- need
+
+let frames_full fr = fr.len >= 1 lsl 16
+let frames_contents fr = Bytes.sub_string fr.buf 0 fr.len
+
+let output_frames oc fr =
+  output oc fr.buf 0 fr.len;
+  fr.len <- 0
 
 let decode_frames decode s =
   let n = String.length s in

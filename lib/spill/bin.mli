@@ -24,6 +24,13 @@ val crc32_sub : string -> int -> int -> int
     to the bytewise definition).  Raises [Invalid_argument] when
     [pos]/[len] do not name a substring of [s]. *)
 
+val crc32_update : int -> string -> int -> int -> int
+(** [crc32_update crc s pos len] carries [crc], the CRC-32 of some
+    bytes [p], over the substring: it is the CRC-32 of [p] followed by
+    [s.[pos..pos+len)].  [crc32_sub s pos len = crc32_update 0 s pos
+    len], so a CRC can be computed across parts that never sit side by
+    side in memory.  Raises [Invalid_argument] like {!crc32_sub}. *)
+
 (** {2 Writers} *)
 
 val w_u8 : Buffer.t -> int -> unit
@@ -60,9 +67,40 @@ val r_option : reader -> (reader -> 'a) -> 'a option
 (** {2 Record framing}
 
     [len u32 | payload | crc32(payload) u32] — the framing shared by
-    the WAL, the emitted-row log and the spill files. *)
+    the WAL, the emitted-row log and the spill files, written by
+    {!frame_into} alone. *)
 
-val frame : string -> string
+val frame_into : Buffer.t -> Bytes.t -> int -> unit
+(** [frame_into payload dst pos] writes the framed record at
+    [dst.[pos..pos + Buffer.length payload + 8)]: one blit of the
+    payload, its CRC computed over the copied bytes.  The caller
+    guarantees the room. *)
+
+type frames
+(** A kept, growable scratch of whole frames, with a kept buffer for
+    the payload being encoded: a log writer encodes each record once
+    into {!payload}, frames it with {!add_frame}, and hands the run to
+    its channel with one {!output_frames}. *)
+
+val frames : unit -> frames
+
+val payload : frames -> Buffer.t
+(** The kept payload buffer, cleared. *)
+
+val add_frame : frames -> Buffer.t -> unit
+(** Append the framed payload ({!frame_into}), growing the scratch. *)
+
+val frames_full : frames -> bool
+(** At least 64 KiB pending: a writer that may frame many records
+    before its next output calls {!output_frames} here, so the scratch
+    stays bounded. *)
+
+val frames_contents : frames -> string
+(** The pending frames, copied out (the scratch is left as it is). *)
+
+val output_frames : out_channel -> frames -> unit
+(** Write the pending frames with one [output] and empty the scratch
+    (its storage is kept). *)
 
 val decode_frames : (reader -> 'a) -> string -> 'a list
 (** Scan an image of concatenated frames; stops cleanly at the first

@@ -2,7 +2,7 @@
    store.
 
    Records use the shared framing [len u32][payload][crc32 u32]
-   ({!Bin.frame}); every payload opens with the {!Bin.spill_kind} byte
+   ({!Bin.frame_into}); every payload opens with the {!Bin.spill_kind} byte
    followed by a state-kind tag and the entry's key, so a record read
    back at fault-in time is verified to be (a) intact (CRC), (b) a
    spill record at all, and (c) the record for the requested key —
@@ -92,19 +92,16 @@ let grow t len =
   t.size <- t.size + len;
   t.live <- t.live + len
 
-(* Frame the payload in [b] ({!Bin.frame}'s bytes) in the scratch
-   buffer — the one copy between the codec and the disk — and append it
-   in one write; returns (offset, record length on disk).  A payload
-   grown past {!chunk} gives its storage back. *)
+(* Frame the payload in [b] in the scratch buffer ({!Bin.frame_into},
+   the one copy between the codec and the disk) and append it in one
+   write; returns (offset, record length on disk).  A payload grown
+   past {!chunk} gives its storage back. *)
 let append_payload t b =
   check_open t "append";
   let plen = Buffer.length b in
   let len = plen + 8 in
   let buf = scratch t len in
-  Bytes.set_int32_le buf 0 (Int32.of_int plen);
-  Buffer.blit b 0 buf 4 plen;
-  Bytes.set_int32_le buf (4 + plen)
-    (Int32.of_int (Bin.crc32_sub (Bytes.unsafe_to_string buf) 4 plen));
+  Bin.frame_into b buf 0;
   if plen > chunk then Buffer.reset b;
   let off = t.size in
   write_at t off buf 0 len;

@@ -36,8 +36,8 @@ val start_payload : Buffer.t -> kind:int -> key:string -> unit
     encodes straight into [b]). *)
 
 val append_payload : t -> Buffer.t -> int * int
-(** Frame the payload in the buffer ([len | payload | crc32], the bytes
-    of {!Bin.frame}) in the file's scratch buffer and append it in one
+(** Frame the payload in the buffer ([len | payload | crc32], through
+    {!Bin.frame_into}) in the file's scratch buffer and append it in one
     write; returns the record's [(offset, length)] for the in-memory
     index.  That framing copy is the only one between codec and disk. *)
 

@@ -13,6 +13,8 @@ module Stream_exec = Fw_engine.Stream_exec
 module Metrics = Fw_engine.Metrics
 module Event = Fw_engine.Event
 module Plan = Fw_plan.Plan
+module Batch = Fw_engine.Batch
+module Bin = Fw_spill.Bin
 
 let ev t k v = Event.make ~time:t ~key:k ~value:v
 
@@ -232,6 +234,19 @@ let test_truncated_snapshot_fails_closed () =
 
 (* --- WAL and row-log framing --------------------------------------- *)
 
+(* A log image: the records framed into one kept scratch, as the
+   pipeline frames them. *)
+let log_image add records =
+  let fr = Bin.frames () in
+  List.iter (add fr) records;
+  Bin.frames_contents fr
+
+let add_wal fr = function
+  | Codec.Wal_event e ->
+      Codec.add_event fr ~time:e.Event.time ~key:e.Event.key
+        ~value:e.Event.value
+  | Codec.Wal_advance t -> Codec.add_advance fr t
+
 let test_wal_roundtrip_and_torn_tail () =
   let records =
     [
@@ -240,9 +255,7 @@ let test_wal_roundtrip_and_torn_tail () =
       Codec.Wal_event (ev 9 "long-key-with-bytes" (-0.0));
     ]
   in
-  let image =
-    String.concat "" (List.map Codec.encode_wal_record records)
-  in
+  let image = log_image add_wal records in
   check_bool "full image decodes" true (Codec.decode_wal image = records);
   (* a torn tail (partial last record) must yield the clean prefix *)
   let torn = String.sub image 0 (String.length image - 3) in
@@ -258,7 +271,7 @@ let test_row_log_roundtrip_and_torn_tail () =
     Stream_exec.close exec ~horizon:37
   in
   check_bool "fixture emits rows" true (List.length rows > 4);
-  let image = String.concat "" (List.map Codec.encode_row_record rows) in
+  let image = log_image Codec.add_row rows in
   check_bool "full image decodes" true (Codec.decode_rows image = rows);
   let torn = String.sub image 0 (String.length image - 2) in
   let prefix = Codec.decode_rows torn in
@@ -267,6 +280,152 @@ let test_row_log_roundtrip_and_torn_tail () =
     (List.length prefix);
   check_bool "prefix intact" true
     (prefix = List.filteri (fun i _ -> i < List.length rows - 1) rows)
+
+(* --- the one framing routine ---------------------------------------- *)
+
+module Window = Fw_window.Window
+module Interval = Fw_window.Interval
+module Row = Fw_engine.Row
+
+(* The framing every log used before records were framed in place
+   ([Bin.frame]), kept here as the reference. *)
+let reference_frame payload =
+  let b = Buffer.create (String.length payload + 8) in
+  Bin.w_u32 b (String.length payload);
+  Buffer.add_string b payload;
+  Bin.w_u32 b (Bin.crc32 payload);
+  Buffer.contents b
+
+(* Reference payloads, written field by field with the Bin writers. *)
+let payload_of f =
+  let b = Buffer.create 64 in
+  f b;
+  Buffer.contents b
+
+let wal_payload = function
+  | Codec.Wal_event e ->
+      payload_of (fun b ->
+          Bin.w_u8 b 1;
+          Bin.w_i64 b e.Event.time;
+          Bin.w_string b e.Event.key;
+          Bin.w_float b e.Event.value)
+  | Codec.Wal_advance t ->
+      payload_of (fun b ->
+          Bin.w_u8 b 2;
+          Bin.w_i64 b t)
+
+let row_payload (row : Row.t) =
+  payload_of (fun b ->
+      (match row.Row.window with
+      | Window.Hop { domain = Window.Time; range; slide } ->
+          Bin.w_u8 b 0;
+          Bin.w_i64 b range;
+          Bin.w_i64 b slide
+      | Window.Hop { domain = Window.Count; range; slide } ->
+          Bin.w_u8 b 1;
+          Bin.w_i64 b range;
+          Bin.w_i64 b slide
+      | Window.Session { gap } ->
+          Bin.w_u8 b 2;
+          Bin.w_i64 b gap);
+      Bin.w_i64 b (Interval.lo row.Row.interval);
+      Bin.w_i64 b (Interval.hi row.Row.interval);
+      Bin.w_string b row.Row.key;
+      Bin.w_float b row.Row.value)
+
+let gen_log_value =
+  QCheck2.Gen.(
+    frequency
+      [
+        (3, float);
+        (2, oneofl [ 0.0; -0.0; nan; infinity; neg_infinity ]);
+        (1, map Int64.float_of_bits int64);
+      ])
+
+let gen_log_key =
+  QCheck2.Gen.(
+    frequency
+      [ (4, string_size (int_range 0 8)); (1, string_size (int_range 0 300)) ])
+
+let gen_wal_record =
+  QCheck2.Gen.(
+    frequency
+      [
+        ( 4,
+          map3
+            (fun time key value ->
+              Codec.Wal_event (Event.make ~time ~key ~value))
+            (int_range 0 (1 lsl 40)) gen_log_key gen_log_value );
+        (1, map (fun t -> Codec.Wal_advance t) int);
+      ])
+
+let gen_log_row =
+  QCheck2.Gen.(
+    let* window =
+      let* s = int_range 1 50 and* k = int_range 1 8 in
+      oneofl
+        [
+          Window.make ~range:(k * s) ~slide:s;
+          Window.count_hop ~range:(k * s) ~slide:s;
+          Window.session ~gap:s;
+        ]
+    in
+    let* lo = int_range 0 (1 lsl 40) and* len = int_range 1 1000 in
+    let* key = gen_log_key and* value = gen_log_value in
+    return
+      { Row.window; interval = Interval.make ~lo ~hi:(lo + len); key; value })
+
+(* A decoder that hands back each intact frame's payload as is. *)
+let raw_payload r =
+  let s = String.sub r.Bin.src r.Bin.pos (Bin.remaining r) in
+  r.Bin.pos <- r.Bin.limit;
+  s
+
+(* Frame the records into one kept scratch with [add]; the run must be
+   the reference frames back to back, the typed decoder must give every
+   payload back, a cut at any byte offset must decode to exactly the
+   records wholly before it, and the CRC carried across any split
+   point must equal the CRC of the whole. *)
+let framing_holds records ~payload ~add ~decode =
+  let s = log_image add records in
+  let payloads = List.map payload records in
+  let n = String.length s in
+  let ends =
+    List.rev
+      (snd
+         (List.fold_left
+            (fun (pos, acc) p ->
+              let e = pos + String.length p + 8 in
+              (e, e :: acc))
+            (0, []) payloads))
+  in
+  let intact c =
+    List.filteri (fun i _ -> List.nth ends i <= c) payloads
+  in
+  let whole = Bin.crc32 s in
+  String.equal s (String.concat "" (List.map reference_frame payloads))
+  && List.map payload (decode s) = payloads
+  && List.for_all
+       (fun c -> Bin.decode_frames raw_payload (String.sub s 0 c) = intact c)
+       (List.init (n + 1) Fun.id)
+  && List.for_all
+       (fun k -> Bin.crc32_update (Bin.crc32_sub s 0 k) s k (n - k) = whole)
+       (List.init (n + 1) Fun.id)
+
+let prop_framing_matches_reference =
+  qtest ~count:100 "log framing = reference frames; cuts decode the prefix"
+    QCheck2.Gen.(
+      pair
+        (list_size (int_range 0 40) gen_wal_record)
+        (list_size (int_range 0 24) gen_log_row))
+    (fun (wal, rows) ->
+      Printf.sprintf "%d WAL records, %d rows" (List.length wal)
+        (List.length rows))
+    (fun (wal, rows) ->
+      framing_holds wal ~payload:wal_payload ~add:add_wal
+        ~decode:Codec.decode_wal
+      && framing_holds rows ~payload:row_payload ~add:Codec.add_row
+           ~decode:Codec.decode_rows)
 
 (* --- checkpoint / recover cycles on disk --------------------------- *)
 
@@ -478,7 +637,7 @@ let test_kind_confusion_fails_closed () =
   let b = Buffer.create (String.length blob) in
   Buffer.add_string b (String.sub blob 0 header);
   Buffer.add_string b payload;
-  Fw_spill.Bin.w_u32 b (Fw_spill.Bin.crc32 payload);
+  Bin.w_u32 b (Bin.crc32 payload);
   match Codec.decode_snapshot ~plan:cycle_plan ~mode (Buffer.contents b) with
   | Ok _ -> Alcotest.fail "engine decoder accepted a kind-1 payload"
   | Error m ->
@@ -499,7 +658,6 @@ let test_name_parsing () =
    the WAL does not grow, recovery from the directory succeeds, and the
    finished rows are byte-identical to an engine that never saw it. *)
 let test_late_event_leaves_no_log () =
-  let module Batch = Fw_engine.Batch in
   List.iter
     (fun mode ->
       let dir = temp_dir () in
@@ -545,6 +703,276 @@ let test_late_event_leaves_no_log () =
                 (Checkpoint.close r.Recover.checkpoint ~horizon:cycle_horizon, r)))
     [ Stream_exec.Naive; Stream_exec.Incremental ]
 
+(* --- golden directory bytes ---------------------------------------- *)
+
+(* One fixed pipeline per mode, fed per event and in batches of 64 with
+   a punctuation inside every batch; [every = 17] lands snapshot cuts
+   mid-batch.  Three directory states are pinned by the MD5 of every
+   file: an uninterrupted run, the directory a crash at a mid-batch
+   ordinal leaves behind, and that directory after recovery and close.
+   The digests were recorded before the write path was rebuilt to
+   encode each record in place; per-event and batched feeding must
+   both reproduce them. *)
+let golden_plan = Plan.naive Aggregate.Sum [ w ~r:12 ~s:4; w ~r:20 ~s:6 ]
+let golden_keys = [| "a"; "bb"; ""; "a-longer-key-\001\255" |]
+
+let golden_slots =
+  List.concat
+    (List.init 300 (fun t ->
+         let v =
+           if t mod 29 = 0 then -0.0
+           else if t mod 31 = 0 then 1e300
+           else float_of_int ((t * 37) mod 101) /. 8.0
+         in
+         let e = Batch.Ev (ev t golden_keys.(t * 7 mod 4) v) in
+         if t mod 64 = 30 then [ e; Batch.Punct (t + 1) ] else [ e ]))
+
+let golden_horizon = 320
+let golden_crash = 150
+
+(* Feed [slots] per event, or cut into batches of 64 events each
+   (trailing marks ride with the batch before them). *)
+let golden_feed ~batched cp slots =
+  if not batched then
+    List.iter
+      (function
+        | Batch.Ev e -> Checkpoint.feed cp e
+        | Batch.Punct wm -> Checkpoint.advance cp wm)
+      slots
+  else
+    let rec chunks acc n = function
+      | [] ->
+          if acc <> [] then
+            Checkpoint.feed_batch cp (Batch.of_slots (List.rev acc))
+      | (Batch.Ev _ as s) :: tl when n = 64 ->
+          Checkpoint.feed_batch cp (Batch.of_slots (List.rev acc));
+          chunks [ s ] 1 tl
+      | (Batch.Ev _ as s) :: tl -> chunks (s :: acc) (n + 1) tl
+      | s :: tl -> chunks (s :: acc) n tl
+    in
+    chunks [] 0 slots
+
+let dir_digests dir =
+  Sys.readdir dir |> Array.to_list |> List.sort compare
+  |> List.map (fun f ->
+         f ^ " " ^ Digest.to_hex (Digest.file (Filename.concat dir f)))
+
+let golden_run ~batched mode =
+  let full =
+    let dir = temp_dir () in
+    Fun.protect
+      ~finally:(fun () -> rm_rf dir)
+      (fun () ->
+        let cp = Checkpoint.create ~dir ~every:17 ~mode golden_plan in
+        golden_feed ~batched cp golden_slots;
+        ignore (Checkpoint.close cp ~horizon:golden_horizon);
+        dir_digests dir)
+  in
+  let dir = temp_dir () in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let fault = Fault.create ~crash_at_event:golden_crash () in
+      let cp = Checkpoint.create ~dir ~every:17 ~fault ~mode golden_plan in
+      (match golden_feed ~batched cp golden_slots with
+      | () -> Alcotest.fail "fault did not fire"
+      | exception Fault.Crash _ -> ());
+      let crashed = dir_digests dir in
+      let rec after n = function
+        | [] -> []
+        | (Batch.Ev _ :: tl) when n = 1 -> tl
+        | Batch.Ev _ :: tl -> after (n - 1) tl
+        | _ :: tl -> after n tl
+      in
+      match Recover.load ~dir ~every:17 ~mode golden_plan with
+      | Error m -> Alcotest.fail ("recovery failed: " ^ m)
+      | Ok r ->
+          golden_feed ~batched r.Recover.checkpoint
+            (after golden_crash golden_slots);
+          ignore
+            (Checkpoint.close r.Recover.checkpoint ~horizon:golden_horizon);
+          (full, crashed, dir_digests dir))
+
+(* Recorded at 36157b6 (per-event and batched runs differ only in
+   rows.log, whose emission order follows the batch segments). *)
+let golden_digests =
+  [
+    ( (Stream_exec.Naive, false),
+      ( [
+          "chk-000000015.fws 4f25996b82e0e2a1892aa3d85de95282";
+          "chk-000000016.fws 70058c4bb20cfe130cac5627adf42ac0";
+          "chk-000000017.fws b7b9e999546966601cb09859dafda9bb";
+          "rows.log 1f90352bc7fae21072f2de4155ff05b5";
+          "wal-000000014.log 98a27e362e3b50851940fb2c7aa4d490";
+          "wal-000000015.log ad00f615a6d5370513a8563ada078f9a";
+          "wal-000000016.log b4b2f310e5e422224878fa9e0f04fd1d";
+          "wal-000000017.log e9cfd3bf49b952666a13b61b42ee02fe";
+        ],
+        [
+          "chk-000000006.fws f7a8e986f65acdad9172658d6440610d";
+          "chk-000000007.fws 3b027113d425d1eb3495e65a4fae2614";
+          "chk-000000008.fws 2cfb4fc000daebb8cd5a6c017cbd8450";
+          "rows.log 55b9112d9e8e51b32dfb5a3806cdc555";
+          "wal-000000005.log 46e71a0eb2b186e18e706963e88b86af";
+          "wal-000000006.log 669dc72ca96b3c5ae2a450ff6fe125da";
+          "wal-000000007.log 7912d7b0f34f32c604f9c2ecccc7f68d";
+          "wal-000000008.log 6534f69c9ffc091b79d5e0a4c47b4d0e";
+        ],
+        [
+          "chk-000000015.fws 8cb83f00cb957969a4c8ac8b672b2448";
+          "chk-000000016.fws 565666bac2a9b2e74161efd6cc7fff9a";
+          "chk-000000017.fws fa7169a18ccb4ca51fecd085ff58b392";
+          "rows.log 1f90352bc7fae21072f2de4155ff05b5";
+          "wal-000000014.log e0abc9bcf43eb6bfa5421997d8e8bc90";
+          "wal-000000015.log d2b019940ccef93e16977037ebbc555a";
+          "wal-000000016.log e7e6038cd413b785d0809f8fd7e29d2b";
+          "wal-000000017.log a4e8d8b9741c1953efaabee63052fee3";
+        ] ) );
+    ( (Stream_exec.Naive, true),
+      ( [
+          "chk-000000015.fws 4f25996b82e0e2a1892aa3d85de95282";
+          "chk-000000016.fws 70058c4bb20cfe130cac5627adf42ac0";
+          "chk-000000017.fws b7b9e999546966601cb09859dafda9bb";
+          "rows.log fd32b6987dd4ebd7d040bbd897a48db7";
+          "wal-000000014.log 98a27e362e3b50851940fb2c7aa4d490";
+          "wal-000000015.log ad00f615a6d5370513a8563ada078f9a";
+          "wal-000000016.log b4b2f310e5e422224878fa9e0f04fd1d";
+          "wal-000000017.log e9cfd3bf49b952666a13b61b42ee02fe";
+        ],
+        [
+          "chk-000000006.fws f7a8e986f65acdad9172658d6440610d";
+          "chk-000000007.fws 3b027113d425d1eb3495e65a4fae2614";
+          "chk-000000008.fws 2cfb4fc000daebb8cd5a6c017cbd8450";
+          "rows.log 94fe8c2b99c6a82ae9ff805fb99f2278";
+          "wal-000000005.log 46e71a0eb2b186e18e706963e88b86af";
+          "wal-000000006.log 669dc72ca96b3c5ae2a450ff6fe125da";
+          "wal-000000007.log 7912d7b0f34f32c604f9c2ecccc7f68d";
+          "wal-000000008.log 6534f69c9ffc091b79d5e0a4c47b4d0e";
+        ],
+        [
+          "chk-000000015.fws 8cb83f00cb957969a4c8ac8b672b2448";
+          "chk-000000016.fws 565666bac2a9b2e74161efd6cc7fff9a";
+          "chk-000000017.fws fa7169a18ccb4ca51fecd085ff58b392";
+          "rows.log 6aa485fe80af336f64fa071fa2358c27";
+          "wal-000000014.log e0abc9bcf43eb6bfa5421997d8e8bc90";
+          "wal-000000015.log d2b019940ccef93e16977037ebbc555a";
+          "wal-000000016.log e7e6038cd413b785d0809f8fd7e29d2b";
+          "wal-000000017.log a4e8d8b9741c1953efaabee63052fee3";
+        ] ) );
+    ( (Stream_exec.Incremental, false),
+      ( [
+          "chk-000000015.fws 78ab0cddaae2fcf3df0b3958075b70e2";
+          "chk-000000016.fws 9dc3c43c78539941789a0902bd5534a6";
+          "chk-000000017.fws 04b842ed908ee30a755dbdfa321abd67";
+          "rows.log f23439119dc61d0ec4a3aa431a0db49e";
+          "wal-000000014.log 98a27e362e3b50851940fb2c7aa4d490";
+          "wal-000000015.log ad00f615a6d5370513a8563ada078f9a";
+          "wal-000000016.log b4b2f310e5e422224878fa9e0f04fd1d";
+          "wal-000000017.log e9cfd3bf49b952666a13b61b42ee02fe";
+        ],
+        [
+          "chk-000000006.fws 1a12b6d6e32daa7afea834d6e7e9e9e6";
+          "chk-000000007.fws fd48afaf6e0377e272e2e6149c8df301";
+          "chk-000000008.fws 72e403c181f4520551f3f62581f77cd4";
+          "rows.log 3e5ae34eb99c390f86014f426097b9f6";
+          "wal-000000005.log 46e71a0eb2b186e18e706963e88b86af";
+          "wal-000000006.log 669dc72ca96b3c5ae2a450ff6fe125da";
+          "wal-000000007.log 7912d7b0f34f32c604f9c2ecccc7f68d";
+          "wal-000000008.log 6534f69c9ffc091b79d5e0a4c47b4d0e";
+        ],
+        [
+          "chk-000000015.fws 5ad3984879b1f7d69285946300728ad7";
+          "chk-000000016.fws f80d592e9db3a35614e78b5962e98b01";
+          "chk-000000017.fws 087d17b6b96dd1db0df986494a006ab7";
+          "rows.log f23439119dc61d0ec4a3aa431a0db49e";
+          "wal-000000014.log e0abc9bcf43eb6bfa5421997d8e8bc90";
+          "wal-000000015.log d2b019940ccef93e16977037ebbc555a";
+          "wal-000000016.log e7e6038cd413b785d0809f8fd7e29d2b";
+          "wal-000000017.log a4e8d8b9741c1953efaabee63052fee3";
+        ] ) );
+    ( (Stream_exec.Incremental, true),
+      ( [
+          "chk-000000015.fws 78ab0cddaae2fcf3df0b3958075b70e2";
+          "chk-000000016.fws 9dc3c43c78539941789a0902bd5534a6";
+          "chk-000000017.fws 04b842ed908ee30a755dbdfa321abd67";
+          "rows.log d94b03e6a82cc9e7bf8a54221aa0425d";
+          "wal-000000014.log 98a27e362e3b50851940fb2c7aa4d490";
+          "wal-000000015.log ad00f615a6d5370513a8563ada078f9a";
+          "wal-000000016.log b4b2f310e5e422224878fa9e0f04fd1d";
+          "wal-000000017.log e9cfd3bf49b952666a13b61b42ee02fe";
+        ],
+        [
+          "chk-000000006.fws 1a12b6d6e32daa7afea834d6e7e9e9e6";
+          "chk-000000007.fws fd48afaf6e0377e272e2e6149c8df301";
+          "chk-000000008.fws 72e403c181f4520551f3f62581f77cd4";
+          "rows.log f115fbe0ae1f501ebe5b9f586d3457b2";
+          "wal-000000005.log 46e71a0eb2b186e18e706963e88b86af";
+          "wal-000000006.log 669dc72ca96b3c5ae2a450ff6fe125da";
+          "wal-000000007.log 7912d7b0f34f32c604f9c2ecccc7f68d";
+          "wal-000000008.log 6534f69c9ffc091b79d5e0a4c47b4d0e";
+        ],
+        [
+          "chk-000000015.fws 5ad3984879b1f7d69285946300728ad7";
+          "chk-000000016.fws f80d592e9db3a35614e78b5962e98b01";
+          "chk-000000017.fws 087d17b6b96dd1db0df986494a006ab7";
+          "rows.log 29274df77600ff3c8496e7b1e56f95b6";
+          "wal-000000014.log e0abc9bcf43eb6bfa5421997d8e8bc90";
+          "wal-000000015.log d2b019940ccef93e16977037ebbc555a";
+          "wal-000000016.log e7e6038cd413b785d0809f8fd7e29d2b";
+          "wal-000000017.log a4e8d8b9741c1953efaabee63052fee3";
+        ] ) );
+  ]
+
+let test_golden_directory_bytes () =
+  List.iter
+    (fun ((mode, batched), (full, crashed, recovered)) ->
+      let full', crashed', recovered' = golden_run ~batched mode in
+      let check stage expected actual =
+        Alcotest.(check (list string))
+          (Printf.sprintf "%s %s%s" stage
+             (match mode with
+             | Stream_exec.Naive -> "naive"
+             | Stream_exec.Incremental -> "incremental")
+             (if batched then " batched" else ""))
+          expected actual
+      in
+      check "uninterrupted" full full';
+      check "crashed" crashed crashed';
+      check "recovered" recovered recovered')
+    golden_digests
+
+(* A fresh pipeline over a directory an earlier run used is refused
+   before it writes anything: reusing it would number the new run's
+   files among the stale ones, and recovery would then fail on a
+   missing log segment (or, worse, replay the old run's history). *)
+let test_create_refuses_used_dir () =
+  let dir = temp_dir () in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let cp = Checkpoint.create ~dir ~every:17 cycle_plan in
+      List.iter (Checkpoint.feed cp) cycle_events;
+      ignore (Checkpoint.close cp ~horizon:cycle_horizon);
+      let before = dir_digests dir in
+      let stale =
+        List.filter
+          (fun f ->
+            Checkpoint.chk_seq f <> None || Checkpoint.wal_seq f <> None)
+          (Array.to_list (Sys.readdir dir))
+      in
+      (match
+         Checkpoint.create ~dir ~every:17
+           ~fault:(Fault.create ~crash_at_event:40 ())
+           cycle_plan
+       with
+      | _ -> Alcotest.fail "a used directory was reused"
+      | exception Invalid_argument m ->
+          check_bool "message names the directory" true
+            (Astring_contains.contains m dir);
+          check_bool "message names a stale file" true
+            (List.exists (Astring_contains.contains m) stale));
+      Alcotest.(check (list string)) "nothing written" before (dir_digests dir))
+
 let suite =
   [
     prop_state_roundtrip;
@@ -579,4 +1007,9 @@ let suite =
     Alcotest.test_case "file name parsing" `Quick test_name_parsing;
     Alcotest.test_case "late event rejected before logging" `Quick
       test_late_event_leaves_no_log;
+    Alcotest.test_case "golden directory bytes (both modes)" `Quick
+      test_golden_directory_bytes;
+    Alcotest.test_case "create refuses a used directory" `Quick
+      test_create_refuses_used_dir;
+    prop_framing_matches_reference;
   ]
