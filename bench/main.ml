@@ -12,10 +12,11 @@
    (naive vs incremental, per-event vs batched, and the optimizer's
    rewritten plan batched in both modes), obs (instrumentation
    and scrape overhead), snap (checkpointing and a crash/recovery round
-   trip), serve (shared vs unshared multi-query ingest, cold vs warm
-   registration) and spill (wide-key state under memory budgets).  Each
-   writes BENCH_<section>.json in one shape (see [write_bench]) and
-   gates its own figures; the harness exits 1 when any gate fails. *)
+   trip), serve (shared vs unshared multi-query ingest, polled rows
+   bodies, cold vs warm registration) and spill (wide-key state under
+   memory budgets).  Each writes BENCH_<section>.json in one shape (see
+   [write_bench]) and gates its own figures; the harness exits 1 when
+   any gate fails. *)
 
 open Fw_window
 module Evaluation = Factor_windows.Evaluation
@@ -1399,6 +1400,17 @@ let section_snap () =
 (* plan-cache registration latency.                                   *)
 (* ------------------------------------------------------------------ *)
 
+(* What polling every tap of a server after each ingest measured. *)
+type serve_polls = {
+  polls_us : float array;  (* one [Server.rows_csv] call each *)
+  tap_csv_us : float array;
+      (* the same tap positions rendered per poll, [rows_to_csv] of
+         [rows_from]: the route before the group log *)
+  csv_identical : bool;  (* every body = rows_to_csv of rows_from *)
+  delivered : int;  (* serve_rows_total *)
+  rendered : int;  (* serve_rows_rendered_total *)
+}
+
 let section_serve () =
   heading "Serve: multi-query ingest and plan-cache registration (Fw_serve)";
   let module Server = Fw_serve.Server in
@@ -1420,9 +1432,19 @@ let section_serve () =
             (fun s -> Printf.sprintf "WINDOW(TUMBLINGWINDOW(second, %d))" s)
             ws))
   in
-  Printf.printf "%d events (eta=%d, horizon=%d ticks), chain %s, SUM\n"
-    n_events bench_eta horizon chain_name;
-  let run ~sharing nq =
+  (* the stream arrives in ingests of [ingest] events, as a client posts
+     it; each run with [~poll] reads every tap from its cursor after
+     every ingest and after close, as polling clients do *)
+  let ingest = 1000 in
+  let ingests =
+    List.init
+      ((n_events + ingest - 1) / ingest)
+      (fun k -> List.filteri (fun i _ -> i / ingest = k) events)
+  in
+  Printf.printf
+    "%d events in ingests of %d (eta=%d, horizon=%d ticks), chain %s, SUM\n"
+    n_events ingest bench_eta horizon chain_name;
+  let run ?(poll = false) ~sharing nq =
     let cfg =
       {
         Server.default_config with
@@ -1445,28 +1467,65 @@ let section_serve () =
       | Error r -> fail_reject r
     done;
     let groups = Server.group_count server in
-    let (), dt =
-      timed (fun () ->
-          (match Server.feed server events with
-          | Ok _ -> ()
-          | Error r -> fail_reject r);
-          match Server.close server ~horizon with
-          | Ok () -> ()
-          | Error r -> fail_reject r)
+    let ok = function Ok v -> v | Error r -> fail_reject r in
+    let ids =
+      Array.of_list
+        (List.map (fun i -> i.Server.i_id) (Server.list_queries server))
     in
+    let cursor = Array.make (Array.length ids) 0 in
+    let poll_ns = ref [] and tap_ns = ref [] and identical = ref true in
+    let poll_all () =
+      Array.iteri
+        (fun k id ->
+          let from = cursor.(k) in
+          let t0 = Fw_obs.Clock.now_ns () in
+          let body = ok (Server.rows_csv server id ~from) in
+          poll_ns := Fw_obs.Clock.elapsed_ns ~since:t0 :: !poll_ns;
+          let t0 = Fw_obs.Clock.now_ns () in
+          let rows = ok (Server.rows_from server id ~from) in
+          let tap_csv = Fw_engine.Csv_io.rows_to_csv rows in
+          tap_ns := Fw_obs.Clock.elapsed_ns ~since:t0 :: !tap_ns;
+          if body <> tap_csv then identical := false;
+          cursor.(k) <- from + List.length rows)
+        ids
+    in
+    let dt =
+      List.fold_left
+        (fun dt chunk ->
+          let _, d = timed (fun () -> ok (Server.feed server chunk)) in
+          if poll then poll_all ();
+          dt +. d)
+        0.0 ingests
+    in
+    let (), d = timed (fun () -> ok (Server.close server ~horizon)) in
+    if poll then poll_all ();
     let rows =
       List.fold_left
         (fun acc i -> acc + i.Server.i_rows)
         0 (Server.list_queries server)
     in
-    (per_s n_events dt, groups, rows)
+    let counter name =
+      Option.value ~default:0
+        (Fw_obs.Registry.counter_value (Server.registry server) name)
+    in
+    let us l = Array.of_list (List.map (fun ns -> float_of_int ns /. 1e3) l) in
+    let polls =
+      {
+        polls_us = us !poll_ns;
+        tap_csv_us = us !tap_ns;
+        csv_identical = !identical;
+        delivered = counter "serve_rows_total";
+        rendered = counter "serve_rows_rendered_total";
+      }
+    in
+    (per_s n_events (dt +. d), groups, rows, polls)
   in
   subheading "sustained ingest: shared vs unshared engines";
   let points =
     List.map
       (fun nq ->
-        let u_eps, _, u_rows = run ~sharing:false nq in
-        let s_eps, s_groups, s_rows = run ~sharing:true nq in
+        let u_eps, _, u_rows, _ = run ~sharing:false nq in
+        let s_eps, s_groups, s_rows, _ = run ~sharing:true nq in
         let speedup = s_eps /. u_eps in
         Printf.printf
           "%4d queries  unshared (%d engines) %8.0f ev/s   shared (%d \
@@ -1478,6 +1537,17 @@ let section_serve () =
         (nq, u_eps, s_eps, s_groups, speedup, s_rows = u_rows))
       [ 1; 10; 100 ]
   in
+  subheading "polled rows bodies: every tap of the shared 100-query server";
+  let _, _, _, polls = run ~poll:true ~sharing:true 100 in
+  let poll_med = median polls.polls_us
+  and tap_med = median polls.tap_csv_us in
+  Printf.printf
+    "%d polls: rows_csv p50 %.1f us (rows_to_csv of rows_from %.1f us); %d \
+     rows delivered, %d rendered (x%.1f render sharing)%s\n"
+    (Array.length polls.polls_us) poll_med tap_med polls.delivered
+    polls.rendered
+    (float_of_int polls.delivered /. float_of_int (max 1 polls.rendered))
+    (if polls.csv_identical then "" else "  BODIES DIFFER");
   (* Cold vs warm registration: distinct window chains so every cold
      registration really runs the optimizer; the warm pass re-registers
      the same canonical text and must come out of the plan cache.
@@ -1535,12 +1605,14 @@ let section_serve () =
       (stream_workload ~n_events ~horizon ~windows:(Str chain_name)
          ~aggregate:(Str "SUM")
       @ [ ("queries", List (List.map (fun (nq, _, _, _, _, _) -> Int nq) points));
+          ("ingest_events", Int ingest);
           ("registrations", Int n_reg) ])
     ~events_per_s:
       (match at_100 with Some (_, _, s, _, _, _) -> s | None -> nan)
     ~layers:
       [ ("serve.register_cold_us", Float (cold_med *. 1e6));
-        ("serve.register_warm_us", Float (warm_med *. 1e6)) ]
+        ("serve.register_warm_us", Float (warm_med *. 1e6));
+        ("serve.rows_csv_us", Float poll_med) ]
     ~results:
       (List.map
          (fun (nq, u, s, groups, sp, ok) ->
@@ -1548,7 +1620,14 @@ let section_serve () =
              [ ("queries", Int nq); ("unshared_events_per_sec", Float u);
                ("shared_events_per_sec", Float s); ("shared_groups", Int groups);
                ("sharing_speedup", Float sp); ("rows_identical", Bool ok) ])
-         points)
+         points
+      @ [ Obj
+            [ ("queries", Int 100); ("polls", Int (Array.length polls.polls_us));
+              ("rows_csv_us_p50", Float poll_med);
+              ("tap_rows_to_csv_us_p50", Float tap_med);
+              ("rows_delivered", Int polls.delivered);
+              ("rows_rendered", Int polls.rendered);
+              ("rows_csv_identical", Bool polls.csv_identical) ] ])
     [
       (* sharing must win at the 100-query overlap point *)
       above "sharing_speedup_at_100"
@@ -1558,6 +1637,7 @@ let section_serve () =
       at_least "warm_speedup" warm_speedup 5.0;
       holds "rows_identical"
         (List.for_all (fun (_, _, _, _, _, ok) -> ok) points);
+      holds "rows_csv_identical" polls.csv_identical;
     ]
 
 (* ------------------------------------------------------------------ *)

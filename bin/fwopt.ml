@@ -24,12 +24,15 @@ let read_file = function
          done
        with End_of_file -> ());
       Buffer.contents buf
-  | path ->
-      let ic = open_in path in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      s
+  | path -> (
+      try In_channel.with_open_bin path In_channel.input_all
+      with Sys_error msg ->
+        (* open errors name the path already, read errors do not *)
+        let msg =
+          if String.starts_with ~prefix:path msg then msg else path ^ ": " ^ msg
+        in
+        Printf.eprintf "fwopt: cannot read query file %s\n" msg;
+        exit 2)
 
 (* --- common arguments --- *)
 

@@ -251,8 +251,10 @@ let sql_of_windows (sc : Scenario.t) windows =
           windows))
 
 (* Register overlapping sub-queries of the scenario's window set with
-   one in-process query server in [mode], feed the shared stream once,
-   and insist every query's tap is byte-identical to an independent
+   one in-process query server in [mode], feed the shared stream in two
+   ingests, insist that each query's CSV body polled between them plus
+   the one polled from that cursor after close is the CSV of its whole
+   tap, and that every query's tap is byte-identical to an independent
    single-query run of its own SQL text in the same mode — the server's
    core promise: sharing (or degrading) never changes a single float
    bit of anyone's answer.  The full-set query doubles as the path's
@@ -300,15 +302,45 @@ let served_rows mode (sc : Scenario.t) =
                  (Server.reject_message rej)))
       subsets
   in
-  (match Server.feed server (fed_events sc) with
-  | Ok _ -> ()
-  | Error rej -> failwith ("feed refused: " ^ Server.reject_message rej));
-  (match Server.close server ~horizon with
-  | Ok () -> ()
-  | Error rej -> failwith ("close refused: " ^ Server.reject_message rej));
+  let ok = function
+    | Ok v -> v
+    | Error rej -> failwith (Server.reject_message rej)
+  in
+  (* two ingests, cut between distinct event times, with every tap
+     polled as CSV in between and again from that cursor after close *)
+  let events = fed_events sc in
+  let first, second =
+    match List.nth_opt events (List.length events / 2) with
+    | Some mid ->
+        List.partition (fun e -> e.Event.time < mid.Event.time) events
+    | None -> (events, [])
+  in
+  let body_tail body =
+    let h = String.length Fw_engine.Csv_io.rows_header in
+    String.sub body h (String.length body - h)
+  in
+  ignore (ok (Server.feed server first));
+  let polled =
+    List.map
+      (fun (id, _) ->
+        ( body_tail (ok (Server.rows_csv server id ~from:0)),
+          List.length (ok (Server.rows_from server id ~from:0)) ))
+      ids
+  in
+  ignore (ok (Server.feed server second));
+  ok (Server.close server ~horizon);
   let result = ref [] in
   List.iteri
     (fun i (id, text) ->
+      let tap = ok (Server.rows_from server id ~from:0) in
+      let body, cursor = List.nth polled i in
+      let body = body ^ body_tail (ok (Server.rows_csv server id ~from:cursor)) in
+      if body <> body_tail (Fw_engine.Csv_io.rows_to_csv tap) then
+        failwith
+          (Printf.sprintf
+             "served query %d (%s): the polled CSV bodies are not the CSV \
+              of its tap"
+             id text);
       let standalone =
         match Fw_sql.Compile.compile ~eta:sc.Scenario.eta text with
         | Ok c ->
@@ -316,11 +348,7 @@ let served_rows mode (sc : Scenario.t) =
               ~horizon sc.Scenario.events
         | Error e -> failwith ("standalone compile failed: " ^ e)
       in
-      let served =
-        match Server.rows_from server id ~from:0 with
-        | Ok rows -> Row.sort rows
-        | Error rej -> failwith (Server.reject_message rej)
-      in
+      let served = Row.sort tap in
       if served <> standalone then
         failwith
           (Printf.sprintf

@@ -52,17 +52,33 @@ let events_to_csv events =
     events;
   Buffer.contents buf
 
+(* The primitive Printf's [%g] ends in, called with the format string
+   Printf builds for it: the same bytes without the format interpreter. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+let rows_header = "range,slide,start,end,key,value\n"
+
+let add_row buf (r : Row.t) =
+  let range, slide =
+    match r.Row.window with
+    | Fw_window.Window.Hop { range; slide; _ } -> (range, slide)
+    | Fw_window.Window.Session { gap } -> (gap, 0)
+  in
+  Buffer.add_string buf (string_of_int range);
+  Buffer.add_char buf ',';
+  Buffer.add_string buf (string_of_int slide);
+  Buffer.add_char buf ',';
+  Buffer.add_string buf (string_of_int (Fw_window.Interval.lo r.Row.interval));
+  Buffer.add_char buf ',';
+  Buffer.add_string buf (string_of_int (Fw_window.Interval.hi r.Row.interval));
+  Buffer.add_char buf ',';
+  Buffer.add_string buf r.Row.key;
+  Buffer.add_char buf ',';
+  Buffer.add_string buf (format_float "%.6g" r.Row.value);
+  Buffer.add_char buf '\n'
+
 let rows_to_csv rows =
   let buf = Buffer.create 256 in
-  Buffer.add_string buf "range,slide,start,end,key,value\n";
-  List.iter
-    (fun r ->
-      Buffer.add_string buf
-        (Printf.sprintf "%d,%d,%d,%d,%s,%g\n"
-           (Fw_window.Window.range r.Row.window)
-           (Fw_window.Window.slide r.Row.window)
-           (Fw_window.Interval.lo r.Row.interval)
-           (Fw_window.Interval.hi r.Row.interval)
-           r.Row.key r.Row.value))
-    rows;
+  Buffer.add_string buf rows_header;
+  List.iter (add_row buf) rows;
   Buffer.contents buf

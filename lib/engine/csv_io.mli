@@ -16,6 +16,15 @@ val load_events : string -> (Event.t list, string) result
 val events_to_csv : Event.t list -> string
 (** With header; inverse of {!parse_events}. *)
 
+val rows_header : string
+(** [range,slide,start,end,key,value] and its newline. *)
+
+val add_row : Buffer.t -> Row.t -> unit
+(** Append one result row as a CSV line, newline included.  A hop row
+    (time or count) writes its range and slide; a session row [S<gap>]
+    writes [gap] as the range and [0] as the slide — no hop window has
+    slide 0, so the row stays unambiguous.  The value is printed as
+    [Printf]'s [%g] prints it, byte for byte. *)
+
 val rows_to_csv : Row.t list -> string
-(** Header [range,slide,start,end,key,value]; one line per result
-    row. *)
+(** {!rows_header}, then one {!add_row} line per result row. *)

@@ -85,9 +85,8 @@ let handler server meter (req : Httpd.request) =
       | None, _ -> Httpd.bad_request "bad query id\n"
       | _, None -> Httpd.bad_request "bad from cursor\n"
       | Some id, Some from -> (
-          match Server.rows_from server id ~from with
-          | Ok rows ->
-              Httpd.ok ~content_type:"text/csv" (Csv_io.rows_to_csv rows)
+          match Server.rows_csv server id ~from with
+          | Ok body -> Httpd.ok ~content_type:"text/csv" body
           | Error r -> reject r))
   | "GET", [ "queries" ] ->
       json

@@ -10,7 +10,7 @@
     - [DELETE /query/<id>] — unregister.
     - [GET /query/<id>] — status JSON.
     - [GET /query/<id>/rows?from=K] — the tap from cursor [K]
-      (default 0), as result-row CSV.
+      (default 0), as result-row CSV ({!Server.rows_csv}).
     - [GET /queries] — all registered queries.
     - [POST /ingest] — event CSV body fed to every engine.
     - [POST /advance?to=T] — punctuation.

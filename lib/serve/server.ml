@@ -92,14 +92,14 @@ type query = {
   q_plan : Plan.t;  (* standalone optimized plan: the sharing witness *)
   q_exposed : Window.t list;
   q_from : int;  (* group rows emitted before this query joined *)
-  q_group : int;
-  q_rows : Row.t Vec.t;  (* the tap, in engine emission order *)
+  q_group : group;
+  q_rows : int Vec.t;  (* the tap: group-row indices, in emission order *)
   q_rows_c : Counter.t;
 }
 
-type engine = E_direct of Stream_exec.t | E_durable of Checkpoint.t
+and engine = E_direct of Stream_exec.t | E_durable of Checkpoint.t
 
-type group = {
+and group = {
   g_id : int;
   g_key : Share.key;
   mutable g_members : query list;  (* registration order *)
@@ -108,7 +108,11 @@ type group = {
   mutable g_frozen : bool;  (* engine started: the plan may not change *)
   mutable g_engine : engine option;
   mutable g_spill : Fw_spill.Pool.t option;  (* with the engine, budgeted *)
-  mutable g_drained : int;  (* engine rows copied into member taps *)
+  mutable g_drained : int;  (* engine rows drained into member taps *)
+  g_log : Buffer.t;
+      (* CSV lines of engine rows [0, length g_ends), each rendered
+         once, on the first poll that needs it *)
+  g_ends : int Vec.t;  (* end offset in [g_log] of each line *)
 }
 
 type t = {
@@ -131,6 +135,7 @@ type t = {
   share_joins_c : Counter.t;
   ingested_c : Counter.t;
   rows_c : Counter.t;
+  rendered_c : Counter.t;
   unregistered_c : Counter.t;
   queries_g : Gauge.t;
   groups_g : Gauge.t;
@@ -255,7 +260,7 @@ let drain_group t g =
               g.g_drained >= q.q_from
               && List.exists (Window.equal r.Row.window) q.q_exposed
             then begin
-              Vec.push q.q_rows r;
+              Vec.push q.q_rows g.g_drained;
               Counter.inc q.q_rows_c;
               Counter.inc t.rows_c
             end)
@@ -367,6 +372,8 @@ let new_group t ~key ~plan ~windows =
       g_engine = None;
       g_spill = None;
       g_drained = 0;
+      g_log = Buffer.create 1024;
+      g_ends = Vec.create ();
     }
   in
   t.next_gid <- t.next_gid + 1;
@@ -476,7 +483,7 @@ let do_register t ~id ~from_recorded ~tenant text =
                 q_plan = plan;
                 q_exposed = exposed;
                 q_from = from;
-                q_group = g.g_id;
+                q_group = g;
                 q_rows = Vec.create ();
                 q_rows_c =
                   Registry.counter t.registry "serve_query_rows_total"
@@ -522,7 +529,7 @@ let unregister t id =
       t.groups <-
         List.filter_map
           (fun g ->
-            if g.g_id <> q.q_group then Some g
+            if g != q.q_group then Some g
             else begin
               g.g_members <- List.filter (fun m -> m.q_id <> id) g.g_members;
               if g.g_members <> [] then Some g
@@ -554,14 +561,11 @@ let unregister t id =
 
 (* ---- queries over the catalog ---- *)
 
-let info_of t q =
-  let group = List.find_opt (fun g -> g.g_id = q.q_group) t.groups in
-  let members =
-    match group with Some g -> List.length g.g_members | None -> 1
-  in
+let info_of q =
+  let g = q.q_group in
   let spill =
-    match group with
-    | Some { g_spill = Some p; _ } ->
+    match g.g_spill with
+    | Some p ->
         Some
           {
             s_budget = Fw_spill.Pool.budget p;
@@ -569,14 +573,14 @@ let info_of t q =
             s_resident_keys = Fw_spill.Pool.resident_keys p;
             s_disk_bytes = Fw_spill.Pool.disk_bytes p;
           }
-    | _ -> None
+    | None -> None
   in
   {
     i_id = q.q_id;
     i_tenant = q.q_tenant;
     i_text = q.q_text;
-    i_group = q.q_group;
-    i_shared = members > 1;
+    i_group = g.g_id;
+    i_shared = (match g.g_members with _ :: _ :: _ -> true | _ -> false);
     i_windows = List.length q.q_exposed;
     i_rows = Vec.length q.q_rows;
     i_spill = spill;
@@ -585,24 +589,66 @@ let info_of t q =
 let query_info t id =
   match Hashtbl.find_opt t.queries id with
   | None -> Error (Unknown_query id)
-  | Some q -> Ok (info_of t q)
+  | Some q -> Ok (info_of q)
 
 let list_queries t =
   Hashtbl.fold (fun _ q acc -> q :: acc) t.queries []
   |> List.sort (fun a b -> Int.compare a.q_id b.q_id)
-  |> List.map (info_of t)
+  |> List.map info_of
+
+(* A tap position [from] clamped into [0, length]. *)
+let tap_from q from =
+  let n = Vec.length q.q_rows in
+  if from < 0 then 0 else if from > n then n else from
 
 let rows_from t id ~from =
   match Hashtbl.find_opt t.queries id with
   | None -> Error (Unknown_query id)
-  | Some q ->
-      let n = Vec.length q.q_rows in
-      let from = if from < 0 then 0 else if from > n then n else from in
-      let out = ref [] in
-      for i = n - 1 downto from do
-        out := Vec.get q.q_rows i :: !out
-      done;
-      Ok !out
+  | Some q -> (
+      match q.q_group.g_engine with
+      | None -> Ok []
+      | Some e ->
+          let out = ref [] in
+          for i = Vec.length q.q_rows - 1 downto tap_from q from do
+            out := engine_row e (Vec.get q.q_rows i) :: !out
+          done;
+          Ok !out)
+
+(* Extend the group's log through engine row [upto]. *)
+let render t g e ~upto =
+  while Vec.length g.g_ends <= upto do
+    Fw_engine.Csv_io.add_row g.g_log (engine_row e (Vec.length g.g_ends));
+    Vec.push g.g_ends (Buffer.length g.g_log);
+    Counter.inc t.rendered_c
+  done
+
+let rows_csv t id ~from =
+  match Hashtbl.find_opt t.queries id with
+  | None -> Error (Unknown_query id)
+  | Some q -> (
+      let header = Fw_engine.Csv_io.rows_header in
+      let from = tap_from q from and n = Vec.length q.q_rows in
+      let g = q.q_group in
+      match g.g_engine with
+      | Some e when from < n ->
+          render t g e ~upto:(Vec.get q.q_rows (n - 1));
+          let start i = if i = 0 then 0 else Vec.get g.g_ends (i - 1) in
+          let size = ref (String.length header) in
+          for k = from to n - 1 do
+            let i = Vec.get q.q_rows k in
+            size := !size + Vec.get g.g_ends i - start i
+          done;
+          let body = Bytes.create !size in
+          Bytes.blit_string header 0 body 0 (String.length header);
+          let pos = ref (String.length header) in
+          for k = from to n - 1 do
+            let i = Vec.get q.q_rows k in
+            let len = Vec.get g.g_ends i - start i in
+            Buffer.blit g.g_log (start i) body !pos len;
+            pos := !pos + len
+          done;
+          Ok (Bytes.unsafe_to_string body)
+      | _ -> Ok header)
 
 (* ---- the ingest stream ---- *)
 
@@ -734,6 +780,9 @@ let make ?registry cfg =
     rows_c =
       Registry.counter registry "serve_rows_total"
         ~help:"Rows delivered across all query taps";
+    rendered_c =
+      Registry.counter registry "serve_rows_rendered_total"
+        ~help:"Group rows rendered to CSV (each at most once)";
     unregistered_c =
       Registry.counter registry "serve_unregistered_total"
         ~help:"Queries unregistered";

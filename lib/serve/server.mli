@@ -109,6 +109,17 @@ val rows_from : t -> int -> from:int -> (Fw_engine.Row.t list, reject) result
     [from] (clamped into range); poll with [from] = rows already seen
     to stream results incrementally. *)
 
+val rows_csv : t -> int -> from:int -> (string, reject) result
+(** The same tap positions as {!rows_from}, as the CSV body of
+    [GET /query/ID/rows]: {!Fw_engine.Csv_io.rows_header} then one
+    {!Fw_engine.Csv_io.add_row} line per row, byte-identical to
+    [rows_to_csv] of the {!rows_from} result.  Each sharing group keeps
+    one log of its engine rows rendered to CSV, extended on demand
+    through the highest row a poll needs, so a group row is rendered
+    at most once however many member taps read it (counted by
+    [serve_rows_rendered_total]); the body is then copied out of that
+    log line by line.  Ingest renders nothing. *)
+
 val feed : t -> Fw_engine.Event.t list -> (int, reject) result
 (** Feed ordered events to every group's engine (starting engines that
     have not run yet) and drain new rows into the taps.  The events are

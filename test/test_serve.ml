@@ -590,6 +590,172 @@ let test_batched_ingest_matches_per_event () =
       Option.iter rm_tree state_dir)
     [ (false, false); (true, false); (false, true); (true, true) ]
 
+(* --- the rendered rows body ------------------------------------------ *)
+
+let rows_csv_exn ?(from = 0) server id =
+  match Server.rows_csv server id ~from with
+  | Ok body -> body
+  | Error rej ->
+      Alcotest.failf "rows_csv %d refused: %s" id (Server.reject_message rej)
+
+let counter server name =
+  Option.value ~default:0
+    (Registry.counter_value (Server.registry server) name)
+
+(* At every cursor — negative, inside, at and past the end — the body
+   copied out of the group log is the CSV of the same tap positions. *)
+let check_rows_csv label server id =
+  let n = List.length (rows_exn server id) in
+  List.iter
+    (fun from ->
+      check_string
+        (Printf.sprintf "%s: query %d rows_csv from %d" label id from)
+        (Csv_io.rows_to_csv (rows_exn ~from server id))
+        (rows_csv_exn ~from server id))
+    [ -5; -1; 0; 1; n / 2; n - 1; n; n + 1; n + 40 ]
+
+let test_rows_csv_edges () =
+  let server = create_exn Server.default_config in
+  let a = register_exn server q_t10_t20 in
+  ignore (feed_exn server (events 25));
+  check_rows_csv "first ingest" server a.Server.r_id;
+  (* a late joiner's tap starts past the group's first rows *)
+  let late = register_exn server q_t10 in
+  check_bool "late joiner shares" true
+    (late.Server.r_group = a.Server.r_group);
+  check_string "late joiner starts empty" Csv_io.rows_header
+    (rows_csv_exn server late.Server.r_id);
+  (* a window the frozen plan lacks degrades to a group of its own *)
+  let stranger =
+    register_exn server
+      "SELECT SUM(v) FROM input GROUP BY key, TUMBLINGWINDOW(second, 30)"
+  in
+  check_bool "degraded" true (stranger.Server.r_group <> a.Server.r_group);
+  ignore
+    (feed_exn server (events 50 |> List.filter (fun e -> e.Event.time > 25)));
+  List.iter
+    (fun (label, r) -> check_rows_csv label server r.Server.r_id)
+    [ ("shared", a); ("late joiner", late); ("degraded", stranger) ];
+  (* the sibling that rendered most of the log goes; the log stays *)
+  (match Server.unregister server a.Server.r_id with
+  | Ok () -> ()
+  | Error rej -> Alcotest.failf "unregister: %s" (Server.reject_message rej));
+  ignore
+    (feed_exn server (events 70 |> List.filter (fun e -> e.Event.time > 50)));
+  close_exn server ~horizon:80;
+  check_rows_csv "after the sibling left" server late.Server.r_id;
+  check_rows_csv "degraded after close" server stranger.Server.r_id;
+  check_bool "late tap has rows" true
+    (rows_exn server late.Server.r_id <> []);
+  match Server.rows_csv server a.Server.r_id ~from:0 with
+  | Error (Server.Unknown_query _) -> ()
+  | _ -> Alcotest.fail "an unregistered query's rows are unknown"
+
+(* A durable server polled before an abandon-without-close, then
+   recovered: polling on from the old cursor continues the body, and
+   the two pieces are the whole tap. *)
+let test_rows_csv_after_recover () =
+  let dir = temp_dir () in
+  let cfg =
+    { Server.default_config with Server.state_dir = Some dir; every = 7 }
+  in
+  let evs = events 60 in
+  let first, rest = List.partition (fun e -> e.Event.time <= 31) evs in
+  let drop_header body =
+    let h = String.length Csv_io.rows_header in
+    String.sub body h (String.length body - h)
+  in
+  let ids, before =
+    let server = create_exn cfg in
+    let a = register_exn server q_t10_t20 in
+    let b = register_exn server q_t10 in
+    ignore (feed_exn server first);
+    (match Server.checkpoint server with
+    | Ok () -> ()
+    | Error rej ->
+        Alcotest.failf "checkpoint: %s" (Server.reject_message rej));
+    let ids = [ a.Server.r_id; b.Server.r_id ] in
+    ( ids,
+      List.map
+        (fun id -> (rows_csv_exn server id, List.length (rows_exn server id)))
+        ids )
+  in
+  let server = create_exn cfg in
+  List.iter (check_rows_csv "recovered" server) ids;
+  ignore
+    (feed_exn server
+       (List.filter (fun e -> e.Event.time > Server.watermark server) rest));
+  close_exn server ~horizon:60;
+  List.iter2
+    (fun id (body, cursor) ->
+      check_bool "rows before the crash" true (cursor > 0);
+      check_rows_csv "recovered, closed" server id;
+      check_string
+        (Printf.sprintf "query %d: pre-crash body + resumed body" id)
+        (rows_csv_exn server id)
+        (body ^ drop_header (rows_csv_exn ~from:cursor server id)))
+    ids before
+
+(* Session rows render over HTTP (gap as range, slide 0) instead of
+   failing the request. *)
+let test_http_session_rows () =
+  let server = create_exn Server.default_config in
+  let h = Http.handler server None in
+  let reg =
+    h (req ~meth:"POST"
+         ~body:"SELECT SUM(v) FROM input GROUP BY key, SESSIONWINDOW(second, 5)"
+         "/query")
+  in
+  check_string "register" "200 OK" reg.Httpd.status;
+  let id =
+    match Server.list_queries server with
+    | [ i ] -> i.Server.i_id
+    | l -> Alcotest.failf "expected 1 query, got %d" (List.length l)
+  in
+  let body = "time,key,value\n1,a,1\n2,a,2\n3,b,0.5\n20,a,4\n" in
+  check_string "ingest" "200 OK"
+    (h (req ~meth:"POST" ~body "/ingest")).Httpd.status;
+  check_string "close" "200 OK"
+    (h (req ~meth:"POST" ~query:[ ("horizon", "40") ] "/close")).Httpd.status;
+  let rows = h (req (Printf.sprintf "/query/%d/rows" id)) in
+  check_string "rows 200" "200 OK" rows.Httpd.status;
+  check_string "session rows body"
+    "range,slide,start,end,key,value\n\
+     5,0,1,7,a,3\n\
+     5,0,3,8,b,0.5\n\
+     5,0,20,25,a,4\n"
+    rows.Httpd.body
+
+(* One group of three members polled in full, twice: every group row is
+   rendered once, while the taps deliver it once per member exposing
+   its window. *)
+let test_rows_rendered_once () =
+  let server = create_exn Server.default_config in
+  let ids =
+    List.map
+      (fun text -> (register_exn server text).Server.r_id)
+      [ q_t10; q_t10_t20; q_t10_t20_t40 ]
+  in
+  check_int "one group" 1 (Server.group_count server);
+  ignore (feed_exn server (events 80));
+  close_exn server ~horizon:80;
+  for _ = 1 to 2 do
+    List.iter (fun id -> ignore (rows_csv_exn server id)) ids
+  done;
+  let group_rows = List.length (rows_exn server (List.nth ids 2)) in
+  let delivered =
+    List.fold_left (fun acc id -> acc + List.length (rows_exn server id)) 0 ids
+  in
+  check_int "each group row rendered once" group_rows
+    (counter server "serve_rows_rendered_total");
+  check_int "rows delivered" delivered (counter server "serve_rows_total");
+  check_bool "rendering is shared" true (delivered > group_rows);
+  let metrics = Http.handler server None (req "/metrics") in
+  check_bool "/metrics shows the rendered count" true
+    (contains
+       ~needle:(Printf.sprintf "serve_rows_rendered_total %d" group_rows)
+       metrics.Httpd.body)
+
 let suite =
   [
     Alcotest.test_case "plan cache: normalization hits and misses" `Quick
@@ -618,4 +784,12 @@ let suite =
       test_http_admission_maps_to_429;
     Alcotest.test_case "ingest: one batch per ingest = per-event engines"
       `Quick test_batched_ingest_matches_per_event;
+    Alcotest.test_case "rows csv: cursors, late joiner, degrade, unregister"
+      `Quick test_rows_csv_edges;
+    Alcotest.test_case "rows csv: resumed across a durable recovery" `Quick
+      test_rows_csv_after_recover;
+    Alcotest.test_case "http: session-window rows render" `Quick
+      test_http_session_rows;
+    Alcotest.test_case "rows csv: each group row rendered once" `Quick
+      test_rows_rendered_once;
   ]

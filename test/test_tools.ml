@@ -63,6 +63,71 @@ let test_csv_rows () =
   check_bool "header" true (Astring_contains.contains csv "range,slide");
   check_bool "row" true (Astring_contains.contains csv "10,10,0,10,a,4.5")
 
+(* A session row has no range or slide: it renders its gap as the range
+   and 0 as the slide. *)
+let test_csv_session_rows () =
+  let row =
+    {
+      Fw_engine.Row.window = Fw_window.Window.session ~gap:5;
+      interval = Fw_window.Interval.make ~lo:3 ~hi:17;
+      key = "k";
+      value = 2.5;
+    }
+  in
+  check_string "session row"
+    "range,slide,start,end,key,value\n5,0,3,17,k,2.5\n"
+    (Csv_io.rows_to_csv [ row ])
+
+(* The row renderer is held to the Printf line it replaced, kept here
+   as the reference. *)
+let printf_rows_to_csv rows =
+  String.concat ""
+    ("range,slide,start,end,key,value\n"
+    :: List.map
+         (fun r ->
+           Printf.sprintf "%d,%d,%d,%d,%s,%g\n"
+             (Fw_window.Window.range r.Fw_engine.Row.window)
+             (Fw_window.Window.slide r.Fw_engine.Row.window)
+             (Fw_window.Interval.lo r.Fw_engine.Row.interval)
+             (Fw_window.Interval.hi r.Fw_engine.Row.interval)
+             r.Fw_engine.Row.key r.Fw_engine.Row.value)
+         rows)
+
+let gen_row_value =
+  QCheck2.Gen.(
+    frequency
+      [
+        (3, map Int64.float_of_bits int64);
+        ( 2,
+          oneofl
+            [ nan; -.nan; infinity; neg_infinity; 0.0; -0.0; 4.9e-324;
+              -2.2250738585072009e-308; 1e-5; 0.1; 123456.5; 1e21; -1e21 ] );
+        (1, float);
+      ])
+
+let gen_row =
+  QCheck2.Gen.(
+    let* window = oneof [ gen_window; gen_count_window ] in
+    let* lo = oneof [ int_range 0 1000; int_range (-1_000_000) max_int ] in
+    let* len = int_range 1 1_000_000 in
+    let hi = if lo > max_int - len then max_int else lo + len in
+    let lo = if lo = hi then lo - 1 else lo in
+    let* key = string_size (int_range 0 40) in
+    let* value = gen_row_value in
+    return
+      {
+        Fw_engine.Row.window;
+        interval = Fw_window.Interval.make ~lo ~hi;
+        key;
+        value;
+      })
+
+let prop_rows_csv_matches_printf =
+  qtest ~count:500 "rows_to_csv = Printf reference"
+    QCheck2.Gen.(list_size (int_range 0 8) gen_row)
+    (fun rows -> String.escaped (printf_rows_to_csv rows))
+    (fun rows -> Csv_io.rows_to_csv rows = printf_rows_to_csv rows)
+
 (* --- Explain traces --- *)
 
 let trace7 = Explain.trace semantics_partitioned example7_windows
@@ -180,4 +245,6 @@ let suite =
     Alcotest.test_case "trace render" `Quick test_trace_render;
     prop_trace_consistent;
     Alcotest.test_case "fuzz artifacts dump" `Quick test_fuzz_artifacts_dump;
+    Alcotest.test_case "csv session rows" `Quick test_csv_session_rows;
+    prop_rows_csv_matches_printf;
   ]
