@@ -1657,6 +1657,7 @@ type spill_run = {
   sr_max_entry : int;
   sr_disk : int;
   sr_evictions : int;
+  sr_writes : int;  (** spill-file write calls *)
   sr_faults : int;
   sr_compactions : int;
   sr_compaction_ns : Fw_obs.Histogram.t;  (** one sample per compaction *)
@@ -1691,7 +1692,8 @@ let section_spill () =
     in
     let run =
       { sr_keys = n; sr_budget = budget; sr_rate = per_s n dt; sr_peak = 0;
-        sr_max_entry = 0; sr_disk = 0; sr_evictions = 0; sr_faults = 0; sr_compactions = 0;
+        sr_max_entry = 0; sr_disk = 0; sr_evictions = 0; sr_writes = 0; sr_faults = 0;
+        sr_compactions = 0;
         sr_compaction_ns = Fw_obs.Histogram.create (); sr_rows = rows }
     in
     match pool with
@@ -1700,6 +1702,7 @@ let section_spill () =
         let run =
           { run with sr_peak = Pool.peak_resident_bytes p; sr_max_entry = Pool.max_entry_bytes p;
                      sr_disk = Pool.disk_bytes p; sr_evictions = Pool.evictions p;
+                     sr_writes = Pool.writes p;
                      sr_faults = Pool.faults p; sr_compactions = Pool.compactions p;
                      sr_compaction_ns =
                        (match Fw_obs.Registry.find registry "spill_compaction_ns" with
@@ -1726,10 +1729,11 @@ let section_spill () =
   List.iter
     (fun r ->
       Printf.printf
-        "  budget %7d %9.0f ev/s  peak %7d B  disk %9d B  evict %7d  fault \
-         %7d  compact %3d  rows identical: %s\n"
+        "  budget %7d %9.0f ev/s  peak %7d B  disk %9d B  evict %7d  write \
+         %5d  fault %7d  compact %3d  rows identical: %s\n"
         (Option.value ~default:0 r.sr_budget)
-        r.sr_rate r.sr_peak r.sr_disk r.sr_evictions r.sr_faults r.sr_compactions
+        r.sr_rate r.sr_peak r.sr_disk r.sr_evictions r.sr_writes r.sr_faults
+        r.sr_compactions
         (if r.sr_rows = baseline.sr_rows then "yes" else "NO"))
     curve;
   (* the headline: a million keys whose working set cannot fit the
@@ -1741,9 +1745,9 @@ let section_spill () =
   let large = run_keys ~budget:large_budget n_large in
   Printf.printf
     "  %9.0f ev/s  peak resident %d B (budget %d + slack %d)  disk %d B  \
-     evictions %d  faults %d  compactions %d  (%d result rows)\n"
+     evictions %d  writes %d  faults %d  compactions %d  (%d result rows)\n"
     large.sr_rate large.sr_peak large_budget (slack large) large.sr_disk
-    large.sr_evictions large.sr_faults large.sr_compactions
+    large.sr_evictions large.sr_writes large.sr_faults large.sr_compactions
     (List.length large.sr_rows);
   (* compactions over every budgeted run of the section *)
   let budgeted = curve @ [ large ] in
@@ -1767,6 +1771,7 @@ let section_spill () =
         ("events_per_sec", Float r.sr_rate); ("peak_resident_bytes", Int r.sr_peak);
         ("max_entry_bytes", Int r.sr_max_entry); ("slack_bytes", Int (slack r));
         ("disk_bytes", Int r.sr_disk); ("evictions", Int r.sr_evictions);
+        ("writes", Int r.sr_writes);
         ("faults", Int r.sr_faults); ("compactions", Int r.sr_compactions) ]
   in
   let per_event n = float_of_int n /. float_of_int n_large in
@@ -1778,6 +1783,15 @@ let section_spill () =
       (float_of_int r.sr_peak)
       (float_of_int (Option.value ~default:0 r.sr_budget + slack r))
   in
+  (* evictions gather in 8 KiB append tails: a count, so no host noise
+     can flip it *)
+  let writes_check r =
+    at_most
+      (Printf.sprintf "spill_writes.keys_%d.budget_%d" r.sr_keys
+         (Option.value ~default:0 r.sr_budget))
+      (float_of_int r.sr_writes)
+      (float_of_int r.sr_evictions /. 8.0)
+  in
   write_bench "spill"
     ~workload:
       [ ("keys", List [ Int n_small; Int n_large ]); ("eta", Int eta);
@@ -1788,6 +1802,7 @@ let section_spill () =
     ~layers:
       [ ("spill.faults_per_event", Float (per_event large.sr_faults));
         ("spill.evictions_per_event", Float (per_event large.sr_evictions));
+        ("spill.writes_per_event", Float (per_event large.sr_writes));
         ("spill.peak_resident_kb", Float (float_of_int large.sr_peak /. 1024.0));
         ("spill.disk_mb", Float (float_of_int large.sr_disk /. 1048576.0));
         ("spill.compactions", Int compactions);
@@ -1796,6 +1811,7 @@ let section_spill () =
     ((holds "rows_identical"
         (List.for_all (fun r -> r.sr_rows = baseline.sr_rows) curve)
      :: List.map bound_check budgeted)
+    @ List.map writes_check budgeted
     (* the 10^5-key runs compact too, so the streaming compaction copy
        runs under the rows_identical check *)
     @ [ above "spill.compactions" (float_of_int compactions) 0.0 ])

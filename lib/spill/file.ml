@@ -9,6 +9,14 @@
    three independent ways a bug or a torn write would otherwise smuggle
    wrong state into the engine.
 
+   Appends are written behind: each record is framed into the file's
+   8 KiB tail, and the tail reaches the disk in one write when the next
+   record does not fit.  A record lives wholly in the tail or wholly on
+   disk, and the tail always holds the file's last bytes, so a read at
+   or past [size - tail_len] is served from memory.  A failed tail
+   write leaves the tail as it was: its records stay readable and the
+   next append writes it again at the same place.
+
    Spill files are {e scratch}: checkpoints re-absorb every spilled
    entry into the snapshot (see {!Store.fold}), so recovery never reads
    one, and {!remove} deletes them on close.  Durability is therefore
@@ -27,23 +35,37 @@ let key_pos = 14
 
 (* Scratch buffers at most this large are kept for reuse; a larger
    record gets a one-off buffer, so a single huge entry never stays
-   resident outside the budget.  Also the compaction chunk size: at
-   64 KiB the chunk buffers cost spill-wide ~0.9 MiB of peak RSS, at
-   8 KiB nothing measurable, for a few more syscalls per compaction. *)
+   resident outside the budget.  Also the size of the append tail and
+   of the compaction chunks: at 64 KiB the chunk buffers cost
+   spill-wide ~0.9 MiB of peak RSS, at 8 KiB nothing measurable, for a
+   few more syscalls per compaction. *)
 let chunk = 1 lsl 13
 
 type t = {
   path : string;
   fd : Unix.file_descr;
-  mutable size : int;  (* append position: total bytes written *)
+  mutable size : int;  (* append position: total bytes appended *)
   mutable live : int;  (* record bytes still referenced by the store *)
   mutable closed : bool;
-  mutable buf : Bytes.t;  (* one record image: framing, fault-in reads *)
+  mutable buf : Bytes.t;  (* one record image for fault-in reads *)
+  tail : Bytes.t;  (* the last [tail_len] bytes of the file, not yet written *)
+  mutable tail_len : int;
+  writes : Fw_obs.Counter.t option;  (* one tick per completed write *)
 }
 
-let create path =
+let create ?writes path =
   let fd = Unix.openfile path [ Unix.O_RDWR; O_CREAT; O_TRUNC ] 0o600 in
-  { path; fd; size = 0; live = 0; closed = false; buf = Bytes.create 256 }
+  {
+    path;
+    fd;
+    size = 0;
+    live = 0;
+    closed = false;
+    buf = Bytes.create 256;
+    tail = Bytes.create chunk;
+    tail_len = 0;
+    writes;
+  }
 
 let path t = t.path
 let size t = t.size
@@ -66,7 +88,8 @@ let scratch t n =
 let write_at t off buf pos len =
   ignore (Unix.lseek t.fd off Unix.SEEK_SET);
   let rec go p = if p < len then go (p + Unix.write t.fd buf (pos + p) (len - p)) in
-  go 0
+  go 0;
+  Option.iter Fw_obs.Counter.inc t.writes
 
 (* One seek, then read exactly [len] bytes at [off] into [buf.[0..len)]. *)
 let read_at t off buf len =
@@ -92,20 +115,43 @@ let grow t len =
   t.size <- t.size + len;
   t.live <- t.live + len
 
-(* Frame the payload in [b] in the scratch buffer ({!Bin.frame_into},
-   the one copy between the codec and the disk) and append it in one
-   write; returns (offset, record length on disk).  A payload grown
-   past {!chunk} gives its storage back. *)
+(* Write the pending tail at its place.  Until that succeeds the tail
+   stays as it is, still readable, and the next call writes it
+   again. *)
+let write_tail t =
+  if t.tail_len > 0 then begin
+    write_at t (t.size - t.tail_len) t.tail 0 t.tail_len;
+    t.tail_len <- 0
+  end
+
+(* Append [buf.[0..len)] straight to disk, after the pending tail. *)
+let append_direct t buf len =
+  write_tail t;
+  write_at t t.size buf 0 len;
+  grow t len
+
+(* Frame the payload in [b] into the tail ({!Bin.frame_into}, the one
+   copy between the codec and the disk), writing the tail out first
+   when the record does not fit; returns (offset, record length).  A
+   record larger than the tail goes straight to disk from a one-off
+   buffer, and its payload buffer gives its storage back. *)
 let append_payload t b =
   check_open t "append";
   let plen = Buffer.length b in
   let len = plen + 8 in
-  let buf = scratch t len in
-  Bin.frame_into b buf 0;
-  if plen > chunk then Buffer.reset b;
   let off = t.size in
-  write_at t off buf 0 len;
-  grow t len;
+  if len <= chunk then begin
+    if t.tail_len + len > chunk then write_tail t;
+    Bin.frame_into b t.tail t.tail_len;
+    t.tail_len <- t.tail_len + len;
+    grow t len
+  end
+  else begin
+    let buf = Bytes.create len in
+    Bin.frame_into b buf 0;
+    if plen > chunk then Buffer.reset b;
+    append_direct t buf len
+  end;
   (off, len)
 
 let append t ~kind ~key value =
@@ -155,19 +201,26 @@ let check_record ?key s ~pos ~len =
 (* The state-kind tag of a checked record. *)
 let kind_of s pos = Char.code s.[pos + 5]
 
-(* Read the record at [off] (length [len]) into the scratch buffer and
-   verify framing, CRC, spill kind and key there.  Returns its
-   state-kind tag and a reader bounded to the value bytes, valid until
-   the next append or read on [t]: the value is never copied. *)
+(* Verify the record at [off] (length [len]) in place in the tail, or
+   read it from disk into the scratch buffer and verify it there:
+   framing, CRC, spill kind and key.  Returns its state-kind tag and a
+   reader bounded to the value bytes, valid until the next append or
+   read on [t]: the value is never copied. *)
 let read_record t ~off ~len ~key =
   check_open t "read";
   if off < 0 || len < 8 || off + len > t.size then
     fault "spill record out of bounds (off %d, len %d, file %d)" off len t.size;
-  let buf = scratch t len in
-  read_at t off buf len;
-  let s = Bytes.unsafe_to_string buf in
-  let vpos = check_record ~key s ~pos:0 ~len in
-  (kind_of s 0, Bin.reader ~pos:vpos ~limit:(len - 4) s)
+  let tail_off = t.size - t.tail_len in
+  let s, pos =
+    if off >= tail_off then (Bytes.unsafe_to_string t.tail, off - tail_off)
+    else begin
+      let buf = scratch t len in
+      read_at t off buf len;
+      (Bytes.unsafe_to_string buf, 0)
+    end
+  in
+  let vpos = check_record ~key s ~pos ~len in
+  (kind_of s pos, Bin.reader ~pos:vpos ~limit:(pos + len - 4) s)
 
 let read t ~off ~len ~key =
   let kind, r = read_record t ~off ~len ~key in
@@ -176,11 +229,12 @@ let read t ~off ~len ~key =
 (* --- compaction copy --------------------------------------------------- *)
 
 (* Compaction streams verified records from one file into another
-   through two chunk buffers kept across compactions.  The source is
-   read in file order a chunk at a time (one seek per chunk, garbage
-   between live records skipped), each record is checked in place, and
-   its raw bytes gather in the output chunk, written out whole when
-   full.  A record larger than a chunk goes through a one-off buffer. *)
+   through two chunk buffers kept across compactions.  The source
+   writes out its tail first; it is then read in file order a chunk at
+   a time (one seek per chunk, garbage between live records skipped),
+   each record is checked in place, and its raw bytes gather in the
+   output chunk, written out whole when full.  A record larger than a
+   chunk goes through a one-off buffer. *)
 type copier = {
   mutable inb : Bytes.t;
   mutable win_off : int;  (* source offset of [inb.[0]] *)
@@ -202,8 +256,7 @@ let copy_start c =
 
 let flush c dst =
   if c.fill > 0 then begin
-    write_at dst dst.size c.outb 0 c.fill;
-    grow dst c.fill;
+    append_direct dst c.outb c.fill;
     c.fill <- 0
   end
 
@@ -213,14 +266,14 @@ let copy c ~src ~dst ~off ~len ~key =
   if off < 0 || len < 8 || off + len > src.size then
     fault "spill record out of bounds (off %d, len %d, file %d)" off len
       src.size;
+  write_tail src;
   if len > chunk then begin
     let buf = Bytes.create len in
     read_at src off buf len;
     ignore (check_record ~key (Bytes.unsafe_to_string buf) ~pos:0 ~len);
     flush c dst;
     let off' = dst.size in
-    write_at dst off' buf 0 len;
-    grow dst len;
+    append_direct dst buf len;
     off'
   end
   else begin
@@ -246,15 +299,21 @@ let truncate t =
   check_open t "truncate";
   Unix.ftruncate t.fd 0;
   t.size <- 0;
-  t.live <- 0
+  t.live <- 0;
+  t.tail_len <- 0
 
+(* Closing writes the tail out, so a kept file holds every record; a
+   file that cannot take it is scratch either way. *)
 let close t =
   if not t.closed then begin
+    (try write_tail t with Unix.Unix_error _ -> ());
     t.closed <- true;
     (try Unix.close t.fd with Unix.Unix_error _ -> ())
   end
 
+(* No tail write for bytes about to be unlinked. *)
 let remove t =
+  t.tail_len <- 0;
   close t;
   try Unix.unlink t.path with Unix.Unix_error _ -> ()
 

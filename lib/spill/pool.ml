@@ -37,6 +37,7 @@ type t = {
   g_resident_keys : Gauge.t;
   g_disk_bytes : Gauge.t;
   c_evictions : Counter.t;
+  c_writes : Counter.t;
   c_eviction_bytes : Counter.t;
   c_faults : Counter.t;
   h_fault_ns : Histogram.t;
@@ -97,6 +98,10 @@ let create ?registry ?(labels = []) ?dir ~budget () =
       Fw_obs.Registry.counter reg ~labels
         ~help:"Entries evicted from memory to a spill file"
         "spill_evictions_total";
+    c_writes =
+      Fw_obs.Registry.counter reg ~labels
+        ~help:"Spill-file writes (append tails, oversized records, compaction chunks)"
+        "spill_writes_total";
     c_eviction_bytes =
       Fw_obs.Registry.counter reg ~labels
         ~help:"Resident bytes released by evictions"
@@ -131,15 +136,17 @@ let disk_bytes t = t.disk
 let peak_resident_bytes t = t.peak_resident
 let max_entry_bytes t = t.max_entry
 let evictions t = Counter.get t.c_evictions
+let writes t = Counter.get t.c_writes
 let faults t = Counter.get t.c_faults
 let compactions t = Counter.get t.c_compactions
 
 let copier t = t.copier
 
-let fresh_path t ~name =
+let fresh_file t ~name =
   let id = t.next_id in
   t.next_id <- id + 1;
-  Filename.concat t.dir (Printf.sprintf "%s-%d.spill" name id)
+  File.create ~writes:t.c_writes
+    (Filename.concat t.dir (Printf.sprintf "%s-%d.spill" name id))
 
 (* --- store-side accounting (see {!Store}) --------------------------- *)
 

@@ -10,7 +10,8 @@
 
     Single-writer, like the {!Fw_obs} cells it publishes
     ([spill_resident_bytes], [spill_resident_keys], [spill_disk_bytes],
-    [spill_evictions_total], [spill_evicted_bytes_total],
+    [spill_evictions_total], [spill_writes_total],
+    [spill_evicted_bytes_total],
     [spill_faults_total], [spill_fault_ns], [spill_compactions_total],
     [spill_compacted_bytes_total], [spill_compaction_ns]): one pool per
     domain. *)
@@ -55,6 +56,10 @@ val evictions : t -> int
 val faults : t -> int
 val compactions : t -> int
 
+val writes : t -> int
+(** Spill-file [write] calls: append tails, records larger than a tail
+    and compaction chunks. *)
+
 val rebalance : t -> unit
 (** Evict until the resident total fits the budget (or only pinned
     entries remain).  Stores call this after any growth. *)
@@ -67,7 +72,7 @@ val close : t -> unit
 
 (* Store-internal wiring — not for engine code. *)
 
-val fresh_path : t -> name:string -> string
+val fresh_file : t -> name:string -> File.t  (* counts its writes *)
 val copier : t -> File.copier  (* compaction buffers, shared: never nested *)
 val register : t -> evict:(unit -> int) -> close:(remove:bool -> unit) -> int
 val unregister : t -> int -> unit

@@ -198,7 +198,7 @@ let file_of b =
   match b.file with
   | Some f -> f
   | None ->
-      let f = File.create (Pool.fresh_path b.pool ~name:b.name) in
+      let f = Pool.fresh_file b.pool ~name:b.name in
       b.file <- Some f;
       f
 
@@ -241,7 +241,7 @@ let maybe_compact b =
           let offs = Array.map spilled_off ents in
           let order = Array.init (Array.length ents) Fun.id in
           Array.stable_sort (fun i j -> Int.compare offs.(i) offs.(j)) order;
-          let nf = File.create (Pool.fresh_path b.pool ~name:b.name) in
+          let nf = Pool.fresh_file b.pool ~name:b.name in
           let c = Pool.copier b.pool in
           (match
              File.copy_start c;
@@ -280,7 +280,8 @@ let maybe_compact b =
 (* --- eviction (called by the pool's rebalance loop) ------------------ *)
 
 (* The codec encodes straight into the store's payload buffer after the
-   record head; {!File.append_payload} frames it and writes it once. *)
+   record head; {!File.append_payload} frames it into the file's append
+   tail, the one copy before the disk. *)
 let evict_entry b e v =
   let f = file_of b in
   File.start_payload b.enc ~kind:b.codec.kind ~key:e.e_key;

@@ -590,7 +590,7 @@ let spill_file_with_records dir =
   in
   (f, path, recs)
 
-let test_file_read_and_scan () =
+let with_temp_dir f =
   let dir = Filename.temp_file "fwspill" ".d" in
   Sys.remove dir;
   Sys.mkdir dir 0o700;
@@ -600,7 +600,10 @@ let test_file_read_and_scan () =
         (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
         (Sys.readdir dir);
       try Sys.rmdir dir with Sys_error _ -> ())
-    (fun () ->
+    (fun () -> f dir)
+
+let test_file_read_and_scan () =
+  with_temp_dir (fun dir ->
       let f, path, recs = spill_file_with_records dir in
       List.iter
         (fun (k, v, (off, len)) ->
@@ -662,7 +665,14 @@ let test_fault_in_is_typed () =
   with_pool ~budget:0 (fun pool ->
       let s = Store.create ~pool ~name:"victim" Bincodec.state_codec in
       Store.set s "k" (state_of Aggregate.Sum [ 42.0 ]);
-      (* the entry is spilled now; smash every byte of the file *)
+      (* the entry is spilled now, into the file's append tail; evicting
+         past one chunk of further records writes it to disk *)
+      for i = 1 to 400 do
+        Store.set s (Printf.sprintf "filler%d" i) (state_of Aggregate.Sum [ 1.0 ])
+      done;
+      check_bool "the record reached the disk" true
+        ((Unix.stat (spill_path pool)).Unix.st_size > 0);
+      (* smash the first bytes of the file: the record at offset 0 *)
       let path = spill_path pool in
       let oc = open_out_gen [ Open_wronly; Open_binary ] 0o600 path in
       output_string oc "\xde\xad\xbe\xef\xde\xad\xbe\xef";
@@ -1109,6 +1119,176 @@ let prop_compaction_model =
                   scan.File.records)
              = List.map (fun (k, v) -> (9, k, v)) (Smap.bindings !model)))
 
+(* --- on-disk bytes ------------------------------------------------------ *)
+
+(* A deterministic run of appends (small records across many 8 KiB
+   chunks, a few larger than a chunk in between) and a compaction copy
+   of every other record, followed by more appends: the digests of both
+   closed files were recorded before spill files gained their append
+   tail, and pin that the tail changes when bytes reach the disk, never
+   which bytes. *)
+let golden_value i =
+  if i mod 97 = 50 then String.make (9000 + i) (Char.chr (65 + (i mod 26)))
+  else String.init (i mod 61) (fun j -> Char.chr (((i * 31) + j) land 0xff))
+
+let test_golden_file_bytes () =
+  with_temp_dir (fun dir ->
+      let pa = Filename.concat dir "a.spill" and pb = Filename.concat dir "b.spill" in
+      let a = File.create pa and b = File.create pb in
+      let recs =
+        List.init 600 (fun i ->
+            let key = Printf.sprintf "key%04d" i in
+            (key, File.append a ~kind:(i mod 5) ~key (golden_value i)))
+      in
+      let c = File.copier () in
+      File.copy_start c;
+      List.iteri
+        (fun i (key, (off, len)) ->
+          if i mod 2 = 0 then ignore (File.copy c ~src:a ~dst:b ~off ~len ~key))
+        recs;
+      File.flush c b;
+      for i = 600 to 639 do
+        ignore (File.append b ~kind:1 ~key:(string_of_int i) (golden_value i))
+      done;
+      File.close a;
+      File.close b;
+      check_string "appended file bytes" "037fdf5da5af8fda23602c4aa49b572c"
+        (Digest.to_hex (Digest.file pa));
+      check_string "compacted file bytes" "5420d32b2ad74c4af30779a5c02ff103"
+        (Digest.to_hex (Digest.file pb)))
+
+(* --- the append tail ------------------------------------------------------ *)
+
+let disk_size path = (Unix.stat path).Unix.st_size
+
+(* Mostly small records, with one larger than a chunk every 97. *)
+let tail_value i =
+  if i mod 97 = 40 then String.make 9000 (Char.chr (97 + (i mod 26)))
+  else String.make (i mod 70) (Char.chr (65 + (i mod 26)))
+
+let read_back f (key, value, (off, len)) =
+  let kind, v = File.read f ~off ~len ~key in
+  check_int ("kind of " ^ key) 3 kind;
+  check_string ("value of " ^ key) value v
+
+let test_tail_reads () =
+  with_temp_dir (fun dir ->
+      let path = Filename.concat dir "t.spill" in
+      let writes = Fw_obs.Counter.make () in
+      let f = File.create ~writes path in
+      let first = ("first", "in the tail", File.append f ~kind:3 ~key:"first" "in the tail") in
+      check_int "nothing written yet" 0 (disk_size path);
+      check_int "no write issued" 0 (Fw_obs.Counter.get writes);
+      read_back f first;
+      let _, _, (off, len) = first in
+      (match File.read f ~off ~len ~key:"second" with
+      | exception File.Fault msg ->
+          check_bool ("tail read names the key: " ^ msg) true
+            (Astring_contains.contains msg "second")
+      | _ -> Alcotest.fail "wrong-key read from the tail succeeded");
+      (* records straddling tail writes, and records larger than the
+         tail between them: each reads back right after its append and
+         again at the end *)
+      let recs =
+        first
+        :: List.init 400 (fun i ->
+               let key = Printf.sprintf "r%d" i and value = tail_value i in
+               let r = (key, value, File.append f ~kind:3 ~key value) in
+               read_back f r;
+               r)
+      in
+      List.iter (read_back f) recs;
+      let on_disk = disk_size path in
+      check_bool "only the tail is pending" true
+        (on_disk < File.size f && File.size f - on_disk <= 8192);
+      let n = Fw_obs.Counter.get writes in
+      check_bool (Printf.sprintf "%d writes for 401 records" n) true (n <= 401 / 8);
+      (* a compaction copy writes the source's pending tail first *)
+      let g = File.create ~writes (Filename.concat dir "g.spill") in
+      let c = File.copier () in
+      File.copy_start c;
+      let copied =
+        List.map
+          (fun (key, value, (off, len)) ->
+            (key, value, (File.copy c ~src:f ~dst:g ~off ~len ~key, len)))
+          recs
+      in
+      File.flush c g;
+      check_int "source tail written before the copy" (File.size f) (disk_size path);
+      check_int "copy is whole" (File.size f) (File.size g);
+      List.iter (read_back g) copied;
+      File.close f;
+      File.close g)
+
+let test_tail_write_failure () =
+  (* a FIFO cannot seek: every write fails, with the tail still held *)
+  with_temp_dir (fun dir ->
+      let path = Filename.concat dir "fifo.spill" in
+      Unix.mkfifo path 0o600;
+      let writes = Fw_obs.Counter.make () in
+      let f = File.create ~writes path in
+      let rec fill acc i =
+        let key = Printf.sprintf "k%d" i in
+        match File.append f ~kind:3 ~key (String.make 60 'x') with
+        | r -> fill ((key, String.make 60 'x', r) :: acc) (i + 1)
+        | exception Unix.Unix_error _ -> List.rev acc
+      in
+      let recs = fill [] 0 in
+      check_bool "the tail filled before the failed write" true (List.length recs > 50);
+      let size = File.size f in
+      List.iter (read_back f) recs;
+      (match File.append f ~kind:3 ~key:"again" "x" with
+      | exception Unix.Unix_error _ -> ()
+      | _ -> Alcotest.fail "the next append did not retry the tail write");
+      check_int "failed appends append nothing" size (File.size f);
+      List.iter (read_back f) recs;
+      check_int "no write completed" 0 (Fw_obs.Counter.get writes);
+      File.close f)
+
+let test_tail_truncate_and_remove () =
+  let registry = Fw_obs.Registry.create () in
+  let pool = Pool.create ~registry ~budget:0 () in
+  Fun.protect ~finally:(fun () -> Pool.close pool) (fun () ->
+      let s = Store.create ~pool ~name:"cleared" str_codec in
+      for i = 0 to 9 do
+        Store.set s (key_of i) (Printf.sprintf "old%d" i)
+      done;
+      let path = spill_path pool in
+      check_int "the evictions wait in the tail" 0 (disk_size path);
+      Store.clear s;
+      check_int "clear drops the disk bytes" 0 (Pool.disk_bytes pool);
+      (* new records reuse the dropped tail's offsets; past one chunk
+         the file on disk holds exactly them *)
+      for i = 0 to 499 do
+        Store.set s (key_of i) (Printf.sprintf "new%d" i)
+      done;
+      List.iter
+        (fun i ->
+          check_bool "value after clear" true
+            (Store.find s (key_of i) = Some (Printf.sprintf "new%d" i)))
+        [ 0; 9; 10; 499 ];
+      let scan = File.scan path in
+      check_bool "the file holds records" true (scan.File.records <> []);
+      check_int "no stale bytes" 0 (List.length scan.File.skipped);
+      List.iter
+        (fun (_, _, k, v) ->
+          check_bool ("new record for " ^ k) true
+            (String.starts_with ~prefix:"new" (Bin.r_string (Bin.reader v))))
+        scan.File.records;
+      check_bool "writes counted on the pool" true (Pool.writes pool > 0);
+      check_bool "spill_writes_total exported" true
+        (Astring_contains.contains
+           (Fw_obs.Export.prometheus registry)
+           "spill_writes_total"));
+  with_temp_dir (fun dir ->
+      let path = Filename.concat dir "r.spill" in
+      let writes = Fw_obs.Counter.make () in
+      let f = File.create ~writes path in
+      ignore (File.append f ~kind:3 ~key:"k" "pending");
+      File.remove f;
+      check_bool "removed" false (Sys.file_exists path);
+      check_int "the pending tail was not written" 0 (Fw_obs.Counter.get writes))
+
 let suite =
   [
     Alcotest.test_case "store semantics (resident)" `Quick
@@ -1157,4 +1337,12 @@ let suite =
     prop_crc_alignments;
     prop_crc_long;
     prop_compaction_model;
+    Alcotest.test_case "closed spill files: golden bytes" `Quick
+      test_golden_file_bytes;
+    Alcotest.test_case "append tail: reads, straddles, big records, copy" `Quick
+      test_tail_reads;
+    Alcotest.test_case "append tail: a failed write loses nothing" `Quick
+      test_tail_write_failure;
+    Alcotest.test_case "append tail: clear and remove" `Quick
+      test_tail_truncate_and_remove;
   ]
