@@ -1661,6 +1661,7 @@ type spill_run = {
   sr_faults : int;
   sr_compactions : int;
   sr_compaction_ns : Fw_obs.Histogram.t;  (** one sample per compaction *)
+  sr_fault_ns : Fw_obs.Histogram.t;  (** one sample per fault-in *)
   sr_rows : Fw_engine.Row.t list;
 }
 
@@ -1694,20 +1695,24 @@ let section_spill () =
       { sr_keys = n; sr_budget = budget; sr_rate = per_s n dt; sr_peak = 0;
         sr_max_entry = 0; sr_disk = 0; sr_evictions = 0; sr_writes = 0; sr_faults = 0;
         sr_compactions = 0;
-        sr_compaction_ns = Fw_obs.Histogram.create (); sr_rows = rows }
+        sr_compaction_ns = Fw_obs.Histogram.create ();
+        sr_fault_ns = Fw_obs.Histogram.create (); sr_rows = rows }
     in
     match pool with
     | None -> run
     | Some p ->
+        let histogram name default =
+          match Fw_obs.Registry.find registry name with
+          | Some (Fw_obs.Registry.Histogram h) -> h
+          | _ -> default
+        in
         let run =
           { run with sr_peak = Pool.peak_resident_bytes p; sr_max_entry = Pool.max_entry_bytes p;
                      sr_disk = Pool.disk_bytes p; sr_evictions = Pool.evictions p;
                      sr_writes = Pool.writes p;
                      sr_faults = Pool.faults p; sr_compactions = Pool.compactions p;
-                     sr_compaction_ns =
-                       (match Fw_obs.Registry.find registry "spill_compaction_ns" with
-                       | Some (Fw_obs.Registry.Histogram h) -> h
-                       | _ -> run.sr_compaction_ns) }
+                     sr_compaction_ns = histogram "spill_compaction_ns" run.sr_compaction_ns;
+                     sr_fault_ns = histogram "spill_fault_ns" run.sr_fault_ns }
         in
         Pool.close p;
         run
@@ -1752,18 +1757,21 @@ let section_spill () =
   (* compactions over every budgeted run of the section *)
   let budgeted = curve @ [ large ] in
   let compactions = List.fold_left (fun n r -> n + r.sr_compactions) 0 budgeted in
-  let compaction_us_p50 =
+  let us_p50 field =
     let h =
       List.fold_left
-        (fun h r -> Fw_obs.Histogram.merged h r.sr_compaction_ns)
+        (fun h r -> Fw_obs.Histogram.merged h (field r))
         (Fw_obs.Histogram.create ()) budgeted
     in
     match Fw_obs.Histogram.quantile h 0.5 with
     | Some ns -> float_of_int ns /. 1e3
     | None -> 0.0
   in
-  Printf.printf "\n  %d compactions over the budgeted runs, p50 %.1f us\n"
-    compactions compaction_us_p50;
+  let compaction_us_p50 = us_p50 (fun r -> r.sr_compaction_ns) in
+  let fault_us_p50 = us_p50 (fun r -> r.sr_fault_ns) in
+  Printf.printf
+    "\n  %d compactions over the budgeted runs, p50 %.1f us; fault-in p50 %.2f us\n"
+    compactions compaction_us_p50 fault_us_p50;
   let row r =
     Obj
       [ ("keys", Int r.sr_keys);
@@ -1806,6 +1814,7 @@ let section_spill () =
         ("spill.peak_resident_kb", Float (float_of_int large.sr_peak /. 1024.0));
         ("spill.disk_mb", Float (float_of_int large.sr_disk /. 1048576.0));
         ("spill.compactions", Int compactions);
+        ("spill.fault_us_p50", Float fault_us_p50);
         ("spill.compaction_us_p50", Float compaction_us_p50) ]
     ~results:(List.map row (baseline :: budgeted))
     ((holds "rows_identical"

@@ -17,6 +17,15 @@
    write leaves the tail as it was: its records stay readable and the
    next append writes it again at the same place.
 
+   Every transfer is positioned: a record read, a tail write and a
+   compaction chunk each go through one [pread]/[pwrite] at their
+   offset (the C stubs in [spill_stubs.c]), straight between the kernel
+   and the OCaml buffer — no seek, and no bounce buffer.  The stubs
+   keep the runtime lock: releasing it would let the buffer move, so it
+   would need [Unix.read]'s bounce buffer and copy, which cost more than
+   a transfer of a few KiB from the page cache, and a pool is
+   single-writer, so no thread of the domain waits for the lock.
+
    Spill files are {e scratch}: checkpoints re-absorb every spilled
    entry into the snapshot (see {!Store.fold}), so recovery never reads
    one, and {!remove} deletes them on close.  Durability is therefore
@@ -84,19 +93,29 @@ let scratch t n =
     t.buf
   end
 
-(* One seek, then write [buf.[pos..pos+len)] at [off]. *)
+(* [pread fd off buf pos len] and [pwrite fd off buf pos len] transfer
+   up to [len] bytes between [buf.[pos..]] and the file at [off] in one
+   system call, retried on EINTR, and return the count; a failure
+   raises [Unix.Unix_error]. *)
+external pread : Unix.file_descr -> int -> Bytes.t -> int -> int -> int
+  = "fw_spill_pread"
+
+external pwrite : Unix.file_descr -> int -> Bytes.t -> int -> int -> int
+  = "fw_spill_pwrite"
+
+(* Write [buf.[pos..pos+len)] at [off]. *)
 let write_at t off buf pos len =
-  ignore (Unix.lseek t.fd off Unix.SEEK_SET);
-  let rec go p = if p < len then go (p + Unix.write t.fd buf (pos + p) (len - p)) in
+  let rec go p =
+    if p < len then go (p + pwrite t.fd (off + p) buf (pos + p) (len - p))
+  in
   go 0;
   Option.iter Fw_obs.Counter.inc t.writes
 
-(* One seek, then read exactly [len] bytes at [off] into [buf.[0..len)]. *)
+(* Read exactly [len] bytes at [off] into [buf.[0..len)]. *)
 let read_at t off buf len =
-  ignore (Unix.lseek t.fd off Unix.SEEK_SET);
   let rec go p =
     if p < len then
-      match Unix.read t.fd buf p (len - p) with
+      match pread t.fd (off + p) buf p (len - p) with
       | 0 -> fault "truncated spill file (wanted %d bytes, got %d)" len p
       | n -> go (p + n)
   in
@@ -231,7 +250,7 @@ let read t ~off ~len ~key =
 (* Compaction streams verified records from one file into another
    through two chunk buffers kept across compactions.  The source
    writes out its tail first; it is then read in file order a chunk at
-   a time (one seek per chunk, garbage between live records skipped),
+   a time (one [pread] per chunk, garbage between live records skipped),
    each record is checked in place, and its raw bytes gather in the
    output chunk, written out whole when full.  A record larger than a
    chunk goes through a one-off buffer. *)

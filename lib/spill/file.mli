@@ -17,7 +17,12 @@
     tail intact and readable, and the next append retries it, so no
     appended record is ever lost to a failed write.  Compaction writes
     a source's tail out before copying from it, {!truncate} drops the
-    tail, {!close} writes it out and {!remove} does not. *)
+    tail, {!close} writes it out and {!remove} does not.
+
+    Every transfer is positioned: one [pread] per record read from disk
+    and one [pwrite] per tail, oversized record or compaction chunk,
+    with no seek and no bounce buffer.  A read that reaches the end of
+    the file early raises {!Fault} ["truncated spill file ..."]. *)
 
 exception Fault of string
 (** A spill-file read that cannot be trusted: truncation, CRC mismatch,
@@ -81,7 +86,7 @@ val release : t -> int -> unit
 
     A copier streams verified records from one spill file into
     another: the source writes out its tail, then is read in file order
-    a chunk at a time (one seek per chunk), each record is checked in
+    a chunk at a time (one [pread] per chunk), each record is checked in
     place as {!read_record} does, and its raw bytes gather in an output
     chunk written whole.
     Its two chunk buffers (8 KiB each) are allocated at the

@@ -18,7 +18,7 @@ module Counter = Fw_obs.Counter
 module Gauge = Fw_obs.Gauge
 module Histogram = Fw_obs.Histogram
 
-type member = { m_id : int; m_evict : unit -> int; m_close : remove:bool -> unit }
+type member = { m_id : int; m_evict : unit -> int; m_close : unit -> unit }
 
 type t = {
   mutable budget : int;
@@ -219,7 +219,7 @@ let unregister t id =
 let close t =
   if not t.closed then begin
     t.closed <- true;
-    List.iter (fun m -> m.m_close ~remove:true) t.members;
+    List.iter (fun m -> m.m_close ()) t.members;
     t.members <- [];
     if t.owns_dir then try Unix.rmdir t.dir with Unix.Unix_error _ -> ()
   end

@@ -65,8 +65,9 @@ val rebalance : t -> unit
     entries remain).  Stores call this after any growth. *)
 
 val close : t -> unit
-(** Close every member store's spill file and delete it; removes the
-    pool's temporary directory when it owns one.  Idempotent. *)
+(** Close and delete every member store's spill files (its current file
+    and its emptied compaction target); removes the pool's temporary
+    directory when it owns one.  Idempotent. *)
 
 (**/**)
 
@@ -74,7 +75,7 @@ val close : t -> unit
 
 val fresh_file : t -> name:string -> File.t  (* counts its writes *)
 val copier : t -> File.copier  (* compaction buffers, shared: never nested *)
-val register : t -> evict:(unit -> int) -> close:(remove:bool -> unit) -> int
+val register : t -> evict:(unit -> int) -> close:(unit -> unit) -> int
 val unregister : t -> int -> unit
 val grow : t -> int -> unit
 val shrink : t -> int -> unit

@@ -16,6 +16,17 @@
    its hot bit cleared and a second trip, a pinned entry rotates
    untouched, a cold one is serialized and dropped from memory.
 
+   A budgeted store threads its spilled entries on an intrusive
+   doubly-linked ring (two fields per entry, one sentinel per store).
+   An eviction appends a record at the file's end and links the entry
+   at the ring's tail; a fault-in, a [set] over a spilled entry and a
+   [remove] turn the record into garbage and unlink the entry.  The
+   ring is therefore in file order, and compaction copies the live
+   records by walking it: no table scan, no sort.  Compaction copies
+   into the store's previous file, kept open and emptied, and the file
+   it leaves becomes the next target, so a store owns at most two spill
+   files, only its first compaction creates one, and none unlinks one.
+
    Correctness contract (what makes the budgeted backend invisible to
    the differential fuzzer):
 
@@ -166,7 +177,8 @@ type 'a codec = {
   weight : 'a -> int;  (** resident-bytes estimate, for accounting only *)
 }
 
-type 'a slot = Live of 'a | Spilled of { off : int; len : int }
+(* [off] moves when a compaction copies the record. *)
+type 'a slot = Live of 'a | Spilled of { mutable off : int; len : int }
 
 type 'a entry = {
   e_key : string;
@@ -175,6 +187,8 @@ type 'a entry = {
   mutable e_hot : bool;  (* second-chance bit *)
   mutable e_pins : int;
   mutable e_dead : bool;  (* removed; stale clock-queue reference *)
+  mutable e_prev : 'a entry;  (* spill ring links, meaningful while Spilled *)
+  mutable e_next : 'a entry;
 }
 
 type 'a budgeted = {
@@ -183,7 +197,9 @@ type 'a budgeted = {
   name : string;
   tbl : 'a entry Tbl.t;
   clock : 'a entry Queue.t;  (* eviction candidates, FIFO + second chance *)
+  ring : 'a entry;  (* sentinel of the spilled entries, in file order *)
   mutable file : File.t option;  (* opened lazily, on first eviction *)
+  mutable target : File.t option;  (* emptied previous file: the next compaction's *)
   mutable member : int;  (* pool registration, for {!release} *)
   enc : Buffer.t;  (* the payload of the record being evicted *)
 }
@@ -209,7 +225,46 @@ let spill_fault b key fmt =
         (File.Fault (Printf.sprintf "store %s, key %S: %s" b.name key s)))
     fmt
 
+(* --- the spill ring ---------------------------------------------------- *)
+
+let sentinel () =
+  let rec s =
+    {
+      e_key = "";
+      e_slot = Spilled { off = -1; len = 0 };
+      e_weight = 0;
+      e_hot = false;
+      e_pins = 0;
+      e_dead = true;
+      e_prev = s;
+      e_next = s;
+    }
+  in
+  s
+
+(* Link [e], whose record was just appended, at the ring's tail. *)
+let link_tail b e =
+  let last = b.ring.e_prev in
+  e.e_prev <- last;
+  e.e_next <- b.ring;
+  last.e_next <- e;
+  b.ring.e_prev <- e
+
+(* Unlink [e], whose record just became garbage. *)
+let unlink e =
+  e.e_prev.e_next <- e.e_next;
+  e.e_next.e_prev <- e.e_prev;
+  e.e_prev <- e;
+  e.e_next <- e
+
 (* --- compaction ------------------------------------------------------ *)
+
+(* Empty a spill file and keep it as the next compaction's target; one
+   that cannot be emptied is deleted instead. *)
+let retire b f =
+  match File.truncate f with
+  | () -> b.target <- Some f
+  | exception Unix.Unix_error _ -> File.remove f
 
 let maybe_compact b =
   match b.file with
@@ -223,53 +278,50 @@ let maybe_compact b =
           0
         end
         else begin
-          (* Stream the live records, in file order, into a fresh file.
-             A record that cannot be read back is live engine state, so
-             this fails loudly, naming the store and key, and leaves
-             every entry on the old file rather than dropping one. *)
-          let spilled_off e =
-            match e.e_slot with
-            | Spilled { off; _ } when not e.e_dead -> off
-            | Spilled _ | Live _ -> -1
+          (* Stream the live records, walking the ring in file order,
+             into the empty target.  A record that cannot be read back
+             is live engine state, so this fails loudly, naming the
+             store and key, and leaves every entry on the old file
+             rather than dropping one. *)
+          let dst =
+            match b.target with
+            | Some d -> d
+            | None -> Pool.fresh_file b.pool ~name:b.name
           in
-          let ents =
-            Tbl.fold (fun _ e acc -> if spilled_off e >= 0 then e :: acc else acc) b.tbl []
-            |> Array.of_list
-          in
-          (* sort positions by a flat offset array: comparing through the
-             entries would chase two pointers per comparison *)
-          let offs = Array.map spilled_off ents in
-          let order = Array.init (Array.length ents) Fun.id in
-          Array.stable_sort (fun i j -> Int.compare offs.(i) offs.(j)) order;
-          let nf = Pool.fresh_file b.pool ~name:b.name in
+          b.target <- None;
           let c = Pool.copier b.pool in
+          let rec copy e =
+            if e != b.ring then begin
+              (match e.e_slot with
+              | Spilled { off; len } -> (
+                  try ignore (File.copy c ~src:f ~dst ~off ~len ~key:e.e_key)
+                  with File.Fault m -> spill_fault b e.e_key "%s" m)
+              | Live _ -> assert false);
+              copy e.e_next
+            end
+          in
           (match
              File.copy_start c;
-             Array.iter
-               (fun i ->
-                 let e = ents.(i) in
-                 match e.e_slot with
-                 | Spilled { off; len } ->
-                     offs.(i) <-
-                       (try File.copy c ~src:f ~dst:nf ~off ~len ~key:e.e_key
-                        with File.Fault m -> spill_fault b e.e_key "%s" m)
-                 | Live _ -> assert false)
-               order;
-             File.flush c nf
+             copy b.ring.e_next;
+             File.flush c dst
            with
           | () -> ()
           | exception ex ->
-              File.remove nf;
+              retire b dst;
               raise ex);
-          Array.iteri
-            (fun i e ->
+          (* the copies lie end to end from offset 0, in ring order *)
+          let rec move e off =
+            if e != b.ring then
               match e.e_slot with
-              | Spilled { len; _ } -> e.e_slot <- Spilled { off = offs.(i); len }
-              | Live _ -> assert false)
-            ents;
-          File.remove f;
-          b.file <- Some nf;
-          File.size nf
+              | Spilled r ->
+                  r.off <- off;
+                  move e.e_next (off + r.len)
+              | Live _ -> assert false
+          in
+          move b.ring.e_next 0;
+          b.file <- Some dst;
+          retire b f;
+          File.size dst
         end
       in
       Pool.set_disk b.pool (new_size - old_size);
@@ -289,6 +341,7 @@ let evict_entry b e v =
   let off, len = File.append_payload f b.enc in
   Pool.set_disk b.pool len;
   e.e_slot <- Spilled { off; len };
+  link_tail b e;
   let freed = e.e_weight in
   Pool.shrink b.pool freed;
   Pool.entry_dropped b.pool;
@@ -322,11 +375,11 @@ let evict_one b =
   in
   go (Queue.length b.clock)
 
-let close_backend b ~remove =
-  (match b.file with
-  | Some f -> if remove then File.remove f else File.close f
-  | None -> ());
-  b.file <- None
+let close_backend b =
+  Option.iter File.remove b.file;
+  Option.iter File.remove b.target;
+  b.file <- None;
+  b.target <- None
 
 (* --- construction ---------------------------------------------------- *)
 
@@ -341,7 +394,9 @@ let create ?pool ~name codec =
           name;
           tbl = Tbl.create ();
           clock = Queue.create ();
+          ring = sentinel ();
           file = None;
+          target = None;
           member = -1;
           enc = Buffer.create 256;
         }
@@ -349,7 +404,7 @@ let create ?pool ~name codec =
       b.member <-
         Pool.register pool
           ~evict:(fun () -> evict_one b)
-          ~close:(fun ~remove -> close_backend b ~remove);
+          ~close:(fun () -> close_backend b);
       B b
 
 (* --- fault-in -------------------------------------------------------- *)
@@ -379,6 +434,7 @@ let live_value b e =
         spill_fault b e.e_key "trailing bytes after state (%d)"
           (Bin.remaining r);
       File.release f len;
+      unlink e;
       e.e_slot <- Live v;
       e.e_weight <- b.codec.weight v;
       Pool.grow b.pool e.e_weight;
@@ -401,14 +457,17 @@ let reweigh b e v =
   end
 
 let add_entry b h key v =
-  let e =
+  let w = b.codec.weight v in
+  let rec e =
     {
       e_key = key;
       e_slot = Live v;
-      e_weight = b.codec.weight v;
+      e_weight = w;
       e_hot = true;
       e_pins = 0;
       e_dead = false;
+      e_prev = e;
+      e_next = e;
     }
   in
   Tbl.insert b.tbl h key e;
@@ -453,6 +512,7 @@ let set t key v =
           | Spilled { len; _ } ->
               (* the on-disk copy is superseded *)
               (match b.file with Some f -> File.release f len | None -> ());
+              unlink e;
               e.e_weight <- b.codec.weight v;
               Pool.grow b.pool e.e_weight;
               Pool.entry_added b.pool;
@@ -476,7 +536,9 @@ let remove t key =
         (Tbl.take b.tbl key (fun e ->
              (match e.e_slot with
              | Live _ -> drop_live b e
-             | Spilled { len; _ } -> Option.iter (fun f -> File.release f len) b.file);
+             | Spilled { len; _ } ->
+                 Option.iter (fun f -> File.release f len) b.file;
+                 unlink e);
              e.e_dead <- true;
              None));
       (* after the unlink, so a failed compaction leaves the removal done *)
@@ -620,6 +682,8 @@ let clear t =
         b.tbl;
       Tbl.reset b.tbl;
       Queue.clear b.clock;
+      b.ring.e_prev <- b.ring;
+      b.ring.e_next <- b.ring;
       (match b.file with
       | Some f ->
           let sz = File.size f in
@@ -634,8 +698,42 @@ let release t =
   match t with
   | R _ -> ()
   | B b ->
-      close_backend b ~remove:true;
+      close_backend b;
       Pool.unregister b.pool b.member
+
+let check_ring t =
+  match t with
+  | R _ -> Ok ()
+  | B b ->
+      let spilled =
+        Tbl.fold
+          (fun _ e n -> match e.e_slot with Spilled _ -> n + 1 | Live _ -> n)
+          b.tbl 0
+      in
+      let live = match b.file with Some f -> File.live_bytes f | None -> 0 in
+      let fail fmt = Printf.ksprintf (fun m -> Error m) fmt in
+      let rec walk e next_off n bytes =
+        if e == b.ring then
+          if n <> spilled then
+            fail "%d entries on the ring, %d spilled in the table" n spilled
+          else if bytes <> live then
+            fail "ring records hold %d bytes, the file %d live" bytes live
+          else Ok ()
+        else if e.e_prev.e_next != e || e.e_next.e_prev != e then
+          fail "broken ring links at key %S" e.e_key
+        else
+          match (e.e_slot, Tbl.find b.tbl (Tbl.hash e.e_key) e.e_key) with
+          | Live _, _ -> fail "live entry %S on the ring" e.e_key
+          | Spilled _, Tbl.Cons c when c.data != e ->
+              fail "ring entry %S is not the table's" e.e_key
+          | Spilled _, Tbl.Nil -> fail "ring entry %S is not in the table" e.e_key
+          | Spilled { off; len }, Tbl.Cons _ ->
+              if off < next_off then
+                fail "key %S at offset %d, before the previous record's end %d"
+                  e.e_key off next_off
+              else walk e.e_next (off + len) (n + 1) (bytes + len)
+      in
+      walk b.ring.e_next 0 0 0
 
 (* --- whole-store image ----------------------------------------------- *)
 

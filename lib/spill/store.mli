@@ -2,7 +2,11 @@
     table — the default when no {!Pool} is given) or [Budgeted]
     (clock/second-chance eviction of cold entries to an append-only
     spill file, lazy fault-in on access, compaction when over half the
-    file is garbage).
+    file is garbage).  A budgeted store keeps its spilled entries on a
+    ring in file order, which compaction walks to copy the live records
+    into the store's previous file, kept open and emptied: a store owns
+    at most two spill files, only its first compaction creates one, and
+    none deletes one.
 
     Both backends keep their entries in one string-keyed chained table
     whose bucket nodes hold the value: every operation below hashes the
@@ -49,8 +53,9 @@ type 'a t
 val create : ?pool:Pool.t -> name:string -> 'a codec -> 'a t
 (** Without [pool]: the resident backend.  With [pool]: the budgeted
     backend, registered with the pool for eviction sweeps; its spill
-    file (named after [name]) is created lazily on first eviction and
-    deleted by {!Pool.close}. *)
+    file (named after [name]) is created lazily on first eviction, its
+    compaction target at the first compaction, and both are deleted by
+    {!Pool.close}. *)
 
 val length : 'a t -> int
 (** Live entries (resident + spilled). *)
@@ -97,8 +102,14 @@ val clear : 'a t -> unit
 (** Drop every entry and truncate the spill file. *)
 
 val release : 'a t -> unit
-(** Drop every entry, delete the spill file and leave the pool, for a
+(** Drop every entry, delete the spill files and leave the pool, for a
     store that will not be used again. *)
+
+val check_ring : 'a t -> (unit, string) result
+(** The budgeted backend's spill-ring invariant, for tests: the ring's
+    links are consistent, it holds exactly the spilled entries of the
+    table, in ascending offset order, and their record lengths sum to
+    the spill file's live bytes.  [Ok ()] for the resident backend. *)
 
 (** {2 Whole-store image}
 

@@ -293,8 +293,14 @@ let run_store_ops ~take ~observe s ops =
   ( !ok && same_contents () && Store.length s = Smap.cardinal !model,
     List.rev !seen )
 
+(* ... and after every operation the spill ring holds exactly the
+   spilled entries, in file order, their lengths summing to the file's
+   live bytes. *)
 let store_agrees_with_model s ops =
-  fst (run_store_ops ~take:Store.take ~observe:ignore s ops)
+  let ok, rings =
+    run_store_ops ~take:Store.take ~observe:(fun () -> Store.check_ring s) s ops
+  in
+  ok && List.for_all Result.is_ok rings
 
 (* {!Store.take} as the two probes it replaces. *)
 let find_then_set_or_remove s key f =
@@ -650,14 +656,24 @@ let test_file_read_and_scan () =
         (List.length scan.File.records);
       check_int "torn tail reported" 1 (List.length scan.File.skipped))
 
+let spill_files pool =
+  Array.to_list (Sys.readdir (Pool.dir pool))
+  |> List.filter (fun f -> Filename.check_suffix f ".spill")
+  |> List.map (Filename.concat (Pool.dir pool))
+
+(* The current spill file of the pool's one store: the only spill file,
+   or the only non-empty one once a compaction has left its emptied
+   target beside it. *)
 let spill_path pool =
-  match
-    Array.to_list (Sys.readdir (Pool.dir pool))
-    |> List.filter (fun f -> Filename.check_suffix f ".spill")
-  with
-  | [ f ] -> Filename.concat (Pool.dir pool) f
-  | files ->
-      Alcotest.failf "expected one spill file, found %d" (List.length files)
+  let files = spill_files pool in
+  match files with
+  | [ f ] -> f
+  | _ -> (
+      match List.filter (fun f -> (Unix.stat f).Unix.st_size > 0) files with
+      | [ f ] -> f
+      | current ->
+          Alcotest.failf "expected one current spill file, found %d non-empty of %d"
+            (List.length current) (List.length files))
 
 let test_fault_in_is_typed () =
   (* corrupt the live spill file under a budget-0 store: the next find
@@ -1096,7 +1112,11 @@ let prop_compaction_model =
                 model := Smap.remove (key_of k) !model;
                 true
           in
-          let agreed = List.for_all (fun op -> step op && matches ()) ops in
+          let agreed =
+            List.for_all
+              (fun op -> step op && matches () && Store.check_ring s = Ok ())
+              ops
+          in
           (* end on a set that compacts: with budget 0 every entry is
              then spilled, and the rewritten file holds exactly them *)
           if Smap.is_empty !model then ignore (step (C_set (0, 600)));
@@ -1110,6 +1130,7 @@ let prop_compaction_model =
           done;
           let scan = File.scan (spill_path pool) in
           agreed && matches ()
+          && Store.check_ring s = Ok ()
           && Pool.compactions pool >= 2
           && scan.File.skipped = []
           && List.sort compare
@@ -1289,6 +1310,84 @@ let test_tail_truncate_and_remove () =
       check_bool "removed" false (Sys.file_exists path);
       check_int "the pending tail was not written" 0 (Fw_obs.Counter.get writes))
 
+(* --- the store's file ------------------------------------------------------ *)
+
+(* A fixed history of sets, fault-ins and removes over 53 keys, ending
+   on the store's third compaction: a compaction writes the whole new
+   file, so the bytes on disk are all of it.  The digest was recorded
+   before compaction walked a ring of spilled entries into a reused
+   target, and pins that offsets, record bytes and file order did not
+   change. *)
+let test_golden_store_file () =
+  with_pool ~budget:0 (fun pool ->
+      let s = Store.create ~pool ~name:"golden" str_codec in
+      let i = ref 0 in
+      while Pool.compactions pool < 3 do
+        let key = key_of (!i * 7 mod 53) in
+        (match !i mod 11 with
+        | 3 -> ignore (Store.find s key)
+        | 8 -> Store.remove s key
+        | _ -> Store.set s key (golden_value !i));
+        incr i
+      done;
+      let path = spill_path pool in
+      check_int "history length" 1254 !i;
+      check_int "the whole file is on disk" (Pool.disk_bytes pool) (disk_size path);
+      check_string "store file bytes" "dadd5aed29aae4afb84b157fbf98bc30" (Digest.to_hex (Digest.file path)))
+
+(* Compaction copies into the store's previous file, emptied, and the
+   file it leaves becomes the next target: after many compactions the
+   store owns two files, the one not in use empty, and closing the pool
+   deletes both. *)
+let test_compaction_reuses_target () =
+  let pool = Pool.create ~budget:0 () in
+  let dir = Pool.dir pool in
+  Fun.protect ~finally:(fun () -> Pool.close pool) (fun () ->
+      let s = Store.create ~pool ~name:"reuse" str_codec in
+      let i = ref 0 in
+      while Pool.compactions pool < 6 do
+        Store.set s (key_of (!i mod 40)) (golden_value !i);
+        incr i;
+        check_bool "at most two files" true (List.length (spill_files pool) <= 2)
+      done;
+      let files = spill_files pool in
+      check_int "two files after 6 compactions" 2 (List.length files);
+      let current = spill_path pool in
+      List.iter
+        (fun f -> if f <> current then check_int "the target is empty" 0 (disk_size f))
+        files;
+      check_int "the current file holds the disk bytes" (Pool.disk_bytes pool)
+        (disk_size current);
+      for k = 0 to 39 do
+        check_bool "value after compactions" true (Store.find s (key_of k) <> None)
+      done);
+  check_bool "the pool's directory and files are gone" false (Sys.file_exists dir)
+
+(* A record whose bytes the disk no longer holds: the positioned read
+   comes up short at the end of the file and faults instead of
+   returning a partial record. *)
+let test_short_read_faults () =
+  with_temp_dir (fun dir ->
+      let path = Filename.concat dir "short.spill" in
+      let f = File.create path in
+      let recs =
+        List.init 300 (fun i ->
+            let key = Printf.sprintf "s%d" i and value = String.make 50 'v' in
+            (key, value, File.append f ~kind:3 ~key value))
+      in
+      let on_disk = disk_size path in
+      let key, _, (off, len) =
+        List.find (fun (_, _, (off, len)) -> off + len = on_disk) recs
+      in
+      Unix.truncate path (on_disk - 10);
+      (match File.read f ~off ~len ~key with
+      | exception File.Fault msg ->
+          check_bool ("fault says truncated: " ^ msg) true
+            (String.starts_with ~prefix:"truncated spill file" msg)
+      | _ -> Alcotest.fail "a short read returned a record");
+      read_back f (List.hd recs);
+      File.close f)
+
 let suite =
   [
     Alcotest.test_case "store semantics (resident)" `Quick
@@ -1345,4 +1444,10 @@ let suite =
       test_tail_write_failure;
     Alcotest.test_case "append tail: clear and remove" `Quick
       test_tail_truncate_and_remove;
+    Alcotest.test_case "store file after 3 compactions: golden bytes" `Quick
+      test_golden_store_file;
+    Alcotest.test_case "compaction reuses its target, close deletes both" `Quick
+      test_compaction_reuses_target;
+    Alcotest.test_case "short read at end of file faults" `Quick
+      test_short_read_faults;
   ]
