@@ -710,6 +710,17 @@ let timed f =
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
+(* [timed] plus the run's allocation, as [Gc.quick_stat] deltas: words
+   allocated on the minor heap and words promoted to the major heap. *)
+let timed_gc f =
+  let s0 = Gc.quick_stat () in
+  let r, dt = timed f in
+  let s1 = Gc.quick_stat () in
+  ( r,
+    dt,
+    s1.Gc.minor_words -. s0.Gc.minor_words,
+    s1.Gc.promoted_words -. s0.Gc.promoted_words )
+
 let best_of n f =
   let rec go best n =
     if n = 0 then best else go (Float.min best (snd (timed f))) (n - 1)
@@ -887,8 +898,8 @@ let section_engine () =
               timed (fun () ->
                   Fw_engine.Stream_exec.run plan ~horizon events)
             in
-            let naive_brows, naive_bdt =
-              timed (fun () ->
+            let naive_brows, naive_bdt, naive_bminor, naive_bpromo =
+              timed_gc (fun () ->
                   run_batched plan ~batch:engine_batch_size ~horizon events)
             in
             let inc_rows, inc_dt =
@@ -915,15 +926,16 @@ let section_engine () =
             let rewritten =
               (Fw_plan.Rewrite.optimize ~eta:bench_eta agg ws).Fw_plan.Rewrite.plan
             in
-            let rw_naive_rows, rw_naive_dt =
-              timed (fun () ->
+            let rw_naive_rows, rw_naive_dt, rw_naive_minor, rw_naive_promo =
+              timed_gc (fun () ->
                   run_batched rewritten ~batch:engine_batch_size ~horizon events)
             in
-            let rw_inc_rows, rw_inc_dt =
-              timed (fun () ->
+            let rw_inc_rows, rw_inc_dt, rw_inc_minor, rw_inc_promo =
+              timed_gc (fun () ->
                   run_batched ~mode:Fw_engine.Stream_exec.Incremental rewritten
                     ~batch:engine_batch_size ~horizon events)
             in
+            let per_ev w = w /. float_of_int n_events in
             let rw_rows_match =
               Fw_engine.Row.equal_sets naive_rows rw_naive_rows
               && Fw_engine.Row.equal_sets naive_rows rw_inc_rows
@@ -934,7 +946,9 @@ let section_engine () =
                 Printf.sprintf "%.0f" (rate inc_bdt); Printf.sprintf "x%.1f" (naive_dt /. inc_dt);
                 Printf.sprintf "x%.2f" (inc_dt /. inc_bdt); (if rows_match then "yes" else "NO");
                 Printf.sprintf "%.0f" (rate rw_naive_dt); Printf.sprintf "%.0f" (rate rw_inc_dt);
-                (if rw_rows_match then "yes" else "NO") ],
+                (if rw_rows_match then "yes" else "NO");
+                Printf.sprintf "%.1f" (per_ev naive_bpromo);
+                Printf.sprintf "%.1f" (per_ev rw_naive_promo) ],
               Obj
                 [ ("window_set", Str set_name);
                   ("windows", Str (String.concat " " (List.map Window.to_string ws)));
@@ -949,7 +963,16 @@ let section_engine () =
                   ("rows_match", Bool rows_match);
                   ("rewritten_naive_batched_events_per_sec", Float (rate rw_naive_dt));
                   ("rewritten_incremental_batched_events_per_sec", Float (rate rw_inc_dt));
-                  ("rewritten_rows_match", Bool rw_rows_match) ],
+                  ("rewritten_rows_match", Bool rw_rows_match);
+                  ("naive_batched_minor_words_per_event", Float (per_ev naive_bminor));
+                  ("naive_batched_promoted_words_per_event", Float (per_ev naive_bpromo));
+                  ("rewritten_naive_batched_minor_words_per_event", Float (per_ev rw_naive_minor));
+                  ("rewritten_naive_batched_promoted_words_per_event",
+                   Float (per_ev rw_naive_promo));
+                  ("rewritten_incremental_batched_minor_words_per_event",
+                   Float (per_ev rw_inc_minor));
+                  ("rewritten_incremental_batched_promoted_words_per_event",
+                   Float (per_ev rw_inc_promo)) ],
               rows_match,
               (* the headline: rs50x10 SUM, incremental, batched *)
               if set_name = "rs50x10" && agg = "SUM" then Some (rate inc_bdt) else None ))
@@ -972,6 +995,8 @@ let section_engine () =
            "rw naive-B";
            "rw incr-B";
            "rw rows =";
+           "naive-B promo w/ev";
+           "rw naive-B promo w/ev";
          ]
        (List.map (fun (row, _, _, _) -> row) results));
   let guard_rows, guard_checks = batched_guard () in

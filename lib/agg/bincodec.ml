@@ -10,32 +10,60 @@ let corrupt = Bin.corrupt
 
 (* --- aggregate state ----------------------------------------------- *)
 
+(* One writer per state family, shared by the state and column
+   encoders, so the layout is written down once. *)
+let w_min b m =
+  Bin.w_u8 b 0;
+  Bin.w_float b m
+
+let w_max b m =
+  Bin.w_u8 b 1;
+  Bin.w_float b m
+
+let w_count b n =
+  Bin.w_u8 b 2;
+  Bin.w_i64 b n
+
+let w_sum b s =
+  Bin.w_u8 b 3;
+  Bin.w_float b s
+
+let w_avg b ~sum ~count =
+  Bin.w_u8 b 4;
+  Bin.w_float b sum;
+  Bin.w_i64 b count
+
+let w_stdev b ~count ~mean ~m2 =
+  Bin.w_u8 b 5;
+  Bin.w_i64 b count;
+  Bin.w_float b mean;
+  Bin.w_float b m2
+
+let w_median b vs =
+  Bin.w_u8 b 6;
+  Bin.w_list b Bin.w_float vs
+
 let w_state b st =
   match Combine.view st with
-  | Combine.V_min m ->
-      Bin.w_u8 b 0;
-      Bin.w_float b m
-  | Combine.V_max m ->
-      Bin.w_u8 b 1;
-      Bin.w_float b m
-  | Combine.V_count n ->
-      Bin.w_u8 b 2;
-      Bin.w_i64 b n
-  | Combine.V_sum s ->
-      Bin.w_u8 b 3;
-      Bin.w_float b s
-  | Combine.V_avg { sum; count } ->
-      Bin.w_u8 b 4;
-      Bin.w_float b sum;
-      Bin.w_i64 b count
-  | Combine.V_stdev { count; mean; m2 } ->
-      Bin.w_u8 b 5;
-      Bin.w_i64 b count;
-      Bin.w_float b mean;
-      Bin.w_float b m2
-  | Combine.V_median vs ->
-      Bin.w_u8 b 6;
-      Bin.w_list b Bin.w_float vs
+  | Combine.V_min m -> w_min b m
+  | Combine.V_max m -> w_max b m
+  | Combine.V_count n -> w_count b n
+  | Combine.V_sum s -> w_sum b s
+  | Combine.V_avg { sum; count } -> w_avg b ~sum ~count
+  | Combine.V_stdev { count; mean; m2 } -> w_stdev b ~count ~mean ~m2
+  | Combine.V_median vs -> w_median b vs
+
+(* [w_state b (Combine.Cols.get c i)] without building the state. *)
+let w_slot b (c : Combine.Cols.t) i =
+  match c with
+  | C_min a -> w_min b a.(i)
+  | C_max a -> w_max b a.(i)
+  | C_count a -> w_count b a.(i)
+  | C_sum a -> w_sum b a.(i)
+  | C_avg { sum; count } -> w_avg b ~sum:sum.(i) ~count:count.(i)
+  | C_stdev { count; mean; m2 } ->
+      w_stdev b ~count:count.(i) ~mean:mean.(i) ~m2:m2.(i)
+  | C_median a -> w_median b a.(i)
 
 let r_state r =
   let view =
@@ -127,6 +155,12 @@ let state_weight st =
   | Combine.V_min _ | Combine.V_max _ | Combine.V_count _ | Combine.V_sum _
   | Combine.V_avg _ | Combine.V_stdev _ ->
       56
+
+(* [state_weight (Combine.Cols.get c i)] without building the state. *)
+let slot_weight (c : Combine.Cols.t) i =
+  match c with
+  | C_median a -> 48 + (24 * List.length a.(i))
+  | C_min _ | C_max _ | C_count _ | C_sum _ | C_avg _ | C_stdev _ -> 56
 
 let swag_weight q = 128 + (72 * Swag.length q)
 

@@ -10,6 +10,10 @@
 val w_state : Buffer.t -> Combine.state -> unit
 val r_state : Fw_spill.Bin.reader -> Combine.state
 
+val w_slot : Buffer.t -> Combine.Cols.t -> int -> unit
+(** [w_slot b c i] writes the bytes of [w_state b (Combine.Cols.get c i)]
+    without building the state. *)
+
 val w_xentry : Buffer.t -> Swag.xentry -> unit
 val r_xentry : Fw_spill.Bin.reader -> Swag.xentry
 
@@ -30,6 +34,9 @@ val kind_cwin : int
 val kind_session : int
 
 val state_weight : Combine.state -> int
+val slot_weight : Combine.Cols.t -> int -> int
+(** [state_weight (Combine.Cols.get c i)] without building the state. *)
+
 val swag_weight : Swag.t -> int
 
 val state_codec : Combine.state Fw_spill.Store.codec

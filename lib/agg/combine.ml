@@ -74,6 +74,184 @@ let merge a b =
       _ ) ->
       invalid_arg "Combine.merge: mismatched aggregate states"
 
+(* Accumulator columns: the states of many instances of one aggregate,
+   one unboxed array per state field.  Every in-place update below is
+   the corresponding state function above written against array slots,
+   expression for expression, so a slot holds bit for bit what the
+   boxed state would.
+
+   "Bit for bit" includes the payload of a nan, which is the one thing
+   the expression alone does not fix: when both operands of a float
+   [+.] or [*.] are nans, the hardware keeps the first one, and the
+   native code generator swaps the operands of a commutative operation
+   whose first operand is a plain load from memory and whose second is
+   not (to fold the load into the instruction).  A state field is such
+   a load, a bounds-checked [a.(i)] is not.  So where a state function
+   adds a computed term to a state field, the slot is read with
+   [Array.unsafe_get], which is a plain load.  It stays in bounds: a
+   checked access to the slot's count column comes first, and all
+   columns of one [t] have the same length. *)
+module Cols = struct
+  type t =
+    | C_min of float array
+    | C_max of float array
+    | C_count of int array
+    | C_sum of float array
+    | C_avg of { sum : float array; count : int array }
+    | C_stdev of { count : int array; mean : float array; m2 : float array }
+    | C_median of float list array
+
+  let create (f : Aggregate.t) n =
+    match f with
+    | Min -> C_min (Array.make n Float.infinity)
+    | Max -> C_max (Array.make n Float.neg_infinity)
+    | Count -> C_count (Array.make n 0)
+    | Sum -> C_sum (Array.make n 0.0)
+    | Avg -> C_avg { sum = Array.make n 0.0; count = Array.make n 0 }
+    | Stdev ->
+        C_stdev
+          {
+            count = Array.make n 0;
+            mean = Array.make n 0.0;
+            m2 = Array.make n 0.0;
+          }
+    | Median -> C_median (Array.make n [])
+
+  let aggregate : t -> Aggregate.t = function
+    | C_min _ -> Min
+    | C_max _ -> Max
+    | C_count _ -> Count
+    | C_sum _ -> Sum
+    | C_avg _ -> Avg
+    | C_stdev _ -> Stdev
+    | C_median _ -> Median
+
+  let mismatch fn =
+    invalid_arg ("Combine.Cols." ^ fn ^ ": mismatched aggregate states")
+
+  let of_value c i v =
+    match c with
+    | C_min a | C_max a | C_sum a -> a.(i) <- v
+    | C_count a -> a.(i) <- 1
+    | C_avg { sum; count } ->
+        sum.(i) <- v;
+        count.(i) <- 1
+    | C_stdev { count; mean; m2 } ->
+        count.(i) <- 1;
+        mean.(i) <- v;
+        m2.(i) <- 0.0
+    | C_median a -> a.(i) <- [ v ]
+
+  let add c i v =
+    match c with
+    | C_min a -> a.(i) <- Float.min a.(i) v
+    | C_max a -> a.(i) <- Float.max a.(i) v
+    | C_count a -> a.(i) <- a.(i) + 1
+    | C_sum a -> a.(i) <- a.(i) +. v
+    | C_avg { sum; count } ->
+        sum.(i) <- sum.(i) +. v;
+        count.(i) <- count.(i) + 1
+    | C_stdev { count; mean; m2 } ->
+        let n = count.(i) + 1 in
+        let delta = v -. mean.(i) in
+        let mu = Array.unsafe_get mean i +. (delta /. float_of_int n) in
+        count.(i) <- n;
+        mean.(i) <- mu;
+        m2.(i) <- Array.unsafe_get m2 i +. (delta *. (v -. mu))
+    | C_median a -> a.(i) <- v :: a.(i)
+
+  let set c i st =
+    match (c, st) with
+    | C_min a, S_min m | C_max a, S_max m | C_sum a, S_sum m -> a.(i) <- m
+    | C_count a, S_count n -> a.(i) <- n
+    | C_avg c, S_avg s ->
+        c.sum.(i) <- s.sum;
+        c.count.(i) <- s.count
+    | C_stdev c, S_stdev s ->
+        c.count.(i) <- s.count;
+        c.mean.(i) <- s.mean;
+        c.m2.(i) <- s.m2
+    | C_median a, S_median vs -> a.(i) <- vs
+    | ( (C_min _ | C_max _ | C_count _ | C_sum _ | C_avg _ | C_stdev _
+        | C_median _),
+        _ ) ->
+        mismatch "set"
+
+  let merge c i st =
+    match (c, st) with
+    | C_min a, S_min y -> a.(i) <- Float.min a.(i) y
+    | C_max a, S_max y -> a.(i) <- Float.max a.(i) y
+    | C_count a, S_count y -> a.(i) <- a.(i) + y
+    | C_sum a, S_sum y -> a.(i) <- a.(i) +. y
+    | C_avg c, S_avg y ->
+        c.sum.(i) <- c.sum.(i) +. y.sum;
+        c.count.(i) <- c.count.(i) + y.count
+    | C_stdev c, S_stdev y ->
+        let xcount = c.count.(i) in
+        if xcount = 0 then begin
+          c.count.(i) <- y.count;
+          c.mean.(i) <- y.mean;
+          c.m2.(i) <- y.m2
+        end
+        else if y.count <> 0 then begin
+          let na = float_of_int xcount and nb = float_of_int y.count in
+          let n = na +. nb in
+          let delta = y.mean -. c.mean.(i) in
+          c.count.(i) <- xcount + y.count;
+          c.mean.(i) <- Array.unsafe_get c.mean i +. (delta *. nb /. n);
+          c.m2.(i) <- c.m2.(i) +. y.m2 +. (delta *. delta *. na *. nb /. n)
+        end
+    | C_median a, S_median y -> a.(i) <- List.rev_append a.(i) y
+    | ( (C_min _ | C_max _ | C_count _ | C_sum _ | C_avg _ | C_stdev _
+        | C_median _),
+        _ ) ->
+        mismatch "merge"
+
+  let get c i =
+    match c with
+    | C_min a -> S_min a.(i)
+    | C_max a -> S_max a.(i)
+    | C_count a -> S_count a.(i)
+    | C_sum a -> S_sum a.(i)
+    | C_avg { sum; count } -> S_avg { sum = sum.(i); count = count.(i) }
+    | C_stdev { count; mean; m2 } ->
+        S_stdev { count = count.(i); mean = mean.(i); m2 = m2.(i) }
+    | C_median a -> S_median a.(i)
+
+  let clear c i =
+    match c with
+    | C_min a -> a.(i) <- Float.infinity
+    | C_max a -> a.(i) <- Float.neg_infinity
+    | C_count a -> a.(i) <- 0
+    | C_sum a -> a.(i) <- 0.0
+    | C_avg { sum; count } ->
+        sum.(i) <- 0.0;
+        count.(i) <- 0
+    | C_stdev { count; mean; m2 } ->
+        count.(i) <- 0;
+        mean.(i) <- 0.0;
+        m2.(i) <- 0.0
+    | C_median a -> a.(i) <- []
+
+  let copy src i dst j =
+    match (src, dst) with
+    | C_min a, C_min b | C_max a, C_max b | C_sum a, C_sum b ->
+        b.(j) <- a.(i)
+    | C_count a, C_count b -> b.(j) <- a.(i)
+    | C_avg a, C_avg b ->
+        b.sum.(j) <- a.sum.(i);
+        b.count.(j) <- a.count.(i)
+    | C_stdev a, C_stdev b ->
+        b.count.(j) <- a.count.(i);
+        b.mean.(j) <- a.mean.(i);
+        b.m2.(j) <- a.m2.(i)
+    | C_median a, C_median b -> b.(j) <- a.(i)
+    | ( (C_min _ | C_max _ | C_count _ | C_sum _ | C_avg _ | C_stdev _
+        | C_median _),
+        _ ) ->
+        mismatch "copy"
+end
+
 (* STDEV is deliberately absent even though {!inverse} succeeds on its
    states: undoing a merge computes M2 as a difference of nearly equal
    quantities, so a window whose true variance is 0 comes back as ~1e-13

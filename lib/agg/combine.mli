@@ -47,6 +47,64 @@ val merge : state -> state -> state
 (** Combine two sub-aggregate summaries.  Raises [Invalid_argument] when
     the states come from different aggregate functions. *)
 
+(** {2 Accumulator columns}
+
+    The states of many slots of one aggregate, stored column-wise with
+    one layout per family: one float column for MIN, MAX and SUM, one
+    int column for COUNT, float + int for AVG, int + two floats for
+    STDEV (Welford's count, mean, M2), and boxed list slots only for
+    holistic MEDIAN.  An update writes unboxed numbers in place: no
+    state is allocated, and no pointer is stored into a long-lived
+    array, so a long-lived column costs the GC nothing per update.
+
+    Each in-place operation computes exactly what its state
+    counterpart does, bit for bit: after [of_value c i v], [add c i v],
+    [set c i s] or [merge c i s], [get c i] equals (in every float bit)
+    [of_value f v], [add (get c i) v], [s] or [merge (get c i) s]. *)
+module Cols : sig
+  type t = private
+    | C_min of float array
+    | C_max of float array
+    | C_count of int array
+    | C_sum of float array
+    | C_avg of { sum : float array; count : int array }
+    | C_stdev of { count : int array; mean : float array; m2 : float array }
+    | C_median of float list array
+  (** The layout is public so that encoders ({!Fw_agg.Bincodec}) read a
+      slot without building its state; write slots only through the
+      functions below. *)
+
+  val create : Aggregate.t -> int -> t
+  (** [create f n]: [n] slots of [f], each holding [identity f]. *)
+
+  val aggregate : t -> Aggregate.t
+
+  val of_value : t -> int -> float -> unit
+  (** Slot [i] := {!Combine.of_value} of the columns' aggregate. *)
+
+  val add : t -> int -> float -> unit
+  (** Slot [i] := {!Combine.add} of it and the value. *)
+
+  val set : t -> int -> state -> unit
+  (** Slot [i] := the state.  Raises [Invalid_argument] when the state
+      comes from a different aggregate. *)
+
+  val merge : t -> int -> state -> unit
+  (** Slot [i] := {!Combine.merge} of it and the state.  Raises
+      [Invalid_argument] when the state comes from a different
+      aggregate. *)
+
+  val get : t -> int -> state
+  (** Slot [i] as a state (a fresh allocation). *)
+
+  val clear : t -> int -> unit
+  (** Slot [i] := the identity, dropping what it referenced. *)
+
+  val copy : t -> int -> t -> int -> unit
+  (** [copy src i dst j]: slot [j] of [dst] := slot [i] of [src], with
+      no state built.  Raises [Invalid_argument] across aggregates. *)
+end
+
 val invertible : Aggregate.t -> bool
 (** Whether subtract-on-evict is {e numerically safe} for this
     aggregate: [true] for COUNT/SUM/AVG only.  STDEV's {!inverse}

@@ -1,31 +1,29 @@
-module Combine = Fw_agg.Combine
-module Aggregate = Fw_agg.Aggregate
+module Cols = Fw_agg.Combine.Cols
 module Bin = Fw_spill.Bin
 module Bincodec = Fw_agg.Bincodec
 
 (* Logical position [i] (0 = front) lives in physical slot
    [(head + i) land (capacity - 1)].  Positions [0 .. len-1] hold live
    instances in strictly ascending [ms]; a slot with [items = 0] is
-   either outside that span or a fresh slot of the fold in progress. *)
+   either outside that span or a fresh slot of the fold in progress.
+   Slot [j]'s state lives in slot [j] of [cols]. *)
 type t = {
   mutable head : int;
   mutable len : int;
   mutable ms : int array;  (** instance numbers *)
-  mutable states : Combine.state array;
+  mutable cols : Cols.t;
   mutable items : int array;
-  nil : Combine.state;
 }
 
 let min_capacity = 4
 
-let create ~nil =
+let create agg =
   {
     head = 0;
     len = 0;
     ms = Array.make min_capacity 0;
-    states = Array.make min_capacity nil;
+    cols = Cols.create agg min_capacity;
     items = Array.make min_capacity 0;
-    nil;
   }
 
 let is_empty t = t.len = 0
@@ -36,17 +34,17 @@ let rec pow2_at_least n c = if c >= n then c else pow2_at_least n (2 * c)
 (* Move the live span to the front of fresh arrays of [cap] slots. *)
 let resize t cap =
   let ms = Array.make cap 0
-  and states = Array.make cap t.nil
+  and cols = Cols.create (Cols.aggregate t.cols) cap
   and items = Array.make cap 0 in
   for i = 0 to t.len - 1 do
     let j = slot t i in
     ms.(i) <- t.ms.(j);
-    states.(i) <- t.states.(j);
+    Cols.copy t.cols j cols i;
     items.(i) <- t.items.(j)
   done;
   t.head <- 0;
   t.ms <- ms;
-  t.states <- states;
+  t.cols <- cols;
   t.items <- items
 
 (* Append fresh slots for instances [first .. last], all above the back. *)
@@ -64,7 +62,7 @@ let append t ~first ~last =
 let merge t ~first ~last =
   let cap = pow2_at_least (t.len + last - first + 1) min_capacity in
   let ms = Array.make cap 0
-  and states = Array.make cap t.nil
+  and cols = Cols.create (Cols.aggregate t.cols) cap
   and items = Array.make cap 0 in
   let k = ref 0 and i = ref 0 and m = ref first and pos = ref 0 in
   while !i < t.len || !m <= last do
@@ -73,7 +71,7 @@ let merge t ~first ~last =
     if om <= rm then begin
       let j = slot t !i in
       ms.(!k) <- om;
-      states.(!k) <- t.states.(j);
+      Cols.copy t.cols j cols !k;
       items.(!k) <- t.items.(j);
       incr i
     end
@@ -85,7 +83,7 @@ let merge t ~first ~last =
   t.head <- 0;
   t.len <- !k;
   t.ms <- ms;
-  t.states <- states;
+  t.cols <- cols;
   t.items <- items;
   !pos
 
@@ -107,24 +105,28 @@ let reserve t ~first ~last =
     end
     else merge t ~first ~last
 
-let fold t ~first ~last ~born add =
+(* Fold item [x] into every slot of [first .. last]: [fresh] for a
+   slot it creates, [live] for one that holds a state. *)
+let fold t ~first ~last ~born fresh live x =
   if first <= last then begin
     let p = reserve t ~first ~last in
     for i = p to p + last - first do
       let j = slot t i in
       let n = t.items.(j) in
-      if n = 0 then born t.ms.(j);
-      t.states.(j) <- add n t.states.(j);
+      if n = 0 then begin
+        born t.ms.(j);
+        fresh t.cols j x
+      end
+      else live t.cols j x;
       t.items.(j) <- n + 1
     done
   end
 
-let fold_value t ~first ~last agg v ~born =
-  fold t ~first ~last ~born (fun n st ->
-      if n = 0 then Combine.of_value agg v else Combine.add st v)
+let fold_value t ~first ~last v ~born =
+  fold t ~first ~last ~born Cols.of_value Cols.add v
 
 let fold_state t ~first ~last x ~born =
-  fold t ~first ~last ~born (fun n st -> if n = 0 then x else Combine.merge st x)
+  fold t ~first ~last ~born Cols.set Cols.merge x
 
 let front t =
   if t.len = 0 then invalid_arg "Ring.front: empty ring";
@@ -133,8 +135,8 @@ let front t =
 let pop t =
   if t.len = 0 then invalid_arg "Ring.pop: empty ring";
   let j = t.head in
-  let popped = (t.states.(j), t.items.(j)) in
-  t.states.(j) <- t.nil;
+  let popped = (Cols.get t.cols j, t.items.(j)) in
+  Cols.clear t.cols j;
   t.items.(j) <- 0;
   t.head <- (j + 1) land (Array.length t.ms - 1);
   t.len <- t.len - 1;
@@ -145,27 +147,27 @@ let pop t =
 let iter f t =
   for i = 0 to t.len - 1 do
     let j = slot t i in
-    f t.ms.(j) t.states.(j) t.items.(j)
+    f t.ms.(j) (Cols.get t.cols j) t.items.(j)
   done
 
 (* --- store codec ------------------------------------------------------ *)
 
 let write b ~range ~slide t =
   Bin.w_i64 b t.len;
-  iter
-    (fun m state items ->
-      Bin.w_i64 b ((m * slide) + range);
-      Bincodec.w_state b state;
-      Bin.w_i64 b items)
-    t
+  for i = 0 to t.len - 1 do
+    let j = slot t i in
+    Bin.w_i64 b ((t.ms.(j) * slide) + range);
+    Bincodec.w_slot b t.cols j;
+    Bin.w_i64 b t.items.(j)
+  done
 
-let read ~nil ~range ~slide r =
+let read agg ~range ~slide r =
   let n = Bin.r_i64 r in
   (* every instance occupies at least one byte *)
   if n < 0 || n > Bin.remaining r then
     Bin.corrupt "invalid instance count %d (%d bytes remaining)" n
       (Bin.remaining r);
-  let t = create ~nil in
+  let t = create agg in
   for _ = 1 to n do
     let hi = Bin.r_i64 r in
     let state = Bincodec.r_state r in
@@ -179,12 +181,18 @@ let read ~nil ~range ~slide r =
     if items < 1 then Bin.corrupt "instance %d folded %d items" hi items;
     append t ~first:m ~last:m;
     let j = slot t (t.len - 1) in
-    t.states.(j) <- state;
+    (try Cols.set t.cols j state
+     with Invalid_argument _ ->
+       Bin.corrupt "instance %d holds a %s state in a %s ring" hi
+         (Fw_agg.Aggregate.to_string (Fw_agg.Combine.aggregate_of state))
+         (Fw_agg.Aggregate.to_string agg));
     t.items.(j) <- items
   done;
   t
 
 let weight t =
-  let w = ref 48 in
-  iter (fun _ state _ -> w := !w + 64 + Bincodec.state_weight state) t;
+  let w = ref (48 + (64 * t.len)) in
+  for i = 0 to t.len - 1 do
+    w := !w + Bincodec.slot_weight t.cols (slot t i)
+  done;
   !w

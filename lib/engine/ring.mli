@@ -12,42 +12,48 @@
 
     The ring holds only live instances, each slot with its instance
     number, in ascending order.  A fold whose range extends the back
-    block is O(range) and allocates nothing per instance beyond its new
-    state; a key idle between two clusters costs nothing for the gap.
-    Any other range (one below the front, or one that fills a gap) is
-    still exact, by a merge that rebuilds the ring.  Capacity is a power
-    of two; it doubles to fit and halves once a pop leaves it at most a
-    quarter full, so memory follows the live instance count, not the
-    history.
+    block is O(range) and allocates nothing; a key idle between two
+    clusters costs nothing for the gap.  Any other range (one below the
+    front, or one that fills a gap) is still exact, by a merge that
+    rebuilds the ring.  Capacity is a power of two; it doubles to fit
+    and halves once a pop leaves it at most a quarter full, so memory
+    follows the live instance count, not the history.
+
+    The states live in unboxed accumulator columns
+    ({!Fw_agg.Combine.Cols}: one float array for a SUM ring, say), the
+    in-order array layout of the paper above carried down into the
+    state itself.  A fold writes numbers in place: it neither allocates
+    a state nor stores a pointer into the long-lived ring, so the
+    garbage collector has no write barrier to take and no pending state
+    to promote (a holistic MEDIAN ring, whose state is its value list,
+    is the one exception).  A {!Fw_agg.Combine.state} is built only when an
+    instance is popped or iterated; the codec and {!weight} read the
+    columns directly.  The columns compute bit for bit what the state
+    functions do, so rows, records and images are unchanged by the
+    layout.
 
     Instance [m] of a window of range [r] and slide [s] has upper bound
     [hi = m·s + r]; the codec speaks [hi], the fold speaks [m]. *)
 
 type t
 
-val create : nil:Fw_agg.Combine.state -> t
-(** An empty ring.  [nil] fills empty slots, so that a fired state is
-    not kept alive by the ring. *)
+val create : Fw_agg.Aggregate.t -> t
+(** An empty ring of the aggregate's states. *)
 
 val is_empty : t -> bool
 
 val fold_value :
-  t ->
-  first:int ->
-  last:int ->
-  Fw_agg.Aggregate.t ->
-  float ->
-  born:(int -> unit) ->
-  unit
-(** [fold_value t ~first ~last agg v ~born] folds raw value [v] into
-    every instance [first .. last] (none when [first > last]):
-    [Combine.of_value agg v] for an instance it creates, calling
-    [born m] first, [Combine.add] for a live one. *)
+  t -> first:int -> last:int -> float -> born:(int -> unit) -> unit
+(** [fold_value t ~first ~last v ~born] folds raw value [v] into every
+    instance [first .. last] (none when [first > last]):
+    [Combine.of_value] for an instance it creates, calling [born m]
+    first, [Combine.add] for a live one. *)
 
 val fold_state :
   t -> first:int -> last:int -> Fw_agg.Combine.state -> born:(int -> unit) -> unit
 (** The same with a sub-aggregate: the state itself for a new instance,
-    [Combine.merge] for a live one. *)
+    [Combine.merge] for a live one.  Raises [Invalid_argument] when the
+    state comes from another aggregate than the ring's. *)
 
 val front : t -> int
 (** The oldest live instance.  Raises [Invalid_argument] when empty. *)
@@ -68,11 +74,11 @@ val iter : (int -> Fw_agg.Combine.state -> int -> unit) -> t -> unit
 val write : Buffer.t -> range:int -> slide:int -> t -> unit
 
 val read :
-  nil:Fw_agg.Combine.state -> range:int -> slide:int -> Fw_spill.Bin.reader -> t
+  Fw_agg.Aggregate.t -> range:int -> slide:int -> Fw_spill.Bin.reader -> t
 (** Raises {!Fw_spill.Bin.Corrupt} on a malformed list: a [hi] off the
     instance grid ([hi - range] negative or not a multiple of [slide]),
-    a [hi] not strictly above its predecessor, or an item count below
-    1. *)
+    a [hi] not strictly above its predecessor, an item count below 1,
+    or a state of another aggregate. *)
 
 val weight : t -> int
 (** Resident-size estimate: [48 + Σ (64 + state weight)] over the live

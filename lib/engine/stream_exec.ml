@@ -69,7 +69,7 @@ end)
    memory budget. *)
 type win_state = {
   window : Window.t;
-  w_nil : Combine.state;  (** filler of empty ring slots *)
+  w_agg : Aggregate.t;
   w_keys : Ring.t Store.t;
   mutable w_fire : string list Imap.t;
       (** per pending bound [hi]: the keys born there, unordered *)
@@ -109,7 +109,7 @@ type cwin_key = {
 
 type cwin_state = {
   c_window : Window.t;
-  c_nil : Combine.state;  (** filler of empty ring slots *)
+  c_agg : Aggregate.t;
   c_keys : cwin_key Store.t;
 }
 
@@ -147,16 +147,16 @@ type session_state = {
    is bit-identical to the original.  Weights are resident-size
    estimates that drive eviction accounting only, never results. *)
 
-let win_codec ~nil window : Ring.t Store.codec =
+let win_codec agg window : Ring.t Store.codec =
   let range = Window.range window and slide = Window.slide window in
   {
     Store.kind = Bincodec.kind_win;
     enc = Ring.write ~range ~slide;
-    dec = Ring.read ~nil ~range ~slide;
+    dec = Ring.read agg ~range ~slide;
     weight = Ring.weight;
   }
 
-let cwin_codec ~nil window : cwin_key Store.codec =
+let cwin_codec agg window : cwin_key Store.codec =
   let range = Window.range window and slide = Window.slide window in
   {
     Store.kind = Bincodec.kind_cwin;
@@ -167,7 +167,7 @@ let cwin_codec ~nil window : cwin_key Store.codec =
     dec =
       (fun r ->
         let seen = Bin.r_i64 r in
-        let kpend = Ring.read ~nil ~range ~slide r in
+        let kpend = Ring.read agg ~range ~slide r in
         { seen; kpend });
     weight = (fun kc -> 16 + Ring.weight kc.kpend);
   }
@@ -310,6 +310,17 @@ let index_birth st key m =
   let keys = Option.value ~default:[] (Imap.find_opt hi st.w_fire) in
   st.w_fire <- Imap.add hi (key :: keys) st.w_fire
 
+(* A bound's keys in ascending order.  Births prepend, and a window-fed
+   node receives its parent's fire in ascending key order, so the list
+   is usually strictly descending: an O(n) check and a reversal then
+   give exactly what the sort would. *)
+let ascending_keys keys =
+  let rec descending = function
+    | a :: (b :: _ as rest) -> String.compare a b > 0 && descending rest
+    | [ _ ] | [] -> true
+  in
+  if descending keys then List.rev keys else List.sort String.compare keys
+
 (* --- dispatch ------------------------------------------------------- *)
 
 let rec deliver t id msg =
@@ -365,7 +376,7 @@ and win_fold st key ~first ~last fold =
   if first <= last then
     Store.update st.w_keys key (fun prev ->
         let rg =
-          match prev with None -> Ring.create ~nil:st.w_nil | Some rg -> rg
+          match prev with None -> Ring.create st.w_agg | Some rg -> rg
         in
         fold rg ~born:(index_birth st key);
         rg)
@@ -385,8 +396,8 @@ and win_extract st key hi =
   | None -> invalid_arg "Stream_exec: fire index out of sync with store"
 
 (* Fire every instance due at [wm]: the due bounds leave the fire index
-   in ascending order, each with its keys sorted once, which is the
-   ascending (hi, key) order of the emissions.  The cheap emptiness
+   in ascending order, each with its keys in ascending order, which is
+   the ascending (hi, key) order of the emissions.  The cheap emptiness
    probe comes first, so the clock and the counters only move when at
    least one instance actually fires, and a watermark that fires
    nothing touches no spilled state. *)
@@ -410,7 +421,7 @@ and win_fire t id st wm =
                 items_tot := !items_tot + items;
                 forward t id
                   (Item (Sub { window = st.window; interval; key; state })))
-              (List.sort String.compare keys);
+              (ascending_keys keys);
             go ()
         | Some _ | None -> ()
       in
@@ -547,7 +558,7 @@ and pane_deliver t id ps msg =
    not be evictable while the callback runs. *)
 and cwin_with_key st key f =
   Store.pinned st.c_keys key
-    ~init:(fun () -> { seen = 0; kpend = Ring.create ~nil:st.c_nil })
+    ~init:(fun () -> { seen = 0; kpend = Ring.create st.c_agg })
     f
 
 (* Fire every pending instance of [key] whose ordinal upper bound has
@@ -726,7 +737,6 @@ let create ?(metrics = Metrics.create ()) ?(mode = Naive) ?(observe = true)
            errors));
   let nodes = Plan.nodes plan in
   let agg = Plan.agg plan in
-  let nil = Combine.identity agg in
   let output = Plan.output plan in
   (* The pane path applies when per-slide pre-aggregation is sound and
      useful: a constant-size sub-aggregate exists (not holistic), the
@@ -789,11 +799,11 @@ let create ?(metrics = Metrics.create ()) ?(mode = Naive) ?(observe = true)
                 N_cwin
                   {
                     c_window = window;
-                    c_nil = nil;
+                    c_agg = agg;
                     c_keys =
                       Store.create ?pool:spill
                         ~name:(Printf.sprintf "n%d-cwin" id)
-                        (cwin_codec ~nil window);
+                        (cwin_codec agg window);
                   }
             | Window.Hop { domain = Window.Time; _ } ->
                 if mode = Incremental && panes_apply window then
@@ -819,11 +829,11 @@ let create ?(metrics = Metrics.create ()) ?(mode = Naive) ?(observe = true)
                   N_win
                     {
                       window;
-                      w_nil = nil;
+                      w_agg = agg;
                       w_keys =
                         Store.create ?pool:spill
                           ~name:(Printf.sprintf "n%d-win" id)
-                          (win_codec ~nil window);
+                          (win_codec agg window);
                       w_fire = Imap.empty;
                       wm = 0;
                     }
@@ -1082,7 +1092,7 @@ let rec bdeliver t id b sel lo hi =
     | N_union _ ->
         (* raw events never become rows at the sink; pass through *)
         bforward t id b sel lo hi
-    | N_win st -> bwin_add t st b sel lo hi
+    | N_win st -> bwin_add st b sel lo hi
     | N_pane ps -> bpane_add t id ps b sel lo hi
     | N_cwin st -> bcwin_add t id st b sel lo hi
     | N_session st -> bsession_add t st b sel lo hi
@@ -1097,7 +1107,7 @@ and bforward t id b sel lo hi =
 
 (* Per-instance fold of a run: each event folds into its whole
    instance range with one store access ({!win_fold}). *)
-and bwin_add t st b sel lo hi =
+and bwin_add st b sel lo hi =
   let times = Batch.times b
   and keys = Batch.keys b
   and values = Batch.values b in
@@ -1106,7 +1116,7 @@ and bwin_add t st b sel lo hi =
     let v = values.(j) in
     let first, last = containing_range st.window times.(j) in
     win_fold st keys.(j) ~first ~last (fun rg ~born ->
-        Ring.fold_value rg ~first ~last t.agg v ~born)
+        Ring.fold_value rg ~first ~last v ~born)
   done
 
 (* Count-window fold of a run: firing happens inside the event loop
@@ -1123,7 +1133,7 @@ and bcwin_add t id st b sel lo hi =
         kc.seen <- n + 1;
         let v = values.(j) in
         let first, last = containing_range st.c_window n in
-        Ring.fold_value kc.kpend ~first ~last t.agg v ~born:ignore;
+        Ring.fold_value kc.kpend ~first ~last v ~born:ignore;
         cwin_fire t id st keys.(j) kc ~upto:kc.seen)
   done
 

@@ -1111,7 +1111,17 @@ let test_import_rejects_bad_instance_lists () =
           ("zero items", [ (6, 0) ]);
           ("negative items", [ (6, -1) ]);
         ])
-    [ per_instance; count ]
+    [ per_instance; count ];
+  (* the image's SUM states under a MIN plan *)
+  List.iter
+    (fun (windows, (_, node, entry, kind)) ->
+      let plan = Plan.naive Aggregate.Min windows in
+      check_bool (kind ^ ": state of another aggregate rejected") false
+        (imports (plan, node, entry, kind) [ (6, 1) ]))
+    [
+      ([ w ~r:4 ~s:2 ], per_instance);
+      ([ Window.count_hop ~range:4 ~slide:2 ], count);
+    ]
 
 (* --- pending-instance ring --- *)
 
@@ -1166,8 +1176,7 @@ let prop_ring_matches_model =
       let module Bin = Fw_spill.Bin in
       let module Combine = Fw_agg.Combine in
       let range = (3 * slide) + j in
-      let nil = Combine.identity Aggregate.Sum in
-      let rg = Ring.create ~nil and model = ref Imodel.empty in
+      let rg = Ring.create Aggregate.Sum and model = ref Imodel.empty in
       let prev_first = ref 0 and tick = ref 0 in
       let bytes_of_model () =
         let b = Buffer.create 64 in
@@ -1186,7 +1195,9 @@ let prop_ring_matches_model =
         let b = Buffer.create 64 in
         Ring.write b ~range ~slide rg;
         let bytes = Buffer.contents b in
-        let decoded = Ring.read ~nil ~range ~slide (Bin.reader bytes) in
+        let decoded =
+          Ring.read Aggregate.Sum ~range ~slide (Bin.reader bytes)
+        in
         let b' = Buffer.create 64 in
         Ring.write b' ~range ~slide decoded;
         List.length !live = Imodel.cardinal !model
@@ -1211,7 +1222,7 @@ let prop_ring_matches_model =
               let last = first + n - 1 in
               prev_first := first;
               let born = ref [] in
-              Ring.fold_value rg ~first ~last Aggregate.Sum v ~born:(fun m ->
+              Ring.fold_value rg ~first ~last v ~born:(fun m ->
                   born := m :: !born);
               let expected_born =
                 List.filter
@@ -1231,6 +1242,193 @@ let prop_ring_matches_model =
                     !model
               done
           | Pop n ->
+              for _ = 1 to n do
+                match Imodel.min_binding_opt !model with
+                | None -> ()
+                | Some (m, x) ->
+                    if Ring.front rg <> m then
+                      QCheck2.Test.fail_reportf "front %d, model %d"
+                        (Ring.front rg) m;
+                    if not (same (Ring.pop rg) x) then
+                      QCheck2.Test.fail_reportf "popped instance %d differs" m;
+                    model := Imodel.remove m !model
+              done);
+          consistent ())
+        ops)
+
+(* The ring's accumulator columns against boxed states, for every
+   aggregate: the same fold/pop script runs on a ring and on a map of
+   [Combine] states, mixing raw values and sub-aggregates, in-order
+   growth and out-of-order ranges (gaps and rebuild merges).  States
+   compare as their [Bincodec] bytes, so nan payloads, signed zeros and
+   the last bit of a Welford update all count. *)
+type col_item = Raw of float | Partial of float list
+type col_op = Cfold of int * int * bool * col_item | Cpop of int
+
+let gen_col_value =
+  QCheck2.Gen.(
+    frequency
+      [
+        (4, map (fun i -> float_of_int i *. 0.25) (int_range (-40) 40));
+        (2, map (fun d -> 1e8 +. d) (float_range (-2.0) 2.0));
+        ( 1,
+          oneofl
+            [
+              Float.nan;
+              Float.neg Float.nan;
+              Float.infinity;
+              Float.neg_infinity;
+              -0.0;
+              0.0;
+              5e-324;
+              -5e-324;
+              Float.min_float /. 3.0;
+              1e308;
+            ] );
+      ])
+
+let gen_cols_case =
+  QCheck2.Gen.(
+    let item =
+      frequency
+        [
+          (3, map (fun v -> Raw v) gen_col_value);
+          ( 2,
+            map (fun vs -> Partial vs) (list_size (int_range 0 4) gen_col_value)
+          );
+        ]
+    in
+    let op =
+      frequency
+        [
+          ( 5,
+            let* delta = int_range (-6) 24 in
+            let* len = int_range 1 40 in
+            let* x = item in
+            return (Cfold (delta, len, true, x)) );
+          ( 1,
+            let* first = int_range 0 200 in
+            let* len = int_range 1 12 in
+            let* x = item in
+            return (Cfold (first, len, false, x)) );
+          (3, map (fun n -> Cpop n) (int_range 1 30));
+        ]
+    in
+    let* agg = oneofl Aggregate.all in
+    let* s = int_range 1 5 in
+    let* j = int_range 0 4 in
+    let* ops = list_size (int_range 1 60) op in
+    return (agg, s, j, ops))
+
+let print_cols_case (agg, s, j, ops) =
+  let item = function
+    | Raw v -> Printf.sprintf "%h" v
+    | Partial vs ->
+        "[" ^ String.concat "," (List.map (Printf.sprintf "%h") vs) ^ "]"
+  in
+  Printf.sprintf "%s s=%d r=%d [%s]" (Aggregate.to_string agg) s
+    ((3 * s) + j)
+    (String.concat "; "
+       (List.map
+          (function
+            | Cfold (a, n, true, x) -> Printf.sprintf "+%d..%d %s" a n (item x)
+            | Cfold (a, n, false, x) -> Printf.sprintf "@%d..%d %s" a n (item x)
+            | Cpop n -> Printf.sprintf "pop %d" n)
+          ops))
+
+let prop_ring_columns_match_states =
+  qtest ~count:400 "ring columns = state model, every aggregate" gen_cols_case
+    print_cols_case (fun (agg, slide, j, ops) ->
+      let module Bin = Fw_spill.Bin in
+      let module Combine = Fw_agg.Combine in
+      let module Bincodec = Fw_agg.Bincodec in
+      let range = (3 * slide) + j in
+      let rg = Ring.create agg and model = ref Imodel.empty in
+      let prev_first = ref 0 in
+      let state_bytes st =
+        let b = Buffer.create 32 in
+        Bincodec.w_state b st;
+        Buffer.contents b
+      in
+      let same (s1, n1) (s2, n2) =
+        String.equal (state_bytes s1) (state_bytes s2) && n1 = n2
+      in
+      let ring_bytes rg =
+        let b = Buffer.create 64 in
+        Ring.write b ~range ~slide rg;
+        Buffer.contents b
+      in
+      let model_bytes () =
+        let b = Buffer.create 64 in
+        Bin.w_list b
+          (fun b (m, (state, items)) ->
+            Bin.w_i64 b ((m * slide) + range);
+            Bincodec.w_state b state;
+            Bin.w_i64 b items)
+          (Imodel.bindings !model);
+        Buffer.contents b
+      in
+      let model_weight () =
+        Imodel.fold
+          (fun _ (st, _) acc -> acc + 64 + Bincodec.state_weight st)
+          !model 48
+      in
+      let consistent () =
+        let live = ref [] in
+        Ring.iter (fun m state items -> live := (m, (state, items)) :: !live) rg;
+        let bytes = ring_bytes rg in
+        let decoded = Ring.read agg ~range ~slide (Bin.reader bytes) in
+        List.length !live = Imodel.cardinal !model
+        && List.for_all2
+             (fun (m, x) (m', y) -> m = m' && same x y)
+             (List.rev !live) (Imodel.bindings !model)
+        && String.equal bytes (model_bytes ())
+        && String.equal bytes (ring_bytes decoded)
+        && Ring.weight rg = model_weight ()
+        && Ring.weight decoded = model_weight ()
+      in
+      let sub vs =
+        match vs with
+        | [] -> Combine.identity agg
+        | v :: rest -> List.fold_left Combine.add (Combine.of_value agg v) rest
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Cfold (a, n, relative, x) ->
+              let first = if relative then max 0 (!prev_first + a) else a in
+              let last = first + n - 1 in
+              prev_first := first;
+              let births = ref [] in
+              let born m = births := m :: !births in
+              let birth, fold =
+                match x with
+                | Raw v ->
+                    Ring.fold_value rg ~first ~last v ~born;
+                    (Combine.of_value agg v, fun st -> Combine.add st v)
+                | Partial vs ->
+                    let x = sub vs in
+                    Ring.fold_state rg ~first ~last x ~born;
+                    (x, fun st -> Combine.merge st x)
+              in
+              let expected_births =
+                List.filter
+                  (fun m -> not (Imodel.mem m !model))
+                  (List.init n (( + ) first))
+              in
+              if List.sort compare !births <> expected_births then
+                QCheck2.Test.fail_reportf "births %s at %d..%d"
+                  (String.concat "," (List.map string_of_int !births))
+                  first last;
+              for m = first to last do
+                model :=
+                  Imodel.update m
+                    (function
+                      | None -> Some (birth, 1)
+                      | Some (st, items) -> Some (fold st, items + 1))
+                    !model
+              done
+          | Cpop n ->
               for _ = 1 to n do
                 match Imodel.min_binding_opt !model with
                 | None -> ()
@@ -1315,4 +1513,5 @@ let suite =
     Alcotest.test_case "import rejects malformed instance lists" `Quick
       test_import_rejects_bad_instance_lists;
     prop_ring_matches_model;
+    prop_ring_columns_match_states;
   ]
