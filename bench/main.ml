@@ -812,7 +812,8 @@ let engine_aggregates =
 
 (* The columnar mirror of [Stream_exec.run]: sort, clip, chunk into
    fixed-size batches, push through [feed_batch], close.  Same feed
-   order as the per-event path, so rows must be byte-identical. *)
+   order as the per-event path, so rows must be byte-identical.
+   Returns the rows and the seconds [close] took. *)
 let engine_batch_size = 1024
 
 let run_batched ?mode plan ~batch ~horizon events =
@@ -830,7 +831,7 @@ let run_batched ?mode plan ~batch ~horizon events =
     (Fw_engine.Event.sort events);
   if not (Fw_engine.Batch.is_empty b) then
     Fw_engine.Stream_exec.feed_batch exec b;
-  Fw_engine.Stream_exec.close exec ~horizon
+  timed (fun () -> Fw_engine.Stream_exec.close exec ~horizon)
 
 (* The batched-throughput guard: per-event vs batched feed on a
    key-heavy stream (64 keys, rs50x10, SUM, naive plan), best of 3 per
@@ -856,7 +857,7 @@ let batched_guard () =
   let pair mode name =
     let per_event () = Fw_engine.Stream_exec.run ~mode plan ~horizon events in
     let batched () =
-      run_batched ~mode plan ~batch:engine_batch_size ~horizon events
+      fst (run_batched ~mode plan ~batch:engine_batch_size ~horizon events)
     in
     let identical = batched () = per_event () in
     let per_dt = best_of 3 per_event and b_dt = best_of 3 batched in
@@ -898,7 +899,7 @@ let section_engine () =
               timed (fun () ->
                   Fw_engine.Stream_exec.run plan ~horizon events)
             in
-            let naive_brows, naive_bdt, naive_bminor, naive_bpromo =
+            let (naive_brows, _), naive_bdt, naive_bminor, naive_bpromo =
               timed_gc (fun () ->
                   run_batched plan ~batch:engine_batch_size ~horizon events)
             in
@@ -908,7 +909,7 @@ let section_engine () =
                     ~mode:Fw_engine.Stream_exec.Incremental plan ~horizon
                     events)
             in
-            let inc_brows, inc_bdt =
+            let (inc_brows, inc_close), inc_bdt =
               timed (fun () ->
                   run_batched ~mode:Fw_engine.Stream_exec.Incremental plan
                     ~batch:engine_batch_size ~horizon events)
@@ -926,11 +927,11 @@ let section_engine () =
             let rewritten =
               (Fw_plan.Rewrite.optimize ~eta:bench_eta agg ws).Fw_plan.Rewrite.plan
             in
-            let rw_naive_rows, rw_naive_dt, rw_naive_minor, rw_naive_promo =
+            let (rw_naive_rows, _), rw_naive_dt, rw_naive_minor, rw_naive_promo =
               timed_gc (fun () ->
                   run_batched rewritten ~batch:engine_batch_size ~horizon events)
             in
-            let rw_inc_rows, rw_inc_dt, rw_inc_minor, rw_inc_promo =
+            let (rw_inc_rows, rw_inc_close), rw_inc_dt, rw_inc_minor, rw_inc_promo =
               timed_gc (fun () ->
                   run_batched ~mode:Fw_engine.Stream_exec.Incremental rewritten
                     ~batch:engine_batch_size ~horizon events)
@@ -948,7 +949,9 @@ let section_engine () =
                 Printf.sprintf "%.0f" (rate rw_naive_dt); Printf.sprintf "%.0f" (rate rw_inc_dt);
                 (if rw_rows_match then "yes" else "NO");
                 Printf.sprintf "%.1f" (per_ev naive_bpromo);
-                Printf.sprintf "%.1f" (per_ev rw_naive_promo) ],
+                Printf.sprintf "%.1f" (per_ev rw_naive_promo);
+                Printf.sprintf "%.2f" (1e3 *. inc_close);
+                Printf.sprintf "%.2f" (1e3 *. rw_inc_close) ],
               Obj
                 [ ("window_set", Str set_name);
                   ("windows", Str (String.concat " " (List.map Window.to_string ws)));
@@ -972,10 +975,16 @@ let section_engine () =
                   ("rewritten_incremental_batched_minor_words_per_event",
                    Float (per_ev rw_inc_minor));
                   ("rewritten_incremental_batched_promoted_words_per_event",
-                   Float (per_ev rw_inc_promo)) ],
+                   Float (per_ev rw_inc_promo));
+                  (* [close] of the incremental batched runs, whose
+                     times above include it *)
+                  ("close_ms", Float (1e3 *. inc_close));
+                  ("rewritten_close_ms", Float (1e3 *. rw_inc_close)) ],
               rows_match,
               (* the headline: rs50x10 SUM, incremental, batched *)
-              if set_name = "rs50x10" && agg = "SUM" then Some (rate inc_bdt) else None ))
+              if set_name = "rs50x10" && agg = "SUM" then
+                Some (rate inc_bdt, 1e3 *. inc_close)
+              else None ))
           engine_aggregates)
       engine_window_sets
   in
@@ -997,10 +1006,13 @@ let section_engine () =
            "rw rows =";
            "naive-B promo w/ev";
            "rw naive-B promo w/ev";
+           "incr-B close ms";
+           "rw incr-B close ms";
          ]
        (List.map (fun (row, _, _, _) -> row) results));
   let guard_rows, guard_checks = batched_guard () in
   let matched = List.filter (fun (_, _, ok, _) -> ok) results in
+  let headline = List.find_map (fun (_, _, _, h) -> h) results in
   write_bench "engine"
     ~workload:
       (stream_workload ~n_events ~horizon
@@ -1008,9 +1020,9 @@ let section_engine () =
          ~aggregate:
            (List (List.map (fun a -> Str (Aggregate.to_string a)) engine_aggregates))
       @ [ ("batch", Int engine_batch_size) ])
-    ~events_per_s:
-      (Option.value ~default:nan (List.find_map (fun (_, _, _, h) -> h) results))
-    ~layers:[]
+    ~events_per_s:(Option.fold ~none:nan ~some:fst headline)
+    ~layers:
+      [ ("engine.close_ms", Float (Option.fold ~none:nan ~some:snd headline)) ]
     ~results:(List.map (fun (_, json, _, _) -> json) results @ guard_rows)
     (* every (set, aggregate) pair: naive and incremental rows agree,
        and batched rows are byte-identical to per-event rows *)

@@ -202,6 +202,15 @@ type node_state =
   | N_cwin of cwin_state
   | N_session of session_state
 
+(* One output window's result rows: the runs of the emission sequence
+   they were emitted in, and whether each row is at least its
+   predecessor in [Row.compare] so far. *)
+type bucket = {
+  b_window : Window.t;
+  b_runs : int Vec.t;  (** closed runs, as [start; stop) index pairs *)
+  mutable b_ascending : bool;
+}
+
 type t = {
   plan : Plan.t;
   agg : Aggregate.t;
@@ -223,7 +232,12 @@ type t = {
           the first observed broadcast) — the fire-delay baseline.
           Deliberately absent from the export: it is transient
           wall-clock state, and checkpoints stay deterministic. *)
-  rows : Row.t Vec.t;
+  rows : Row.t Vec.t;  (** every result row, in emission order *)
+  mutable buckets : bucket array;
+      (** the same rows filed by window: one bucket per distinct window,
+          in [Window.compare] order *)
+  mutable run_slot : int;  (** the bucket of the open run, or -1 *)
+  mutable run_start : int;  (** index of the open run's first row *)
   scratch : Batch.t;  (** reused one-event batch backing the [feed] wrapper *)
   mutable iota : int array;  (** identity selection [0; 1; ...] for batch roots *)
   mutable closed : bool;
@@ -321,6 +335,81 @@ let ascending_keys keys =
   in
   if descending keys then List.rev keys else List.sort String.compare keys
 
+(* --- the result sink ------------------------------------------------ *)
+
+(* The slot of window [w]'s bucket, made the first time [w] is seen. *)
+let bucket_slot t w =
+  let bs = t.buckets in
+  let n = Array.length bs in
+  let rec slot j =
+    if j < n && Window.compare bs.(j).b_window w < 0 then slot (j + 1) else j
+  in
+  let j = slot 0 in
+  if j = n || Window.compare bs.(j).b_window w <> 0 then begin
+    let b = { b_window = w; b_runs = Vec.create (); b_ascending = true } in
+    t.buckets <-
+      Array.init (n + 1) (fun k ->
+          if k < j then bs.(k) else if k = j then b else bs.(k - 1))
+  end;
+  j
+
+(* Close the open run at [stop], the index of the next row. *)
+let end_run t stop =
+  if t.run_slot >= 0 then begin
+    let b = t.buckets.(t.run_slot) in
+    Vec.push b.b_runs t.run_start;
+    Vec.push b.b_runs stop;
+    t.run_slot <- -1
+  end
+
+(* Emit a result row.  A fire emits its rows in a run of one window, so
+   a row whose window is physically the open run's extends it and is
+   checked against the row before it; any other row closes the run and
+   opens one in its window's bucket, checked against that bucket's last
+   row.  One [Row.compare] per row either way. *)
+let sink_row t (row : Row.t) =
+  let i = Vec.length t.rows in
+  let slot = t.run_slot in
+  if slot >= 0 && t.buckets.(slot).b_window == row.window then begin
+    let b = t.buckets.(slot) in
+    if b.b_ascending && Row.compare (Vec.get t.rows (i - 1)) row > 0 then
+      b.b_ascending <- false
+  end
+  else begin
+    end_run t i;
+    let j = bucket_slot t row.window in
+    let b = t.buckets.(j) in
+    let n = Vec.length b.b_runs in
+    if b.b_ascending && n > 0
+       && Row.compare (Vec.get t.rows (Vec.get b.b_runs (n - 1) - 1)) row > 0
+    then b.b_ascending <- false;
+    t.run_slot <- j;
+    t.run_start <- i
+  end;
+  Vec.push t.rows row
+
+(* Every row in [Row.compare] order, ties in emission order: exactly
+   [Row.sort] of the emission sequence.  Rows of distinct windows never
+   tie, so the buckets concatenate in slot order; a bucket that stayed
+   ascending is already its own stable sort, any other is sorted
+   stably. *)
+let sorted_rows t =
+  end_run t (Vec.length t.rows);
+  let data = Vec.unsafe_data t.rows in
+  Array.fold_right
+    (fun b acc ->
+      let runs = Vec.unsafe_data b.b_runs in
+      let a =
+        Array.concat
+          (List.init
+             (Vec.length b.b_runs / 2)
+             (fun r ->
+               Array.sub data runs.(2 * r) (runs.((2 * r) + 1) - runs.(2 * r))))
+      in
+      if not b.b_ascending then Array.stable_sort Row.compare a;
+      Array.fold_right List.cons a acc)
+    t.buckets []
+
 (* --- dispatch ------------------------------------------------------- *)
 
 let rec deliver t id msg =
@@ -340,7 +429,7 @@ let rec deliver t id msg =
          value and are simply forwarded.) *)
       (match msg with
       | Item (Sub { window; interval; key; state }) when sink ->
-          Vec.push t.rows
+          sink_row t
             { Row.window; interval; key; value = Combine.finalize state }
       | Item (Sub _) | Watermark _ -> ());
       forward t id msg
@@ -883,6 +972,9 @@ let create ?(metrics = Metrics.create ()) ?(mode = Naive) ?(observe = true)
     source_wm = 0;
     wm_wall = 0;
     rows = Vec.create ();
+    buckets = [||];
+    run_slot = -1;
+    run_start = 0;
     scratch = Batch.create ();
     iota = [||];
     closed = false;
@@ -1041,7 +1133,7 @@ let import ?metrics ?observe ?spill plan ~rows image =
   | Invalid_argument _ as e ->
       release_stores t;
       raise e);
-  List.iter (Vec.push t.rows) rows;
+  List.iter (sink_row t) rows;
   t
 
 let root_deliver t msg =
@@ -1262,9 +1354,10 @@ let advance t time =
   if time > t.source_wm then broadcast_wm t ~stamp:(ref 0) time
 
 let close t ~horizon =
+  if t.closed then invalid_arg "Stream_exec.close: executor is closed";
   advance t horizon;
   t.closed <- true;
-  Row.sort (Vec.to_list t.rows)
+  sorted_rows t
 
 let run ?metrics ?mode ?observe ?spill plan ~horizon events =
   let t = create ?metrics ?mode ?observe ?spill plan in

@@ -136,7 +136,17 @@ val advance : t -> int -> unit
 
 val close : t -> horizon:int -> Row.t list
 (** Advance to the horizon, flush, and return all result rows emitted
-    so far (sorted).  The executor must not be fed afterwards. *)
+    so far, in {!Row.compare} order: exactly {!Row.sort} of the
+    emission sequence ({!row}/{!row_count}), rows that tie in emission
+    order.  The order is kept as rows are emitted, not sorted at the
+    end: the sink files each row under its window and checks it against
+    that window's previous row with one {!Row.compare}, so [close]
+    concatenates the windows in {!Fw_window.Window.compare} order and
+    stable-sorts only the rows of a window that emitted out of order
+    (a pane-fed window emits an instance's keys in store visit order).
+    The emission sequence itself is untouched.  The executor must not
+    be fed or closed afterwards: raises [Invalid_argument] on a closed
+    executor. *)
 
 val run :
   ?metrics:Metrics.t ->

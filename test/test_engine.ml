@@ -911,7 +911,9 @@ let test_advance_after_close_rejects () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "advance after close must reject");
   match Stream_exec.close t ~horizon:20 with
-  | exception Invalid_argument _ -> ()
+  | exception Invalid_argument m ->
+      check_string "close names itself" "Stream_exec.close: executor is closed"
+        m
   | _ -> Alcotest.fail "double close must reject"
 
 let test_punctuation_only_stream_matches_oracle () =
@@ -1443,6 +1445,176 @@ let prop_ring_columns_match_states =
           consistent ())
         ops)
 
+(* --- the result sink --- *)
+
+(* Rows as bytes, so that nan equals itself and -0.0 differs from 0.0. *)
+let row_bytes rows =
+  List.map
+    (fun r ->
+      Printf.sprintf "%s|%d|%d|%s|%Lx"
+        (Window.to_string r.Row.window)
+        (Interval.lo r.Row.interval) (Interval.hi r.Row.interval) r.Row.key
+        (Int64.bits_of_float r.Row.value))
+    rows
+
+let emitted t = List.init (Stream_exec.row_count t) (Stream_exec.row t)
+
+(* [close] must return exactly [Row.sort] of the emission sequence that
+   [row]/[row_count] expose, whatever the execution path: both modes,
+   per-event and batched feeds, with and without a memory budget, on
+   hop (aligned and not), count and session windows, naive and
+   rewritten plans (in Incremental mode a rewritten plan has pane-fed
+   outputs, which emit an instance's keys in store visit order, beside
+   window-fed ones).  Values include -0.0, 0.0, infinities and nans.
+   An executor rebuilt by [import] from a mid-run image and the rows
+   emitted so far must close to the uninterrupted run's rows.  One
+   rebuilt with each of those rows followed by a twin that ties with it
+   under [Row.compare] (-0.0 for 0.0 and back, another nan payload)
+   pins that ties keep their emission order. *)
+let gen_sink_case =
+  QCheck2.Gen.(
+    let gen_time =
+      let* s = int_range 1 6 in
+      let* k = int_range 1 4 in
+      let* j = frequencyl [ (3, 0); (1, 1) ] in
+      return (Window.make ~range:((k * s) + min j (s - 1)) ~slide:s)
+    in
+    let gen_count =
+      let* s = int_range 1 4 in
+      let* k = int_range 1 4 in
+      return (Window.count_hop ~range:(k * s) ~slide:s)
+    in
+    let gen_session = map (fun gap -> Window.session ~gap) (int_range 1 8) in
+    let* family = oneofl [ gen_time; gen_time; gen_count; gen_session ] in
+    let* n = int_range 1 4 in
+    let* ws = list_repeat n family in
+    let* rewrite = bool in
+    let* mode = oneofl [ Stream_exec.Naive; Stream_exec.Incremental ] in
+    let* agg = oneofl Aggregate.all in
+    let* batched = bool in
+    let* budgeted = bool in
+    let* seed = int_range 0 10000 in
+    let* cut = float_range 0.0 1.0 in
+    return (Window.dedup ws, rewrite, mode, agg, batched, budgeted, seed, cut))
+
+let print_sink_case (ws, rewrite, mode, agg, batched, budgeted, seed, cut) =
+  Printf.sprintf "%s %s %s %s %s %s seed=%d cut=%.3f" (print_window_list ws)
+    (if rewrite then "rewritten" else "naive")
+    (match mode with Stream_exec.Naive -> "Naive" | Incremental -> "Incremental")
+    (Aggregate.to_string agg)
+    (if batched then "batched" else "per-event")
+    (if budgeted then "budget-0" else "resident")
+    seed cut
+
+let tie_twin r =
+  let v = r.Row.value in
+  let twin =
+    if Float.is_nan v then
+      Int64.(float_of_bits (logxor (bits_of_float v) 0x10L))
+    else if v = 0.0 then -.v
+    else v
+  in
+  { r with Row.value = twin }
+
+let sink_values =
+  [| 0.0; -0.0; nan; Int64.float_of_bits 0x7ff8000000000123L; 1.0; -2.5;
+     4.0; infinity; neg_infinity |]
+
+let prop_close_sorts_emission =
+  qtest ~count:150 "close = Row.sort of the emission sequence"
+    gen_sink_case print_sink_case
+    (fun (ws, rewrite, mode, agg, batched, budgeted, seed, cut) ->
+      let plan =
+        if rewrite then
+          match Rewrite.optimize agg ws with
+          | outcome -> outcome.Rewrite.plan
+          | exception _ -> Plan.naive agg ws
+        else Plan.naive agg ws
+      in
+      let horizon = 80 in
+      let rng = Fw_util.Prng.create seed in
+      let keys = [| "c"; ""; "a"; "d"; "b" |] in
+      let events =
+        List.concat
+          (List.init horizon (fun time ->
+               List.init (Fw_util.Prng.int rng 4) (fun _ ->
+                   ev time
+                     keys.(Fw_util.Prng.int rng (Array.length keys))
+                     sink_values.(Fw_util.Prng.int rng (Array.length sink_values)))))
+      in
+      let cut = int_of_float (cut *. float_of_int horizon) in
+      let feed t events =
+        if not batched then List.iter (Stream_exec.feed t) events
+        else
+          (* batches of 1 to 6 events *)
+          let rec go = function
+            | [] -> ()
+            | events ->
+                let n = 1 + Fw_util.Prng.int rng 6 in
+                let b = List.filteri (fun i _ -> i < n) events in
+                Stream_exec.feed_batch t (Fw_engine.Batch.of_events b);
+                go (List.filteri (fun i _ -> i >= n) events)
+          in
+          go events
+      in
+      let pools = ref [] in
+      let spill () =
+        if not budgeted then None
+        else begin
+          let p = Fw_spill.Pool.create ~budget:0 () in
+          pools := p :: !pools;
+          Some p
+        end
+      in
+      Fun.protect
+        ~finally:(fun () -> List.iter Fw_spill.Pool.close !pools)
+        (fun () ->
+          let whole = Stream_exec.create ~mode ?spill:(spill ()) plan in
+          feed whole events;
+          let closed = Stream_exec.close whole ~horizon in
+          let a = Stream_exec.create ~mode ?spill:(spill ()) plan in
+          let before, after = List.partition (fun e -> e.Event.time < cut) events in
+          feed a before;
+          let image = Stream_exec.export a in
+          let b =
+            Stream_exec.import ?spill:(spill ()) plan ~rows:(emitted a) image
+          in
+          let twins =
+            Stream_exec.import ?spill:(spill ()) plan
+              ~rows:(List.concat_map (fun r -> [ r; tie_twin r ]) (emitted a))
+              image
+          in
+          feed b after;
+          feed twins after;
+          let rebuilt = Stream_exec.close b ~horizon in
+          let tied = Stream_exec.close twins ~horizon in
+          let sorted t = row_bytes (Row.sort (emitted t)) in
+          row_bytes closed = sorted whole
+          && row_bytes rebuilt = sorted b
+          && row_bytes rebuilt = row_bytes closed
+          && row_bytes tied = sorted twins))
+
+(* Rows that tie under [Row.compare] (one slot; values -0.0 and 0.0, or
+   two nans) keep their emission order, also when they reach the sink
+   through [import] interleaved with other windows' rows and out of
+   order. *)
+let test_close_keeps_tie_order () =
+  let t10 = tumbling 10 and t20 = tumbling 20 in
+  let plan = Plan.naive Aggregate.Sum [ t10; t20 ] in
+  let image = Stream_exec.export (Stream_exec.create plan) in
+  let nan2 = Int64.float_of_bits 0x7ff8000000000123L in
+  let rows =
+    [ row t20 0 20 "b" 0.0; row t10 10 20 "a" 1.0; row t20 0 20 "b" (-0.0);
+      row t10 0 10 "a" nan2; row t10 0 10 "a" nan; row t20 0 20 "a" 2.0;
+      row t20 0 20 "b" 0.0; row t10 0 10 "a" nan2 ]
+  in
+  let t = Stream_exec.import plan ~rows image in
+  let closed = Stream_exec.close t ~horizon:0 in
+  Alcotest.(check (list string))
+    "close = Row.sort" (row_bytes (Row.sort rows)) (row_bytes closed);
+  Alcotest.(check (list string))
+    "emission order untouched" (row_bytes rows) (row_bytes (emitted t))
+
 let suite =
   [
     Alcotest.test_case "event basics" `Quick test_event_basics;
@@ -1514,4 +1686,7 @@ let suite =
       test_import_rejects_bad_instance_lists;
     prop_ring_matches_model;
     prop_ring_columns_match_states;
+    prop_close_sorts_emission;
+    Alcotest.test_case "close keeps the emission order of ties" `Quick
+      test_close_keeps_tie_order;
   ]
