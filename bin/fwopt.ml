@@ -144,16 +144,15 @@ let pacer = function
    pipeline (--checkpoint, with --crash-after armed as its fault plan)
    or one rebuilt from a durable directory (--recover).  Returns how
    many leading events the sink already holds — the durable prefix a
-   recovered run skips in the regenerated stream — with its batch entry
-   point and its close. *)
+   recovered run skips in the regenerated stream — with the sink's
+   metrics, its batch entry point and its close. *)
 let open_sink ~metrics ~mode ?spill ~every ~crash_after ~checkpoint_dir
     ~recover_dir plan =
   let durable ~skip cp =
     ( skip,
+      Fw_snap.Checkpoint.metrics cp,
       Fw_snap.Checkpoint.feed_batch cp,
-      fun ~horizon ->
-        let rows = Fw_snap.Checkpoint.close cp ~horizon in
-        { Fw_engine.Run.rows; metrics = Fw_snap.Checkpoint.metrics cp } )
+      Fw_snap.Checkpoint.close cp )
   in
   match (checkpoint_dir, recover_dir) with
   | Some dir, _ -> (
@@ -189,36 +188,9 @@ let open_sink ~metrics ~mode ?spill ~every ~crash_after ~checkpoint_dir
   | None, None ->
       let exec = Fw_engine.Stream_exec.create ~metrics ~mode ?spill plan in
       ( 0,
+        metrics,
         Fw_engine.Stream_exec.feed_batch exec,
-        fun ~horizon ->
-          { Fw_engine.Run.rows = Fw_engine.Stream_exec.close exec ~horizon;
-            metrics } )
-
-(* Feed the events before the horizon, after the first [skip], in
-   columnar batches of [batch].  [--batch 1] is byte-identical to
-   per-event feeding (feed is a batch of one); rows and cost-model
-   counters are the same at any size. *)
-let feed_stream ~batch ~pace ~skip feed_batch ~horizon events =
-  let buf = Fw_engine.Batch.create () in
-  let flush () =
-    if not (Fw_engine.Batch.is_empty buf) then begin
-      feed_batch buf;
-      Fw_engine.Batch.reset buf
-    end
-  in
-  let seen = ref 0 in
-  List.iter
-    (fun e ->
-      if e.Fw_engine.Event.time < horizon then begin
-        incr seen;
-        if !seen > skip then begin
-          Fw_engine.Batch.push buf e;
-          if Fw_engine.Batch.length buf >= batch then flush ();
-          pace ()
-        end
-      end)
-    (Fw_engine.Event.sort events);
-  flush ()
+        Fw_engine.Stream_exec.close exec )
 
 let run_cmd =
   let action query file eta no_factor seed horizon show_rows shuffle lateness
@@ -283,10 +255,8 @@ let run_cmd =
         Printf.eprintf
           "--throttle must be a finite rate > 0 events/sec (got %g)\n" r;
         exit 2
-    | Some _ when recover_dir <> None || shuffle ->
-        Printf.eprintf
-          "--throttle applies to live feeding (not --recover or \
-           --shuffle)\n";
+    | Some _ when recover_dir <> None ->
+        Printf.eprintf "--throttle applies to live feeding (not --recover)\n";
         exit 2
     | _ -> ());
     (match drift with
@@ -294,6 +264,10 @@ let run_cmd =
         Printf.eprintf "--drift threshold must be > 1.0 (got %g)\n" th;
         exit 2
     | _ -> ());
+    if lateness < 0 then begin
+      Printf.eprintf "--lateness must be >= 0 ticks (got %d)\n" lateness;
+      exit 2
+    end;
     (match memory_budget with
     | Some b when b < 0 ->
         Printf.eprintf "--memory-budget must be >= 0 bytes (got %d)\n" b;
@@ -320,34 +294,29 @@ let run_cmd =
                else Event_gen.Uniform);
           }
         in
+        (* one canonical order for either source: the generator is
+           time-ordered but draws same-tick keys in random order *)
         let events =
-          match events_file with
-          | None -> Event_gen.steady prng gen_config ~eta ~horizon
-          | Some path -> (
-              match Fw_engine.Csv_io.load_events path with
-              | Ok events -> Fw_engine.Event.sort events
-              | Error e ->
-                  Printf.eprintf "cannot read events: %s\n" e;
-                  exit 1)
+          Fw_engine.Event.sort
+            (match events_file with
+            | None -> Event_gen.steady prng gen_config ~eta ~horizon
+            | Some path -> (
+                match Fw_engine.Csv_io.load_events path with
+                | Ok events -> events
+                | Error e ->
+                    Printf.eprintf "cannot read events: %s\n" e;
+                    exit 1))
         in
         (match Optimizer.verify t ~horizon events with
         | Error e ->
             Printf.eprintf "VERIFICATION FAILED: %s\n" e;
             exit 1
         | Ok () -> ());
-        if shuffle then begin
-          (* demonstrate the reorder buffer on out-of-order arrival *)
-          let disordered = Fw_util.Prng.shuffle prng events in
-          let rows, stats =
-            Fw_engine.Reorder.run ~lateness (Optimizer.optimized_plan t)
-              ~horizon disordered
-          in
-          Printf.printf
-            "reorder: released %d, dropped %d late, peak buffer %d, %d rows\n"
-            stats.Fw_engine.Reorder.released
-            stats.Fw_engine.Reorder.dropped_late
-            stats.Fw_engine.Reorder.buffered_peak (List.length rows)
-        end;
+        (* --shuffle: the same events arrive out of order, and a
+           reorder stage in front of the sink puts them back *)
+        let arrivals =
+          if shuffle then Fw_util.Prng.shuffle prng events else events
+        in
         let mode =
           if incremental then Fw_engine.Stream_exec.Incremental
           else Fw_engine.Stream_exec.Naive
@@ -384,14 +353,22 @@ let run_cmd =
               Some s
         in
         let execute () =
-          let skip, feed_batch, close =
+          let skip, metrics, feed_batch, close =
             open_sink ~metrics ~mode ?spill ~every ~crash_after
               ~checkpoint_dir ~recover_dir (Optimizer.optimized_plan t)
           in
+          let stage =
+            if shuffle then
+              Some
+                (Fw_engine.Reorder.create
+                   ~registry:(Fw_engine.Metrics.registry metrics)
+                   ~lateness ())
+            else None
+          in
           (try
-             feed_stream
+             Fw_engine.Run.feed_stream
                ~batch:(Option.value batch_opt ~default:1)
-               ~pace ~skip feed_batch ~horizon events
+               ~pace ~skip ?stage feed_batch ~horizon arrivals
            with Fw_snap.Fault.Crash _ ->
              (* only an armed --checkpoint run crashes: leave the
                 directory behind for --recover, exit cleanly *)
@@ -401,9 +378,11 @@ let run_cmd =
                 (resume with --recover %s)\n"
                (Option.get crash_after) dir dir;
              exit 0);
-          close ~horizon
+          let rows = close ~horizon in
+          ( { Fw_engine.Run.rows; metrics },
+            Option.map Fw_engine.Reorder.stats stage )
         in
-        let report =
+        let report, reorder =
           Fun.protect
             ~finally:(fun () ->
               Option.iter Fw_obs.Scrape.stop server;
@@ -415,6 +394,13 @@ let run_cmd =
         | Some "json" -> print_endline (Fw_engine.Metrics.snapshot_json metrics)
         | Some "prom" -> print_string (Fw_engine.Metrics.prometheus metrics)
         | _ ->
+            Option.iter
+              (fun s ->
+                Printf.printf
+                  "reorder: released %d, dropped %d late, peak buffer %d\n"
+                  s.Fw_engine.Reorder.released s.Fw_engine.Reorder.dropped_late
+                  s.Fw_engine.Reorder.buffered_peak)
+              reorder;
             Printf.printf
               "verified against the naive plan; %d result rows, %d items \
                processed (naive model cost %s).\n"
@@ -483,13 +469,19 @@ let run_cmd =
   let shuffle =
     Arg.(value & flag
          & info [ "shuffle" ]
-             ~doc:"Also feed the stream out of order through the reorder \
-                   buffer.")
+             ~doc:"Shuffle the stream's arrival order and put a reorder \
+                   stage (allowed lateness $(b,--lateness)) in front of the \
+                   sink: it releases the events in time order with a \
+                   watermark at each advance, and drops and counts those \
+                   behind it.  Composes with every sink and option \
+                   ($(b,--batch), $(b,--incremental), $(b,--memory-budget), \
+                   $(b,--checkpoint)/$(b,--recover), $(b,--throttle)); \
+                   the rows are the run's own.")
   in
   let lateness =
     Arg.(value & opt int 1000
          & info [ "lateness" ] ~docv:"TICKS"
-             ~doc:"Allowed lateness for --shuffle.")
+             ~doc:"Allowed lateness for --shuffle (>= 0).")
   in
   let events_file =
     Arg.(value & opt (some string) None

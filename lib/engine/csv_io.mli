@@ -7,8 +7,8 @@
 
 val parse_events : string -> (Event.t list, string) result
 (** Parse a whole document; the error message carries the 1-based line
-    number.  Events are returned in file order (use
-    {!Event.sort} / {!Reorder} as needed). *)
+    number.  Events are returned in file order: {!Event.sort} them, or
+    put a {!Reorder} stage in front of the sink. *)
 
 val load_events : string -> (Event.t list, string) result
 (** Read a file ([-] for standard input) and parse it. *)

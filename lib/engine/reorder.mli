@@ -1,11 +1,15 @@
-(** Bounded-lateness reordering in front of the executor.
+(** Bounded-lateness reordering: a stage in front of any sink.
 
-    {!Stream_exec} requires time-ordered input; real streams are not.
-    The reorder buffer holds events back until the watermark — the
-    maximum event time seen, minus an {e allowed lateness} — passes
-    them, releasing them in timestamp order.  Events arriving behind
-    the already-released frontier are dropped and counted rather than
-    crashing the pipeline (the usual engine policy for late data). *)
+    Every sink's {!Stream_exec.feed_batch} requires time-ordered input;
+    real streams are not.  The stage holds arrivals back until the
+    released frontier — the maximum event time seen, minus an {e
+    allowed lateness} — passes them, and releases them into a caller's
+    {!Batch.t} in timestamp order (arrival order among equal times),
+    with a punctuation mark at each advance of the frontier.  Arrivals
+    behind the frontier are dropped and counted rather than crashing
+    the pipeline (the usual engine policy for late data).  The stage
+    holds no executor: what it releases is an ordered stream plus
+    watermarks, for whichever sink the caller feeds. *)
 
 type t
 
@@ -15,40 +19,25 @@ type stats = {
   dropped_late : int;
 }
 
-val create :
-  lateness:int ->
-  ?mode:Stream_exec.mode ->
-  ?observe:bool ->
-  Fw_plan.Plan.t ->
-  ?metrics:Metrics.t ->
-  unit ->
-  t
+val create : ?registry:Fw_obs.Registry.t -> lateness:int -> unit -> t
 (** [lateness] is the slack (in ticks) granted to stragglers; [0] means
-    input must already be ordered.  [mode] selects the wrapped
-    executor's engine (defaults to {!Stream_exec.Naive}, like
-    {!Stream_exec.create}).  Raises [Invalid_argument] on negative
-    lateness or an invalid plan.
+    input must already be ordered.  Raises [Invalid_argument] on
+    negative lateness.
 
-    Unless [~observe:false], the buffer publishes its statistics into
-    the metrics registry as it runs — [reorder_released_total],
+    The stage publishes its statistics into [registry] (a private one
+    by default) as it runs — [reorder_released_total],
     [reorder_dropped_late_total] (counters) and [reorder_buffered_peak]
     (gauge) — so late-data behavior appears in [--stats] exports
-    alongside the engine's per-node metrics.  The toggle also reaches
-    the wrapped executor. *)
+    alongside the engine's per-node metrics. *)
 
-val feed : t -> Event.t -> unit
-(** Accepts events in any order within the lateness bound. *)
+val push : t -> Batch.t -> Event.t -> unit
+(** [push t out e] accepts one arrival, in any order within the
+    lateness bound.  If it advances the frontier to [f], every buffered
+    event older than [f] is appended to [out] in time order, followed
+    by the mark [f]: no event released later is older than a mark. *)
 
-val close : t -> horizon:int -> Row.t list * stats
-(** Flush the buffer, close the executor, return rows and statistics. *)
+val flush : t -> Batch.t -> unit
+(** End of stream: append everything still buffered to [out], in time
+    order, with no mark (the sink's close advances to the horizon). *)
 
-val run :
-  lateness:int ->
-  ?mode:Stream_exec.mode ->
-  ?observe:bool ->
-  ?metrics:Metrics.t ->
-  Fw_plan.Plan.t ->
-  horizon:int ->
-  Event.t list ->
-  Row.t list * stats
-(** Convenience wrapper over [create]/[feed]/[close]. *)
+val stats : t -> stats

@@ -25,6 +25,44 @@ let execute ?metrics plan ~horizon events =
   let rows = Stream_exec.run ~metrics plan ~horizon events in
   { rows; metrics }
 
+let feed_stream ~batch ~pace ~skip ?stage feed_batch ~horizon events =
+  let buf = Batch.create () in
+  let flush () =
+    if not (Batch.is_empty buf) then begin
+      feed_batch buf;
+      Batch.reset buf
+    end
+  in
+  let skip = ref skip in
+  let slot = function
+    | Batch.Ev _ when !skip > 0 -> decr skip
+    | Batch.Ev e ->
+        Batch.push buf e;
+        if Batch.length buf >= batch then flush ();
+        pace ()
+    | Batch.Punct wm -> Batch.push_punct buf wm
+  in
+  let released = Batch.create () in
+  let drain () =
+    Batch.iter_slots slot released;
+    Batch.reset released
+  in
+  List.iter
+    (fun e ->
+      if e.Event.time < horizon then
+        match stage with
+        | None -> slot (Batch.Ev e)
+        | Some stage ->
+            Reorder.push stage released e;
+            drain ())
+    events;
+  Option.iter
+    (fun stage ->
+      Reorder.flush stage released;
+      drain ())
+    stage;
+  flush ()
+
 let describe_diff diff =
   let pp_side ppf = function
     | Some row -> Row.pp ppf row

@@ -29,6 +29,28 @@ val execute :
     mode); [metrics] supplies the registry to record into (fresh by
     default). *)
 
+val feed_stream :
+  batch:int ->
+  pace:(unit -> unit) ->
+  skip:int ->
+  ?stage:Reorder.t ->
+  (Batch.t -> unit) ->
+  horizon:int ->
+  Event.t list ->
+  unit
+(** The one feed loop in front of a sink's [feed_batch]: hand it the
+    events before [horizon] in columnar batches of [batch] events,
+    after the first [skip] (the durable prefix a recovered sink already
+    holds), calling [pace] after each event.  Without a [stage] the
+    events must be time-ordered and are fed as they come.  With one
+    they are arrivals in any order: the sink gets the stage's release —
+    events in time order, a mark at each advance of its frontier, the
+    stragglers it drops left out — and [skip] counts released events.
+    Marks inside the skipped prefix are no-ops on a recovered sink, its
+    watermark being past them.  [batch = 1] is byte-identical to
+    per-event feeding; rows and cost-model counters are the same at any
+    size. *)
+
 val verify_against_naive :
   Fw_plan.Plan.t -> horizon:int -> Event.t list -> (unit, string) result
 (** Run the plan and check its rows against {!Reference.run} over the

@@ -1,4 +1,5 @@
-(* Vectorized batch execution (Fw_engine.Batch + feed_batch).
+(* Vectorized batch execution (Fw_engine.Batch + feed_batch), and the
+   reorder stage that turns out-of-order arrivals into ordered batches.
 
    The load-bearing property: any partition of the event stream into
    columnar batches — punctuation marks inside batches included — is
@@ -17,6 +18,9 @@ module Row = Fw_engine.Row
 module Batch = Fw_engine.Batch
 module Metrics = Fw_engine.Metrics
 module Stream_exec = Fw_engine.Stream_exec
+module Reorder = Fw_engine.Reorder
+module Reference = Fw_engine.Reference
+module Run = Fw_engine.Run
 module Plan = Fw_plan.Plan
 module Paths = Fw_check.Paths
 
@@ -333,6 +337,218 @@ let test_crash_batched_path_clean () =
       | Ok rows -> check_bool "produced rows" true (rows <> [])
       | Error e -> Alcotest.fail ("crash-batched path failed: " ^ e))
     [ Stream_exec.Naive; Stream_exec.Incremental ]
+(* --- the reorder stage -------------------------------------------------- *)
+
+(* Push [arrivals] through a fresh stage into one batch. *)
+let release ?registry ~lateness arrivals =
+  let stage = Reorder.create ?registry ~lateness () in
+  let out = Batch.create () in
+  List.iter (Reorder.push stage out) arrivals;
+  Reorder.flush stage out;
+  (out, Reorder.stats stage)
+
+(* The arrivals before the horizon, through a stage, into a plain
+   executor. *)
+let reorder_run ~lateness plan ~horizon arrivals =
+  let exec = Stream_exec.create plan in
+  let stage = Reorder.create ~lateness () in
+  Run.feed_stream ~batch:1 ~pace:ignore ~skip:0 ~stage
+    (Stream_exec.feed_batch exec) ~horizon arrivals;
+  (Stream_exec.close exec ~horizon, Reorder.stats stage)
+
+let released_events b =
+  List.filter_map
+    (function Batch.Ev e -> Some e | Batch.Punct _ -> None)
+    (Batch.to_slots b)
+
+let test_reorder_restores_order () =
+  let plan = Plan.naive Aggregate.Sum [ tumbling 10 ] in
+  let events = List.init 40 (fun t -> ev t "k" 1.0) in
+  let shuffled = Fw_util.Prng.shuffle (Fw_util.Prng.create 3) events in
+  (* worst-case displacement is the whole stream: allow full lateness *)
+  let rows, stats = reorder_run ~lateness:40 plan ~horizon:40 shuffled in
+  let oracle = Reference.run Aggregate.Sum [ tumbling 10 ] ~horizon:40 events in
+  check_bool "rows = oracle" true (Row.equal_sets rows oracle);
+  check_int "nothing dropped" 0 stats.Reorder.dropped_late;
+  check_int "all released" 40 stats.Reorder.released
+
+let test_reorder_bounded_lateness () =
+  let plan = Plan.naive Aggregate.Count [ tumbling 10 ] in
+  (* event 5 arrives after event 9: displacement 4, within lateness 5 *)
+  let events = [ ev 0 "k" 1.0; ev 9 "k" 1.0; ev 5 "k" 1.0; ev 12 "k" 1.0 ] in
+  let rows, stats = reorder_run ~lateness:5 plan ~horizon:20 events in
+  check_int "no drops" 0 stats.Reorder.dropped_late;
+  let oracle =
+    Reference.run Aggregate.Count [ tumbling 10 ] ~horizon:20 (Event.sort events)
+  in
+  check_bool "rows = oracle" true (Row.equal_sets rows oracle)
+
+let test_reorder_drops_too_late () =
+  (* with lateness 2, event at 1 after event at 9 is behind the frontier
+     7; the stage's registry series count what it did *)
+  let registry = Fw_obs.Registry.create () in
+  let out, stats =
+    release ~registry ~lateness:2 [ ev 0 "k" 1.0; ev 9 "k" 1.0; ev 1 "k" 1.0 ]
+  in
+  check_int "one dropped" 1 stats.Reorder.dropped_late;
+  check_bool "released 0, mark 7, then 9" true
+    (Batch.to_slots out
+    = [ Batch.Ev (ev 0 "k" 1.0); Batch.Punct 7; Batch.Ev (ev 9 "k" 1.0) ]);
+  let counter name = Fw_obs.Registry.counter_value registry name in
+  check_bool "dropped series" true
+    (counter "reorder_dropped_late_total" = Some 1);
+  check_bool "released series" true (counter "reorder_released_total" = Some 2)
+
+let test_reorder_zero_lateness () =
+  let plan = Plan.naive Aggregate.Sum [ tumbling 5 ] in
+  let rows, stats =
+    reorder_run ~lateness:0 plan ~horizon:10
+      [ ev 0 "k" 1.0; ev 3 "k" 2.0; ev 7 "k" 3.0 ]
+  in
+  check_int "no drops on ordered input" 0 stats.Reorder.dropped_late;
+  check_int "two rows" 2 (List.length rows)
+
+let prop_reorder_equivalent =
+  qtest ~count:60 "reorder(shuffled) = ordered execution"
+    QCheck2.Gen.(pair (int_range 0 9999) (int_range 1 3))
+    QCheck2.Print.(pair int int)
+    (fun (seed, eta) ->
+      let prng = Fw_util.Prng.create seed in
+      let ws = [ w ~r:12 ~s:4; tumbling 6 ] in
+      let events =
+        Fw_workload.Event_gen.steady prng Fw_workload.Event_gen.default_config
+          ~eta ~horizon:72
+      in
+      let shuffled = Fw_util.Prng.shuffle prng events in
+      let outcome = Fw_plan.Rewrite.optimize Aggregate.Max ws in
+      let rows, stats =
+        reorder_run ~lateness:72 outcome.Fw_plan.Rewrite.plan ~horizon:72
+          shuffled
+      in
+      stats.Reorder.dropped_late = 0
+      && Row.equal_sets rows (Reference.run Aggregate.Max ws ~horizon:72 events))
+
+(* Random arrivals: times in [0, 40), three keys, integer values (so a
+   fold's float result does not depend on the order it runs in). *)
+let gen_arrivals =
+  QCheck2.Gen.(
+    list_size (int_range 0 60)
+      (map3
+         (fun time k v -> ev time (String.make 1 k) (float_of_int v))
+         (int_range 0 39) (char_range 'a' 'c') (int_range (-9) 9)))
+
+let print_arrivals es =
+  String.concat " "
+    (List.map (fun e -> Printf.sprintf "%d:%s" e.Event.time e.Event.key) es)
+
+let prop_reorder_stage_model =
+  qtest ~count:300 "reorder stage = stable time-sort of the kept arrivals"
+    QCheck2.Gen.(pair gen_arrivals (int_range 0 20))
+    QCheck2.Print.(pair print_arrivals int)
+    (fun (arrivals, lateness) ->
+      (* the model: an arrival is late when it is behind the frontier,
+         max(0, latest earlier time - lateness) *)
+      let frontier = ref 0 and latest = ref 0 in
+      let kept =
+        List.filter
+          (fun e ->
+            let keep = e.Event.time >= !frontier in
+            if keep then begin
+              latest := max !latest e.Event.time;
+              frontier := max !frontier (!latest - lateness)
+            end;
+            keep)
+          arrivals
+      in
+      let out, stats = release ~lateness arrivals in
+      let sorted =
+        List.stable_sort
+          (fun a b -> Int.compare a.Event.time b.Event.time)
+          kept
+      in
+      (* marks rise strictly, and no event after a mark is behind it *)
+      let rec marks_ok wm = function
+        | [] -> true
+        | Batch.Punct m :: rest -> m > wm && marks_ok m rest
+        | Batch.Ev e :: rest -> e.Event.time >= wm && marks_ok wm rest
+      in
+      released_events out = sorted
+      && stats.Reorder.released = List.length kept
+      && stats.Reorder.dropped_late = List.length arrivals - List.length kept
+      && marks_ok min_int (Batch.to_slots out)
+      &&
+      (* the engine's own check agrees: the release is one valid batch *)
+      match
+        Stream_exec.validate
+          (Stream_exec.create (Plan.naive Aggregate.Sum [ tumbling 5 ]))
+          out
+      with
+      | () -> true
+      | exception Stream_exec.Late_event _ -> false)
+
+(* A shuffled stream through the stage into each kind of sink, fed by
+   the one feed loop [fwopt run] uses, must give the rows of
+   [Stream_exec.run] over the events the stage released. *)
+let prop_reorder_sinks =
+  qtest ~count:100 "shuffled stream through the stage: every sink = run"
+    QCheck2.Gen.(
+      quad gen_arrivals (int_range 0 40)
+        (oneofl [ Aggregate.Sum; Aggregate.Min; Aggregate.Max; Aggregate.Count ])
+        (pair (int_range 1 9) (int_range 1 60)))
+    QCheck2.Print.(
+      quad print_arrivals int Aggregate.to_string (pair int int))
+    (fun (arrivals, lateness, agg, (batch, crash_at)) ->
+      let horizon = 40 in
+      let plan = Plan.naive agg [ w ~r:12 ~s:4; tumbling 6 ] in
+      let released, _ = release ~lateness arrivals in
+      let feed ?(skip = 0) ~batch feed_batch =
+        Run.feed_stream ~batch ~pace:ignore ~skip
+          ~stage:(Reorder.create ~lateness ())
+          feed_batch ~horizon arrivals
+      in
+      List.for_all
+        (fun mode ->
+          let expected =
+            Stream_exec.run ~mode plan ~horizon (released_events released)
+          in
+          let executor ?spill ~batch () =
+            let exec = Stream_exec.create ~mode ?spill plan in
+            feed ~batch (Stream_exec.feed_batch exec);
+            Stream_exec.close exec ~horizon
+          in
+          let spilled () =
+            let pool = Fw_spill.Pool.create ~budget:0 () in
+            Fun.protect
+              ~finally:(fun () -> Fw_spill.Pool.close pool)
+              (executor ~spill:pool ~batch)
+          in
+          let recovered () =
+            let dir = fresh_temp_dir () in
+            Fun.protect
+              ~finally:(fun () -> rm_rf dir)
+              (fun () ->
+                let fault = Fw_snap.Fault.create ~crash_at_event:crash_at () in
+                let cp =
+                  Fw_snap.Checkpoint.create ~dir ~every:7 ~fault ~mode plan
+                in
+                match feed ~batch (Fw_snap.Checkpoint.feed_batch cp) with
+                | () -> Fw_snap.Checkpoint.close cp ~horizon
+                | exception Fw_snap.Fault.Crash _ -> (
+                    match Fw_snap.Recover.load ~dir ~mode plan with
+                    | Error m -> failwith ("recovery failed: " ^ m)
+                    | Ok r ->
+                        let cp = r.Fw_snap.Recover.checkpoint in
+                        feed
+                          ~skip:(Metrics.ingested r.Fw_snap.Recover.metrics)
+                          ~batch
+                          (Fw_snap.Checkpoint.feed_batch cp);
+                        Fw_snap.Checkpoint.close cp ~horizon))
+          in
+          executor ~batch:1 () = expected
+          && executor ~batch () = expected
+          && spilled () = expected
+          && recovered () = expected)
+        [ Stream_exec.Naive; Stream_exec.Incremental ])
 
 let suite =
   [
@@ -351,4 +567,15 @@ let suite =
       test_mid_batch_checkpoint_recovers;
     Alcotest.test_case "crash-batched path clean" `Quick
       test_crash_batched_path_clean;
+    Alcotest.test_case "reorder restores order" `Quick
+      test_reorder_restores_order;
+    Alcotest.test_case "reorder bounded lateness" `Quick
+      test_reorder_bounded_lateness;
+    Alcotest.test_case "reorder drops too-late" `Quick
+      test_reorder_drops_too_late;
+    Alcotest.test_case "reorder with zero lateness" `Quick
+      test_reorder_zero_lateness;
+    prop_reorder_equivalent;
+    prop_reorder_stage_model;
+    prop_reorder_sinks;
   ]

@@ -88,24 +88,6 @@ let test_duplicate_timestamps_many_keys () =
   check_int "three rows" 3 (List.length rows);
   List.iter (fun r -> check_bool "max 9" true (r.Row.value = 9.0)) rows
 
-let test_reorder_zero_lateness_ordered_ok () =
-  let plan = Plan.naive Fw_agg.Aggregate.Sum [ tumbling 5 ] in
-  let rows, stats =
-    Fw_engine.Reorder.run ~lateness:0 plan ~horizon:10
-      [ ev 0 "k" 1.0; ev 3 "k" 2.0; ev 7 "k" 3.0 ]
-  in
-  check_int "no drops on ordered input" 0 stats.Fw_engine.Reorder.dropped_late;
-  check_int "two rows" 2 (List.length rows)
-
-let test_adaptive_no_events () =
-  let rows =
-    let t =
-      Factor_windows.Adaptive.create Fw_agg.Aggregate.Min example7_windows
-    in
-    Factor_windows.Adaptive.close t ~horizon:240
-  in
-  check_int "no rows" 0 (List.length rows)
-
 (* --- evaluation scaling --- *)
 
 let test_bl_scales_linearly_with_eta () =
@@ -160,9 +142,6 @@ let suite =
       test_event_at_horizon_boundary;
     Alcotest.test_case "duplicate timestamps, many keys" `Quick
       test_duplicate_timestamps_many_keys;
-    Alcotest.test_case "reorder with zero lateness" `Quick
-      test_reorder_zero_lateness_ordered_ok;
-    Alcotest.test_case "adaptive with no events" `Quick test_adaptive_no_events;
     Alcotest.test_case "BL scales linearly with eta" `Quick
       test_bl_scales_linearly_with_eta;
     Alcotest.test_case "overflow awareness" `Quick test_env_overflow_raises;

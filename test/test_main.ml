@@ -20,7 +20,6 @@ let () =
       ("workload", Test_workload.suite);
       ("differential", Test_differential.suite);
       ("core", Test_core.suite);
-      ("adaptive", Test_adaptive.suite);
       ("integration", Test_integration.suite);
       ("predicate", Test_predicate.suite);
       ("tools", Test_tools.suite);
