@@ -172,6 +172,27 @@ let state_codec : Combine.state Fw_spill.Store.codec =
     weight = state_weight;
   }
 
+(* A one-slot {!Combine.Cols} holding one key's state: the bytes,
+   weight and kind of {!state_codec} on the state the slot holds, so a
+   store can switch between the two without a byte of its records or
+   images changing.  Decoding checks the state's aggregate. *)
+let slot_codec agg : Combine.Cols.t Fw_spill.Store.codec =
+  {
+    Fw_spill.Store.kind = kind_combine;
+    enc = (fun b c -> w_slot b c 0);
+    dec =
+      (fun r ->
+        let st = r_state r in
+        let c = Combine.Cols.create agg 1 in
+        (try Combine.Cols.set c 0 st
+         with Invalid_argument _ ->
+           corrupt "a %s state where a %s one was expected"
+             (Aggregate.to_string (Combine.aggregate_of st))
+             (Aggregate.to_string agg));
+        c);
+    weight = (fun c -> slot_weight c 0);
+  }
+
 let swag_codec agg : Swag.t Fw_spill.Store.codec =
   {
     Fw_spill.Store.kind = kind_swag;

@@ -40,4 +40,10 @@ val slot_weight : Combine.Cols.t -> int -> int
 val swag_weight : Swag.t -> int
 
 val state_codec : Combine.state Fw_spill.Store.codec
+val slot_codec : Aggregate.t -> Combine.Cols.t Fw_spill.Store.codec
+(** The codec of one-slot accumulator columns ({!Fw_agg.Pane}'s per-key
+    values): the kind, bytes and weight {!state_codec} gives the state
+    in slot 0.  Decoding raises {!Fw_spill.Bin.Corrupt} on a state of
+    another aggregate. *)
+
 val swag_codec : Aggregate.t -> Swag.t Fw_spill.Store.codec

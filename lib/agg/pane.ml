@@ -1,24 +1,51 @@
 module Store = Fw_spill.Store
+module Cols = Combine.Cols
 
+(* Each key's state lives in a one-slot accumulator column ({!Cols}),
+   updated in place through {!Store.access}: a fold allocates no state
+   and stores no pointer, and resident and budgeted panes share the one
+   path.  The slot's codec writes the bytes and weight of the state it
+   holds, so records and images are those of a pane of states. *)
 type t = {
   agg : Aggregate.t;
-  store : Combine.state Store.t;
+  store : Cols.t Store.t;
+  init : unit -> Cols.t;  (* a key's fresh slot, raising [fresh] *)
+  mutable fresh : bool;  (* the last access created its slot *)
   (* lifetime counters (not reset by [clear]) for observability *)
   mutable adds : int;
   mutable merges : int;
 }
 
 let create ?pool agg =
-  { agg; store = Store.create ?pool ~name:"pane" Bincodec.state_codec;
-    adds = 0; merges = 0 }
+  let rec t =
+    {
+      agg;
+      store = Store.create ?pool ~name:"pane" (Bincodec.slot_codec agg);
+      init =
+        (fun () ->
+          t.fresh <- true;
+          Cols.create agg 1);
+      fresh = false;
+      adds = 0;
+      merges = 0;
+    }
+  in
+  t
 
 let aggregate t = t.agg
 
+let add_value t key v =
+  let c = Store.access t.store key ~init:t.init in
+  if t.fresh then begin
+    t.fresh <- false;
+    Cols.of_value c 0 v
+  end
+  else Cols.add c 0 v;
+  Store.commit t.store
+
 let add t ~key v =
   t.adds <- t.adds + 1;
-  Store.update t.store key (function
-    | None -> Combine.of_value t.agg v
-    | Some st -> Combine.add st v)
+  add_value t key v
 
 (* Columnar entry point: fold a run of events given as parallel key /
    value columns and a selection-index window.  Element order and
@@ -28,28 +55,31 @@ let add t ~key v =
 let add_run t ~keys ~values ~sel ~lo ~hi =
   for i = lo to hi - 1 do
     let j = sel.(i) in
-    let key : string = keys.(j) in
-    let v = values.(j) in
-    Store.update t.store key (function
-      | None -> Combine.of_value t.agg v
-      | Some st -> Combine.add st v)
+    add_value t keys.(j) values.(j)
   done;
   t.adds <- t.adds + (hi - lo)
 
 let merge t ~key state =
+  if Combine.aggregate_of state <> t.agg then
+    invalid_arg "Pane.merge: mismatched aggregate states";
   t.merges <- t.merges + 1;
-  Store.update t.store key (function
-    | None -> state
-    | Some st -> Combine.merge st state)
+  let c = Store.access t.store key ~init:t.init in
+  if t.fresh then begin
+    t.fresh <- false;
+    Cols.set c 0 state
+  end
+  else Cols.merge c 0 state;
+  Store.commit t.store
 
-let find t key = Store.find t.store key
+let state c = Cols.get c 0
+let find t key = Option.map state (Store.find t.store key)
 
 (* One probe: a pooled pane faults the entry in (if spilled) and drops
    it from the table in the same bucket walk. *)
-let take t key = Store.take t.store key (fun _ -> None)
+let take t key = Option.map state (Store.take t.store key (fun _ -> None))
 
-let iter f t = Store.iter f t.store
-let fold f t acc = Store.fold f t.store acc
+let iter f t = Store.iter (fun key c -> f key (state c)) t.store
+let fold f t acc = Store.fold (fun key c acc -> f key (state c) acc) t.store acc
 let size t = Store.length t.store
 let is_empty t = Store.is_empty t.store
 let clear t = Store.clear t.store

@@ -2,8 +2,11 @@
     incremental streaming engine and the executable window slicing.
 
     One pane covers one slide-aligned (or slice-aligned) span of the
-    stream and accumulates a {!Combine.state} per key.  Raw events fold
-    in with {!add} in O(1); sealed panes are drained with {!take} and
+    stream and accumulates a {!Combine.state} per key, kept as a
+    one-slot accumulator column ({!Combine.Cols}) that {!add},
+    {!add_run} and {!merge} update in place through
+    {!Fw_spill.Store.access}: no state is built per event.  Raw events
+    fold in with {!add} in O(1); sealed panes are drained with {!take} and
     {!iter} into per-key sliding queues ({!Swag}) or per-slice partial arrays
     ({!Fw_slicing.Exec}).  A pane only holds entries for keys that
     actually appeared, so empty keys cost nothing. *)
@@ -33,7 +36,9 @@ val add_run : t -> keys:string array -> values:float array ->
 
 val merge : t -> key:string -> Combine.state -> unit
 (** Fold a whole sub-aggregate state into the key's slot (used when a
-    pane accumulates upstream sub-aggregates rather than raw values). *)
+    pane accumulates upstream sub-aggregates rather than raw values).
+    Raises [Invalid_argument], leaving the pane as it was, when the
+    state comes from another aggregate than the pane's. *)
 
 val find : t -> string -> Combine.state option
 

@@ -69,8 +69,10 @@ end)
    memory budget. *)
 type win_state = {
   window : Window.t;
-  w_agg : Aggregate.t;
   w_keys : Ring.t Store.t;
+  w_ring : unit -> Ring.t;  (** a key's empty ring *)
+  w_born : int -> unit;  (** enters [w_key]'s instance into [w_fire] *)
+  mutable w_key : string;  (** the key being folded *)
   mutable w_fire : string list Imap.t;
       (** per pending bound [hi]: the keys born there, unordered *)
   mutable wm : int;
@@ -262,12 +264,14 @@ let subscribers plan =
 
 (* Instance indices of [w] whose interval [[m·s, m·s + r)] contains
    time [t >= 0]: the contiguous range [(first, last)], never empty
-   since [s <= r].  Note that OCaml's [/] truncates toward zero, so the
-   lower bound must special-case [t < r] instead of relying on
-   [(t - r) / s]. *)
-let containing_range w t =
-  let r = Window.range w and s = Window.slide w in
-  ((if t < r then 0 else ((t - r) / s) + 1), t / s)
+   since [s <= r], with [last = t / s].  Note that OCaml's [/] truncates
+   toward zero, so the lower bound must special-case [t < r] instead of
+   relying on [(t - r) / s]. *)
+let first_containing w t =
+  let r = Window.range w in
+  if t < r then 0 else ((t - r) / Window.slide w) + 1
+
+let containing_range w t = (first_containing w t, t / Window.slide w)
 
 (* Instance indices of [w] whose interval includes [[u, v)] entirely:
    the contiguous range [(first, last)], empty when [first > last]
@@ -451,24 +455,20 @@ and forward t id msg =
 
 (* Access pattern: an item (a raw event or an upstream sub-aggregate)
    folds into its whole contiguous instance range [first .. last] under
-   {e one} store access for its key, in place in the key's {!Ring}; the
-   resident fire index learns a (hi, key) pair only when that access
-   gives birth to the instance, and loses it only when the instance
-   fires.
+   {e one} store access for its key ({!win_ring}, then [Store.commit]),
+   in place in the key's {!Ring}; the resident fire index learns a
+   (hi, key) pair only when that access gives birth to the instance
+   ([w_born], which reads the key from [w_key]: no closure per item),
+   and loses it only when the instance fires.
 
    Items are tallied per pending instance and reported to the metrics
    when the instance fires, so the counters measure exactly the work of
    {e complete} instances — the quantity the analytic cost model prices.
    Insertions into instances that straddle the closing horizon are not
    charged. *)
-and win_fold st key ~first ~last fold =
-  if first <= last then
-    Store.update st.w_keys key (fun prev ->
-        let rg =
-          match prev with None -> Ring.create st.w_agg | Some rg -> rg
-        in
-        fold rg ~born:(index_birth st key);
-        rg)
+and win_ring st key =
+  st.w_key <- key;
+  Store.access st.w_keys key ~init:st.w_ring
 
 (* Pop the due instance [hi] of [key] out of the store in one probe:
    the popped state is an immutable value, so it can be forwarded after
@@ -528,8 +528,10 @@ and win_deliver t id st msg =
         enclosing_range st.window ~lo:(Interval.lo interval)
           ~hi:(Interval.hi interval)
       in
-      win_fold st key ~first ~last (fun rg ~born ->
-          Ring.fold_state rg ~first ~last state ~born)
+      if first <= last then begin
+        Ring.fold_state (win_ring st key) ~first ~last state ~born:st.w_born;
+        Store.commit st.w_keys
+      end
   | Watermark w ->
       if w > st.wm then begin
         st.wm <- w;
@@ -915,17 +917,21 @@ let create ?(metrics = Metrics.create ()) ?(mode = Naive) ?(observe = true)
                     | Some reason ->
                         Metrics.record_fallback metrics ~id ~window ~reason
                     | None -> ());
-                  N_win
+                  let rec st =
                     {
                       window;
-                      w_agg = agg;
                       w_keys =
                         Store.create ?pool:spill
                           ~name:(Printf.sprintf "n%d-win" id)
                           (win_codec agg window);
+                      w_ring = (fun () -> Ring.create agg);
+                      w_born = (fun m -> index_birth st st.w_key m);
+                      w_key = "";
                       w_fire = Imap.empty;
                       wm = 0;
                     }
+                  in
+                  N_win st
                 end))
       nodes
   in
@@ -1198,17 +1204,19 @@ and bforward t id b sel lo hi =
   done
 
 (* Per-instance fold of a run: each event folds into its whole
-   instance range with one store access ({!win_fold}). *)
+   instance range with one store access ({!win_ring}). *)
 and bwin_add st b sel lo hi =
   let times = Batch.times b
   and keys = Batch.keys b
   and values = Batch.values b in
+  let slide = Window.slide st.window in
   for i = lo to hi - 1 do
     let j = sel.(i) in
-    let v = values.(j) in
-    let first, last = containing_range st.window times.(j) in
-    win_fold st keys.(j) ~first ~last (fun rg ~born ->
-        Ring.fold_value rg ~first ~last v ~born)
+    let time = times.(j) in
+    Ring.fold_value (win_ring st keys.(j))
+      ~first:(first_containing st.window time) ~last:(time / slide)
+      values.(j) ~born:st.w_born;
+    Store.commit st.w_keys
   done
 
 (* Count-window fold of a run: firing happens inside the event loop

@@ -1,4 +1,7 @@
-/* Positioned I/O for spill files: pread(2)/pwrite(2) at an offset, one
+/* C stubs of the spill layer: positioned file I/O and the store
+   table's key hash (at the end).
+
+   Positioned I/O for spill files: pread(2)/pwrite(2) at an offset, one
    system call per transfer and no shared file position, so a record
    read, a tail write or a compaction chunk costs no lseek.  A call
    interrupted by a signal is retried; any other failure raises
@@ -15,8 +18,10 @@
 
 #define _FILE_OFFSET_BITS 64
 #include <errno.h>
+#include <stdint.h>
 #include <sys/types.h>
 #include <unistd.h>
+#include <caml/hash.h>
 #include <caml/mlvalues.h>
 #include <caml/unixsupport.h>
 
@@ -40,4 +45,22 @@ value fw_spill_pwrite(value fd, value off, value buf, value pos, value len)
   while (n < 0 && errno == EINTR);
   if (n < 0) caml_uerror("pwrite", Nothing);
   return Val_long(n);
+}
+
+/* The store table's key hash: exactly [Hashtbl.hash] of a string, the
+   runtime's generic caml_hash (seed 0) reduced to its string case.  It
+   mixes the string with caml_hash_mix_string, applies caml_hash's final
+   mix and folds the result to 30 bits, so the table's bucket indexes,
+   and with them its visit order, are a generic Hashtbl's.  Only the
+   generic hash's traversal is skipped: its work queue, tag dispatch and
+   size limits. */
+value fw_spill_hash(value s)
+{
+  uint32_t h = caml_hash_mix_string(0, s);
+  h ^= h >> 16;
+  h *= 0x85ebca6bU;
+  h ^= h >> 13;
+  h *= 0xc2b2ae35U;
+  h ^= h >> 16;
+  return Val_long(h & 0x3FFFFFFFU);
 }

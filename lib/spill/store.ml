@@ -35,11 +35,14 @@
      back ({!Bin} floats are IEEE bit patterns), so a faulted entry is
      bit-identical to the evicted one — fold order inside an entry is
      whatever the engine did, untouched.
-   - A value the engine is currently mutating is {e pinned}
-     ({!pinned}, and the current entry during {!iter}/{!fold}): pinned
-     entries are never evicted, so in-place mutation cannot race a
-     serialization.  The pool's budget is allowed to overshoot by the
-     pinned slack (bounded by plan depth × largest entry).
+   - A value the engine is currently mutating is either {e accessed}
+     ({!access} then {!commit}, with no store operation in between, so
+     no eviction can run) or {e pinned} ({!pinned}, and the current
+     entry during {!iter}/{!fold}, for mutations that reach other
+     stores): pinned entries are never evicted, so in-place mutation
+     cannot race a serialization.  The pool's budget is allowed to
+     overshoot by the pinned slack (bounded by plan depth × largest
+     entry).
    - Values obtained from {!find} must be treated as read-only unless
      followed by {!set}; {!take} returns the value and replaces or drops
      the entry in the same probe — the engine's firing paths extract,
@@ -54,7 +57,10 @@
 
 (* A string-keyed chained hashtable whose bucket node holds the value,
    so a find-or-insert is one hash and one bucket walk and a hit is an
-   in-place write — no second probe and no extra block per entry.
+   in-place write — no second probe and no extra block per entry.  Each
+   node keeps its key's hash: the walk compares hashes before keys, so a
+   probe makes one [String.equal], on the likely hit, and a resize
+   rehashes nothing.
 
    Visit order contract: for the same history of inserts, removes and
    resets, {!iter} and {!fold} visit entries in exactly the order of a
@@ -67,7 +73,12 @@
 module Tbl = struct
   type 'v bucket =
     | Nil
-    | Cons of { key : string; mutable data : 'v; mutable next : 'v bucket }
+    | Cons of {
+        key : string;
+        hash : int;
+        mutable data : 'v;
+        mutable next : 'v bucket;
+      }
 
   type 'v t = { mutable size : int; mutable buckets : 'v bucket array }
 
@@ -78,15 +89,20 @@ module Tbl = struct
     t.size <- 0;
     t.buckets <- Array.make initial Nil
 
-  let hash (key : string) = Hashtbl.hash key
+  (* [Hashtbl.hash key], computed by a C stub that skips the generic
+     hash's traversal (see spill_stubs.c): the visit order above rests
+     on the two being equal on every string. *)
+  external hash : string -> int = "fw_spill_hash" [@@noalloc]
+
   let index t h = h land (Array.length t.buckets - 1)
 
-  let rec cell key = function
+  let rec cell h key = function
     | Nil -> Nil
-    | Cons c as b -> if String.equal c.key key then b else cell key c.next
+    | Cons c as b ->
+        if c.hash = h && String.equal c.key key then b else cell h key c.next
 
   (* The cell of [key] (hash [h]), or [Nil]. *)
-  let find t h key = cell key t.buckets.(index t h)
+  let find t h key = cell h key t.buckets.(index t h)
 
   (* Relink every node into twice the buckets, appending at each new
      bucket's tail so a bucket's order survives the split. *)
@@ -102,7 +118,7 @@ module Tbl = struct
             | Nil -> ()
             | Cons c as node ->
                 let next = c.next in
-                let i = hash c.key land (n - 1) in
+                let i = c.hash land (n - 1) in
                 (match tails.(i) with
                 | Nil -> fresh.(i) <- node
                 | Cons tl -> tl.next <- node);
@@ -118,7 +134,7 @@ module Tbl = struct
      taken from [h] now, so a resize since the lookup is harmless. *)
   let insert t h key data =
     let i = index t h in
-    t.buckets.(i) <- Cons { key; data; next = t.buckets.(i) };
+    t.buckets.(i) <- Cons { key; hash = h; data; next = t.buckets.(i) };
     t.size <- t.size + 1;
     if t.size > 2 * Array.length t.buckets then resize t
 
@@ -126,11 +142,12 @@ module Tbl = struct
      gives the data to keep or [None] to unlink the cell.  Returns the
      data found. *)
   let take t key f =
-    let i = index t (hash key) in
+    let h = hash key in
+    let i = index t h in
     let rec go prev = function
       | Nil -> None
       | Cons c as b ->
-          if String.equal c.key key then begin
+          if c.hash = h && String.equal c.key key then begin
             let v = c.data in
             (match f v with
             | Some d -> c.data <- d
@@ -150,7 +167,7 @@ module Tbl = struct
     for i = 0 to Array.length d - 1 do
       let rec go = function
         | Nil -> ()
-        | Cons { key; data; next } ->
+        | Cons { key; data; next; _ } ->
             f key data;
             go next
       in
@@ -163,7 +180,7 @@ module Tbl = struct
     for i = 0 to Array.length d - 1 do
       let rec go acc = function
         | Nil -> acc
-        | Cons { key; data; next } -> go (f key data acc) next
+        | Cons { key; data; next; _ } -> go (f key data acc) next
       in
       acc := go !acc d.(i)
     done;
@@ -202,6 +219,7 @@ type 'a budgeted = {
   mutable target : File.t option;  (* emptied previous file: the next compaction's *)
   mutable member : int;  (* pool registration, for {!release} *)
   enc : Buffer.t;  (* the payload of the record being evicted *)
+  mutable cur : 'a entry;  (* the open {!access}, or [ring] when none *)
 }
 
 type 'a t = R of 'a codec * 'a Tbl.t | B of 'a budgeted
@@ -387,6 +405,7 @@ let create ?pool ~name codec =
   match pool with
   | None -> R (codec, Tbl.create ())
   | Some pool ->
+      let ring = sentinel () in
       let b =
         {
           pool;
@@ -394,11 +413,12 @@ let create ?pool ~name codec =
           name;
           tbl = Tbl.create ();
           clock = Queue.create ();
-          ring = sentinel ();
+          ring;
           file = None;
           target = None;
           member = -1;
           enc = Buffer.create 256;
+          cur = ring;
         }
       in
       b.member <-
@@ -456,8 +476,9 @@ let reweigh b e v =
     Pool.note_entry_weight b.pool w
   end
 
-let add_entry b h key v =
-  let w = b.codec.weight v in
+(* Insert a live entry for [key], known absent, accounted at weight
+   [w]. *)
+let add_entry b h key v w =
   let rec e =
     {
       e_key = key;
@@ -479,6 +500,7 @@ let add_entry b h key v =
 
 (* --- map operations -------------------------------------------------- *)
 
+let hash = Tbl.hash
 let length = function R (_, tbl) -> tbl.Tbl.size | B b -> b.tbl.Tbl.size
 let is_empty t = length t = 0
 
@@ -505,7 +527,7 @@ let set t key v =
       | Tbl.Nil -> Tbl.insert tbl h key v)
   | B b ->
       (match Tbl.find b.tbl h key with
-      | Tbl.Nil -> ignore (add_entry b h key v)
+      | Tbl.Nil -> ignore (add_entry b h key v (b.codec.weight v))
       | Tbl.Cons { data = e; _ } ->
           (match e.e_slot with
           | Live _ -> reweigh b e v
@@ -569,25 +591,45 @@ let take t key f =
                  None));
       !found)
 
-(* [find]-then-[set] in one probe — the engine's dominant mutation
-   idiom.  [f] must not perform nested store operations (use {!pinned}
-   when it must). *)
-let update t key f =
+(* Find-or-create for in-place mutation, closed by {!commit}: the
+   engine's per-event idiom, with no callback.  A budgeted access leaves
+   the pool's accounts, hot bit and rebalance to {!commit}, which does
+   them after the mutation, so they follow the mutated value: a new
+   entry is inserted at weight 0 and accounted there.  No other
+   operation on a store of the pool may come between the two, or an
+   eviction could serialize the value mid-mutation. *)
+let access t key ~init =
   let h = Tbl.hash key in
   match t with
   | R (_, tbl) -> (
       match Tbl.find tbl h key with
-      | Tbl.Cons c -> c.data <- f (Some c.data)
-      | Tbl.Nil -> Tbl.insert tbl h key (f None))
-  | B b ->
-      (match Tbl.find b.tbl h key with
+      | Tbl.Cons c -> c.data
+      | Tbl.Nil ->
+          let v = init () in
+          Tbl.insert tbl h key v;
+          v)
+  | B b -> (
+      match Tbl.find b.tbl h key with
       | Tbl.Cons { data = e; _ } ->
-          let v = f (Some (live_value b e)) in
-          e.e_slot <- Live v;
+          let v = live_value b e in
+          b.cur <- e;
+          v
+      | Tbl.Nil ->
+          let v = init () in
+          b.cur <- add_entry b h key v 0;
+          v)
+
+let commit = function
+  | R _ -> ()
+  | B b -> (
+      let e = b.cur in
+      b.cur <- b.ring;
+      match e.e_slot with
+      | Live v ->
           e.e_hot <- true;
-          reweigh b e v
-      | Tbl.Nil -> ignore (add_entry b h key (f None)));
-      Pool.rebalance b.pool
+          reweigh b e v;
+          Pool.rebalance b.pool
+      | Spilled _ -> invalid_arg "Store.commit: no open access")
 
 (* Find-or-create, pin for the duration of [f] — [f] may mutate the
    value in place and perform arbitrary nested store operations
@@ -612,7 +654,9 @@ let pinned t key ~init f =
         | Tbl.Cons { data = e; _ } ->
             ignore (live_value b e);
             e
-        | Tbl.Nil -> add_entry b h key (init ())
+        | Tbl.Nil ->
+            let v = init () in
+            add_entry b h key v (b.codec.weight v)
       in
       let v = match e.e_slot with Live v -> v | Spilled _ -> assert false in
       e.e_pins <- e.e_pins + 1;

@@ -9,8 +9,9 @@
     none deletes one.
 
     Both backends keep their entries in one string-keyed chained table
-    whose bucket nodes hold the value: every operation below hashes the
-    key once and walks one bucket once.  For the same history of
+    whose bucket nodes hold the value and the key's hash: every
+    operation below hashes the key once and walks one bucket once,
+    comparing hashes before keys.  For the same history of
     insertions, removals and {!clear}s, the resident {!iter} and {!fold}
     visit entries in the order a generic stdlib [Hashtbl] would (the
     budgeted backend visits them in the reverse of that order).
@@ -27,11 +28,12 @@
 
     - {!find} values are read-only unless followed by {!set}; so are
       the values {!take} returns.
-    - In-place mutation goes through {!pinned} (or the {!iter}/{!fold}
-      callbacks, where the current entry is pinned): pinned entries are
-      never evicted, so nested store operations during downstream
-      delivery cannot detach the value being mutated.
-    - {!update} callbacks must not perform nested store operations.
+    - In-place mutation goes through {!access} then {!commit}, with no
+      store operation in between, or through {!pinned} (or the
+      {!iter}/{!fold} callbacks, where the current entry is pinned)
+      when the mutation performs nested store operations: pinned
+      entries are never evicted, so downstream delivery cannot detach
+      the value being mutated.
 
     A corrupt or truncated spill record surfaces at fault-in as
     {!File.Fault} naming the store, key and reason — never as silently
@@ -57,6 +59,10 @@ val create : ?pool:Pool.t -> name:string -> 'a codec -> 'a t
     compaction target at the first compaction, and both are deleted by
     {!Pool.close}. *)
 
+val hash : string -> int
+(** The table's key hash, a C stub equal to [Hashtbl.hash] on every
+    string: the visit order above rests on that equality. *)
+
 val length : 'a t -> int
 (** Live entries (resident + spilled). *)
 
@@ -76,10 +82,22 @@ val take : 'a t -> string -> ('a -> 'a option) -> 'a option
     budgeted backend's accounts and spill-file release exactly as that
     pair leaves them.  [f] must not perform nested store operations. *)
 
-val update : 'a t -> string -> ('a option -> 'a) -> unit
-(** {!find}-then-{!set} in one probe: the callback sees the current
-    value ([None] when absent) and returns the replacement.  It must
-    not perform nested store operations. *)
+val access : 'a t -> string -> init:(unit -> 'a) -> 'a
+(** [access t key ~init] is [key]'s live value, for the caller to
+    mutate in place: faulted in if spilled, or made with [init ()] and
+    inserted when absent.  One probe and no callback — the per-event
+    path of the engine's keyed operators.  Close every access with
+    {!commit} before any other operation on a store of the same pool.
+    The budgeted backend leaves the entry's hot bit, weight and the
+    pool's rebalance to {!commit}: a new entry is accounted only there,
+    at its mutated weight, so evictions and spill records follow the
+    value as the mutation left it. *)
+
+val commit : 'a t -> unit
+(** Close the last {!access}: the budgeted backend marks the entry hot,
+    re-accounts its weight and rebalances the pool; the resident one
+    does nothing.  Raises [Invalid_argument] on a budgeted store with
+    no open access. *)
 
 val pinned : 'a t -> string -> init:(unit -> 'a) -> ('a -> 'b) -> 'b
 (** Find-or-create, pin the entry for the callback's duration, then

@@ -21,25 +21,26 @@ let contains ~needle hay = Astring_contains.contains hay needle
 
 (* --- fixtures ------------------------------------------------------ *)
 
-let temp_dir =
+let rec rm_rf p =
+  if Sys.file_exists p then
+    if Sys.is_directory p then begin
+      Array.iter (fun f -> rm_rf (Filename.concat p f)) (Sys.readdir p);
+      try Sys.rmdir p with Sys_error _ -> ()
+    end
+    else try Sys.remove p with Sys_error _ -> ()
+
+(* [f] on a fresh state directory, removed afterwards, failed or not. *)
+let with_temp_dir =
   let n = ref 0 in
-  fun () ->
+  fun f ->
     incr n;
     let d =
       Filename.concat
         (Filename.get_temp_dir_name ())
         (Printf.sprintf "fw_test_serve_%d_%d" (Unix.getpid ()) !n)
     in
-    let rec rm_rf p =
-      if Sys.file_exists p then
-        if Sys.is_directory p then begin
-          Array.iter (fun f -> rm_rf (Filename.concat p f)) (Sys.readdir p);
-          try Sys.rmdir p with Sys_error _ -> ()
-        end
-        else try Sys.remove p with Sys_error _ -> ()
-    in
     rm_rf d;
-    d
+    Fun.protect ~finally:(fun () -> rm_rf d) (fun () -> f d)
 
 (* Deterministic stream with awkward float values so byte-identity
    failures (a changed fold order) actually flip bits. *)
@@ -340,7 +341,7 @@ let test_byte_identity_gate () =
 (* --- durable restart -------------------------------------------------- *)
 
 let test_restart_recovers () =
-  let dir = temp_dir () in
+  with_temp_dir @@ fun dir ->
   let cfg =
     {
       Server.default_config with
@@ -482,14 +483,6 @@ let test_http_admission_maps_to_429 () =
    byte-identical to those engines' rows.  Both modes, direct and
    durable (a checkpoint every 5 events, so cuts land mid-batch). *)
 let test_batched_ingest_matches_per_event () =
-  let rec rm_tree p =
-    if Sys.file_exists p then
-      if Sys.is_directory p then begin
-        Array.iter (fun f -> rm_tree (Filename.concat p f)) (Sys.readdir p);
-        Sys.rmdir p
-      end
-      else Sys.remove p
-  in
   let horizon = 60 in
   (* ticks 36..40 carry no events: the stream advances to 40 instead *)
   let evs =
@@ -506,88 +499,90 @@ let test_batched_ingest_matches_per_event () =
                WINDOWS(WINDOW(TUMBLINGWINDOW(second, 10)), \
                WINDOW(TUMBLINGWINDOW(second, 30)))"
   in
+  let run ~incremental ~label state_dir =
+    let server =
+      create_exn
+        { Server.default_config with Server.incremental; state_dir; every = 5 }
+    in
+    let mode =
+      if incremental then Stream_exec.Incremental else Stream_exec.Naive
+    in
+    let fed = ref [] in
+    let members = ref [] in
+    let join text =
+      let r = register_exn server text in
+      let exec =
+        match Compile.compile ~eta:1 text with
+        | Ok c -> Stream_exec.create ~mode c.Compile.outcome.Rewrite.plan
+        | Error e -> Alcotest.failf "standalone compile failed: %s" e
+      in
+      List.iter (Stream_exec.feed exec) (List.rev !fed);
+      members :=
+        !members @ [ (r, text, exec, Stream_exec.row_count exec) ]
+    in
+    let check_counts at =
+      List.iter
+        (fun (r, text, exec, from) ->
+          check_int
+            (Printf.sprintf "%s: %S rows at %s" label text at)
+            (Stream_exec.row_count exec - from)
+            (List.length (rows_exn server r.Server.r_id)))
+        !members
+    in
+    join q_t10_t20_t40;
+    join q_t10_t20;
+    join q_min;
+    List.iteri
+      (fun i chunk ->
+        ignore (feed_exn server chunk);
+        List.iter
+          (fun (_, _, exec, _) -> List.iter (Stream_exec.feed exec) chunk)
+          !members;
+        fed := List.rev_append chunk !fed;
+        let wm = Server.watermark server in
+        check_counts (Printf.sprintf "ingest %d (wm %d)" i wm);
+        if i = 2 then join q_t10;
+        if wm = 35 then begin
+          (match Server.advance server 40 with
+          | Ok () -> ()
+          | Error rej ->
+              Alcotest.failf "advance: %s" (Server.reject_message rej));
+          List.iter
+            (fun (_, _, exec, _) -> Stream_exec.advance exec 40)
+            !members;
+          check_counts "advance 40"
+        end)
+      ingests;
+    (match !members with
+    | (a, _, _, _) :: (b, _, _, _) :: (c, _, _, _) :: (late, _, _, _) :: _ ->
+        check_bool (label ^ ": shared group") true
+          (b.Server.r_shared && a.Server.r_group = b.Server.r_group);
+        check_bool (label ^ ": MIN runs apart") true
+          (c.Server.r_group <> a.Server.r_group);
+        check_bool (label ^ ": late joiner shares") true
+          (late.Server.r_group = a.Server.r_group)
+    | _ -> Alcotest.fail "four members expected");
+    close_exn server ~horizon;
+    List.iter
+      (fun (r, text, exec, from) ->
+        ignore (Stream_exec.close exec ~horizon);
+        let want =
+          Row.sort
+            (List.init
+               (Stream_exec.row_count exec - from)
+               (fun i -> Stream_exec.row exec (from + i)))
+        in
+        check_bool
+          (Printf.sprintf "%s: %S tap byte-identical" label text)
+          true
+          (Row.sort (rows_exn server r.Server.r_id) = want))
+      !members
+  in
   List.iter
     (fun (incremental, durable) ->
       let label = Printf.sprintf "incremental=%b durable=%b" incremental durable in
-      let state_dir = if durable then Some (temp_dir ()) else None in
-      let server =
-        create_exn
-          { Server.default_config with Server.incremental; state_dir; every = 5 }
-      in
-      let mode =
-        if incremental then Stream_exec.Incremental else Stream_exec.Naive
-      in
-      let fed = ref [] in
-      let members = ref [] in
-      let join text =
-        let r = register_exn server text in
-        let exec =
-          match Compile.compile ~eta:1 text with
-          | Ok c -> Stream_exec.create ~mode c.Compile.outcome.Rewrite.plan
-          | Error e -> Alcotest.failf "standalone compile failed: %s" e
-        in
-        List.iter (Stream_exec.feed exec) (List.rev !fed);
-        members :=
-          !members @ [ (r, text, exec, Stream_exec.row_count exec) ]
-      in
-      let check_counts at =
-        List.iter
-          (fun (r, text, exec, from) ->
-            check_int
-              (Printf.sprintf "%s: %S rows at %s" label text at)
-              (Stream_exec.row_count exec - from)
-              (List.length (rows_exn server r.Server.r_id)))
-          !members
-      in
-      join q_t10_t20_t40;
-      join q_t10_t20;
-      join q_min;
-      List.iteri
-        (fun i chunk ->
-          ignore (feed_exn server chunk);
-          List.iter
-            (fun (_, _, exec, _) -> List.iter (Stream_exec.feed exec) chunk)
-            !members;
-          fed := List.rev_append chunk !fed;
-          let wm = Server.watermark server in
-          check_counts (Printf.sprintf "ingest %d (wm %d)" i wm);
-          if i = 2 then join q_t10;
-          if wm = 35 then begin
-            (match Server.advance server 40 with
-            | Ok () -> ()
-            | Error rej ->
-                Alcotest.failf "advance: %s" (Server.reject_message rej));
-            List.iter
-              (fun (_, _, exec, _) -> Stream_exec.advance exec 40)
-              !members;
-            check_counts "advance 40"
-          end)
-        ingests;
-      (match !members with
-      | (a, _, _, _) :: (b, _, _, _) :: (c, _, _, _) :: (late, _, _, _) :: _ ->
-          check_bool (label ^ ": shared group") true
-            (b.Server.r_shared && a.Server.r_group = b.Server.r_group);
-          check_bool (label ^ ": MIN runs apart") true
-            (c.Server.r_group <> a.Server.r_group);
-          check_bool (label ^ ": late joiner shares") true
-            (late.Server.r_group = a.Server.r_group)
-      | _ -> Alcotest.fail "four members expected");
-      close_exn server ~horizon;
-      List.iter
-        (fun (r, text, exec, from) ->
-          ignore (Stream_exec.close exec ~horizon);
-          let want =
-            Row.sort
-              (List.init
-                 (Stream_exec.row_count exec - from)
-                 (fun i -> Stream_exec.row exec (from + i)))
-          in
-          check_bool
-            (Printf.sprintf "%s: %S tap byte-identical" label text)
-            true
-            (Row.sort (rows_exn server r.Server.r_id) = want))
-        !members;
-      Option.iter rm_tree state_dir)
+      if durable then with_temp_dir (fun d -> run ~incremental ~label (Some d))
+      else run ~incremental ~label None)
     [ (false, false); (true, false); (false, true); (true, true) ]
 
 (* --- the rendered rows body ------------------------------------------ *)
@@ -655,7 +650,7 @@ let test_rows_csv_edges () =
    recovered: polling on from the old cursor continues the body, and
    the two pieces are the whole tap. *)
 let test_rows_csv_after_recover () =
-  let dir = temp_dir () in
+  with_temp_dir @@ fun dir ->
   let cfg =
     { Server.default_config with Server.state_dir = Some dir; every = 7 }
   in

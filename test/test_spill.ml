@@ -79,17 +79,22 @@ let store_semantics_on mk_store () =
         (eq_state st (state_of Aggregate.Sum [ 1.0; 2.0 ]))
   | None -> Alcotest.fail "a missing");
   check_bool "absent key" true (Store.find s "zz" = None);
-  Store.update s "a" (function
-    | Some st -> Combine.add st 10.0
-    | None -> Alcotest.fail "update saw None for a live key");
-  Store.update s "c" (function
-    | None -> state_of Aggregate.Sum [ 7.0 ]
-    | Some _ -> Alcotest.fail "update saw a value for an absent key");
-  check_int "update inserted" 3 (Store.length s);
+  let st =
+    Store.access s "a" ~init:(fun () ->
+        Alcotest.fail "access made a value for a live key")
+  in
+  Store.commit s;
+  check_bool "access returns the stored state" true
+    (eq_state st (state_of Aggregate.Sum [ 1.0; 2.0 ]));
+  let st = Store.access s "c" ~init:(fun () -> state_of Aggregate.Sum [ 7.0 ]) in
+  Store.commit s;
+  check_bool "access returns the value it made" true
+    (eq_state st (state_of Aggregate.Sum [ 7.0 ]));
+  check_int "access inserted" 3 (Store.length s);
   let total =
     Store.fold (fun _ st acc -> acc +. Combine.finalize st) s 0.0
   in
-  check_bool "fold sees every entry" true (bits total = bits 23.0);
+  check_bool "fold sees every entry" true (bits total = bits 13.0);
   let visited = ref 0 in
   Store.iter (fun _ _ -> incr visited) s;
   check_int "iter visits every entry" 3 !visited;
@@ -131,7 +136,7 @@ let int_codec =
   }
 
 type store_op =
-  | Op_update of int * int
+  | Op_access of int * int
   | Op_set of int * int
   | Op_find of int
   | Op_remove of int
@@ -144,7 +149,7 @@ type store_op =
   | Op_image
 
 let print_store_op = function
-  | Op_update (k, d) -> Printf.sprintf "update k%d %+d" k d
+  | Op_access (k, d) -> Printf.sprintf "access k%d %+d" k d
   | Op_set (k, v) -> Printf.sprintf "set k%d %d" k v
   | Op_find k -> Printf.sprintf "find k%d" k
   | Op_remove k -> Printf.sprintf "remove k%d" k
@@ -166,7 +171,7 @@ let gen_store_ops =
     let op =
       frequency
         [
-          (24, map2 (fun k d -> Op_update (k, d)) key d);
+          (24, map2 (fun k d -> Op_access (k, d)) key d);
           (16, map2 (fun k v -> Op_set (k, v)) key d);
           (8, map (fun k -> Op_find k) key);
           (6, map (fun k -> Op_remove k) key);
@@ -199,14 +204,22 @@ let run_store_ops ~take ~observe s ops =
   let same_contents () = bindings () = Smap.bindings !model in
   let step op =
     match op with
-    | Op_update (k, d) ->
-        let key = key_of k and calls = ref 0 and seen = ref None in
-        Store.update s key (fun prev ->
-            incr calls;
-            seen := Option.map ( ! ) prev;
-            ref (Option.value ~default:0 !seen + d));
-        let ok = !calls = 1 && !seen = Smap.find_opt key !model in
-        model := Smap.add key (Option.value ~default:0 !seen + d) !model;
+    | Op_access (k, d) ->
+        let key = key_of k and made = ref false in
+        let r =
+          Store.access s key ~init:(fun () ->
+              made := true;
+              ref 0)
+        in
+        let before = !r in
+        r := before + d;
+        Store.commit s;
+        let ok =
+          match Smap.find_opt key !model with
+          | Some v -> (not !made) && before = v
+          | None -> !made && before = 0
+        in
+        model := Smap.add key (before + d) !model;
         ok
     | Op_set (k, v) ->
         Store.set s (key_of k) (ref v);
@@ -369,7 +382,10 @@ let test_store_visit_order () =
             both (fun s -> ignore (Store.take s key (fun _ -> None)));
             Hashtbl.remove reference key
         | 3 ->
-            both (fun s -> Store.update s key (fun _ -> ref step));
+            both (fun s ->
+                let r = Store.access s key ~init:(fun () -> ref 0) in
+                r := step;
+                Store.commit s);
             Hashtbl.replace reference key step
         | 4 ->
             both (fun s -> Store.pinned s key ~init:(fun () -> ref step) ignore);
@@ -399,6 +415,203 @@ let test_store_visit_order () =
             (List.rev expect) (visited budgeted)
         end
       done)
+
+(* The table's C hash is [Hashtbl.hash] on any string: the visit order
+   above rests on it. *)
+let prop_store_hash =
+  qtest ~count:500 "store hash = Hashtbl.hash"
+    QCheck2.Gen.(
+      string_size ~gen:char
+        (frequency [ (1, return 0); (6, int_range 1 300) ]))
+    (Printf.sprintf "%S")
+    (fun key -> Store.hash key = Hashtbl.hash key)
+
+(* --- pane slots vs the boxed fold ------------------------------------- *)
+
+type pane_op = P_run of (int * float) list | P_merge of int * float list
+
+(* Values with every kind of float bit pattern: nans with assorted
+   payloads and signs, infinities, signed zeros, subnormals. *)
+let gen_bits_float =
+  QCheck2.Gen.(
+    frequency
+      [
+        (3, oneofl nasty);
+        (2, map Int64.float_of_bits ui64);
+        ( 2,
+          map2
+            (fun sign payload ->
+              Int64.float_of_bits
+                (Int64.logor
+                   (if sign then Int64.min_int else 0L)
+                   (Int64.logor 0x7FF0000000000000L (Int64.of_int payload))))
+            bool (int_range 1 0xFFFFF) );
+        (1, oneofl [ Float.nan; Float.infinity; Float.neg_infinity ]);
+        (2, map (fun n -> float_of_int n /. 4.0) (int_range (-400) 400));
+      ])
+
+let gen_pane_ops =
+  QCheck2.Gen.(
+    let key = int_range 0 11 in
+    let* agg = oneofl Aggregate.all in
+    let* ops =
+      list_size (int_range 0 30)
+        (frequency
+           [
+             (4, map (fun run -> P_run run)
+                   (list_size (int_range 0 40) (pair key gen_bits_float)));
+             (1, map2 (fun k vs -> P_merge (k, vs)) key
+                   (list_size (int_range 1 4) gen_bits_float));
+           ])
+    in
+    let* drained = list_size (int_range 0 6) key in
+    return (agg, ops, drained))
+
+let print_pane_ops (agg, ops, drained) =
+  let show v =
+    if Float.is_nan v then Printf.sprintf "nan:%Lx" (bits v)
+    else Printf.sprintf "%h" v
+  in
+  let floats vs = String.concat "," (List.map show vs) in
+  Printf.sprintf "%s: %s; take %s" (Aggregate.to_string agg)
+    (String.concat "; "
+       (List.map
+          (function
+            | P_run run ->
+                "run "
+                ^ String.concat ","
+                    (List.map (fun (k, v) -> Printf.sprintf "k%d=%s" k (show v)) run)
+            | P_merge (k, vs) -> Printf.sprintf "merge k%d [%s]" k (floats vs))
+          ops))
+    (String.concat "," (List.map string_of_int drained))
+
+(* A pane fed through [add_run] and [merge], then drained by [take] and
+   [iter], holds exactly what the boxed [Combine.of_value]/
+   [Combine.add]/[Combine.merge] fold holds in a store of states driven
+   the same way: equal states, equal [Bincodec] bytes (nan payloads
+   included) and equal images.  Under budget-0 pools the two also leave
+   equal evictions, faults, disk bytes and largest entry, which their
+   codecs' weights and records decide. *)
+let prop_pane_slots_boxed =
+  let boxed_codec =
+    {
+      Store.kind = Bincodec.kind_combine;
+      enc = (fun b r -> Bincodec.w_state b !r);
+      dec = (fun r -> ref (Bincodec.r_state r));
+      weight = (fun r -> Bincodec.state_weight !r);
+    }
+  in
+  let bytes st =
+    let b = Buffer.create 16 in
+    Bincodec.w_state b st;
+    Buffer.contents b
+  in
+  let same a b =
+    List.length a = List.length b
+    && List.for_all2
+         (fun (k1, s1) (k2, s2) ->
+           match (s1, s2) with
+           | Some s1, Some s2 ->
+               String.equal k1 k2 && eq_state s1 s2
+               && String.equal (bytes s1) (bytes s2)
+           | None, None -> String.equal k1 k2
+           | Some _, None | None, Some _ -> false)
+         a b
+  in
+  (* Each side: feed the ops, then (its image, its drained states). *)
+  let columns run =
+    let keys = Array.of_list (List.map (fun (k, _) -> key_of k) run)
+    and values = Array.of_list (List.map snd run) in
+    (* a selection out of column order *)
+    (keys, values, Array.init (Array.length keys) (fun i -> Array.length keys - 1 - i))
+  in
+  let merged agg vs =
+    List.fold_left Combine.add (Combine.of_value agg (List.hd vs)) (List.tl vs)
+  in
+  let drain take iter drained =
+    let taken = List.map (fun k -> (key_of k, take (key_of k))) drained in
+    let rest = ref [] in
+    iter (fun k st -> rest := (k, Some st) :: !rest);
+    taken @ List.rev !rest
+  in
+  let pane_side ?pool (agg, ops, drained) =
+    let pane = Fw_agg.Pane.create ?pool agg in
+    List.iter
+      (function
+        | P_run run ->
+            let keys, values, sel = columns run in
+            Fw_agg.Pane.add_run pane ~keys ~values ~sel ~lo:0
+              ~hi:(Array.length sel)
+        | P_merge (k, vs) -> Fw_agg.Pane.merge pane ~key:(key_of k) (merged agg vs))
+      ops;
+    let image = Buffer.create 256 in
+    Fw_agg.Pane.write image pane;
+    let image = Buffer.contents image in
+    (* the store image, without the pane's two counters *)
+    ( String.sub image 0 (String.length image - 16),
+      drain (Fw_agg.Pane.take pane) (fun f -> Fw_agg.Pane.iter f pane) drained )
+  in
+  let boxed_side ?pool (agg, ops, drained) =
+    let s = Store.create ?pool ~name:"pane" boxed_codec in
+    let made = ref false in
+    let fold key f =
+      let r =
+        Store.access s key ~init:(fun () ->
+            made := true;
+            ref (Combine.identity agg))
+      in
+      r := f !made !r;
+      made := false;
+      Store.commit s
+    in
+    List.iter
+      (function
+        | P_run run ->
+            let keys, values, sel = columns run in
+            Array.iter
+              (fun j ->
+                fold keys.(j) (fun fresh st ->
+                    if fresh then Combine.of_value agg values.(j)
+                    else Combine.add st values.(j)))
+              sel
+        | P_merge (k, vs) ->
+            let st = merged agg vs in
+            fold (key_of k) (fun fresh acc ->
+                if fresh then st else Combine.merge acc st))
+      ops;
+    let image = Buffer.create 256 in
+    Store.write image s;
+    ( Buffer.contents image,
+      drain
+        (fun key -> Option.map ( ! ) (Store.take s key (fun _ -> None)))
+        (fun f -> Store.iter (fun k r -> f k !r) s)
+        drained )
+  in
+  let agree (i1, d1) (i2, d2) = String.equal i1 i2 && same d1 d2 in
+  let figures pool =
+    ( Pool.evictions pool,
+      Pool.faults pool,
+      Pool.disk_bytes pool,
+      Pool.max_entry_bytes pool,
+      Pool.resident_bytes pool )
+  in
+  let on_pool (side : ?pool:Pool.t -> _ -> _) case =
+    with_pool ~budget:0 (fun pool ->
+        let r = side ~pool case in
+        (r, figures pool))
+  in
+  qtest ~count:200 "pane slots = boxed fold: states, bytes, weights"
+    gen_pane_ops print_pane_ops (fun case ->
+      agree (pane_side case) (boxed_side case)
+      &&
+      let p, pf = on_pool pane_side case and b, bf = on_pool boxed_side case in
+      agree p b && pf = bf
+      &&
+      (* a budgeted store iterates in the reverse of the resident order *)
+      let by_key (i, d) =
+        (i, List.stable_sort (fun (k1, _) (k2, _) -> String.compare k1 k2) d)
+      in
+      agree (by_key p) (by_key (pane_side case)))
 
 (* --- eviction / fault-in bit-identity -------------------------------- *)
 
@@ -1450,4 +1663,6 @@ let suite =
       test_compaction_reuses_target;
     Alcotest.test_case "short read at end of file faults" `Quick
       test_short_read_faults;
+    prop_store_hash;
+    prop_pane_slots_boxed;
   ]
