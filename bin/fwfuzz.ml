@@ -36,7 +36,7 @@ let iterations_arg =
   Arg.(value & opt int 1000 & info [ "iterations"; "n" ] ~docv:"N" ~doc)
 
 let seed_arg =
-  let doc = "Base PRNG seed; iteration $(i)i uses seed SEED+$(i)i." in
+  let doc = "Base PRNG seed; iteration I uses seed SEED+I, counting from 0." in
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc)
 
 let replay_arg =
@@ -190,12 +190,8 @@ let dump_artifacts artifacts failure =
           List.iter (fun f -> Printf.printf "artifact: %s\n" f) files
       | Error e -> Printf.eprintf "fwfuzz: artifact dump failed: %s\n" e)
 
-let replay gen ~invariants ~incremental_prob ~crash_prob ~batch_prob
-    ~serve_prob ~spill_prob ~artifacts seed =
-  match
-    Harness.check_seed ~invariants ~incremental_prob ~crash_prob ~batch_prob
-      ~serve_prob ~spill_prob gen seed
-  with
+let replay cfg ~artifacts seed =
+  match Harness.check_seed cfg seed with
   | Ok sc ->
       Printf.printf "seed %d: %s\n" seed (Scenario.summary sc);
       List.iter
@@ -210,8 +206,7 @@ let replay gen ~invariants ~incremental_prob ~crash_prob ~batch_prob
                   (List.length rows)
             | Error e ->
                 Printf.printf "  %-40s CRASH: %s\n" (Paths.name path) e)
-        (Harness.paths_for ~incremental_prob ~crash_prob ~batch_prob
-           ~serve_prob ~spill_prob seed);
+        (Harness.paths_for cfg seed);
       Printf.printf "OK: all paths agree, all invariants hold.\n";
       0
   | Error failure ->
@@ -219,23 +214,8 @@ let replay gen ~invariants ~incremental_prob ~crash_prob ~batch_prob
       dump_artifacts artifacts failure;
       1
 
-let campaign gen ~invariants ~incremental_prob ~crash_prob ~batch_prob
-    ~serve_prob ~spill_prob ~iterations ~base_seed ~max_failures ~quiet
-    ~artifacts =
-  let cfg =
-    {
-      Harness.iterations;
-      base_seed;
-      gen;
-      invariants;
-      incremental_prob;
-      crash_prob;
-      batch_prob;
-      serve_prob;
-      spill_prob;
-      max_failures;
-    }
-  in
+let campaign (cfg : Harness.config) ~quiet ~artifacts =
+  let iterations = cfg.iterations and base_seed = cfg.base_seed in
   let progress =
     if quiet then None
     else
@@ -252,7 +232,7 @@ let campaign gen ~invariants ~incremental_prob ~crash_prob ~batch_prob
       base_seed
       (base_seed + iterations - 1)
       (List.length Paths.all)
-      (if invariants then " + invariants" else "");
+      (if cfg.invariants then " + invariants" else "");
   let outcome = Harness.run ?progress cfg in
   match outcome.Harness.failures with
   | [] ->
@@ -320,14 +300,22 @@ let main iterations seed do_replay max_windows eta_max horizon_max
     gen_config max_windows eta_max horizon_max no_holistic ~family_prob
       ~batch_min ~batch_max ~budget_min ~budget_max
   in
-  let invariants = not no_invariants in
-  if do_replay then
-    replay gen ~invariants ~incremental_prob ~crash_prob ~batch_prob
-      ~serve_prob ~spill_prob ~artifacts seed
-  else
-    campaign gen ~invariants ~incremental_prob ~crash_prob ~batch_prob
-      ~serve_prob ~spill_prob ~iterations ~base_seed:seed ~max_failures
-      ~quiet ~artifacts
+  let cfg =
+    {
+      Harness.iterations;
+      base_seed = seed;
+      gen;
+      invariants = not no_invariants;
+      incremental_prob;
+      crash_prob;
+      batch_prob;
+      serve_prob;
+      spill_prob;
+      max_failures;
+    }
+  in
+  if do_replay then replay cfg ~artifacts seed
+  else campaign cfg ~quiet ~artifacts
 
 let cmd =
   let info =

@@ -72,11 +72,13 @@ let merge t ~key state =
   Store.commit t.store
 
 let state c = Cols.get c 0
-let find t key = Option.map state (Store.find t.store key)
 
-(* One probe: a pooled pane faults the entry in (if spilled) and drops
-   it from the table in the same bucket walk. *)
-let take t key = Option.map state (Store.take t.store key (fun _ -> None))
+let take t key =
+  match Store.find t.store key with
+  | None -> None
+  | Some c ->
+      Store.remove t.store key;
+      Some (state c)
 
 let iter f t = Store.iter (fun key c -> f key (state c)) t.store
 let fold f t acc = Store.fold (fun key c acc -> f key (state c) acc) t.store acc

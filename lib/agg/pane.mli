@@ -40,13 +40,11 @@ val merge : t -> key:string -> Combine.state -> unit
     Raises [Invalid_argument], leaving the pane as it was, when the
     state comes from another aggregate than the pane's. *)
 
-val find : t -> string -> Combine.state option
-
 val take : t -> string -> Combine.state option
-(** {!find} and remove in one: the key's state, now gone from the pane
-    ([None] when absent).  One store access — the pane roll of
-    {!Fw_engine.Stream_exec} seals a key's open-pane state this way
-    while it visits the key's queue. *)
+(** The key's state, now gone from the pane ([None] when absent): a
+    store {!Fw_spill.Store.find}, then {!Fw_spill.Store.remove}.  The
+    pane roll of {!Fw_engine.Stream_exec} seals a key's open-pane state
+    this way while it visits the key's queue. *)
 
 val iter : (string -> Combine.state -> unit) -> t -> unit
 val fold : (string -> Combine.state -> 'a -> 'a) -> t -> 'a -> 'a

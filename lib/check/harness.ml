@@ -63,18 +63,17 @@ let problems_of ~invariants ~paths sc =
    no matter which iteration found it.  One rule: a stack runs only
    when the coin of every dimension it uses lands — its sink
    (checkpointed, served), incremental mode, batching and spilling. *)
-let paths_for ?(incremental_prob = 1.0) ?(crash_prob = 0.0)
-    ?(batch_prob = 1.0) ?(serve_prob = 0.0) ?(spill_prob = 0.0) seed =
+let paths_for cfg seed =
   let coin prob salt =
     prob >= 1.0
     || prob > 0.0
        && Fw_util.Prng.bernoulli (Fw_util.Prng.create (seed lxor salt)) prob
   in
-  let incremental = coin incremental_prob 0x1ec4e81 in
-  let crash = coin crash_prob 0x5eed5a9 in
-  let batch = coin batch_prob 0x6a7c3b1 in
-  let serve = coin serve_prob 0x2b1c9d7 in
-  let spill = coin spill_prob 0x4d11a7 in
+  let incremental = coin cfg.incremental_prob 0x1ec4e81 in
+  let crash = coin cfg.crash_prob 0x5eed5a9 in
+  let batch = coin cfg.batch_prob 0x6a7c3b1 in
+  let serve = coin cfg.serve_prob 0x2b1c9d7 in
+  let spill = coin cfg.spill_prob 0x4d11a7 in
   List.filter
     (function
       | Paths.Stack { sink; mode; batched; spilled } ->
@@ -88,14 +87,10 @@ let paths_for ?(incremental_prob = 1.0) ?(crash_prob = 0.0)
       | Paths.Reference | Paths.Rewritten _ | Paths.Sliced _ -> true)
     Paths.all
 
-let check_seed ?(invariants = true) ?(incremental_prob = 1.0)
-    ?(crash_prob = 0.0) ?(batch_prob = 1.0) ?(serve_prob = 0.0)
-    ?(spill_prob = 0.0) gen seed =
-  let sc = Scenario.of_seed gen seed in
-  let paths =
-    paths_for ~incremental_prob ~crash_prob ~batch_prob ~serve_prob
-      ~spill_prob seed
-  in
+let check_seed cfg seed =
+  let invariants = cfg.invariants in
+  let sc = Scenario.of_seed cfg.gen seed in
+  let paths = paths_for cfg seed in
   match problems_of ~invariants ~paths sc with
   | [] -> Ok sc
   | problems ->
@@ -116,11 +111,7 @@ let run ?progress cfg =
   (try
      for i = 0 to cfg.iterations - 1 do
        let seed = cfg.base_seed + i in
-       (match
-          check_seed ~invariants:cfg.invariants
-            ~incremental_prob:cfg.incremental_prob ~crash_prob:cfg.crash_prob
-            ~batch_prob:cfg.batch_prob ~serve_prob:cfg.serve_prob ~spill_prob:cfg.spill_prob cfg.gen seed
-        with
+       (match check_seed cfg seed with
        | Ok _ -> ()
        | Error failure ->
            failures := failure :: !failures;

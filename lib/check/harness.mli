@@ -70,32 +70,15 @@ val default_config : config
 
 type outcome = { checked : int; failures : failure list }
 
-val paths_for :
-  ?incremental_prob:float ->
-  ?crash_prob:float ->
-  ?batch_prob:float ->
-  ?serve_prob:float ->
-  ?spill_prob:float ->
-  int ->
-  Paths.path list
-(** The paths {!check_seed} runs for this seed under these
-    probabilities (same defaults), before per-scenario
-    {!Paths.applicable} gating. *)
+val paths_for : config -> int -> Paths.path list
+(** The paths {!check_seed} runs for this seed under the config's
+    probabilities, before per-scenario {!Paths.applicable} gating. *)
 
-val check_seed :
-  ?invariants:bool ->
-  ?incremental_prob:float ->
-  ?crash_prob:float ->
-  ?batch_prob:float ->
-  ?serve_prob:float ->
-  ?spill_prob:float ->
-  Scenario.gen_config ->
-  int ->
-  (Scenario.t, failure) result
-(** Check a single seed; [Ok] returns the (clean) scenario so replay
-    tooling can describe it.  [incremental_prob] and [batch_prob]
-    default to [1.0], [crash_prob], [serve_prob] and [spill_prob] to
-    [0.0]. *)
+val check_seed : config -> int -> (Scenario.t, failure) result
+(** Check a single seed, drawn from the config's [gen], with its
+    invariants switch and probabilities ([iterations], [base_seed] and
+    [max_failures] are not read); [Ok] returns the (clean) scenario so
+    replay tooling can describe it. *)
 
 val run : ?progress:(int -> unit) -> config -> outcome
 (** Run the campaign; [progress] is called after each iteration with

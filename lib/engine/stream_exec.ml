@@ -111,8 +111,8 @@ type cwin_key = {
 
 type cwin_state = {
   c_window : Window.t;
-  c_agg : Aggregate.t;
   c_keys : cwin_key Store.t;
+  c_init : unit -> cwin_key;  (** a key's fresh tracker *)
 }
 
 (* Session-window execution state: one open (growable) session per key
@@ -133,6 +133,7 @@ type session_state = {
   s_window : Window.t;
   s_gap : int;
   s_open : open_session Store.t;
+  s_init : unit -> open_session;  (** a new key's empty record *)
   mutable s_deadlines : Fset.t;
       (** resident index of (last + gap, key) per open session, so a
           watermark sweep faults in only the keys actually expiring *)
@@ -339,6 +340,18 @@ let ascending_keys keys =
   in
   if descending keys then List.rev keys else List.sort String.compare keys
 
+(* Pop a count window's pending instances whose ordinal upper bound
+   [hi] its key has reached ([kc.seen]), oldest first, as
+   [(hi, state, items)]. *)
+let rec cwin_pop window kc =
+  if Ring.is_empty kc.kpend then []
+  else
+    let hi = (Ring.front kc.kpend * Window.slide window) + Window.range window in
+    if hi > kc.seen then []
+    else
+      let state, items = Ring.pop kc.kpend in
+      (hi, state, items) :: cwin_pop window kc
+
 (* --- the result sink ------------------------------------------------ *)
 
 (* The slot of window [w]'s bucket, made the first time [w] is seen. *)
@@ -470,17 +483,20 @@ and win_ring st key =
   st.w_key <- key;
   Store.access st.w_keys key ~init:st.w_ring
 
-(* Pop the due instance [hi] of [key] out of the store in one probe:
-   the popped state is an immutable value, so it can be forwarded after
-   the store operation completes — no pin needed. *)
+(* Pop the due instance [hi] of [key] under one store access, closed by
+   [Store.commit], or by [Store.remove] when the ring is left empty:
+   the popped state is an immutable value, forwarded after the access
+   is closed. *)
 and win_extract st key hi =
-  let popped = ref None in
-  ignore
-    (Store.take st.w_keys key (fun rg ->
-         if (Ring.front rg * Window.slide st.window) + Window.range st.window = hi
-         then popped := Some (Ring.pop rg);
-         if Ring.is_empty rg then None else Some rg));
-  match !popped with
+  let rg = win_ring st key in
+  let due =
+    (not (Ring.is_empty rg))
+    && (Ring.front rg * Window.slide st.window) + Window.range st.window = hi
+  in
+  let popped = if due then Some (Ring.pop rg) else None in
+  if Ring.is_empty rg then Store.remove st.w_keys key
+  else Store.commit st.w_keys;
+  match popped with
   | Some p -> p
   | None -> invalid_arg "Stream_exec: fire index out of sync with store"
 
@@ -572,8 +588,9 @@ and pane_roll t id ps ~upto =
     let n = max 0 (min mhi p0 - mlo + 1) in
     let answers = Array.make n [] and items = Array.make n 0 in
     let evicted = ref 0 and dead = ref [] in
-    (* [Store.iter] and [Store.pinned] pin the queue, so the in-place
-       push and slides can never race an eviction of it. *)
+    (* The queue is pinned by [Store.iter] in pass 1 and accessed in
+       pass 2, so the in-place push and slides can never race an
+       eviction of it. *)
     let push_and_slide key q state =
       Option.iter (Swag.push q ~idx:p0) state;
       let before = Swag.length q in
@@ -594,11 +611,11 @@ and pane_roll t id ps ~upto =
     Store.iter
       (fun key q -> push_and_slide key q (Pane.take ps.open_pane key))
       ps.queues;
+    let fresh () = Swag.create t.agg in
     Pane.iter
       (fun key state ->
-        Store.pinned ps.queues key
-          ~init:(fun () -> Swag.create t.agg)
-          (fun q -> push_and_slide key q (Some state)))
+        push_and_slide key (Store.access ps.queues key ~init:fresh) (Some state);
+        Store.commit ps.queues)
       ps.open_pane;
     Pane.clear ps.open_pane;
     List.iter (Store.remove ps.queues) !dead;
@@ -643,43 +660,38 @@ and pane_deliver t id ps msg =
 
 (* --- count-window (ROWS frame) operator ----------------------------- *)
 
-(* All access to a key's tracker happens under a pin: the callback
-   mutates [kc] in place and [cwin_fire] forwards downstream mid-access
-   (which may touch other stores of the same pool), so the tracker must
-   not be evictable while the callback runs. *)
-and cwin_with_key st key f =
-  Store.pinned st.c_keys key
-    ~init:(fun () -> { seen = 0; kpend = Ring.create st.c_agg })
-    f
-
-(* Fire every pending instance of [key] whose ordinal upper bound has
-   been reached; a {e complete} stream-fed instance folded exactly [r]
-   items and a sub-fed one exactly its covering multiplier, so the
-   metrics measure the same quantity the cost model prices.
-   Incomplete instances (the key never reaches [hi]) never fire. *)
-and cwin_fire t id st key kc ~upto =
-  let r = Window.range st.c_window and s = Window.slide st.c_window in
-  let due () =
-    (not (Ring.is_empty kc.kpend)) && (Ring.front kc.kpend * s) + r <= upto
-  in
-  if due () then begin
-    let sampled = activation t id in
-    let t0 = if sampled then Clock.now_ns () else 0 in
-    let fired = ref 0 and items_tot = ref 0 in
-    while due () do
-      let hi = (Ring.front kc.kpend * s) + r in
-      let state, items = Ring.pop kc.kpend in
-      Metrics.record t.metrics st.c_window items;
-      incr fired;
-      items_tot := !items_tot + items;
-      let interval = Interval.make ~lo:(hi - r) ~hi in
-      forward t id (Item (Sub { window = st.c_window; interval; key; state }))
-    done;
-    if t.observe then Counter.add t.obs.(id).Metrics.fires !fired;
-    if sampled then
-      activation_sample t id ~t0 ~name:"count-fire" ~items_in:!items_tot
-        ~items_out:!fired ~window:st.c_window
-  end
+(* The per-event step of a key's tracker, [kc], just folded under
+   [Store.access]: pop every pending instance whose ordinal upper bound
+   the key has reached, close the access with [Store.commit], then
+   forward the popped instances oldest first.  Forwarding may touch
+   other stores of the pool, so it waits for the commit.  A {e complete}
+   stream-fed instance folded exactly [r] items and a sub-fed one
+   exactly its covering multiplier, so the metrics measure the same
+   quantity the cost model prices.  Incomplete instances (the key never
+   reaches [hi]) never fire. *)
+and cwin_fire t id st key kc =
+  let due = cwin_pop st.c_window kc in
+  Store.commit st.c_keys;
+  match due with
+  | [] -> ()
+  | due ->
+      let r = Window.range st.c_window in
+      let sampled = activation t id in
+      let t0 = if sampled then Clock.now_ns () else 0 in
+      let fired = ref 0 and items_tot = ref 0 in
+      List.iter
+        (fun (hi, state, items) ->
+          Metrics.record t.metrics st.c_window items;
+          incr fired;
+          items_tot := !items_tot + items;
+          let interval = Interval.make ~lo:(hi - r) ~hi in
+          forward t id
+            (Item (Sub { window = st.c_window; interval; key; state })))
+        due;
+      if t.observe then Counter.add t.obs.(id).Metrics.fires !fired;
+      if sampled then
+        activation_sample t id ~t0 ~name:"count-fire" ~items_in:!items_tot
+          ~items_out:!fired ~window:st.c_window
 
 and cwin_deliver t id st msg =
   match msg with
@@ -691,11 +703,10 @@ and cwin_deliver t id st msg =
         enclosing_range st.c_window ~lo:(Interval.lo interval)
           ~hi:(Interval.hi interval)
       in
-      cwin_with_key st key (fun kc ->
-          Ring.fold_state kc.kpend ~first ~last state ~born:ignore;
-          if Interval.hi interval > kc.seen then
-            kc.seen <- Interval.hi interval;
-          cwin_fire t id st key kc ~upto:kc.seen)
+      let kc = Store.access st.c_keys key ~init:st.c_init in
+      Ring.fold_state kc.kpend ~first ~last state ~born:ignore;
+      if Interval.hi interval > kc.seen then kc.seen <- Interval.hi interval;
+      cwin_fire t id st key kc
   | Watermark w ->
       (* count instances are watermark-free; punctuation passes through
          for any time-domain consumers downstream of the union *)
@@ -703,8 +714,9 @@ and cwin_deliver t id st msg =
 
 (* --- session-window operator ----------------------------------------- *)
 
-(* Rotate [key]'s open session, just taken out of the store, into the
-   pending (deadline-ordered) map. *)
+(* Move [key]'s open session [os] into the pending (deadline-ordered)
+   map: its state and item count are immutable values, so the caller
+   may then reuse or drop the record. *)
 and session_rotate st key os =
   st.s_deadlines <- Fset.remove (os.s_last + st.s_gap, key) st.s_deadlines;
   let fk = { Fire_key.hi = os.s_last + st.s_gap; lo = os.s_first; key } in
@@ -713,38 +725,31 @@ and session_rotate st key os =
 (* An event at [tm] joins its key's open session iff it lands strictly
    before the session's deadline [last + gap]; otherwise the old
    session is rotated out and a fresh one opens.  Purely event-driven:
-   no watermark can change this decision.  One [Store.take] joins the
-   session in place or drops it for rotation; the deadline index tracks
-   every [s_last] move. *)
+   no watermark can change this decision.  One [Store.access] finds the
+   open session, or makes an empty record ([s_items = 0]) for a new key;
+   a join mutates the record in place, a rotation moves the old session
+   out and restarts the record, and [Store.commit] closes the access.
+   The deadline index tracks every [s_last] move. *)
 and session_add t st key tm value =
-  let joined = ref false in
-  let join os =
-    if tm < os.s_last + st.s_gap then begin
-      joined := true;
-      if tm > os.s_last then begin
-        st.s_deadlines <-
-          Fset.remove (os.s_last + st.s_gap, key) st.s_deadlines;
-        os.s_last <- tm;
-        st.s_deadlines <- Fset.add (tm + st.s_gap, key) st.s_deadlines
-      end;
-      os.s_state <- Combine.add os.s_state value;
-      os.s_items <- os.s_items + 1;
-      Some os
-    end
-    else None
-  in
-  match Store.take st.s_open key join with
-  | Some _ when !joined -> ()
-  | prev ->
-      (match prev with Some os -> session_rotate st key os | None -> ());
-      Store.set st.s_open key
-        {
-          s_first = tm;
-          s_last = tm;
-          s_state = Combine.of_value t.agg value;
-          s_items = 1;
-        };
+  let os = Store.access st.s_open key ~init:st.s_init in
+  if os.s_items > 0 && tm < os.s_last + st.s_gap then begin
+    if tm > os.s_last then begin
+      st.s_deadlines <- Fset.remove (os.s_last + st.s_gap, key) st.s_deadlines;
+      os.s_last <- tm;
       st.s_deadlines <- Fset.add (tm + st.s_gap, key) st.s_deadlines
+    end;
+    os.s_state <- Combine.add os.s_state value;
+    os.s_items <- os.s_items + 1
+  end
+  else begin
+    if os.s_items > 0 then session_rotate st key os;
+    os.s_first <- tm;
+    os.s_last <- tm;
+    os.s_state <- Combine.of_value t.agg value;
+    os.s_items <- 1;
+    st.s_deadlines <- Fset.add (tm + st.s_gap, key) st.s_deadlines
+  end;
+  Store.commit st.s_open
 
 (* Watermark [wm]: first expire open sessions whose deadline passed
    (no future event has time < wm, so they can never be joined again),
@@ -757,9 +762,10 @@ and session_advance t id st wm =
   let rec expire () =
     match Fset.min_elt_opt st.s_deadlines with
     | Some ((dl, key) as e) when dl <= wm ->
-        let expired os = if os.s_last + st.s_gap = dl then None else Some os in
-        (match Store.take st.s_open key expired with
-        | Some os when os.s_last + st.s_gap = dl -> session_rotate st key os
+        (match Store.find st.s_open key with
+        | Some os when os.s_last + st.s_gap = dl ->
+            Store.remove st.s_open key;
+            session_rotate st key os
         | Some _ | None ->
             (* defensive: a stale index entry must not loop forever *)
             st.s_deadlines <- Fset.remove e st.s_deadlines);
@@ -876,6 +882,14 @@ let create ?(metrics = Metrics.create ()) ?(mode = Naive) ?(observe = true)
                       Store.create ?pool:spill
                         ~name:(Printf.sprintf "n%d-session" id)
                         session_codec;
+                    s_init =
+                      (fun () ->
+                        {
+                          s_first = 0;
+                          s_last = 0;
+                          s_state = Combine.identity agg;
+                          s_items = 0;
+                        });
                     s_deadlines = Fset.empty;
                     s_pending = Pending.empty;
                     s_wm = 0;
@@ -890,11 +904,11 @@ let create ?(metrics = Metrics.create ()) ?(mode = Naive) ?(observe = true)
                 N_cwin
                   {
                     c_window = window;
-                    c_agg = agg;
                     c_keys =
                       Store.create ?pool:spill
                         ~name:(Printf.sprintf "n%d-cwin" id)
                         (cwin_codec agg window);
+                    c_init = (fun () -> { seen = 0; kpend = Ring.create agg });
                   }
             | Window.Hop { domain = Window.Time; _ } ->
                 if mode = Incremental && panes_apply window then
@@ -1228,13 +1242,15 @@ and bcwin_add t id st b sel lo hi =
   and values = Batch.values b in
   for i = lo to hi - 1 do
     let j = sel.(i) in
-    cwin_with_key st keys.(j) (fun kc ->
-        let n = kc.seen in
-        kc.seen <- n + 1;
-        let v = values.(j) in
-        let first, last = containing_range st.c_window n in
-        Ring.fold_value kc.kpend ~first ~last v ~born:ignore;
-        cwin_fire t id st keys.(j) kc ~upto:kc.seen)
+    let key = keys.(j) in
+    let kc = Store.access st.c_keys key ~init:st.c_init in
+    let n = kc.seen in
+    kc.seen <- n + 1;
+    Ring.fold_value kc.kpend
+      ~first:(first_containing st.c_window n)
+      ~last:(n / Window.slide st.c_window)
+      values.(j) ~born:ignore;
+    cwin_fire t id st key kc
   done
 
 (* Session fold of a run: join/rotate per event (order-dependent but

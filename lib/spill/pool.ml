@@ -6,10 +6,11 @@
    whenever the resident total exceeds the budget, {!rebalance} asks
    the registered stores — round-robin — to each evict one cold entry
    (clock / second-chance, see {!Store}) until the total fits again or
-   only pinned entries remain (a pinned entry is one the engine is
-   mutating right now; evicting it would detach the live value from the
-   store, so the budget is allowed to overshoot by the pinned slack —
-   bounded by plan depth × the largest entry).
+   only pinned entries remain (a pinned entry is the one a store
+   {!Store.iter}/{!Store.fold} is visiting; evicting it would detach the
+   live value from the store, so the budget is allowed to overshoot by
+   the pinned slack — one entry, since the engine's visits never
+   nest).
 
    Single-writer like the metric cells it publishes: one pool per
    engine domain. *)

@@ -6,7 +6,8 @@
     the budget, {!rebalance} asks the member stores round-robin to each
     shed one cold entry until the total fits or only pinned entries
     remain — so the enforced bound is
-    [budget + pinned slack] (pin depth is bounded by plan depth).
+    [budget + pinned slack], one entry: the one a store's
+    [iter]/[fold] is visiting (the engine's visits never nest).
 
     Single-writer, like the {!Fw_obs} cells it publishes
     ([spill_resident_bytes], [spill_resident_keys], [spill_disk_bytes],

@@ -35,18 +35,17 @@
      back ({!Bin} floats are IEEE bit patterns), so a faulted entry is
      bit-identical to the evicted one — fold order inside an entry is
      whatever the engine did, untouched.
-   - A value the engine is currently mutating is either {e accessed}
-     ({!access} then {!commit}, with no store operation in between, so
-     no eviction can run) or {e pinned} ({!pinned}, and the current
-     entry during {!iter}/{!fold}, for mutations that reach other
-     stores): pinned entries are never evicted, so in-place mutation
-     cannot race a serialization.  The pool's budget is allowed to
-     overshoot by the pinned slack (bounded by plan depth × largest
-     entry).
+   - A value the engine is currently mutating is {e accessed}: {!access}
+     opens it and {!commit}, or {!remove} of the same key, closes it,
+     with no other store operation in between, so no eviction can run
+     mid-mutation.  An operator that forwards downstream does so after
+     the close.  The one exception is the current entry of an
+     {!iter}/{!fold}, which is {e pinned} for its callback (a pane roll
+     touches the open pane and the queues from there): pinned entries
+     are never evicted, and the pool's budget is allowed to overshoot
+     by the pinned slack: one entry per {!iter}/{!fold} in progress.
    - Values obtained from {!find} must be treated as read-only unless
-     followed by {!set}; {!take} returns the value and replaces or drops
-     the entry in the same probe — the engine's firing paths extract,
-     then forward.
+     followed by {!set}.
 
    A corrupt or truncated spill record surfaces at fault-in as
    {!File.Fault} with the store name, key and reason — never as a
@@ -138,25 +137,20 @@ module Tbl = struct
     t.size <- t.size + 1;
     if t.size > 2 * Array.length t.buckets then resize t
 
-  (* One walk of [key]'s bucket: on the cell of [key], [f data] either
-     gives the data to keep or [None] to unlink the cell.  Returns the
-     data found. *)
-  let take t key f =
+  (* Unlink [key]'s cell in one walk of its bucket: the cell, or [Nil]
+     when absent. *)
+  let remove t key =
     let h = hash key in
     let i = index t h in
     let rec go prev = function
-      | Nil -> None
+      | Nil -> Nil
       | Cons c as b ->
           if c.hash = h && String.equal c.key key then begin
-            let v = c.data in
-            (match f v with
-            | Some d -> c.data <- d
-            | None -> (
-                t.size <- t.size - 1;
-                match prev with
-                | Nil -> t.buckets.(i) <- c.next
-                | Cons p -> p.next <- c.next));
-            Some v
+            t.size <- t.size - 1;
+            (match prev with
+            | Nil -> t.buckets.(i) <- c.next
+            | Cons p -> p.next <- c.next);
+            b
           end
           else go b c.next
     in
@@ -550,46 +544,23 @@ let drop_live b e =
   Pool.shrink b.pool e.e_weight;
   Pool.entry_dropped b.pool
 
+(* Also closes an open {!access} of [key]. *)
 let remove t key =
   match t with
-  | R (_, tbl) -> ignore (Tbl.take tbl key (fun _ -> None))
+  | R (_, tbl) -> ignore (Tbl.remove tbl key)
   | B b ->
-      ignore
-        (Tbl.take b.tbl key (fun e ->
-             (match e.e_slot with
-             | Live _ -> drop_live b e
-             | Spilled { len; _ } ->
-                 Option.iter (fun f -> File.release f len) b.file;
-                 unlink e);
-             e.e_dead <- true;
-             None));
+      (match Tbl.remove b.tbl key with
+      | Tbl.Nil -> ()
+      | Tbl.Cons { data = e; _ } ->
+          (match e.e_slot with
+          | Live _ -> drop_live b e
+          | Spilled { len; _ } ->
+              Option.iter (fun f -> File.release f len) b.file;
+              unlink e);
+          e.e_dead <- true;
+          if b.cur == e then b.cur <- b.ring);
       (* after the unlink, so a failed compaction leaves the removal done *)
       maybe_compact b
-
-(* {!find} and then {!set} or {!remove} of the same key, in one probe:
-   the budgeted accounts end exactly as that pair leaves them. *)
-let take t key f =
-  match t with
-  | R (_, tbl) -> Tbl.take tbl key f
-  | B b -> (
-      let found = ref None in
-      ignore
-        (Tbl.take b.tbl key (fun e ->
-             let v = live_value b e in
-             e.e_hot <- true;
-             found := Some v;
-             match f v with
-             | Some v' ->
-                 reweigh b e v';
-                 e.e_slot <- Live v';
-                 Pool.rebalance b.pool;
-                 maybe_compact b;
-                 Some e
-             | None ->
-                 drop_live b e;
-                 e.e_dead <- true;
-                 None));
-      !found)
 
 (* Find-or-create for in-place mutation, closed by {!commit}: the
    engine's per-event idiom, with no callback.  A budgeted access leaves
@@ -630,43 +601,6 @@ let commit = function
           reweigh b e v;
           Pool.rebalance b.pool
       | Spilled _ -> invalid_arg "Store.commit: no open access")
-
-(* Find-or-create, pin for the duration of [f] — [f] may mutate the
-   value in place and perform arbitrary nested store operations
-   (downstream delivery): the pinned entry cannot be evicted out from
-   under it. *)
-let pinned t key ~init f =
-  let h = Tbl.hash key in
-  match t with
-  | R (_, tbl) ->
-      let v =
-        match Tbl.find tbl h key with
-        | Tbl.Cons c -> c.data
-        | Tbl.Nil ->
-            let v = init () in
-            Tbl.insert tbl h key v;
-            v
-      in
-      f v
-  | B b ->
-      let e =
-        match Tbl.find b.tbl h key with
-        | Tbl.Cons { data = e; _ } ->
-            ignore (live_value b e);
-            e
-        | Tbl.Nil ->
-            let v = init () in
-            add_entry b h key v (b.codec.weight v)
-      in
-      let v = match e.e_slot with Live v -> v | Spilled _ -> assert false in
-      e.e_pins <- e.e_pins + 1;
-      Fun.protect
-        ~finally:(fun () ->
-          e.e_pins <- e.e_pins - 1;
-          e.e_hot <- true;
-          reweigh b e v;
-          Pool.rebalance b.pool)
-        (fun () -> f v)
 
 (* Iterate every entry.  Resident: the table's visit order.  Budgeted:
    the reverse of it (the entries are collected first); each entry is

@@ -26,14 +26,16 @@
 
     Usage contract (what the engine's operators follow):
 
-    - {!find} values are read-only unless followed by {!set}; so are
-      the values {!take} returns.
-    - In-place mutation goes through {!access} then {!commit}, with no
-      store operation in between, or through {!pinned} (or the
-      {!iter}/{!fold} callbacks, where the current entry is pinned)
-      when the mutation performs nested store operations: pinned
-      entries are never evicted, so downstream delivery cannot detach
-      the value being mutated.
+    - {!find} values are read-only unless followed by {!set}.
+    - In-place mutation goes through {!access}, closed by {!commit} or
+      by {!remove} of the same key, with no other store operation in
+      between: nothing can evict the value mid-mutation.  An operator
+      that forwards to other operators does so after the close.
+    - The {!iter}/{!fold} callbacks are the one exception: the visited
+      entry is pinned, so the callback may mutate it in place and
+      operate on other stores of the pool.  Pinned entries are never
+      evicted, so the pool may overshoot its budget by one entry per
+      visit in progress.
 
     A corrupt or truncated spill record surfaces at fault-in as
     {!File.Fault} naming the store, key and reason — never as silently
@@ -74,36 +76,26 @@ val find : 'a t -> string -> 'a option
 
 val set : 'a t -> string -> 'a -> unit
 val remove : 'a t -> string -> unit
-
-val take : 'a t -> string -> ('a -> 'a option) -> 'a option
-(** [take t key f] returns [key]'s value ([None] when absent) and, in
-    the same probe, replaces it with [f v], or drops the entry when [f]
-    returns [None]: {!find} followed by {!set} or {!remove}, with the
-    budgeted backend's accounts and spill-file release exactly as that
-    pair leaves them.  [f] must not perform nested store operations. *)
+(** Drop [key]'s entry, if any.  Also closes an open {!access} of
+    [key]: the engine's firing paths drop a key they emptied this
+    way. *)
 
 val access : 'a t -> string -> init:(unit -> 'a) -> 'a
 (** [access t key ~init] is [key]'s live value, for the caller to
     mutate in place: faulted in if spilled, or made with [init ()] and
-    inserted when absent.  One probe and no callback — the per-event
-    path of the engine's keyed operators.  Close every access with
-    {!commit} before any other operation on a store of the same pool.
-    The budgeted backend leaves the entry's hot bit, weight and the
-    pool's rebalance to {!commit}: a new entry is accounted only there,
-    at its mutated weight, so evictions and spill records follow the
-    value as the mutation left it. *)
+    inserted when absent.  One probe and no callback.  Close every
+    access with {!commit}, or with {!remove} of [key], before any other
+    operation on a store of the same pool.  The budgeted backend leaves
+    the entry's hot bit, weight and the pool's rebalance to {!commit}:
+    a new entry is accounted only there, at its mutated weight, so
+    evictions and spill records follow the value as the mutation left
+    it. *)
 
 val commit : 'a t -> unit
 (** Close the last {!access}: the budgeted backend marks the entry hot,
     re-accounts its weight and rebalances the pool; the resident one
     does nothing.  Raises [Invalid_argument] on a budgeted store with
     no open access. *)
-
-val pinned : 'a t -> string -> init:(unit -> 'a) -> ('a -> 'b) -> 'b
-(** Find-or-create, pin the entry for the callback's duration, then
-    re-account its weight.  The callback may mutate the value in place
-    and perform arbitrary nested store operations (e.g. fire downstream
-    operators that touch other stores of the same pool). *)
 
 val iter : (string -> 'a -> unit) -> 'a t -> unit
 (** Visit every entry (in the order described above); spilled entries

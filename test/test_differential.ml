@@ -277,7 +277,9 @@ let test_incremental_prob_zero_skips () =
   (* With probability 0 the incremental path is excluded but the rest of
      the oracle still runs. *)
   match
-    Harness.check_seed ~incremental_prob:0.0 Scenario.default_gen 42
+    Harness.check_seed
+      { Harness.default_config with Harness.incremental_prob = 0.0 }
+      42
   with
   | Ok _ -> ()
   | Error f ->
@@ -438,7 +440,7 @@ let test_shrink_scenario_batch_dimension () =
   check_int "batch-independent failure lands on 1" 1 shrunk.Scenario.batch
 
 let test_check_seed_ok () =
-  match Harness.check_seed Scenario.default_gen 42 with
+  match Harness.check_seed Harness.default_config 42 with
   | Ok sc -> check_bool "scenario described" true (Scenario.summary sc <> "")
   | Error f ->
       Alcotest.fail

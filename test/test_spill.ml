@@ -101,13 +101,11 @@ let store_semantics_on mk_store () =
   Store.remove s "b";
   check_int "remove drops" 2 (Store.length s);
   check_bool "removed key gone" true (Store.find s "b" = None);
-  let r =
-    Store.pinned s "d"
-      ~init:(fun () -> Combine.identity Aggregate.Sum)
-      (fun _ -> 42)
-  in
-  check_int "pinned returns callback result" 42 r;
-  check_int "pinned created the entry" 3 (Store.length s);
+  ignore (Store.access s "d" ~init:(fun () -> Combine.identity Aggregate.Sum));
+  check_int "access created the entry" 3 (Store.length s);
+  Store.remove s "d";
+  check_int "remove closed the access and dropped the entry" 2
+    (Store.length s);
   Store.clear s;
   check_bool "clear empties" true (Store.is_empty s)
 
@@ -120,13 +118,20 @@ let test_store_semantics_budgeted () =
   with_pool ~budget:0 (fun pool ->
       store_semantics_on
         (fun () -> Store.create ~pool ~name:"t" Bincodec.state_codec)
-        ())
+        ();
+      (* a remove closes the access: no commit may follow it *)
+      let s = Store.create ~pool ~name:"closed" Bincodec.state_codec in
+      ignore (Store.access s "k" ~init:(fun () -> Combine.identity Aggregate.Sum));
+      Store.remove s "k";
+      match Store.commit s with
+      | exception Invalid_argument _ -> ()
+      | () -> Alcotest.fail "commit accepted after remove closed the access")
 
 (* --- store model: every operation against a map ---------------------- *)
 
 module Smap = Map.Make (String)
 
-(* Values are [int ref]s so [pinned] and [iter] can mutate in place. *)
+(* Values are [int ref]s so [access] and [iter] can mutate in place. *)
 let int_codec =
   {
     Store.kind = 7;
@@ -136,12 +141,10 @@ let int_codec =
   }
 
 type store_op =
-  | Op_access of int * int
+  | Op_access of int * int * bool  (* [true]: commit, [false]: remove *)
   | Op_set of int * int
   | Op_find of int
   | Op_remove of int
-  | Op_take of int * int option  (* [Some d]: keep v + d; [None]: drop *)
-  | Op_pinned of int * int
   | Op_iter
   | Op_fold
   | Op_length
@@ -149,13 +152,12 @@ type store_op =
   | Op_image
 
 let print_store_op = function
-  | Op_access (k, d) -> Printf.sprintf "access k%d %+d" k d
+  | Op_access (k, d, commit) ->
+      Printf.sprintf "access k%d %+d, %s" k d
+        (if commit then "commit" else "remove")
   | Op_set (k, v) -> Printf.sprintf "set k%d %d" k v
   | Op_find k -> Printf.sprintf "find k%d" k
   | Op_remove k -> Printf.sprintf "remove k%d" k
-  | Op_take (k, Some d) -> Printf.sprintf "take k%d keep %+d" k d
-  | Op_take (k, None) -> Printf.sprintf "take k%d drop" k
-  | Op_pinned (k, d) -> Printf.sprintf "pinned k%d %+d" k d
   | Op_iter -> "iter"
   | Op_fold -> "fold"
   | Op_length -> "length"
@@ -171,12 +173,11 @@ let gen_store_ops =
     let op =
       frequency
         [
-          (24, map2 (fun k d -> Op_access (k, d)) key d);
+          (30, map2 (fun k d -> Op_access (k, d, true)) key d);
           (16, map2 (fun k v -> Op_set (k, v)) key d);
           (8, map (fun k -> Op_find k) key);
           (6, map (fun k -> Op_remove k) key);
-          (6, map2 (fun k d -> Op_take (k, d)) key (opt d));
-          (6, map2 (fun k d -> Op_pinned (k, d)) key d);
+          (6, map2 (fun k d -> Op_access (k, d, false)) key d);
           (2, return Op_length);
           (1, oneofl [ Op_iter; Op_fold; Op_image ]);
           (1, map (fun c -> if c = 0 then Op_clear else Op_length) (int_range 0 9));
@@ -191,10 +192,11 @@ let print_store_ops ops =
 
 let key_of k = Printf.sprintf "k%d" k
 
-(* Run [ops] on [s] (with [take] for {!Op_take}) and on a map model:
-   whether every observable result agreed, and [observe ()] after each
-   operation. *)
-let run_store_ops ~take ~observe s ops =
+(* Run [ops] on [s] and on a map model: whether every observable result
+   agreed, and [observe ()] after each operation.  The two access
+   sequences are the engine's ({!Op_access}): access, mutate, then
+   commit or remove, of a present or an absent key. *)
+let run_store_ops ~observe s ops =
   let model = ref Smap.empty in
   let value k = Option.map ( ! ) (Store.find s k) in
   let bindings () =
@@ -204,7 +206,7 @@ let run_store_ops ~take ~observe s ops =
   let same_contents () = bindings () = Smap.bindings !model in
   let step op =
     match op with
-    | Op_access (k, d) ->
+    | Op_access (k, d, commit) ->
         let key = key_of k and made = ref false in
         let r =
           Store.access s key ~init:(fun () ->
@@ -213,13 +215,19 @@ let run_store_ops ~take ~observe s ops =
         in
         let before = !r in
         r := before + d;
-        Store.commit s;
         let ok =
           match Smap.find_opt key !model with
           | Some v -> (not !made) && before = v
           | None -> !made && before = 0
         in
-        model := Smap.add key (before + d) !model;
+        if commit then begin
+          Store.commit s;
+          model := Smap.add key (before + d) !model
+        end
+        else begin
+          Store.remove s key;
+          model := Smap.remove key !model
+        end;
         ok
     | Op_set (k, v) ->
         Store.set s (key_of k) (ref v);
@@ -230,39 +238,6 @@ let run_store_ops ~take ~observe s ops =
         Store.remove s (key_of k);
         model := Smap.remove (key_of k) !model;
         true
-    | Op_take (k, keep) ->
-        let key = key_of k and calls = ref 0 in
-        let got =
-          take s key (fun r ->
-              incr calls;
-              Option.map (fun d -> ref (!r + d)) keep)
-        in
-        let expect = Smap.find_opt key !model in
-        let ok =
-          Option.map ( ! ) got = expect
-          && !calls = if expect = None then 0 else 1
-        in
-        (match (expect, keep) with
-        | None, _ -> ()
-        | Some v, Some d -> model := Smap.add key (v + d) !model
-        | Some _, None -> model := Smap.remove key !model);
-        ok
-    | Op_pinned (k, d) ->
-        let key = key_of k and calls = ref 0 in
-        let before =
-          Store.pinned s key
-            ~init:(fun () -> ref 0)
-            (fun r ->
-              incr calls;
-              let b = !r in
-              r := b + d;
-              b)
-        in
-        let ok =
-          !calls = 1 && before = Option.value ~default:0 (Smap.find_opt key !model)
-        in
-        model := Smap.add key (before + d) !model;
-        ok
     | Op_iter ->
         let seen = ref [] in
         Store.iter
@@ -311,24 +286,9 @@ let run_store_ops ~take ~observe s ops =
    live bytes. *)
 let store_agrees_with_model s ops =
   let ok, rings =
-    run_store_ops ~take:Store.take ~observe:(fun () -> Store.check_ring s) s ops
+    run_store_ops ~observe:(fun () -> Store.check_ring s) s ops
   in
   ok && List.for_all Result.is_ok rings
-
-(* {!Store.take} as the two probes it replaces. *)
-let find_then_set_or_remove s key f =
-  match Store.find s key with
-  | None -> None
-  | Some v as found ->
-      (match f v with Some v' -> Store.set s key v' | None -> Store.remove s key);
-      found
-
-let pool_figures pool () =
-  ( Pool.resident_bytes pool,
-    Pool.resident_keys pool,
-    Pool.disk_bytes pool,
-    Pool.evictions pool,
-    Pool.faults pool )
 
 let prop_store_model =
   qtest ~count:25 "store = map model (resident, budget 0, small budget)"
@@ -342,25 +302,6 @@ let prop_store_model =
              store_agrees_with_model
                (Store.create ~pool ~name:"model" int_codec)
                ops))
-
-(* A budgeted [take] leaves the pool's accounts, its spill file and its
-   eviction and fault counts exactly as [find] then [set] or [remove]
-   would, after every operation. *)
-let prop_take_accounts =
-  qtest ~count:25 "store take = find + set/remove in pool accounts"
-    gen_store_ops print_store_ops (fun ops ->
-      List.for_all
-        (fun budget ->
-          let run take =
-            with_pool ~budget (fun pool ->
-                run_store_ops ~take ~observe:(pool_figures pool)
-                  (Store.create ~pool ~name:"take" int_codec)
-                  ops)
-          in
-          let ok1, one = run Store.take in
-          let ok2, two = run find_then_set_or_remove in
-          ok1 && ok2 && one = two)
-        [ 0; 512 ])
 
 (* The table visits entries in the order of a generic stdlib
    [Hashtbl] fed the same insert/remove/reset history (the budgeted
@@ -379,7 +320,9 @@ let test_store_visit_order () =
             both (fun s -> Store.remove s key);
             Hashtbl.remove reference key
         | 2 ->
-            both (fun s -> ignore (Store.take s key (fun _ -> None)));
+            both (fun s ->
+                ignore (Store.access s key ~init:(fun () -> ref step));
+                Store.remove s key);
             Hashtbl.remove reference key
         | 3 ->
             both (fun s ->
@@ -388,7 +331,9 @@ let test_store_visit_order () =
                 Store.commit s);
             Hashtbl.replace reference key step
         | 4 ->
-            both (fun s -> Store.pinned s key ~init:(fun () -> ref step) ignore);
+            both (fun s ->
+                ignore (Store.access s key ~init:(fun () -> ref step));
+                Store.commit s);
             if not (Hashtbl.mem reference key) then Hashtbl.replace reference key step
         | _ ->
             both (fun s -> Store.set s key (ref step));
@@ -583,7 +528,12 @@ let prop_pane_slots_boxed =
     Store.write image s;
     ( Buffer.contents image,
       drain
-        (fun key -> Option.map ( ! ) (Store.take s key (fun _ -> None)))
+        (fun key ->
+          match Store.find s key with
+          | None -> None
+          | Some r ->
+              Store.remove s key;
+              Some !r)
         (fun f -> Store.iter (fun k r -> f k !r) s)
         drained )
   in
@@ -915,8 +865,9 @@ let test_fault_in_is_typed () =
 
 (* --- engine equivalence under budget 0, per window family ------------ *)
 
-let run_family_equivalence ~mode windows events =
-  let plan = Plan.naive Aggregate.Avg windows in
+let run_family_equivalence ?(plan = Plan.naive Aggregate.Avg) ~mode windows
+    events =
+  let plan = plan windows in
   let horizon = 200 in
   let rows0 = Stream_exec.run ~mode plan ~horizon events in
   with_pool ~budget:0 (fun pool ->
@@ -946,7 +897,27 @@ let test_budget0_count_windows () =
     family_events;
   run_family_equivalence ~mode:Stream_exec.Incremental
     [ Window.count_hop ~range:8 ~slide:4 ]
-    family_events
+    family_events;
+  (* a rewritten plan, whose count factor window feeds the other two:
+     an upstream fire forwards into the downstream trackers' stores, of
+     the same pool, after its own access is committed *)
+  let feeder = Window.count_hop ~range:8 ~slide:4
+  and fed = Window.count_hop ~range:16 ~slide:8 in
+  let rewritten ws =
+    (Fw_plan.Rewrite.optimize Aggregate.Avg ws).Fw_plan.Rewrite.plan
+  in
+  let plan = rewritten [ feeder; fed ] in
+  check_bool "every query window is fed by a count factor window" true
+    (List.for_all
+       (fun w ->
+         match Plan.window_input plan w with
+         | `Window (Window.Hop { domain = Window.Count; _ }) -> true
+         | `Window _ | `Stream -> false)
+       [ feeder; fed ]);
+  List.iter
+    (fun mode ->
+      run_family_equivalence ~plan:rewritten ~mode [ feeder; fed ] family_events)
+    [ Stream_exec.Naive; Stream_exec.Incremental ]
 
 let test_budget0_session_windows () =
   (* open-session state (kind_session); sparse stream so sessions
@@ -1260,14 +1231,17 @@ let prop_crc_long =
 type compact_op =
   | C_set of int * int  (* key, value length *)
   | C_find of int
-  | C_take of int * int option  (* [Some n]: replace with length n *)
+  | C_access of int * int * bool
+      (* key, length of a value made for an absent key; [true]: close
+         with commit, [false]: with remove *)
   | C_remove of int
 
 let print_compact_op = function
   | C_set (k, n) -> Printf.sprintf "set k%d (%d B)" k n
   | C_find k -> Printf.sprintf "find k%d" k
-  | C_take (k, Some n) -> Printf.sprintf "take k%d keep (%d B)" k n
-  | C_take (k, None) -> Printf.sprintf "take k%d drop" k
+  | C_access (k, n, commit) ->
+      Printf.sprintf "access k%d (%d B), %s" k n
+        (if commit then "commit" else "remove")
   | C_remove k -> Printf.sprintf "remove k%d" k
 
 let gen_compact_ops =
@@ -1278,7 +1252,7 @@ let gen_compact_ops =
          [
            (8, map2 (fun k n -> C_set (k, n)) key size);
            (3, map (fun k -> C_find k) key);
-           (3, map2 (fun k n -> C_take (k, n)) key (opt size));
+           (3, map3 (fun k n c -> C_access (k, n, c)) key size bool);
            (2, map (fun k -> C_remove k) key);
          ]))
 
@@ -1309,17 +1283,26 @@ let prop_compaction_model =
                 model := Smap.add (key_of k) v !model;
                 true
             | C_find k -> Store.find s (key_of k) = Smap.find_opt (key_of k) !model
-            | C_take (k, keep) ->
+            | C_access (k, n, commit) ->
                 let key = key_of k in
-                let v' = Option.map (value k) keep in
-                let got = Store.take s key (fun _ -> v') in
-                let expect = Smap.find_opt key !model in
-                if expect <> None then
-                  model :=
-                    (match v' with
-                    | Some v -> Smap.add key v !model
-                    | None -> Smap.remove key !model);
-                got = expect
+                let expect = Smap.find_opt key !model and made = ref None in
+                let got =
+                  Store.access s key ~init:(fun () ->
+                      let v = value k n in
+                      made := Some v;
+                      v)
+                in
+                if commit then begin
+                  Store.commit s;
+                  model := Smap.add key got !model
+                end
+                else begin
+                  Store.remove s key;
+                  model := Smap.remove key !model
+                end;
+                (match expect with
+                | Some v -> !made = None && String.equal got v
+                | None -> !made = Some got)
             | C_remove k ->
                 Store.remove s (key_of k);
                 model := Smap.remove (key_of k) !model;
@@ -1639,7 +1622,6 @@ let suite =
       test_failed_import_releases_stores;
     prop_image_backend_independent;
     prop_store_model;
-    prop_take_accounts;
     Alcotest.test_case "store visit order = stdlib Hashtbl" `Quick
       test_store_visit_order;
     Alcotest.test_case "compaction fault names store and key" `Quick
