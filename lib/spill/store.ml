@@ -599,7 +599,8 @@ let commit = function
       | Live v ->
           e.e_hot <- true;
           reweigh b e v;
-          Pool.rebalance b.pool
+          Pool.rebalance b.pool;
+          maybe_compact b
       | Spilled _ -> invalid_arg "Store.commit: no open access")
 
 (* Iterate every entry.  Resident: the table's visit order.  Budgeted:

@@ -93,9 +93,10 @@ val access : 'a t -> string -> init:(unit -> 'a) -> 'a
 
 val commit : 'a t -> unit
 (** Close the last {!access}: the budgeted backend marks the entry hot,
-    re-accounts its weight and rebalances the pool; the resident one
-    does nothing.  Raises [Invalid_argument] on a budgeted store with
-    no open access. *)
+    re-accounts its weight, rebalances the pool and compacts the spill
+    file when due, as {!set} does; the resident one does nothing.
+    Raises [Invalid_argument] on a budgeted store with no open
+    access. *)
 
 val iter : (string -> 'a -> unit) -> 'a t -> unit
 (** Visit every entry (in the order described above); spilled entries

@@ -192,11 +192,42 @@ let print_store_ops ops =
 
 let key_of k = Printf.sprintf "k%d" k
 
+(* The engine's two access sequences: access [key] (made as [ref 0]
+   when absent), add [d] in place, then commit or remove.  Whether the
+   entry was made, and the value it held before the mutation. *)
+let access_then_close s key ~d ~commit =
+  let made = ref false in
+  let r =
+    Store.access s key ~init:(fun () ->
+        made := true;
+        ref 0)
+  in
+  let before = !r in
+  r := before + d;
+  if commit then Store.commit s else Store.remove s key;
+  (!made, before)
+
+(* The same effect as {!access_then_close} through the two-probe
+   protocol it replaced: [find], then [set] or [remove].  An access of
+   an absent key closed by [remove] inserts and drops an entry, which
+   can resize the table and so reorder later visits and evictions; the
+   two-probe form has no such insertion, so it closes that case by
+   access too. *)
+let find_then_set_or_remove s key ~d ~commit =
+  match Store.find s key with
+  | None when not commit -> access_then_close s key ~d ~commit
+  | found ->
+      let made, before =
+        match found with None -> (true, 0) | Some r -> (false, !r)
+      in
+      if commit then Store.set s key (ref (before + d)) else Store.remove s key;
+      (made, before)
+
 (* Run [ops] on [s] and on a map model: whether every observable result
-   agreed, and [observe ()] after each operation.  The two access
-   sequences are the engine's ({!Op_access}): access, mutate, then
-   commit or remove, of a present or an absent key. *)
-let run_store_ops ~observe s ops =
+   agreed, and [observe ()] after each operation.  [close] runs
+   {!Op_access} (by default the engine's access sequences, on a present
+   or an absent key). *)
+let run_store_ops ?(close = access_then_close) ~observe s ops =
   let model = ref Smap.empty in
   let value k = Option.map ( ! ) (Store.find s k) in
   let bindings () =
@@ -207,27 +238,16 @@ let run_store_ops ~observe s ops =
   let step op =
     match op with
     | Op_access (k, d, commit) ->
-        let key = key_of k and made = ref false in
-        let r =
-          Store.access s key ~init:(fun () ->
-              made := true;
-              ref 0)
-        in
-        let before = !r in
-        r := before + d;
+        let key = key_of k in
+        let made, before = close s key ~d ~commit in
         let ok =
           match Smap.find_opt key !model with
-          | Some v -> (not !made) && before = v
-          | None -> !made && before = 0
+          | Some v -> (not made) && before = v
+          | None -> made && before = 0
         in
-        if commit then begin
-          Store.commit s;
-          model := Smap.add key (before + d) !model
-        end
-        else begin
-          Store.remove s key;
-          model := Smap.remove key !model
-        end;
+        model :=
+          if commit then Smap.add key (before + d) !model
+          else Smap.remove key !model;
         ok
     | Op_set (k, v) ->
         Store.set s (key_of k) (ref v);
@@ -302,6 +322,32 @@ let prop_store_model =
              store_agrees_with_model
                (Store.create ~pool ~name:"model" int_codec)
                ops))
+
+let pool_figures pool () =
+  ( Pool.resident_bytes pool,
+    Pool.resident_keys pool,
+    Pool.disk_bytes pool,
+    Pool.evictions pool,
+    Pool.faults pool )
+
+(* A budgeted access closed by commit or remove leaves the pool's
+   accounts, its spill file and its eviction and fault counts exactly
+   as [find] then [set] or [remove] would, after every operation. *)
+let prop_access_accounts =
+  qtest ~count:25 "store access/commit = find + set/remove in pool accounts"
+    gen_store_ops print_store_ops (fun ops ->
+      List.for_all
+        (fun budget ->
+          let run close =
+            with_pool ~budget (fun pool ->
+                run_store_ops ~close ~observe:(pool_figures pool)
+                  (Store.create ~pool ~name:"access" int_codec)
+                  ops)
+          in
+          let ok1, one = run access_then_close in
+          let ok2, two = run find_then_set_or_remove in
+          ok1 && ok2 && one = two)
+        [ 0; 512 ])
 
 (* The table visits entries in the order of a generic stdlib
    [Hashtbl] fed the same insert/remove/reset history (the budgeted
@@ -1622,6 +1668,7 @@ let suite =
       test_failed_import_releases_stores;
     prop_image_backend_independent;
     prop_store_model;
+    prop_access_accounts;
     Alcotest.test_case "store visit order = stdlib Hashtbl" `Quick
       test_store_visit_order;
     Alcotest.test_case "compaction fault names store and key" `Quick
