@@ -3,9 +3,10 @@
 
    Each iteration draws one random (aggregate, window set, event
    stream, horizon) scenario from a seed and runs it through the
-   reference evaluator, the rewritten plans with/without factor
-   windows, paned/paired slicing shared/unshared, and the production
-   stack composed from four dimensions: the sink driving the run (the
+   reference evaluator, paned/paired slicing shared/unshared, and the
+   production stack composed from five dimensions: the plan (the
+   unrewritten one, and the rewritten ones with and without factor
+   windows, always on), the sink driving the run (the
    engine itself, --crash-prob: a checkpointing pipeline killed
    mid-stream and recovered from disk, --serve-prob: an in-process query
    server),
@@ -15,7 +16,7 @@
    injected mid-batch) and an out-of-core memory budget (--spill-prob:
    cold per-key state spilled to disk and faulted back).  A stack runs
    when the coin of every dimension it uses lands, and must reproduce
-   the plain per-event run of its mode byte for byte, cost counters
+   the plain per-event run of its plan and mode byte for byte, cost counters
    included (a served stack, each query's standalone run).  Every path must agree row-for-row with the reference,
    and the structural invariants (Theorem 7 forest shape, cost
    monotonicity, plan validation, metrics-vs-cost-model exactness) must
@@ -197,15 +198,15 @@ let replay cfg ~artifacts seed =
       List.iter
         (fun path ->
           if not (Paths.applicable path sc) then
-            Printf.printf "  %-40s skipped (inapplicable window family)\n"
+            Printf.printf "  %-60s skipped (inapplicable window family)\n"
               (Paths.name path)
           else
             match Paths.rows path sc with
             | Ok rows ->
-                Printf.printf "  %-40s %d rows\n" (Paths.name path)
+                Printf.printf "  %-60s %d rows\n" (Paths.name path)
                   (List.length rows)
             | Error e ->
-                Printf.printf "  %-40s CRASH: %s\n" (Paths.name path) e)
+                Printf.printf "  %-60s CRASH: %s\n" (Paths.name path) e)
         (Harness.paths_for cfg seed);
       Printf.printf "OK: all paths agree, all invariants hold.\n";
       0
@@ -311,6 +312,7 @@ let main iterations seed do_replay max_windows eta_max horizon_max
       batch_prob;
       serve_prob;
       spill_prob;
+      rewrite_prob = Harness.default_config.Harness.rewrite_prob;
       max_failures;
     }
   in

@@ -96,7 +96,7 @@ let crashed_stacks (f : Harness.failure) =
 
 let dump_precrash ~dir base path (sc : Scenario.t) =
   match path with
-  | Paths.Stack { mode; batched; spilled; _ } ->
+  | Paths.Stack { plan; mode; batched; spilled; _ } ->
       let sub =
         Filename.concat dir
           (Printf.sprintf "%s-precrash-%s" base (Paths.name path))
@@ -109,7 +109,9 @@ let dump_precrash ~dir base path (sc : Scenario.t) =
       Fun.protect
         ~finally:(fun () -> Option.iter Fw_spill.Pool.close spill)
         (fun () ->
-          match Paths.crash_first_process ~batched ?spill ~dir:sub mode sc with
+          match
+            Paths.crash_first_process ~batched ?spill ~dir:sub ~plan mode sc
+          with
           | Paths.Crashed -> ()
           | Paths.Completed cp ->
               ignore

@@ -10,12 +10,13 @@ module Exec = Fw_slicing.Exec
 module Checkpoint = Fw_snap.Checkpoint
 
 type sink = Engine | Checkpointed | Served
+type plan = Naive_plan | Rewritten of { factor_windows : bool }
 
 type path =
   | Reference
-  | Rewritten of { factor_windows : bool }
   | Sliced of Exec.mode * Exec.slicing
   | Stack of {
+      plan : plan;
       sink : sink;
       mode : Stream_exec.mode;
       batched : bool;
@@ -23,32 +24,41 @@ type path =
     }
 
 (* The server ingests plain event lists (no punctuation marks, so no
-   batch geometry to honour) and refuses any per-group memory share
-   under 64 KiB, so served stacks never run batched or spilled. *)
+   batch geometry to honour), refuses any per-group memory share under
+   64 KiB, and compiles its own SQL into a rewritten plan, so served
+   stacks never run batched, spilled or on a plan of the harness's
+   choosing. *)
 let servable = function
-  | Stack { sink = Served; batched; spilled; _ } -> not (batched || spilled)
-  | Reference | Rewritten _ | Sliced _ | Stack _ -> true
+  | Stack { sink = Served; plan; batched; spilled; _ } ->
+      plan = Naive_plan && not (batched || spilled)
+  | Reference | Sliced _ | Stack _ -> true
 
 let all =
   let bools = [ false; true ] in
   let stacks =
     List.concat_map
-      (fun sink ->
+      (fun plan ->
         List.concat_map
-          (fun mode ->
+          (fun sink ->
             List.concat_map
-              (fun batched ->
-                List.map
-                  (fun spilled -> Stack { sink; mode; batched; spilled })
+              (fun mode ->
+                List.concat_map
+                  (fun batched ->
+                    List.map
+                      (fun spilled ->
+                        Stack { plan; sink; mode; batched; spilled })
+                      bools)
                   bools)
-              bools)
-          [ Stream_exec.Naive; Stream_exec.Incremental ])
-      [ Engine; Checkpointed; Served ]
+              [ Stream_exec.Naive; Stream_exec.Incremental ])
+          [ Engine; Checkpointed; Served ])
+      [
+        Naive_plan;
+        Rewritten { factor_windows = true };
+        Rewritten { factor_windows = false };
+      ]
   in
   [
     Reference;
-    Rewritten { factor_windows = true };
-    Rewritten { factor_windows = false };
     Sliced (Exec.Unshared, Exec.Paned_slicing);
     Sliced (Exec.Shared, Exec.Paned_slicing);
     Sliced (Exec.Unshared, Exec.Paired_slicing);
@@ -58,15 +68,13 @@ let all =
 
 let name = function
   | Reference -> "reference"
-  | Rewritten { factor_windows = true } -> "rewritten"
-  | Rewritten { factor_windows = false } -> "rewritten-no-factor"
   | Sliced (mode, slicing) ->
       Printf.sprintf "%s-%s"
         (match mode with Exec.Unshared -> "unshared" | Exec.Shared -> "shared")
         (match slicing with
         | Exec.Paned_slicing -> "paned"
         | Exec.Paired_slicing -> "paired")
-  | Stack { sink; mode; batched; spilled } ->
+  | Stack { plan; sink; mode; batched; spilled } ->
       String.concat "-"
         ([
            (match sink with
@@ -78,12 +86,17 @@ let name = function
            | Stream_exec.Incremental -> "incremental");
          ]
         @ (if batched then [ "batched" ] else [])
-        @ if spilled then [ "spilled" ] else [])
+        @ (if spilled then [ "spilled" ] else [])
+        @
+        match plan with
+        | Naive_plan -> []
+        | Rewritten { factor_windows = true } -> [ "rewritten" ]
+        | Rewritten { factor_windows = false } -> [ "rewritten-no-factor" ])
 
 (* The incremental engine handles every scenario: windows where panes
    don't apply (holistic aggregate, non-aligned geometry, count or
    session family) fall back to a dedicated path node by node.  The
-   rewritten paths are also total — {!Fw_plan.Rewrite.optimize} routes
+   rewritten plans are also total — {!Fw_plan.Rewrite.optimize} routes
    non-aligned hops and session windows around the WCG as exposed
    fallback aggregates — so only the slicing and served paths are
    gated by the window set: session windows have no static slice
@@ -99,15 +112,17 @@ let applicable path sc =
         (List.exists
            (fun w -> Window.is_hop w && not (Window.is_aligned w))
            sc.Scenario.windows)
-  | Reference | Rewritten _ | Stack _ -> true
+  | Reference | Stack _ -> true
 
-let naive_plan (sc : Scenario.t) =
-  Plan.naive sc.Scenario.agg sc.Scenario.windows
-
-let rewritten_plan ~factor_windows (sc : Scenario.t) =
-  (Rewrite.optimize ~eta:sc.Scenario.eta ~factor_windows sc.Scenario.agg
-     sc.Scenario.windows)
-    .Rewrite.plan
+(* The plan a stack executes: the unrewritten one, or the min-cost WCG
+   plan with or without factor windows. *)
+let plan_of plan (sc : Scenario.t) =
+  match plan with
+  | Naive_plan -> Plan.naive sc.Scenario.agg sc.Scenario.windows
+  | Rewritten { factor_windows } ->
+      (Rewrite.optimize ~eta:sc.Scenario.eta ~factor_windows sc.Scenario.agg
+         sc.Scenario.windows)
+        .Rewrite.plan
 
 (* The input the streaming paths actually consume: sorted, clipped at
    the horizon (mirrors [Stream_exec.run]). *)
@@ -205,13 +220,14 @@ type first_outcome = Crashed | Completed of Checkpoint.t
    ingestion lands checkpoints and the injected death mid-batch.  The
    pool is scratch (snapshots are self-contained), so the crash
    legitimately leaves it behind like a dead process would. *)
-let crash_first_process ?(batched = false) ?spill ~dir mode (sc : Scenario.t) =
+let crash_first_process ?(batched = false) ?spill ~dir ~plan mode
+    (sc : Scenario.t) =
   let p = crash_params sc in
   let fault =
     Fw_snap.Fault.create ~crash_at_event:p.crash_at ?torn_bytes:p.torn_bytes ()
   in
   let cp =
-    Checkpoint.create ~dir ~every:p.every ~fault ~mode ?spill (naive_plan sc)
+    Checkpoint.create ~dir ~every:p.every ~fault ~mode ?spill (plan_of plan sc)
   in
   try
     ingest ~batched ~hash:(scenario_hash sc) sc (fed_events sc)
@@ -364,12 +380,12 @@ let served_rows mode (sc : Scenario.t) =
 (* Every stack's promise, stronger than the harness's tolerant multiset
    check: rows byte-identical (float rounding included) and cost-model
    counters exactly equal to the plain per-event engine run of the same
-   mode.  A counter mismatch raises because row equality alone would
-   miss silently double-charged or lost work. *)
-let require_identical mode (sc : Scenario.t) (rows, metrics) =
+   plan and mode.  A counter mismatch raises because row equality alone
+   would miss silently double-charged or lost work. *)
+let require_identical ~plan mode (sc : Scenario.t) (rows, metrics) =
   let m0 = Metrics.create () in
   let rows0 =
-    Stream_exec.run ~metrics:m0 ~mode (naive_plan sc)
+    Stream_exec.run ~metrics:m0 ~mode (plan_of plan sc)
       ~horizon:sc.Scenario.horizon sc.Scenario.events
   in
   let fail fmt = Printf.ksprintf failwith fmt in
@@ -395,8 +411,8 @@ let require_identical mode (sc : Scenario.t) (rows, metrics) =
    sink is two processes — the one that dies and the one that recovers
    from its directory, whose restarted ingestion draws batch boundaries
    from a distinct hash stream. *)
-let stack_rows ~sink ~mode ~batched ~spilled (sc : Scenario.t) =
-  let plan = naive_plan sc and horizon = sc.Scenario.horizon in
+let stack_rows ~plan ~sink ~mode ~batched ~spilled (sc : Scenario.t) =
+  let exec_plan = plan_of plan sc and horizon = sc.Scenario.horizon in
   let ingest = ingest ~batched sc in
   match sink with
   | Served -> served_rows mode sc
@@ -404,7 +420,7 @@ let stack_rows ~sink ~mode ~batched ~spilled (sc : Scenario.t) =
       let metrics = Metrics.create () in
       let rows =
         with_pool ~spilled sc (fun spill ->
-            let exec = Stream_exec.create ~metrics ~mode ?spill plan in
+            let exec = Stream_exec.create ~metrics ~mode ?spill exec_plan in
             ingest ~hash:(scenario_hash sc) (fed_events sc)
               ~feed:(Stream_exec.feed exec)
               ~feed_batch:(Stream_exec.feed_batch exec);
@@ -412,7 +428,7 @@ let stack_rows ~sink ~mode ~batched ~spilled (sc : Scenario.t) =
       in
       (* the plain run is the baseline itself *)
       if batched || spilled then
-        require_identical mode sc (rows, metrics)
+        require_identical ~plan mode sc (rows, metrics)
       else rows
   | Checkpointed ->
       let dir = fresh_temp_dir () in
@@ -421,7 +437,7 @@ let stack_rows ~sink ~mode ~batched ~spilled (sc : Scenario.t) =
         (fun () ->
           let first =
             with_pool ~spilled sc (fun spill ->
-                match crash_first_process ~batched ?spill ~dir mode sc with
+                match crash_first_process ~batched ?spill ~dir ~plan mode sc with
                 | Completed cp ->
                     Some (Checkpoint.close cp ~horizon, Checkpoint.metrics cp)
                 | Crashed -> None)
@@ -431,7 +447,7 @@ let stack_rows ~sink ~mode ~batched ~spilled (sc : Scenario.t) =
             | Some r -> r
             | None ->
                 with_pool ~spilled sc (fun spill ->
-                    match Fw_snap.Recover.load ~dir ~mode ?spill plan with
+                    match Fw_snap.Recover.load ~dir ~mode ?spill exec_plan with
                     | Error m -> failwith ("recovery failed: " ^ m)
                     | Ok r ->
                         let cp = r.Fw_snap.Recover.checkpoint in
@@ -444,7 +460,7 @@ let stack_rows ~sink ~mode ~batched ~spilled (sc : Scenario.t) =
                         ( Checkpoint.close cp ~horizon,
                           r.Fw_snap.Recover.metrics ))
           in
-          require_identical mode sc outcome)
+          require_identical ~plan mode sc outcome)
 
 let rows path (sc : Scenario.t) =
   let horizon = sc.Scenario.horizon in
@@ -455,12 +471,10 @@ let rows path (sc : Scenario.t) =
       | Reference ->
           Fw_engine.Reference.run sc.Scenario.agg sc.Scenario.windows ~horizon
             events
-      | Rewritten { factor_windows } ->
-          Stream_exec.run (rewritten_plan ~factor_windows sc) ~horizon events
       | Sliced (mode, slicing) ->
           (Exec.run sc.Scenario.agg mode slicing sc.Scenario.windows ~horizon
              events)
             .Exec.rows
-      | Stack { sink; mode; batched; spilled } ->
-          stack_rows ~sink ~mode ~batched ~spilled sc)
+      | Stack { plan; sink; mode; batched; spilled } ->
+          stack_rows ~plan ~sink ~mode ~batched ~spilled sc)
   with exn -> Error (Printexc.to_string exn)

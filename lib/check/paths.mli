@@ -5,15 +5,17 @@
 
     - {!Reference}: the definition-level evaluator
       ({!Fw_engine.Reference});
-    - {!Rewritten}: the min-cost-WCG plan, with factor windows
-      (Algorithm 1 + Algorithm 2, Section 4.3 best-of) or without
-      (plain Algorithm 1), through the streaming engine;
     - {!Sliced}: the executable paned [Li et al. 2005] / paired
       [Krishnamurthy et al. 2006] baselines, shared and unshared
       ({!Fw_slicing.Exec});
-    - {!Stack}: the naive plan through the production stack, composed
-      from four orthogonal dimensions:
+    - {!Stack}: a plan through the production stack, composed from
+      five orthogonal dimensions:
       {ul
+      {- [plan] — the unrewritten plan ([Naive_plan]), or the
+         min-cost-WCG plan with factor windows (Algorithm 1 +
+         Algorithm 2, Section 4.3 best-of) or without (plain
+         Algorithm 1), whose window-fed operators consume their
+         parents' sub-aggregates ([Rewritten]);}
       {- [sink] — what drives the run: the {!Fw_engine.Stream_exec}
          executor itself ([Engine]), a checkpointing pipeline killed
          mid-stream by an injected fault — sometimes with a torn
@@ -37,19 +39,20 @@
     plain engine run insists on {e byte-identical} rows and exactly
     equal cost-model counters ([Metrics.ingested],
     [Metrics.per_window]) against the plain per-event engine run of the
-    same mode, and raises otherwise.  [Served] instead insists that
+    same plan and mode, and raises otherwise.  [Served] instead insists that
     every registered query's tap is byte-identical to an independent
     single-query run of its own text in the same mode: cross-query
     sharing (or its degrade) must never change a float bit of anyone's
     answer. *)
 
 type sink = Engine | Checkpointed | Served
+type plan = Naive_plan | Rewritten of { factor_windows : bool }
 
 type path =
   | Reference
-  | Rewritten of { factor_windows : bool }
   | Sliced of Fw_slicing.Exec.mode * Fw_slicing.Exec.slicing
   | Stack of {
+      plan : plan;
       sink : sink;
       mode : Fw_engine.Stream_exec.mode;
       batched : bool;
@@ -59,14 +62,17 @@ type path =
 val all : path list
 (** Every path some scenario can run, reference first: each
     combination of the stack dimensions appears once, except the
-    [Served] stacks with [batched] or [spilled], which no scenario can
-    run (see {!applicable}). *)
+    [Served] stacks with [batched], [spilled] or a [Rewritten] plan,
+    which no scenario can run (see {!applicable}): the server compiles
+    its own SQL into a rewritten plan, so a served stack is listed
+    once per mode, with [plan = Naive_plan]. *)
 
 val name : path -> string
-(** Stable identifier used in reports ("rewritten", "shared-paired",
+(** Stable identifier used in reports ("reference", "shared-paired",
     ...).  A stack is named [SINK-MODE], then [-batched] and
-    [-spilled] when set: "engine-naive",
-    "checkpointed-incremental-batched-spilled". *)
+    [-spilled] when set, then [-rewritten] or [-rewritten-no-factor]
+    on a rewritten plan: "engine-naive", "engine-naive-rewritten",
+    "checkpointed-incremental-batched-spilled-rewritten-no-factor". *)
 
 val applicable : path -> Scenario.t -> bool
 (** Whether the path supports the scenario.  The slicing paths have no
@@ -75,7 +81,8 @@ val applicable : path -> Scenario.t -> bool
     batched — the server ingests plain event lists without punctuation
     marks — or spilled — its memory budget has a 64 KiB floor per
     sharing group that the drawn budgets (0–64 KiB by default) do not
-    clear.  All other paths accept any window set. *)
+    clear — or on a [Rewritten] plan: the server picks its own.  All
+    other paths accept any window set. *)
 
 val rows : path -> Scenario.t -> (Fw_engine.Row.t list, string) result
 (** Execute one path; [Error] carries the exception text if the path
@@ -101,11 +108,12 @@ val crash_first_process :
   ?batched:bool ->
   ?spill:Fw_spill.Pool.t ->
   dir:string ->
+  plan:plan ->
   Fw_engine.Stream_exec.mode ->
   Scenario.t ->
   first_outcome
-(** Run the pre-crash process into [dir] under the scenario's fault
-    plan.  On [Crashed], [dir] holds exactly what the dead process
+(** Run the pre-crash process of [plan] into [dir] under the
+    scenario's fault plan.  On [Crashed], [dir] holds exactly what the dead process
     left behind — {!Artifacts} copies it next to the repro.
     [batched] (default [false]) ingests via
     {!Fw_snap.Checkpoint.feed_batch} under the scenario's batch

@@ -331,7 +331,13 @@ let test_crash_batched_path_clean () =
       match
         Paths.rows
           (Paths.Stack
-             { sink = Paths.Checkpointed; mode; batched = true; spilled = false })
+             {
+               plan = Paths.Naive_plan;
+               sink = Paths.Checkpointed;
+               mode;
+               batched = true;
+               spilled = false;
+             })
           sc
       with
       | Ok rows -> check_bool "produced rows" true (rows <> [])

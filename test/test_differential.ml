@@ -161,37 +161,50 @@ let test_differential_median_and_hopping () =
   check_int "hopping clean" 0 (List.length (Differential.check sc));
   check_int "hopping invariants" 0 (List.length (Invariants.check sc))
 
-let stack sink mode ~batched ~spilled =
-  Paths.Stack { sink; mode; batched; spilled }
+let stack ?(plan = Paths.Naive_plan) sink mode ~batched ~spilled =
+  Paths.Stack { plan; sink; mode; batched; spilled }
 
-let engine mode = stack Paths.Engine mode ~batched:false ~spilled:false
+let engine ?plan mode = stack ?plan Paths.Engine mode ~batched:false ~spilled:false
 
 let test_path_roster () =
   let module Stream_exec = Fw_engine.Stream_exec in
   let bools = [ false; true ] in
   let sinks = [ Paths.Engine; Paths.Checkpointed; Paths.Served ] in
   let modes = [ Stream_exec.Naive; Stream_exec.Incremental ] in
+  let plans =
+    [
+      Paths.Naive_plan;
+      Paths.Rewritten { factor_windows = true };
+      Paths.Rewritten { factor_windows = false };
+    ]
+  in
   let combinations =
     List.concat_map
-      (fun sink ->
+      (fun plan ->
         List.concat_map
-          (fun mode ->
+          (fun sink ->
             List.concat_map
-              (fun batched ->
-                List.map (fun spilled -> stack sink mode ~batched ~spilled) bools)
-              bools)
-          modes)
-      sinks
+              (fun mode ->
+                List.concat_map
+                  (fun batched ->
+                    List.map
+                      (fun spilled -> stack ~plan sink mode ~batched ~spilled)
+                      bools)
+                  bools)
+              modes)
+          sinks)
+      plans
   in
   let served_off = function
-    | Paths.Stack { sink = Paths.Served; batched; spilled; _ } ->
-        batched || spilled
+    | Paths.Stack { sink = Paths.Served; plan; batched; spilled; _ } ->
+        batched || spilled || plan <> Paths.Naive_plan
     | _ -> false
   in
   let events = List.init 30 (fun t -> ev t "k" 1.0) in
   let sc = fixed_scenario Aggregate.Sum [ tumbling 10 ] events ~eta:1 ~horizon:30 in
-  (* every runnable combination listed once; served x batched and
-     served x spilled listed nowhere and never applicable *)
+  (* every runnable combination listed once; served x batched, served
+     x spilled and served x rewritten listed nowhere and never
+     applicable *)
   List.iter
     (fun p ->
       check_int
@@ -202,18 +215,19 @@ let test_path_roster () =
         (Paths.applicable p sc))
     combinations;
   check_string "reference first" "reference" (Paths.name (List.hd Paths.all));
-  check_int "reference, two rewritten, four sliced, 18 stacks" 25
-    (List.length Paths.all);
+  check_int "reference, four sliced, 48 engine and checkpointed stacks, 2 served"
+    55 (List.length Paths.all);
   let names = List.map Paths.name Paths.all in
   check_int "names unique" (List.length names)
     (List.length (List.sort_uniq String.compare names));
-  (* one naming rule for stacks: SINK-MODE[-batched][-spilled], with
-     one distinct word per sink *)
+  (* one naming rule for stacks: SINK-MODE[-batched][-spilled] then
+     [-rewritten] or [-rewritten-no-factor], with one distinct word per
+     sink *)
   let sink_words =
     List.filter_map
       (fun p ->
         match p with
-        | Paths.Stack { sink; mode; batched; spilled } -> (
+        | Paths.Stack { plan; sink; mode; batched; spilled } -> (
             match String.split_on_char '-' (Paths.name p) with
             | sink_word :: mode_word :: flags ->
                 check_string (Paths.name p ^ " mode word")
@@ -222,7 +236,13 @@ let test_path_roster () =
                 Alcotest.(check (list string))
                   (Paths.name p ^ " flags")
                   ((if batched then [ "batched" ] else [])
-                  @ if spilled then [ "spilled" ] else [])
+                  @ (if spilled then [ "spilled" ] else [])
+                  @
+                  match plan with
+                  | Paths.Naive_plan -> []
+                  | Paths.Rewritten { factor_windows = true } -> [ "rewritten" ]
+                  | Paths.Rewritten { factor_windows = false } ->
+                      [ "rewritten"; "no"; "factor" ])
                   flags;
                 Some (sink, sink_word)
             | _ -> Alcotest.failf "malformed stack name %s" (Paths.name p))
@@ -236,6 +256,13 @@ let test_path_roster () =
   check_string "composed name" "checkpointed-incremental-batched-spilled"
     (Paths.name
        (stack Paths.Checkpointed Stream_exec.Incremental ~batched:true
+          ~spilled:true));
+  check_string "composed rewritten name"
+    "checkpointed-incremental-batched-spilled-rewritten-no-factor"
+    (Paths.name
+       (stack
+          ~plan:(Paths.Rewritten { factor_windows = false })
+          Paths.Checkpointed Stream_exec.Incremental ~batched:true
           ~spilled:true))
 
 let test_incremental_path_applicability () =
@@ -296,7 +323,11 @@ let test_non_aligned_paths () =
   let sc = fixed_scenario Aggregate.Avg [ nw ] events ~eta:1 ~horizon:40 in
   check_bool "not aligned" false (Scenario.aligned sc);
   check_bool "rewritten applicable" true
-    (Paths.applicable (Paths.Rewritten { factor_windows = true }) sc);
+    (Paths.applicable
+       (engine
+          ~plan:(Paths.Rewritten { factor_windows = true })
+          Fw_engine.Stream_exec.Naive)
+       sc);
   check_bool "slicing applicable" true
     (Paths.applicable (Paths.Sliced (Fw_slicing.Exec.Shared, Fw_slicing.Exec.Paired_slicing)) sc);
   check_int "clean" 0 (List.length (Differential.check sc));
