@@ -74,6 +74,26 @@ let merge a b =
       _ ) ->
       invalid_arg "Combine.merge: mismatched aggregate states"
 
+let finalize = function
+  | S_min m | S_max m -> m
+  | S_count n -> float_of_int n
+  | S_sum s -> s
+  | S_avg { sum; count } -> sum /. float_of_int count
+  | S_stdev { count; m2; _ } ->
+      if count = 0 then nan
+      else sqrt (Float.max 0.0 (m2 /. float_of_int count))
+  | S_median vs -> (
+      let sorted = List.sort Float.compare vs in
+      let n = List.length sorted in
+      match n with
+      | 0 -> nan
+      | _ ->
+          if n land 1 = 1 then List.nth sorted (n / 2)
+          else
+            let a = List.nth sorted ((n / 2) - 1)
+            and b = List.nth sorted (n / 2) in
+            (a +. b) /. 2.0)
+
 (* Accumulator columns: the states of many instances of one aggregate,
    one unboxed array per state field.  Every in-place update below is
    the corresponding state function above written against array slots,
@@ -233,6 +253,55 @@ module Cols = struct
         m2.(i) <- 0.0
     | C_median a -> a.(i) <- []
 
+  let length = function
+    | C_min a | C_max a | C_sum a -> Array.length a
+    | C_count a | C_avg { count = a; _ } | C_stdev { count = a; _ } ->
+        Array.length a
+    | C_median a -> Array.length a
+
+  (* [merge c i (get src j)] with the state's fields read from [src]'s
+     columns, expression for expression (so the slot being updated is
+     the first operand everywhere, as it is in [merge]). *)
+  let merge_slot src j c i =
+    match (c, src) with
+    | C_min a, C_min b -> a.(i) <- Float.min a.(i) b.(j)
+    | C_max a, C_max b -> a.(i) <- Float.max a.(i) b.(j)
+    | C_count a, C_count b -> a.(i) <- a.(i) + b.(j)
+    | C_sum a, C_sum b -> a.(i) <- a.(i) +. b.(j)
+    | C_avg c, C_avg y ->
+        c.sum.(i) <- c.sum.(i) +. y.sum.(j);
+        c.count.(i) <- c.count.(i) + y.count.(j)
+    | C_stdev c, C_stdev y ->
+        let xcount = c.count.(i) and ycount = y.count.(j) in
+        if xcount = 0 then begin
+          c.count.(i) <- ycount;
+          c.mean.(i) <- y.mean.(j);
+          c.m2.(i) <- y.m2.(j)
+        end
+        else if ycount <> 0 then begin
+          let na = float_of_int xcount and nb = float_of_int ycount in
+          let n = na +. nb in
+          let delta = y.mean.(j) -. c.mean.(i) in
+          c.count.(i) <- xcount + ycount;
+          c.mean.(i) <- Array.unsafe_get c.mean i +. (delta *. nb /. n);
+          c.m2.(i) <- c.m2.(i) +. y.m2.(j) +. (delta *. delta *. na *. nb /. n)
+        end
+    | C_median a, C_median b -> a.(i) <- List.rev_append a.(i) b.(j)
+    | ( (C_min _ | C_max _ | C_count _ | C_sum _ | C_avg _ | C_stdev _
+        | C_median _),
+        _ ) ->
+        mismatch "merge_slot"
+
+  let finalize c i =
+    match c with
+    | C_min a | C_max a | C_sum a -> a.(i)
+    | C_count a -> float_of_int a.(i)
+    | C_avg { sum; count } -> sum.(i) /. float_of_int count.(i)
+    | C_stdev { count; m2; _ } ->
+        if count.(i) = 0 then nan
+        else sqrt (Float.max 0.0 (m2.(i) /. float_of_int count.(i)))
+    | C_median a -> finalize (S_median a.(i))
+
   let copy src i dst j =
     match (src, dst) with
     | C_min a, C_min b | C_max a, C_max b | C_sum a, C_sum b ->
@@ -250,6 +319,13 @@ module Cols = struct
         | C_median _),
         _ ) ->
         mismatch "copy"
+
+  let grow c n =
+    let d = create (aggregate c) n in
+    for i = 0 to min n (length c) - 1 do
+      copy c i d i
+    done;
+    d
 end
 
 (* STDEV is deliberately absent even though {!inverse} succeeds on its
@@ -289,26 +365,6 @@ let inverse total part =
   | (S_min _ | S_max _ | S_median _), _ -> None
   | (S_count _ | S_sum _ | S_avg _ | S_stdev _), _ ->
       invalid_arg "Combine.inverse: mismatched aggregate states"
-
-let finalize = function
-  | S_min m | S_max m -> m
-  | S_count n -> float_of_int n
-  | S_sum s -> s
-  | S_avg { sum; count } -> sum /. float_of_int count
-  | S_stdev { count; m2; _ } ->
-      if count = 0 then nan
-      else sqrt (Float.max 0.0 (m2 /. float_of_int count))
-  | S_median vs -> (
-      let sorted = List.sort Float.compare vs in
-      let n = List.length sorted in
-      match n with
-      | 0 -> nan
-      | _ ->
-          if n land 1 = 1 then List.nth sorted (n / 2)
-          else
-            let a = List.nth sorted ((n / 2) - 1)
-            and b = List.nth sorted (n / 2) in
-            (a +. b) /. 2.0)
 
 let count_of = function
   | S_min _ | S_max _ | S_sum _ -> 1

@@ -103,6 +103,18 @@ module Cols : sig
   val copy : t -> int -> t -> int -> unit
   (** [copy src i dst j]: slot [j] of [dst] := slot [i] of [src], with
       no state built.  Raises [Invalid_argument] across aggregates. *)
+
+  val merge_slot : t -> int -> t -> int -> unit
+  (** [merge_slot src j c i]: slot [i] of [c] := {!Combine.merge} of it
+      and slot [j] of [src] — exactly [merge c i (get src j)], with no
+      state built.  Raises [Invalid_argument] across aggregates. *)
+
+  val finalize : t -> int -> float
+  (** {!Combine.finalize} of slot [i], with no state built. *)
+
+  val grow : t -> int -> t
+  (** [grow c n]: fresh columns of [n] slots, the first [min n (length
+      c)] copied from [c], the rest identities. *)
 end
 
 val invertible : Aggregate.t -> bool

@@ -61,6 +61,18 @@ let window_counter t w =
       c
 
 let record t w n = Counter.add (window_counter t w) n
+
+type items = { m : t; w : Window.t; mutable cell : Counter.t option }
+
+let items m w = { m; w; cell = None }
+
+let add_items it n =
+  match it.cell with
+  | Some c -> Counter.add c n
+  | None ->
+      let c = window_counter it.m it.w in
+      it.cell <- Some c;
+      Counter.add c n
 let record_ingest t n = Counter.add t.ingested_c n
 
 let record_watermark t ~wm ~at_ns =

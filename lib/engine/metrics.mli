@@ -39,6 +39,17 @@ val create : unit -> t
 val record : t -> Fw_window.Window.t -> int -> unit
 (** [record m w n] adds [n] processed items to window [w]. *)
 
+type items
+(** Window [w]'s processed-items counter, resolved once. *)
+
+val items : t -> Fw_window.Window.t -> items
+(** The handle a window operator keeps, so that it records each fire
+    without a lookup by window.  Nothing is registered until the first
+    {!add_items}, so the exported series are those of {!record}. *)
+
+val add_items : items -> int -> unit
+(** [add_items (items m w) n] is [record m w n]. *)
+
 val record_ingest : t -> int -> unit
 
 val record_watermark : t -> wm:int -> at_ns:int -> unit

@@ -125,24 +125,39 @@ let fold t ~first ~last ~born fresh live x =
 let fold_value t ~first ~last v ~born =
   fold t ~first ~last ~born Cols.of_value Cols.add v
 
-let fold_state t ~first ~last x ~born =
-  fold t ~first ~last ~born Cols.set Cols.merge x
+(* [fold] with slot [i] of [src] as the item, written out so that the
+   item needs no pair and the update no closure. *)
+let fold_slot t ~first ~last src i ~born =
+  if first <= last then begin
+    let p = reserve t ~first ~last in
+    for k = p to p + last - first do
+      let j = slot t k in
+      let n = t.items.(j) in
+      if n = 0 then begin
+        born t.ms.(j);
+        Cols.copy src i t.cols j
+      end
+      else Cols.merge_slot src i t.cols j;
+      t.items.(j) <- n + 1
+    done
+  end
 
 let front t =
   if t.len = 0 then invalid_arg "Ring.front: empty ring";
   t.ms.(t.head)
 
-let pop t =
-  if t.len = 0 then invalid_arg "Ring.pop: empty ring";
+let pop_into t dst i =
+  if t.len = 0 then invalid_arg "Ring.pop_into: empty ring";
   let j = t.head in
-  let popped = (Cols.get t.cols j, t.items.(j)) in
+  Cols.copy t.cols j dst i;
+  let items = t.items.(j) in
   Cols.clear t.cols j;
   t.items.(j) <- 0;
   t.head <- (j + 1) land (Array.length t.ms - 1);
   t.len <- t.len - 1;
   let cap = Array.length t.ms in
   if cap > min_capacity && 4 * t.len <= cap then resize t (cap / 2);
-  popped
+  items
 
 let iter f t =
   for i = 0 to t.len - 1 do

@@ -26,9 +26,10 @@
     a state nor stores a pointer into the long-lived ring, so the
     garbage collector has no write barrier to take and no pending state
     to promote (a holistic MEDIAN ring, whose state is its value list,
-    is the one exception).  A {!Fw_agg.Combine.state} is built only when an
-    instance is popped or iterated; the codec and {!weight} read the
-    columns directly.  The columns compute bit for bit what the state
+    is the one exception).  A {!Fw_agg.Combine.state} is built only when
+    an instance is iterated: a sub-aggregate folds in from a slot of
+    its run's columns, a popped instance is copied into one, and the
+    codec and {!weight} read the columns directly.  The columns compute bit for bit what the state
     functions do, so rows, records and images are unchanged by the
     layout.
 
@@ -49,18 +50,28 @@ val fold_value :
     [Combine.of_value] for an instance it creates, calling [born m]
     first, [Combine.add] for a live one. *)
 
-val fold_state :
-  t -> first:int -> last:int -> Fw_agg.Combine.state -> born:(int -> unit) -> unit
-(** The same with a sub-aggregate: the state itself for a new instance,
-    [Combine.merge] for a live one.  Raises [Invalid_argument] when the
-    state comes from another aggregate than the ring's. *)
+val fold_slot :
+  t ->
+  first:int ->
+  last:int ->
+  Fw_agg.Combine.Cols.t ->
+  int ->
+  born:(int -> unit) ->
+  unit
+(** [fold_slot t ~first ~last src i ~born]: the same with a
+    sub-aggregate, slot [i] of [src]: its state for a new instance,
+    [Combine.merge] for a live one, with no state built.  Raises
+    [Invalid_argument] when [src] holds another aggregate than the
+    ring's. *)
 
 val front : t -> int
 (** The oldest live instance.  Raises [Invalid_argument] when empty. *)
 
-val pop : t -> Fw_agg.Combine.state * int
-(** Remove the oldest live instance; its state and item count.  Raises
-    [Invalid_argument] when empty. *)
+val pop_into : t -> Fw_agg.Combine.Cols.t -> int -> int
+(** [pop_into t dst i] removes the oldest live instance, copies its
+    state into slot [i] of [dst] (no state built) and returns its item
+    count.  Raises [Invalid_argument] when empty or when [dst] holds
+    another aggregate than the ring's. *)
 
 val iter : (int -> Fw_agg.Combine.state -> int -> unit) -> t -> unit
 (** [f m state items] for every live instance, in ascending [m]. *)

@@ -16,18 +16,38 @@ exception Late_event of Event.t
 
 type mode = Naive | Incremental
 
-(* Raw events travel only through the columnar batch path
-   ([bdeliver] below); the per-message path carries the irregular
-   traffic — sub-aggregate emissions and watermarks. *)
-type item =
-  | Sub of {
-      window : Window.t;
-      interval : Interval.t;
-      key : string;
-      state : Combine.state;
-    }
+(* Sub-aggregates travel between operators as runs: the states one
+   node emits for one window over one interval, a slot per key, in
+   emission order, held in columns ({!Combine.Cols}) so neither the
+   emitter nor its consumers build a boxed state per key.  A node fills
+   its own runs (its outbox) and lends each to its subscribers, which
+   consume it before [forward] returns, so a run is refilled in place
+   by the node's next emission. *)
+type run = {
+  r_window : Window.t;
+  mutable r_interval : Interval.t;
+  mutable r_len : int;
+  mutable r_keys : string array;
+  mutable r_states : Combine.Cols.t;
+  mutable r_order : int array;
+      (** the slots in ascending key order, once computed ([run_order]) *)
+  mutable r_ordered : bool;  (** [r_order] holds this filling's order *)
+}
 
-type msg = Item of item | Watermark of int
+(* A node's runs, made the first time a fire needs that many. *)
+type outbox = {
+  o_agg : Aggregate.t;
+  o_window : Window.t;
+  mutable o_runs : run array;
+}
+
+(* One message of the dispatch: raw events (the selection
+   [sel.(lo .. hi-1)] of the batch's columns), a run of sub-aggregates,
+   or a watermark. *)
+type msg =
+  | Events of { b : Batch.t; sel : int array; lo : int; hi : int }
+  | Subs of run
+  | Watermark of int
 
 (* Pending instances keyed so that firing pops from the front. *)
 module Fire_key = struct
@@ -49,6 +69,14 @@ module Pending = Map.Make (Fire_key)
    store so a watermark sweep never faults keys that have nothing
    due. *)
 module Imap = Map.Make (Int)
+
+(* The keys born at one bound: those raw events gave birth to, one at
+   a time, and those sub-aggregate runs gave birth to, one ascending
+   chunk per run. *)
+type born = {
+  mutable loose : string list;  (** unordered, newest first *)
+  mutable chunks : string array list;  (** each ascending *)
+}
 
 (* The session operator's resident deadline index. *)
 module Fset = Set.Make (struct
@@ -72,9 +100,15 @@ type win_state = {
   w_keys : Ring.t Store.t;
   w_ring : unit -> Ring.t;  (** a key's empty ring *)
   w_born : int -> unit;  (** enters [w_key]'s instance into [w_fire] *)
+  w_born_run : int -> unit;
+      (** collects [w_key]'s instance into [w_birth_ms]/[w_birth_keys] *)
   mutable w_key : string;  (** the key being folded *)
-  mutable w_fire : string list Imap.t;
-      (** per pending bound [hi]: the keys born there, unordered *)
+  w_birth_ms : int Vec.t;  (** a run's births, in birth order: instances *)
+  w_birth_keys : string Vec.t;  (** ... and their keys *)
+  mutable w_buckets : string Vec.t array;  (** scratch of [enter_births] *)
+  mutable w_fire : born Imap.t;  (** per pending bound [hi]: its keys *)
+  w_out : outbox;
+  w_processed : Metrics.items;  (** the window's processed-items counter *)
   mutable wm : int;
 }
 
@@ -89,6 +123,8 @@ type pane_state = {
   open_pane : Pane.t;  (** accumulates pane [cur_pane*s, (cur_pane+1)*s) *)
   mutable cur_pane : int;
   queues : Swag.t Store.t;
+  p_out : outbox;  (** a roll's runs, one per fired instance *)
+  p_processed : Metrics.items;  (** the window's processed-items counter *)
   mutable p_wm : int;
 }
 
@@ -113,6 +149,8 @@ type cwin_state = {
   c_window : Window.t;
   c_keys : cwin_key Store.t;
   c_init : unit -> cwin_key;  (** a key's fresh tracker *)
+  c_out : outbox;  (** a fire's runs, one per instance *)
+  c_processed : Metrics.items;  (** the window's processed-items counter *)
 }
 
 (* Session-window execution state: one open (growable) session per key
@@ -125,7 +163,7 @@ type cwin_state = {
 type open_session = {
   mutable s_first : int;
   mutable s_last : int;
-  mutable s_state : Combine.state;
+  s_state : Combine.Cols.t;  (** one slot, folded in place *)
   mutable s_items : int;
 }
 
@@ -133,12 +171,15 @@ type session_state = {
   s_window : Window.t;
   s_gap : int;
   s_open : open_session Store.t;
+  s_codec : open_session Store.codec;  (** [s_open]'s, for the pending ones *)
   s_init : unit -> open_session;  (** a new key's empty record *)
   mutable s_deadlines : Fset.t;
       (** resident index of (last + gap, key) per open session, so a
           watermark sweep faults in only the keys actually expiring *)
   mutable s_pending : (Combine.state * int) Pending.t;
       (** rotated/expired sessions, keyed {hi = last + gap; lo = first} *)
+  s_out : outbox;
+  s_processed : Metrics.items;  (** the window's processed-items counter *)
   mutable s_wm : int;
 }
 
@@ -175,23 +216,26 @@ let cwin_codec agg window : cwin_key Store.codec =
     weight = (fun kc -> 16 + Ring.weight kc.kpend);
   }
 
-let session_codec : open_session Store.codec =
+(* The slot codec's bytes and check ({!Bincodec.slot_codec}) inside
+   the session's record. *)
+let session_codec agg : open_session Store.codec =
+  let slot = Bincodec.slot_codec agg in
   {
     Store.kind = Bincodec.kind_session;
     enc =
       (fun b os ->
         Bin.w_i64 b os.s_first;
         Bin.w_i64 b os.s_last;
-        Bincodec.w_state b os.s_state;
+        slot.Store.enc b os.s_state;
         Bin.w_i64 b os.s_items);
     dec =
       (fun r ->
         let s_first = Bin.r_i64 r in
         let s_last = Bin.r_i64 r in
-        let s_state = Bincodec.r_state r in
+        let s_state = slot.Store.dec r in
         let s_items = Bin.r_i64 r in
         { s_first; s_last; s_state; s_items });
-    weight = (fun os -> 64 + Bincodec.state_weight os.s_state);
+    weight = (fun os -> 64 + slot.Store.weight os.s_state);
   }
 
 (* Flat operator-state array: one cell per plan node, dispatched with a
@@ -323,16 +367,92 @@ let activation_sample t id ~t0 ~name ~items_in ~items_out ~window =
     Fw_obs.Histogram.record ns.Metrics.fire_delay_ns (max 0 (t0 - t.wm_wall));
   trace_span t ~name ~id ~start_ns:t0 ~dur_ns:dur ~items_in ~items_out ~window
 
+(* --- runs ------------------------------------------------------------ *)
+
+let outbox agg window = { o_agg = agg; o_window = window; o_runs = [||] }
+
+(* Run [n] of the outbox, emptied for a filling over [interval]. *)
+let out_run ob n interval =
+  if n >= Array.length ob.o_runs then
+    ob.o_runs <-
+      Array.init (n + 1) (fun i ->
+          if i < Array.length ob.o_runs then ob.o_runs.(i)
+          else
+            {
+              r_window = ob.o_window;
+              r_interval = interval;
+              r_len = 0;
+              r_keys = Array.make 8 "";
+              r_states = Combine.Cols.create ob.o_agg 8;
+              r_order = [||];
+              r_ordered = false;
+            });
+  let r = ob.o_runs.(n) in
+  r.r_interval <- interval;
+  r.r_len <- 0;
+  r.r_ordered <- false;
+  r
+
+(* Append a slot for [key]; its index, whose state the caller writes
+   (after this call: a full run moves to wider columns). *)
+let run_push r key =
+  let i = r.r_len in
+  let cap = Array.length r.r_keys in
+  if i = cap then begin
+    let keys = Array.make (2 * cap) "" in
+    Array.blit r.r_keys 0 keys 0 cap;
+    r.r_keys <- keys;
+    r.r_states <- Combine.Cols.grow r.r_states (2 * cap)
+  end;
+  r.r_keys.(i) <- key;
+  r.r_len <- i + 1;
+  i
+
+(* The run's slots in ascending key order, computed once per filling
+   and shared by every consumer.  A run's keys are distinct; a
+   per-instance fire emits them ascending already (an O(n) check), a
+   pane roll in store visit order (one sort). *)
+let run_order r =
+  if not r.r_ordered then begin
+    let n = r.r_len and keys = r.r_keys in
+    if Array.length r.r_order < n then
+      r.r_order <- Array.make (Array.length keys) 0;
+    let o = r.r_order in
+    for i = 0 to n - 1 do
+      o.(i) <- i
+    done;
+    let rec ascending i =
+      i >= n || (String.compare keys.(i - 1) keys.(i) < 0 && ascending (i + 1))
+    in
+    if not (ascending 1) then begin
+      let sorted = Array.sub o 0 n in
+      Array.sort (fun a b -> String.compare keys.(a) keys.(b)) sorted;
+      Array.blit sorted 0 o 0 n
+    end;
+    r.r_ordered <- true
+  end;
+  r.r_order
+
+(* --- the per-instance operator's fire index ------------------------- *)
+
+(* Bound [hi]'s births, made empty the first time [hi] is born. *)
+let bound st hi =
+  match Imap.find_opt hi st.w_fire with
+  | Some b -> b
+  | None ->
+      let b = { loose = []; chunks = [] } in
+      st.w_fire <- Imap.add hi b st.w_fire;
+      b
+
 (* Enter the birth of [key]'s instance [m] into the fire index. *)
 let index_birth st key m =
-  let hi = (m * Window.slide st.window) + Window.range st.window in
-  let keys = Option.value ~default:[] (Imap.find_opt hi st.w_fire) in
-  st.w_fire <- Imap.add hi (key :: keys) st.w_fire
+  let b = bound st ((m * Window.slide st.window) + Window.range st.window) in
+  b.loose <- key :: b.loose
 
-(* A bound's keys in ascending order.  Births prepend, and a window-fed
-   node receives its parent's fire in ascending key order, so the list
-   is usually strictly descending: an O(n) check and a reversal then
-   give exactly what the sort would. *)
+(* Loose keys in ascending order.  Births prepend, and an image loads
+   its keys in ascending order, so the list is often strictly
+   descending: an O(n) check and a reversal then give exactly what the
+   sort would. *)
 let ascending_keys keys =
   let rec descending = function
     | a :: (b :: _ as rest) -> String.compare a b > 0 && descending rest
@@ -340,17 +460,58 @@ let ascending_keys keys =
   in
   if descending keys then List.rev keys else List.sort String.compare keys
 
-(* Pop a count window's pending instances whose ordinal upper bound
-   [hi] its key has reached ([kc.seen]), oldest first, as
-   [(hi, state, items)]. *)
-let rec cwin_pop window kc =
-  if Ring.is_empty kc.kpend then []
-  else
-    let hi = (Ring.front kc.kpend * Window.slide window) + Window.range window in
-    if hi > kc.seen then []
-    else
-      let state, items = Ring.pop kc.kpend in
-      (hi, state, items) :: cwin_pop window kc
+(* A bound's keys in ascending order.  A window-fed node's bound is
+   usually one run's chunk, used as it is; anything else is sorted. *)
+let bound_keys b =
+  match (b.loose, b.chunks) with
+  | [], [ c ] -> c
+  | loose, [] -> Array.of_list (ascending_keys loose)
+  | loose, chunks ->
+      let a = Array.concat (Array.of_list loose :: chunks) in
+      Array.sort String.compare a;
+      a
+
+(* Enter a run's births into the fire index, one chunk per instance.
+   The run folded in ascending key order, so each instance's keys are
+   collected ascending.  Births usually all land on one instance (the
+   newest each key reached); otherwise they are bucketed by instance. *)
+let enter_births st =
+  let n = Vec.length st.w_birth_keys in
+  if n > 0 then begin
+    let ms = Vec.unsafe_data st.w_birth_ms
+    and keys = Vec.unsafe_data st.w_birth_keys in
+    let lo = ref ms.(0) and hi = ref ms.(0) in
+    for i = 1 to n - 1 do
+      if ms.(i) < !lo then lo := ms.(i);
+      if ms.(i) > !hi then hi := ms.(i)
+    done;
+    let slide = Window.slide st.window and range = Window.range st.window in
+    let enter m chunk =
+      let b = bound st ((m * slide) + range) in
+      b.chunks <- chunk :: b.chunks
+    in
+    if !lo = !hi then enter !lo (Array.sub keys 0 n)
+    else begin
+      let span = !hi - !lo + 1 in
+      let have = Array.length st.w_buckets in
+      if have < span then
+        st.w_buckets <-
+          Array.init span (fun k ->
+              if k < have then st.w_buckets.(k) else Vec.create ());
+      for i = 0 to n - 1 do
+        Vec.push st.w_buckets.(ms.(i) - !lo) keys.(i)
+      done;
+      for k = 0 to span - 1 do
+        let v = st.w_buckets.(k) in
+        if Vec.length v > 0 then begin
+          enter (!lo + k) (Array.sub (Vec.unsafe_data v) 0 (Vec.length v));
+          Vec.reset v
+        end
+      done
+    end;
+    Vec.reset st.w_birth_ms;
+    Vec.reset st.w_birth_keys
+  end
 
 (* --- the result sink ------------------------------------------------ *)
 
@@ -405,6 +566,18 @@ let sink_row t (row : Row.t) =
   end;
   Vec.push t.rows row
 
+(* The rows of a run at the output union, one per slot in run order. *)
+let sink_run t r =
+  for i = 0 to r.r_len - 1 do
+    sink_row t
+      {
+        Row.window = r.r_window;
+        interval = r.r_interval;
+        key = r.r_keys.(i);
+        value = Combine.Cols.finalize r.r_states i;
+      }
+  done
+
 (* Every row in [Row.compare] order, ties in emission order: exactly
    [Row.sort] of the emission sequence.  Rows of distinct windows never
    tie, so the buckets concatenate in slot order; a bucket that stayed
@@ -429,36 +602,65 @@ let sorted_rows t =
 
 (* --- dispatch ------------------------------------------------------- *)
 
+(* One dispatch path for all traffic: [deliver] visits a node once per
+   message, whether it carries a batch segment of raw events, a run of
+   sub-aggregates or a watermark.  Raw events reach operators as
+   columnar selections, sub-aggregates as runs, so a node visit is
+   amortized over a whole segment or a whole fired instance; only
+   watermarks travel one at a time.  Per-node [rows_in]/[rows_out] add
+   the message's length. *)
+let msg_length = function
+  | Events { lo; hi; _ } -> hi - lo
+  | Subs r -> r.r_len
+  | Watermark _ -> 0
+
 let rec deliver t id msg =
-  (match msg with
-  | Item _ -> if t.observe then Counter.inc t.obs.(id).Metrics.rows_in
-  | Watermark _ -> ());
-  match t.states.(id) with
-  | N_forward -> forward t id msg
-  | N_filter _ ->
-      (* raw events are filtered on the columnar path ([bdeliver]);
-         sub-aggregates and watermarks pass through *)
-      forward t id msg
-  | N_union { sink } ->
-      (* The union merges its inputs; when it is the plan output it also
-         acts as the result sink.  (Watermarks of the separate inputs
-         all derive from the single source sweep, so they carry the same
-         value and are simply forwarded.) *)
-      (match msg with
-      | Item (Sub { window; interval; key; state }) when sink ->
-          sink_row t
-            { Row.window; interval; key; value = Combine.finalize state }
-      | Item (Sub _) | Watermark _ -> ());
-      forward t id msg
-  | N_win st -> win_deliver t id st msg
-  | N_pane ps -> pane_deliver t id ps msg
-  | N_cwin st -> cwin_deliver t id st msg
-  | N_session st -> session_deliver t id st msg
+  match msg with
+  | Events { lo; hi; _ } when hi <= lo -> ()
+  | Events _ | Subs _ | Watermark _ -> (
+      if t.observe then Counter.add t.obs.(id).Metrics.rows_in (msg_length msg);
+      match t.states.(id) with
+      | N_forward -> forward t id msg
+      | N_filter pred -> (
+          match msg with
+          | Events { b; sel; lo; hi } ->
+              let times = Batch.times b
+              and keys = Batch.keys b
+              and values = Batch.values b in
+              let keep = Array.make (hi - lo) 0 in
+              let m = ref 0 in
+              for i = lo to hi - 1 do
+                let j = sel.(i) in
+                if
+                  Fw_plan.Predicate.eval pred ~key:keys.(j) ~value:values.(j)
+                    ~time:times.(j)
+                then begin
+                  keep.(!m) <- j;
+                  incr m
+                end
+              done;
+              forward t id (Events { b; sel = keep; lo = 0; hi = !m })
+          | Subs _ | Watermark _ ->
+              (* the predicate reads raw events; sub-aggregates and
+                 watermarks pass through *)
+              forward t id msg)
+      | N_union { sink } ->
+          (* The union merges its inputs; when it is the plan output it
+             also acts as the result sink, where sub-aggregate runs
+             become rows (raw events never do).  Watermarks of the
+             separate inputs all derive from the single source sweep,
+             so they carry the same value and are simply forwarded. *)
+          (match msg with
+          | Subs r when sink -> sink_run t r
+          | Events _ | Subs _ | Watermark _ -> ());
+          forward t id msg
+      | N_win st -> win_deliver t id st msg
+      | N_pane ps -> pane_deliver t id ps msg
+      | N_cwin st -> cwin_deliver t id st msg
+      | N_session st -> session_deliver t id st msg)
 
 and forward t id msg =
-  (match msg with
-  | Item _ -> if t.observe then Counter.inc t.obs.(id).Metrics.rows_out
-  | Watermark _ -> ());
+  if t.observe then Counter.add t.obs.(id).Metrics.rows_out (msg_length msg);
   let subs = t.subs.(id) in
   for i = 0 to Array.length subs - 1 do
     deliver t subs.(i) msg
@@ -466,13 +668,13 @@ and forward t id msg =
 
 (* --- per-instance (naive) window operator --------------------------- *)
 
-(* Access pattern: an item (a raw event or an upstream sub-aggregate)
+(* Access pattern: an item (a raw event or a slot of an upstream run)
    folds into its whole contiguous instance range [first .. last] under
    {e one} store access for its key ({!win_ring}, then [Store.commit]),
    in place in the key's {!Ring}; the resident fire index learns a
    (hi, key) pair only when that access gives birth to the instance
-   ([w_born], which reads the key from [w_key]: no closure per item),
-   and loses it only when the instance fires.
+   ([w_born] or [w_born_run], which read the key from [w_key]: no
+   closure per item), and loses it only when the instance fires.
 
    Items are tallied per pending instance and reported to the metrics
    when the instance fires, so the counters measure exactly the work of
@@ -483,29 +685,27 @@ and win_ring st key =
   st.w_key <- key;
   Store.access st.w_keys key ~init:st.w_ring
 
-(* Pop the due instance [hi] of [key] under one store access, closed by
-   [Store.commit], or by [Store.remove] when the ring is left empty:
-   the popped state is an immutable value, forwarded after the access
-   is closed. *)
-and win_extract st key hi =
+(* Pop the due instance [hi] of [key] into slot [i] of [dst] under one
+   store access, closed by [Store.commit], or by [Store.remove] when the
+   ring is left empty; its item count. *)
+and win_extract st key hi dst i =
   let rg = win_ring st key in
   let due =
     (not (Ring.is_empty rg))
     && (Ring.front rg * Window.slide st.window) + Window.range st.window = hi
   in
-  let popped = if due then Some (Ring.pop rg) else None in
+  let items = if due then Ring.pop_into rg dst i else 0 in
   if Ring.is_empty rg then Store.remove st.w_keys key
   else Store.commit st.w_keys;
-  match popped with
-  | Some p -> p
-  | None -> invalid_arg "Stream_exec: fire index out of sync with store"
+  if not due then invalid_arg "Stream_exec: fire index out of sync with store";
+  items
 
 (* Fire every instance due at [wm]: the due bounds leave the fire index
-   in ascending order, each with its keys in ascending order, which is
-   the ascending (hi, key) order of the emissions.  The cheap emptiness
-   probe comes first, so the clock and the counters only move when at
-   least one instance actually fires, and a watermark that fires
-   nothing touches no spilled state. *)
+   in ascending order, each with its keys in ascending order, one run
+   per bound, which is the ascending (hi, key) order of the emissions.
+   The cheap emptiness probe comes first, so the clock and the counters
+   only move when at least one instance actually fires, and a watermark
+   that fires nothing touches no spilled state. *)
 and win_fire t id st wm =
   match Imap.min_binding_opt st.w_fire with
   | Some (hi0, _) when hi0 <= wm ->
@@ -515,18 +715,18 @@ and win_fire t id st wm =
       let range = Window.range st.window in
       let rec go () =
         match Imap.min_binding_opt st.w_fire with
-        | Some (hi, keys) when hi <= wm ->
+        | Some (hi, b) when hi <= wm ->
             st.w_fire <- Imap.remove hi st.w_fire;
-            let interval = Interval.make ~lo:(hi - range) ~hi in
-            List.iter
-              (fun key ->
-                let state, items = win_extract st key hi in
-                Metrics.record t.metrics st.window items;
-                incr fired;
-                items_tot := !items_tot + items;
-                forward t id
-                  (Item (Sub { window = st.window; interval; key; state })))
-              (ascending_keys keys);
+            let r = out_run st.w_out 0 (Interval.make ~lo:(hi - range) ~hi) in
+            let keys = bound_keys b and items = ref 0 in
+            for k = 0 to Array.length keys - 1 do
+              let i = run_push r keys.(k) in
+              items := !items + win_extract st keys.(k) hi r.r_states i
+            done;
+            Metrics.add_items st.w_processed !items;
+            fired := !fired + r.r_len;
+            items_tot := !items_tot + !items;
+            forward t id (Subs r);
             go ()
         | Some _ | None -> ()
       in
@@ -537,17 +737,48 @@ and win_fire t id st wm =
           ~items_out:!fired ~window:st.window
   | Some _ | None -> ()
 
+(* A run's slots share its interval, so they share the instance range
+   they fold into.  They fold in ascending key order ({!run_order}), so
+   the keys each instance gains are collected in that order and enter
+   the fire index as one chunk per instance ({!enter_births}): a fire
+   then needs no sort. *)
+and win_fold_run st r =
+  let first, last =
+    enclosing_range st.window ~lo:(Interval.lo r.r_interval)
+      ~hi:(Interval.hi r.r_interval)
+  in
+  if first <= last then begin
+    let order = run_order r in
+    for k = 0 to r.r_len - 1 do
+      let i = order.(k) in
+      Ring.fold_slot
+        (win_ring st r.r_keys.(i))
+        ~first ~last r.r_states i ~born:st.w_born_run;
+      Store.commit st.w_keys
+    done;
+    enter_births st
+  end
+
+(* Per-instance fold of a batch segment: each event folds into its
+   whole instance range with one store access ({!win_ring}). *)
+and bwin_add st b sel lo hi =
+  let times = Batch.times b
+  and keys = Batch.keys b
+  and values = Batch.values b in
+  let slide = Window.slide st.window in
+  for i = lo to hi - 1 do
+    let j = sel.(i) in
+    let time = times.(j) in
+    Ring.fold_value (win_ring st keys.(j))
+      ~first:(first_containing st.window time) ~last:(time / slide)
+      values.(j) ~born:st.w_born;
+    Store.commit st.w_keys
+  done
+
 and win_deliver t id st msg =
   match msg with
-  | Item (Sub { interval; key; state; _ }) ->
-      let first, last =
-        enclosing_range st.window ~lo:(Interval.lo interval)
-          ~hi:(Interval.hi interval)
-      in
-      if first <= last then begin
-        Ring.fold_state (win_ring st key) ~first ~last state ~born:st.w_born;
-        Store.commit st.w_keys
-      end
+  | Events { b; sel; lo; hi } -> bwin_add st b sel lo hi
+  | Subs r -> win_fold_run st r
   | Watermark w ->
       if w > st.wm then begin
         st.wm <- w;
@@ -572,7 +803,7 @@ and win_deliver t id st msg =
    A queue holds panes up to [p0] only, so it answers at most the [k]
    instances [mlo .. p0] and drains at the first slide past them: at
    most [k+1] slides per key, and a drained key is dropped.  The
-   answers are forwarded after both passes, one instance at a time in
+   answers fill one run per instance, forwarded after both passes in
    ascending [m], so each node's rows stay in ascending instance order
    (within an instance, keys come in visit order).  The metrics record
    the final-combine work: the pane states merged per fired
@@ -586,7 +817,12 @@ and pane_roll t id ps ~upto =
     let p0 = ps.cur_pane and next = upto / ps.slide in
     let mlo = max 0 (p0 + 1 - ps.k) and mhi = next - ps.k in
     let n = max 0 (min mhi p0 - mlo + 1) in
-    let answers = Array.make n [] and items = Array.make n 0 in
+    let range = Window.range ps.p_window in
+    for i = 0 to n - 1 do
+      let lo = (mlo + i) * ps.slide in
+      ignore (out_run ps.p_out i (Interval.make ~lo ~hi:(lo + range)))
+    done;
+    let items = Array.make n 0 in
     let evicted = ref 0 and dead = ref [] in
     (* The queue is pinned by [Store.iter] in pass 1 and accessed in
        pass 2, so the in-place push and slides can never race an
@@ -600,7 +836,9 @@ and pane_roll t id ps ~upto =
           | None -> dead := key :: !dead
           | Some st ->
               let i = m - mlo in
-              answers.(i) <- (key, st) :: answers.(i);
+              let r = ps.p_out.o_runs.(i) in
+              let j = run_push r key in
+              Combine.Cols.set r.r_states j st;
               items.(i) <- items.(i) + Swag.length q;
               go (m + 1)
       in
@@ -625,16 +863,11 @@ and pane_roll t id ps ~upto =
       if items.(i) > 0 then begin
         incr fired;
         items_tot := !items_tot + items.(i);
-        let lo = (mlo + i) * ps.slide in
-        let interval = Interval.make ~lo ~hi:(lo + Window.range ps.p_window) in
-        List.iter
-          (fun (key, state) ->
-            forward t id
-              (Item (Sub { window = ps.p_window; interval; key; state })))
-          (List.rev answers.(i))
+        let r = ps.p_out.o_runs.(i) in
+        if r.r_len > 0 then forward t id (Subs r)
       end
     done;
-    if !items_tot > 0 then Metrics.record t.metrics ps.p_window !items_tot;
+    if !items_tot > 0 then Metrics.add_items ps.p_processed !items_tot;
     if t.observe then begin
       Counter.add ns.Metrics.swag_evictions !evicted;
       Counter.add ns.Metrics.fires !fired;
@@ -645,9 +878,30 @@ and pane_roll t id ps ~upto =
         ~items_out:!fired ~window:ps.p_window
   end
 
+(* Pane fold of a batch segment: roll once per pane boundary, then
+   absorb the maximal run landing in the open pane with one columnar
+   {!Pane.add_run} — the events between two boundaries would each have
+   hit [pane_roll] as a no-op in the per-event path. *)
+and bpane_add t id ps b sel lo hi =
+  let times = Batch.times b
+  and keys = Batch.keys b
+  and values = Batch.values b in
+  let i = ref lo in
+  while !i < hi do
+    pane_roll t id ps ~upto:times.(sel.(!i));
+    let bound = (ps.cur_pane + 1) * ps.slide in
+    let j = ref (!i + 1) in
+    while !j < hi && times.(sel.(!j)) < bound do
+      incr j
+    done;
+    Pane.add_run ps.open_pane ~keys ~values ~sel ~lo:!i ~hi:!j;
+    i := !j
+  done
+
 and pane_deliver t id ps msg =
   match msg with
-  | Item (Sub _) ->
+  | Events { b; sel; lo; hi } -> bpane_add t id ps b sel lo hi
+  | Subs _ ->
       (* [create] only assigns pane states to windows reading the raw
          stream. *)
       invalid_arg "Stream_exec: pane-mode window fed sub-aggregates"
@@ -660,53 +914,82 @@ and pane_deliver t id ps msg =
 
 (* --- count-window (ROWS frame) operator ----------------------------- *)
 
-(* The per-event step of a key's tracker, [kc], just folded under
+(* The per-item step of a key's tracker, [kc], just folded under
    [Store.access]: pop every pending instance whose ordinal upper bound
-   the key has reached, close the access with [Store.commit], then
-   forward the popped instances oldest first.  Forwarding may touch
-   other stores of the pool, so it waits for the commit.  A {e complete}
-   stream-fed instance folded exactly [r] items and a sub-fed one
-   exactly its covering multiplier, so the metrics measure the same
-   quantity the cost model prices.  Incomplete instances (the key never
-   reaches [hi]) never fire. *)
+   the key has reached into a run of its own, oldest first, close the
+   access with [Store.commit], then forward the runs in that order.
+   Forwarding may touch other stores of the pool, so it waits for the
+   commit.  A {e complete} stream-fed instance folded exactly [r] items
+   and a sub-fed one exactly its covering multiplier, so the metrics
+   measure the same quantity the cost model prices.  Incomplete
+   instances (the key never reaches [hi]) never fire. *)
 and cwin_fire t id st key kc =
-  let due = cwin_pop st.c_window kc in
+  let range = Window.range st.c_window and slide = Window.slide st.c_window in
+  let due = ref 0 and items = ref 0 in
+  while
+    (not (Ring.is_empty kc.kpend))
+    && (Ring.front kc.kpend * slide) + range <= kc.seen
+  do
+    let hi = (Ring.front kc.kpend * slide) + range in
+    let r = out_run st.c_out !due (Interval.make ~lo:(hi - range) ~hi) in
+    let i = run_push r key in
+    items := !items + Ring.pop_into kc.kpend r.r_states i;
+    incr due
+  done;
   Store.commit st.c_keys;
-  match due with
-  | [] -> ()
-  | due ->
-      let r = Window.range st.c_window in
-      let sampled = activation t id in
-      let t0 = if sampled then Clock.now_ns () else 0 in
-      let fired = ref 0 and items_tot = ref 0 in
-      List.iter
-        (fun (hi, state, items) ->
-          Metrics.record t.metrics st.c_window items;
-          incr fired;
-          items_tot := !items_tot + items;
-          let interval = Interval.make ~lo:(hi - r) ~hi in
-          forward t id
-            (Item (Sub { window = st.c_window; interval; key; state })))
-        due;
-      if t.observe then Counter.add t.obs.(id).Metrics.fires !fired;
-      if sampled then
-        activation_sample t id ~t0 ~name:"count-fire" ~items_in:!items_tot
-          ~items_out:!fired ~window:st.c_window
+  if !due > 0 then begin
+    let sampled = activation t id in
+    let t0 = if sampled then Clock.now_ns () else 0 in
+    Metrics.add_items st.c_processed !items;
+    for n = 0 to !due - 1 do
+      forward t id (Subs st.c_out.o_runs.(n))
+    done;
+    if t.observe then Counter.add t.obs.(id).Metrics.fires !due;
+    if sampled then
+      activation_sample t id ~t0 ~name:"count-fire" ~items_in:!items
+        ~items_out:!due ~window:st.c_window
+  end
+
+(* Count-window fold of a batch segment: firing happens inside the
+   event loop (instances complete on arrival, not at punctuation), so
+   downstream consumers see sub-aggregates in exactly the per-event
+   order — byte-identity at any batch size is structural, not argued. *)
+and bcwin_add t id st b sel lo hi =
+  let keys = Batch.keys b
+  and values = Batch.values b in
+  for i = lo to hi - 1 do
+    let j = sel.(i) in
+    let key = keys.(j) in
+    let kc = Store.access st.c_keys key ~init:st.c_init in
+    let n = kc.seen in
+    kc.seen <- n + 1;
+    Ring.fold_value kc.kpend
+      ~first:(first_containing st.c_window n)
+      ~last:(n / Window.slide st.c_window)
+      values.(j) ~born:ignore;
+    cwin_fire t id st key kc
+  done
 
 and cwin_deliver t id st msg =
   match msg with
-  | Item (Sub { interval; key; state; _ }) ->
-      (* Sub intervals live in the same per-key ordinal space: fold
-         into every enclosing downstream instance, then advance the
-         key's high-water to the sub's end. *)
+  | Events { b; sel; lo; hi } -> bcwin_add t id st b sel lo hi
+  | Subs r ->
+      (* Sub intervals live in the same per-key ordinal space: each
+         slot, in run order, folds into every enclosing downstream
+         instance, then advances its key's high-water to the sub's end
+         and fires what that completes. *)
       let first, last =
-        enclosing_range st.c_window ~lo:(Interval.lo interval)
-          ~hi:(Interval.hi interval)
+        enclosing_range st.c_window ~lo:(Interval.lo r.r_interval)
+          ~hi:(Interval.hi r.r_interval)
       in
-      let kc = Store.access st.c_keys key ~init:st.c_init in
-      Ring.fold_state kc.kpend ~first ~last state ~born:ignore;
-      if Interval.hi interval > kc.seen then kc.seen <- Interval.hi interval;
-      cwin_fire t id st key kc
+      let hi = Interval.hi r.r_interval in
+      for i = 0 to r.r_len - 1 do
+        let key = r.r_keys.(i) in
+        let kc = Store.access st.c_keys key ~init:st.c_init in
+        Ring.fold_slot kc.kpend ~first ~last r.r_states i ~born:ignore;
+        if hi > kc.seen then kc.seen <- hi;
+        cwin_fire t id st key kc
+      done
   | Watermark w ->
       (* count instances are watermark-free; punctuation passes through
          for any time-domain consumers downstream of the union *)
@@ -715,22 +998,24 @@ and cwin_deliver t id st msg =
 (* --- session-window operator ----------------------------------------- *)
 
 (* Move [key]'s open session [os] into the pending (deadline-ordered)
-   map: its state and item count are immutable values, so the caller
-   may then reuse or drop the record. *)
+   map: its state is copied out of the record's slot, so the caller may
+   then reuse or drop the record. *)
 and session_rotate st key os =
   st.s_deadlines <- Fset.remove (os.s_last + st.s_gap, key) st.s_deadlines;
   let fk = { Fire_key.hi = os.s_last + st.s_gap; lo = os.s_first; key } in
-  st.s_pending <- Pending.add fk (os.s_state, os.s_items) st.s_pending
+  st.s_pending <-
+    Pending.add fk (Combine.Cols.get os.s_state 0, os.s_items) st.s_pending
 
 (* An event at [tm] joins its key's open session iff it lands strictly
    before the session's deadline [last + gap]; otherwise the old
    session is rotated out and a fresh one opens.  Purely event-driven:
    no watermark can change this decision.  One [Store.access] finds the
    open session, or makes an empty record ([s_items = 0]) for a new key;
-   a join mutates the record in place, a rotation moves the old session
-   out and restarts the record, and [Store.commit] closes the access.
-   The deadline index tracks every [s_last] move. *)
-and session_add t st key tm value =
+   a join folds the value into the record's slot in place, a rotation
+   moves the old session out and restarts the record, and
+   [Store.commit] closes the access.  The deadline index tracks every
+   [s_last] move. *)
+and session_add st key tm value =
   let os = Store.access st.s_open key ~init:st.s_init in
   if os.s_items > 0 && tm < os.s_last + st.s_gap then begin
     if tm > os.s_last then begin
@@ -738,26 +1023,38 @@ and session_add t st key tm value =
       os.s_last <- tm;
       st.s_deadlines <- Fset.add (tm + st.s_gap, key) st.s_deadlines
     end;
-    os.s_state <- Combine.add os.s_state value;
+    Combine.Cols.add os.s_state 0 value;
     os.s_items <- os.s_items + 1
   end
   else begin
     if os.s_items > 0 then session_rotate st key os;
     os.s_first <- tm;
     os.s_last <- tm;
-    os.s_state <- Combine.of_value t.agg value;
+    Combine.Cols.of_value os.s_state 0 value;
     os.s_items <- 1;
     st.s_deadlines <- Fset.add (tm + st.s_gap, key) st.s_deadlines
   end;
   Store.commit st.s_open
 
+(* Session fold of a batch segment: join/rotate per event
+   (order-dependent but watermark-free); emission happens at the
+   segment's trailing watermark. *)
+and bsession_add st b sel lo hi =
+  let times = Batch.times b
+  and keys = Batch.keys b
+  and values = Batch.values b in
+  for i = lo to hi - 1 do
+    let j = sel.(i) in
+    session_add st keys.(j) times.(j) values.(j)
+  done
+
 (* Watermark [wm]: first expire open sessions whose deadline passed
    (no future event has time < wm, so they can never be joined again),
    then emit every pending session whose deadline is due, in ascending
-   (deadline, first, key) order.  Expiry walks the resident deadline
-   index, so only the keys actually expiring are faulted in — a
-   watermark sweep over a mostly-idle key space touches no spilled
-   state. *)
+   (deadline, first, key) order: consecutive sessions with the same
+   interval share a run.  Expiry walks the resident deadline index, so
+   only the keys actually expiring are faulted in — a watermark sweep
+   over a mostly-idle key space touches no spilled state. *)
 and session_advance t id st wm =
   let rec expire () =
     match Fset.min_elt_opt st.s_deadlines with
@@ -777,30 +1074,39 @@ and session_advance t id st wm =
   | Some (fk0, _) when fk0.Fire_key.hi <= wm ->
       let sampled = activation t id in
       let t0 = if sampled then Clock.now_ns () else 0 in
-      let fired = ref 0 and items_tot = ref 0 in
+      let fired = ref 0 and items_tot = ref 0 and run_items = ref 0 in
+      let interval (fk : Fire_key.t) =
+        Interval.make ~lo:fk.Fire_key.lo ~hi:fk.Fire_key.hi
+      in
+      let r = out_run st.s_out 0 (interval fk0) in
+      let flush () =
+        if r.r_len > 0 then begin
+          Metrics.add_items st.s_processed !run_items;
+          run_items := 0;
+          forward t id (Subs r)
+        end
+      in
       let rec go () =
         match Pending.min_binding_opt st.s_pending with
         | Some (fk, (state, items)) when fk.Fire_key.hi <= wm ->
             st.s_pending <- Pending.remove fk st.s_pending;
-            Metrics.record t.metrics st.s_window items;
             incr fired;
             items_tot := !items_tot + items;
-            let interval =
-              Interval.make ~lo:fk.Fire_key.lo ~hi:fk.Fire_key.hi
-            in
-            forward t id
-              (Item
-                 (Sub
-                    {
-                      window = st.s_window;
-                      interval;
-                      key = fk.Fire_key.key;
-                      state;
-                    }));
+            if
+              Interval.lo r.r_interval <> fk.Fire_key.lo
+              || Interval.hi r.r_interval <> fk.Fire_key.hi
+            then begin
+              flush ();
+              ignore (out_run st.s_out 0 (interval fk))
+            end;
+            let i = run_push r fk.Fire_key.key in
+            Combine.Cols.set r.r_states i state;
+            run_items := !run_items + items;
             go ()
         | Some _ | None -> ()
       in
       go ();
+      flush ();
       if t.observe then Counter.add t.obs.(id).Metrics.fires !fired;
       if sampled then
         activation_sample t id ~t0 ~name:"session-fire" ~items_in:!items_tot
@@ -809,7 +1115,8 @@ and session_advance t id st wm =
 
 and session_deliver t id st msg =
   match msg with
-  | Item (Sub _) ->
+  | Events { b; sel; lo; hi } -> bsession_add st b sel lo hi
+  | Subs _ ->
       (* sessions have no static coverage, so the optimizer never feeds
          them sub-aggregates *)
       invalid_arg "Stream_exec: session window fed sub-aggregates"
@@ -874,6 +1181,7 @@ let create ?(metrics = Metrics.create ()) ?(mode = Naive) ?(observe = true)
                 if mode = Incremental then
                   Metrics.record_fallback metrics ~id ~window
                     ~reason:"session-window";
+                let s_codec = session_codec agg in
                 N_session
                   {
                     s_window = window;
@@ -881,17 +1189,20 @@ let create ?(metrics = Metrics.create ()) ?(mode = Naive) ?(observe = true)
                     s_open =
                       Store.create ?pool:spill
                         ~name:(Printf.sprintf "n%d-session" id)
-                        session_codec;
+                        s_codec;
+                    s_codec;
                     s_init =
                       (fun () ->
                         {
                           s_first = 0;
                           s_last = 0;
-                          s_state = Combine.identity agg;
+                          s_state = Combine.Cols.create agg 1;
                           s_items = 0;
                         });
                     s_deadlines = Fset.empty;
                     s_pending = Pending.empty;
+                    s_out = outbox agg window;
+                    s_processed = Metrics.items metrics window;
                     s_wm = 0;
                   }
             | Window.Hop { domain = Window.Count; _ } ->
@@ -909,6 +1220,8 @@ let create ?(metrics = Metrics.create ()) ?(mode = Naive) ?(observe = true)
                         ~name:(Printf.sprintf "n%d-cwin" id)
                         (cwin_codec agg window);
                     c_init = (fun () -> { seen = 0; kpend = Ring.create agg });
+                    c_out = outbox agg window;
+                    c_processed = Metrics.items metrics window;
                   }
             | Window.Hop { domain = Window.Time; _ } ->
                 if mode = Incremental && panes_apply window then
@@ -923,6 +1236,8 @@ let create ?(metrics = Metrics.create ()) ?(mode = Naive) ?(observe = true)
                         Store.create ?pool:spill
                           ~name:(Printf.sprintf "n%d-queues" id)
                           (Bincodec.swag_codec agg);
+                      p_out = outbox agg window;
+                      p_processed = Metrics.items metrics window;
                       p_wm = 0;
                     }
                 else begin
@@ -940,8 +1255,17 @@ let create ?(metrics = Metrics.create ()) ?(mode = Naive) ?(observe = true)
                           (win_codec agg window);
                       w_ring = (fun () -> Ring.create agg);
                       w_born = (fun m -> index_birth st st.w_key m);
+                      w_born_run =
+                        (fun m ->
+                          Vec.push st.w_birth_ms m;
+                          Vec.push st.w_birth_keys st.w_key);
                       w_key = "";
+                      w_birth_ms = Vec.create ();
+                      w_birth_keys = Vec.create ();
+                      w_buckets = [||];
                       w_fire = Imap.empty;
+                      w_out = outbox agg window;
+                      w_processed = Metrics.items metrics window;
                       wm = 0;
                     }
                   in
@@ -1054,16 +1378,15 @@ let write_node b = function
       Bin.w_u8 b 4;
       Bin.w_i64 b st.s_wm;
       Store.write b st.s_open;
+      let os = st.s_init () in
       Bin.w_list b
-        (fun b (fk, (s_state, s_items)) ->
+        (fun b (fk, (state, items)) ->
           Bin.w_string b fk.Fire_key.key;
-          session_codec.Store.enc b
-            {
-              s_first = fk.Fire_key.lo;
-              s_last = fk.Fire_key.hi - st.s_gap;
-              s_state;
-              s_items;
-            })
+          os.s_first <- fk.Fire_key.lo;
+          os.s_last <- fk.Fire_key.hi - st.s_gap;
+          Combine.Cols.set os.s_state 0 state;
+          os.s_items <- items;
+          st.s_codec.Store.enc b os)
         (Pending.bindings st.s_pending)
 
 let export_into b t =
@@ -1105,11 +1428,12 @@ let read_node r id node =
           (fun acc (key, os) ->
             Pending.add
               { Fire_key.hi = os.s_last + st.s_gap; lo = os.s_first; key }
-              (os.s_state, os.s_items) acc)
+              (Combine.Cols.get os.s_state 0, os.s_items)
+              acc)
           Pending.empty
           (Bin.r_list r (fun r ->
                let key = Bin.r_string r in
-               (key, session_codec.Store.dec r)))
+               (key, st.s_codec.Store.dec r)))
   | ( ( N_forward | N_filter _ | N_union _ | N_win _ | N_pane _ | N_cwin _
       | N_session _ ),
       tag ) ->
@@ -1159,14 +1483,12 @@ let import ?metrics ?observe ?spill plan ~rows image =
 let root_deliver t msg =
   Array.iter (fun id -> deliver t id msg) t.sources
 
-(* --- batched dispatch ----------------------------------------------- *)
+(* --- feeding ----------------------------------------------------- *)
 
-(* Vectorized delivery of raw events: one node visit per batch segment
-   instead of one per event.  [sel.(lo .. hi-1)] are column indices
-   into [b]; filters narrow the selection, window operators fold the
-   whole run inline.  Watermarks still travel through the per-message
-   [deliver] above — firing is where rows are born and order matters,
-   so that path stays shared between the per-event and batched modes.
+(* Raw events enter as one message per batch segment: one node visit
+   per segment instead of one per event.  Each segment's selection
+   starts as the identity over [b]'s columns; filters narrow it, window
+   operators fold the whole segment inline.
 
    The equivalence argument (why coalescing per-event watermarks to
    segment boundaries is invisible): an event at time [t] only folds
@@ -1179,112 +1501,6 @@ let root_deliver t msg =
    state — which is what makes mid-batch checkpoints sound
    ({!Fw_snap.Checkpoint}).  Per-node activation counts and sampled
    latencies may legitimately differ (fewer, larger activations). *)
-let rec bdeliver t id b sel lo hi =
-  if hi > lo then begin
-    if t.observe then Counter.add t.obs.(id).Metrics.rows_in (hi - lo);
-    match t.states.(id) with
-    | N_forward -> bforward t id b sel lo hi
-    | N_filter pred ->
-        let times = Batch.times b
-        and keys = Batch.keys b
-        and values = Batch.values b in
-        let keep = Array.make (hi - lo) 0 in
-        let m = ref 0 in
-        for i = lo to hi - 1 do
-          let j = sel.(i) in
-          if
-            Fw_plan.Predicate.eval pred ~key:keys.(j) ~value:values.(j)
-              ~time:times.(j)
-          then begin
-            keep.(!m) <- j;
-            incr m
-          end
-        done;
-        bforward t id b keep 0 !m
-    | N_union _ ->
-        (* raw events never become rows at the sink; pass through *)
-        bforward t id b sel lo hi
-    | N_win st -> bwin_add st b sel lo hi
-    | N_pane ps -> bpane_add t id ps b sel lo hi
-    | N_cwin st -> bcwin_add t id st b sel lo hi
-    | N_session st -> bsession_add t st b sel lo hi
-  end
-
-and bforward t id b sel lo hi =
-  if t.observe then Counter.add t.obs.(id).Metrics.rows_out (hi - lo);
-  let subs = t.subs.(id) in
-  for i = 0 to Array.length subs - 1 do
-    bdeliver t subs.(i) b sel lo hi
-  done
-
-(* Per-instance fold of a run: each event folds into its whole
-   instance range with one store access ({!win_ring}). *)
-and bwin_add st b sel lo hi =
-  let times = Batch.times b
-  and keys = Batch.keys b
-  and values = Batch.values b in
-  let slide = Window.slide st.window in
-  for i = lo to hi - 1 do
-    let j = sel.(i) in
-    let time = times.(j) in
-    Ring.fold_value (win_ring st keys.(j))
-      ~first:(first_containing st.window time) ~last:(time / slide)
-      values.(j) ~born:st.w_born;
-    Store.commit st.w_keys
-  done
-
-(* Count-window fold of a run: firing happens inside the event loop
-   (instances complete on arrival, not at punctuation), so downstream
-   consumers see sub-aggregates in exactly the per-event order —
-   byte-identity at any batch size is structural, not argued. *)
-and bcwin_add t id st b sel lo hi =
-  let keys = Batch.keys b
-  and values = Batch.values b in
-  for i = lo to hi - 1 do
-    let j = sel.(i) in
-    let key = keys.(j) in
-    let kc = Store.access st.c_keys key ~init:st.c_init in
-    let n = kc.seen in
-    kc.seen <- n + 1;
-    Ring.fold_value kc.kpend
-      ~first:(first_containing st.c_window n)
-      ~last:(n / Window.slide st.c_window)
-      values.(j) ~born:ignore;
-    cwin_fire t id st key kc
-  done
-
-(* Session fold of a run: join/rotate per event (order-dependent but
-   watermark-free); emission happens at the segment's trailing
-   watermark through the shared per-message path. *)
-and bsession_add t st b sel lo hi =
-  let times = Batch.times b
-  and keys = Batch.keys b
-  and values = Batch.values b in
-  for i = lo to hi - 1 do
-    let j = sel.(i) in
-    session_add t st keys.(j) times.(j) values.(j)
-  done
-
-(* Pane fold of a run: roll once per pane boundary, then absorb the
-   maximal run landing in the open pane with one columnar
-   {!Pane.add_run} — the events between two boundaries would each have
-   hit [pane_roll] as a no-op in the per-event path. *)
-and bpane_add t id ps b sel lo hi =
-  let times = Batch.times b
-  and keys = Batch.keys b
-  and values = Batch.values b in
-  let i = ref lo in
-  while !i < hi do
-    pane_roll t id ps ~upto:times.(sel.(!i));
-    let bound = (ps.cur_pane + 1) * ps.slide in
-    let j = ref (!i + 1) in
-    while !j < hi && times.(sel.(!j)) < bound do
-      incr j
-    done;
-    Pane.add_run ps.open_pane ~keys ~values ~sel ~lo:!i ~hi:!j;
-    i := !j
-  done
-
 let ensure_iota t n =
   if Array.length t.iota < n then
     t.iota <- Array.init (max n (2 * Array.length t.iota)) (fun i -> i)
@@ -1331,7 +1547,7 @@ let validate t b =
 let seg t ~stamp b lo hi =
   if hi > lo then begin
     ensure_iota t hi;
-    Array.iter (fun id -> bdeliver t id b t.iota lo hi) t.sources;
+    root_deliver t (Events { b; sel = t.iota; lo; hi });
     let tm = (Batch.times b).(hi - 1) in
     if tm > t.source_wm then broadcast_wm t ~stamp tm
   end

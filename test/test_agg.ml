@@ -262,9 +262,55 @@ let prop_stdev_adversarial =
       in
       ok direct && ok merged)
 
+(* The slot-to-slot column updates against the state functions on the
+   values where bits can part: nans of two signs (a sum of two nans
+   keeps the first operand's), infinities, signed zeros, subnormals and
+   a large mean.  States compare as their encoded bytes. *)
+let test_column_slots_match_states () =
+  let module Cols = Combine.Cols in
+  let specials =
+    [ nan; Float.neg nan; infinity; neg_infinity; -0.0; 0.0; 5e-324; 1e8 +. 0.5 ]
+  in
+  let bytes st =
+    let b = Buffer.create 16 in
+    Fw_agg.Bincodec.w_state b st;
+    Buffer.contents b
+  in
+  List.iter
+    (fun f ->
+      let states =
+        List.concat_map
+          (fun a ->
+            [ Combine.of_value f a; Combine.add (Combine.of_value f a) 2.5 ])
+          specials
+      in
+      List.iter
+        (fun x ->
+          List.iter
+            (fun y ->
+              let c = Cols.create f 2 and src = Cols.create f 3 in
+              Cols.set c 1 x;
+              Cols.set src 2 y;
+              Cols.merge_slot src 2 c 1;
+              let expected = Combine.merge x y in
+              check_string
+                (Printf.sprintf "%s merge_slot" (Aggregate.to_string f))
+                (bytes expected) (bytes (Cols.get c 1));
+              check_bool
+                (Printf.sprintf "%s finalize" (Aggregate.to_string f))
+                true
+                (Int64.equal
+                   (Int64.bits_of_float (Cols.finalize c 1))
+                   (Int64.bits_of_float (Combine.finalize expected))))
+            states)
+        states)
+    Aggregate.all
+
 let suite =
   [
     Alcotest.test_case "taxonomy" `Quick test_taxonomy;
+    Alcotest.test_case "column slots = states on special values" `Quick
+      test_column_slots_match_states;
     Alcotest.test_case "semantics (footnote 5)" `Quick test_semantics;
     Alcotest.test_case "names" `Quick test_names;
     Alcotest.test_case "direct results" `Quick test_direct_results;

@@ -1191,6 +1191,13 @@ let prop_ring_matches_model =
         Buffer.contents b
       in
       let same (s1, n1) (s2, n2) = Combine.view s1 = Combine.view s2 && n1 = n2 in
+      (* pop into a slot of a scratch column that held another state *)
+      let pop rg =
+        let c = Combine.Cols.create Aggregate.Sum 3 in
+        Combine.Cols.of_value c 2 (-1.0);
+        let items = Ring.pop_into rg c 2 in
+        (Combine.Cols.get c 2, items)
+      in
       let consistent () =
         let live = ref [] in
         Ring.iter (fun m state items -> live := (m, (state, items)) :: !live) rg;
@@ -1251,7 +1258,7 @@ let prop_ring_matches_model =
                     if Ring.front rg <> m then
                       QCheck2.Test.fail_reportf "front %d, model %d"
                         (Ring.front rg) m;
-                    if not (same (Ring.pop rg) x) then
+                    if not (same (pop rg) x) then
                       QCheck2.Test.fail_reportf "popped instance %d differs" m;
                     model := Imodel.remove m !model
               done);
@@ -1355,6 +1362,15 @@ let prop_ring_columns_match_states =
       let same (s1, n1) (s2, n2) =
         String.equal (state_bytes s1) (state_bytes s2) && n1 = n2
       in
+      (* sub-aggregates fold from, and pops land in, a slot of a wider
+         scratch column whose other slots hold other states *)
+      let scratch = Combine.Cols.create agg 3 in
+      Combine.Cols.of_value scratch 0 1.5;
+      Combine.Cols.of_value scratch 2 (-2.5);
+      let pop rg =
+        let items = Ring.pop_into rg scratch 2 in
+        (Combine.Cols.get scratch 2, items)
+      in
       let ring_bytes rg =
         let b = Buffer.create 64 in
         Ring.write b ~range ~slide rg;
@@ -1410,7 +1426,8 @@ let prop_ring_columns_match_states =
                     (Combine.of_value agg v, fun st -> Combine.add st v)
                 | Partial vs ->
                     let x = sub vs in
-                    Ring.fold_state rg ~first ~last x ~born;
+                    Combine.Cols.set scratch 1 x;
+                    Ring.fold_slot rg ~first ~last scratch 1 ~born;
                     (x, fun st -> Combine.merge st x)
               in
               let expected_births =
@@ -1438,8 +1455,25 @@ let prop_ring_columns_match_states =
                     if Ring.front rg <> m then
                       QCheck2.Test.fail_reportf "front %d, model %d"
                         (Ring.front rg) m;
-                    if not (same (Ring.pop rg) x) then
+                    if not (same (pop rg) x) then
                       QCheck2.Test.fail_reportf "popped instance %d differs" m;
+                    (* the popped slot finalizes, and survives a
+                       widening of its columns, as the boxed state *)
+                    let bits = Int64.bits_of_float in
+                    if
+                      bits (Combine.Cols.finalize scratch 2)
+                      <> bits (Combine.finalize (fst x))
+                    then
+                      QCheck2.Test.fail_reportf "instance %d finalizes apart" m;
+                    let wide = Combine.Cols.grow scratch 5 in
+                    if
+                      not
+                        (same (Combine.Cols.get wide 2, 0)
+                           (Combine.Cols.get scratch 2, 0)
+                        && same (Combine.Cols.get wide 4, 0)
+                             (Combine.identity agg, 0))
+                    then
+                      QCheck2.Test.fail_reportf "instance %d widened apart" m;
                     model := Imodel.remove m !model
               done);
           consistent ())
