@@ -312,7 +312,6 @@ let main iterations seed do_replay max_windows eta_max horizon_max
       batch_prob;
       serve_prob;
       spill_prob;
-      rewrite_prob = Harness.default_config.Harness.rewrite_prob;
       max_failures;
     }
   in

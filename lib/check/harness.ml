@@ -18,7 +18,6 @@ type config = {
   batch_prob : float;
   serve_prob : float;
   spill_prob : float;
-  rewrite_prob : float;
   max_failures : int;
 }
 
@@ -33,7 +32,6 @@ let default_config =
     batch_prob = 1.0;
     serve_prob = 0.0;
     spill_prob = 0.0;
-    rewrite_prob = 1.0;
     max_failures = 5;
   }
 
@@ -64,8 +62,9 @@ let problems_of ~invariants ~paths sc =
    counter), so a failure replays identically under [--replay --seed N]
    no matter which iteration found it.  One rule: a stack runs only
    when the coin of every dimension it uses lands — its sink
-   (checkpointed, served), incremental mode, batching, spilling and a
-   rewritten plan. *)
+   (checkpointed, served), incremental mode, batching and spilling.
+   The plan has no coin: the rewritten plans run under the coins of
+   the other dimensions, as the unrewritten one does. *)
 let paths_for cfg seed =
   let coin prob salt =
     prob >= 1.0
@@ -77,10 +76,9 @@ let paths_for cfg seed =
   let batch = coin cfg.batch_prob 0x6a7c3b1 in
   let serve = coin cfg.serve_prob 0x2b1c9d7 in
   let spill = coin cfg.spill_prob 0x4d11a7 in
-  let rewrite = coin cfg.rewrite_prob 0x3a9f0c5 in
   List.filter
     (function
-      | Paths.Stack { plan; sink; mode; batched; spilled } ->
+      | Paths.Stack { plan = _; sink; mode; batched; spilled } ->
           (match sink with
           | Paths.Engine -> true
           | Paths.Checkpointed -> crash
@@ -88,7 +86,6 @@ let paths_for cfg seed =
           && (mode = Fw_engine.Stream_exec.Naive || incremental)
           && ((not batched) || batch)
           && ((not spilled) || spill)
-          && (plan = Paths.Naive_plan || rewrite)
       | Paths.Reference | Paths.Sliced _ -> true)
     Paths.all
 

@@ -51,7 +51,7 @@ type config = {
           them.  Same per-seed determinism, its own coin. *)
   spill_prob : float;
       (** probability that a seed's iteration also runs the [spilled]
-          stacks — the naive plan under the scenario's memory budget
+          stacks — each plan under the scenario's memory budget
           (drawn in [\[budget_min, budget_max\]], often 0).  [0.0] (the
           default) skips them: they cost spill-file I/O per scenario.
           Same per-seed determinism, its own coin.
@@ -59,22 +59,19 @@ type config = {
           A stack runs only when the coin of every dimension it uses
           lands: e.g. a checkpointed, batched, spilled stack needs the
           crash, batch and spill coins (and the incremental coin in
-          incremental mode, the rewrite coin on a rewritten plan). *)
-  rewrite_prob : float;
-      (** probability that a seed's iteration also runs the stacks on
-          the rewritten plans ({!Paths.Stack} with [plan = Rewritten
-          _], factor windows on and off), so window-fed operators go
-          through every sink, mode, batching and budget the other
-          coins select.  Defaults to [1.0]: the plain engine stacks on
-          the rewritten plans are the optimizer's own end-to-end
-          check.  Same per-seed determinism, its own coin. *)
+          incremental mode).  The plan dimension has no coin: the
+          stacks on the rewritten plans ({!Paths.Stack} with [plan =
+          Rewritten _], factor windows on and off) run whenever the
+          same stack on the unrewritten plan does, so window-fed
+          operators go through every sink, mode, batching and budget
+          the other coins select. *)
   max_failures : int;  (** stop the campaign after this many failures *)
 }
 
 val default_config : config
-(** 1000 iterations, base seed 42, invariants on, incremental, batched
-    and rewritten-plan stacks always on, checkpointed, served and
-    spilled stacks off, stop after 5 failures. *)
+(** 1000 iterations, base seed 42, invariants on, incremental and
+    batched stacks always on, checkpointed, served and spilled stacks
+    off, stop after 5 failures. *)
 
 type outcome = { checked : int; failures : failure list }
 

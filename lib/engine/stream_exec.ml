@@ -408,6 +408,17 @@ let run_push r key =
   r.r_len <- i + 1;
   i
 
+(* Empty a run its consumers are done with, dropping what its slots
+   reference (keys, a MEDIAN slot's values), so an outbox holds no
+   garbage alive between fires: only its arrays, as wide as the
+   node's widest fire. *)
+let run_release r =
+  for i = 0 to r.r_len - 1 do
+    r.r_keys.(i) <- "";
+    Combine.Cols.clear r.r_states i
+  done;
+  r.r_len <- 0
+
 (* The run's slots in ascending key order, computed once per filling
    and shared by every consumer.  A run's keys are distinct; a
    per-instance fire emits them ascending already (an O(n) check), a
@@ -666,6 +677,11 @@ and forward t id msg =
     deliver t subs.(i) msg
   done
 
+(* Forward run [r] of node [id]'s outbox, then release it. *)
+and emit t id r =
+  forward t id (Subs r);
+  run_release r
+
 (* --- per-instance (naive) window operator --------------------------- *)
 
 (* Access pattern: an item (a raw event or a slot of an upstream run)
@@ -726,7 +742,7 @@ and win_fire t id st wm =
             Metrics.add_items st.w_processed !items;
             fired := !fired + r.r_len;
             items_tot := !items_tot + !items;
-            forward t id (Subs r);
+            emit t id r;
             go ()
         | Some _ | None -> ()
       in
@@ -860,12 +876,13 @@ and pane_roll t id ps ~upto =
     ps.cur_pane <- next;
     let fired = ref 0 and items_tot = ref 0 in
     for i = 0 to n - 1 do
+      let r = ps.p_out.o_runs.(i) in
       if items.(i) > 0 then begin
         incr fired;
         items_tot := !items_tot + items.(i);
-        let r = ps.p_out.o_runs.(i) in
         if r.r_len > 0 then forward t id (Subs r)
-      end
+      end;
+      run_release r
     done;
     if !items_tot > 0 then Metrics.add_items ps.p_processed !items_tot;
     if t.observe then begin
@@ -942,7 +959,7 @@ and cwin_fire t id st key kc =
     let t0 = if sampled then Clock.now_ns () else 0 in
     Metrics.add_items st.c_processed !items;
     for n = 0 to !due - 1 do
-      forward t id (Subs st.c_out.o_runs.(n))
+      emit t id st.c_out.o_runs.(n)
     done;
     if t.observe then Counter.add t.obs.(id).Metrics.fires !due;
     if sampled then
@@ -1083,7 +1100,7 @@ and session_advance t id st wm =
         if r.r_len > 0 then begin
           Metrics.add_items st.s_processed !run_items;
           run_items := 0;
-          forward t id (Subs r)
+          emit t id r
         end
       in
       let rec go () =
