@@ -998,6 +998,51 @@ let test_stream_fw_emission_order () =
   check_int "unrewritten: rows" 15104 rows;
   check_string "unrewritten: emission digest" "28f2e22cf6927a1f294ba31d8c044635" digest
 
+(* The pane shape of the spill benchmark (MAX over H600/60, no factor
+   window) on 4000 uniform keys, resident and under a 32 KiB budget.
+   Each pane store grows past two thousand keys through many resizes
+   of its table and is cleared at every roll, so the emission sequence
+   pins the visit order across growth and clears after growth.  The
+   digests were recorded before the table's probe buckets were split
+   from its visit order. *)
+let test_wide_pane_emission_pinned () =
+  let plan =
+    match
+      Fw_sql.Compile.compile ~eta:64 ~factor_windows:false
+        "SELECT MAX(value) FROM input GROUP BY key, \
+         WINDOWS(WINDOW(HOPPINGWINDOW(second, 600, 60)))"
+    with
+    | Ok c -> c.Fw_sql.Compile.outcome.Rewrite.plan
+    | Error e -> Alcotest.fail e
+  in
+  let run spill =
+    let t = Stream_exec.create ~mode:inc ?spill plan in
+    let rng = Fw_util.Prng.create 23 in
+    let horizon = 1200 in
+    for time = 0 to horizon - 1 do
+      let evs =
+        List.init 64 (fun _ ->
+            let key = Printf.sprintf "w%04d" (Fw_util.Prng.int rng 4000) in
+            ev time key (float_of_int (Fw_util.Prng.int rng 1000) *. 0.5))
+      in
+      Stream_exec.feed_batch t (Fw_engine.Batch.of_events evs)
+    done;
+    ignore (Stream_exec.close t ~horizon);
+    (Stream_exec.row_count t, emission_digest t)
+  in
+  let rows, digest = run None in
+  check_int "resident: rows" 43999 rows;
+  check_string "resident: emission digest"
+    "8505c0a7f3e1a8084136007e646df9dc" digest;
+  let pool = Fw_spill.Pool.create ~budget:(32 * 1024) () in
+  let rows, digest =
+    Fun.protect ~finally:(fun () -> Fw_spill.Pool.close pool) (fun () ->
+        run (Some pool))
+  in
+  check_int "budgeted: rows" 43999 rows;
+  check_string "budgeted: emission digest"
+    "555aaa24a4c9bd687a8f1670ad50dbb7" digest
+
 (* The same stream in Naive mode, where every node of both plans runs
    the per-instance operator, plus the count-domain mirror of the
    bench's hopping4 set (count4), whose nodes run the count operator.
@@ -1716,6 +1761,8 @@ let suite =
       test_stream_fw_emission_order;
     Alcotest.test_case "naive emission order and image bytes are pinned"
       `Quick test_naive_emission_and_image_pinned;
+    Alcotest.test_case "wide pane emission order is pinned" `Quick
+      test_wide_pane_emission_pinned;
     Alcotest.test_case "import rejects malformed instance lists" `Quick
       test_import_rejects_bad_instance_lists;
     prop_ring_matches_model;
