@@ -61,32 +61,47 @@
    probe makes one [String.equal], on the likely hit, and a resize
    rehashes nothing.
 
-   Visit order contract: for the same history of inserts, removes and
-   resets, {!iter} and {!fold} visit entries in exactly the order of a
-   generic stdlib [Hashtbl] (non-randomized).  It uses the same hash,
-   starts at 16 buckets (and {!reset} returns to 16), doubles once the
-   size exceeds twice the bucket count keeping the order inside each
-   bucket, inserts new keys at the bucket head, and walks buckets in
-   ascending index, head first.  A pane roll emits an instance's keys in
-   this order, and checkpoint row logs and served taps keep it. *)
+   Lookup geometry and visit order are kept apart.  Probes go to the
+   physical buckets, a power-of-two array doubled whenever the size
+   passes a quarter of it, so a chain holds well under one node on
+   average.  The visit order is that of a generic stdlib [Hashtbl]
+   (non-randomized) fed the same history of inserts, removes and
+   resets: it lives on [virt], the bucket count such a table would have
+   — 16 at the start and after {!reset}, doubled once the size exceeds
+   twice it.  The physical count is a multiple of [virt], so the nodes
+   of virtual bucket [v] are exactly those of physical buckets [v],
+   [v + virt], [v + 2 virt], ...  A stdlib bucket holds its keys newest
+   first, whatever resizes it went through, so {!iter} and {!fold} walk
+   the virtual buckets in ascending index and merge each one's physical
+   chains by descending insertion number ([seq]).  A pane roll emits an
+   instance's keys in this order, and checkpoint row logs and served
+   taps keep it.  {!reset} empties the physical array in place: the
+   pane store is cleared at every roll and refills to the same size. *)
 module Tbl = struct
   type 'v bucket =
     | Nil
     | Cons of {
         key : string;
         hash : int;
+        seq : int;
         mutable data : 'v;
         mutable next : 'v bucket;
       }
 
-  type 'v t = { mutable size : int; mutable buckets : 'v bucket array }
+  type 'v t = {
+    mutable size : int;
+    mutable virt : int;
+    mutable seq : int;
+    mutable buckets : 'v bucket array;
+  }
 
   let initial = 16
-  let create () = { size = 0; buckets = Array.make initial Nil }
+  let create () = { size = 0; virt = initial; seq = 0; buckets = Array.make initial Nil }
 
   let reset t =
+    if t.size > 0 then Array.fill t.buckets 0 (Array.length t.buckets) Nil;
     t.size <- 0;
-    t.buckets <- Array.make initial Nil
+    t.virt <- initial
 
   (* [Hashtbl.hash key], computed by a C stub that skips the generic
      hash's traversal (see spill_stubs.c): the visit order above rests
@@ -104,7 +119,7 @@ module Tbl = struct
   let find t h key = cell h key t.buckets.(index t h)
 
   (* Relink every node into twice the buckets, appending at each new
-     bucket's tail so a bucket's order survives the split. *)
+     bucket's tail so a chain stays newest first. *)
   let resize t =
     let old = t.buckets in
     let n = 2 * Array.length old in
@@ -133,9 +148,11 @@ module Tbl = struct
      taken from [h] now, so a resize since the lookup is harmless. *)
   let insert t h key data =
     let i = index t h in
-    t.buckets.(i) <- Cons { key; hash = h; data; next = t.buckets.(i) };
+    t.seq <- t.seq + 1;
+    t.buckets.(i) <- Cons { key; hash = h; seq = t.seq; data; next = t.buckets.(i) };
     t.size <- t.size + 1;
-    if t.size > 2 * Array.length t.buckets then resize t
+    if t.size > 2 * t.virt then t.virt <- 2 * t.virt;
+    if 4 * t.size > Array.length t.buckets then resize t
 
   (* Unlink [key]'s cell in one walk of its bucket: the cell, or [Nil]
      when absent. *)
@@ -156,28 +173,45 @@ module Tbl = struct
     in
     go Nil t.buckets.(i)
 
+  let seq_of = function Nil -> -1 | Cons c -> c.seq
+
+  (* Visit virtual bucket after virtual bucket, merging the nonempty
+     chains of each, gathered in [heads], newest node first: O(entries +
+     physical buckets) for a table of about one node per virtual
+     bucket, however far the physical array outgrew [virt]. *)
   let iter f t =
-    let d = t.buckets in
-    for i = 0 to Array.length d - 1 do
-      let rec go = function
+    let d = t.buckets and nv = t.virt in
+    let heads = Array.make (Array.length d / nv) Nil in
+    for v = 0 to nv - 1 do
+      let n = ref 0 in
+      for p = 0 to Array.length heads - 1 do
+        match d.(v + (p * nv)) with
         | Nil -> ()
+        | b ->
+            heads.(!n) <- b;
+            incr n
+      done;
+      while !n > 0 do
+        let top = ref 0 in
+        for i = 1 to !n - 1 do
+          if seq_of heads.(i) > seq_of heads.(!top) then top := i
+        done;
+        match heads.(!top) with
+        | Nil -> assert false
         | Cons { key; data; next; _ } ->
-            f key data;
-            go next
-      in
-      go d.(i)
+            (match next with
+            | Nil ->
+                decr n;
+                heads.(!top) <- heads.(!n);
+                heads.(!n) <- Nil
+            | b -> heads.(!top) <- b);
+            f key data
+      done
     done
 
   let fold f t acc =
-    let d = t.buckets in
     let acc = ref acc in
-    for i = 0 to Array.length d - 1 do
-      let rec go acc = function
-        | Nil -> acc
-        | Cons { key; data; next; _ } -> go (f key data acc) next
-      in
-      acc := go !acc d.(i)
-    done;
+    iter (fun key data -> acc := f key data !acc) t;
     !acc
 end
 

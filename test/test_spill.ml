@@ -407,6 +407,96 @@ let test_store_visit_order () =
         end
       done)
 
+(* The same contract over random histories, aimed at the table's split
+   between probe buckets and visit order: growth through many resizes,
+   a clear right after it (the probe array stays large while the stdlib
+   table is back at 16 buckets), small refills, and removes of random
+   present keys, which land on any probe chain.  Both backends; [iter]
+   and [fold] are checked after every step. *)
+type order_op =
+  | O_grow of int  (* insert up to n keys drawn from a wide range *)
+  | O_refill of int  (* insert up to n keys drawn from a narrow range *)
+  | O_remove of int  (* remove up to n present keys *)
+  | O_set of int  (* overwrite up to n present keys *)
+  | O_clear
+
+let gen_order_ops =
+  QCheck2.Gen.(
+    list_size (int_range 1 30)
+      (frequency
+         [
+           (3, map (fun n -> O_grow n) (int_range 1 700));
+           (3, map (fun n -> O_refill n) (int_range 1 8));
+           (3, map (fun n -> O_remove n) (int_range 1 200));
+           (1, map (fun n -> O_set n) (int_range 1 50));
+           (2, return O_clear);
+         ]))
+
+let print_order_ops ops =
+  String.concat "; "
+    (List.map
+       (function
+         | O_grow n -> Printf.sprintf "grow %d" n
+         | O_refill n -> Printf.sprintf "refill %d" n
+         | O_remove n -> Printf.sprintf "remove %d" n
+         | O_set n -> Printf.sprintf "set %d" n
+         | O_clear -> "clear")
+       ops)
+
+let prop_store_visit_order =
+  qtest ~count:60 "store visit order = stdlib Hashtbl, random histories"
+    gen_order_ops print_order_ops (fun ops ->
+      let rng = Fw_util.Prng.create (List.length ops) in
+      let resident = Store.create ~name:"order" int_codec in
+      let reference = Hashtbl.create ~random:false 16 in
+      with_pool ~budget:512 (fun pool ->
+          let budgeted = Store.create ~pool ~name:"order" int_codec in
+          let both f = f resident; f budgeted in
+          let present () =
+            Array.of_list (Hashtbl.fold (fun k _ acc -> k :: acc) reference [])
+          in
+          let insert range n =
+            for _ = 1 to n do
+              let key = key_of (Fw_util.Prng.int rng range) in
+              both (fun s -> Store.set s key (ref n));
+              Hashtbl.replace reference key n
+            done
+          in
+          let on_present n f =
+            let keys = present () in
+            if Array.length keys > 0 then
+              for _ = 1 to n do
+                f keys.(Fw_util.Prng.int rng (Array.length keys))
+              done
+          in
+          let visits s =
+            let it = ref [] in
+            Store.iter (fun k _ -> it := k :: !it) s;
+            (List.rev !it, List.rev (Store.fold (fun k _ acc -> k :: acc) s []))
+          in
+          List.for_all
+            (fun op ->
+              (match op with
+              | O_grow n -> insert 100_000 n
+              | O_refill n -> insert 16 n
+              | O_remove n ->
+                  on_present n (fun key ->
+                      both (fun s -> Store.remove s key);
+                      Hashtbl.remove reference key)
+              | O_set n ->
+                  on_present n (fun key ->
+                      both (fun s -> Store.set s key (ref 0));
+                      Hashtbl.replace reference key 0)
+              | O_clear ->
+                  both Store.clear;
+                  Hashtbl.reset reference);
+              let expect =
+                List.rev (Hashtbl.fold (fun k _ acc -> k :: acc) reference [])
+              in
+              visits resident = (expect, expect)
+              && visits budgeted = (List.rev expect, List.rev expect))
+            ops))
+
 (* The table's C hash is [Hashtbl.hash] on any string: the visit order
    above rests on it. *)
 let prop_store_hash =
@@ -1671,6 +1761,7 @@ let suite =
     prop_access_accounts;
     Alcotest.test_case "store visit order = stdlib Hashtbl" `Quick
       test_store_visit_order;
+    prop_store_visit_order;
     Alcotest.test_case "compaction fault names store and key" `Quick
       test_compaction_fault_names_key;
     Alcotest.test_case "crc32 known answers and bounds" `Quick
