@@ -149,7 +149,10 @@ module Cols = struct
   let mismatch fn =
     invalid_arg ("Combine.Cols." ^ fn ^ ": mismatched aggregate states")
 
-  let of_value c i v =
+  (* The value is read from its column [vs] here, unboxed: a float
+     passed to these functions would be boxed at every call. *)
+  let of_value c i vs j =
+    let v = vs.(j) in
     match c with
     | C_min a | C_max a | C_sum a -> a.(i) <- v
     | C_count a -> a.(i) <- 1
@@ -162,7 +165,8 @@ module Cols = struct
         m2.(i) <- 0.0
     | C_median a -> a.(i) <- [ v ]
 
-  let add c i v =
+  let add c i vs j =
+    let v = vs.(j) in
     match c with
     | C_min a -> a.(i) <- Float.min a.(i) v
     | C_max a -> a.(i) <- Float.max a.(i) v

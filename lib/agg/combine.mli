@@ -79,11 +79,13 @@ module Cols : sig
 
   val aggregate : t -> Aggregate.t
 
-  val of_value : t -> int -> float -> unit
-  (** Slot [i] := {!Combine.of_value} of the columns' aggregate. *)
+  val of_value : t -> int -> float array -> int -> unit
+  (** [of_value c i vs j]: slot [i] := {!Combine.of_value} of the
+      columns' aggregate and [vs.(j)].  The value is passed as its
+      column and index so that no call boxes it. *)
 
-  val add : t -> int -> float -> unit
-  (** Slot [i] := {!Combine.add} of it and the value. *)
+  val add : t -> int -> float array -> int -> unit
+  (** [add c i vs j]: slot [i] := {!Combine.add} of it and [vs.(j)]. *)
 
   val set : t -> int -> state -> unit
   (** Slot [i] := the state.  Raises [Invalid_argument] when the state

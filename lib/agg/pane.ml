@@ -34,18 +34,19 @@ let create ?pool agg =
 
 let aggregate t = t.agg
 
-let add_value t key v =
+(* Fold [vs.(j)]: the value stays in its column, so no call boxes it. *)
+let add_value t key vs j =
   let c = Store.access t.store key ~init:t.init in
   if t.fresh then begin
     t.fresh <- false;
-    Cols.of_value c 0 v
+    Cols.of_value c 0 vs j
   end
-  else Cols.add c 0 v;
+  else Cols.add c 0 vs j;
   Store.commit t.store
 
 let add t ~key v =
   t.adds <- t.adds + 1;
-  add_value t key v
+  add_value t key [| v |] 0
 
 (* Columnar entry point: fold a run of events given as parallel key /
    value columns and a selection-index window.  Element order and
@@ -55,7 +56,7 @@ let add t ~key v =
 let add_run t ~keys ~values ~sel ~lo ~hi =
   for i = lo to hi - 1 do
     let j = sel.(i) in
-    add_value t keys.(j) values.(j)
+    add_value t keys.(j) values j
   done;
   t.adds <- t.adds + (hi - lo)
 

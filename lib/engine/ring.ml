@@ -105,28 +105,24 @@ let reserve t ~first ~last =
     end
     else merge t ~first ~last
 
-(* Fold item [x] into every slot of [first .. last]: [fresh] for a
-   slot it creates, [live] for one that holds a state. *)
-let fold t ~first ~last ~born fresh live x =
+(* Fold [vs.(i)] into every slot of [first .. last], written out so
+   that the value is never boxed and the update needs no closure. *)
+let fold_value t ~first ~last vs i ~born =
   if first <= last then begin
     let p = reserve t ~first ~last in
-    for i = p to p + last - first do
-      let j = slot t i in
+    for k = p to p + last - first do
+      let j = slot t k in
       let n = t.items.(j) in
       if n = 0 then begin
         born t.ms.(j);
-        fresh t.cols j x
+        Cols.of_value t.cols j vs i
       end
-      else live t.cols j x;
+      else Cols.add t.cols j vs i;
       t.items.(j) <- n + 1
     done
   end
 
-let fold_value t ~first ~last v ~born =
-  fold t ~first ~last ~born Cols.of_value Cols.add v
-
-(* [fold] with slot [i] of [src] as the item, written out so that the
-   item needs no pair and the update no closure. *)
+(* [fold_value] with slot [i] of [src] as the item. *)
 let fold_slot t ~first ~last src i ~born =
   if first <= last then begin
     let p = reserve t ~first ~last in

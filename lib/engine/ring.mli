@@ -44,9 +44,10 @@ val create : Fw_agg.Aggregate.t -> t
 val is_empty : t -> bool
 
 val fold_value :
-  t -> first:int -> last:int -> float -> born:(int -> unit) -> unit
-(** [fold_value t ~first ~last v ~born] folds raw value [v] into every
-    instance [first .. last] (none when [first > last]):
+  t -> first:int -> last:int -> float array -> int -> born:(int -> unit) ->
+  unit
+(** [fold_value t ~first ~last vs i ~born] folds raw value [vs.(i)]
+    into every instance [first .. last] (none when [first > last]):
     [Combine.of_value] for an instance it creates, calling [born m]
     first, [Combine.add] for a live one. *)
 

@@ -787,7 +787,7 @@ and bwin_add st b sel lo hi =
     let time = times.(j) in
     Ring.fold_value (win_ring st keys.(j))
       ~first:(first_containing st.window time) ~last:(time / slide)
-      values.(j) ~born:st.w_born;
+      values j ~born:st.w_born;
     Store.commit st.w_keys
   done
 
@@ -983,7 +983,7 @@ and bcwin_add t id st b sel lo hi =
     Ring.fold_value kc.kpend
       ~first:(first_containing st.c_window n)
       ~last:(n / Window.slide st.c_window)
-      values.(j) ~born:ignore;
+      values j ~born:ignore;
     cwin_fire t id st key kc
   done
 
@@ -1032,7 +1032,7 @@ and session_rotate st key os =
    moves the old session out and restarts the record, and
    [Store.commit] closes the access.  The deadline index tracks every
    [s_last] move. *)
-and session_add st key tm value =
+and session_add st key tm values j =
   let os = Store.access st.s_open key ~init:st.s_init in
   if os.s_items > 0 && tm < os.s_last + st.s_gap then begin
     if tm > os.s_last then begin
@@ -1040,14 +1040,14 @@ and session_add st key tm value =
       os.s_last <- tm;
       st.s_deadlines <- Fset.add (tm + st.s_gap, key) st.s_deadlines
     end;
-    Combine.Cols.add os.s_state 0 value;
+    Combine.Cols.add os.s_state 0 values j;
     os.s_items <- os.s_items + 1
   end
   else begin
     if os.s_items > 0 then session_rotate st key os;
     os.s_first <- tm;
     os.s_last <- tm;
-    Combine.Cols.of_value os.s_state 0 value;
+    Combine.Cols.of_value os.s_state 0 values j;
     os.s_items <- 1;
     st.s_deadlines <- Fset.add (tm + st.s_gap, key) st.s_deadlines
   end;
@@ -1062,7 +1062,7 @@ and bsession_add st b sel lo hi =
   and values = Batch.values b in
   for i = lo to hi - 1 do
     let j = sel.(i) in
-    session_add st keys.(j) times.(j) values.(j)
+    session_add st keys.(j) times.(j) values j
   done
 
 (* Watermark [wm]: first expire open sessions whose deadline passed

@@ -1239,7 +1239,7 @@ let prop_ring_matches_model =
       (* pop into a slot of a scratch column that held another state *)
       let pop rg =
         let c = Combine.Cols.create Aggregate.Sum 3 in
-        Combine.Cols.of_value c 2 (-1.0);
+        Combine.Cols.of_value c 2 [| -1.0 |] 0;
         let items = Ring.pop_into rg c 2 in
         (Combine.Cols.get c 2, items)
       in
@@ -1276,7 +1276,7 @@ let prop_ring_matches_model =
               let last = first + n - 1 in
               prev_first := first;
               let born = ref [] in
-              Ring.fold_value rg ~first ~last v ~born:(fun m ->
+              Ring.fold_value rg ~first ~last [| v |] 0 ~born:(fun m ->
                   born := m :: !born);
               let expected_born =
                 List.filter
@@ -1410,8 +1410,8 @@ let prop_ring_columns_match_states =
       (* sub-aggregates fold from, and pops land in, a slot of a wider
          scratch column whose other slots hold other states *)
       let scratch = Combine.Cols.create agg 3 in
-      Combine.Cols.of_value scratch 0 1.5;
-      Combine.Cols.of_value scratch 2 (-2.5);
+      Combine.Cols.of_value scratch 0 [| 1.5 |] 0;
+      Combine.Cols.of_value scratch 2 [| -2.5 |] 0;
       let pop rg =
         let items = Ring.pop_into rg scratch 2 in
         (Combine.Cols.get scratch 2, items)
@@ -1467,7 +1467,7 @@ let prop_ring_columns_match_states =
               let birth, fold =
                 match x with
                 | Raw v ->
-                    Ring.fold_value rg ~first ~last v ~born;
+                    Ring.fold_value rg ~first ~last [| v |] 0 ~born;
                     (Combine.of_value agg v, fun st -> Combine.add st v)
                 | Partial vs ->
                     let x = sub vs in
