@@ -216,7 +216,9 @@ type first_outcome = Crashed | Completed of Checkpoint.t
 (* Run the pre-crash process into [dir]: checkpointing pipeline, fault
    plan armed.  [Crashed] leaves the directory exactly as the dead
    process would have (snapshots, flushed log, possibly a torn newest
-   snapshot); [Completed] only happens on an empty stream.  Batched
+   snapshot), its pipeline abandoned; [Completed] only happens on an
+   empty stream.  Any other exception abandons the pipeline too, so no
+   path leaks its channels.  Batched
    ingestion lands checkpoints and the injected death mid-batch.  The
    pool is scratch (snapshots are self-contained), so the crash
    legitimately leaves it behind like a dead process would. *)
@@ -229,11 +231,17 @@ let crash_first_process ?(batched = false) ?spill ~dir ~plan mode
   let cp =
     Checkpoint.create ~dir ~every:p.every ~fault ~mode ?spill (plan_of plan sc)
   in
-  try
+  match
     ingest ~batched ~hash:(scenario_hash sc) sc (fed_events sc)
-      ~feed:(Checkpoint.feed cp) ~feed_batch:(Checkpoint.feed_batch cp);
-    Completed cp
-  with Fw_snap.Fault.Crash _ -> Crashed
+      ~feed:(Checkpoint.feed cp) ~feed_batch:(Checkpoint.feed_batch cp)
+  with
+  | () -> Completed cp
+  | exception Fw_snap.Fault.Crash _ ->
+      Checkpoint.abandon cp;
+      Crashed
+  | exception e ->
+      Checkpoint.abandon cp;
+      raise e
 
 let fresh_temp_dir () =
   let base = Filename.temp_file "fwsnap" ".d" in
@@ -246,7 +254,7 @@ let rm_rf dir =
     Array.iter
       (fun f ->
         try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-      (Sys.readdir dir);
+      (try Sys.readdir dir with Sys_error _ -> [||]);
     try Sys.rmdir dir with Sys_error _ -> ()
   end
 
@@ -439,7 +447,9 @@ let stack_rows ~plan ~sink ~mode ~batched ~spilled (sc : Scenario.t) =
             with_pool ~spilled sc (fun spill ->
                 match crash_first_process ~batched ?spill ~dir ~plan mode sc with
                 | Completed cp ->
-                    Some (Checkpoint.close cp ~horizon, Checkpoint.metrics cp)
+                    Fun.protect ~finally:(fun () -> Checkpoint.abandon cp)
+                      (fun () ->
+                        Some (Checkpoint.close cp ~horizon, Checkpoint.metrics cp))
                 | Crashed -> None)
           in
           let outcome =
@@ -452,13 +462,15 @@ let stack_rows ~plan ~sink ~mode ~batched ~spilled (sc : Scenario.t) =
                     | Ok r ->
                         let cp = r.Fw_snap.Recover.checkpoint in
                         let k = (crash_params sc).crash_at in
-                        ingest
-                          ~hash:(scenario_hash sc lxor 0x9e3779b9)
-                          (List.filteri (fun i _ -> i >= k) (fed_events sc))
-                          ~feed:(Checkpoint.feed cp)
-                          ~feed_batch:(Checkpoint.feed_batch cp);
-                        ( Checkpoint.close cp ~horizon,
-                          r.Fw_snap.Recover.metrics ))
+                        Fun.protect ~finally:(fun () -> Checkpoint.abandon cp)
+                          (fun () ->
+                            ingest
+                              ~hash:(scenario_hash sc lxor 0x9e3779b9)
+                              (List.filteri (fun i _ -> i >= k) (fed_events sc))
+                              ~feed:(Checkpoint.feed cp)
+                              ~feed_batch:(Checkpoint.feed_batch cp);
+                            ( Checkpoint.close cp ~horizon,
+                              r.Fw_snap.Recover.metrics )))
           in
           require_identical ~plan mode sc outcome)
 

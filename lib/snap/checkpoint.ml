@@ -316,6 +316,20 @@ let advance t time =
   Batch.push_punct t.scratch time;
   feed_batch t t.scratch
 
+(* The runtime's close of a channel, which drops what is buffered
+   instead of flushing it ([close_out] flushes first). *)
+external discard_channel : out_channel -> unit = "caml_ml_close_channel"
+
+let abandon t =
+  let discard oc = try discard_channel oc with Sys_error _ -> () in
+  if not t.closed then begin
+    t.closed <- true;
+    Option.iter discard t.wal;
+    Option.iter discard t.rows_oc;
+    t.wal <- None;
+    t.rows_oc <- None
+  end
+
 let close t ~horizon =
   if t.closed then invalid_arg "Checkpoint: already closed";
   let rows = Stream_exec.close t.exec ~horizon in

@@ -112,6 +112,12 @@ val checkpoint_now : t -> unit
 val close : t -> horizon:int -> Fw_engine.Row.t list
 (** Close the log and the executor; returns the sorted rows. *)
 
+val abandon : t -> unit
+(** Drop the pipeline without a horizon, as if its process were
+    killed: close the log and row-log channels, discarding what they
+    buffer, and write nothing.  The directory is left exactly as the
+    process's death would leave it.  A no-op on a closed pipeline. *)
+
 val metrics : t -> Fw_engine.Metrics.t
 
 val seq : t -> int
