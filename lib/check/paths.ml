@@ -216,10 +216,10 @@ type first_outcome = Crashed | Completed of Checkpoint.t
 (* Run the pre-crash process into [dir]: checkpointing pipeline, fault
    plan armed.  [Crashed] leaves the directory exactly as the dead
    process would have (snapshots, flushed log, possibly a torn newest
-   snapshot), its pipeline abandoned; [Completed] only happens on an
-   empty stream.  Any other exception abandons the pipeline too, so no
-   path leaks its channels.  Batched
-   ingestion lands checkpoints and the injected death mid-batch.  The
+   snapshot); [Completed] only happens on an empty stream.  A crash or
+   any other exception abandons the pipeline, so none leaks its
+   channels.  Batched ingestion lands checkpoints and the injected
+   death mid-batch.  The
    pool is scratch (snapshots are self-contained), so the crash
    legitimately leaves it behind like a dead process would. *)
 let crash_first_process ?(batched = false) ?spill ~dir ~plan mode
@@ -231,17 +231,13 @@ let crash_first_process ?(batched = false) ?spill ~dir ~plan mode
   let cp =
     Checkpoint.create ~dir ~every:p.every ~fault ~mode ?spill (plan_of plan sc)
   in
-  match
+  try
     ingest ~batched ~hash:(scenario_hash sc) sc (fed_events sc)
-      ~feed:(Checkpoint.feed cp) ~feed_batch:(Checkpoint.feed_batch cp)
-  with
-  | () -> Completed cp
-  | exception Fw_snap.Fault.Crash _ ->
-      Checkpoint.abandon cp;
-      Crashed
-  | exception e ->
-      Checkpoint.abandon cp;
-      raise e
+      ~feed:(Checkpoint.feed cp) ~feed_batch:(Checkpoint.feed_batch cp);
+    Completed cp
+  with e ->
+    Checkpoint.abandon cp;
+    (match e with Fw_snap.Fault.Crash _ -> Crashed | _ -> raise e)
 
 let fresh_temp_dir () =
   let base = Filename.temp_file "fwsnap" ".d" in

@@ -96,7 +96,8 @@ module Tbl = struct
   }
 
   let initial = 16
-  let create () = { size = 0; virt = initial; seq = 0; buckets = Array.make initial Nil }
+  let create () =
+    { size = 0; virt = initial; seq = 0; buckets = Array.make initial Nil }
 
   let reset t =
     if t.size > 0 then Array.fill t.buckets 0 (Array.length t.buckets) Nil;
@@ -149,7 +150,8 @@ module Tbl = struct
   let insert t h key data =
     let i = index t h in
     t.seq <- t.seq + 1;
-    t.buckets.(i) <- Cons { key; hash = h; seq = t.seq; data; next = t.buckets.(i) };
+    t.buckets.(i) <-
+      Cons { key; hash = h; seq = t.seq; data; next = t.buckets.(i) };
     t.size <- t.size + 1;
     if t.size > 2 * t.virt then t.virt <- 2 * t.virt;
     if 4 * t.size > Array.length t.buckets then resize t
@@ -202,8 +204,7 @@ module Tbl = struct
             (match next with
             | Nil ->
                 decr n;
-                heads.(!top) <- heads.(!n);
-                heads.(!n) <- Nil
+                heads.(!top) <- heads.(!n)
             | b -> heads.(!top) <- b);
             f key data
       done
