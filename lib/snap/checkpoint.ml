@@ -316,8 +316,8 @@ let advance t time =
   Batch.push_punct t.scratch time;
   feed_batch t t.scratch
 
-(* The runtime's close of a channel, which drops what is buffered
-   instead of flushing it ([close_out] flushes first). *)
+(* The runtime's close, which drops what a channel buffers where
+   [close_out] would flush it first. *)
 external discard_channel : out_channel -> unit = "caml_ml_close_channel"
 
 let abandon t =
@@ -325,9 +325,7 @@ let abandon t =
   if not t.closed then begin
     t.closed <- true;
     Option.iter discard t.wal;
-    Option.iter discard t.rows_oc;
-    t.wal <- None;
-    t.rows_oc <- None
+    Option.iter discard t.rows_oc
   end
 
 let close t ~horizon =

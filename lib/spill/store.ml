@@ -61,22 +61,20 @@
    probe makes one [String.equal], on the likely hit, and a resize
    rehashes nothing.
 
-   Lookup geometry and visit order are kept apart.  Probes go to the
-   physical buckets, a power-of-two array doubled whenever the size
-   passes a quarter of it, so a chain holds well under one node on
-   average.  The visit order is that of a generic stdlib [Hashtbl]
-   (non-randomized) fed the same history of inserts, removes and
-   resets: it lives on [virt], the bucket count such a table would have
-   — 16 at the start and after {!reset}, doubled once the size exceeds
-   twice it.  The physical count is a multiple of [virt], so the nodes
-   of virtual bucket [v] are exactly those of physical buckets [v],
-   [v + virt], [v + 2 virt], ...  A stdlib bucket holds its keys newest
-   first, whatever resizes it went through, so {!iter} and {!fold} walk
-   the virtual buckets in ascending index and merge each one's physical
-   chains by descending insertion number ([seq]).  A pane roll emits an
-   instance's keys in this order, and checkpoint row logs and served
-   taps keep it.  {!reset} empties the physical array in place: the
-   pane store is cleared at every roll and refills to the same size. *)
+   Probes go to the physical buckets, a power-of-two array doubled
+   whenever the size passes a quarter of it, so chains are short.  The
+   visit order is apart from them: for the same history of inserts,
+   removes and resets it is that of a generic stdlib [Hashtbl]
+   (non-randomized), whose bucket count [virt] is kept as a counter —
+   16 at the start and after {!reset}, doubled once the size exceeds
+   twice it.  The physical count is a multiple of [virt], so virtual
+   bucket [v] holds the nodes of physical buckets [v], [v + virt], ...
+   A stdlib bucket lists its keys newest first through any resize, so
+   {!fold} walks the virtual buckets in ascending index and merges each
+   one's chains by descending insertion number [seq].  A pane roll
+   emits an instance's keys in this order, and checkpoint row logs and
+   served taps keep it.  {!reset} empties the physical array in place:
+   the pane store is cleared at every roll and refills to its size. *)
 module Tbl = struct
   type 'v bucket =
     | Nil
@@ -177,43 +175,60 @@ module Tbl = struct
 
   let seq_of = function Nil -> -1 | Cons c -> c.seq
 
-  (* Visit virtual bucket after virtual bucket, merging the nonempty
-     chains of each, gathered in [heads], newest node first: O(entries +
-     physical buckets) for a table of about one node per virtual
-     bucket, however far the physical array outgrew [virt]. *)
-  let iter f t =
+  let rec walk f acc = function
+    | Nil -> acc
+    | Cons { key; data; next; _ } -> walk f (f key data acc) next
+
+  let rec merge2 f acc a b =
+    match (a, b) with
+    | Cons x, Cons y ->
+        if x.seq > y.seq then merge2 f (f x.key x.data acc) x.next b
+        else merge2 f (f y.key y.data acc) a y.next
+    | Nil, c | c, Nil -> walk f acc c
+
+  (* Visit virtual bucket after virtual bucket: gather its nonempty
+     chains in [heads] and merge them, newest node first (one or two
+     chains, the usual cases, without the array).  O(entries + physical
+     buckets) for a table of about one node per virtual bucket, however
+     far the physical array outgrew [virt]. *)
+  let fold f t acc =
     let d = t.buckets and nv = t.virt in
     let heads = Array.make (Array.length d / nv) Nil in
+    let acc = ref acc in
     for v = 0 to nv - 1 do
-      let n = ref 0 in
-      for p = 0 to Array.length heads - 1 do
-        match d.(v + (p * nv)) with
+      let n = ref 0 and p = ref v in
+      while !p < Array.length d do
+        (match d.(!p) with
         | Nil -> ()
         | b ->
             heads.(!n) <- b;
-            incr n
+            incr n);
+        p := !p + nv
       done;
-      while !n > 0 do
-        let top = ref 0 in
-        for i = 1 to !n - 1 do
-          if seq_of heads.(i) > seq_of heads.(!top) then top := i
-        done;
-        match heads.(!top) with
-        | Nil -> assert false
-        | Cons { key; data; next; _ } ->
-            (match next with
-            | Nil ->
-                decr n;
-                heads.(!top) <- heads.(!n)
-            | b -> heads.(!top) <- b);
-            f key data
-      done
-    done
-
-  let fold f t acc =
-    let acc = ref acc in
-    iter (fun key data -> acc := f key data !acc) t;
+      match !n with
+      | 0 -> ()
+      | 1 -> acc := walk f !acc heads.(0)
+      | 2 -> acc := merge2 f !acc heads.(0) heads.(1)
+      | n ->
+          (* emit the newest head until every head is [Nil] *)
+          let top = ref 0 in
+          while
+            top := 0;
+            for i = 1 to n - 1 do
+              if seq_of heads.(i) > seq_of heads.(!top) then top := i
+            done;
+            heads.(!top) != Nil
+          do
+            match heads.(!top) with
+            | Nil -> ()
+            | Cons { key; data; next; _ } ->
+                heads.(!top) <- next;
+                acc := f key data !acc
+          done
+    done;
     !acc
+
+  let iter f t = fold (fun key data () -> f key data) t ()
 end
 
 type 'a codec = {
