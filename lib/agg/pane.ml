@@ -34,7 +34,6 @@ let create ?pool agg =
 
 let aggregate t = t.agg
 
-(* Fold [vs.(j)]: the value stays in its column, so no call boxes it. *)
 let add_value t key vs j =
   let c = Store.access t.store key ~init:t.init in
   if t.fresh then begin
