@@ -1761,7 +1761,6 @@ let suite =
     prop_access_accounts;
     Alcotest.test_case "store visit order = stdlib Hashtbl" `Quick
       test_store_visit_order;
-    prop_store_visit_order;
     Alcotest.test_case "compaction fault names store and key" `Quick
       test_compaction_fault_names_key;
     Alcotest.test_case "crc32 known answers and bounds" `Quick
@@ -1785,4 +1784,5 @@ let suite =
       test_short_read_faults;
     prop_store_hash;
     prop_pane_slots_boxed;
+    prop_store_visit_order;
   ]
