@@ -320,13 +320,15 @@ let advance t time =
    [close_out] would flush it first. *)
 external discard_channel : out_channel -> unit = "caml_ml_close_channel"
 
+(* Keyed off the channels, not [closed]: a {!close} that raised midway
+   leaves the pipeline closed with a channel still open. *)
 let abandon t =
   let discard oc = try discard_channel oc with Sys_error _ -> () in
-  if not t.closed then begin
-    t.closed <- true;
-    Option.iter discard t.wal;
-    Option.iter discard t.rows_oc
-  end
+  t.closed <- true;
+  Option.iter discard t.wal;
+  t.wal <- None;
+  Option.iter discard t.rows_oc;
+  t.rows_oc <- None
 
 let close t ~horizon =
   if t.closed then invalid_arg "Checkpoint: already closed";

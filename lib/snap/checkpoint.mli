@@ -116,7 +116,8 @@ val abandon : t -> unit
 (** Drop the pipeline without a horizon, as if its process were
     killed: close the log and row-log channels, discarding what they
     buffer, and write nothing.  The directory is left exactly as the
-    process's death would leave it.  A no-op on a closed pipeline. *)
+    process's death would leave it.  After a {!close} it drops only
+    what a close that raised midway left open. *)
 
 val metrics : t -> Fw_engine.Metrics.t
 

@@ -61,20 +61,21 @@
    probe makes one [String.equal], on the likely hit, and a resize
    rehashes nothing.
 
-   Probes go to the physical buckets, a power-of-two array doubled
-   whenever the size passes a quarter of it, so chains are short.  The
-   visit order is apart from them: for the same history of inserts,
-   removes and resets it is that of a generic stdlib [Hashtbl]
-   (non-randomized), whose bucket count [virt] is kept as a counter —
-   16 at the start and after {!reset}, doubled once the size exceeds
-   twice it.  The physical count is a multiple of [virt], so virtual
-   bucket [v] holds the nodes of physical buckets [v], [v + virt], ...
-   A stdlib bucket lists its keys newest first through any resize, so
-   {!fold} walks the virtual buckets in ascending index and merges each
-   one's chains by descending insertion number [seq].  A pane roll
-   emits an instance's keys in this order, and checkpoint row logs and
-   served taps keep it.  {!reset} empties the physical array in place:
-   the pane store is cleared at every roll and refills to its size. *)
+   Probes go to the physical buckets, a power-of-two array kept at a
+   load of at most a quarter, so chains are short.  A [dense] table, the
+   budgeted backend's, keeps the stdlib load of two: its table indexes
+   spilled keys too, outside the pool's accounts.  The visit order is
+   apart from them: for the same history of inserts, removes and resets
+   it is that of a generic stdlib [Hashtbl] (non-randomized), whose
+   bucket count [virt] is a counter — 16 at the start and after
+   {!reset}, doubled once the size exceeds twice it.  The physical count
+   is a multiple of [virt], so virtual bucket [v] holds physical buckets
+   [v], [v + virt], ...  A stdlib bucket lists its keys newest first
+   through any resize, so {!fold} walks the virtual buckets in ascending
+   index and merges each one's chains by descending insertion number
+   [seq].  A pane roll emits an instance's keys in this order, and row
+   logs and taps keep it.  {!reset} empties the array in place: the pane
+   store is cleared at every roll and refills to its size. *)
 module Tbl = struct
   type 'v bucket =
     | Nil
@@ -91,11 +92,18 @@ module Tbl = struct
     mutable virt : int;
     mutable seq : int;
     mutable buckets : 'v bucket array;
+    load : int;  (* most nodes per physical bucket, in quarters *)
   }
 
   let initial = 16
-  let create () =
-    { size = 0; virt = initial; seq = 0; buckets = Array.make initial Nil }
+  let create ~dense () =
+    {
+      size = 0;
+      virt = initial;
+      seq = 0;
+      buckets = Array.make initial Nil;
+      load = (if dense then 8 else 1);
+    }
 
   let reset t =
     if t.size > 0 then Array.fill t.buckets 0 (Array.length t.buckets) Nil;
@@ -117,30 +125,30 @@ module Tbl = struct
   (* The cell of [key] (hash [h]), or [Nil]. *)
   let find t h key = cell h key t.buckets.(index t h)
 
-  (* Relink every node into twice the buckets, appending at each new
-     bucket's tail so a chain stays newest first. *)
+  (* Split old bucket [i] of [m] into buckets [i] and [i + m] of
+     [fresh], appending at their tails [lo] and [hi], so each half keeps
+     its order, newest first. *)
+  let rec split fresh i m lo hi = function
+    | Nil -> ()
+    | Cons c as node ->
+        let next = c.next and j = i + (c.hash land m) in
+        c.next <- Nil;
+        (match if j = i then lo else hi with
+        | Nil -> fresh.(j) <- node
+        | Cons tl -> tl.next <- node);
+        if j = i then split fresh i m node hi next
+        else split fresh i m lo node next
+
+  (* Relink every node into twice the buckets. *)
   let resize t =
     let old = t.buckets in
-    let n = 2 * Array.length old in
-    if n < Sys.max_array_length then begin
-      let fresh = Array.make n Nil and tails = Array.make n Nil in
-      t.buckets <- fresh;
-      Array.iter
-        (fun b ->
-          let rec go = function
-            | Nil -> ()
-            | Cons c as node ->
-                let next = c.next in
-                let i = c.hash land (n - 1) in
-                (match tails.(i) with
-                | Nil -> fresh.(i) <- node
-                | Cons tl -> tl.next <- node);
-                tails.(i) <- node;
-                go next
-          in
-          go b)
-        old;
-      Array.iter (function Cons tl -> tl.next <- Nil | Nil -> ()) tails
+    let m = Array.length old in
+    if 2 * m < Sys.max_array_length then begin
+      let fresh = Array.make (2 * m) Nil in
+      for i = 0 to m - 1 do
+        split fresh i m Nil Nil old.(i)
+      done;
+      t.buckets <- fresh
     end
 
   (* Insert [key], known absent, at the head of its bucket.  The index is
@@ -152,7 +160,7 @@ module Tbl = struct
       Cons { key; hash = h; seq = t.seq; data; next = t.buckets.(i) };
     t.size <- t.size + 1;
     if t.size > 2 * t.virt then t.virt <- 2 * t.virt;
-    if 4 * t.size > Array.length t.buckets then resize t
+    if 4 * t.size > t.load * Array.length t.buckets then resize t
 
   (* Unlink [key]'s cell in one walk of its bucket: the cell, or [Nil]
      when absent. *)
@@ -175,22 +183,12 @@ module Tbl = struct
 
   let seq_of = function Nil -> -1 | Cons c -> c.seq
 
-  let rec walk f acc = function
-    | Nil -> acc
-    | Cons { key; data; next; _ } -> walk f (f key data acc) next
-
-  let rec merge2 f acc a b =
-    match (a, b) with
-    | Cons x, Cons y ->
-        if x.seq > y.seq then merge2 f (f x.key x.data acc) x.next b
-        else merge2 f (f y.key y.data acc) a y.next
-    | Nil, c | c, Nil -> walk f acc c
-
   (* Visit virtual bucket after virtual bucket: gather its nonempty
-     chains in [heads] and merge them, newest node first (one or two
-     chains, the usual cases, without the array).  O(entries + physical
-     buckets) for a table of about one node per virtual bucket, however
-     far the physical array outgrew [virt]. *)
+     chains in [heads] and merge them, newest node first.  A merge
+     leaves every head [Nil], so an empty virtual bucket finds
+     [heads.(0)] [Nil].  O(entries + physical buckets) for a table of
+     about one node per virtual bucket, however far the physical array
+     outgrew [virt]. *)
   let fold f t acc =
     let d = t.buckets and nv = t.virt in
     let heads = Array.make (Array.length d / nv) Nil in
@@ -205,26 +203,20 @@ module Tbl = struct
             incr n);
         p := !p + nv
       done;
-      match !n with
-      | 0 -> ()
-      | 1 -> acc := walk f !acc heads.(0)
-      | 2 -> acc := merge2 f !acc heads.(0) heads.(1)
-      | n ->
-          (* emit the newest head until every head is [Nil] *)
-          let top = ref 0 in
-          while
-            top := 0;
-            for i = 1 to n - 1 do
-              if seq_of heads.(i) > seq_of heads.(!top) then top := i
-            done;
-            heads.(!top) != Nil
-          do
-            match heads.(!top) with
-            | Nil -> ()
-            | Cons { key; data; next; _ } ->
-                heads.(!top) <- next;
-                acc := f key data !acc
-          done
+      let top = ref 0 in
+      while
+        top := 0;
+        for i = 1 to !n - 1 do
+          if seq_of heads.(i) > seq_of heads.(!top) then top := i
+        done;
+        heads.(!top) != Nil
+      do
+        match heads.(!top) with
+        | Nil -> ()
+        | Cons { key; data; next; _ } ->
+            heads.(!top) <- next;
+            acc := f key data !acc
+      done
     done;
     !acc
 
@@ -447,7 +439,7 @@ let close_backend b =
 
 let create ?pool ~name codec =
   match pool with
-  | None -> R (codec, Tbl.create ())
+  | None -> R (codec, Tbl.create ~dense:false ())
   | Some pool ->
       let ring = sentinel () in
       let b =
@@ -455,7 +447,7 @@ let create ?pool ~name codec =
           pool;
           codec;
           name;
-          tbl = Tbl.create ();
+          tbl = Tbl.create ~dense:true ();
           clock = Queue.create ();
           ring;
           file = None;

@@ -1761,8 +1761,6 @@ let suite =
       test_stream_fw_emission_order;
     Alcotest.test_case "naive emission order and image bytes are pinned"
       `Quick test_naive_emission_and_image_pinned;
-    Alcotest.test_case "wide pane emission order is pinned" `Quick
-      test_wide_pane_emission_pinned;
     Alcotest.test_case "import rejects malformed instance lists" `Quick
       test_import_rejects_bad_instance_lists;
     prop_ring_matches_model;
@@ -1770,4 +1768,6 @@ let suite =
     prop_close_sorts_emission;
     Alcotest.test_case "close keeps the emission order of ties" `Quick
       test_close_keeps_tie_order;
+    Alcotest.test_case "wide pane emission order is pinned" `Quick
+      test_wide_pane_emission_pinned;
   ]

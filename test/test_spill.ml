@@ -411,8 +411,10 @@ let test_store_visit_order () =
    between probe buckets and visit order: growth through many resizes,
    a clear right after it (the probe array stays large while the stdlib
    table is back at 16 buckets), small refills, and removes of random
-   present keys, which land on any probe chain.  Both backends; [iter]
-   and [fold] are checked after every step. *)
+   present keys, which land on any probe chain.  The keys are drawn
+   from a generated seed, so they vary per case and shrink with the
+   history.  Both backends; [iter] and [fold] are checked after every
+   step. *)
 type order_op =
   | O_grow of int  (* insert up to n keys drawn from a wide range *)
   | O_refill of int  (* insert up to n keys drawn from a narrow range *)
@@ -432,8 +434,9 @@ let gen_order_ops =
            (2, return O_clear);
          ]))
 
-let print_order_ops ops =
-  String.concat "; "
+let print_order_ops (seed, ops) =
+  Printf.sprintf "seed %d: " seed
+  ^ String.concat "; "
     (List.map
        (function
          | O_grow n -> Printf.sprintf "grow %d" n
@@ -445,8 +448,9 @@ let print_order_ops ops =
 
 let prop_store_visit_order =
   qtest ~count:60 "store visit order = stdlib Hashtbl, random histories"
-    gen_order_ops print_order_ops (fun ops ->
-      let rng = Fw_util.Prng.create (List.length ops) in
+    QCheck2.Gen.(pair (int_bound 1_000_000) gen_order_ops)
+    print_order_ops (fun (seed, ops) ->
+      let rng = Fw_util.Prng.create seed in
       let resident = Store.create ~name:"order" int_codec in
       let reference = Hashtbl.create ~random:false 16 in
       with_pool ~budget:512 (fun pool ->
