@@ -62,9 +62,11 @@
    rehashes nothing.
 
    Probes go to the physical buckets, a power-of-two array kept at a
-   load of at most a quarter, so chains are short.  A [dense] table, the
-   budgeted backend's, keeps the stdlib load of two: its table indexes
-   spilled keys too, outside the pool's accounts.  The visit order is
+   load of at most a quarter once past 32 entries, so chains are short;
+   a smaller table keeps the stdlib's 16 buckets, as fwserve makes many.
+   A [dense] table, the budgeted backend's, keeps the stdlib load of
+   two: its table indexes spilled keys too, outside the pool's
+   accounts.  The visit order is
    apart from them: for the same history of inserts, removes and resets
    it is that of a generic stdlib [Hashtbl] (non-randomized), whose
    bucket count [virt] is a counter — 16 at the start and after
@@ -160,7 +162,8 @@ module Tbl = struct
       Cons { key; hash = h; seq = t.seq; data; next = t.buckets.(i) };
     t.size <- t.size + 1;
     if t.size > 2 * t.virt then t.virt <- 2 * t.virt;
-    if 4 * t.size > t.load * Array.length t.buckets then resize t
+    if t.size > 2 * initial && 4 * t.size > t.load * Array.length t.buckets
+    then resize t
 
   (* Unlink [key]'s cell in one walk of its bucket: the cell, or [Nil]
      when absent. *)
